@@ -128,7 +128,7 @@ func TestPortfolioExactMemberCertifies(t *testing.T) {
 		cfg := anytime.Config{
 			Seed: int64(trial),
 			Exact: func(ctx context.Context) (anytime.Exact, error) {
-				res, ok, err := exhaustive.ForkPeriodCtx(ctx, f, pl, true)
+				res, ok, err := exhaustive.NewForkPrepared(f, pl, true).Period(ctx)
 				if err != nil {
 					return anytime.Exact{}, err
 				}

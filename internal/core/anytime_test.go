@@ -21,7 +21,8 @@ func TestAnytimeRegistryCoversNPHardCells(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cell %v: %v", key, err)
 		}
-		_, hasAnytime := LookupAnytimeSolver(key)
+		e, _ := LookupSolver(key)
+		hasAnytime := e.Anytime != nil
 		if want := !cl.Complexity.Polynomial() && spec.Anytime != nil; hasAnytime != want {
 			t.Errorf("cell %v (%v): anytime solver registered = %v, want %v", key, cl.Complexity, hasAnytime, want)
 		}

@@ -27,8 +27,8 @@
 //
 // # Anytime solving
 //
-// Options.AnytimeBudget switches every NP-hard cell to a second,
-// parallel registry of portfolio solvers (LookupAnytimeSolver):
+// Options.AnytimeBudget switches every NP-hard cell of a kind with a
+// portfolio to its SolverEntry.Anytime solver, filled at registration:
 // heuristic seeds, simulated-annealing members and — within the
 // exhaustive limits — the exact solver race until the budget or the
 // caller's deadline expires, and the best incumbent is returned with a

@@ -71,11 +71,8 @@ func TestUnknownKindDispatchSites(t *testing.T) {
 	if cl := ClassifyCell(key); cl != (Classification{}) {
 		t.Errorf("ClassifyCell(%v) = %+v, want the zero classification", key, cl)
 	}
-	if _, ok := LookupSolver(key); ok {
+	if e, ok := LookupSolver(key); ok || e.Anytime != nil {
 		t.Errorf("LookupSolver(%v) found a solver for an unregistered cell", key)
-	}
-	if _, ok := LookupAnytimeSolver(key); ok {
-		t.Errorf("LookupAnytimeSolver(%v) found a solver for an unregistered cell", key)
 	}
 
 	// The fingerprint hook emits the reserved '?' tag, so unclaimed

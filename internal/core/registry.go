@@ -80,6 +80,12 @@ type SolverEntry struct {
 	// All cells of one graph kind share a single Prepare implementation,
 	// so one prepared instance serves every objective of the family.
 	Prepare func(pr Problem, opts Options) *PreparedCell
+	// Anytime is the budget-bounded portfolio solver that replaces Solve
+	// when Options.AnytimeBudget is positive. register fills it for every
+	// MethodExhaustive cell whose kind spec has the Anytime capability;
+	// it is nil on polynomial cells and on kinds without a portfolio (the
+	// communication-aware variants), which ignore the budget.
+	Anytime SolverFunc
 }
 
 // registry maps every Table 1 dispatch cell to its solver. It is populated
@@ -94,6 +100,9 @@ func register(key CellKey, e SolverEntry) {
 	}
 	if _, dup := registry[key]; dup {
 		panic(fmt.Sprintf("core: duplicate solver registration for cell %v", key))
+	}
+	if spec := kindSpecs[key.Kind]; spec != nil && e.Method == MethodExhaustive {
+		e.Anytime = spec.Anytime
 	}
 	registry[key] = e
 }
@@ -114,24 +123,6 @@ func CellKeyOf(pr Problem) CellKey {
 func LookupSolver(key CellKey) (SolverEntry, bool) {
 	e, ok := registry[key]
 	return e, ok
-}
-
-// LookupAnytimeSolver returns the budget-bounded portfolio solver of an
-// NP-hard dispatch cell: every MethodExhaustive cell whose kind spec
-// advertises the Anytime capability has one. Polynomial cells — and
-// kinds without a portfolio, like the communication-aware variants —
-// have none; SolveContext then ignores the budget and takes the
-// registered solver.
-func LookupAnytimeSolver(key CellKey) (SolverFunc, bool) {
-	e, ok := registry[key]
-	if !ok || e.Method != MethodExhaustive {
-		return nil, false
-	}
-	spec, ok := kindSpecs[key.Kind]
-	if !ok || spec.Anytime == nil {
-		return nil, false
-	}
-	return spec.Anytime, true
 }
 
 // RegisteredCells returns every registered dispatch key in a deterministic
@@ -188,10 +179,8 @@ func ExactlySolvable(pr Problem, opts Options) bool {
 	// A budget switches NP-hard cells with a portfolio to the anytime
 	// path, whose result is certified but not guaranteed exact (the
 	// budget may expire before the exact member finishes).
-	if opts.AnytimeBudget > 0 {
-		if _, ok := LookupAnytimeSolver(CellKeyOf(pr)); ok {
-			return false
-		}
+	if opts.AnytimeBudget > 0 && registry[CellKeyOf(pr)].Anytime != nil {
+		return false
 	}
 	spec := specOf(pr)
 	return spec != nil && spec.ExactlySolvable(pr, opts)
@@ -210,16 +199,14 @@ func SolveContext(ctx context.Context, pr Problem, opts Options) (Solution, erro
 	}
 	opts = opts.Normalized()
 	key := CellKeyOf(pr)
-	if opts.AnytimeBudget > 0 {
-		if fn, ok := LookupAnytimeSolver(key); ok {
-			return fn(ctx, pr, opts)
-		}
-	}
 	e, ok := registry[key]
 	if !ok {
 		// Unreachable when the registry is complete (guaranteed by test).
 		return Solution{}, WithErrKind(ErrKindNoSolver,
 			fmt.Errorf("core: no solver registered for cell %v", key))
+	}
+	if opts.AnytimeBudget > 0 && e.Anytime != nil {
+		return e.Anytime(ctx, pr, opts)
 	}
 	return e.Solve(ctx, pr, opts)
 }

@@ -159,9 +159,9 @@ func init() {
 				method = MethodBinarySearchDP
 			}
 			register(CellKey{workflow.KindCommPipeline, true, gh, false, obj},
-				SolverEntry{method, true, "Section 3.2 (hom. platform)", solveCommPipeHom, prepareCommPipeHom})
+				SolverEntry{method, true, "Section 3.2 (hom. platform)", solveCommPipeHom, prepareCommPipeHom, nil})
 			register(CellKey{workflow.KindCommPipeline, false, gh, false, obj},
-				SolverEntry{MethodExhaustive, true, "Section 3.2 (het. platform)", solveCommPipeHard, prepareCommPipeHard})
+				SolverEntry{MethodExhaustive, true, "Section 3.2 (het. platform)", solveCommPipeHard, prepareCommPipeHard, nil})
 		}
 	}
 	// Comm-fork cells: NP-hard on every axis combination (the one-port
@@ -170,7 +170,7 @@ func init() {
 		for _, gh := range bools {
 			for _, obj := range objs {
 				register(CellKey{workflow.KindCommFork, ph, gh, false, obj},
-					SolverEntry{MethodExhaustive, true, "Section 3.3 (one-port fork)", solveCommForkHard, prepareCommFork})
+					SolverEntry{MethodExhaustive, true, "Section 3.3 (one-port fork)", solveCommForkHard, prepareCommFork, nil})
 			}
 		}
 	}

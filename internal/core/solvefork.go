@@ -142,15 +142,15 @@ func init() {
 		for _, gh := range bools {
 			for _, dp := range bools {
 				register(CellKey{kind, true, gh, dp, MinPeriod},
-					SolverEntry{MethodClosedForm, true, "Theorem 10", periodSolver, nil})
+					SolverEntry{MethodClosedForm, true, "Theorem 10", periodSolver, nil, nil})
 			}
 		}
 		for _, dp := range bools {
 			for _, obj := range objs[1:] {
 				register(CellKey{kind, true, true, dp, obj},
-					SolverEntry{MethodDP, true, "Theorem 11", t11, nil})
+					SolverEntry{MethodDP, true, "Theorem 11", t11, nil, nil})
 				register(CellKey{kind, true, false, dp, obj},
-					SolverEntry{MethodExhaustive, true, "Theorem 12", hard, prepare})
+					SolverEntry{MethodExhaustive, true, "Theorem 12", hard, prepare, nil})
 			}
 		}
 
@@ -160,16 +160,16 @@ func init() {
 		// (Theorems 12/15).
 		for _, obj := range objs {
 			register(CellKey{kind, false, true, false, obj},
-				SolverEntry{MethodBinarySearchDP, true, "Theorem 14", t14, nil})
+				SolverEntry{MethodBinarySearchDP, true, "Theorem 14", t14, nil, nil})
 			source := "Theorems 12/15"
 			if obj == MinPeriod {
 				source = "Theorem 15"
 			}
 			register(CellKey{kind, false, false, false, obj},
-				SolverEntry{MethodExhaustive, true, source, hard, prepare})
+				SolverEntry{MethodExhaustive, true, source, hard, prepare, nil})
 			for _, gh := range bools {
 				register(CellKey{kind, false, gh, true, obj},
-					SolverEntry{MethodExhaustive, true, "Theorem 13", hard, prepare})
+					SolverEntry{MethodExhaustive, true, "Theorem 13", hard, prepare, nil})
 			}
 		}
 	}
@@ -304,14 +304,14 @@ func solveForkHard(ctx context.Context, pr Problem, opts Options) (Solution, err
 func exhaustiveFork(ctx context.Context, pr Problem, par int) (exhaustive.ForkResult, bool, error) {
 	fp := exhaustive.NewForkPrepared(*pr.Fork, pr.Platform, pr.AllowDataParallel)
 	fp.SetParallelism(par)
-	return preparedForkDispatch(ctx, fp, pr)
+	return preparedDispatch[exhaustive.ForkResult](ctx, fp, pr)
 }
 
 // exhaustiveForkJoin is exhaustiveFork for fork-join graphs.
 func exhaustiveForkJoin(ctx context.Context, pr Problem, par int) (exhaustive.ForkJoinResult, bool, error) {
 	fp := exhaustive.NewForkJoinPrepared(*pr.ForkJoin, pr.Platform, pr.AllowDataParallel)
 	fp.SetParallelism(par)
-	return preparedForkJoinDispatch(ctx, fp, pr)
+	return preparedDispatch[exhaustive.ForkJoinResult](ctx, fp, pr)
 }
 
 // forkHeuristicCandidates returns the polynomial heuristic mappings of
@@ -464,20 +464,6 @@ func forkJoinHeuristicCandidates(pr Problem) ([]mapping.ForkJoinMapping, []mappi
 	return maps, costs
 }
 
-// preparedForkDispatch is exhaustiveFork on a shared prepared solver.
-func preparedForkDispatch(ctx context.Context, fp *exhaustive.ForkPrepared, pr Problem) (exhaustive.ForkResult, bool, error) {
-	switch pr.Objective {
-	case MinPeriod:
-		return fp.Period(ctx)
-	case MinLatency:
-		return fp.Latency(ctx)
-	case LatencyUnderPeriod:
-		return fp.LatencyUnderPeriod(ctx, pr.Bound)
-	default:
-		return fp.PeriodUnderLatency(ctx, pr.Bound)
-	}
-}
-
 // prepareForkHard is the registry Prepare capability of the NP-hard fork
 // cells: within the exhaustive limits it shares one
 // exhaustive.ForkPrepared — enumeration scratch, anytime bounds,
@@ -490,7 +476,7 @@ func prepareForkHard(pr Problem, opts Options) *PreparedCell {
 	fp := exhaustive.NewForkPrepared(*pr.Fork, pr.Platform, pr.AllowDataParallel)
 	fp.SetParallelism(searchParallelism(opts, pr))
 	solve := func(ctx context.Context, pr Problem) (Solution, error) {
-		res, ok, err := preparedForkDispatch(ctx, fp, pr)
+		res, ok, err := preparedDispatch[exhaustive.ForkResult](ctx, fp, pr)
 		if err != nil {
 			return Solution{}, err
 		}
@@ -503,21 +489,6 @@ func prepareForkHard(pr Problem, opts Options) *PreparedCell {
 	return &PreparedCell{Solve: solve, SetParallelism: fp.SetParallelism}
 }
 
-// preparedForkJoinDispatch is exhaustiveForkJoin on a shared prepared
-// solver.
-func preparedForkJoinDispatch(ctx context.Context, fp *exhaustive.ForkJoinPrepared, pr Problem) (exhaustive.ForkJoinResult, bool, error) {
-	switch pr.Objective {
-	case MinPeriod:
-		return fp.Period(ctx)
-	case MinLatency:
-		return fp.Latency(ctx)
-	case LatencyUnderPeriod:
-		return fp.LatencyUnderPeriod(ctx, pr.Bound)
-	default:
-		return fp.PeriodUnderLatency(ctx, pr.Bound)
-	}
-}
-
 // prepareForkJoinHard is prepareForkHard for fork-join graphs.
 func prepareForkJoinHard(pr Problem, opts Options) *PreparedCell {
 	if pr.ForkJoin.Leaves()+2 > opts.MaxExhaustiveForkStages || pr.Platform.Processors() > opts.MaxExhaustiveForkProcs {
@@ -526,7 +497,7 @@ func prepareForkJoinHard(pr Problem, opts Options) *PreparedCell {
 	fp := exhaustive.NewForkJoinPrepared(*pr.ForkJoin, pr.Platform, pr.AllowDataParallel)
 	fp.SetParallelism(searchParallelism(opts, pr))
 	solve := func(ctx context.Context, pr Problem) (Solution, error) {
-		res, ok, err := preparedForkJoinDispatch(ctx, fp, pr)
+		res, ok, err := preparedDispatch[exhaustive.ForkJoinResult](ctx, fp, pr)
 		if err != nil {
 			return Solution{}, err
 		}

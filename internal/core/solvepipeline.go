@@ -68,20 +68,20 @@ func init() {
 	for _, gh := range bools {
 		for _, dp := range bools {
 			register(CellKey{kind, true, gh, dp, MinPeriod},
-				SolverEntry{MethodClosedForm, true, "Theorem 1", solvePipeHomPeriod, nil})
+				SolverEntry{MethodClosedForm, true, "Theorem 1", solvePipeHomPeriod, nil, nil})
 		}
 		register(CellKey{kind, true, gh, false, MinLatency},
-			SolverEntry{MethodClosedForm, true, "Theorem 2", solvePipeHomLatencyNoDP, nil})
+			SolverEntry{MethodClosedForm, true, "Theorem 2", solvePipeHomLatencyNoDP, nil, nil})
 		register(CellKey{kind, true, gh, false, LatencyUnderPeriod},
-			SolverEntry{MethodClosedForm, true, "Corollary 1", solvePipeHomBiCriteriaNoDP, nil})
+			SolverEntry{MethodClosedForm, true, "Corollary 1", solvePipeHomBiCriteriaNoDP, nil, nil})
 		register(CellKey{kind, true, gh, false, PeriodUnderLatency},
-			SolverEntry{MethodClosedForm, true, "Corollary 1", solvePipeHomBiCriteriaNoDP, nil})
+			SolverEntry{MethodClosedForm, true, "Corollary 1", solvePipeHomBiCriteriaNoDP, nil, nil})
 		register(CellKey{kind, true, gh, true, MinLatency},
-			SolverEntry{MethodDP, true, "Theorem 3", solvePipeHomLatencyDP, nil})
+			SolverEntry{MethodDP, true, "Theorem 3", solvePipeHomLatencyDP, nil, nil})
 		register(CellKey{kind, true, gh, true, LatencyUnderPeriod},
-			SolverEntry{MethodDP, true, "Theorem 4", solvePipeHomLatencyUnderPeriodDP, nil})
+			SolverEntry{MethodDP, true, "Theorem 4", solvePipeHomLatencyUnderPeriodDP, nil, nil})
 		register(CellKey{kind, true, gh, true, PeriodUnderLatency},
-			SolverEntry{MethodDP, true, "Theorem 4", solvePipeHomPeriodUnderLatencyDP, nil})
+			SolverEntry{MethodDP, true, "Theorem 4", solvePipeHomPeriodUnderLatencyDP, nil, nil})
 	}
 
 	// Heterogeneous platforms without data-parallelism: latency is always
@@ -90,17 +90,17 @@ func init() {
 	// (Theorem 9).
 	for _, gh := range bools {
 		register(CellKey{kind, false, gh, false, MinLatency},
-			SolverEntry{MethodClosedForm, true, "Theorem 6", solvePipeHetLatencyNoDP, nil})
+			SolverEntry{MethodClosedForm, true, "Theorem 6", solvePipeHetLatencyNoDP, nil, nil})
 	}
 	register(CellKey{kind, false, true, false, MinPeriod},
-		SolverEntry{MethodBinarySearchDP, true, "Theorem 7", solvePipeHetHomPeriodNoDP, nil})
+		SolverEntry{MethodBinarySearchDP, true, "Theorem 7", solvePipeHetHomPeriodNoDP, nil, nil})
 	register(CellKey{kind, false, true, false, LatencyUnderPeriod},
-		SolverEntry{MethodBinarySearchDP, true, "Theorem 8", solvePipeHetHomLatencyUnderPeriodNoDP, nil})
+		SolverEntry{MethodBinarySearchDP, true, "Theorem 8", solvePipeHetHomLatencyUnderPeriodNoDP, nil, nil})
 	register(CellKey{kind, false, true, false, PeriodUnderLatency},
-		SolverEntry{MethodBinarySearchDP, true, "Theorem 8", solvePipeHetHomPeriodUnderLatencyNoDP, nil})
+		SolverEntry{MethodBinarySearchDP, true, "Theorem 8", solvePipeHetHomPeriodUnderLatencyNoDP, nil, nil})
 	for _, obj := range []Objective{MinPeriod, LatencyUnderPeriod, PeriodUnderLatency} {
 		register(CellKey{kind, false, false, false, obj},
-			SolverEntry{MethodExhaustive, true, "Theorem 9", solvePipelineHard, preparePipelineHard})
+			SolverEntry{MethodExhaustive, true, "Theorem 9", solvePipelineHard, preparePipelineHard, nil})
 	}
 
 	// Data-parallelism on heterogeneous platforms is NP-hard across the
@@ -109,7 +109,7 @@ func init() {
 	for _, gh := range bools {
 		for _, obj := range []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency} {
 			register(CellKey{kind, false, gh, true, obj},
-				SolverEntry{MethodExhaustive, true, "Theorem 5", solvePipelineHard, preparePipelineHard})
+				SolverEntry{MethodExhaustive, true, "Theorem 5", solvePipelineHard, preparePipelineHard, nil})
 		}
 	}
 }
@@ -261,21 +261,30 @@ func solvePipelineHard(ctx context.Context, pr Problem, opts Options) (Solution,
 func exhaustivePipeline(ctx context.Context, pr Problem, par int) (exhaustive.PipelineResult, bool, error) {
 	pp := exhaustive.NewPipelinePrepared(*pr.Pipeline, pr.Platform, pr.AllowDataParallel)
 	pp.SetParallelism(par)
-	return preparedPipelineDispatch(ctx, pp, pr)
+	return preparedDispatch[exhaustive.PipelineResult](ctx, pp, pr)
 }
 
-// preparedPipelineDispatch is exhaustivePipeline on a shared prepared
-// solver: same dispatch, same results, none of the per-solve setup.
-func preparedPipelineDispatch(ctx context.Context, pp *exhaustive.PipelinePrepared, pr Problem) (exhaustive.PipelineResult, bool, error) {
+// exactSolver is the objective surface shared by the prepared exhaustive
+// solvers of the pipeline, fork and fork-join kinds.
+type exactSolver[R any] interface {
+	Period(ctx context.Context) (R, bool, error)
+	Latency(ctx context.Context) (R, bool, error)
+	LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (R, bool, error)
+	PeriodUnderLatency(ctx context.Context, maxLatency float64) (R, bool, error)
+}
+
+// preparedDispatch solves pr's objective on a shared prepared solver:
+// same dispatch and results as a fresh one, none of the per-solve setup.
+func preparedDispatch[R any](ctx context.Context, s exactSolver[R], pr Problem) (R, bool, error) {
 	switch pr.Objective {
 	case MinPeriod:
-		return pp.Period(ctx)
+		return s.Period(ctx)
 	case MinLatency:
-		return pp.Latency(ctx)
+		return s.Latency(ctx)
 	case LatencyUnderPeriod:
-		return pp.LatencyUnderPeriod(ctx, pr.Bound)
+		return s.LatencyUnderPeriod(ctx, pr.Bound)
 	default:
-		return pp.PeriodUnderLatency(ctx, pr.Bound)
+		return s.PeriodUnderLatency(ctx, pr.Bound)
 	}
 }
 
@@ -292,7 +301,7 @@ func preparePipelineHard(pr Problem, opts Options) *PreparedCell {
 	pp := exhaustive.NewPipelinePrepared(*pr.Pipeline, pr.Platform, pr.AllowDataParallel)
 	pp.SetParallelism(searchParallelism(opts, pr))
 	solve := func(ctx context.Context, pr Problem) (Solution, error) {
-		res, ok, err := preparedPipelineDispatch(ctx, pp, pr)
+		res, ok, err := preparedDispatch[exhaustive.PipelineResult](ctx, pp, pr)
 		if err != nil {
 			return Solution{}, err
 		}

@@ -43,7 +43,7 @@ func init() {
 		for _, graphHom := range []bool{false, true} {
 			for _, obj := range []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency} {
 				register(CellKey{workflow.KindSP, platHom, graphHom, false, obj},
-					SolverEntry{MethodExhaustive, true, "SP decomposition", solveSP, prepareSP})
+					SolverEntry{MethodExhaustive, true, "SP decomposition", solveSP, prepareSP, nil})
 			}
 		}
 	}

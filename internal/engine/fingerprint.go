@@ -51,7 +51,7 @@ func appendFingerprint(b []byte, pr core.Problem, opts core.Options) []byte {
 	// would fragment the cache with byte-identical solutions.
 	budget := opts.AnytimeBudget
 	if budget > 0 {
-		if _, ok := core.LookupAnytimeSolver(core.CellKeyOf(pr)); !ok {
+		if e, _ := core.LookupSolver(core.CellKeyOf(pr)); e.Anytime == nil {
 			budget = 0
 		}
 	}

@@ -2,7 +2,6 @@ package exhaustive
 
 import (
 	"context"
-	"math"
 
 	"repliflow/internal/anytime"
 	"repliflow/internal/mapping"
@@ -10,12 +9,6 @@ import (
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
-
-// ForkResult is an optimal fork mapping together with its exact cost.
-type ForkResult struct {
-	Mapping mapping.ForkMapping
-	Cost    mapping.Cost
-}
 
 // partitions enumerates the set partitions of items {0,..,m-1} into at most
 // maxBlocks blocks, via restricted growth strings. Each partition is passed
@@ -140,15 +133,10 @@ func (e *forkEnum) leafCost(blocks []mapping.ForkBlock) mapping.Cost {
 	return c
 }
 
-// run invokes visit for every valid fork mapping, stopping early once the
-// stepper latches a context error or visit returns false.
-func (e *forkEnum) run(ctx context.Context, visit func(mapping.ForkMapping, mapping.Cost) bool) {
-	e.runFrom(ctx, nil, 0, visit)
-}
-
-// runFrom is run restricted to the partitions extending a fixed
-// restricted-growth prefix naming `used` blocks (nil enumerates
-// everything) — the shard unit of the partitioned parallel scan.
+// runFrom invokes visit for every valid fork mapping whose partition
+// extends a fixed restricted-growth prefix naming `used` blocks (nil
+// enumerates everything), stopping early once the stepper latches a
+// context error or visit returns false.
 func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, visit func(mapping.ForkMapping, mapping.Cost) bool) {
 	e.step.reset(ctx)
 	full := (1 << e.pl.Processors()) - 1
@@ -237,238 +225,54 @@ func copyForkMapping(m mapping.ForkMapping) mapping.ForkMapping {
 // every legal mode combination. Exhaustive ground truth for small n and p.
 // Each visited mapping is an independent copy the visitor may retain.
 func EnumerateFork(f workflow.Fork, pl platform.Platform, allowDP bool, visit func(mapping.ForkMapping, mapping.Cost)) {
-	newForkEnum(f, pl, allowDP).run(context.Background(), func(m mapping.ForkMapping, c mapping.Cost) bool {
+	newForkEnum(f, pl, allowDP).runFrom(context.Background(), nil, 0, func(m mapping.ForkMapping, c mapping.Cost) bool {
 		visit(copyForkMapping(m), c)
 		return true
 	})
 }
 
-// scan enumerates all mappings and keeps the best according to accept /
-// objective. lb is the anytime lower bound on the objective: once the
-// incumbent reaches it the enumeration aborts — later mappings can at
-// most tie, and ties never replace the incumbent, so the result is
-// byte-identical to the full scan. Pass lb <= 0 to disable pruning.
-func (e *forkEnum) scan(ctx context.Context,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkResult, bool, error) {
-	var best ForkResult
-	found := false
-	e.run(ctx, func(m mapping.ForkMapping, c mapping.Cost) bool {
-		if !accept(c) {
-			return true
-		}
-		if !found || numeric.Less(objective(c), objective(best.Cost)) {
-			best = ForkResult{Mapping: copyForkMapping(m), Cost: c}
-			found = true
-			if lb > 0 && numeric.LessEq(objective(best.Cost), lb) {
-				return false
-			}
-		}
-		return true
-	})
-	if e.step.err != nil {
-		return ForkResult{}, false, e.step.err
-	}
-	return best, found, nil
+func (e *forkEnum) err() error { return e.step.err }
+
+func (e *forkEnum) retain(m mapping.ForkMapping) mapping.ForkMapping { return copyForkMapping(m) }
+
+func (e *forkEnum) share(m mapping.ForkMapping) mapping.ForkMapping {
+	m.Blocks = append([]mapping.ForkBlock(nil), m.Blocks...)
+	return m
 }
 
-// forkScan is a one-shot scan on a fresh enumerator (tests compare pruned
-// against unpruned scans through it).
-func forkScan(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkResult, bool, error) {
-	return newForkEnum(f, pl, allowDP).scan(ctx, accept, objective, lb)
-}
+func (e *forkEnum) fresh() enumerator[mapping.ForkMapping] { return newForkEnum(e.f, e.pl, e.allowDP) }
 
-func acceptAll(mapping.Cost) bool    { return true }
-func period(c mapping.Cost) float64  { return c.Period }
-func latency(c mapping.Cost) float64 { return c.Latency }
-
-// forkMemo is one memoized scan result of a prepared fork solver.
-type forkMemo struct {
-	res ForkResult
-	ok  bool
-}
-
-func (m forkMemo) clone() (ForkResult, bool) {
-	res := m.res
-	res.Mapping.Blocks = append([]mapping.ForkBlock(nil), res.Mapping.Blocks...)
-	return res, m.ok
-}
-
-// ForkPrepared solves repeated objective/bound variants of one
-// (fork, platform, model) triple: enumeration scratch is shared across
-// solves, the anytime lower bounds are computed once per objective, and
-// bounded solves are memoized by their bound bits. Results are
-// byte-identical to the one-shot package functions, which wrap a prepared
-// solver used once. Not safe for concurrent use.
-type ForkPrepared struct {
-	f       workflow.Fork
-	pl      platform.Platform
-	allowDP bool
-	enum    *forkEnum
-	par     int
-
-	lbPeriod, lbLatency   float64
-	hasLBp, hasLBl        bool
-	periodM, latencyM     forkMemo
-	hasPeriod, hasLatency bool
-	lup, pul              map[uint64]forkMemo
-}
+func (e *forkEnum) lowerBound(spec anytime.Spec) float64 { return anytime.ForkLB(e.f, e.pl, spec) }
 
 // NewForkPrepared returns a prepared solver for the triple.
 func NewForkPrepared(f workflow.Fork, pl platform.Platform, allowDP bool) *ForkPrepared {
-	return &ForkPrepared{
-		f: f, pl: pl, allowDP: allowDP,
-		enum: newForkEnum(f, pl, allowDP),
-		lup:  make(map[uint64]forkMemo),
-		pul:  make(map[uint64]forkMemo),
-	}
-}
-
-// SetParallelism sets the worker count of subsequent solves: counts
-// above 1 run the partitioned parallel scan (see parForkScan), anything
-// else the serial enumeration. Results are byte-identical either way, so
-// the memos may mix entries computed at different counts; the prepared
-// solver itself stays single-owner.
-func (fp *ForkPrepared) SetParallelism(workers int) {
-	fp.par = workers
-}
-
-// scan dispatches one bounded scan to the serial enumerator or, when
-// parallelism is enabled, the partitioned scan.
-func (fp *ForkPrepared) scan(ctx context.Context,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkResult, bool, error) {
-	if fp.par > 1 {
-		return parForkScan(ctx, fp.f, fp.pl, fp.allowDP, fp.par, accept, objective, lb)
-	}
-	return fp.enum.scan(ctx, accept, objective, lb)
-}
-
-func (fp *ForkPrepared) periodLB() float64 {
-	if !fp.hasLBp {
-		fp.lbPeriod = anytime.ForkLB(fp.f, fp.pl, anytime.Spec{MinimizePeriod: true, AllowDP: fp.allowDP})
-		fp.hasLBp = true
-	}
-	return fp.lbPeriod
-}
-
-func (fp *ForkPrepared) latencyLB() float64 {
-	if !fp.hasLBl {
-		fp.lbLatency = anytime.ForkLB(fp.f, fp.pl, anytime.Spec{AllowDP: fp.allowDP})
-		fp.hasLBl = true
-	}
-	return fp.lbLatency
-}
-
-// Period solves MinPeriod.
-func (fp *ForkPrepared) Period(ctx context.Context) (ForkResult, bool, error) {
-	if !fp.hasPeriod {
-		res, ok, err := fp.scan(ctx, acceptAll, period, fp.periodLB())
-		if err != nil {
-			return ForkResult{}, false, err
-		}
-		fp.periodM = forkMemo{res: res, ok: ok}
-		fp.hasPeriod = true
-	}
-	res, ok := fp.periodM.clone()
-	return res, ok, nil
-}
-
-// Latency solves MinLatency.
-func (fp *ForkPrepared) Latency(ctx context.Context) (ForkResult, bool, error) {
-	if !fp.hasLatency {
-		res, ok, err := fp.scan(ctx, acceptAll, latency, fp.latencyLB())
-		if err != nil {
-			return ForkResult{}, false, err
-		}
-		fp.latencyM = forkMemo{res: res, ok: ok}
-		fp.hasLatency = true
-	}
-	res, ok := fp.latencyM.clone()
-	return res, ok, nil
-}
-
-// LatencyUnderPeriod solves min-latency under the period bound; repeated
-// bounds (bit-identical floats) are answered from the memo.
-func (fp *ForkPrepared) LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (ForkResult, bool, error) {
-	key := math.Float64bits(maxPeriod)
-	m, hit := fp.lup[key]
-	if !hit {
-		res, ok, err := fp.scan(ctx,
-			func(c mapping.Cost) bool { return numeric.LessEq(c.Period, maxPeriod) }, latency, fp.latencyLB())
-		if err != nil {
-			return ForkResult{}, false, err
-		}
-		m = forkMemo{res: res, ok: ok}
-		fp.lup[key] = m
-	}
-	res, ok := m.clone()
-	return res, ok, nil
-}
-
-// PeriodUnderLatency solves min-period under the latency bound; repeated
-// bounds are answered from the memo.
-func (fp *ForkPrepared) PeriodUnderLatency(ctx context.Context, maxLatency float64) (ForkResult, bool, error) {
-	key := math.Float64bits(maxLatency)
-	m, hit := fp.pul[key]
-	if !hit {
-		res, ok, err := fp.scan(ctx,
-			func(c mapping.Cost) bool { return numeric.LessEq(c.Latency, maxLatency) }, period, fp.periodLB())
-		if err != nil {
-			return ForkResult{}, false, err
-		}
-		m = forkMemo{res: res, ok: ok}
-		fp.pul[key] = m
-	}
-	res, ok := m.clone()
-	return res, ok, nil
+	return newScanPrepared(newForkEnum(f, pl, allowDP), f.Leaves()+1, pl.Processors(), allowDP)
 }
 
 // ForkPeriod returns a fork mapping minimizing the period.
 func ForkPeriod(f workflow.Fork, pl platform.Platform, allowDP bool) (ForkResult, bool) {
-	res, ok, _ := ForkPeriodCtx(context.Background(), f, pl, allowDP)
+	res, ok, _ := NewForkPrepared(f, pl, allowDP).Period(context.Background())
 	return res, ok
-}
-
-// ForkPeriodCtx is ForkPeriod with cancellation checkpoints.
-func ForkPeriodCtx(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool) (ForkResult, bool, error) {
-	return NewForkPrepared(f, pl, allowDP).Period(ctx)
 }
 
 // ForkLatency returns a fork mapping minimizing the latency.
 func ForkLatency(f workflow.Fork, pl platform.Platform, allowDP bool) (ForkResult, bool) {
-	res, ok, _ := ForkLatencyCtx(context.Background(), f, pl, allowDP)
+	res, ok, _ := NewForkPrepared(f, pl, allowDP).Latency(context.Background())
 	return res, ok
-}
-
-// ForkLatencyCtx is ForkLatency with cancellation checkpoints.
-func ForkLatencyCtx(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool) (ForkResult, bool, error) {
-	return NewForkPrepared(f, pl, allowDP).Latency(ctx)
 }
 
 // ForkLatencyUnderPeriod returns a fork mapping minimizing the latency
 // among mappings whose period does not exceed maxPeriod.
 func ForkLatencyUnderPeriod(f workflow.Fork, pl platform.Platform, allowDP bool, maxPeriod float64) (ForkResult, bool) {
-	res, ok, _ := ForkLatencyUnderPeriodCtx(context.Background(), f, pl, allowDP, maxPeriod)
+	res, ok, _ := NewForkPrepared(f, pl, allowDP).LatencyUnderPeriod(context.Background(), maxPeriod)
 	return res, ok
-}
-
-// ForkLatencyUnderPeriodCtx is ForkLatencyUnderPeriod with cancellation
-// checkpoints.
-func ForkLatencyUnderPeriodCtx(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool, maxPeriod float64) (ForkResult, bool, error) {
-	return NewForkPrepared(f, pl, allowDP).LatencyUnderPeriod(ctx, maxPeriod)
 }
 
 // ForkPeriodUnderLatency returns a fork mapping minimizing the period among
 // mappings whose latency does not exceed maxLatency.
 func ForkPeriodUnderLatency(f workflow.Fork, pl platform.Platform, allowDP bool, maxLatency float64) (ForkResult, bool) {
-	res, ok, _ := ForkPeriodUnderLatencyCtx(context.Background(), f, pl, allowDP, maxLatency)
+	res, ok, _ := NewForkPrepared(f, pl, allowDP).PeriodUnderLatency(context.Background(), maxLatency)
 	return res, ok
-}
-
-// ForkPeriodUnderLatencyCtx is ForkPeriodUnderLatency with cancellation
-// checkpoints.
-func ForkPeriodUnderLatencyCtx(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool, maxLatency float64) (ForkResult, bool, error) {
-	return NewForkPrepared(f, pl, allowDP).PeriodUnderLatency(ctx, maxLatency)
 }
 
 // ForkPareto returns the exact Pareto front of (period, latency) over all

@@ -2,20 +2,12 @@ package exhaustive
 
 import (
 	"context"
-	"math"
 
 	"repliflow/internal/anytime"
 	"repliflow/internal/mapping"
-	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
-
-// ForkJoinResult is an optimal fork-join mapping with its exact cost.
-type ForkJoinResult struct {
-	Mapping mapping.ForkJoinMapping
-	Cost    mapping.Cost
-}
 
 // fjEnum is the resettable fork-join enumerator, sharing scratch across
 // runs exactly like forkEnum. Items are ordered root, leaves, join; blocks
@@ -111,15 +103,10 @@ func (e *fjEnum) leafCost(blocks []mapping.ForkJoinBlock) mapping.Cost {
 	return c
 }
 
-// run invokes visit for every valid fork-join mapping, stopping early once
-// the stepper latches a context error or visit returns false.
-func (e *fjEnum) run(ctx context.Context, visit func(mapping.ForkJoinMapping, mapping.Cost) bool) {
-	e.runFrom(ctx, nil, 0, visit)
-}
-
-// runFrom is run restricted to the partitions extending a fixed
-// restricted-growth prefix naming `used` blocks (nil enumerates
-// everything) — the shard unit of the partitioned parallel scan.
+// runFrom invokes visit for every valid fork-join mapping whose
+// partition extends a fixed restricted-growth prefix naming `used`
+// blocks (nil enumerates everything), stopping early once the stepper
+// latches a context error or visit returns false.
 func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, visit func(mapping.ForkJoinMapping, mapping.Cost) bool) {
 	e.step.reset(ctx)
 	full := (1 << e.pl.Processors()) - 1
@@ -211,225 +198,52 @@ func copyForkJoinMapping(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 // EnumerateForkJoin invokes visit for every valid fork-join mapping. Each
 // visited mapping is an independent copy the visitor may retain.
 func EnumerateForkJoin(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, visit func(mapping.ForkJoinMapping, mapping.Cost)) {
-	newFJEnum(fj, pl, allowDP).run(context.Background(), func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
+	newFJEnum(fj, pl, allowDP).runFrom(context.Background(), nil, 0, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
 		visit(copyForkJoinMapping(m), c)
 		return true
 	})
 }
 
-// scan enumerates all mappings keeping the best acceptable one. lb prunes
-// exactly as in forkEnum.scan: reaching it aborts the scan without
-// changing the result (ties never replace the incumbent); lb <= 0
-// disables pruning.
-func (e *fjEnum) scan(ctx context.Context,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
-	var best ForkJoinResult
-	found := false
-	e.run(ctx, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
-		if !accept(c) {
-			return true
-		}
-		if !found || numeric.Less(objective(c), objective(best.Cost)) {
-			best = ForkJoinResult{Mapping: copyForkJoinMapping(m), Cost: c}
-			found = true
-			if lb > 0 && numeric.LessEq(objective(best.Cost), lb) {
-				return false
-			}
-		}
-		return true
-	})
-	if e.step.err != nil {
-		return ForkJoinResult{}, false, e.step.err
-	}
-	return best, found, nil
+func (e *fjEnum) err() error { return e.step.err }
+
+func (e *fjEnum) retain(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
+	return copyForkJoinMapping(m)
 }
 
-// forkJoinScan is a one-shot scan on a fresh enumerator.
-func forkJoinScan(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
-	return newFJEnum(fj, pl, allowDP).scan(ctx, accept, objective, lb)
+func (e *fjEnum) share(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
+	m.Blocks = append([]mapping.ForkJoinBlock(nil), m.Blocks...)
+	return m
 }
 
-// fjMemo is one memoized scan result of a prepared fork-join solver.
-type fjMemo struct {
-	res ForkJoinResult
-	ok  bool
-}
+func (e *fjEnum) fresh() enumerator[mapping.ForkJoinMapping] { return newFJEnum(e.fj, e.pl, e.allowDP) }
 
-func (m fjMemo) clone() (ForkJoinResult, bool) {
-	res := m.res
-	res.Mapping.Blocks = append([]mapping.ForkJoinBlock(nil), res.Mapping.Blocks...)
-	return res, m.ok
-}
-
-// ForkJoinPrepared is the fork-join analogue of ForkPrepared: shared
-// enumeration scratch, per-objective anytime bounds computed once, and
-// bound-keyed memos. Byte-identical to the one-shot functions; not safe
-// for concurrent use.
-type ForkJoinPrepared struct {
-	fj      workflow.ForkJoin
-	pl      platform.Platform
-	allowDP bool
-	enum    *fjEnum
-	par     int
-
-	lbPeriod, lbLatency   float64
-	hasLBp, hasLBl        bool
-	periodM, latencyM     fjMemo
-	hasPeriod, hasLatency bool
-	lup, pul              map[uint64]fjMemo
-}
+func (e *fjEnum) lowerBound(spec anytime.Spec) float64 { return anytime.ForkJoinLB(e.fj, e.pl, spec) }
 
 // NewForkJoinPrepared returns a prepared solver for the triple.
 func NewForkJoinPrepared(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) *ForkJoinPrepared {
-	return &ForkJoinPrepared{
-		fj: fj, pl: pl, allowDP: allowDP,
-		enum: newFJEnum(fj, pl, allowDP),
-		lup:  make(map[uint64]fjMemo),
-		pul:  make(map[uint64]fjMemo),
-	}
-}
-
-// SetParallelism sets the worker count of subsequent solves exactly as
-// ForkPrepared.SetParallelism does: above 1 runs the partitioned
-// parallel scan, results stay byte-identical, and the prepared solver
-// remains single-owner.
-func (fp *ForkJoinPrepared) SetParallelism(workers int) {
-	fp.par = workers
-}
-
-// scan dispatches one bounded scan to the serial enumerator or, when
-// parallelism is enabled, the partitioned scan.
-func (fp *ForkJoinPrepared) scan(ctx context.Context,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
-	if fp.par > 1 {
-		return parForkJoinScan(ctx, fp.fj, fp.pl, fp.allowDP, fp.par, accept, objective, lb)
-	}
-	return fp.enum.scan(ctx, accept, objective, lb)
-}
-
-func (fp *ForkJoinPrepared) periodLB() float64 {
-	if !fp.hasLBp {
-		fp.lbPeriod = anytime.ForkJoinLB(fp.fj, fp.pl, anytime.Spec{MinimizePeriod: true, AllowDP: fp.allowDP})
-		fp.hasLBp = true
-	}
-	return fp.lbPeriod
-}
-
-func (fp *ForkJoinPrepared) latencyLB() float64 {
-	if !fp.hasLBl {
-		fp.lbLatency = anytime.ForkJoinLB(fp.fj, fp.pl, anytime.Spec{AllowDP: fp.allowDP})
-		fp.hasLBl = true
-	}
-	return fp.lbLatency
-}
-
-// Period solves MinPeriod.
-func (fp *ForkJoinPrepared) Period(ctx context.Context) (ForkJoinResult, bool, error) {
-	if !fp.hasPeriod {
-		res, ok, err := fp.scan(ctx, acceptAll, period, fp.periodLB())
-		if err != nil {
-			return ForkJoinResult{}, false, err
-		}
-		fp.periodM = fjMemo{res: res, ok: ok}
-		fp.hasPeriod = true
-	}
-	res, ok := fp.periodM.clone()
-	return res, ok, nil
-}
-
-// Latency solves MinLatency.
-func (fp *ForkJoinPrepared) Latency(ctx context.Context) (ForkJoinResult, bool, error) {
-	if !fp.hasLatency {
-		res, ok, err := fp.scan(ctx, acceptAll, latency, fp.latencyLB())
-		if err != nil {
-			return ForkJoinResult{}, false, err
-		}
-		fp.latencyM = fjMemo{res: res, ok: ok}
-		fp.hasLatency = true
-	}
-	res, ok := fp.latencyM.clone()
-	return res, ok, nil
-}
-
-// LatencyUnderPeriod solves min-latency under the period bound; repeated
-// bounds are answered from the memo.
-func (fp *ForkJoinPrepared) LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (ForkJoinResult, bool, error) {
-	key := math.Float64bits(maxPeriod)
-	m, hit := fp.lup[key]
-	if !hit {
-		res, ok, err := fp.scan(ctx,
-			func(c mapping.Cost) bool { return numeric.LessEq(c.Period, maxPeriod) }, latency, fp.latencyLB())
-		if err != nil {
-			return ForkJoinResult{}, false, err
-		}
-		m = fjMemo{res: res, ok: ok}
-		fp.lup[key] = m
-	}
-	res, ok := m.clone()
-	return res, ok, nil
-}
-
-// PeriodUnderLatency solves min-period under the latency bound; repeated
-// bounds are answered from the memo.
-func (fp *ForkJoinPrepared) PeriodUnderLatency(ctx context.Context, maxLatency float64) (ForkJoinResult, bool, error) {
-	key := math.Float64bits(maxLatency)
-	m, hit := fp.pul[key]
-	if !hit {
-		res, ok, err := fp.scan(ctx,
-			func(c mapping.Cost) bool { return numeric.LessEq(c.Latency, maxLatency) }, period, fp.periodLB())
-		if err != nil {
-			return ForkJoinResult{}, false, err
-		}
-		m = fjMemo{res: res, ok: ok}
-		fp.pul[key] = m
-	}
-	res, ok := m.clone()
-	return res, ok, nil
+	return newScanPrepared(newFJEnum(fj, pl, allowDP), fj.Leaves()+2, pl.Processors(), allowDP)
 }
 
 // ForkJoinPeriod returns a fork-join mapping minimizing the period.
 func ForkJoinPeriod(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) (ForkJoinResult, bool) {
-	res, ok, _ := ForkJoinPeriodCtx(context.Background(), fj, pl, allowDP)
+	res, ok, _ := NewForkJoinPrepared(fj, pl, allowDP).Period(context.Background())
 	return res, ok
-}
-
-// ForkJoinPeriodCtx is ForkJoinPeriod with cancellation checkpoints.
-func ForkJoinPeriodCtx(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool) (ForkJoinResult, bool, error) {
-	return NewForkJoinPrepared(fj, pl, allowDP).Period(ctx)
 }
 
 // ForkJoinLatency returns a fork-join mapping minimizing the latency.
 func ForkJoinLatency(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) (ForkJoinResult, bool) {
-	res, ok, _ := ForkJoinLatencyCtx(context.Background(), fj, pl, allowDP)
+	res, ok, _ := NewForkJoinPrepared(fj, pl, allowDP).Latency(context.Background())
 	return res, ok
-}
-
-// ForkJoinLatencyCtx is ForkJoinLatency with cancellation checkpoints.
-func ForkJoinLatencyCtx(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool) (ForkJoinResult, bool, error) {
-	return NewForkJoinPrepared(fj, pl, allowDP).Latency(ctx)
 }
 
 // ForkJoinLatencyUnderPeriod minimizes latency under a period bound.
 func ForkJoinLatencyUnderPeriod(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxPeriod float64) (ForkJoinResult, bool) {
-	res, ok, _ := ForkJoinLatencyUnderPeriodCtx(context.Background(), fj, pl, allowDP, maxPeriod)
+	res, ok, _ := NewForkJoinPrepared(fj, pl, allowDP).LatencyUnderPeriod(context.Background(), maxPeriod)
 	return res, ok
-}
-
-// ForkJoinLatencyUnderPeriodCtx is ForkJoinLatencyUnderPeriod with
-// cancellation checkpoints.
-func ForkJoinLatencyUnderPeriodCtx(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxPeriod float64) (ForkJoinResult, bool, error) {
-	return NewForkJoinPrepared(fj, pl, allowDP).LatencyUnderPeriod(ctx, maxPeriod)
 }
 
 // ForkJoinPeriodUnderLatency minimizes period under a latency bound.
 func ForkJoinPeriodUnderLatency(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxLatency float64) (ForkJoinResult, bool) {
-	res, ok, _ := ForkJoinPeriodUnderLatencyCtx(context.Background(), fj, pl, allowDP, maxLatency)
+	res, ok, _ := NewForkJoinPrepared(fj, pl, allowDP).PeriodUnderLatency(context.Background(), maxLatency)
 	return res, ok
-}
-
-// ForkJoinPeriodUnderLatencyCtx is ForkJoinPeriodUnderLatency with
-// cancellation checkpoints.
-func ForkJoinPeriodUnderLatencyCtx(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxLatency float64) (ForkJoinResult, bool, error) {
-	return NewForkJoinPrepared(fj, pl, allowDP).PeriodUnderLatency(ctx, maxLatency)
 }

@@ -8,19 +8,21 @@ import (
 	"testing"
 	"time"
 
+	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
 
-// The partitioned parallel scans promise byte-identical results to the
-// serial enumerations for every worker count. These corpora force the
-// parallel paths (SetParallelism on prepared solvers bypasses core's
-// crossover heuristic) and compare whole results — mapping, cost and
-// found flag — against fresh serial solvers with reflect.DeepEqual.
+// The sharded scans promise byte-identical results to the one-worker
+// scan for every worker count. These corpora force several workers
+// (SetParallelism on prepared solvers bypasses core's crossover
+// heuristic) and compare whole results — mapping, cost and found flag —
+// against fresh one-worker solvers with reflect.DeepEqual; the golden
+// corpus of internal/incumbent checks both against recorded answers.
 
 // TestParallelShardsTileEnumeration pins the foundation the
-// deterministic merge rests on: the shards of shardPartitions, scanned
+// deterministic merge rests on: the shards of incumbent.PartitionShards, scanned
 // in shard index order, visit exactly the serial enumeration's mapping
 // sequence — same mappings, same costs, same order.
 func TestParallelShardsTileEnumeration(t *testing.T) {
@@ -36,15 +38,15 @@ func TestParallelShardsTileEnumeration(t *testing.T) {
 			c mapping.Cost
 		}
 		var serial []visit
-		newForkEnum(f, pl, dp).run(ctx, func(m mapping.ForkMapping, c mapping.Cost) bool {
+		newForkEnum(f, pl, dp).runFrom(ctx, nil, 0, func(m mapping.ForkMapping, c mapping.Cost) bool {
 			serial = append(serial, visit{copyForkMapping(m), c})
 			return true
 		})
 
 		var sharded []visit
 		e := newForkEnum(f, pl, dp)
-		for _, sh := range shardPartitions(f.Leaves()+1, pl.Processors(), 2+rng.Intn(30)) {
-			e.runFrom(ctx, sh.assign, sh.used, func(m mapping.ForkMapping, c mapping.Cost) bool {
+		for _, sh := range incumbent.PartitionShards(f.Leaves()+1, pl.Processors(), 2+rng.Intn(4)) {
+			e.runFrom(ctx, sh.Assign, sh.Used, func(m mapping.ForkMapping, c mapping.Cost) bool {
 				sharded = append(sharded, visit{copyForkMapping(m), c})
 				return true
 			})

@@ -3,10 +3,9 @@ package exhaustive
 import (
 	"context"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repliflow/internal/anytime"
+	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
@@ -58,8 +57,8 @@ type pipeSolver struct {
 	// prune disables the bound cutoffs when false (the regression tests
 	// compare pruned against unpruned searches byte for byte).
 	prune bool
-	// par is the worker count of the parallel level sweep; <= 1 keeps the
-	// serial top-down recursion (see solveParallel for the contract).
+	// par is the worker count of the level sweep; <= 1 keeps the
+	// top-down recursion (see solveParallel for the contract).
 	par int
 }
 
@@ -119,14 +118,8 @@ func (s *pipeSolver) stateLB(i, freeMask int) float64 {
 
 // solve returns the optimal objective value for mapping stages i..n-1 with
 // the processors in usedMask unavailable, or +Inf if infeasible under the
-// period cap.
-//
-// The enumeration runs subsets outer, interval ends inner: for a fixed
-// subset both the replicated period and delay grow with the interval
-// weight, so the period-cap filter and the cannot-improve filter terminate
-// the inner loop instead of skipping one iteration — the exact set of
-// surviving candidates is unchanged (both predicates are monotone in the
-// group cost), only the wasted iterations disappear.
+// period cap: the top-down recursion over the reachable states, each
+// solved once per epoch by state.
 func (s *pipeSolver) solve(i, usedMask int) float64 {
 	if i == s.n {
 		return 0
@@ -136,94 +129,21 @@ func (s *pipeSolver) solve(i, usedMask int) float64 {
 		return s.memo[id]
 	}
 	s.visited[id] = s.epoch
-	best := numeric.Inf
-	var bestChoice pipeChoice
-	free := s.full &^ usedMask
-	lb := s.stateLB(i, free)
-	cap := s.periodCap
-	minP := s.minimizePeriod
-	wi := s.p.Weights[i]
-search:
-	for sub := free; sub > 0; sub = (sub - 1) & free {
-		if !s.step.ok() {
-			// Cancelled: abandon the state (memo holds a partial value
-			// that is never read — result() surfaces the error first).
-			return numeric.Inf
-		}
-		info := &s.info[sub]
-		// Replicated intervals i..j, weight growing with j.
-		w := 0.0
-		for j := i; j < s.n; j++ {
-			w += s.p.Weights[j]
-			period := w * info.perInv
-			if numeric.Greater(period, cap) {
-				break // larger intervals only raise the period
-			}
-			group := period
-			if !minP {
-				group = w * info.invMin // delay
-			}
-			if numeric.GreaterEq(group, best) {
-				break // cannot improve: both max and sum combine monotonically
-			}
-			rest := s.solve(j+1, usedMask|sub)
-			total := group + rest
-			if minP {
-				total = rest
-				if group > rest {
-					total = group
-				}
-			}
-			if numeric.Less(total, best) {
-				best = total
-				bestChoice = pipeChoice{last: j, sub: sub, dp: false}
-				if lb >= 0 && numeric.LessEq(best, lb) {
-					// The state reached its lower bound: no candidate
-					// can strictly improve, and ties never replace the
-					// recorded choice.
-					break search
-				}
-			}
-		}
-		if s.allowDP {
-			// Data-parallel is legal for single-stage groups only: stage i
-			// alone on the subset.
-			c := wi * info.invSum
-			if !numeric.Greater(c, cap) && !numeric.GreaterEq(c, best) {
-				rest := s.solve(i+1, usedMask|sub)
-				total := c + rest
-				if minP {
-					total = rest
-					if c > rest {
-						total = c
-					}
-				}
-				if numeric.Less(total, best) {
-					best = total
-					bestChoice = pipeChoice{last: i, sub: sub, dp: true}
-					if lb >= 0 && numeric.LessEq(best, lb) {
-						break search
-					}
-				}
-			}
-		}
-	}
-	s.memo[id] = best
-	s.choice[id] = bestChoice
-	return best
+	s.memo[id], s.choice[id] = s.state(i, usedMask, s.step, false)
+	return s.memo[id]
 }
 
-// evalState runs the candidate loops of one DP state and returns its
-// value and recorded choice; ok is false once the stepper latches a
-// cancellation. It is the parallel level sweep's copy of the state
-// logic in solve, with the recursion replaced by the child callback (a
-// completed-memo lookup) and cancellation polled through the worker's
-// own stepper. The loops MUST stay line-for-line in sync with solve —
-// the serial recursion keeps its direct calls because the indirect
-// child call costs ~30% on the DP hot path — and the parallel identity
-// corpus pins the two schedules to bit-equal values and choices for
-// every state.
-func (s *pipeSolver) evalState(i, usedMask int, st *stepper, child func(i, mask int) float64) (float64, pipeChoice, bool) {
+// state runs the candidate loops of one DP state and returns its value
+// and recorded choice, polling cancellation through st (on cancellation
+// the value is +Inf and is never read: the caller surfaces st.err).
+//
+// The enumeration runs subsets outer, interval ends inner: for a fixed
+// subset both the replicated period and delay grow with the interval
+// weight, so the period-cap filter and the cannot-improve filter terminate
+// the inner loop instead of skipping one iteration — the exact set of
+// surviving candidates is unchanged (both predicates are monotone in the
+// group cost), only the wasted iterations disappear.
+func (s *pipeSolver) state(i, usedMask int, st *stepper, sweep bool) (float64, pipeChoice) {
 	best := numeric.Inf
 	var bestChoice pipeChoice
 	free := s.full &^ usedMask
@@ -234,7 +154,7 @@ func (s *pipeSolver) evalState(i, usedMask int, st *stepper, child func(i, mask 
 search:
 	for sub := free; sub > 0; sub = (sub - 1) & free {
 		if !st.ok() {
-			return numeric.Inf, pipeChoice{}, false
+			return numeric.Inf, pipeChoice{}
 		}
 		info := &s.info[sub]
 		// Replicated intervals i..j, weight growing with j.
@@ -252,7 +172,13 @@ search:
 			if numeric.GreaterEq(group, best) {
 				break // cannot improve: both max and sum combine monotonically
 			}
-			rest := child(j+1, usedMask|sub)
+			// A child state: the level sweep has filled every deeper
+			// level, the recursion fills it on a miss. Level n is never
+			// written, so its entries stay 0 — the empty suffix.
+			rest := s.memo[(j+1)<<s.pbits|usedMask|sub]
+			if !sweep && s.visited[(j+1)<<s.pbits|usedMask|sub] != s.epoch {
+				rest = s.solve(j+1, usedMask|sub)
+			}
 			total := group + rest
 			if minP {
 				total = rest
@@ -276,7 +202,10 @@ search:
 			// alone on the subset.
 			c := wi * info.invSum
 			if !numeric.Greater(c, cap) && !numeric.GreaterEq(c, best) {
-				rest := child(i+1, usedMask|sub)
+				rest := s.memo[(i+1)<<s.pbits|usedMask|sub]
+				if !sweep && s.visited[(i+1)<<s.pbits|usedMask|sub] != s.epoch {
+					rest = s.solve(i+1, usedMask|sub)
+				}
 				total := c + rest
 				if minP {
 					total = rest
@@ -294,82 +223,58 @@ search:
 			}
 		}
 	}
-	return best, bestChoice, true
+	return best, bestChoice
 }
 
-// parChunk is how many DP states a sweep worker claims per fetch of the
-// shared level counter: enough to amortize the atomic increment, few
-// enough that the expensive low-population masks spread across workers.
-const parChunk = 32
+// sweepChunk is how many DP states a sweep worker claims per shard: enough
+// to amortize the claim, few enough that the expensive low-population
+// masks spread across workers.
+const sweepChunk = 32
 
 // solveParallel fills the DP table bottom-up, one stage level at a time:
 // a state at level i only reads states at levels > i, so all masks of a
-// level are independent and compute concurrently — workers claim
-// contiguous mask chunks from a shared counter (work stealing by
-// construction: a worker that finishes its chunk immediately claims the
-// next), with a barrier between levels giving the happens-before edge
-// the next level's reads need. Each worker polls cancellation through
-// its own stepper; the shared solver stepper stays untouched until the
-// root state.
+// level are independent — each level is one incumbent.Each run whose
+// shards are chunks of sweepChunk masks, and the run's return is the
+// barrier that gives the next level's reads their happens-before edge.
+// Each worker polls cancellation through its own stepper; the solver's
+// stepper stays untouched until the root state.
 //
-// Determinism: every state's value and choice come from evalState, the
-// same loops the serial recursion runs, and they depend only on deeper
+// Determinism: every state's value and choice come from state, the
+// body the top-down recursion runs, and they depend only on deeper
 // levels — never on sibling order — so the table, the root value and the
-// reconstructed mapping are byte-identical to serial. The sweep computes
-// every mask, including states the top-down recursion never reaches;
+// reconstructed mapping are byte-identical to the recursion. The sweep
+// computes every mask, including states the recursion never reaches;
 // that extra work is why small instances stay serial (core's auto mode
 // applies a crossover heuristic before enabling the sweep).
 func (s *pipeSolver) solveParallel() float64 {
 	ctx := s.step.ctx
 	nmasks := 1 << s.pbits
-	child := func(i, mask int) float64 {
-		if i == s.n {
-			return 0
-		}
-		return s.memo[i<<s.pbits|mask]
+	steps := make([]*stepper, s.par)
+	for w := range steps {
+		steps[w] = newStepper(ctx)
 	}
-	var cancelled atomic.Bool
 	for i := s.n - 1; i >= 1; i-- {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < s.par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				st := newStepper(ctx)
-				for {
-					lo := int(next.Add(parChunk)) - parChunk
-					if lo >= nmasks || cancelled.Load() {
-						return
-					}
-					hi := min(lo+parChunk, nmasks)
-					for mask := lo; mask < hi; mask++ {
-						v, ch, ok := s.evalState(i, mask, st, child)
-						if !ok {
-							cancelled.Store(true)
-							return
-						}
-						id := i<<s.pbits | mask
-						s.memo[id] = v
-						s.choice[id] = ch
-						s.visited[id] = s.epoch
-					}
+		err := incumbent.Each(s.par, (nmasks+sweepChunk-1)/sweepChunk, func(_ *incumbent.Shards, w, chunk int) error {
+			st := steps[w]
+			for mask := chunk * sweepChunk; mask < min((chunk+1)*sweepChunk, nmasks); mask++ {
+				id := i<<s.pbits | mask
+				s.memo[id], s.choice[id] = s.state(i, mask, st, true)
+				if st.err != nil {
+					return st.err
 				}
-			}()
-		}
-		wg.Wait()
-		if cancelled.Load() {
-			s.step.err = ctx.Err()
+				s.visited[id] = s.epoch
+			}
+			return nil
+		})
+		if err != nil {
+			s.step.err = err
 			return numeric.Inf
 		}
 	}
-	v, ch, ok := s.evalState(0, 0, s.step, child)
-	if !ok {
-		return numeric.Inf
+	v, ch := s.state(0, 0, s.step, true)
+	if s.step.err == nil {
+		s.memo[0], s.choice[0], s.visited[0] = v, ch, s.epoch
 	}
-	s.memo[0] = v
-	s.choice[0] = ch
-	s.visited[0] = s.epoch
 	return v
 }
 
@@ -573,40 +478,22 @@ func (pp *PipelinePrepared) Solve(ctx context.Context, minimizePeriod bool, boun
 
 // PipelinePeriod returns a mapping minimizing the period.
 func PipelinePeriod(p workflow.Pipeline, pl platform.Platform, allowDP bool) (PipelineResult, bool) {
-	res, ok, _ := PipelinePeriodCtx(context.Background(), p, pl, allowDP)
+	res, ok, _ := NewPipelinePrepared(p, pl, allowDP).Period(context.Background())
 	return res, ok
-}
-
-// PipelinePeriodCtx is PipelinePeriod with cancellation checkpoints: when
-// ctx is cancelled mid-search the error is ctx.Err() and the result is
-// discarded.
-func PipelinePeriodCtx(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool) (PipelineResult, bool, error) {
-	return NewPipelinePrepared(p, pl, allowDP).Period(ctx)
 }
 
 // PipelineLatency returns a mapping minimizing the latency.
 func PipelineLatency(p workflow.Pipeline, pl platform.Platform, allowDP bool) (PipelineResult, bool) {
-	res, ok, _ := PipelineLatencyCtx(context.Background(), p, pl, allowDP)
+	res, ok, _ := NewPipelinePrepared(p, pl, allowDP).Latency(context.Background())
 	return res, ok
-}
-
-// PipelineLatencyCtx is PipelineLatency with cancellation checkpoints.
-func PipelineLatencyCtx(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool) (PipelineResult, bool, error) {
-	return NewPipelinePrepared(p, pl, allowDP).Latency(ctx)
 }
 
 // PipelineLatencyUnderPeriod returns a mapping minimizing the latency among
 // mappings whose period does not exceed maxPeriod. The boolean is false
 // when no mapping satisfies the period bound.
 func PipelineLatencyUnderPeriod(p workflow.Pipeline, pl platform.Platform, allowDP bool, maxPeriod float64) (PipelineResult, bool) {
-	res, ok, _ := PipelineLatencyUnderPeriodCtx(context.Background(), p, pl, allowDP, maxPeriod)
+	res, ok, _ := NewPipelinePrepared(p, pl, allowDP).LatencyUnderPeriod(context.Background(), maxPeriod)
 	return res, ok
-}
-
-// PipelineLatencyUnderPeriodCtx is PipelineLatencyUnderPeriod with
-// cancellation checkpoints.
-func PipelineLatencyUnderPeriodCtx(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool, maxPeriod float64) (PipelineResult, bool, error) {
-	return NewPipelinePrepared(p, pl, allowDP).LatencyUnderPeriod(ctx, maxPeriod)
 }
 
 // pipelinePeriodCandidates returns every achievable group period of any
@@ -638,14 +525,8 @@ func pipelinePeriodCandidates(p workflow.Pipeline, pl platform.Platform, allowDP
 // finite set of achievable group periods, so the result is exact. The
 // boolean is false when no mapping satisfies the latency bound.
 func PipelinePeriodUnderLatency(p workflow.Pipeline, pl platform.Platform, allowDP bool, maxLatency float64) (PipelineResult, bool) {
-	res, ok, _ := PipelinePeriodUnderLatencyCtx(context.Background(), p, pl, allowDP, maxLatency)
+	res, ok, _ := NewPipelinePrepared(p, pl, allowDP).PeriodUnderLatency(context.Background(), maxLatency)
 	return res, ok
-}
-
-// PipelinePeriodUnderLatencyCtx is PipelinePeriodUnderLatency with
-// cancellation checkpoints.
-func PipelinePeriodUnderLatencyCtx(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool, maxLatency float64) (PipelineResult, bool, error) {
-	return NewPipelinePrepared(p, pl, allowDP).PeriodUnderLatency(ctx, maxLatency)
 }
 
 // PipelinePareto returns the exact Pareto front of (period, latency),

@@ -35,18 +35,24 @@ func TestPipelinePreparedMatchesFresh(t *testing.T) {
 		b2 := float64(1+rng.Intn(8)) / 2
 		solves := []solve{
 			{"period", func() (PipelineResult, bool, error) { return pp.Period(ctx) },
-				func() (PipelineResult, bool, error) { return PipelinePeriodCtx(ctx, p, pl, dp) }},
+				func() (PipelineResult, bool, error) { return NewPipelinePrepared(p, pl, dp).Period(ctx) }},
 			{"lup", func() (PipelineResult, bool, error) { return pp.LatencyUnderPeriod(ctx, b1) },
-				func() (PipelineResult, bool, error) { return PipelineLatencyUnderPeriodCtx(ctx, p, pl, dp, b1) }},
+				func() (PipelineResult, bool, error) {
+					return NewPipelinePrepared(p, pl, dp).LatencyUnderPeriod(ctx, b1)
+				}},
 			{"latency", func() (PipelineResult, bool, error) { return pp.Latency(ctx) },
-				func() (PipelineResult, bool, error) { return PipelineLatencyCtx(ctx, p, pl, dp) }},
+				func() (PipelineResult, bool, error) { return NewPipelinePrepared(p, pl, dp).Latency(ctx) }},
 			{"pul", func() (PipelineResult, bool, error) { return pp.PeriodUnderLatency(ctx, b2) },
-				func() (PipelineResult, bool, error) { return PipelinePeriodUnderLatencyCtx(ctx, p, pl, dp, b2) }},
+				func() (PipelineResult, bool, error) {
+					return NewPipelinePrepared(p, pl, dp).PeriodUnderLatency(ctx, b2)
+				}},
 			// Repeats exercise the memo path.
 			{"lup-repeat", func() (PipelineResult, bool, error) { return pp.LatencyUnderPeriod(ctx, b1) },
-				func() (PipelineResult, bool, error) { return PipelineLatencyUnderPeriodCtx(ctx, p, pl, dp, b1) }},
+				func() (PipelineResult, bool, error) {
+					return NewPipelinePrepared(p, pl, dp).LatencyUnderPeriod(ctx, b1)
+				}},
 			{"period-repeat", func() (PipelineResult, bool, error) { return pp.Period(ctx) },
-				func() (PipelineResult, bool, error) { return PipelinePeriodCtx(ctx, p, pl, dp) }},
+				func() (PipelineResult, bool, error) { return NewPipelinePrepared(p, pl, dp).Period(ctx) }},
 		}
 		for _, s := range solves {
 			got, gotOK, err := s.prep()
@@ -91,15 +97,15 @@ func TestForkPreparedMatchesFresh(t *testing.T) {
 			}
 		}
 		check("latency", func() (ForkResult, bool, error) { return fp.Latency(ctx) },
-			func() (ForkResult, bool, error) { return ForkLatencyCtx(ctx, f, pl, dp) })
+			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Latency(ctx) })
 		check("pul", func() (ForkResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) },
-			func() (ForkResult, bool, error) { return ForkPeriodUnderLatencyCtx(ctx, f, pl, dp, b) })
+			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).PeriodUnderLatency(ctx, b) })
 		check("period", func() (ForkResult, bool, error) { return fp.Period(ctx) },
-			func() (ForkResult, bool, error) { return ForkPeriodCtx(ctx, f, pl, dp) })
+			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Period(ctx) })
 		check("lup", func() (ForkResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) },
-			func() (ForkResult, bool, error) { return ForkLatencyUnderPeriodCtx(ctx, f, pl, dp, b) })
+			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).LatencyUnderPeriod(ctx, b) })
 		check("lup-repeat", func() (ForkResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) },
-			func() (ForkResult, bool, error) { return ForkLatencyUnderPeriodCtx(ctx, f, pl, dp, b) })
+			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).LatencyUnderPeriod(ctx, b) })
 	}
 }
 
@@ -129,15 +135,21 @@ func TestForkJoinPreparedMatchesFresh(t *testing.T) {
 			}
 		}
 		check("period", func() (ForkJoinResult, bool, error) { return fp.Period(ctx) },
-			func() (ForkJoinResult, bool, error) { return ForkJoinPeriodCtx(ctx, fj, pl, dp) })
+			func() (ForkJoinResult, bool, error) { return NewForkJoinPrepared(fj, pl, dp).Period(ctx) })
 		check("lup", func() (ForkJoinResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) },
-			func() (ForkJoinResult, bool, error) { return ForkJoinLatencyUnderPeriodCtx(ctx, fj, pl, dp, b) })
+			func() (ForkJoinResult, bool, error) {
+				return NewForkJoinPrepared(fj, pl, dp).LatencyUnderPeriod(ctx, b)
+			})
 		check("latency", func() (ForkJoinResult, bool, error) { return fp.Latency(ctx) },
-			func() (ForkJoinResult, bool, error) { return ForkJoinLatencyCtx(ctx, fj, pl, dp) })
+			func() (ForkJoinResult, bool, error) { return NewForkJoinPrepared(fj, pl, dp).Latency(ctx) })
 		check("pul", func() (ForkJoinResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) },
-			func() (ForkJoinResult, bool, error) { return ForkJoinPeriodUnderLatencyCtx(ctx, fj, pl, dp, b) })
+			func() (ForkJoinResult, bool, error) {
+				return NewForkJoinPrepared(fj, pl, dp).PeriodUnderLatency(ctx, b)
+			})
 		check("pul-repeat", func() (ForkJoinResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) },
-			func() (ForkJoinResult, bool, error) { return ForkJoinPeriodUnderLatencyCtx(ctx, fj, pl, dp, b) })
+			func() (ForkJoinResult, bool, error) {
+				return NewForkJoinPrepared(fj, pl, dp).PeriodUnderLatency(ctx, b)
+			})
 	}
 }
 

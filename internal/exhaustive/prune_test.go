@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
@@ -17,6 +18,22 @@ import (
 // anytime lower bound, which can only skip candidates that tie — and
 // ties never replace an incumbent. These tests are the regression
 // oracle for that argument, on randomized corpora across objectives.
+
+// forkScan and forkJoinScan run one serial scan on a fresh enumerator;
+// lb = 0 disables the lower-bound cutoff.
+func forkScan(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool,
+	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkResult, bool, error) {
+	st := new(shardScan[mapping.ForkMapping]).init(newForkEnum(f, pl, allowDP))
+	st.accept, st.objective, st.lb = accept, objective, lb
+	return st.scan(ctx, incumbent.Prefix{}, nil, 0)
+}
+
+func forkJoinScan(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool,
+	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
+	st := new(shardScan[mapping.ForkJoinMapping]).init(newFJEnum(fj, pl, allowDP))
+	st.accept, st.objective, st.lb = accept, objective, lb
+	return st.scan(ctx, incumbent.Prefix{}, nil, 0)
+}
 
 func TestPipelinePruningIsByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -66,22 +83,22 @@ func TestForkPruningIsByteIdentical(t *testing.T) {
 		}
 		scans := map[string]scan{
 			"period": {
-				func() (ForkResult, bool, error) { return ForkPeriodCtx(ctx, f, pl, dp) },
+				func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Period(ctx) },
 				func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, period, 0) },
 			},
 			"latency": {
-				func() (ForkResult, bool, error) { return ForkLatencyCtx(ctx, f, pl, dp) },
+				func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Latency(ctx) },
 				func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, latency, 0) },
 			},
 			"latency-under-period": {
-				func() (ForkResult, bool, error) { return ForkLatencyUnderPeriodCtx(ctx, f, pl, dp, bound) },
+				func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).LatencyUnderPeriod(ctx, bound) },
 				func() (ForkResult, bool, error) {
 					return forkScan(ctx, f, pl, dp,
 						func(c mapping.Cost) bool { return numeric.LessEq(c.Period, bound) }, latency, 0)
 				},
 			},
 			"period-under-latency": {
-				func() (ForkResult, bool, error) { return ForkPeriodUnderLatencyCtx(ctx, f, pl, dp, bound) },
+				func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).PeriodUnderLatency(ctx, bound) },
 				func() (ForkResult, bool, error) {
 					return forkScan(ctx, f, pl, dp,
 						func(c mapping.Cost) bool { return numeric.LessEq(c.Latency, bound) }, period, 0)
@@ -113,7 +130,7 @@ func TestForkJoinPruningIsByteIdentical(t *testing.T) {
 		pl := platform.Random(rng, 1+rng.Intn(3), 4)
 		dp := trial%2 == 0
 
-		res, ok, err := ForkJoinPeriodCtx(ctx, fj, pl, dp)
+		res, ok, err := NewForkJoinPrepared(fj, pl, dp).Period(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +142,7 @@ func TestForkJoinPruningIsByteIdentical(t *testing.T) {
 			t.Fatalf("trial %d period: pruned != unpruned for %v on %v dp=%v", trial, fj, pl, dp)
 		}
 
-		res, ok, err = ForkJoinLatencyCtx(ctx, fj, pl, dp)
+		res, ok, err = NewForkJoinPrepared(fj, pl, dp).Latency(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +163,7 @@ func TestForkJoinPruningIsByteIdentical(t *testing.T) {
 func TestPruningFiresOnTightInstances(t *testing.T) {
 	f := workflow.HomogeneousFork(2, 4, 3)
 	pl := platform.Homogeneous(4, 2)
-	res, ok, err := ForkPeriodCtx(context.Background(), f, pl, false)
+	res, ok, err := NewForkPrepared(f, pl, false).Period(context.Background())
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}

@@ -1,0 +1,317 @@
+package exhaustive
+
+// Partition scans: the fork and fork-join searches enumerate set
+// partitions of the stages (restricted-growth strings) and, per
+// partition, disjoint processor subsets and modes. One scan body serves
+// both kinds and every worker count: shardScan applies the incumbent
+// rule to the completions of one restricted-growth prefix, and
+// incumbent.Run drives it — inline over the empty prefix (the whole
+// space) for one worker, or over the prefixes of
+// incumbent.PartitionShards, which tile the serial enumeration order,
+// with a shard-order fold for several.
+
+import (
+	"context"
+	"math"
+
+	"repliflow/internal/anytime"
+	"repliflow/internal/incumbent"
+	"repliflow/internal/mapping"
+	"repliflow/internal/numeric"
+)
+
+// Result is an optimal mapping together with its exact cost.
+type Result[M any] struct {
+	Mapping M
+	Cost    mapping.Cost
+}
+
+// enumerator is what the partition scan needs from forkEnum and fjEnum.
+type enumerator[M any] interface {
+	// runFrom visits every mapping whose partition extends the prefix,
+	// in enumeration order, until visit returns false or ctx is
+	// cancelled. The visited mapping aliases the enumerator's scratch.
+	runFrom(ctx context.Context, prefix []int, used int, visit func(M, mapping.Cost) bool)
+	// err is the cancellation latched by the last run.
+	err() error
+	// retain deep-copies a visited mapping so it can outlive the run.
+	retain(M) M
+	// share copies the block slice of a retained mapping, so every solve
+	// hands out a fresh mapping (the leaf and processor slices stay
+	// shared and read-only).
+	share(M) M
+	// fresh returns a new enumerator over the same instance, for
+	// another worker: the scratch is single-owner.
+	fresh() enumerator[M]
+	// lowerBound is the anytime lower bound of the spec's objective.
+	lowerBound(spec anytime.Spec) float64
+}
+
+// pollEvery is how many visited mappings pass between polls of the
+// shared shard state: often enough that a tighter bound or a decided
+// fold lands within microseconds, rarely enough that the atomic loads
+// vanish from the per-mapping cost.
+const pollEvery = 64
+
+// shardScan is one worker's scan: its enumerator, the solve's admission
+// rule, and the incumbent of the shard being scanned. visit is built
+// once per worker and reads the state through one captured pointer, so
+// the per-mapping path is one indirect call that loads only the fields
+// it touches, and a solve allocates no visitor.
+type shardScan[M any] struct {
+	e         enumerator[M]
+	visit     func(M, mapping.Cost) bool
+	accept    func(mapping.Cost) bool
+	objective func(mapping.Cost) float64
+	lb        float64
+
+	sh      *incumbent.Shards
+	shard   int
+	best    Result[M]
+	bestObj float64
+	bound   float64
+	found   bool
+	poll    int
+}
+
+// init makes st a worker scan over e and returns it. Its visitor keeps
+// the best mapping accept admits under objective, with the serial
+// install rule: strict improvement replaces, ties keep the earlier
+// mapping. lb is the anytime lower bound on the objective (<= 0
+// disables it): once the incumbent reaches it no later mapping can
+// strictly improve, so the shard records it in sh and stops. A
+// candidate strictly worse than the best of any shard cannot win the
+// fold and is skipped.
+func (st *shardScan[M]) init(e enumerator[M]) *shardScan[M] {
+	st.e = e
+	st.visit = func(m M, c mapping.Cost) bool {
+		if st.poll--; st.poll == 0 {
+			st.poll = pollEvery
+			if st.sh.Decided(st.shard) {
+				return false
+			}
+			st.bound = min(st.bound, st.sh.Bound())
+		}
+		if !st.accept(c) {
+			return true
+		}
+		obj := st.objective(c)
+		if st.found && !numeric.Less(obj, st.bestObj) || numeric.Greater(obj, st.bound) {
+			return true
+		}
+		st.best = Result[M]{Mapping: st.e.retain(m), Cost: c}
+		st.bestObj, st.found = obj, true
+		st.bound = min(st.bound, obj)
+		st.sh.Tighten(obj)
+		if st.lb > 0 && numeric.LessEq(obj, st.lb) {
+			st.sh.ReachedLB(st.shard)
+			return false
+		}
+		return true
+	}
+	return st
+}
+
+// scan returns the best mapping of one shard, the completions of prefix.
+func (st *shardScan[M]) scan(ctx context.Context, prefix incumbent.Prefix, sh *incumbent.Shards, shard int) (Result[M], bool, error) {
+	st.sh, st.shard = sh, shard
+	st.best, st.bestObj, st.found = Result[M]{}, 0, false
+	st.bound, st.poll = sh.Bound(), pollEvery
+	st.e.runFrom(ctx, prefix.Assign, prefix.Used, st.visit)
+	best := st.best
+	st.best = Result[M]{}
+	if err := st.e.err(); err != nil {
+		return Result[M]{}, false, err
+	}
+	return best, st.found, nil
+}
+
+func acceptAll(mapping.Cost) bool    { return true }
+func period(c mapping.Cost) float64  { return c.Period }
+func latency(c mapping.Cost) float64 { return c.Latency }
+
+// partitionSearch is the incumbent.Search of one bounded scan: shards
+// are the restricted-growth prefixes of incumbent.PartitionShards. own is
+// worker 0's scan — the serial scan — and extra[w-1] worker w's, built on
+// first use; all are kept across solves.
+type partitionSearch[M any] struct {
+	ctx       context.Context
+	accept    func(mapping.Cost) bool
+	objective func(mapping.Cost) float64
+	lb        float64
+	prefixes  []incumbent.Prefix
+	own       shardScan[M]
+	extra     []*shardScan[M]
+}
+
+func (ps *partitionSearch[M]) Scan(sh *incumbent.Shards, w, shard int) (Result[M], bool, error) {
+	st := &ps.own
+	if w > 0 {
+		if ps.extra[w-1] == nil {
+			ps.extra[w-1] = new(shardScan[M]).init(ps.own.e.fresh())
+		}
+		st = ps.extra[w-1]
+	}
+	st.accept, st.objective, st.lb = ps.accept, ps.objective, ps.lb
+	return st.scan(ps.ctx, ps.prefixes[shard], sh, shard)
+}
+
+func (ps *partitionSearch[M]) Better(a, b Result[M]) bool {
+	return numeric.Less(ps.objective(a.Cost), ps.objective(b.Cost))
+}
+
+func (ps *partitionSearch[M]) Final(r Result[M]) bool {
+	return ps.lb > 0 && numeric.LessEq(ps.objective(r.Cost), ps.lb)
+}
+
+// scanKey identifies one memoized bounded solve: the objective and the
+// raw bits of the bound on the other metric.
+type scanKey struct {
+	minimizePeriod bool
+	bound          uint64
+}
+
+// scanMemo is one memoized scan result.
+type scanMemo[M any] struct {
+	res Result[M]
+	ok  bool
+}
+
+// scanPrepared solves repeated objective/bound variants of one
+// (graph, platform, model) triple by partition scans: enumeration
+// scratch is shared across solves, the anytime lower bounds are
+// computed once per objective, and solves are memoized by objective and
+// bound bits. Results are byte-identical at every worker count, so the
+// memo may mix entries computed at different counts. Not safe for
+// concurrent use: parallelism fans out inside one solve.
+type scanPrepared[M any] struct {
+	search  partitionSearch[M]
+	items   int // partition items
+	procs   int
+	allowDP bool
+	par     int
+	lbs     [2]float64
+	hasLB   [2]bool
+	// unbounded holds the MinLatency and MinPeriod solves, memo the
+	// bounded ones.
+	unbounded    [2]scanMemo[M]
+	hasUnbounded [2]bool
+	memo         map[scanKey]scanMemo[M]
+}
+
+// ForkPrepared solves repeated objective/bound variants of one
+// (fork, platform, model) triple. The one-shot package functions wrap a
+// prepared solver used once.
+type ForkPrepared = scanPrepared[mapping.ForkMapping]
+
+// ForkJoinPrepared is the fork-join analogue of ForkPrepared.
+type ForkJoinPrepared = scanPrepared[mapping.ForkJoinMapping]
+
+// ForkResult is an optimal fork mapping with its exact cost.
+type ForkResult = Result[mapping.ForkMapping]
+
+// ForkJoinResult is an optimal fork-join mapping with its exact cost.
+type ForkJoinResult = Result[mapping.ForkJoinMapping]
+
+func newScanPrepared[M any](e enumerator[M], items, procs int, allowDP bool) *scanPrepared[M] {
+	sp := &scanPrepared[M]{
+		items: items, procs: procs, allowDP: allowDP,
+		memo: make(map[scanKey]scanMemo[M]),
+	}
+	sp.search.own.init(e)
+	return sp
+}
+
+// SetParallelism sets the worker count of subsequent solves: counts
+// above 1 split the partition space into shards claimed by that many
+// workers; anything else scans the whole space inline.
+func (sp *scanPrepared[M]) SetParallelism(workers int) {
+	sp.par = workers
+}
+
+// scan runs one bounded scan through incumbent.Run.
+func (sp *scanPrepared[M]) scan(ctx context.Context,
+	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (Result[M], bool, error) {
+	ps := &sp.search
+	ps.ctx, ps.accept, ps.objective, ps.lb = ctx, accept, objective, lb
+	ps.prefixes = incumbent.PartitionShards(sp.items, sp.procs, sp.par)
+	for len(ps.extra) < sp.par-1 {
+		ps.extra = append(ps.extra, nil)
+	}
+	res, ok, err := incumbent.Run[Result[M]](sp.par, len(ps.prefixes), ps)
+	ps.ctx, ps.accept = nil, nil
+	return res, ok, err
+}
+
+// Solve minimizes the period (minimizePeriod) or the latency subject to
+// a bound on the other metric; +Inf is unbounded. Repeated solves
+// (bit-identical bounds) are answered from the memo.
+func (sp *scanPrepared[M]) Solve(ctx context.Context, minimizePeriod bool, bound float64) (Result[M], bool, error) {
+	i := 0
+	if minimizePeriod {
+		i = 1
+	}
+	unbounded := math.IsInf(bound, 1)
+	key := scanKey{minimizePeriod, math.Float64bits(bound)}
+	var m scanMemo[M]
+	hit := false
+	if unbounded {
+		m, hit = sp.unbounded[i], sp.hasUnbounded[i]
+	} else {
+		m, hit = sp.memo[key]
+	}
+	if !hit {
+		objective, accept := latency, acceptAll
+		if minimizePeriod {
+			objective = period
+		}
+		// The bound test reads the field directly: accept runs on every
+		// mapping of a bounded scan.
+		switch {
+		case unbounded:
+		case minimizePeriod:
+			accept = func(c mapping.Cost) bool { return numeric.LessEq(c.Latency, bound) }
+		default:
+			accept = func(c mapping.Cost) bool { return numeric.LessEq(c.Period, bound) }
+		}
+		if !sp.hasLB[i] {
+			spec := anytime.Spec{MinimizePeriod: minimizePeriod, AllowDP: sp.allowDP}
+			sp.lbs[i], sp.hasLB[i] = sp.search.own.e.lowerBound(spec), true
+		}
+		res, ok, err := sp.scan(ctx, accept, objective, sp.lbs[i])
+		if err != nil {
+			return Result[M]{}, false, err
+		}
+		m = scanMemo[M]{res: res, ok: ok}
+		if unbounded {
+			sp.unbounded[i], sp.hasUnbounded[i] = m, true
+		} else {
+			sp.memo[key] = m
+		}
+	}
+	res := m.res
+	res.Mapping = sp.search.own.e.share(res.Mapping)
+	return res, m.ok, nil
+}
+
+// Period solves MinPeriod.
+func (sp *scanPrepared[M]) Period(ctx context.Context) (Result[M], bool, error) {
+	return sp.Solve(ctx, true, math.Inf(1))
+}
+
+// Latency solves MinLatency.
+func (sp *scanPrepared[M]) Latency(ctx context.Context) (Result[M], bool, error) {
+	return sp.Solve(ctx, false, math.Inf(1))
+}
+
+// LatencyUnderPeriod minimizes the latency among mappings whose period
+// does not exceed maxPeriod.
+func (sp *scanPrepared[M]) LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (Result[M], bool, error) {
+	return sp.Solve(ctx, false, maxPeriod)
+}
+
+// PeriodUnderLatency minimizes the period among mappings whose latency
+// does not exceed maxLatency.
+func (sp *scanPrepared[M]) PeriodUnderLatency(ctx context.Context, maxLatency float64) (Result[M], bool, error) {
+	return sp.Solve(ctx, true, maxLatency)
+}

@@ -41,8 +41,8 @@ func randomHetPlatform(rng *rand.Rand, p int) Platform {
 	return randomBandwidth(rng, p).Apply(speeds)
 }
 
-// TestCommPipelineParallelSerialIdentity: the chunk-claimed partitioned
-// interval scan must be byte-identical to the serial scan on every goal,
+// TestCommPipelineParallelSerialIdentity: the interval scan sharded by
+// first choice must be byte-identical to the one-shard scan on every goal,
 // at every worker count.
 func TestCommPipelineParallelSerialIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))

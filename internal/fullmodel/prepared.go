@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repliflow/internal/incumbent"
 	"repliflow/internal/numeric"
 )
 
@@ -159,8 +160,8 @@ type PipelinePrepared struct {
 	cut      [][]int
 	homCands []float64
 
-	// Heterogeneous enumeration scratch.
-	curBounds, curAlloc []int
+	// The heterogeneous exhaustive scan, kept across solves.
+	search intervalSearch
 
 	memoHom   map[Goal]pipeResult
 	memoExact map[Goal]pipeResult
@@ -205,18 +206,20 @@ func newPipelinePrepared(p Pipeline, pl Platform, inv []float64) *PipelinePrepar
 			wt[i][j] = s
 		}
 	}
-	return &PipelinePrepared{
+	pp := &PipelinePrepared{
 		p: p, pl: pl, inv: inv,
 		hom: pl.IsFullyHomogeneous(), n: n,
 		workTbl:   wt,
 		memoHom:   make(map[Goal]pipeResult),
 		memoExact: make(map[Goal]pipeResult),
 	}
+	pp.search.own.pp = pp
+	return pp
 }
 
 // SetParallelism sets the worker count of subsequent SolveExact calls;
-// values below two keep the scan serial. The parallel scan folds
-// deterministically, so the answer is bit-identical either way.
+// values below two scan the whole space inline. The shard-order fold
+// keeps the answer bit-identical either way.
 func (pp *PipelinePrepared) SetParallelism(workers int) { pp.par = workers }
 
 func cloneMapping(m Mapping) Mapping {
@@ -309,33 +312,34 @@ func (pp *PipelinePrepared) solveHom(goal Goal) (Mapping, Cost, bool) {
 // SolveExact is the exhaustive heterogeneous solve for the prepared
 // instance: enumeration scratch and the work table persist across calls,
 // each goal's result is memoized, and with SetParallelism >= 2 the scan
-// partitions across workers with a deterministic fold.
+// is sharded by its first choice — the first interval's end stage j and
+// processor u, shard j*p+u in the serial visit order — with a
+// shard-order fold.
 func (pp *PipelinePrepared) SolveExact(ctx context.Context, goal Goal) (Mapping, Cost, bool, error) {
 	if r, ok := pp.memoExact[goal]; ok {
 		return cloneMapping(r.m), r.c, r.ok, nil
 	}
-	var (
-		m     Mapping
-		c     Cost
-		found bool
-		err   error
-	)
-	if pp.par > 1 && pp.n*pp.pl.Processors() >= 2 {
-		m, c, found, err = pp.solveExactPar(ctx, goal)
-	} else {
-		m, c, found, err = pp.solveExactSerial(ctx, goal)
+	is := &pp.search
+	is.ctx, is.goal, is.nshards = ctx, goal, 1
+	if pp.par > 1 {
+		is.nshards = pp.n * pp.pl.Processors()
 	}
+	for len(is.extra) < pp.par-1 {
+		is.extra = append(is.extra, &intervalScan{pp: pp})
+	}
+	r, _, err := incumbent.Run[pipeResult](pp.par, is.nshards, is)
+	is.ctx = nil
 	if err != nil {
 		return Mapping{}, Cost{}, false, err
 	}
-	pp.memoExact[goal] = pipeResult{m: m, c: c, ok: found}
-	return cloneMapping(m), c, found, nil
+	pp.memoExact[goal] = r
+	return cloneMapping(r.m), r.c, r.ok, nil
 }
 
 // pruneInterval reports whether every completion that places stages i..j
 // on processor u is certainly infeasible (period cap) or certainly worse
-// than the incumbent (period objective): the interval's work over its
-// speed lower-bounds its Equation (1) bracket and hence the mapping
+// than the incumbent bound (period objective): the interval's work over
+// its speed lower-bounds its Equation (1) bracket and hence the mapping
 // period. lbSlack keeps the reciprocal product a true lower bound and
 // surelyGreater clears the comparison tolerance, so pruning only skips
 // candidates the unpruned enumeration would reject — the installed
@@ -348,70 +352,127 @@ func (pp *PipelinePrepared) pruneInterval(goal Goal, i, j, u int, bound float64)
 	return goal.MinimizePeriod && surelyGreater(est, bound)
 }
 
-func (pp *PipelinePrepared) solveExactSerial(ctx context.Context, goal Goal) (Mapping, Cost, bool, error) {
-	n, procs := pp.n, pp.pl.Processors()
-	if pp.curBounds == nil {
-		pp.curBounds = make([]int, 0, n)
-		pp.curAlloc = make([]int, 0, n)
+// intervalSearch is the incumbent.Search of one SolveExact call:
+// nshards is 1 (the whole space) or stages*procs. own is worker 0's scan
+// — the serial scan — and extra[w-1] worker w's; all are kept across
+// solves.
+type intervalSearch struct {
+	ctx     context.Context
+	goal    Goal
+	nshards int
+	own     intervalScan
+	extra   []*intervalScan
+}
+
+func (is *intervalSearch) Scan(sh *incumbent.Shards, w, shard int) (pipeResult, bool, error) {
+	sc := &is.own
+	if w > 0 {
+		sc = is.extra[w-1]
 	}
-	var (
-		bestM  Mapping
-		bestC  Cost
-		found  bool
-		iter   int
-		ctxErr error
-	)
-	bound := numeric.Inf
-	var walk func(i, mask int)
-	walk = func(i, mask int) {
-		if ctxErr != nil {
-			return
-		}
-		if i == n {
-			iter++
-			if iter%256 == 0 {
-				if err := ctx.Err(); err != nil {
-					ctxErr = err
+	return sc.scan(is.ctx, is.goal, sh, shard, is.nshards == 1)
+}
+
+func (is *intervalSearch) Better(a, b pipeResult) bool {
+	return numeric.Less(is.goal.value(a.c), is.goal.value(b.c))
+}
+
+func (is *intervalSearch) Final(pipeResult) bool { return false }
+
+// intervalScan is one worker of the interval scan: the (bounds, alloc)
+// scratch and the state of the shard it is scanning.
+type intervalScan struct {
+	pp            *PipelinePrepared
+	bounds, alloc []int
+
+	ctx    context.Context
+	goal   Goal
+	sh     *incumbent.Shards
+	best   pipeResult
+	bound  float64
+	leaves int
+	err    error
+}
+
+// scan enumerates the interval mappings of one shard — the whole space,
+// or those whose first interval is stages 0..j on processor u for shard
+// j*p+u — and returns the goal-best feasible one under the serial install
+// rule (strict improvement replaces, ties keep the earlier mapping). The
+// bound is the best value of any shard, polled every few dozen mappings:
+// a candidate strictly worse cannot win the fold.
+func (sc *intervalScan) scan(ctx context.Context, goal Goal, sh *incumbent.Shards, shard int, whole bool) (pipeResult, bool, error) {
+	pp := sc.pp
+	if sc.bounds == nil {
+		sc.bounds, sc.alloc = make([]int, 0, pp.n), make([]int, 0, pp.n)
+	}
+	sc.ctx, sc.goal, sc.sh = ctx, goal, sh
+	sc.best, sc.bound, sc.leaves, sc.err = pipeResult{}, sh.Bound(), 0, nil
+	sc.bounds, sc.alloc = sc.bounds[:0], sc.alloc[:0]
+	procs := pp.pl.Processors()
+	if whole {
+		sc.walk(0, 0)
+	} else if j, u := shard/procs, shard%procs; !pp.pruneInterval(goal, 0, j, u, sc.bound) {
+		sc.push(j, u)
+		sc.walk(j+1, 1<<u)
+	}
+	best, err := sc.best, sc.err
+	sc.ctx, sc.best = nil, pipeResult{}
+	if err != nil {
+		return pipeResult{}, false, err
+	}
+	return best, best.ok, nil
+}
+
+func (sc *intervalScan) push(j, u int) {
+	sc.bounds = append(sc.bounds, j+1)
+	sc.alloc = append(sc.alloc, u)
+}
+
+func (sc *intervalScan) pop() {
+	sc.bounds = sc.bounds[:len(sc.bounds)-1]
+	sc.alloc = sc.alloc[:len(sc.alloc)-1]
+}
+
+// walk places the intervals from stage i on, with the processors in
+// mask taken, and installs each complete mapping under the serial rule.
+// It polls the shared bound every 64 mappings and the context every 256.
+func (sc *intervalScan) walk(i, mask int) {
+	pp := sc.pp
+	if sc.err != nil {
+		return
+	}
+	if i == pp.n {
+		if sc.leaves++; sc.leaves%64 == 0 {
+			sc.bound = min(sc.bound, sc.sh.Bound())
+			if sc.leaves%256 == 0 {
+				if sc.err = sc.ctx.Err(); sc.err != nil {
 					return
 				}
 			}
-			c := evalTrusted(pp.p, pp.pl, Mapping{Bounds: pp.curBounds, Alloc: pp.curAlloc})
-			if !goal.feasible(c) {
-				return
-			}
-			if !found || numeric.Less(goal.value(c), goal.value(bestC)) {
-				bestM = Mapping{
-					Bounds: append([]int(nil), pp.curBounds...),
-					Alloc:  append([]int(nil), pp.curAlloc...),
-				}
-				bestC, found = c, true
-				if goal.MinimizePeriod {
-					bound = bestC.Period
-				}
-			}
+		}
+		c := evalTrusted(pp.p, pp.pl, Mapping{Bounds: sc.bounds, Alloc: sc.alloc})
+		if !sc.goal.feasible(c) {
 			return
 		}
-		for j := i; j < n; j++ {
-			for u := 0; u < procs; u++ {
-				if mask&(1<<u) != 0 {
-					continue
-				}
-				if pp.pruneInterval(goal, i, j, u, bound) {
-					continue
-				}
-				pp.curBounds = append(pp.curBounds, j+1)
-				pp.curAlloc = append(pp.curAlloc, u)
-				walk(j+1, mask|1<<u)
-				pp.curBounds = pp.curBounds[:len(pp.curBounds)-1]
-				pp.curAlloc = pp.curAlloc[:len(pp.curAlloc)-1]
+		v := sc.goal.value(c)
+		if sc.best.ok && !numeric.Less(v, sc.goal.value(sc.best.c)) || numeric.Greater(v, sc.bound) {
+			return
+		}
+		sc.best = pipeResult{m: cloneMapping(Mapping{Bounds: sc.bounds, Alloc: sc.alloc}), c: c, ok: true}
+		sc.bound = min(sc.bound, v)
+		sc.sh.Tighten(v)
+		return
+	}
+	procs := pp.pl.Processors()
+	for j := i; j < pp.n; j++ {
+		for u := 0; u < procs; u++ {
+			if mask&(1<<u) != 0 || pp.pruneInterval(sc.goal, i, j, u, sc.bound) {
+				continue
 			}
+			sc.push(j, u)
+			sc.walk(j+1, mask|1<<u)
+			sc.pop()
 		}
 	}
-	walk(0, 0)
-	if ctxErr != nil {
-		return Mapping{}, Cost{}, false, ctxErr
-	}
-	return bestM, bestC, found, nil
 }
 
 // forkResult is one memoized one-port fork solve.
@@ -470,11 +531,6 @@ func NewForkPrepared(f Fork, pl Platform) (*ForkPrepared, error) {
 		memo:       make(map[Goal]forkResult),
 	}, nil
 }
-
-// SetParallelism is accepted for interface symmetry with the other
-// prepared solvers but keeps the scan serial: fork instances behind the
-// exhaustive limits are small enough that scratch reuse dominates.
-func (fp *ForkPrepared) SetParallelism(workers int) {}
 
 func cloneForkMapping(m ForkMapping) ForkMapping {
 	if m.Blocks == nil {

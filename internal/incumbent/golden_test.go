@@ -1,0 +1,336 @@
+package incumbent_test
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"testing"
+
+	"repliflow/internal/exhaustive"
+	"repliflow/internal/fullmodel"
+	"repliflow/internal/platform"
+	"repliflow/internal/spdecomp"
+	"repliflow/internal/workflow"
+)
+
+// The golden kernel corpus pins every exact search kernel that runs
+// through incumbent.Run — the exhaustive pipeline DP, the fork and
+// fork-join scans, the irreducible SP block scan and the comm-pipeline
+// interval scan — to answers recorded from the independent serial
+// implementations that preceded it. Each record holds one
+// instance, one goal, the found flag, the exact cost bits and the
+// mapping; the test re-solves it at one and at three workers. The
+// par-vs-serial identity corpora of each package compare one code path
+// against itself; this file compares it against history.
+//
+// Do not regenerate the corpus to absorb a diff: a mismatch means a
+// kernel changed its answer.
+var writeGolden = flag.Bool("write-golden-kernels", false, "rewrite testdata/kernels_golden.ndjson from the current kernels")
+
+const goldenPath = "testdata/kernels_golden.ndjson"
+
+// goldenCase is one corpus record: the instance of exactly one kernel,
+// the goal, and the recorded answer.
+type goldenCase struct {
+	Kernel string  `json:"kernel"`
+	Goal   string  `json:"goal"`
+	Bound  float64 `json:"bound,omitempty"`
+	DP     bool    `json:"dp,omitempty"`
+
+	Pipeline     *workflow.Pipeline  `json:"pipeline,omitempty"`
+	Fork         *workflow.Fork      `json:"fork,omitempty"`
+	ForkJoin     *workflow.ForkJoin  `json:"forkJoin,omitempty"`
+	SP           *workflow.SP        `json:"sp,omitempty"`
+	Platform     *platform.Platform  `json:"platform,omitempty"`
+	CommPipeline *fullmodel.Pipeline `json:"commPipeline,omitempty"`
+	CommPlatform *fullmodel.Platform `json:"commPlatform,omitempty"`
+
+	Found   bool            `json:"found"`
+	Period  string          `json:"period"`  // math.Float64bits, hex
+	Latency string          `json:"latency"` // math.Float64bits, hex
+	Mapping json.RawMessage `json:"mapping"`
+}
+
+var goldenGoals = []string{"period", "latency", "lup", "pul"}
+
+func bitsHex(v float64) string { return strconv.FormatUint(math.Float64bits(v), 16) }
+
+// answer fills the recorded fields of c from one solve.
+func answer(c goldenCase, found bool, period, latency float64, m any) (goldenCase, error) {
+	raw, err := json.Marshal(m)
+	if err != nil {
+		return c, err
+	}
+	c.Found, c.Period, c.Latency, c.Mapping = found, bitsHex(period), bitsHex(latency), raw
+	return c, nil
+}
+
+// solveGolden solves the instance and goal of c at the given worker
+// count and returns c with the answer fields replaced.
+func solveGolden(ctx context.Context, c goldenCase, par int) (goldenCase, error) {
+	switch c.Kernel {
+	case "pipeline":
+		pp := exhaustive.NewPipelinePrepared(*c.Pipeline, *c.Platform, c.DP)
+		pp.SetParallelism(par)
+		var res exhaustive.PipelineResult
+		var ok bool
+		var err error
+		switch c.Goal {
+		case "period":
+			res, ok, err = pp.Period(ctx)
+		case "latency":
+			res, ok, err = pp.Latency(ctx)
+		case "lup":
+			res, ok, err = pp.LatencyUnderPeriod(ctx, c.Bound)
+		default:
+			res, ok, err = pp.PeriodUnderLatency(ctx, c.Bound)
+		}
+		if err != nil {
+			return c, err
+		}
+		return answer(c, ok, res.Cost.Period, res.Cost.Latency, res.Mapping)
+	case "fork":
+		fp := exhaustive.NewForkPrepared(*c.Fork, *c.Platform, c.DP)
+		fp.SetParallelism(par)
+		var res exhaustive.ForkResult
+		var ok bool
+		var err error
+		switch c.Goal {
+		case "period":
+			res, ok, err = fp.Period(ctx)
+		case "latency":
+			res, ok, err = fp.Latency(ctx)
+		case "lup":
+			res, ok, err = fp.LatencyUnderPeriod(ctx, c.Bound)
+		default:
+			res, ok, err = fp.PeriodUnderLatency(ctx, c.Bound)
+		}
+		if err != nil {
+			return c, err
+		}
+		return answer(c, ok, res.Cost.Period, res.Cost.Latency, res.Mapping)
+	case "forkjoin":
+		fp := exhaustive.NewForkJoinPrepared(*c.ForkJoin, *c.Platform, c.DP)
+		fp.SetParallelism(par)
+		var res exhaustive.ForkJoinResult
+		var ok bool
+		var err error
+		switch c.Goal {
+		case "period":
+			res, ok, err = fp.Period(ctx)
+		case "latency":
+			res, ok, err = fp.Latency(ctx)
+		case "lup":
+			res, ok, err = fp.LatencyUnderPeriod(ctx, c.Bound)
+		default:
+			res, ok, err = fp.PeriodUnderLatency(ctx, c.Bound)
+		}
+		if err != nil {
+			return c, err
+		}
+		return answer(c, ok, res.Cost.Period, res.Cost.Latency, res.Mapping)
+	case "sp":
+		pp, err := spdecomp.NewPrepared(*c.SP, *c.Platform)
+		if err != nil {
+			return c, err
+		}
+		pp.SetParallelism(par)
+		goal := map[string]spdecomp.Goal{
+			"period":  {},
+			"latency": {MinimizeLatency: true},
+			"lup":     {MinimizeLatency: true, PeriodCap: c.Bound},
+			"pul":     {LatencyCap: c.Bound},
+		}[c.Goal]
+		blocks, cost, ok, err := pp.Exhaustive(ctx, goal)
+		if err != nil {
+			return c, err
+		}
+		return answer(c, ok, cost.Period, cost.Latency, blocks)
+	case "comm":
+		pp, err := fullmodel.NewPipelinePrepared(*c.CommPipeline, *c.CommPlatform)
+		if err != nil {
+			return c, err
+		}
+		pp.SetParallelism(par)
+		goal := map[string]fullmodel.Goal{
+			"period":  {MinimizePeriod: true},
+			"latency": {},
+			"lup":     {PeriodCap: c.Bound},
+			"pul":     {MinimizePeriod: true, LatencyCap: c.Bound},
+		}[c.Goal]
+		m, cost, ok, err := pp.SolveExact(ctx, goal)
+		if err != nil {
+			return c, err
+		}
+		return answer(c, ok, cost.Period, cost.Latency, m)
+	}
+	return c, fmt.Errorf("unknown kernel %q", c.Kernel)
+}
+
+// goldenInstances draws the corpus instances: seeded, small enough for
+// the race detector, large enough that three workers split every kernel
+// into many shards.
+func goldenInstances() []goldenCase {
+	rng := rand.New(rand.NewSource(20261016))
+	var out []goldenCase
+	for i := 0; i < 24; i++ {
+		p := workflow.RandomPipeline(rng, 2+rng.Intn(6), 9)
+		pl := platform.Random(rng, 2+rng.Intn(4), 5)
+		out = append(out, goldenCase{Kernel: "pipeline", DP: i%2 == 0, Pipeline: &p, Platform: &pl})
+	}
+	for i := 0; i < 20; i++ {
+		f := workflow.RandomFork(rng, 1+rng.Intn(4), 9)
+		pl := platform.Random(rng, 2+rng.Intn(3), 5)
+		out = append(out, goldenCase{Kernel: "fork", DP: i%2 == 0, Fork: &f, Platform: &pl})
+	}
+	for i := 0; i < 16; i++ {
+		fj := workflow.RandomForkJoin(rng, 1+rng.Intn(3), 9)
+		pl := platform.Random(rng, 2+rng.Intn(3), 5)
+		out = append(out, goldenCase{Kernel: "forkjoin", DP: i%2 == 1, ForkJoin: &fj, Platform: &pl})
+	}
+	for i := 0; i < 20; i++ {
+		g := workflow.RandomSP(rng, 3+rng.Intn(5), 9, 4, 3)
+		pl := platform.Random(rng, 2+rng.Intn(3), 5)
+		out = append(out, goldenCase{Kernel: "sp", SP: &g, Platform: &pl})
+	}
+	for i := 0; i < 20; i++ {
+		n := 2 + rng.Intn(5)
+		ws, data := make([]float64, n), make([]float64, n+1)
+		for k := range ws {
+			ws[k] = float64(1 + rng.Intn(9))
+		}
+		for k := range data {
+			data[k] = float64(rng.Intn(5))
+		}
+		p := fullmodel.NewPipeline(ws, data)
+		procs := 2 + rng.Intn(3)
+		speeds := make([]float64, procs)
+		for k := range speeds {
+			speeds[k] = float64(1 + rng.Intn(5))
+		}
+		bw := fullmodel.Bandwidth{Uniform: float64(1 + rng.Intn(4))}
+		if i%2 == 1 {
+			bw = fullmodel.Bandwidth{Links: make([][]float64, procs), In: make([]float64, procs), Out: make([]float64, procs)}
+			for u := 0; u < procs; u++ {
+				bw.Links[u] = make([]float64, procs)
+				bw.In[u] = float64(1 + rng.Intn(4))
+				bw.Out[u] = float64(1 + rng.Intn(4))
+				for v := 0; v < procs; v++ {
+					if v != u {
+						bw.Links[u][v] = float64(1 + rng.Intn(4))
+					}
+				}
+			}
+		}
+		pl := bw.Apply(speeds)
+		out = append(out, goldenCase{Kernel: "comm", CommPipeline: &p, CommPlatform: &pl})
+	}
+	return out
+}
+
+// generateGolden expands every instance into its four goals. The
+// bounded goals cap the other metric at its unbounded optimum scaled by
+// one of {1, 1.25, 1.5, 0.5}, so the corpus holds bounds that touch the
+// optimum exactly, loose bounds and infeasible ones.
+func generateGolden(ctx context.Context) ([]goldenCase, error) {
+	scales := []float64{1, 1.25, 1.5, 0.5}
+	var out []goldenCase
+	for i, inst := range goldenInstances() {
+		var periodOpt, latencyOpt float64
+		for _, goal := range goldenGoals {
+			c := inst
+			c.Goal = goal
+			switch goal {
+			case "lup":
+				c.Bound = periodOpt * scales[i%len(scales)]
+			case "pul":
+				c.Bound = latencyOpt * scales[(i+1)%len(scales)]
+			}
+			c, err := solveGolden(ctx, c, 1)
+			if err != nil {
+				return nil, err
+			}
+			p, _ := strconv.ParseUint(c.Period, 16, 64)
+			l, _ := strconv.ParseUint(c.Latency, 16, 64)
+			switch goal {
+			case "period":
+				periodOpt = math.Float64frombits(p)
+			case "latency":
+				latencyOpt = math.Float64frombits(l)
+			}
+			out = append(out, c)
+		}
+	}
+	return out, nil
+}
+
+func TestKernelsGoldenCorpus(t *testing.T) {
+	ctx := context.Background()
+	if *writeGolden {
+		cases, err := generateGolden(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for _, c := range cases {
+			line, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Write(line)
+			buf.WriteByte('\n')
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d cases to %s", len(cases), goldenPath)
+	}
+
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	kernels := map[string]int{}
+	for line := 1; sc.Scan(); line++ {
+		var want goldenCase
+		if err := json.Unmarshal(sc.Bytes(), &want); err != nil {
+			t.Fatalf("line %d: %v", line, err)
+		}
+		kernels[want.Kernel]++
+		for _, par := range []int{1, 3} {
+			got, err := solveGolden(ctx, want, par)
+			if err != nil {
+				t.Fatalf("line %d (%s %s) par=%d: %v", line, want.Kernel, want.Goal, par, err)
+			}
+			if got.Found != want.Found || got.Period != want.Period || got.Latency != want.Latency ||
+				!bytes.Equal(got.Mapping, want.Mapping) {
+				t.Errorf("line %d (%s %s bound=%v) par=%d: got found=%v cost=(%s,%s) mapping=%s, want found=%v cost=(%s,%s) mapping=%s",
+					line, want.Kernel, want.Goal, want.Bound, par,
+					got.Found, got.Period, got.Latency, got.Mapping,
+					want.Found, want.Period, want.Latency, want.Mapping)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"pipeline", "fork", "forkjoin", "sp", "comm"} {
+		if kernels[k] == 0 {
+			t.Errorf("corpus has no %s case", k)
+		}
+	}
+}

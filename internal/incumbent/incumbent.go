@@ -1,17 +1,21 @@
 // Package incumbent holds the best-so-far state shared by concurrent
-// searches. Two primitives live here so the anytime portfolio and the
-// partitioned exhaustive searches use one implementation:
+// searches and the one runner of every partitioned exact search:
 //
 //   - Best, a mutex-guarded incumbent mapping with the offer/adopt
-//     protocol of the portfolio members (strict improvement installs,
-//     exact results replace ties), and
-//   - Bound, a lock-free monotonically tightening objective bound that
-//     the shards of a partitioned exhaustive scan share, so a better
-//     incumbent found in one shard prunes every other shard immediately.
-//     Its users are the partitioned pipeline/fork scans of
-//     internal/exhaustive, the sharded SP block search of
-//     internal/spdecomp, and the chunk-claimed comm-pipeline interval
-//     scan of internal/fullmodel.
+//     protocol of the anytime portfolio members (strict improvement
+//     installs, exact results replace ties);
+//   - Bound, a lock-free monotonically tightening objective bound; and
+//   - Run and Each, the shard runner: workers claim shards in order,
+//     share a Bound and the lowest shard that reached the lower bound
+//     (Shards), and Run folds the per-shard bests in shard order, so
+//     the result is the serial scan's at every worker count. One shard
+//     runs inline on the caller's goroutine — that is the serial
+//     search. PartitionShards cuts a restricted-growth set-partition
+//     enumeration into such shards.
+//
+// Its users are the fork and fork-join scans and the pipeline level
+// sweep of internal/exhaustive, the SP block scan of internal/spdecomp,
+// and the comm-pipeline interval scan of internal/fullmodel.
 package incumbent
 
 import (

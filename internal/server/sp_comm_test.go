@@ -70,8 +70,8 @@ const commForkSmall = `{
 }`
 
 // commPipelineHet is heterogeneous, so every solve takes the NP-hard
-// exhaustive comm cell — the one the prepared pool and the chunk-claimed
-// parallel interval scan serve.
+// exhaustive comm cell — the one the prepared pool and the sharded
+// interval scan serve.
 const commPipelineHet = `{
 	"commPipeline": {"weights": [3, 1, 2, 2], "data": [1, 2, 1, 0, 1]},
 	"platform": {"speeds": [1, 2, 3], "bandwidth": {"uniform": 2}},

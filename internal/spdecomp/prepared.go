@@ -4,14 +4,16 @@ import (
 	"context"
 	"errors"
 
+	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
+	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
 
 // Prepared solves one irreducible SP instance repeatedly under varying
 // goals: the topological order, predecessor lists and evaluation scratch
-// of evalState, the restricted-growth/assignment buffers of the
+// of blockEval, the restricted-growth/assignment buffers of the
 // exhaustive enumeration, the certified Bounds and the goal-independent
 // heuristic candidate set all persist across solves, and each goal's
 // exhaustive result is memoized. Results are bit-identical to the
@@ -20,17 +22,12 @@ import (
 type Prepared struct {
 	g  workflow.SP
 	pl platform.Platform
-	st *evalState
 
 	periodLB  float64
 	latencyLB float64
 
-	par int
-
-	// Exhaustive enumeration scratch.
-	assign    []int
-	blockProc []int
-	usedProc  []bool
+	par    int
+	search blockSearch
 
 	heur     []Candidate
 	heurDone bool
@@ -48,25 +45,22 @@ type spMemo struct {
 // NewPrepared builds a prepared solver, validating the graph structure
 // once (the same topological-order check the one-shot path performs).
 func NewPrepared(g workflow.SP, pl platform.Platform) (*Prepared, error) {
-	st, err := newEvalState(g, pl)
+	st, err := newBlockEval(g, pl)
 	if err != nil {
 		return nil, err
 	}
 	periodLB, latencyLB := Bounds(g, pl)
-	n, p := len(g.Steps), pl.Processors()
 	return &Prepared{
-		g: g, pl: pl, st: st,
+		g: g, pl: pl,
 		periodLB: periodLB, latencyLB: latencyLB,
-		assign:    make([]int, n),
-		blockProc: make([]int, n),
-		usedProc:  make([]bool, p),
-		memo:      make(map[Goal]spMemo),
+		search: blockSearch{own: newScanner(st)},
+		memo:   make(map[Goal]spMemo),
 	}, nil
 }
 
 // SetParallelism sets the worker count of subsequent Exhaustive calls;
-// values below two keep the scan serial. The partitioned scan folds
-// deterministically, so the answer is bit-identical either way.
+// values below two scan the whole space inline. The shard-order fold
+// keeps the answer bit-identical either way.
 func (pp *Prepared) SetParallelism(workers int) { pp.par = workers }
 
 // lowerBound returns the certified lower bound on the goal's minimized
@@ -91,115 +85,198 @@ func cloneSPBlocks(bs []mapping.SPBlock) []mapping.SPBlock {
 	return out
 }
 
-// errStopEnum unwinds the serial enumeration once the incumbent has
+// errStopEnum unwinds a shard's enumeration once its incumbent has
 // reached the certified lower bound.
 var errStopEnum = errors.New("spdecomp: enumeration reached the certified bound")
 
 // Exhaustive is the exhaustive block search for the prepared instance:
 // scratch persists across calls, each goal's result is memoized, and
 // with SetParallelism >= 2 the partition space is sharded across workers
-// with a deterministic shard-order fold.
+// (incumbent.PartitionShards with at most p blocks) with a shard-order
+// fold.
 func (pp *Prepared) Exhaustive(ctx context.Context, goal Goal) ([]mapping.SPBlock, mapping.Cost, bool, error) {
 	if r, ok := pp.memo[goal]; ok {
 		return cloneSPBlocks(r.blocks), r.c, r.ok, nil
 	}
-	var (
-		blocks []mapping.SPBlock
-		c      mapping.Cost
-		found  bool
-		err    error
-	)
-	if pp.par > 1 {
-		blocks, c, found, err = pp.exhaustivePar(ctx, goal)
-	} else {
-		blocks, c, found, err = pp.exhaustiveSerial(ctx, goal)
+	bs := &pp.search
+	bs.ctx, bs.goal, bs.lb = ctx, goal, pp.lowerBound(goal)
+	bs.prefixes = incumbent.PartitionShards(len(pp.g.Steps), pp.pl.Processors(), pp.par)
+	for len(bs.extra) < pp.par-1 {
+		bs.extra = append(bs.extra, nil)
 	}
+	r, found, err := incumbent.Run[spMemo](pp.par, len(bs.prefixes), bs)
+	bs.ctx = nil
 	if err != nil {
 		return nil, mapping.Cost{}, false, err
 	}
-	pp.memo[goal] = spMemo{blocks: blocks, c: c, ok: found}
-	return cloneSPBlocks(blocks), c, found, nil
+	r.ok = found
+	pp.memo[goal] = r
+	return cloneSPBlocks(r.blocks), r.c, found, nil
 }
 
-func (pp *Prepared) exhaustiveSerial(ctx context.Context, goal Goal) ([]mapping.SPBlock, mapping.Cost, bool, error) {
-	st := pp.st
-	n, p := len(pp.g.Steps), pp.pl.Processors()
-	lb := pp.lowerBound(goal)
-	var (
-		best      []mapping.SPBlock
-		bestCost  mapping.Cost
-		found     bool
-		iterSince int
-	)
-	var procs func(k, blocks int) error
-	procs = func(k, blocks int) error {
-		if k == blocks {
-			for s := 0; s < n; s++ {
-				st.procOf[s] = pp.blockProc[pp.assign[s]]
-			}
-			c := st.costOf()
-			if goal.Feasible(c) && (!found || goal.Better(c, bestCost)) {
-				best, bestCost, found = st.blocks(), c, true
-				if goal.Value(bestCost) <= lb {
-					return errStopEnum
-				}
-			}
-			return nil
-		}
-		for q := 0; q < p; q++ {
-			if pp.usedProc[q] {
-				continue
-			}
-			pp.usedProc[q] = true
-			pp.blockProc[k] = q
-			if err := procs(k+1, blocks); err != nil {
-				return err
-			}
-			pp.usedProc[q] = false
-		}
-		return nil
-	}
-	var parts func(s, blocks int) error
-	parts = func(s, blocks int) error {
-		if s == n {
-			iterSince++
-			if iterSince >= 64 {
-				iterSince = 0
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			return procs(0, blocks)
-		}
-		limit := blocks
-		if blocks < p {
-			limit = blocks + 1
-		}
-		for b := 0; b < limit; b++ {
-			pp.assign[s] = b
-			nb := blocks
-			if b == blocks {
-				nb = blocks + 1
-			}
-			if err := parts(s+1, nb); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := parts(0, 0); err != nil && err != errStopEnum {
-		// Leave usedProc clean for the next solve: the unwind skipped the
-		// resets on the recursion path.
-		for q := range pp.usedProc {
-			pp.usedProc[q] = false
-		}
-		return nil, mapping.Cost{}, false, err
-	}
-	for q := range pp.usedProc {
-		pp.usedProc[q] = false
-	}
-	return best, bestCost, found, nil
+// blockSearch is the incumbent.Search of one Exhaustive solve: shards
+// are restricted-growth prefixes of the step->block assignment. own is worker 0's scratch — the serial scan's — and
+// extra[w-1] worker w's, built on first use; all are kept across solves.
+type blockSearch struct {
+	ctx      context.Context
+	goal     Goal
+	lb       float64
+	prefixes []incumbent.Prefix
+	own      scanner
+	extra    []*scanner
 }
+
+func (bs *blockSearch) Scan(sh *incumbent.Shards, w, shard int) (spMemo, bool, error) {
+	sc := &bs.own
+	if w > 0 {
+		if bs.extra[w-1] == nil {
+			st, err := newBlockEval(bs.own.st.g, bs.own.st.pl)
+			if err != nil {
+				return spMemo{}, false, err
+			}
+			ws := newScanner(st)
+			bs.extra[w-1] = &ws
+		}
+		sc = bs.extra[w-1]
+	}
+	return sc.scan(bs.ctx, bs.goal, bs.lb, bs.prefixes[shard], sh, shard)
+}
+
+func (bs *blockSearch) Better(a, b spMemo) bool { return bs.goal.Better(a.c, b.c) }
+
+func (bs *blockSearch) Final(r spMemo) bool { return bs.goal.Value(r.c) <= bs.lb }
+
+// scanner is one worker of the block search: its enumeration scratch
+// and the state of the shard it is scanning.
+type scanner struct {
+	st        *blockEval
+	assign    []int
+	blockProc []int
+	usedProc  []bool
+
+	ctx        context.Context
+	goal       Goal
+	lb         float64
+	sh         *incumbent.Shards
+	shard      int
+	best       spMemo
+	found      bool
+	bound      float64
+	partitions int
+	poll       int
+}
+
+func newScanner(st *blockEval) scanner {
+	n := len(st.g.Steps)
+	return scanner{st: st, assign: make([]int, n), blockProc: make([]int, n), usedProc: make([]bool, st.pl.Processors())}
+}
+
+// scan enumerates the restricted-growth partitions of the steps that
+// extend prefix (at most p blocks), crossed with the injective
+// block->processor assignments, and returns the goal-best feasible
+// mapping under the serial install rule (strict improvement replaces,
+// ties keep the earlier mapping). A candidate strictly worse than the
+// best of any shard cannot win the fold and is skipped; an incumbent
+// reaching the certified lower bound lb stops the shard and records it
+// in sh.
+func (sc *scanner) scan(ctx context.Context, goal Goal, lb float64, prefix incumbent.Prefix,
+	sh *incumbent.Shards, shard int) (spMemo, bool, error) {
+	sc.ctx, sc.goal, sc.lb, sc.sh, sc.shard = ctx, goal, lb, sh, shard
+	sc.best, sc.found, sc.bound = spMemo{}, false, sh.Bound()
+	sc.partitions, sc.poll = 0, pollEvery
+	copy(sc.assign, prefix.Assign)
+	err := sc.parts(len(prefix.Assign), prefix.Used)
+	// An unwind skips the resets on the recursion path: leave usedProc
+	// clean for the next shard.
+	clear(sc.usedProc)
+	sc.ctx = nil
+	if err != nil && err != errStopEnum {
+		return spMemo{}, false, err
+	}
+	return sc.best, sc.found, nil
+}
+
+// parts assigns steps s.. to blocks (restricted growth, at most p
+// blocks), polling the context every 64 complete partitions.
+func (sc *scanner) parts(s, blocks int) error {
+	if s == len(sc.assign) {
+		if sc.partitions++; sc.partitions == 64 {
+			sc.partitions = 0
+			if err := sc.ctx.Err(); err != nil {
+				return err
+			}
+		}
+		return sc.procs(0, blocks)
+	}
+	limit := blocks
+	if blocks < len(sc.usedProc) {
+		limit = blocks + 1
+	}
+	for b := 0; b < limit; b++ {
+		sc.assign[s] = b
+		nb := blocks
+		if b == blocks {
+			nb = blocks + 1
+		}
+		if err := sc.parts(s+1, nb); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// procs assigns distinct processors to blocks k.. and evaluates each
+// complete mapping.
+func (sc *scanner) procs(k, blocks int) error {
+	if k == blocks {
+		return sc.evaluate()
+	}
+	for q := range sc.usedProc {
+		if sc.usedProc[q] {
+			continue
+		}
+		sc.usedProc[q] = true
+		sc.blockProc[k] = q
+		if err := sc.procs(k+1, blocks); err != nil {
+			return err
+		}
+		sc.usedProc[q] = false
+	}
+	return nil
+}
+
+// evaluate costs the current mapping and installs it under the serial
+// rule.
+func (sc *scanner) evaluate() error {
+	if sc.poll--; sc.poll == 0 {
+		sc.poll = pollEvery
+		if sc.sh.Decided(sc.shard) {
+			return errStopEnum
+		}
+		sc.bound = min(sc.bound, sc.sh.Bound())
+	}
+	st := sc.st
+	for s, b := range sc.assign {
+		st.procOf[s] = sc.blockProc[b]
+	}
+	c := st.costOf()
+	if !sc.goal.Feasible(c) || sc.found && !sc.goal.Better(c, sc.best.c) || numeric.Greater(sc.goal.Value(c), sc.bound) {
+		return nil
+	}
+	sc.best, sc.found = spMemo{blocks: st.blocks(), c: c}, true
+	v := sc.goal.Value(c)
+	sc.bound = min(sc.bound, v)
+	sc.sh.Tighten(v)
+	if v <= sc.lb {
+		sc.sh.ReachedLB(sc.shard)
+		return errStopEnum
+	}
+	return nil
+}
+
+// pollEvery is how many evaluated mappings pass between polls of the
+// shared shard state; a stale bound only prunes less.
+const pollEvery = 64
 
 // BestHeuristic returns the goal-best candidate of the deterministic
 // heuristic set, computing the (goal-independent) set once per prepared

@@ -69,10 +69,10 @@ func (g Goal) violation(c mapping.Cost) float64 {
 	return v
 }
 
-// evalState carries the precomputed structure shared by every block
+// blockEval carries the precomputed structure shared by every block
 // evaluation of one solve: canonical topological order, predecessor
 // lists and scratch buffers.
-type evalState struct {
+type blockEval struct {
 	g       workflow.SP
 	pl      platform.Platform
 	topo    []int
@@ -84,13 +84,13 @@ type evalState struct {
 	touched []int     // processors used by the current assignment
 }
 
-func newEvalState(g workflow.SP, pl platform.Platform) (*evalState, error) {
+func newBlockEval(g workflow.SP, pl platform.Platform) (*blockEval, error) {
 	topo, err := g.Topo()
 	if err != nil {
 		return nil, err
 	}
 	n, p := len(g.Steps), pl.Processors()
-	return &evalState{
+	return &blockEval{
 		g: g, pl: pl, topo: topo, preds: g.Preds(),
 		procOf: make([]int, n), finish: make([]float64, n),
 		avail: make([]float64, p), loadOf: make([]float64, p),
@@ -101,7 +101,7 @@ func newEvalState(g workflow.SP, pl platform.Platform) (*evalState, error) {
 // is the largest per-processor load over speed; the latency is the
 // makespan of the canonical list schedule (steps in topological order,
 // each starting when its predecessors and its processor are free).
-func (st *evalState) costOf() mapping.Cost {
+func (st *blockEval) costOf() mapping.Cost {
 	for _, q := range st.touched {
 		st.avail[q], st.loadOf[q] = 0, 0
 	}
@@ -136,7 +136,7 @@ func (st *evalState) costOf() mapping.Cost {
 
 // blocks converts the current assignment into mapping blocks, ordered by
 // processor index with steps ascending.
-func (st *evalState) blocks() []mapping.SPBlock {
+func (st *blockEval) blocks() []mapping.SPBlock {
 	byProc := make(map[int][]int)
 	for v := range st.procOf {
 		byProc[st.procOf[v]] = append(byProc[st.procOf[v]], v)
@@ -155,7 +155,7 @@ func (st *evalState) blocks() []mapping.SPBlock {
 	return out
 }
 
-func (st *evalState) setBlocks(blocks []mapping.SPBlock) {
+func (st *blockEval) setBlocks(blocks []mapping.SPBlock) {
 	for _, b := range blocks {
 		for _, s := range b.Steps {
 			st.procOf[s] = b.Proc
@@ -212,7 +212,7 @@ func Eval(g workflow.SP, pl platform.Platform, blocks []mapping.SPBlock) (mappin
 	if err := ValidateBlocks(g, pl, blocks); err != nil {
 		return mapping.Cost{}, err
 	}
-	st, err := newEvalState(g, pl)
+	st, err := newBlockEval(g, pl)
 	if err != nil {
 		return mapping.Cost{}, err
 	}
@@ -270,7 +270,7 @@ type Candidate struct {
 // period-greedy LPT packing, and the recursive allocation that walks the
 // SP decomposition tree splitting processors across parallel branches.
 func Heuristics(g workflow.SP, pl platform.Platform) []Candidate {
-	st, err := newEvalState(g, pl)
+	st, err := newBlockEval(g, pl)
 	if err != nil {
 		return nil
 	}
@@ -465,7 +465,7 @@ func Best(cands []Candidate, goal Goal) (Candidate, bool) {
 // incumbent, the number of evaluated neighbours, and whether the
 // incumbent respects the caps.
 func Budgeted(ctx context.Context, g workflow.SP, pl platform.Platform, goal Goal, seed uint64, budget time.Duration) ([]mapping.SPBlock, mapping.Cost, int, bool, error) {
-	st, err := newEvalState(g, pl)
+	st, err := newBlockEval(g, pl)
 	if err != nil {
 		return nil, mapping.Cost{}, 0, false, err
 	}
