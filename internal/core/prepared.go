@@ -6,7 +6,7 @@ import "context"
 // (workflow, platform, model) triple — the shape of every Pareto sweep
 // and bi-criteria probe sequence. Construct with Prepare. Objectives
 // whose dispatch cell advertises the prepared capability run on a shared
-// prepared exhaustive solver (shared platform tables, epoch-reset DP
+// prepared exhaustive solver (its own platform table, epoch-reset DP
 // scratch, per-bound memoization); every other objective falls back to
 // SolveContext, so Solve is total over the four objectives either way.
 //

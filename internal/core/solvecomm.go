@@ -18,17 +18,16 @@ import (
 // comm-pipeline cells are only exact under uniform bandwidths.
 
 // commPlatform binds the instance's bandwidth description to its
-// processor speeds, yielding the fullmodel evaluation platform. The
-// binding goes through the process-wide fullmodel.TableFor cache, so
-// repeated solves of one (speeds, bandwidth) pair — every Pareto sweep —
-// pay the uniform-bandwidth matrix expansion once.
+// processor speeds, yielding the fullmodel evaluation platform. A
+// prepared solver binds it once, when it is built.
 func commPlatform(pr Problem) fullmodel.Platform {
-	return commTable(pr).Plat
+	return pr.Bandwidth.Apply(pr.Platform.Speeds)
 }
 
-// commTable returns the shared bound-platform table of the instance.
-func commTable(pr Problem) *fullmodel.PlatTable {
-	return fullmodel.TableFor(pr.Platform.Speeds, *pr.Bandwidth)
+// commHomogeneous is the platform-homogeneity axis of the comm kinds:
+// uniform speeds and uniform links, tested without binding the platform.
+func commHomogeneous(pr Problem) bool {
+	return pr.Bandwidth.FullyHomogeneous(pr.Platform.Speeds)
 }
 
 // commGoal projects the problem objective onto the fullmodel goal.
@@ -76,7 +75,7 @@ func init() {
 			return pr.CommPipeline.Validate()
 		},
 		GraphHomogeneous:    func(pr Problem) bool { return pr.CommPipeline.IsHomogeneous() },
-		PlatformHomogeneous: func(pr Problem) bool { return commPlatform(pr).IsFullyHomogeneous() },
+		PlatformHomogeneous: commHomogeneous,
 		NeedsBandwidth:      true,
 		Classify:            classifyCommPipeline,
 		ExactlySolvable:     commPipeInLimits,
@@ -87,7 +86,7 @@ func init() {
 		// Only the het-platform exhaustive scan has a partitioned path; the
 		// hom-platform DP is polynomial and stays serial.
 		ParallelWorthwhile: func(pr Problem) bool {
-			return !commPlatform(pr).IsFullyHomogeneous() &&
+			return !commHomogeneous(pr) &&
 				pr.CommPipeline.Stages() >= parMinForkItems &&
 				pr.Platform.Processors() >= parMinForkProcs
 		},
@@ -116,7 +115,7 @@ func init() {
 			return pr.CommFork.Validate()
 		},
 		GraphHomogeneous:    func(pr Problem) bool { return pr.CommFork.IsHomogeneous() },
-		PlatformHomogeneous: func(pr Problem) bool { return commPlatform(pr).IsFullyHomogeneous() },
+		PlatformHomogeneous: commHomogeneous,
 		NeedsBandwidth:      true,
 		Classify: func(CellKey) Classification {
 			return Classification{NPHard, "Section 3.3 (one-port fork)"}
@@ -260,7 +259,7 @@ func solveCommPipeHard(ctx context.Context, pr Problem, opts Options) (Solution,
 	cl := classificationOf(pr)
 	p, pl, goal := *pr.CommPipeline, commPlatform(pr), commGoal(pr)
 	if commPipeInLimits(pr, opts) {
-		pp, err := fullmodel.NewPipelinePreparedTable(p, commTable(pr))
+		pp, err := fullmodel.NewPipelinePrepared(p, pl)
 		if err != nil {
 			return Solution{}, err
 		}
@@ -326,11 +325,11 @@ func solveCommForkHard(ctx context.Context, pr Problem, opts Options) (Solution,
 
 // prepareCommPipeHom is the Prepare capability of the polynomial
 // hom-platform comm-pipeline cells: one fullmodel.PipelinePrepared —
-// shared bound-platform table, reusable DP arrays, the candidate-period
-// set, a per-goal memo — serves every objective of the family,
+// its bound platform, reusable DP arrays, the candidate-period set, a
+// per-goal memo — serves every objective of the family,
 // byte-identical to solveCommPipeHom.
 func prepareCommPipeHom(pr Problem, _ Options) *PreparedCell {
-	pp, err := fullmodel.NewPipelinePreparedTable(*pr.CommPipeline, commTable(pr))
+	pp, err := fullmodel.NewPipelinePrepared(*pr.CommPipeline, commPlatform(pr))
 	if err != nil {
 		return nil
 	}
@@ -357,9 +356,9 @@ func prepareCommPipeHom(pr Problem, _ Options) *PreparedCell {
 // candidate set and its evaluations are computed once, leaving only the
 // per-goal bound check to each solve.
 func prepareCommPipeHard(pr Problem, opts Options) *PreparedCell {
-	p, t := *pr.CommPipeline, commTable(pr)
+	p, pl := *pr.CommPipeline, commPlatform(pr)
 	if commPipeInLimits(pr, opts) {
-		pp, err := fullmodel.NewPipelinePreparedTable(p, t)
+		pp, err := fullmodel.NewPipelinePrepared(p, pl)
 		if err != nil {
 			return nil
 		}
@@ -377,11 +376,11 @@ func prepareCommPipeHard(pr Problem, opts Options) *PreparedCell {
 		}
 		return &PreparedCell{Solve: solve, SetParallelism: pp.SetParallelism}
 	}
-	cands := fullmodel.HeuristicCandidates(p, t.Plat)
+	cands := fullmodel.HeuristicCandidates(p, pl)
 	costs := make([]mapping.Cost, len(cands))
 	full := make([]fullmodel.Cost, len(cands))
 	for i, m := range cands {
-		c, err := fullmodel.Eval(p, t.Plat, m)
+		c, err := fullmodel.Eval(p, pl, m)
 		if err != nil {
 			return nil
 		}
@@ -409,9 +408,9 @@ func prepareCommPipeHard(pr Problem, opts Options) *PreparedCell {
 // candidate set (each finished with its latency-optimal send order) and
 // its evaluations are computed once.
 func prepareCommFork(pr Problem, opts Options) *PreparedCell {
-	f, t := *pr.CommFork, commTable(pr)
+	f, pl := *pr.CommFork, commPlatform(pr)
 	if commForkInLimits(pr, opts) {
-		fp, err := fullmodel.NewForkPrepared(f, t.Plat)
+		fp, err := fullmodel.NewForkPrepared(f, pl)
 		if err != nil {
 			return nil
 		}
@@ -428,11 +427,11 @@ func prepareCommFork(pr Problem, opts Options) *PreparedCell {
 		}
 		return &PreparedCell{Solve: solve}
 	}
-	cands := fullmodel.ForkHeuristicCandidates(f, t.Plat)
+	cands := fullmodel.ForkHeuristicCandidates(f, pl)
 	costs := make([]mapping.Cost, len(cands))
 	full := make([]fullmodel.Cost, len(cands))
 	for i, m := range cands {
-		c, err := fullmodel.EvalFork(f, t.Plat, m, false)
+		c, err := fullmodel.EvalFork(f, pl, m, false)
 		if err != nil {
 			return nil
 		}

@@ -290,7 +290,7 @@ func preparedDispatch[R any](ctx context.Context, s exactSolver[R], pr Problem) 
 
 // preparePipelineHard is the registry Prepare capability of the NP-hard
 // pipeline cells: within the exhaustive limits it shares one
-// exhaustive.PipelinePrepared — platform tables, epoch-reset DP arrays,
+// exhaustive.PipelinePrepared — its platform table, epoch-reset DP arrays,
 // candidate periods, per-bound memo — across every solve of the family,
 // byte-identical to solvePipelineHard. Outside the limits it returns nil
 // (the heuristic path has no per-solve setup worth sharing).

@@ -25,20 +25,18 @@
 // (workflow, platform) pair hundreds of times, varying only the bound.
 // The prepared solvers — PipelinePrepared, ForkPrepared, ForkJoinPrepared
 // — share everything that does not depend on the bound across those
-// solves: the per-platform subset tables (cached process-wide, see
-// tableFor), the DP/enumeration scratch memory (reset by epoch counters,
-// never reallocated), the candidate-period sets, and a per-bound result
-// memo. Their results are byte-identical to the one-shot entry points,
-// which are themselves thin wrappers over a prepared solver used once.
+// solves: the per-platform subset table (built once per prepared solver,
+// see buildMaskInfo, and shared read-only with its shard workers), the
+// DP/enumeration scratch memory (reset by epoch counters, never
+// reallocated), the candidate-period sets, and a per-bound result memo.
+// Their results are byte-identical to the one-shot entry points, which
+// are themselves thin wrappers over a prepared solver used once.
 package exhaustive
 
 import (
 	"context"
-	"encoding/binary"
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
@@ -93,10 +91,11 @@ func (s *stepper) reset(ctx context.Context) {
 // turn the divisions of the DP inner loops into multiplications, and procs
 // is the expanded (sorted) processor list of the mask, so the hot paths
 // neither divide nor allocate. max feeds the anytime lower bounds used for
-// branch pruning. procs is internal scratch shared by every solver on the
-// table: search loops alias it freely, but any mapping that escapes the
-// package copies it (reconstruct, copyForkMapping) — the table must never
-// leak into caller-visible results.
+// branch pruning. procs is internal scratch shared by every worker of the
+// solver that owns the table: search loops alias it freely, but any
+// mapping that escapes the package copies it (reconstruct,
+// copyForkMapping) — the table must never leak into caller-visible
+// results.
 type maskInfo struct {
 	count int
 	min   float64
@@ -148,71 +147,6 @@ func buildMaskInfo(pl platform.Platform) []maskInfo {
 		}
 		in.procs = procs
 		info[mask] = in
-	}
-	return info
-}
-
-// maxTableCacheWords bounds the process-wide platform table cache by its
-// approximate footprint in 8-byte words (~32MB), not by table count: a
-// table is O(2^p) entries plus a p*2^(p-1)-int procs backing array, so a
-// count bound alone would let a few large-p platforms pin hundreds of MB
-// past every other memory bound (engine.SetCacheLimit evicts solutions,
-// never these). When an insert would exceed the budget the whole cache is
-// dropped (tables are cheap to rebuild, and real deployments see few
-// distinct platforms); a single table heavier than the budget is built
-// per solver and never cached — the transient cost every solve paid
-// before the cache existed.
-const maxTableCacheWords = 4 << 20
-
-var (
-	platTables     sync.Map // string (raw speed bits) -> []maskInfo
-	platTableWords atomic.Int64
-)
-
-// tableWeight approximates a platform table's footprint in words: 2^p
-// maskInfo entries (8 fields each) plus the p*2^(p-1) procs backing.
-func tableWeight(p int) int64 {
-	if p <= 0 {
-		return 1
-	}
-	return int64(8)<<p + int64(p)<<(p-1)
-}
-
-// platKey is the cache identity of a platform: the raw bits of its speed
-// vector, so platforms differing by one ULP get distinct tables.
-func platKey(pl platform.Platform) string {
-	b := make([]byte, 8*len(pl.Speeds))
-	for i, s := range pl.Speeds {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(s))
-	}
-	return string(b)
-}
-
-// tableFor returns the shared subset table of a platform, building and
-// caching it on first use. Every solver for the same speed vector — across
-// solves, goroutines and graph kinds — shares one table, so a Pareto sweep
-// pays the 2^p preprocessing once instead of once per candidate bound.
-func tableFor(pl platform.Platform) []maskInfo {
-	key := platKey(pl)
-	if t, ok := platTables.Load(key); ok {
-		return t.([]maskInfo)
-	}
-	info := buildMaskInfo(pl)
-	weight := tableWeight(pl.Processors())
-	if weight > maxTableCacheWords {
-		return info // oversized: per-solver transient, never cached
-	}
-	if _, loaded := platTables.LoadOrStore(key, info); !loaded {
-		if platTableWords.Add(weight) > maxTableCacheWords {
-			// Overflow: drop everything and restart the count. Racy counts
-			// only make the flush early or late by a table, which is
-			// harmless — correctness never depends on the cache.
-			platTables.Range(func(k, _ any) bool {
-				platTables.Delete(k)
-				return true
-			})
-			platTableWords.Store(0)
-		}
 	}
 	return info
 }

@@ -74,7 +74,7 @@ type forkEnum struct {
 	leaves  [][]int
 }
 
-func newForkEnum(f workflow.Fork, pl platform.Platform, allowDP bool) *forkEnum {
+func newForkEnum(f workflow.Fork, pl platform.Platform, allowDP bool, info []maskInfo) *forkEnum {
 	p := pl.Processors()
 	leaves := make([][]int, p)
 	for i := range leaves {
@@ -82,7 +82,7 @@ func newForkEnum(f workflow.Fork, pl platform.Platform, allowDP bool) *forkEnum 
 	}
 	return &forkEnum{
 		f: f, pl: pl, allowDP: allowDP,
-		info:    tableFor(pl),
+		info:    info,
 		step:    newStepper(context.Background()),
 		assign:  make([]int, f.Leaves()+1),
 		blocks:  make([]mapping.ForkBlock, p),
@@ -206,7 +206,7 @@ func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, visit fu
 
 // copyForkMapping deep-copies the block, leaf and processor slices of a
 // scratch mapping so it can outlive the enumeration. Copying Procs out
-// of the shared platform table happens only here — when a mapping is
+// of the solver's platform table happens only here — when a mapping is
 // retained — never inside the enumeration loops, so callers own their
 // mappings without the table ever escaping.
 func copyForkMapping(m mapping.ForkMapping) mapping.ForkMapping {
@@ -225,7 +225,7 @@ func copyForkMapping(m mapping.ForkMapping) mapping.ForkMapping {
 // every legal mode combination. Exhaustive ground truth for small n and p.
 // Each visited mapping is an independent copy the visitor may retain.
 func EnumerateFork(f workflow.Fork, pl platform.Platform, allowDP bool, visit func(mapping.ForkMapping, mapping.Cost)) {
-	newForkEnum(f, pl, allowDP).runFrom(context.Background(), nil, 0, func(m mapping.ForkMapping, c mapping.Cost) bool {
+	newForkEnum(f, pl, allowDP, buildMaskInfo(pl)).runFrom(context.Background(), nil, 0, func(m mapping.ForkMapping, c mapping.Cost) bool {
 		visit(copyForkMapping(m), c)
 		return true
 	})
@@ -240,13 +240,15 @@ func (e *forkEnum) share(m mapping.ForkMapping) mapping.ForkMapping {
 	return m
 }
 
-func (e *forkEnum) fresh() enumerator[mapping.ForkMapping] { return newForkEnum(e.f, e.pl, e.allowDP) }
+func (e *forkEnum) fresh() enumerator[mapping.ForkMapping] {
+	return newForkEnum(e.f, e.pl, e.allowDP, e.info)
+}
 
 func (e *forkEnum) lowerBound(spec anytime.Spec) float64 { return anytime.ForkLB(e.f, e.pl, spec) }
 
 // NewForkPrepared returns a prepared solver for the triple.
 func NewForkPrepared(f workflow.Fork, pl platform.Platform, allowDP bool) *ForkPrepared {
-	return newScanPrepared(newForkEnum(f, pl, allowDP), f.Leaves()+1, pl.Processors(), allowDP)
+	return newScanPrepared(newForkEnum(f, pl, allowDP, buildMaskInfo(pl)), f.Leaves()+1, pl.Processors(), allowDP)
 }
 
 // ForkPeriod returns a fork mapping minimizing the period.

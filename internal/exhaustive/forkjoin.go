@@ -28,7 +28,7 @@ type fjEnum struct {
 	leaves  [][]int
 }
 
-func newFJEnum(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) *fjEnum {
+func newFJEnum(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, info []maskInfo) *fjEnum {
 	p := pl.Processors()
 	leaves := make([][]int, p)
 	for i := range leaves {
@@ -36,7 +36,7 @@ func newFJEnum(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) *fjEnum
 	}
 	return &fjEnum{
 		fj: fj, pl: pl, allowDP: allowDP,
-		info:    tableFor(pl),
+		info:    info,
 		step:    newStepper(context.Background()),
 		assign:  make([]int, fj.Leaves()+2),
 		blocks:  make([]mapping.ForkJoinBlock, p),
@@ -198,7 +198,7 @@ func copyForkJoinMapping(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 // EnumerateForkJoin invokes visit for every valid fork-join mapping. Each
 // visited mapping is an independent copy the visitor may retain.
 func EnumerateForkJoin(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, visit func(mapping.ForkJoinMapping, mapping.Cost)) {
-	newFJEnum(fj, pl, allowDP).runFrom(context.Background(), nil, 0, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
+	newFJEnum(fj, pl, allowDP, buildMaskInfo(pl)).runFrom(context.Background(), nil, 0, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
 		visit(copyForkJoinMapping(m), c)
 		return true
 	})
@@ -215,13 +215,15 @@ func (e *fjEnum) share(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 	return m
 }
 
-func (e *fjEnum) fresh() enumerator[mapping.ForkJoinMapping] { return newFJEnum(e.fj, e.pl, e.allowDP) }
+func (e *fjEnum) fresh() enumerator[mapping.ForkJoinMapping] {
+	return newFJEnum(e.fj, e.pl, e.allowDP, e.info)
+}
 
 func (e *fjEnum) lowerBound(spec anytime.Spec) float64 { return anytime.ForkJoinLB(e.fj, e.pl, spec) }
 
 // NewForkJoinPrepared returns a prepared solver for the triple.
 func NewForkJoinPrepared(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) *ForkJoinPrepared {
-	return newScanPrepared(newFJEnum(fj, pl, allowDP), fj.Leaves()+2, pl.Processors(), allowDP)
+	return newScanPrepared(newFJEnum(fj, pl, allowDP, buildMaskInfo(pl)), fj.Leaves()+2, pl.Processors(), allowDP)
 }
 
 // ForkJoinPeriod returns a fork-join mapping minimizing the period.

@@ -38,13 +38,13 @@ func TestParallelShardsTileEnumeration(t *testing.T) {
 			c mapping.Cost
 		}
 		var serial []visit
-		newForkEnum(f, pl, dp).runFrom(ctx, nil, 0, func(m mapping.ForkMapping, c mapping.Cost) bool {
+		newForkEnum(f, pl, dp, buildMaskInfo(pl)).runFrom(ctx, nil, 0, func(m mapping.ForkMapping, c mapping.Cost) bool {
 			serial = append(serial, visit{copyForkMapping(m), c})
 			return true
 		})
 
 		var sharded []visit
-		e := newForkEnum(f, pl, dp)
+		e := newForkEnum(f, pl, dp, buildMaskInfo(pl))
 		for _, sh := range incumbent.PartitionShards(f.Leaves()+1, pl.Processors(), 2+rng.Intn(4)) {
 			e.runFrom(ctx, sh.Assign, sh.Used, func(m mapping.ForkMapping, c mapping.Cost) bool {
 				sharded = append(sharded, visit{copyForkMapping(m), c})

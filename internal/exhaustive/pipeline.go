@@ -70,7 +70,7 @@ func newPipeSolver(ctx context.Context, p workflow.Pipeline, pl platform.Platfor
 		suffix[i] = suffix[i+1] + p.Weights[i]
 	}
 	return &pipeSolver{
-		p: p, pl: pl, info: tableFor(pl), allowDP: allowDP,
+		p: p, pl: pl, info: buildMaskInfo(pl), allowDP: allowDP,
 		periodCap: periodCap, minimizePeriod: minimizePeriod,
 		memo:    make([]float64, states),
 		visited: make([]uint32, states),
@@ -281,7 +281,7 @@ func (s *pipeSolver) solveParallel() float64 {
 // reconstruct rebuilds the optimal mapping from the recorded choices.
 // Procs slices are copied out of the platform table here — once per
 // returned mapping, never in the search loops — so callers own (and may
-// mutate) their mappings without corrupting the process-wide table.
+// mutate) their mappings without corrupting the solver's table.
 func (s *pipeSolver) reconstruct() mapping.PipelineMapping {
 	var m mapping.PipelineMapping
 	i, usedMask := 0, 0
@@ -357,9 +357,8 @@ type PipelinePrepared struct {
 	hasPeriod bool
 }
 
-// NewPipelinePrepared returns a prepared solver for the triple. The
-// platform table is fetched from the process-wide cache; no DP work
-// happens until the first solve.
+// NewPipelinePrepared returns a prepared solver for the triple. It builds
+// the platform table; no DP work happens until the first solve.
 func NewPipelinePrepared(p workflow.Pipeline, pl platform.Platform, allowDP bool) *PipelinePrepared {
 	return &PipelinePrepared{
 		p: p, pl: pl, allowDP: allowDP,
@@ -430,7 +429,7 @@ func (pp *PipelinePrepared) LatencyUnderPeriod(ctx context.Context, maxPeriod fl
 // solver.
 func (pp *PipelinePrepared) candidates() []float64 {
 	if pp.cands == nil {
-		pp.cands = pipelinePeriodCandidates(pp.p, pp.pl, pp.allowDP)
+		pp.cands = pipelinePeriodCandidates(pp.p, pp.s.info, pp.allowDP)
 	}
 	return pp.cands
 }
@@ -498,16 +497,16 @@ func PipelineLatencyUnderPeriod(p workflow.Pipeline, pl platform.Platform, allow
 
 // pipelinePeriodCandidates returns every achievable group period of any
 // stage interval on any processor subset, sorted ascending and deduplicated.
-// The optimal period of any mapping is one of these values.
-func pipelinePeriodCandidates(p workflow.Pipeline, pl platform.Platform, allowDP bool) []float64 {
-	info := tableFor(pl)
+// The optimal period of any mapping is one of these values. info is the
+// platform's subset table.
+func pipelinePeriodCandidates(p workflow.Pipeline, info []maskInfo, allowDP bool) []float64 {
 	var vals []float64
 	n := p.Stages()
 	for i := 0; i < n; i++ {
 		w := 0.0
 		for j := i; j < n; j++ {
 			w += p.Weights[j]
-			for mask := 1; mask < 1<<pl.Processors(); mask++ {
+			for mask := 1; mask < len(info); mask++ {
 				per, _ := groupCosts(w, info[mask], false)
 				vals = append(vals, per)
 				if allowDP && i == j {
@@ -564,7 +563,7 @@ func PipelinePareto(p workflow.Pipeline, pl platform.Platform, allowDP bool) []P
 func enumeratePipeline(p workflow.Pipeline, pl platform.Platform, allowDP bool, visit func(mapping.PipelineMapping, mapping.Cost)) {
 	n := p.Stages()
 	full := (1 << pl.Processors()) - 1
-	info := tableFor(pl)
+	info := buildMaskInfo(pl)
 	var rec func(i, usedMask int, acc []mapping.PipelineInterval)
 	rec = func(i, usedMask int, acc []mapping.PipelineInterval) {
 		if i == n {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
@@ -166,7 +167,7 @@ func TestPipelinePreparedParetoMatchesPointwise(t *testing.T) {
 		front := PipelinePareto(p, pl, dp)
 		var want []PipelineResult
 		prevLatency := numeric.Inf
-		for _, k := range pipelinePeriodCandidates(p, pl, dp) {
+		for _, k := range pipelinePeriodCandidates(p, buildMaskInfo(pl), dp) {
 			res, ok := PipelineLatencyUnderPeriod(p, pl, dp, k)
 			if !ok || numeric.GreaterEq(res.Cost.Latency, prevLatency) {
 				continue
@@ -183,19 +184,19 @@ func TestPipelinePreparedParetoMatchesPointwise(t *testing.T) {
 	}
 }
 
-// TestPlatformTableShared: one platform (same speed bits) resolves to one
-// shared table; a different platform gets a different one.
+// TestPlatformTableShared: a prepared fork or fork-join solver builds one
+// platform table, and every shard worker's enumerator aliases it instead
+// of building its own.
 func TestPlatformTableShared(t *testing.T) {
-	a := platform.New(3, 2, 1)
-	b := platform.New(3, 2, 1)
-	c := platform.New(3, 2, 2)
-	ta := tableFor(a)
-	if tb := tableFor(b); &ta[0] != &tb[0] {
-		t.Error("equal speed vectors did not share a platform table")
-	}
-	if tc := tableFor(c); &ta[0] == &tc[0] {
-		t.Error("distinct speed vectors shared a platform table")
-	}
+	pl := platform.New(3, 2, 1)
+	fp := NewForkPrepared(workflow.NewFork(4, 5, 3, 2, 6), pl, true)
+	fjp := NewForkJoinPrepared(workflow.NewForkJoin(4, 2, 5, 3, 2, 6), pl, true)
+	ta := checkOneTable(t, "fork", fp, func(e enumerator[mapping.ForkMapping]) []maskInfo {
+		return e.(*forkEnum).info
+	})
+	checkOneTable(t, "fork-join", fjp, func(e enumerator[mapping.ForkJoinMapping]) []maskInfo {
+		return e.(*fjEnum).info
+	})
 	// Precomputed procs expand the masks correctly.
 	if got := ta[0b101].procs; !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Errorf("procs(0b101) = %v, want [0 2]", got)
@@ -203,6 +204,31 @@ func TestPlatformTableShared(t *testing.T) {
 	if got := ta[0b101]; got.count != 2 || got.min != 1 || got.max != 3 || got.sum != 4 {
 		t.Errorf("maskInfo(0b101) = %+v", got)
 	}
+}
+
+// checkOneTable solves sp at parallelism 3 and reports an error for any
+// worker enumerator whose table is not the solver's own, which it
+// returns. Workers that claimed no shard are never built, so fresh() —
+// the constructor of every worker — is checked directly as well.
+func checkOneTable[M any](t *testing.T, name string, sp *scanPrepared[M], table func(enumerator[M]) []maskInfo) []maskInfo {
+	t.Helper()
+	sp.SetParallelism(3)
+	if _, _, err := sp.Latency(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	own := table(sp.search.own.e)
+	enums := []enumerator[M]{sp.search.own.e.fresh()}
+	for _, st := range sp.search.extra {
+		if st != nil {
+			enums = append(enums, st.e)
+		}
+	}
+	for i, e := range enums {
+		if got := table(e); &got[0] != &own[0] {
+			t.Errorf("%s: worker enumerator %d built its own platform table", name, i)
+		}
+	}
+	return own
 }
 
 // TestPipelinePreparedReusesArrays: the epoch reset must not reallocate

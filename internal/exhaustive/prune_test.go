@@ -23,14 +23,14 @@ import (
 // lb = 0 disables the lower-bound cutoff.
 func forkScan(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool,
 	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkResult, bool, error) {
-	st := new(shardScan[mapping.ForkMapping]).init(newForkEnum(f, pl, allowDP))
+	st := new(shardScan[mapping.ForkMapping]).init(newForkEnum(f, pl, allowDP, buildMaskInfo(pl)))
 	st.accept, st.objective, st.lb = accept, objective, lb
 	return st.scan(ctx, incumbent.Prefix{}, nil, 0)
 }
 
 func forkJoinScan(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool,
 	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
-	st := new(shardScan[mapping.ForkJoinMapping]).init(newFJEnum(fj, pl, allowDP))
+	st := new(shardScan[mapping.ForkJoinMapping]).init(newFJEnum(fj, pl, allowDP, buildMaskInfo(pl)))
 	st.accept, st.objective, st.lb = accept, objective, lb
 	return st.scan(ctx, incumbent.Prefix{}, nil, 0)
 }

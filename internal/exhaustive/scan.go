@@ -41,7 +41,8 @@ type enumerator[M any] interface {
 	// shared and read-only).
 	share(M) M
 	// fresh returns a new enumerator over the same instance, for
-	// another worker: the scratch is single-owner.
+	// another worker: the scratch is single-owner, the platform table
+	// is shared read-only.
 	fresh() enumerator[M]
 	// lowerBound is the anytime lower bound of the spec's objective.
 	lowerBound(spec anytime.Spec) float64

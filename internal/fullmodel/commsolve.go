@@ -66,6 +66,16 @@ func (b Bandwidth) Apply(speeds []float64) Platform {
 	}
 }
 
+// FullyHomogeneous is Apply(speeds).IsFullyHomogeneous() without
+// building the platform: in the uniform form every link has the one
+// bandwidth, so only the speeds need checking.
+func (b Bandwidth) FullyHomogeneous(speeds []float64) bool {
+	if b.Uniform != 0 {
+		return uniformSpeeds(speeds)
+	}
+	return Platform{Speeds: speeds, Band: b.Links, InBand: b.In, OutBand: b.Out}.IsFullyHomogeneous()
+}
+
 // IsHomogeneous reports whether all stage weights and all data sizes are
 // uniform (the "homogeneous graph" axis of the dispatch key).
 func (p Pipeline) IsHomogeneous() bool {

@@ -132,11 +132,8 @@ func (pl Platform) Processors() int { return len(pl.Speeds) }
 // (including Pin/Pout links) are identical — the setting of the
 // Subhlok-Vondran dynamic programs.
 func (pl Platform) IsFullyHomogeneous() bool {
-	s0 := pl.Speeds[0]
-	for _, s := range pl.Speeds {
-		if !numeric.Eq(s, s0) {
-			return false
-		}
+	if !uniformSpeeds(pl.Speeds) {
+		return false
 	}
 	b0 := pl.InBand[0]
 	for u := range pl.Speeds {
@@ -147,6 +144,16 @@ func (pl Platform) IsFullyHomogeneous() bool {
 			if u != v && !numeric.Eq(pl.Band[u][v], b0) {
 				return false
 			}
+		}
+	}
+	return true
+}
+
+// uniformSpeeds reports whether all speeds are identical.
+func uniformSpeeds(speeds []float64) bool {
+	for _, s := range speeds {
+		if !numeric.Eq(s, speeds[0]) {
+			return false
 		}
 	}
 	return true

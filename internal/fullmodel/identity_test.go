@@ -166,29 +166,39 @@ func TestCommForkPreparedIdentity(t *testing.T) {
 	}
 }
 
-// TestPlatTableIdentity: the cached bound platform must be value-identical
-// to a fresh Bandwidth.Apply, and two lookups of the same pair must share
-// one table.
-func TestPlatTableIdentity(t *testing.T) {
+// TestPipelinePreparedReciprocals: the speed reciprocals a prepared
+// pipeline solver builds for its prune-side lower bounds are exactly 1/s,
+// and Bandwidth.FullyHomogeneous agrees with the bound platform's test.
+func TestPipelinePreparedReciprocals(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for trial := 0; trial < 20; trial++ {
 		p := 1 + rng.Intn(5)
 		speeds := make([]float64, p)
+		s0 := float64(1 + rng.Intn(5))
 		for i := range speeds {
-			speeds[i] = float64(1 + rng.Intn(5))
+			speeds[i] = s0
+			if trial%2 == 1 {
+				speeds[i] = float64(1 + rng.Intn(5))
+			}
 		}
 		b := randomBandwidth(rng, p)
-		t1 := TableFor(speeds, b)
-		if !reflect.DeepEqual(t1.Plat, b.Apply(speeds)) {
-			t.Fatalf("trial %d: cached platform diverges from Bandwidth.Apply", trial)
+		if trial%4 == 0 && b.Uniform == 0 {
+			// A uniform bandwidth in table form.
+			u := Uniform(speeds, s0)
+			b = Bandwidth{Links: u.Band, In: u.InBand, Out: u.OutBand}
 		}
-		if t2 := TableFor(speeds, b); t2 != t1 {
-			t.Fatalf("trial %d: second lookup did not share the cached table", trial)
+		pl := b.Apply(speeds)
+		pp, err := NewPipelinePrepared(Pipeline{Weights: []float64{3, 1}, Data: []float64{1, 2, 1}}, pl)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for u, s := range t1.Plat.Speeds {
-			if t1.InvSpeeds[u] != 1/s {
+		for u, s := range pl.Speeds {
+			if pp.inv[u] != 1/s {
 				t.Fatalf("trial %d: reciprocal mismatch at %d", trial, u)
 			}
+		}
+		if got, want := b.FullyHomogeneous(speeds), pl.IsFullyHomogeneous(); got != want {
+			t.Fatalf("trial %d: Bandwidth.FullyHomogeneous = %v, expanded platform says %v", trial, got, want)
 		}
 	}
 }

@@ -2,10 +2,6 @@ package fullmodel
 
 import (
 	"context"
-	"encoding/binary"
-	"math"
-	"sync"
-	"sync/atomic"
 
 	"repliflow/internal/incumbent"
 	"repliflow/internal/numeric"
@@ -15,107 +11,13 @@ import (
 // bi-criteria binary searches solve the same (graph, platform, bandwidth)
 // triple hundreds of times, varying only the bound. The prepared solvers
 // — PipelinePrepared, ForkPrepared — share everything that does not
-// depend on the bound: the bound platform (cached process-wide, see
-// TableFor), speed reciprocals for prune-side lower bounds, an interval
-// work table, the homogeneous DP tables and candidate-period set, the
-// enumeration scratch, and a per-goal result memo. Their results are
-// bit-identical to the one-shot entry points, which are themselves thin
-// wrappers over a prepared solver used once.
-
-// maxPlatCacheWords bounds the process-wide bound-platform cache by its
-// approximate footprint in 8-byte words (~8MB): a bound platform is
-// O(p^2) bandwidth entries, so a count bound alone would let a few
-// large-p platforms pin memory past every other bound. When an insert
-// would exceed the budget the whole cache is dropped (tables are cheap
-// to rebuild, and real deployments see few distinct platforms).
-const maxPlatCacheWords = 1 << 20
-
-var (
-	boundPlats     sync.Map // string (speed+bandwidth bits) -> *PlatTable
-	boundPlatWords atomic.Int64
-)
-
-// PlatTable is a bandwidth description bound to a speed vector: the
-// evaluation platform plus the precomputed speed reciprocals the
-// prepared solvers use for prune-side lower bounds (reciprocals never
-// enter reported costs — those always divide, so they stay bit-identical
-// to the one-shot paths).
-type PlatTable struct {
-	Plat      Platform
-	InvSpeeds []float64
-}
-
-// platTableKey encodes the raw float bits of the speed vector and the
-// bandwidth description. Keying on bits (not values) keeps the cache
-// exact: two platforms share a table iff every cost they can produce is
-// bit-identical.
-func platTableKey(speeds []float64, b Bandwidth) string {
-	buf := make([]byte, 0, 8*(2+3*len(speeds)+len(speeds)*len(speeds)))
-	var w [8]byte
-	put := func(f float64) {
-		binary.LittleEndian.PutUint64(w[:], math.Float64bits(f))
-		buf = append(buf, w[:]...)
-	}
-	put(float64(len(speeds)))
-	for _, s := range speeds {
-		put(s)
-	}
-	if b.Uniform != 0 {
-		buf = append(buf, 1)
-		put(b.Uniform)
-		return string(buf)
-	}
-	buf = append(buf, 0)
-	for _, v := range b.In {
-		put(v)
-	}
-	for _, v := range b.Out {
-		put(v)
-	}
-	for _, row := range b.Links {
-		for _, v := range row {
-			put(v)
-		}
-	}
-	return string(buf)
-}
-
-// TableFor returns the shared bound platform of a (speeds, bandwidth)
-// pair, building and caching it on first use. Every solver for the same
-// pair — across solves, goroutines and objectives — shares one table, so
-// a Pareto sweep pays the uniform-bandwidth matrix expansion once
-// instead of once per candidate bound. For table-form bandwidths the
-// platform aliases the caller's slices; callers must not mutate them
-// afterwards.
-func TableFor(speeds []float64, b Bandwidth) *PlatTable {
-	key := platTableKey(speeds, b)
-	if t, ok := boundPlats.Load(key); ok {
-		return t.(*PlatTable)
-	}
-	pl := b.Apply(speeds)
-	inv := make([]float64, len(pl.Speeds))
-	for i, s := range pl.Speeds {
-		inv[i] = 1 / s
-	}
-	t := &PlatTable{Plat: pl, InvSpeeds: inv}
-	weight := int64(len(speeds)+4) * int64(len(speeds)+4)
-	if weight > maxPlatCacheWords {
-		return t // oversized: per-solver transient, never cached
-	}
-	if _, loaded := boundPlats.LoadOrStore(key, t); !loaded {
-		if boundPlatWords.Add(weight) > maxPlatCacheWords {
-			// Overflow: drop everything and restart the count. Racy counts
-			// only make the flush early or late by a table, which is
-			// harmless — correctness never depends on the cache.
-			boundPlats.Range(func(k, _ any) bool {
-				boundPlats.Delete(k)
-				return true
-			})
-			boundPlatWords.Store(0)
-		}
-	}
-	return t
-}
+// depend on the bound: speed reciprocals for prune-side lower bounds
+// (built once per solver and shared read-only with its shard workers;
+// reciprocals never enter reported costs, which always divide), an
+// interval work table, the homogeneous DP tables and candidate-period
+// set, the enumeration scratch, and a per-goal result memo. Their results
+// are bit-identical to the one-shot entry points, which are themselves
+// thin wrappers over a prepared solver used once.
 
 // lbSlack scales multiply-by-reciprocal lower bounds: w*(1/s) carries at
 // most a couple of ULPs of relative rounding error against w/s, so
@@ -180,22 +82,6 @@ func NewPipelinePrepared(p Pipeline, pl Platform) (*PipelinePrepared, error) {
 	for i, s := range pl.Speeds {
 		inv[i] = 1 / s
 	}
-	return newPipelinePrepared(p, pl, inv), nil
-}
-
-// NewPipelinePreparedTable is NewPipelinePrepared on a cached bound
-// platform, reusing its precomputed reciprocals.
-func NewPipelinePreparedTable(p Pipeline, t *PlatTable) (*PipelinePrepared, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := t.Plat.Validate(); err != nil {
-		return nil, err
-	}
-	return newPipelinePrepared(p, t.Plat, t.InvSpeeds), nil
-}
-
-func newPipelinePrepared(p Pipeline, pl Platform, inv []float64) *PipelinePrepared {
 	n := p.Stages()
 	wt := make([][]float64, n)
 	for i := 0; i < n; i++ {
@@ -214,7 +100,7 @@ func newPipelinePrepared(p Pipeline, pl Platform, inv []float64) *PipelinePrepar
 		memoExact: make(map[Goal]pipeResult),
 	}
 	pp.search.own.pp = pp
-	return pp
+	return pp, nil
 }
 
 // SetParallelism sets the worker count of subsequent SolveExact calls;

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,7 +71,9 @@ func (j *job) terminalLocked() bool {
 	return j.status == JobStatusDone || j.status == JobStatusFailed || j.status == JobStatusCanceled
 }
 
-// snapshot renders the job's wire form.
+// snapshot renders the job's wire form. The front is copied under the
+// lock: a resumed Pareto job rewrites its preloaded points in place
+// while the snapshot is encoded.
 func (j *job) snapshot() JobResponse {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -86,7 +89,7 @@ func (j *job) snapshot() JobResponse {
 		Progress:  j.progress,
 		Solution:  j.solution,
 		Solutions: j.solutions,
-		Front:     j.front,
+		Front:     slices.Clone(j.front),
 		Error:     j.err,
 	}
 }
