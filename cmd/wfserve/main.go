@@ -12,7 +12,7 @@
 //	        [-max-jobs N] [-pprof]
 //	        [-rate 0] [-burst 0] [-tenant-weights a=3,b=1]
 //	        [-record trace.ndjson]
-//	        [-store-dir DIR] [-lease-ttl 15s]
+//	        [-store-dir DIR]
 //
 // -workers sizes the engine's solve-slot pool: the total number of
 // solves running concurrently across all requests. -parallelism sets
@@ -52,12 +52,10 @@
 // docs/wire-format.md "Store files"). A wfserve restarted on the same
 // directory — even after a kill -9 — resumes the interrupted jobs it
 // finds there (a partial Pareto front is preloaded, never shrinking),
-// serves finished jobs that were evicted from memory, and answers
-// repeated NP-hard solves from the persisted result store instead of
-// re-proving them. Non-terminal jobs carry leases of -lease-ttl; a
-// lease left to expire marks the work orphaned and adoptable. Without
-// -store-dir state lives in bounded process memory only, the
-// pre-durability behavior.
+// serves the finished ones, and answers repeated NP-hard solves from
+// the persisted result store instead of re-proving them. Without
+// -store-dir job records live in bounded process memory only.
+// -max-jobs bounds the live (queued or running) jobs either way.
 //
 // -record appends every HTTP exchange (request, response, arrival
 // offset, client id) to a versioned NDJSON trace file that cmd/wfreplay
@@ -118,14 +116,13 @@ func main() {
 	budget := flag.Duration("budget", 0, "default anytime budget for NP-hard solves: return a certified incumbent within this duration instead of searching exhaustively (0 = disabled; requests opt in via budgetMs)")
 	parallelism := flag.Int("parallelism", 0, "default per-solve search parallelism for exhaustive solves (0 or 1 = serial, n > 1 = up to n workers, negative = auto); extra workers come from idle -workers slots, so the engine pool is never oversubscribed")
 	heartbeat := flag.Duration("heartbeat", 0, "idle interval between heartbeat status lines on streaming responses (0 = 10s)")
-	maxJobs := flag.Int("max-jobs", 0, "bound on the in-memory async job store (0 = 64)")
+	maxJobs := flag.Int("max-jobs", 0, "bound on live (queued or running) async jobs; a submission beyond it gets 503 (0 = 64)")
 	pprofOn := flag.Bool("pprof", false, "serve the Go profiling endpoints under /debug/pprof/ (off by default: they expose process internals)")
 	rate := flag.Float64("rate", 0, "per-client admission rate in cost tokens per second (0 = admission control disabled); see docs/wire-format.md for per-endpoint costs")
 	burst := flag.Float64("burst", 0, "per-client token bucket capacity (0 = 64, four exhaustive solves)")
 	weightsFlag := flag.String("tenant-weights", "", "comma-separated client=weight pairs biasing the fair queue (e.g. interactive=4,batch=1); unlisted clients weigh 1")
 	record := flag.String("record", "", "append every HTTP exchange to this NDJSON trace file for later wfreplay")
 	storeDir := flag.String("store-dir", "", "directory for durable job and result persistence (append-only compacted log); a restart on the same directory resumes interrupted jobs (empty = in-memory only)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "how long a non-terminal job lease lasts before the work counts as orphaned and adoptable (0 = 15s)")
 	flag.Parse()
 
 	weights, err := parseWeights(*weightsFlag)
@@ -147,7 +144,6 @@ func main() {
 		RateLimit:       *rate,
 		Burst:           *burst,
 		TenantWeights:   weights,
-		LeaseTTL:        *leaseTTL,
 		Options: core.Options{
 			MaxExhaustivePipelineProcs: *maxProcs,
 			MaxExhaustiveForkProcs:     *maxProcs,

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -16,148 +16,70 @@ import (
 	"repliflow/internal/store"
 )
 
-// jobManager is the bounded in-memory store behind /v1/jobs. Sweeps and
-// large batches that would outlive any single HTTP deadline run as jobs:
-// submitted with POST (202 + id), observed with GET (live progress,
-// terminal results), cancelled with DELETE. When the store is full the
-// oldest finished job is evicted to admit a new one; a store full of
-// live jobs rejects submissions, bounding both memory and queued work.
+// jobManager holds the live (queued or running) jobs behind /v1/jobs.
+// Sweeps and large batches that would outlive any single HTTP deadline
+// run as jobs: submitted with POST (202 + id), observed with GET (live
+// progress, terminal results), cancelled with DELETE. The store holds
+// every job's record — request, status, results — and is the only copy
+// of it; the manager keeps just what the handlers share with a running
+// job, and drops a job once its terminal record is written. A manager
+// with MaxJobs live jobs rejects submissions, bounding queued work.
 type jobManager struct {
 	mu    sync.Mutex
-	jobs  map[string]*job
-	order []string // creation order, for eviction
+	live  map[string]*job
 	seq   uint64
 	max   int
 	total uint64
 }
 
 func newJobManager(max int) *jobManager {
-	return &jobManager{jobs: make(map[string]*job), max: max}
+	return &jobManager{live: make(map[string]*job), max: max}
 }
 
-// job is one asynchronous request and its lifecycle state.
+// job is the handle of one live job.
 type job struct {
-	id      string
-	kind    string
-	client  string
-	reqRaw  json.RawMessage // the original JobRequest, persisted for crash recovery
-	cancel  context.CancelFunc
-	started time.Time
+	cancel context.CancelFunc
 
 	mu        sync.Mutex
-	status    string
-	finished  time.Time
-	progress  JobProgress
-	solution  *instance.SolutionJSON
-	solutions []instance.SolutionJSON
-	front     []instance.SolutionJSON
-	// nextPoint indexes the next sweep point of this run. On a recovered
-	// pareto job the front is preloaded from the store, and the re-run
-	// sweep overwrites those points in place (nextPoint < len(front))
-	// before appending new ones — so the observable front never shrinks.
-	nextPoint int
-	err       *ErrorBody
 	requested bool // cancellation requested via DELETE
+	// progress runs ahead of the stored record, which is written only
+	// on status transitions.
+	progress JobProgress
 }
 
-// terminal reports whether the job has finished (in any way).
-func (j *job) terminal() bool {
+func (j *job) setProgress(p JobProgress) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.terminalLocked()
+	j.progress = p
+	j.mu.Unlock()
 }
 
-func (j *job) terminalLocked() bool {
-	return j.status == JobStatusDone || j.status == JobStatusFailed || j.status == JobStatusCanceled
-}
-
-// snapshot renders the job's wire form. The front is copied under the
-// lock: a resumed Pareto job rewrites its preloaded points in place
-// while the snapshot is encoded.
-func (j *job) snapshot() JobResponse {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	end := time.Now()
-	if j.terminalLocked() {
-		end = j.finished
-	}
-	return JobResponse{
-		ID:        j.id,
-		Kind:      j.kind,
-		Status:    j.status,
-		ElapsedMs: float64(end.Sub(j.started)) / float64(time.Millisecond),
-		Progress:  j.progress,
-		Solution:  j.solution,
-		Solutions: j.solutions,
-		Front:     slices.Clone(j.front),
-		Error:     j.err,
-	}
-}
-
-// evictTerminalLocked drops the oldest finished job to make room,
-// reporting whether one existed. Eviction removes the job from memory
-// only — its persisted record stays in the store, so GET /v1/jobs/{id}
-// still answers for it (rehydration).
-func (m *jobManager) evictTerminalLocked() bool {
-	for i, id := range m.order {
-		if j := m.jobs[id]; j != nil && j.terminal() {
-			delete(m.jobs, id)
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// add admits a new job, evicting the oldest finished job when the store
-// is at capacity. It fails when every stored job is still live.
-func (m *jobManager) add(kind, client string, reqRaw json.RawMessage, cancel context.CancelFunc) (*job, error) {
+// add admits a new job under a fresh id. It fails when MaxJobs jobs are
+// live.
+func (m *jobManager) add(cancel context.CancelFunc) (string, *job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.jobs) >= m.max && !m.evictTerminalLocked() {
-		return nil, fmt.Errorf("job store full: %d jobs live", len(m.jobs))
+	if len(m.live) >= m.max {
+		return "", nil, fmt.Errorf("job limit reached: %d jobs live", len(m.live))
 	}
 	m.seq++
-	m.total++
-	j := &job{
-		id:      fmt.Sprintf("job-%d", m.seq),
-		kind:    kind,
-		client:  client,
-		reqRaw:  reqRaw,
-		cancel:  cancel,
-		started: time.Now(),
-		status:  JobStatusQueued,
-	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
-	return j, nil
+	id := fmt.Sprintf("job-%d", m.seq)
+	return id, m.insertLocked(id, cancel), nil
 }
 
-// adopt readmits a persisted job under its original id (crash
-// recovery). It refuses when the id is already live here or the manager
-// is full of live jobs.
-func (m *jobManager) adopt(rec store.JobRecord, cancel context.CancelFunc) (*job, bool) {
+// adopt readmits a recovered job under its stored id, whatever MaxJobs
+// says: the job was admitted once, and the fair queue still bounds how
+// many jobs run at once.
+func (m *jobManager) adopt(id string, cancel context.CancelFunc) *job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.jobs[rec.ID]; ok {
-		return nil, false
-	}
-	if len(m.jobs) >= m.max && !m.evictTerminalLocked() {
-		return nil, false
-	}
+	return m.insertLocked(id, cancel)
+}
+
+func (m *jobManager) insertLocked(id string, cancel context.CancelFunc) *job {
 	m.total++
-	j := &job{
-		id:      rec.ID,
-		kind:    rec.Kind,
-		client:  rec.Client,
-		reqRaw:  rec.Request,
-		cancel:  cancel,
-		started: time.UnixMilli(rec.CreatedMs),
-		status:  JobStatusQueued,
-	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
-	return j, true
+	j := &job{cancel: cancel}
+	m.live[id] = j
+	return j
 }
 
 // advanceSeq raises the id sequence to at least n, so ids minted after
@@ -170,69 +92,31 @@ func (m *jobManager) advanceSeq(n uint64) {
 	m.mu.Unlock()
 }
 
-// live returns the non-terminal jobs in creation order (for lease
-// renewal).
-func (m *jobManager) live() []*job {
+// get returns the live job id, or nil when it is not live.
+func (m *jobManager) get(id string) *job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []*job
-	for _, id := range m.order {
-		if j := m.jobs[id]; j != nil && !j.terminal() {
-			out = append(out, j)
-		}
-	}
-	return out
+	return m.live[id]
 }
 
-func (m *jobManager) get(id string) (*job, bool) {
+// snapshot returns the live jobs by id.
+func (m *jobManager) snapshot() map[string]*job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
+	return maps.Clone(m.live)
 }
 
-// remove deletes a job from the store (terminal jobs only; the caller
-// checks).
 func (m *jobManager) remove(id string) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.jobs, id)
-	for i, jid := range m.order {
-		if jid == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// list snapshots every stored job in creation order.
-func (m *jobManager) list() []JobResponse {
-	m.mu.Lock()
-	ordered := make([]*job, 0, len(m.jobs))
-	for _, id := range m.order {
-		if j, ok := m.jobs[id]; ok {
-			ordered = append(ordered, j)
-		}
-	}
+	delete(m.live, id)
 	m.mu.Unlock()
-	out := make([]JobResponse, len(ordered))
-	for i, j := range ordered {
-		out[i] = j.snapshot()
-	}
-	return out
 }
 
 // active counts queued and running jobs.
 func (m *jobManager) active() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, j := range m.jobs {
-		if !j.terminal() {
-			n++
-		}
-	}
-	return n
+	return len(m.live)
 }
 
 // created returns the lifetime count of accepted jobs.
@@ -272,94 +156,94 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	// Jobs outlive the submitting request: their context derives from the
 	// server's drain signal, not the HTTP request. The timeout is applied
 	// in runJob once a solve slot is acquired — it bounds the job's run,
-	// not its time in the queue.
+	// not its time in the queue. The handle exists before the record, so
+	// a stored non-terminal record always has a live job behind it.
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	reqRaw, _ := json.Marshal(req)
-	j, err := s.jobs.add(req.Kind, ClientID(r), reqRaw, cancel)
+	id, j, err := s.jobs.add(cancel)
 	if err != nil {
 		cancel()
 		writeError(w, http.StatusServiceUnavailable, ErrKindOverloaded, err.Error(), nil)
 		return
 	}
-	s.persistJob(j)
-	go s.runJob(ctx, cancel, j, problems, opts, s.timeoutFor(req.TimeoutMs), ClientID(r))
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	reqRaw, _ := json.Marshal(req)
+	rec := store.JobRecord{
+		ID:        id,
+		Kind:      req.Kind,
+		Status:    JobStatusQueued,
+		Client:    ClientID(r),
+		Request:   reqRaw,
+		CreatedMs: time.Now().UnixMilli(),
+	}
+	s.putJob(rec)
+	resp := s.jobResponseFromRecord(rec, j)
+	go s.runJob(ctx, j, rec, problems, opts, s.timeoutFor(req.TimeoutMs))
+	w.Header().Set("Location", "/v1/jobs/"+id)
+	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// runJob executes one admitted job to its terminal state.
-func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, problems []core.Problem, opts core.Options, timeout time.Duration, client string) {
-	defer cancel()
+// runJob executes one admitted job to its terminal state. rec is the
+// job's stored record; a recovered pareto job's record carries the
+// front its previous run proved.
+func (s *Server) runJob(ctx context.Context, j *job, rec store.JobRecord, problems []core.Problem, opts core.Options, timeout time.Duration) {
+	defer j.cancel()
 	// Jobs queue on the same weighted-fair slot pool as synchronous
 	// requests, under the submitting client's identity, so a burst of
 	// jobs cannot oversubscribe the engine or starve other tenants.
 	// Queueing is bounded only by cancellation (DELETE) and server
 	// drain — the run timeout starts once the slot is held.
-	if err := s.acquire(ctx, client); err != nil {
-		s.finishJob(j, err)
+	if err := s.acquire(ctx, rec.Client); err != nil {
+		s.finishJob(j, rec, err)
 		return
 	}
 	defer s.release()
 	ctx, cancelRun := context.WithTimeout(ctx, timeout)
 	defer cancelRun()
-	j.mu.Lock()
-	j.status = JobStatusRunning
-	j.mu.Unlock()
-	s.persistJob(j)
+	rec.Status = JobStatusRunning
+	s.putJob(rec)
 
-	switch j.kind {
+	var err error
+	switch rec.Kind {
 	case "solve":
-		j.mu.Lock()
-		j.progress = JobProgress{Total: 1}
-		j.mu.Unlock()
-		sol, err := s.eng.Solve(ctx, problems[0], opts)
-		if err == nil {
+		j.setProgress(JobProgress{Total: 1})
+		var sol core.Solution
+		if sol, err = s.eng.Solve(ctx, problems[0], opts); err == nil {
 			out := instance.FromSolution(sol)
 			s.countAnytime(out)
-			j.mu.Lock()
-			j.solution = &out
-			j.progress.Done = 1
-			j.mu.Unlock()
+			rec.Solution, _ = json.Marshal(out)
+			j.setProgress(JobProgress{Done: 1, Total: 1})
 		}
-		s.finishJob(j, err)
 	case "batch":
-		j.mu.Lock()
-		j.progress = JobProgress{Total: len(problems)}
-		j.mu.Unlock()
-		sols, err := s.eng.SolveBatch(ctx, problems, opts)
-		if err == nil {
-			out := make([]instance.SolutionJSON, len(sols))
+		j.setProgress(JobProgress{Total: len(problems)})
+		var sols []core.Solution
+		if sols, err = s.eng.SolveBatch(ctx, problems, opts); err == nil {
+			rec.Solutions = make([]json.RawMessage, len(sols))
 			for i, sol := range sols {
-				out[i] = instance.FromSolution(sol)
+				out := instance.FromSolution(sol)
+				s.countAnytime(out)
+				rec.Solutions[i], _ = json.Marshal(out)
 			}
-			s.countAnytime(out...)
-			j.mu.Lock()
-			j.solutions = out
-			j.progress.Done = len(out)
-			j.mu.Unlock()
+			j.setProgress(JobProgress{Done: len(sols), Total: len(sols)})
 		}
-		s.finishJob(j, err)
 	case "pareto":
-		stats, err := s.eng.SweepFront(ctx, problems[0], opts, engine.SweepObserver{
+		// A recovered job's front starts with the points its previous run
+		// proved. The re-run sweep overwrites them in place as it
+		// re-proves them, and only points beyond them are new to the
+		// store, so the observable front never shrinks.
+		front, next := rec.Front, 0
+		var stats engine.SweepStats
+		stats, err = s.eng.SweepFront(ctx, problems[0], opts, engine.SweepObserver{
 			Point: func(p engine.SweepPoint) error {
 				out := instance.FromSolution(p.Solution)
 				s.countAnytime(out)
-				j.mu.Lock()
-				// A recovered job re-proves its preloaded prefix in place;
-				// only points beyond it are new to the store (their prefix
-				// twins were appended by the previous incarnation).
-				fresh := j.nextPoint >= len(j.front)
-				if fresh {
-					j.front = append(j.front, out)
+				raw, _ := json.Marshal(out)
+				if next < len(front) {
+					front[next] = raw
 				} else {
-					j.front[j.nextPoint] = out
+					front = append(front, raw)
+					s.persistPoint(rec.ID, raw)
 				}
-				j.nextPoint++
-				j.progress = JobProgress{Done: p.Explored, Total: p.Total, Points: len(j.front)}
-				j.mu.Unlock()
-				if fresh {
-					s.persistPoint(j.id, out)
-				}
+				next++
+				j.setProgress(JobProgress{Done: p.Explored, Total: p.Total, Points: len(front)})
 				return nil
 			},
 			Progress: func(explored, total int) {
@@ -369,101 +253,174 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 			},
 		})
 		// The observer only sees progress up to the last solve round; the
-		// returned stats also cover trailing pruning.
-		j.mu.Lock()
-		j.progress = JobProgress{Done: stats.Explored, Total: stats.Total, Points: stats.Points}
-		j.mu.Unlock()
-		// A deadline or cancellation keeps the partial front: the points
-		// are final, the sweep just did not finish.
-		s.finishJob(j, err)
+		// returned stats also cover trailing pruning. A deadline or
+		// cancellation keeps the partial front: the points are final, the
+		// sweep just did not finish.
+		j.setProgress(JobProgress{Done: stats.Explored, Total: stats.Total, Points: len(front)})
+		rec.Front = front
 	}
+	s.finishJob(j, rec, err)
 }
 
-// finishJob records the terminal state of a job and writes it through
-// to the store (a drain-canceled job is persisted as re-queueable; see
-// jobRecord).
-func (s *Server) finishJob(j *job, err error) {
+// finishJob writes the job's terminal record, results included, and
+// then drops its handle. A job canceled by server drain (not by an
+// explicit DELETE) is written back as queued instead, so the next
+// process to open the store resumes it — a graceful restart loses no
+// accepted work.
+func (s *Server) finishJob(j *job, rec store.JobRecord, err error) {
 	j.mu.Lock()
-	j.finished = time.Now()
+	rec.Done, rec.Total = j.progress.Done, j.progress.Total
+	requested := j.requested
+	j.mu.Unlock()
+	var eb *ErrorBody
 	switch {
 	case err == nil:
-		j.status = JobStatusDone
-	case j.requested:
-		j.status = JobStatusCanceled
-		j.err = &ErrorBody{Kind: ErrKindCanceled, Message: "job cancelled"}
+		rec.Status = JobStatusDone
+	case requested:
+		rec.Status = JobStatusCanceled
+		eb = &ErrorBody{Kind: ErrKindCanceled, Message: "job cancelled"}
 	case s.closing() && errors.Is(err, context.Canceled):
-		j.status = JobStatusCanceled
-		j.err = &ErrorBody{Kind: ErrKindShuttingDown, Message: "server shutting down"}
+		rec.Status = JobStatusQueued
+		rec.Done, rec.Total = 0, 0
 	case errors.Is(err, context.DeadlineExceeded):
-		j.status = JobStatusFailed
-		j.err = &ErrorBody{Kind: ErrKindDeadlineExceeded, Message: err.Error()}
+		rec.Status = JobStatusFailed
+		eb = &ErrorBody{Kind: ErrKindDeadlineExceeded, Message: err.Error()}
 	case core.ErrKindOf(err) == core.ErrKindInvalidInstance:
-		j.status = JobStatusFailed
-		j.err = &ErrorBody{Kind: ErrKindInvalidRequest, Message: err.Error()}
+		rec.Status = JobStatusFailed
+		eb = &ErrorBody{Kind: ErrKindInvalidRequest, Message: err.Error()}
 	default:
-		j.status = JobStatusFailed
-		j.err = &ErrorBody{Kind: ErrKindInternal, Message: err.Error()}
+		rec.Status = JobStatusFailed
+		eb = &ErrorBody{Kind: ErrKindInternal, Message: err.Error()}
 	}
-	j.mu.Unlock()
-	s.persistJob(j)
+	if rec.Terminal() {
+		rec.FinishedMs = time.Now().UnixMilli()
+	}
+	if eb != nil {
+		rec.Error, _ = json.Marshal(eb)
+	}
+	s.putJob(rec)
+	s.jobs.remove(rec.ID)
+}
+
+// jobResponseFromRecord renders a stored job record in its wire form;
+// every /v1/jobs view goes through it. j is the job's live handle (nil
+// when not live), looked up before the record was read: a job is
+// dropped only after its terminal record is written, so a record read
+// after a miss is final. A live job's progress counters are laid over
+// the record's. A non-terminal record without a live job on a draining
+// server is a job the drain interrupted: it is stored as queued so the
+// next process resumes it, and shown as canceled by the shutdown.
+// Undecodable payload fields are dropped rather than failing the read.
+func (s *Server) jobResponseFromRecord(rec store.JobRecord, j *job) JobResponse {
+	end := time.Now()
+	if rec.FinishedMs > 0 {
+		end = time.UnixMilli(rec.FinishedMs)
+	}
+	jr := JobResponse{
+		ID:        rec.ID,
+		Kind:      rec.Kind,
+		Status:    rec.Status,
+		ElapsedMs: float64(end.Sub(time.UnixMilli(rec.CreatedMs))) / float64(time.Millisecond),
+		Progress:  JobProgress{Done: rec.Done, Total: rec.Total},
+	}
+	if rec.Solution != nil {
+		var sol instance.SolutionJSON
+		if json.Unmarshal(rec.Solution, &sol) == nil {
+			jr.Solution = &sol
+		}
+	}
+	for _, raw := range rec.Solutions {
+		var sol instance.SolutionJSON
+		if json.Unmarshal(raw, &sol) == nil {
+			jr.Solutions = append(jr.Solutions, sol)
+		}
+	}
+	for _, raw := range rec.Front {
+		var sol instance.SolutionJSON
+		if json.Unmarshal(raw, &sol) == nil {
+			jr.Front = append(jr.Front, sol)
+		}
+	}
+	if len(jr.Front) > 0 {
+		jr.Progress.Points = len(jr.Front)
+	}
+	if rec.Error != nil {
+		var eb ErrorBody
+		if json.Unmarshal(rec.Error, &eb) == nil {
+			jr.Error = &eb
+		}
+	}
+	if j != nil {
+		j.mu.Lock()
+		jr.Progress = j.progress
+		j.mu.Unlock()
+	} else if !rec.Terminal() && s.closing() {
+		jr.Status = JobStatusCanceled
+		jr.Error = &ErrorBody{Kind: ErrKindShuttingDown, Message: "server shutting down"}
+	}
+	return jr
+}
+
+// storedJob reads the record of job id, writing the error response
+// itself when there is none.
+func (s *Server) storedJob(w http.ResponseWriter, id string) (store.JobRecord, bool) {
+	rec, ok, err := s.store.GetJob(id)
+	switch {
+	case err != nil:
+		s.storeErrors.Add(1)
+		writeError(w, http.StatusInternalServerError, ErrKindInternal, "reading job store: "+err.Error(), nil)
+	case !ok:
+		writeError(w, http.StatusNotFound, ErrKindNotFound, fmt.Sprintf("no job %q", id), nil)
+	}
+	return rec, err == nil && ok
 }
 
 // handleJobGet is GET /v1/jobs/{id}: the job's live progress or terminal
-// results. A job evicted from memory but still persisted is rehydrated
-// from the store instead of 404ing — eviction bounds memory, it does
-// not forget finished work.
+// results.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, ok := s.jobs.get(id)
-	if !ok {
-		if rec, found, err := s.store.GetJob(id); err == nil && found {
-			writeJSON(w, http.StatusOK, jobResponseFromRecord(rec))
-			return
-		}
-		writeError(w, http.StatusNotFound, ErrKindNotFound,
-			fmt.Sprintf("no job %q", id), nil)
-		return
+	j := s.jobs.get(id)
+	if rec, ok := s.storedJob(w, id); ok {
+		writeJSON(w, http.StatusOK, s.jobResponseFromRecord(rec, j))
 	}
-	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
 // handleJobDelete is DELETE /v1/jobs/{id}: cancel a live job (it turns
 // canceled once its goroutine observes the cancellation; poll GET for
-// the terminal snapshot) or discard a finished one.
+// the terminal record) or discard a finished one.
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, ok := s.jobs.get(id)
+	j := s.jobs.get(id)
+	rec, ok := s.storedJob(w, id)
 	if !ok {
-		// Evicted but persisted: an explicit DELETE removes the stored
-		// record too — unlike eviction, this is the client forgetting the
-		// job on purpose.
-		if rec, found, err := s.store.GetJob(id); err == nil && found && rec.Terminal() {
-			if err := s.store.DeleteJob(id); err != nil {
-				s.storeErrors.Add(1)
-			}
-			writeJSON(w, http.StatusOK, jobResponseFromRecord(rec))
-			return
-		}
-		writeError(w, http.StatusNotFound, ErrKindNotFound,
-			fmt.Sprintf("no job %q", id), nil)
 		return
 	}
-	if j.terminal() {
-		s.jobs.remove(j.id)
-		if err := s.store.DeleteJob(j.id); err != nil {
-			s.storeErrors.Add(1)
-		}
-		writeJSON(w, http.StatusOK, j.snapshot())
+	if j != nil {
+		j.mu.Lock()
+		j.requested = true
+		j.mu.Unlock()
+		j.cancel()
+		writeJSON(w, http.StatusAccepted, s.jobResponseFromRecord(rec, j))
 		return
 	}
-	j.mu.Lock()
-	j.requested = true
-	j.mu.Unlock()
-	j.cancel()
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	if err := s.store.DeleteJob(id); err != nil {
+		s.storeErrors.Add(1)
+	}
+	writeJSON(w, http.StatusOK, s.jobResponseFromRecord(rec, nil))
 }
 
 // handleJobList is GET /v1/jobs: every stored job, in creation order.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, JobListResponse{Jobs: s.jobs.list()})
+	live := s.jobs.snapshot()
+	recs, err := s.store.ListJobs()
+	if err != nil {
+		s.storeErrors.Add(1)
+		writeError(w, http.StatusInternalServerError, ErrKindInternal, "reading job store: "+err.Error(), nil)
+		return
+	}
+	jobs := make([]JobResponse, len(recs))
+	for i, rec := range recs {
+		jobs[i] = s.jobResponseFromRecord(rec, live[rec.ID])
+	}
+	writeJSON(w, http.StatusOK, JobListResponse{Jobs: jobs})
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repliflow/internal/core"
+	"repliflow/internal/store"
 )
 
 func postJob(t *testing.T, url, body string) (*http.Response, JobResponse) {
@@ -181,9 +182,9 @@ func TestJobCancel(t *testing.T) {
 	}
 }
 
-// TestJobStoreBounded: the store admits at most MaxJobs jobs, rejects
-// submissions when every slot is live, and evicts finished jobs to
-// admit new ones.
+// TestJobStoreBounded: at most MaxJobs jobs are live at once — a
+// submission beyond that is rejected — and a finished job frees its
+// slot while its record stays readable.
 func TestJobStoreBounded(t *testing.T) {
 	_, ts := newSlowServer(t, Config{MaxJobs: 2, MaxInFlight: 4})
 	slow := fmt.Sprintf(`{"kind": "solve", "instance": %s, "timeoutMs": 60000}`, slowInstance)
@@ -195,38 +196,115 @@ func TestJobStoreBounded(t *testing.T) {
 		}
 		ids = append(ids, jr.ID)
 	}
-	// Third submission: the store is full of live jobs.
+	// Third submission: MaxJobs jobs are live.
 	resp, _ := postJob(t, ts.URL, slow)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-capacity submission: status = %d, want 503", resp.StatusCode)
 	}
-	// Cancel one; once it is terminal the next submission evicts it.
+	// Cancel one; once it is terminal its slot is free.
 	deleteJob(t, ts.URL, ids[0])
 	pollJob(t, ts.URL, ids[0], "terminal", terminal)
 	resp, _ = postJob(t, ts.URL, fmt.Sprintf(`{"kind": "solve", "instance": %s}`, section2))
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("post-eviction submission: status = %d, want 202", resp.StatusCode)
+		t.Fatalf("post-cancel submission: status = %d, want 202", resp.StatusCode)
 	}
-	// Eviction bounds memory only: the evicted job's persisted record
-	// still answers GET, rehydrated from the store.
+	// The finished job's stored record still answers GET.
 	resp, raw := getJSON(t, ts.URL+"/v1/jobs/"+ids[0])
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("evicted job: status = %d, want 200 (rehydrated), body %s", resp.StatusCode, raw)
+		t.Fatalf("finished job: status = %d, want 200, body %s", resp.StatusCode, raw)
 	}
-	var evicted JobResponse
-	if err := json.Unmarshal(raw, &evicted); err != nil {
+	var finished JobResponse
+	if err := json.Unmarshal(raw, &finished); err != nil {
 		t.Fatal(err)
 	}
-	if evicted.ID != ids[0] || evicted.Status != JobStatusCanceled {
-		t.Errorf("rehydrated job = %+v, want id %s status canceled", evicted, ids[0])
+	if finished.ID != ids[0] || finished.Status != JobStatusCanceled {
+		t.Errorf("finished job = %+v, want id %s status canceled", finished, ids[0])
 	}
-	// An explicit DELETE of the rehydrated job discards the record for
-	// good; only then does GET 404.
+	// An explicit DELETE discards the record for good; only then does
+	// GET 404.
 	deleteJob(t, ts.URL, ids[0])
 	if resp, _ := getJSON(t, ts.URL+"/v1/jobs/"+ids[0]); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("deleted rehydrated job still answers GET")
+		t.Errorf("deleted job still answers GET")
 	}
 	deleteJob(t, ts.URL, ids[1]) // unblock the remaining slow job
+}
+
+// TestJobViewsAgree walks submit, cancel, finish, GET, DELETE and list
+// interleavings and checks that the views of a job agree: an id is
+// listed ⇔ GET answers 200 ⇔ DELETE does not answer 404. The server
+// starts over a store holding two queued jobs with MaxJobs 1, so
+// recovery must re-run both, whatever the bound.
+func TestJobViewsAgree(t *testing.T) {
+	st := store.Mem()
+	slow := fmt.Sprintf(`{"kind": "solve", "instance": %s, "timeoutMs": 60000}`, slowInstance)
+	for _, id := range []string{"job-1", "job-2"} {
+		if err := st.PutJob(store.JobRecord{
+			ID: id, Kind: "solve", Status: JobStatusQueued,
+			Request: json.RawMessage(slow), CreatedMs: time.Now().UnixMilli(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, ts := newSlowServer(t, Config{Store: st, MaxJobs: 1})
+	ids := []string{"job-1", "job-2", "job-3", "job-4"}
+
+	// agree checks list ⇔ GET for every id and returns the listed set.
+	agree := func(step string) map[string]bool {
+		t.Helper()
+		_, raw := getJSON(t, ts.URL+"/v1/jobs")
+		var list JobListResponse
+		if err := json.Unmarshal(raw, &list); err != nil {
+			t.Fatal(err)
+		}
+		listed := map[string]bool{}
+		for _, j := range list.Jobs {
+			listed[j.ID] = true
+		}
+		for _, id := range ids {
+			resp, _ := getJSON(t, ts.URL+"/v1/jobs/"+id)
+			if got := resp.StatusCode == http.StatusOK; got != listed[id] {
+				t.Errorf("%s: %s listed=%v but GET status %d", step, id, listed[id], resp.StatusCode)
+			}
+		}
+		return listed
+	}
+	// del checks DELETE ⇔ list, returning the DELETE status.
+	del := func(step, id string) int {
+		t.Helper()
+		listed := agree(step)
+		resp, body := deleteJob(t, ts.URL, id)
+		if got := resp.StatusCode != http.StatusNotFound; got != listed[id] {
+			t.Errorf("%s: %s listed=%v but DELETE status %d (%s)", step, id, listed[id], resp.StatusCode, body)
+		}
+		return resp.StatusCode
+	}
+
+	if listed := agree("after recovery"); !listed["job-1"] || !listed["job-2"] {
+		t.Fatalf("recovered jobs listed = %v, want job-1 and job-2", listed)
+	}
+	// Both recovered jobs are live, so MaxJobs 1 rejects a submission.
+	if resp, _ := postJob(t, ts.URL, slow); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("submission with 2 live jobs: status %d, want 503", resp.StatusCode)
+	}
+	for _, id := range []string{"job-2", "job-1"} {
+		if code := del("cancel "+id, id); code != http.StatusAccepted {
+			t.Errorf("cancel %s: status %d, want 202", id, code)
+		}
+		pollJob(t, ts.URL, id, "canceled", terminal)
+		agree("canceled " + id)
+	}
+	resp, jr := postJob(t, ts.URL, fmt.Sprintf(`{"kind": "solve", "instance": %s}`, section2))
+	if resp.StatusCode != http.StatusAccepted || jr.ID != "job-3" {
+		t.Fatalf("submission = %q (status %d), want job-3", jr.ID, resp.StatusCode)
+	}
+	agree("submitted job-3")
+	pollJob(t, ts.URL, "job-3", "done", terminal)
+	for _, id := range []string{"job-3", "job-3", "job-1", "job-4"} {
+		del("discard "+id, id)
+	}
+	if listed := agree("end"); len(listed) != 1 || !listed["job-2"] {
+		t.Errorf("jobs left = %v, want job-2 only", listed)
+	}
 }
 
 // TestJobValidation: malformed submissions are rejected up front.

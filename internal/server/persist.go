@@ -15,18 +15,17 @@ import (
 	"repliflow/internal/store"
 )
 
-// This file is the server's write-through persistence layer: every job
-// state transition is mirrored into the configured store.Store (jobs.go
-// calls persistJob / persistPoint), non-terminal jobs carry leases the
-// reaper goroutine renews, and on startup — or whenever a lease is
-// found expired — recoverJobs adopts the orphaned work and re-runs it,
-// with a pareto job's already-proven front preloaded so progress never
-// moves backwards across a crash. The engine's second-level solution
-// cache (engine.ResultStore) is adapted onto the same store.
+// This file is the server's persistence layer: every job state
+// transition is written to the configured store.Store, the only record
+// of a job (jobs.go calls putJob / persistPoint), and at startup
+// recoverJobs re-runs the work a previous process left unfinished, with
+// a pareto job's already-proven front preloaded so progress never moves
+// backwards across a crash. The engine's second-level solution cache
+// (engine.ResultStore) is adapted onto the same store.
 //
-// All store writes are best-effort: a failing store degrades wfserve to
-// its in-memory behavior (counted in wfserve_store_errors_total), it
-// never fails a request.
+// A store write that fails is counted in wfserve_store_errors_total and
+// never fails a request: the Store contract keeps a failed write
+// visible to reads, so only its durability is lost.
 
 // resultStore adapts the server's store.Store to engine.ResultStore:
 // solutions travel as instance.SolutionJSON documents — the same
@@ -73,58 +72,9 @@ func (rs resultStore) Store(key string, sol core.Solution) {
 	rs.s.storeWrites.Add(1)
 }
 
-// jobRecord renders the job's durable form. Non-terminal records carry
-// a fresh lease owned by this process; a job canceled by server drain
-// (not by an explicit DELETE) is written back as queued with no lease,
-// so the next process to open the store resumes it — a graceful restart
-// loses no accepted work.
-func (s *Server) jobRecord(j *job) store.JobRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec := store.JobRecord{
-		ID:        j.id,
-		Kind:      j.kind,
-		Status:    j.status,
-		Client:    j.client,
-		Request:   j.reqRaw,
-		CreatedMs: j.started.UnixMilli(),
-		Done:      j.progress.Done,
-		Total:     j.progress.Total,
-	}
-	if j.status == JobStatusCanceled && !j.requested {
-		rec.Status = JobStatusQueued
-		rec.Done, rec.Total = 0, 0
-	}
-	terminal := rec.Status == JobStatusDone || rec.Status == JobStatusFailed || rec.Status == JobStatusCanceled
-	if terminal {
-		rec.FinishedMs = j.finished.UnixMilli()
-		if j.err != nil {
-			rec.Error, _ = json.Marshal(j.err)
-		}
-	} else {
-		rec.Lease = &store.Lease{Owner: s.owner, ExpiresMs: time.Now().Add(s.leaseTTL).UnixMilli()}
-	}
-	if j.solution != nil {
-		rec.Solution, _ = json.Marshal(j.solution)
-	}
-	if len(j.solutions) > 0 {
-		rec.Solutions = make([]json.RawMessage, len(j.solutions))
-		for i := range j.solutions {
-			rec.Solutions[i], _ = json.Marshal(j.solutions[i])
-		}
-	}
-	if len(j.front) > 0 {
-		rec.Front = make([]json.RawMessage, len(j.front))
-		for i := range j.front {
-			rec.Front[i], _ = json.Marshal(j.front[i])
-		}
-	}
-	return rec
-}
-
-// persistJob writes the job's current state through to the store.
-func (s *Server) persistJob(j *job) {
-	if err := s.store.PutJob(s.jobRecord(j)); err != nil {
+// putJob writes a job record through to the store.
+func (s *Server) putJob(rec store.JobRecord) {
+	if err := s.store.PutJob(rec); err != nil {
 		s.storeErrors.Add(1)
 		return
 	}
@@ -133,62 +83,12 @@ func (s *Server) persistJob(j *job) {
 
 // persistPoint appends one proven front point to the job's stored
 // record (cheaper than rewriting the whole record per point).
-func (s *Server) persistPoint(id string, sol instance.SolutionJSON) {
-	raw, err := json.Marshal(sol)
-	if err != nil {
-		s.storeErrors.Add(1)
-		return
-	}
-	if err := s.store.AppendFrontPoint(id, raw); err != nil {
+func (s *Server) persistPoint(id string, point json.RawMessage) {
+	if err := s.store.AppendFrontPoint(id, point); err != nil {
 		s.storeErrors.Add(1)
 		return
 	}
 	s.storeWrites.Add(1)
-}
-
-// jobResponseFromRecord renders a stored record in the wire form GET
-// /v1/jobs/{id} serves, for jobs evicted from memory but persisted.
-// Undecodable payload fields are dropped rather than failing the read.
-func jobResponseFromRecord(rec store.JobRecord) JobResponse {
-	end := time.Now()
-	if rec.FinishedMs > 0 {
-		end = time.UnixMilli(rec.FinishedMs)
-	}
-	jr := JobResponse{
-		ID:        rec.ID,
-		Kind:      rec.Kind,
-		Status:    rec.Status,
-		ElapsedMs: float64(end.Sub(time.UnixMilli(rec.CreatedMs))) / float64(time.Millisecond),
-		Progress:  JobProgress{Done: rec.Done, Total: rec.Total},
-	}
-	if rec.Solution != nil {
-		var sol instance.SolutionJSON
-		if json.Unmarshal(rec.Solution, &sol) == nil {
-			jr.Solution = &sol
-		}
-	}
-	for _, raw := range rec.Solutions {
-		var sol instance.SolutionJSON
-		if json.Unmarshal(raw, &sol) == nil {
-			jr.Solutions = append(jr.Solutions, sol)
-		}
-	}
-	for _, raw := range rec.Front {
-		var sol instance.SolutionJSON
-		if json.Unmarshal(raw, &sol) == nil {
-			jr.Front = append(jr.Front, sol)
-		}
-	}
-	if len(jr.Front) > 0 {
-		jr.Progress.Points = len(jr.Front)
-	}
-	if rec.Error != nil {
-		var eb ErrorBody
-		if json.Unmarshal(rec.Error, &eb) == nil {
-			jr.Error = &eb
-		}
-	}
-	return jr
 }
 
 // jobSeq extracts the numeric suffix of a "job-N" id, 0 otherwise.
@@ -200,31 +100,23 @@ func jobSeq(id string) uint64 {
 	return n
 }
 
-// recoverJobs adopts the store's orphaned work: every non-terminal
-// record nobody holds a live lease on is re-queued and re-run under
-// this process's ownership, with its proven front preloaded. At startup
-// adoptAll is true — opening a store directory asserts exclusive
-// ownership (store.DiskStore is single-writer), so even an unexpired
-// lease belongs to a dead process. The reaper re-runs this with
-// adoptAll false, adopting only expired leases (the shared-backend
-// safe rule). The job id sequence is advanced past every stored id, so
-// new submissions never collide with recovered ones.
-func (s *Server) recoverJobs(adoptAll bool) {
+// recoverJobs re-runs every non-terminal record in the store; New calls
+// it once. Opening a store asserts exclusive ownership (a DiskStore has
+// a single writer, a MemStore is private to its process), so such a
+// record is work a previous process left unfinished. The job id
+// sequence is advanced past every stored id, so new submissions never
+// collide with recovered ones.
+func (s *Server) recoverJobs() {
 	recs, err := s.store.ListJobs()
 	if err != nil {
 		s.storeErrors.Add(1)
 		return
 	}
-	now := time.Now().UnixMilli()
 	for _, rec := range recs {
 		s.jobs.advanceSeq(jobSeq(rec.ID))
-		if rec.Terminal() {
-			continue
+		if !rec.Terminal() {
+			s.resumeJob(rec)
 		}
-		if !adoptAll && rec.Lease != nil && rec.Lease.ExpiresMs > now {
-			continue // a live owner holds it
-		}
-		s.resumeJob(rec)
 	}
 }
 
@@ -233,69 +125,28 @@ func (s *Server) recoverJobs(adoptAll bool) {
 // record whose request no longer parses is marked failed in the store
 // rather than retried forever.
 func (s *Server) resumeJob(rec store.JobRecord) {
-	fail := func(msg string) {
+	rec.Retired = nil // rewritten without the key
+	var req JobRequest
+	err := instance.DecodeStrict(bytes.NewReader(rec.Request), &req)
+	var problems []core.Problem
+	if err == nil {
+		problems, err = jobProblems(req, s.maxBatch)
+	}
+	if err != nil {
 		rec.Status = JobStatusFailed
 		rec.FinishedMs = time.Now().UnixMilli()
-		rec.Lease = nil
-		rec.Error, _ = json.Marshal(&ErrorBody{Kind: ErrKindInternal, Message: msg})
-		if err := s.store.PutJob(rec); err != nil {
-			s.storeErrors.Add(1)
-		}
-	}
-	var req JobRequest
-	if err := instance.DecodeStrict(bytes.NewReader(rec.Request), &req); err != nil {
-		fail("recovering job: undecodable stored request: " + err.Error())
-		return
-	}
-	problems, err := jobProblems(req, s.maxBatch)
-	if err != nil {
-		fail("recovering job: " + err.Error())
+		rec.Error, _ = json.Marshal(&ErrorBody{Kind: ErrKindInternal, Message: "recovering job: " + err.Error()})
+		s.putJob(rec)
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	j, ok := s.jobs.adopt(rec, cancel)
-	if !ok {
-		cancel() // already running here, or the manager is full of live jobs
-		return
-	}
-	// Preload the proven front: the re-run sweep overwrites these points
-	// in place as it re-proves them (see runJob), so the front a client
-	// observes never shrinks across the crash.
-	for _, raw := range rec.Front {
-		var sol instance.SolutionJSON
-		if err := json.Unmarshal(raw, &sol); err != nil {
-			break
-		}
-		j.front = append(j.front, sol)
-	}
-	j.progress = JobProgress{Done: rec.Done, Total: rec.Total}
-	if len(j.front) > 0 {
-		j.progress.Points = len(j.front)
-	}
-	s.persistJob(j) // re-lease under this process before running
+	j := s.jobs.adopt(rec.ID, cancel)
+	j.setProgress(JobProgress{Done: rec.Done, Total: rec.Total, Points: len(rec.Front)})
+	rec.Status = JobStatusQueued
+	s.putJob(rec)
 	s.storeRecovered.Add(1)
 	opts := s.solveOptions(req.BudgetMs, req.Parallelism)
-	go s.runJob(ctx, cancel, j, problems, opts, s.timeoutFor(req.TimeoutMs), rec.Client)
-}
-
-// reaper renews this process's leases and adopts expired ones until the
-// server drains. The interval is a third of the lease TTL, so a live
-// owner's leases are always renewed well before other replicas would
-// consider them orphaned.
-func (s *Server) reaper() {
-	ticker := time.NewTicker(s.leaseTTL / 3)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-ticker.C:
-			for _, j := range s.jobs.live() {
-				s.persistJob(j)
-			}
-			s.recoverJobs(false)
-		}
-	}
+	go s.runJob(ctx, j, rec, problems, opts, s.timeoutFor(req.TimeoutMs))
 }
 
 // jobProblems validates a job request into its solve problems — shared

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -86,67 +89,33 @@ func TestRestartResumesParetoJob(t *testing.T) {
 	}
 }
 
-// TestReaperAdoptsExpiredLease: a non-terminal record whose lease has
-// expired — orphaned by a dead owner — is adopted by the reaper and run
-// to completion, without a restart.
-func TestReaperAdoptsExpiredLease(t *testing.T) {
-	st := store.Mem()
-	s, ts := newTestServer(t, Config{Store: st, LeaseTTL: 60 * time.Millisecond})
-	defer s.Close()
-
-	req := fmt.Sprintf(`{"kind": "solve", "instance": %s}`, section2)
-	orphan := store.JobRecord{
-		ID:        "job-77",
-		Kind:      "solve",
-		Status:    JobStatusQueued,
-		Client:    "tenant-a",
-		Request:   json.RawMessage(req),
-		CreatedMs: time.Now().UnixMilli(),
-		Lease:     &store.Lease{Owner: "dead-process", ExpiresMs: time.Now().Add(-time.Second).UnixMilli()},
-	}
-	if err := st.PutJob(orphan); err != nil {
+// TestLegacyLeaseRecordResumes: a store directory written while job
+// records still carried a "lease" key opens, and its non-terminal job
+// is re-run to done under its stored id.
+func TestLegacyLeaseRecordResumes(t *testing.T) {
+	dir := t.TempDir()
+	var req bytes.Buffer
+	if err := json.Compact(&req, []byte(fmt.Sprintf(`{"kind": "solve", "instance": %s}`, section2))); err != nil {
 		t.Fatal(err)
 	}
-	done := pollJob(t, ts.URL, "job-77", "adopted and finished", terminal)
-	if done.Status != JobStatusDone || done.Solution == nil {
-		t.Fatalf("adopted job = %+v, want done with a solution", done)
+	line := fmt.Sprintf(`{"v":1,"type":"job","job":{"id":"job-77","kind":"solve","status":"running","client":"tenant-a",`+
+		`"request":%s,"createdMs":1754550000000,"lease":{"owner":"wfserve-3121-1","expiresMs":1754550015000}}}`, req.String())
+	if err := os.WriteFile(filepath.Join(dir, "store.ndjson"), []byte(`"wfstore/v1"`+"\n"+line+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got := s.storeRecovered.Load(); got == 0 {
-		t.Error("recovered-jobs counter not incremented")
+	s, ts, st := newDiskServer(t, dir, Config{})
+	defer drain(t, s, ts, st)
+	done := pollJob(t, ts.URL, "job-77", "resumed and finished", terminal)
+	if done.Status != JobStatusDone || done.Solution == nil || done.Solution.Latency != 17 {
+		t.Fatalf("resumed job = %+v, want done with the latency-17 optimum", done)
 	}
-	// The sequence advanced past the adopted id.
-	resp, jr := postJob(t, ts.URL, req)
+	if got := s.storeRecovered.Load(); got != 1 {
+		t.Errorf("recovered-jobs counter = %d, want 1", got)
+	}
+	// The sequence advanced past the recovered id.
+	resp, jr := postJob(t, ts.URL, req.String())
 	if resp.StatusCode != http.StatusAccepted || jr.ID != "job-78" {
 		t.Errorf("next submission = %q (status %d), want job-78", jr.ID, resp.StatusCode)
-	}
-}
-
-// TestReaperLeavesLiveLeasesAlone: a non-terminal record under an
-// unexpired foreign lease is not adopted mid-flight.
-func TestReaperLeavesLiveLeasesAlone(t *testing.T) {
-	st := store.Mem()
-	s, _ := newTestServer(t, Config{Store: st, LeaseTTL: 60 * time.Millisecond})
-	defer s.Close()
-
-	req := fmt.Sprintf(`{"kind": "solve", "instance": %s}`, section2)
-	live := store.JobRecord{
-		ID:        "job-500",
-		Kind:      "solve",
-		Status:    JobStatusRunning,
-		Request:   json.RawMessage(req),
-		CreatedMs: time.Now().UnixMilli(),
-		Lease:     &store.Lease{Owner: "replica-2", ExpiresMs: time.Now().Add(time.Hour).UnixMilli()},
-	}
-	if err := st.PutJob(live); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(250 * time.Millisecond) // several reaper ticks
-	rec, ok, err := st.GetJob("job-500")
-	if err != nil || !ok {
-		t.Fatalf("record vanished: ok=%v err=%v", ok, err)
-	}
-	if rec.Lease == nil || rec.Lease.Owner != "replica-2" {
-		t.Fatalf("live lease stolen: %+v", rec.Lease)
 	}
 }
 

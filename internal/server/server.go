@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -70,27 +69,21 @@ type Config struct {
 	// the connection visibly alive through proxies and client read
 	// timeouts; <= 0 selects 10s.
 	StreamHeartbeat time.Duration
-	// MaxJobs bounds the in-memory async job store (/v1/jobs): when full,
-	// the oldest finished job is evicted to admit a new one, and a store
-	// full of live jobs rejects submissions with 503. Evicted jobs stay
-	// readable through the persistence store (GET rehydrates them).
-	// <= 0 selects 64.
+	// MaxJobs bounds the live (queued or running) async jobs of
+	// /v1/jobs: a submission while that many are live is rejected with
+	// 503. Finished jobs do not count; they stay in Store until deleted
+	// (or evicted by a bounded store). <= 0 selects 64.
 	MaxJobs int
-	// Store persists job state and NP-hard solve results: every job
-	// transition writes through to it, recovery on startup resumes its
-	// orphaned non-terminal jobs, and the engine consults it before
-	// expensive solves. nil selects a bounded in-memory store
-	// (store.Mem()) for job bookkeeping only — the pre-durability
-	// behavior, nothing survives a restart, and the engine skips the
-	// store since its own fingerprint cache already covers in-memory
-	// result reuse. wfserve -store-dir plugs in store.OpenDisk. The server
-	// does not close the store; the caller owning it does, after
-	// shutdown.
+	// Store holds every async job's record — the only copy of it, which
+	// all /v1/jobs views read — and NP-hard solve results: every job
+	// transition writes through to it, New re-runs the non-terminal jobs
+	// it finds, and the engine consults it before expensive solves. nil
+	// selects a bounded in-memory store (store.Mem()) for jobs only —
+	// nothing survives a restart, and the engine skips the store since
+	// its own fingerprint cache already covers in-memory result reuse.
+	// wfserve -store-dir plugs in store.OpenDisk. The server does not
+	// close the store; the caller owning it does, after shutdown.
 	Store store.Store
-	// LeaseTTL is how long a non-terminal job's store lease lasts before
-	// other replicas may adopt it as orphaned; the server renews its own
-	// leases every LeaseTTL/3. <= 0 selects 15s.
-	LeaseTTL time.Duration
 	// RateLimit enables per-client cost-based admission control: each
 	// client's token bucket refills at this many tokens per second, and
 	// every solve-bearing request (solve, batch, pareto, job submission)
@@ -147,11 +140,9 @@ type Server struct {
 	start         time.Time
 	mux           *http.ServeMux
 
-	// Persistence (persist.go): the write-through store, this process's
-	// lease identity, and the store traffic counters for /metrics.
+	// Persistence (persist.go): the job and result store, and its
+	// traffic counters for /metrics.
 	store             store.Store
-	owner             string
-	leaseTTL          time.Duration
 	storeWrites       atomic.Uint64
 	storeErrors       atomic.Uint64
 	storeResultHits   atomic.Uint64
@@ -197,9 +188,6 @@ func New(cfg Config) *Server {
 	if cfg.Store == nil {
 		cfg.Store = store.Mem()
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 15 * time.Second
-	}
 	baseCtx, closeBase := context.WithCancel(context.Background())
 	s := &Server{
 		eng:            eng,
@@ -218,8 +206,6 @@ func New(cfg Config) *Server {
 		metrics:        newMetrics(),
 		start:          time.Now(),
 		store:          cfg.Store,
-		owner:          fmt.Sprintf("wfserve-%d-%d", os.Getpid(), time.Now().UnixNano()),
-		leaseTTL:       cfg.LeaseTTL,
 	}
 	if cfg.Engine == nil && explicitStore {
 		// The server-owned engine consults the store before NP-hard
@@ -242,10 +228,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /healthz", s.counted("/healthz", s.handleHealthz))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
-	// Resume whatever work the store's previous owner left unfinished,
-	// then keep leases fresh (and adopt newly expired ones) until Close.
-	s.recoverJobs(true)
-	go s.reaper()
+	s.recoverJobs()
 	return s
 }
 

@@ -31,10 +31,12 @@ const compactEvery = 4096
 // a kill -9 loses nothing (the page cache survives the process), only a
 // whole-machine crash can lose the most recent appends.
 //
-// A DiskStore assumes a single writing process at a time — replicas
-// share work by taking over a directory after its owner dies (leases +
-// the reaper), not by concurrent appends. Network backends relax this
-// behind the same interface.
+// A DiskStore assumes a single writing process at a time: the process
+// that opens a directory owns every record in it, and a restarted one
+// takes over the unfinished work of the process before it.
+//
+// A failed append leaves the in-memory index updated (see Store.PutJob):
+// the process keeps serving the record, and only its durability is lost.
 type DiskStore struct {
 	mu     sync.Mutex
 	closed bool

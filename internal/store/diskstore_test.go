@@ -206,3 +206,35 @@ func TestDiskStoreCompaction(t *testing.T) {
 		t.Error("job lost across compaction")
 	}
 }
+
+// TestDiskStoreFailedWriteStillServes pins the Store write contract:
+// when the log append fails, the write returns its error but GetJob and
+// ListJobs already serve the new record and point.
+func TestDiskStoreFailedWriteStillServes(t *testing.T) {
+	d, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.PutJob(rec("job-1", "running")); err != nil {
+		t.Fatal(err)
+	}
+	d.log.Close() // every later append fails
+	if err := d.PutJob(rec("job-1", "done")); err == nil {
+		t.Fatal("PutJob on a closed log succeeded")
+	}
+	if err := d.PutJob(rec("job-2", "queued")); err == nil {
+		t.Fatal("PutJob on a closed log succeeded")
+	}
+	if err := d.AppendFrontPoint("job-1", json.RawMessage(`{"period":1}`)); err == nil {
+		t.Fatal("AppendFrontPoint on a closed log succeeded")
+	}
+	got, ok, err := d.GetJob("job-1")
+	if err != nil || !ok || got.Status != "done" || len(got.Front) != 1 {
+		t.Fatalf("GetJob after failed writes = %+v, %v, %v; want done with 1 point", got, ok, err)
+	}
+	list, err := d.ListJobs()
+	if err != nil || len(list) != 2 || list[1].ID != "job-2" {
+		t.Fatalf("ListJobs after failed writes = %+v, %v", list, err)
+	}
+}

@@ -7,10 +7,8 @@ import (
 )
 
 // Bounds of the in-memory store. MemStore is the default Store of a
-// wfserve without -store-dir: it exists so the server's write-through
-// path is uniform (evicted-but-finished jobs stay readable, repeated
-// hard solves stay answered) while memory stays bounded — a process
-// restart still loses everything, exactly the pre-durability behavior.
+// wfserve without -store-dir, and the only record of its jobs: memory
+// stays bounded, and a process restart loses everything.
 const (
 	memMaxJobs    = 1024
 	memMaxResults = 8192
@@ -37,8 +35,9 @@ func Mem() *MemStore {
 var errClosed = fmt.Errorf("store: closed")
 
 // PutJob implements Store. When the job bound is reached the oldest
-// terminal record is evicted; if every record is live the oldest record
-// overall is (a pathological state the server's own job bound prevents).
+// terminal record is evicted. A live record is never evicted — it is
+// its job's only copy — so a store full of live records grows past the
+// bound; the server's MaxJobs bounds how far.
 func (m *MemStore) PutJob(rec JobRecord) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -55,21 +54,15 @@ func (m *MemStore) PutJob(rec JobRecord) error {
 	return nil
 }
 
-// evictJobLocked drops the oldest terminal job, or the oldest job when
-// none is terminal.
+// evictJobLocked drops the oldest terminal job, if there is one.
 func (m *MemStore) evictJobLocked() {
-	victim := -1
 	for i, id := range m.order {
 		if m.jobs[id].Terminal() {
-			victim = i
-			break
+			delete(m.jobs, id)
+			m.order = append(m.order[:i], m.order[i+1:]...)
+			return
 		}
 	}
-	if victim < 0 {
-		victim = 0
-	}
-	delete(m.jobs, m.order[victim])
-	m.order = append(m.order[:victim], m.order[victim+1:]...)
 }
 
 // AppendFrontPoint implements Store.

@@ -4,12 +4,12 @@
 // A Store holds two kinds of durable state:
 //
 //   - Job records: the lifecycle of every /v1/jobs job — its original
-//     request, status, lease, progress counters and terminal results —
-//     written through on each transition so a restarted (or second)
-//     replica can resume interrupted work and serve what the dead
-//     process already proved. Pareto front points are appended one at a
-//     time as the sweep proves them, so a crash loses at most the point
-//     in flight, never the prefix.
+//     request, status, progress counters and terminal results — written
+//     on each transition. The record is the server's only copy of a
+//     job, and a restarted process resumes the interrupted work it
+//     finds. Pareto front points are appended one at a time as the
+//     sweep proves them, so a crash loses at most the point in flight,
+//     never the prefix.
 //
 //   - Solve results: instance.SolutionJSON documents keyed by the
 //     engine's compact binary fingerprint (engine.Fingerprint). The
@@ -39,10 +39,15 @@ import "encoding/json"
 // format, the engine owns the fingerprint.
 type Store interface {
 	// PutJob upserts a job record wholesale, replacing any previous
-	// record (including its front) under the same ID.
+	// record (including its front) under the same ID. An error from an
+	// open store means the write did not become durable; GetJob and
+	// ListJobs still return the new record, since it is the server's
+	// only copy of the job.
 	PutJob(rec JobRecord) error
 	// AppendFrontPoint appends one proven Pareto point to the job's
-	// front. Appending to an unknown job is an error.
+	// front. Appending to an unknown job is an error. Like PutJob, an
+	// error from an open store for a known job still leaves the point
+	// visible to GetJob and ListJobs.
 	AppendFrontPoint(id string, point json.RawMessage) error
 	// GetJob returns the stored record for id, with ok false when no
 	// such job is stored.
@@ -71,16 +76,6 @@ type Stats struct {
 	Results int
 }
 
-// Lease marks a non-terminal job as owned by one server process until
-// ExpiresMs (unix milliseconds). A running owner renews its lease ahead
-// of expiry; a lease left to expire marks the work orphaned, and the
-// reaper of any replica sharing the store may adopt and re-run it. The
-// store itself never inspects clocks — lease arithmetic is the caller's.
-type Lease struct {
-	Owner     string `json:"owner"`
-	ExpiresMs int64  `json:"expiresMs"`
-}
-
 // JobRecord is the durable form of one async job. Payload fields
 // (Request, Solution, Solutions, Front, Error) hold the server's wire
 // JSON verbatim, so the store stays decoupled from the wire types and a
@@ -102,8 +97,9 @@ type JobRecord struct {
 	// write-through.
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
-	// Lease is present on non-terminal records claimed by a live owner.
-	Lease *Lease `json:"lease,omitempty"`
+	// Retired keeps the "lease" key of records written by earlier
+	// versions decodable; nothing reads it.
+	Retired json.RawMessage `json:"lease,omitempty"`
 
 	Solution  json.RawMessage   `json:"solution,omitempty"`
 	Solutions []json.RawMessage `json:"solutions,omitempty"`
@@ -129,10 +125,6 @@ func (r JobRecord) clone() JobRecord {
 	c.Request = cloneRaw(r.Request)
 	c.Solution = cloneRaw(r.Solution)
 	c.Error = cloneRaw(r.Error)
-	if r.Lease != nil {
-		l := *r.Lease
-		c.Lease = &l
-	}
 	if r.Solutions != nil {
 		c.Solutions = make([]json.RawMessage, len(r.Solutions))
 		for i, s := range r.Solutions {

@@ -18,7 +18,6 @@ func rec(id, status string) JobRecord {
 		CreatedMs: 1000,
 		Done:      3,
 		Total:     9,
-		Lease:     &Lease{Owner: "srv-1", ExpiresMs: 2000},
 	}
 }
 
@@ -100,7 +99,7 @@ func conformance(t *testing.T, s Store) {
 		t.Fatal(err)
 	}
 	got, ok, err := s.GetJob("job-1")
-	if err != nil || !ok || got.ID != "job-1" || got.Status != "queued" || got.Lease == nil || got.Lease.Owner != "srv-1" {
+	if err != nil || !ok || got.ID != "job-1" || got.Status != "queued" || got.Client != "tenant-a" {
 		t.Fatalf("GetJob = %+v, %v, %v", got, ok, err)
 	}
 	if _, ok, err := s.GetJob("nope"); ok || err != nil {
@@ -122,13 +121,12 @@ func conformance(t *testing.T, s Store) {
 	// Upsert replaces the whole record, including the front.
 	upd := rec("job-2", "done")
 	upd.FinishedMs = 3000
-	upd.Lease = nil
 	upd.Front = got.Front
 	if err := s.PutJob(upd); err != nil {
 		t.Fatal(err)
 	}
 	got, _, _ = s.GetJob("job-2")
-	if got.Status != "done" || got.Lease != nil || len(got.Front) != 2 {
+	if got.Status != "done" || got.FinishedMs != 3000 || len(got.Front) != 2 {
 		t.Fatalf("after upsert: %+v", got)
 	}
 	list, err := s.ListJobs()
@@ -218,6 +216,37 @@ func TestMemStoreBounds(t *testing.T) {
 	}
 	if _, ok, _ := m.GetResult(jobID(0)); ok {
 		t.Error("oldest result not evicted")
+	}
+}
+
+// TestMemStoreKeepsLiveJobs: a store full of live records grows past
+// its bound instead of evicting one — each is a running job's only
+// copy — and evicts a terminal record as soon as one exists.
+func TestMemStoreKeepsLiveJobs(t *testing.T) {
+	m := Mem()
+	for i := 0; i <= memMaxJobs; i++ {
+		if err := m.PutJob(rec(jobID(i), "running")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.Stats(); st.Jobs != memMaxJobs+1 {
+		t.Errorf("jobs = %d, want all %d live records kept", st.Jobs, memMaxJobs+1)
+	}
+	if _, ok, _ := m.GetJob(jobID(0)); !ok {
+		t.Fatal("oldest live job evicted")
+	}
+	// Job 5 finishes; the next new record evicts it, and only it.
+	if err := m.PutJob(rec(jobID(5), "done")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PutJob(rec(jobID(memMaxJobs+1), "queued")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := m.GetJob(jobID(5)); ok {
+		t.Error("terminal job not evicted")
+	}
+	if st := m.Stats(); st.Jobs != memMaxJobs+1 {
+		t.Errorf("jobs = %d, want %d", st.Jobs, memMaxJobs+1)
 	}
 }
 
