@@ -11,8 +11,10 @@
 // Pipelines are solved by a dynamic program over (next stage, set of used
 // processors) — exact because interval costs are independent given the
 // processor subset. Forks and fork-joins enumerate the set partitions of
-// the stages (restricted growth strings) and assign processor subsets per
-// block by a similar bitmask dynamic program.
+// the stages (restricted growth strings) and assign disjoint processor
+// subsets and modes block by block, as a branch and bound: the partial
+// cost of the blocks placed so far never exceeds a completion's, so a
+// subtree is cut once the install rule rejects it (see scan.go).
 //
 // All solvers are exponential in the number of processors (and, for forks,
 // in the number of stages); they are intended for the small instances used

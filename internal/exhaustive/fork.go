@@ -69,7 +69,6 @@ type forkEnum struct {
 	step    *stepper
 	assign  []int
 	blocks  []mapping.ForkBlock
-	masks   []int // per-block processor subset masks, parallel to blocks
 	weights []float64
 	leaves  [][]int
 }
@@ -86,58 +85,59 @@ func newForkEnum(f workflow.Fork, pl platform.Platform, allowDP bool, info []mas
 		step:    newStepper(context.Background()),
 		assign:  make([]int, f.Leaves()+1),
 		blocks:  make([]mapping.ForkBlock, p),
-		masks:   make([]int, p),
 		weights: make([]float64, p),
 		leaves:  leaves,
 	}
 }
 
-// leafCost evaluates the cost of the fully assigned candidate without
-// validating or allocating: the enumeration produces only valid mappings
-// by construction (every leaf assigned exactly once, root in exactly one
-// block, disjoint subset masks), so re-running mapping.EvalFork's
-// validation per candidate is pure waste — it dominated the scan profile.
-// The arithmetic mirrors EvalFork division for division (using the same
-// ascending-order subset speed sums, see buildMaskInfo), so the returned
-// cost is bit-identical to what EvalFork computes for the same mapping;
-// TestForkInlineCostMatchesEval pins that.
-func (e *forkEnum) leafCost(blocks []mapping.ForkBlock) mapping.Cost {
-	var c mapping.Cost
-	rootDelay, rootSpeed := 0.0, 0.0
-	maxOtherDelay := 0.0
-	for b := range blocks {
-		in := &e.info[e.masks[b]]
-		w := e.weights[b]
-		var per, speed float64
-		if blocks[b].Mode == mapping.DataParallel {
-			speed = in.sum
-			per = w / speed
-		} else {
-			speed = in.min
-			per = w / (float64(in.count) * speed)
-		}
-		if per > c.Period {
-			c.Period = per
-		}
-		if blocks[b].Root {
-			rootDelay = w / speed
-			rootSpeed = speed
-		} else if d := w / speed; d > maxOtherDelay {
-			maxOtherDelay = d
-		}
+// forkPartial is the cost state of the blocks assigned so far. The
+// enumeration produces only valid mappings by construction (every leaf
+// assigned exactly once, root in exactly one block, disjoint subset
+// masks), so it costs them without mapping.EvalFork's validation — which
+// dominated the scan profile — but with EvalFork's arithmetic, division
+// for division (using the same ascending-order subset speed sums, see
+// buildMaskInfo): once every block is assigned the cost is bit-identical
+// to EvalFork's; TestForkInlineCostMatchesEval pins that. The root is
+// item 0, so it is always in block 0 and its terms are known from the
+// first block on.
+type forkPartial struct {
+	period    float64
+	rootDelay float64 // root block weight over its speed
+	rootDone  float64 // root weight over the root block's speed
+	maxOther  float64 // largest non-root block weight over its speed
+}
+
+// add returns the state with one more block, of weight w, on the subset
+// in under the block's mode.
+func (p forkPartial) add(f *workflow.Fork, in *maskInfo, w float64, blk *mapping.ForkBlock) forkPartial {
+	var per, speed float64
+	if blk.Mode == mapping.DataParallel {
+		speed = in.sum
+		per = w / speed
+	} else {
+		speed = in.min
+		per = w / (float64(in.count) * speed)
 	}
-	c.Latency = rootDelay
-	if t := e.f.Root/rootSpeed + maxOtherDelay; t > c.Latency {
-		c.Latency = t
+	p.period = max(p.period, per)
+	if blk.Root {
+		p.rootDelay = w / speed
+		p.rootDone = f.Root / speed
+	} else {
+		p.maxOther = max(p.maxOther, w/speed)
 	}
-	return c
+	return p
+}
+
+// cost is the (partial) cost: each field only grows as blocks are added.
+func (p forkPartial) cost() mapping.Cost {
+	return mapping.Cost{Period: p.period, Latency: max(p.rootDelay, p.rootDone+p.maxOther)}
 }
 
 // runFrom invokes visit for every valid fork mapping whose partition
 // extends a fixed restricted-growth prefix naming `used` blocks (nil
-// enumerates everything), stopping early once the stepper latches a
-// context error or visit returns false.
-func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, visit func(mapping.ForkMapping, mapping.Cost) bool) {
+// enumerates everything) and that no cut drops, stopping early once the
+// stepper latches a context error or visit returns false.
+func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(mapping.Cost) bool, visit func(mapping.ForkMapping, mapping.Cost) bool) {
 	e.step.reset(ctx)
 	full := (1 << e.pl.Processors()) - 1
 	items := e.f.Leaves() + 1
@@ -171,27 +171,29 @@ func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, visit fu
 			}
 			e.weights[b] = w
 		}
-		var rec func(b, usedMask int) bool
-		rec = func(b, usedMask int) bool {
+		var rec func(b, usedMask int, part forkPartial) bool
+		rec = func(b, usedMask int, part forkPartial) bool {
 			if !e.step.ok() {
 				return false
 			}
-			if b == nblocks {
-				return visit(mapping.ForkMapping{Blocks: blocks}, e.leafCost(blocks))
+			if b > 0 {
+				c := part.cost()
+				if cut != nil && cut(c) {
+					return true
+				}
+				if b == nblocks {
+					return visit(mapping.ForkMapping{Blocks: blocks}, c)
+				}
 			}
+			// Data-parallel is legal for leaf-only blocks and for the root
+			// alone (Section 3.4).
+			dp := e.allowDP && (!blocks[b].Root || len(blocks[b].Leaves) == 0)
 			free := full &^ usedMask
 			for sub := free; sub > 0; sub = (sub - 1) & free {
 				blocks[b].Procs = e.info[sub].procs
-				blocks[b].Mode = mapping.Replicated
-				e.masks[b] = sub
-				if !rec(b+1, usedMask|sub) {
-					return false
-				}
-				// Data-parallel is legal for leaf-only blocks and for the
-				// root alone (Section 3.4).
-				if e.allowDP && (!blocks[b].Root || len(blocks[b].Leaves) == 0) {
-					blocks[b].Mode = mapping.DataParallel
-					if !rec(b+1, usedMask|sub) {
+				for _, mode := range modes(dp) {
+					blocks[b].Mode = mode
+					if !rec(b+1, usedMask|sub, part.add(&e.f, &e.info[sub], e.weights[b], &blocks[b])) {
 						return false
 					}
 				}
@@ -200,7 +202,7 @@ func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, visit fu
 			blocks[b].Mode = mapping.Replicated
 			return true
 		}
-		return rec(0, 0)
+		return rec(0, 0, forkPartial{})
 	})
 }
 
@@ -225,7 +227,7 @@ func copyForkMapping(m mapping.ForkMapping) mapping.ForkMapping {
 // every legal mode combination. Exhaustive ground truth for small n and p.
 // Each visited mapping is an independent copy the visitor may retain.
 func EnumerateFork(f workflow.Fork, pl platform.Platform, allowDP bool, visit func(mapping.ForkMapping, mapping.Cost)) {
-	newForkEnum(f, pl, allowDP, buildMaskInfo(pl)).runFrom(context.Background(), nil, 0, func(m mapping.ForkMapping, c mapping.Cost) bool {
+	newForkEnum(f, pl, allowDP, buildMaskInfo(pl)).runFrom(context.Background(), nil, 0, nil, func(m mapping.ForkMapping, c mapping.Cost) bool {
 		visit(copyForkMapping(m), c)
 		return true
 	})
@@ -322,4 +324,18 @@ func sortForkResultsByPeriod(rs []ForkResult) {
 			rs[j], rs[j-1] = rs[j-1], rs[j]
 		}
 	}
+}
+
+var (
+	replicatedOnly = []mapping.Mode{mapping.Replicated}
+	bothModes      = []mapping.Mode{mapping.Replicated, mapping.DataParallel}
+)
+
+// modes lists the modes a block is tried in, in enumeration order:
+// replicated, then data-parallel where dp allows it.
+func modes(dp bool) []mapping.Mode {
+	if dp {
+		return bothModes
+	}
+	return replicatedOnly
 }

@@ -22,7 +22,6 @@ type fjEnum struct {
 	step    *stepper
 	assign  []int
 	blocks  []mapping.ForkJoinBlock
-	masks   []int // per-block processor subset masks, parallel to blocks
 	weights []float64
 	leafW   []float64 // per-block leaf-only weight (no root/join share)
 	leaves  [][]int
@@ -40,74 +39,64 @@ func newFJEnum(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, info []
 		step:    newStepper(context.Background()),
 		assign:  make([]int, fj.Leaves()+2),
 		blocks:  make([]mapping.ForkJoinBlock, p),
-		masks:   make([]int, p),
 		weights: make([]float64, p),
 		leafW:   make([]float64, p),
 		leaves:  leaves,
 	}
 }
 
-// leafCost evaluates a fully assigned candidate without validating or
-// allocating, exactly as forkEnum.leafCost does for forks: the
-// enumeration only produces valid mappings, so the per-candidate
-// mapping.EvalForkJoin validation was pure overhead. The arithmetic
-// mirrors EvalForkJoin division for division and is bit-identical to it
-// (TestForkJoinInlineCostMatchesEval).
-func (e *fjEnum) leafCost(blocks []mapping.ForkJoinBlock) mapping.Cost {
-	var c mapping.Cost
-	var rootSpeed, joinSpeed float64
-	for b := range blocks {
-		in := &e.info[e.masks[b]]
-		w := e.weights[b]
-		var per, speed float64
-		if blocks[b].Mode == mapping.DataParallel {
-			speed = in.sum
-			per = w / speed
+// fjPartial is the cost state of the blocks assigned so far, kept
+// exactly as forkPartial is for forks: once every block is assigned the
+// cost is bit-identical to mapping.EvalForkJoin's
+// (TestForkJoinInlineCostMatchesEval). The root is item 0, so it is
+// always in block 0; the join's delay counts from its block on.
+type fjPartial struct {
+	period    float64
+	rootDone  float64 // root weight over the root block's speed
+	leafDone  float64 // latest leaf completion, at least rootDone
+	joinDelay float64 // join weight over the join block's speed
+}
+
+// add returns the state with one more block, of weight w and leaf-only
+// weight wl, on the subset in under the block's mode.
+func (p fjPartial) add(fj *workflow.ForkJoin, in *maskInfo, w, wl float64, blk *mapping.ForkJoinBlock) fjPartial {
+	var per, speed float64
+	if blk.Mode == mapping.DataParallel {
+		speed = in.sum
+		per = w / speed
+	} else {
+		speed = in.min
+		per = w / (float64(in.count) * speed)
+	}
+	p.period = max(p.period, per)
+	if blk.Root {
+		p.rootDone = fj.Root / speed
+		p.leafDone = p.rootDone
+	}
+	if blk.Join {
+		p.joinDelay = fj.Join / speed
+	}
+	if wl != 0 {
+		if blk.Root {
+			p.leafDone = max(p.leafDone, (fj.Root+wl)/speed)
 		} else {
-			speed = in.min
-			per = w / (float64(in.count) * speed)
-		}
-		if per > c.Period {
-			c.Period = per
-		}
-		if blocks[b].Root {
-			rootSpeed = speed
-		}
-		if blocks[b].Join {
-			joinSpeed = speed
+			p.leafDone = max(p.leafDone, p.rootDone+wl/speed)
 		}
 	}
-	rootDone := e.fj.Root / rootSpeed
-	leafDone := rootDone
-	for b := range blocks {
-		wl := e.leafW[b]
-		if wl == 0 {
-			continue
-		}
-		in := &e.info[e.masks[b]]
-		speed := in.min
-		if blocks[b].Mode == mapping.DataParallel {
-			speed = in.sum
-		}
-		var done float64
-		if blocks[b].Root {
-			done = (e.fj.Root + wl) / speed
-		} else {
-			done = rootDone + wl/speed
-		}
-		if done > leafDone {
-			leafDone = done
-		}
-	}
-	c.Latency = leafDone + e.fj.Join/joinSpeed
-	return c
+	return p
+}
+
+// cost is the (partial) cost: each field only grows as blocks are added.
+func (p fjPartial) cost() mapping.Cost {
+	return mapping.Cost{Period: p.period, Latency: p.leafDone + p.joinDelay}
 }
 
 // runFrom invokes visit for every valid fork-join mapping whose
 // partition extends a fixed restricted-growth prefix naming `used`
-// blocks (nil enumerates everything), stopping early once the stepper
-// latches a context error or visit returns false.
-func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, visit func(mapping.ForkJoinMapping, mapping.Cost) bool) {
+// blocks (nil enumerates everything) and that no cut drops, stopping
+// early once the stepper latches a context error or visit returns
+// false.
+func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(mapping.Cost) bool, visit func(mapping.ForkJoinMapping, mapping.Cost) bool) {
 	e.step.reset(ctx)
 	full := (1 << e.pl.Processors()) - 1
 	items := e.fj.Leaves() + 2
@@ -148,28 +137,30 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, visit func
 			e.weights[b] = w
 			e.leafW[b] = wl
 		}
-		var rec func(b, usedMask int) bool
-		rec = func(b, usedMask int) bool {
+		var rec func(b, usedMask int, part fjPartial) bool
+		rec = func(b, usedMask int, part fjPartial) bool {
 			if !e.step.ok() {
 				return false
 			}
-			if b == nblocks {
-				return visit(mapping.ForkJoinMapping{Blocks: blocks}, e.leafCost(blocks))
+			if b > 0 {
+				c := part.cost()
+				if cut != nil && cut(c) {
+					return true
+				}
+				if b == nblocks {
+					return visit(mapping.ForkJoinMapping{Blocks: blocks}, c)
+				}
 			}
+			// Data-parallel requires the block to be leaf-only, or the
+			// root alone, or the join alone.
+			alone := len(blocks[b].Leaves) == 0 && !(blocks[b].Root && blocks[b].Join)
+			dp := e.allowDP && ((!blocks[b].Root && !blocks[b].Join) || alone)
 			free := full &^ usedMask
 			for sub := free; sub > 0; sub = (sub - 1) & free {
 				blocks[b].Procs = e.info[sub].procs
-				blocks[b].Mode = mapping.Replicated
-				e.masks[b] = sub
-				if !rec(b+1, usedMask|sub) {
-					return false
-				}
-				// Data-parallel requires the block to be leaf-only, or the
-				// root alone, or the join alone.
-				alone := len(blocks[b].Leaves) == 0 && !(blocks[b].Root && blocks[b].Join)
-				if e.allowDP && ((!blocks[b].Root && !blocks[b].Join) || alone) {
-					blocks[b].Mode = mapping.DataParallel
-					if !rec(b+1, usedMask|sub) {
+				for _, mode := range modes(dp) {
+					blocks[b].Mode = mode
+					if !rec(b+1, usedMask|sub, part.add(&e.fj, &e.info[sub], e.weights[b], e.leafW[b], &blocks[b])) {
 						return false
 					}
 				}
@@ -178,7 +169,7 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, visit func
 			blocks[b].Mode = mapping.Replicated
 			return true
 		}
-		return rec(0, 0)
+		return rec(0, 0, fjPartial{})
 	})
 }
 
@@ -198,7 +189,7 @@ func copyForkJoinMapping(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 // EnumerateForkJoin invokes visit for every valid fork-join mapping. Each
 // visited mapping is an independent copy the visitor may retain.
 func EnumerateForkJoin(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, visit func(mapping.ForkJoinMapping, mapping.Cost)) {
-	newFJEnum(fj, pl, allowDP, buildMaskInfo(pl)).runFrom(context.Background(), nil, 0, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
+	newFJEnum(fj, pl, allowDP, buildMaskInfo(pl)).runFrom(context.Background(), nil, 0, nil, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
 		visit(copyForkJoinMapping(m), c)
 		return true
 	})

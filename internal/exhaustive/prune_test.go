@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repliflow/internal/anytime"
 	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
@@ -19,20 +20,100 @@ import (
 // ties never replace an incumbent. These tests are the regression
 // oracle for that argument, on randomized corpora across objectives.
 
-// forkScan and forkJoinScan run one serial scan on a fresh enumerator;
-// lb = 0 disables the lower-bound cutoff.
+// forkScan and forkJoinScan run one serial scan on a fresh enumerator
+// without the partial-assignment cut; lb = 0 disables the lower-bound
+// cutoff too, leaving the plain scan that costs every mapping.
 func forkScan(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool,
 	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkResult, bool, error) {
 	st := new(shardScan[mapping.ForkMapping]).init(newForkEnum(f, pl, allowDP, buildMaskInfo(pl)))
-	st.accept, st.objective, st.lb = accept, objective, lb
+	st.accept, st.objective, st.lb, st.cut = accept, objective, lb, nil
 	return st.scan(ctx, incumbent.Prefix{}, nil, 0)
 }
 
 func forkJoinScan(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool,
 	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
 	st := new(shardScan[mapping.ForkJoinMapping]).init(newFJEnum(fj, pl, allowDP, buildMaskInfo(pl)))
-	st.accept, st.objective, st.lb = accept, objective, lb
+	st.accept, st.objective, st.lb, st.cut = accept, objective, lb, nil
 	return st.scan(ctx, incumbent.Prefix{}, nil, 0)
+}
+
+// countedScan runs the serial scan a prepared solver runs for an
+// unbounded objective — with its anytime lower bound — with or without
+// the cut, and counts the complete mappings it costs.
+func countedScan[M any](e enumerator[M], allowDP, minimizePeriod, cut bool) (Result[M], bool, int, error) {
+	st := new(shardScan[M]).init(e)
+	st.accept, st.objective = acceptAll, latency
+	if minimizePeriod {
+		st.objective = period
+	}
+	st.lb = e.lowerBound(anytime.Spec{MinimizePeriod: minimizePeriod, AllowDP: allowDP})
+	if !cut {
+		st.cut = nil
+	}
+	costed := 0
+	install := st.visit
+	st.visit = func(m M, c mapping.Cost) bool {
+		costed++
+		return install(m, c)
+	}
+	res, ok, err := st.scan(context.Background(), incumbent.Prefix{}, nil, 0)
+	return res, ok, costed, err
+}
+
+// checkCutSavings compares cut and uncut scans of one instance set, one
+// objective per instance (period on even indices, latency on odd ones,
+// as the kernel benchmarks do): results must be identical and the cut
+// must cost at least ten times fewer mappings over the set. The counts
+// are deterministic, unlike the benchmarks' timings.
+func checkCutSavings[M any](t *testing.T, kind string, enums []enumerator[M]) {
+	t.Helper()
+	var cutCosted, fullCosted int
+	for k, e := range enums {
+		res, ok, n, err := countedScan(e, true, k%2 == 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRes, wantOK, wantN, err := countedScan(e.fresh(), true, k%2 == 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != wantOK || !reflect.DeepEqual(res, wantRes) {
+			t.Fatalf("%s instance %d: cut scan (%v, %v) != full scan (%v, %v)", kind, k, res, ok, wantRes, wantOK)
+		}
+		cutCosted += n
+		fullCosted += wantN
+	}
+	t.Logf("%s: %d mappings costed with the cut, %d without", kind, cutCosted, fullCosted)
+	if 10*cutCosted > fullCosted {
+		t.Errorf("%s: the cut costs %d mappings against %d without it, want at least 10x fewer", kind, cutCosted, fullCosted)
+	}
+}
+
+// TestForkCutCostsFewerMappings runs BenchmarkKernelFork's instance set
+// (internal/incumbent/kernels_bench_test.go: seed 2, a root and 5 leaves
+// of weight 1..10 on 4 processors of speed 1..5, data-parallelism on).
+func TestForkCutCostsFewerMappings(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	var enums []enumerator[mapping.ForkMapping]
+	for i := 0; i < 8; i++ {
+		f := workflow.RandomFork(r, 5, 10)
+		pl := platform.Random(r, 4, 5)
+		enums = append(enums, newForkEnum(f, pl, true, buildMaskInfo(pl)))
+	}
+	checkCutSavings(t, "fork", enums)
+}
+
+// TestForkJoinCutCostsFewerMappings runs BenchmarkKernelForkJoin's
+// instance set (seed 3, root, join and 4 leaves on 4 processors).
+func TestForkJoinCutCostsFewerMappings(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var enums []enumerator[mapping.ForkJoinMapping]
+	for i := 0; i < 8; i++ {
+		fj := workflow.RandomForkJoin(r, 4, 10)
+		pl := platform.Random(r, 4, 5)
+		enums = append(enums, newFJEnum(fj, pl, true, buildMaskInfo(pl)))
+	}
+	checkCutSavings(t, "fork-join", enums)
 }
 
 func TestPipelinePruningIsByteIdentical(t *testing.T) {

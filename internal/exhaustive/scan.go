@@ -2,13 +2,21 @@ package exhaustive
 
 // Partition scans: the fork and fork-join searches enumerate set
 // partitions of the stages (restricted-growth strings) and, per
-// partition, disjoint processor subsets and modes. One scan body serves
-// both kinds and every worker count: shardScan applies the incumbent
-// rule to the completions of one restricted-growth prefix, and
-// incumbent.Run drives it — inline over the empty prefix (the whole
+// partition, disjoint processor subsets and modes, block by block. One
+// scan body serves both kinds and every worker count: shardScan applies
+// the incumbent rule to the completions of one restricted-growth prefix,
+// and incumbent.Run drives it — inline over the empty prefix (the whole
 // space) for one worker, or over the prefixes of
 // incumbent.PartitionShards, which tile the serial enumeration order,
 // with a shard-order fold for several.
+//
+// The scan is a branch and bound: the enumerators carry the partial
+// cost of the blocks assigned so far, built with exactly the operations
+// of the complete cost (max, correctly rounded + and /, all monotone),
+// so it never exceeds the cost of a completion, bit for bit. The install
+// rule's test, applied to it, drops a subtree only when the rule would
+// reject every mapping in it; the enumeration order is unchanged, so
+// results are the unpruned scan's at every worker count.
 
 import (
 	"context"
@@ -31,7 +39,12 @@ type enumerator[M any] interface {
 	// runFrom visits every mapping whose partition extends the prefix,
 	// in enumeration order, until visit returns false or ctx is
 	// cancelled. The visited mapping aliases the enumerator's scratch.
-	runFrom(ctx context.Context, prefix []int, used int, visit func(M, mapping.Cost) bool)
+	// After each block's processors and mode are chosen, cut sees the
+	// partial cost of the blocks assigned so far — accumulated with the
+	// operations of the complete cost, so it never exceeds the cost of
+	// any completion in either field — and a true answer skips every
+	// completion. A nil cut visits every mapping.
+	runFrom(ctx context.Context, prefix []int, used int, cut func(mapping.Cost) bool, visit func(M, mapping.Cost) bool)
 	// err is the cancellation latched by the last run.
 	err() error
 	// retain deep-copies a visited mapping so it can outlive the run.
@@ -48,20 +61,21 @@ type enumerator[M any] interface {
 	lowerBound(spec anytime.Spec) float64
 }
 
-// pollEvery is how many visited mappings pass between polls of the
-// shared shard state: often enough that a tighter bound or a decided
-// fold lands within microseconds, rarely enough that the atomic loads
-// vanish from the per-mapping cost.
+// pollEvery is how many cut tests pass between polls of the shared
+// shard state: often enough that a tighter bound or a decided fold
+// lands within microseconds, rarely enough that the atomic loads vanish
+// from the per-node cost.
 const pollEvery = 64
 
 // shardScan is one worker's scan: its enumerator, the solve's admission
-// rule, and the incumbent of the shard being scanned. visit is built
-// once per worker and reads the state through one captured pointer, so
-// the per-mapping path is one indirect call that loads only the fields
-// it touches, and a solve allocates no visitor.
+// rule, and the incumbent of the shard being scanned. visit and cut are
+// built once per worker and read the state through one captured
+// pointer, so the per-node path is one indirect call that loads only
+// the fields it touches, and a solve allocates no closure.
 type shardScan[M any] struct {
 	e         enumerator[M]
 	visit     func(M, mapping.Cost) bool
+	cut       func(mapping.Cost) bool
 	accept    func(mapping.Cost) bool
 	objective func(mapping.Cost) float64
 	lb        float64
@@ -72,6 +86,7 @@ type shardScan[M any] struct {
 	bestObj float64
 	bound   float64
 	found   bool
+	decided bool
 	poll    int
 }
 
@@ -82,24 +97,16 @@ type shardScan[M any] struct {
 // disables it): once the incumbent reaches it no later mapping can
 // strictly improve, so the shard records it in sh and stops. A
 // candidate strictly worse than the best of any shard cannot win the
-// fold and is skipped.
+// fold and is skipped. Its cut drops a partial mapping the install rule
+// already rejects, and polls the shard state: once the shard is
+// decided, it drops everything.
 func (st *shardScan[M]) init(e enumerator[M]) *shardScan[M] {
 	st.e = e
 	st.visit = func(m M, c mapping.Cost) bool {
-		if st.poll--; st.poll == 0 {
-			st.poll = pollEvery
-			if st.sh.Decided(st.shard) {
-				return false
-			}
-			st.bound = min(st.bound, st.sh.Bound())
-		}
-		if !st.accept(c) {
+		if st.rejects(c) {
 			return true
 		}
 		obj := st.objective(c)
-		if st.found && !numeric.Less(obj, st.bestObj) || numeric.Greater(obj, st.bound) {
-			return true
-		}
 		st.best = Result[M]{Mapping: st.e.retain(m), Cost: c}
 		st.bestObj, st.found = obj, true
 		st.bound = min(st.bound, obj)
@@ -110,15 +117,38 @@ func (st *shardScan[M]) init(e enumerator[M]) *shardScan[M] {
 		}
 		return true
 	}
+	st.cut = func(c mapping.Cost) bool {
+		if st.poll--; st.poll == 0 {
+			st.poll = pollEvery
+			st.decided = st.sh.Decided(st.shard)
+			st.bound = min(st.bound, st.sh.Bound())
+		}
+		return st.decided || st.rejects(c)
+	}
 	return st
+}
+
+// rejects is the install rule's test: a mapping of cost c is turned
+// down when accept refuses it, when it does not strictly improve the
+// shard's best, or when it is strictly worse than the best of any
+// shard. Every clause is monotone in c (the tolerant comparisons
+// included), so a partial cost that is rejected proves every
+// completion is rejected too: the cut and the visitor share one rule
+// and cannot drift apart.
+func (st *shardScan[M]) rejects(c mapping.Cost) bool {
+	if !st.accept(c) {
+		return true
+	}
+	obj := st.objective(c)
+	return st.found && !numeric.Less(obj, st.bestObj) || numeric.Greater(obj, st.bound)
 }
 
 // scan returns the best mapping of one shard, the completions of prefix.
 func (st *shardScan[M]) scan(ctx context.Context, prefix incumbent.Prefix, sh *incumbent.Shards, shard int) (Result[M], bool, error) {
 	st.sh, st.shard = sh, shard
 	st.best, st.bestObj, st.found = Result[M]{}, 0, false
-	st.bound, st.poll = sh.Bound(), pollEvery
-	st.e.runFrom(ctx, prefix.Assign, prefix.Used, st.visit)
+	st.bound, st.decided, st.poll = sh.Bound(), false, pollEvery
+	st.e.runFrom(ctx, prefix.Assign, prefix.Used, st.cut, st.visit)
 	best := st.best
 	st.best = Result[M]{}
 	if err := st.e.err(); err != nil {

@@ -31,11 +31,24 @@ import (
 // par-vs-serial identity corpora of each package compare one code path
 // against itself; this file compares it against history.
 //
-// Do not regenerate the corpus to absorb a diff: a mismatch means a
+// A second corpus, kernels_bench_golden.ndjson, holds instances of the
+// solve-nphard shapes (bench/workloads.go's npHardSpecs): forks with 5
+// leaves and fork-joins with 4 on 4–5 processors, and 6-step SP DAGs on
+// 5 processors — large enough that the partition scans' cuts drop most
+// of every search. It was recorded from the scans that cost every
+// complete mapping, before the cuts existed.
+//
+// Do not regenerate either corpus to absorb a diff: a mismatch means a
 // kernel changed its answer.
-var writeGolden = flag.Bool("write-golden-kernels", false, "rewrite testdata/kernels_golden.ndjson from the current kernels")
+var (
+	writeGolden      = flag.Bool("write-golden-kernels", false, "rewrite testdata/kernels_golden.ndjson from the current kernels")
+	writeBenchGolden = flag.Bool("write-golden-bench-kernels", false, "rewrite testdata/kernels_bench_golden.ndjson from the current kernels")
+)
 
-const goldenPath = "testdata/kernels_golden.ndjson"
+const (
+	goldenPath      = "testdata/kernels_golden.ndjson"
+	benchGoldenPath = "testdata/kernels_bench_golden.ndjson"
+)
 
 // goldenCase is one corpus record: the instance of exactly one kernel,
 // the goal, and the recorded answer.
@@ -236,14 +249,37 @@ func goldenInstances() []goldenCase {
 	return out
 }
 
+// benchGoldenInstances draws the bench-shaped corpus instances: 48 of
+// each partition-scan kind, in the shapes of the solve-nphard workload.
+func benchGoldenInstances() []goldenCase {
+	rng := rand.New(rand.NewSource(20261017))
+	var out []goldenCase
+	for i := 0; i < 48; i++ {
+		f := workflow.RandomFork(rng, 5, 10)
+		pl := platform.Random(rng, 4+rng.Intn(2), 5)
+		out = append(out, goldenCase{Kernel: "fork", DP: true, Fork: &f, Platform: &pl})
+	}
+	for i := 0; i < 48; i++ {
+		fj := workflow.RandomForkJoin(rng, 4, 10)
+		pl := platform.Random(rng, 4+rng.Intn(2), 5)
+		out = append(out, goldenCase{Kernel: "forkjoin", DP: true, ForkJoin: &fj, Platform: &pl})
+	}
+	for i := 0; i < 48; i++ {
+		g := workflow.RandomSP(rng, 6, 10, 4, 3)
+		pl := platform.Random(rng, 5, 5)
+		out = append(out, goldenCase{Kernel: "sp", SP: &g, Platform: &pl})
+	}
+	return out
+}
+
 // generateGolden expands every instance into its four goals. The
 // bounded goals cap the other metric at its unbounded optimum scaled by
 // one of {1, 1.25, 1.5, 0.5}, so the corpus holds bounds that touch the
 // optimum exactly, loose bounds and infeasible ones.
-func generateGolden(ctx context.Context) ([]goldenCase, error) {
+func generateGolden(ctx context.Context, insts []goldenCase) ([]goldenCase, error) {
 	scales := []float64{1, 1.25, 1.5, 0.5}
 	var out []goldenCase
-	for i, inst := range goldenInstances() {
+	for i, inst := range insts {
 		var periodOpt, latencyOpt float64
 		for _, goal := range goldenGoals {
 			c := inst
@@ -273,9 +309,23 @@ func generateGolden(ctx context.Context) ([]goldenCase, error) {
 }
 
 func TestKernelsGoldenCorpus(t *testing.T) {
+	checkGoldenCorpus(t, goldenPath, *writeGolden, goldenInstances,
+		[]string{"pipeline", "fork", "forkjoin", "sp", "comm"})
+}
+
+func TestKernelsBenchGoldenCorpus(t *testing.T) {
+	checkGoldenCorpus(t, benchGoldenPath, *writeBenchGolden, benchGoldenInstances,
+		[]string{"fork", "forkjoin", "sp"})
+}
+
+// checkGoldenCorpus re-solves every record of the corpus at path at one
+// and at three workers and compares the answers bit for bit; write first
+// regenerates the corpus from instances. kernels lists the kernels the
+// corpus must cover.
+func checkGoldenCorpus(t *testing.T, path string, write bool, instances func() []goldenCase, kernels []string) {
 	ctx := context.Background()
-	if *writeGolden {
-		cases, err := generateGolden(ctx)
+	if write {
+		cases, err := generateGolden(ctx, instances())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,29 +338,29 @@ func TestKernelsGoldenCorpus(t *testing.T) {
 			buf.Write(line)
 			buf.WriteByte('\n')
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d cases to %s", len(cases), goldenPath)
+		t.Logf("wrote %d cases to %s", len(cases), path)
 	}
 
-	f, err := os.Open(goldenPath)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	kernels := map[string]int{}
+	seen := map[string]int{}
 	for line := 1; sc.Scan(); line++ {
 		var want goldenCase
 		if err := json.Unmarshal(sc.Bytes(), &want); err != nil {
 			t.Fatalf("line %d: %v", line, err)
 		}
-		kernels[want.Kernel]++
+		seen[want.Kernel]++
 		for _, par := range []int{1, 3} {
 			got, err := solveGolden(ctx, want, par)
 			if err != nil {
@@ -328,8 +378,8 @@ func TestKernelsGoldenCorpus(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"pipeline", "fork", "forkjoin", "sp", "comm"} {
-		if kernels[k] == 0 {
+	for _, k := range kernels {
+		if seen[k] == 0 {
 			t.Errorf("corpus has no %s case", k)
 		}
 	}

@@ -45,6 +45,15 @@ func kernelData(r *rand.Rand, n int) []float64 {
 // kernelInstances is the number of instances one op solves.
 const kernelInstances = 8
 
+// mustFind stops a kernel benchmark whose solve of instance k failed or
+// found nothing: every benchmark goal is unbounded, so every instance
+// has an optimum, and a kernel that lost it must not time as a speedup.
+func mustFind(b *testing.B, k int, ok bool, err error) {
+	if err != nil || !ok {
+		b.Fatalf("instance %d: found=%v err=%v", k, ok, err)
+	}
+}
+
 func BenchmarkKernelPipeline(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	type inst struct {
@@ -59,13 +68,14 @@ func BenchmarkKernelPipeline(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, in := range insts {
+		for k, in := range insts {
 			pp := exhaustive.NewPipelinePrepared(in.p, in.pl, true)
+			solve := pp.Latency
 			if in.mp {
-				pp.Period(ctx)
-			} else {
-				pp.Latency(ctx)
+				solve = pp.Period
 			}
+			_, ok, err := solve(ctx)
+			mustFind(b, k, ok, err)
 		}
 	}
 }
@@ -85,11 +95,12 @@ func BenchmarkKernelFork(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for k, in := range insts {
 			fp := exhaustive.NewForkPrepared(in.f, in.pl, true)
+			solve := fp.Latency
 			if k%2 == 0 {
-				fp.Period(ctx)
-			} else {
-				fp.Latency(ctx)
+				solve = fp.Period
 			}
+			_, ok, err := solve(ctx)
+			mustFind(b, k, ok, err)
 		}
 	}
 }
@@ -109,11 +120,12 @@ func BenchmarkKernelForkJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for k, in := range insts {
 			fp := exhaustive.NewForkJoinPrepared(in.fj, in.pl, true)
+			solve := fp.Latency
 			if k%2 == 0 {
-				fp.Period(ctx)
-			} else {
-				fp.Latency(ctx)
+				solve = fp.Period
 			}
+			_, ok, err := solve(ctx)
+			mustFind(b, k, ok, err)
 		}
 	}
 }
@@ -136,7 +148,8 @@ func BenchmarkKernelSP(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pp.Exhaustive(ctx, spdecomp.Goal{MinimizeLatency: k%2 == 1})
+			_, _, ok, err := pp.Exhaustive(ctx, spdecomp.Goal{MinimizeLatency: k%2 == 1})
+			mustFind(b, k, ok, err)
 		}
 	}
 }
@@ -169,7 +182,8 @@ func BenchmarkKernelComm(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pp.SolveExact(ctx, fullmodel.Goal{MinimizePeriod: k%2 == 0})
+			_, _, ok, err := pp.SolveExact(ctx, fullmodel.Goal{MinimizePeriod: k%2 == 0})
+			mustFind(b, k, ok, err)
 		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 //
 // A nil *Shards is the serial search — one worker over one whole-space
 // shard — whose bound is +Inf and whose shard is never decided. Kernels
-// poll a shared Shards every few dozen candidates against a local copy
-// of the bound: a stale bound only prunes less, so polling never
+// poll a shared Shards every few dozen search steps against a local
+// copy of the bound: a stale bound only prunes less, so polling never
 // changes a result.
 type Shards struct {
 	next    atomic.Int64

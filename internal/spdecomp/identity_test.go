@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repliflow/internal/incumbent"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -117,5 +118,71 @@ func TestSPPreparedHeuristicIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// cutScan runs one serial block scan, with or without the cut of procs,
+// and returns its result and the number of mappings it costed.
+func cutScan(t *testing.T, g workflow.SP, pl platform.Platform, goal Goal, prune bool) (spMemo, bool, int) {
+	t.Helper()
+	st, err := newBlockEval(g, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newScanner(st)
+	sc.prune = prune
+	lb, latencyLB := Bounds(g, pl)
+	if goal.MinimizeLatency {
+		lb = latencyLB
+	}
+	r, found, err := sc.scan(context.Background(), goal, lb, incumbent.Prefix{}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, found, sc.costed
+}
+
+// TestSPCutIsByteIdentical: the cut only drops assignments the install
+// rule rejects, so the pruned scan returns the unpruned scan's result
+// bit for bit, capped goals included.
+func TestSPCutIsByteIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 30; trial++ {
+		g := workflow.RandomSP(rng, 3+rng.Intn(4), 9, 4, 3)
+		pl := platform.Random(rng, 2+rng.Intn(3), 5)
+		for _, goal := range identityGoals(rng) {
+			got, gotOK, _ := cutScan(t, g, pl, goal, true)
+			want, wantOK, _ := cutScan(t, g, pl, goal, false)
+			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d goal %+v: cut scan (%v, %v) != full scan (%v, %v)", trial, goal, got, gotOK, want, wantOK)
+			}
+		}
+	}
+}
+
+// TestSPCutCostsFewerMappings runs BenchmarkKernelSP's instance set
+// (internal/incumbent/kernels_bench_test.go: seed 4, 6-step DAGs on 5
+// processors, period on even indices, latency on odd ones) with and
+// without the cut: identical results, and at least ten times fewer
+// mappings costed over the set — a count that does not move with the
+// host, unlike the benchmark's timing.
+func TestSPCutCostsFewerMappings(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	var cutCosted, fullCosted int
+	for k := 0; k < 8; k++ {
+		g := workflow.RandomSP(r, 6, 10, 4, 3)
+		pl := platform.Random(r, 5, 5)
+		goal := Goal{MinimizeLatency: k%2 == 1}
+		got, gotOK, n := cutScan(t, g, pl, goal, true)
+		want, wantOK, wantN := cutScan(t, g, pl, goal, false)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("instance %d: cut scan (%v, %v) != full scan (%v, %v)", k, got, gotOK, want, wantOK)
+		}
+		cutCosted += n
+		fullCosted += wantN
+	}
+	t.Logf("sp: %d mappings costed with the cut, %d without", cutCosted, fullCosted)
+	if 10*cutCosted > fullCosted {
+		t.Errorf("sp: the cut costs %d mappings against %d without it, want at least 10x fewer", cutCosted, fullCosted)
 	}
 }

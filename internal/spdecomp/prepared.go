@@ -153,6 +153,10 @@ type scanner struct {
 	assign    []int
 	blockProc []int
 	usedProc  []bool
+	load      []float64 // per-block weight of the current partition
+	// prune enables the cut of procs; the unpruned scan (false) is the
+	// regression oracle of the pruned one.
+	prune bool
 
 	ctx        context.Context
 	goal       Goal
@@ -164,11 +168,15 @@ type scanner struct {
 	bound      float64
 	partitions int
 	poll       int
+	// costed counts the mappings evaluate has costed over the scanner's
+	// life: the host-independent work measure of the cut tests.
+	costed int
 }
 
 func newScanner(st *blockEval) scanner {
 	n := len(st.g.Steps)
-	return scanner{st: st, assign: make([]int, n), blockProc: make([]int, n), usedProc: make([]bool, st.pl.Processors())}
+	return scanner{st: st, assign: make([]int, n), blockProc: make([]int, n), usedProc: make([]bool, st.pl.Processors()),
+		load: make([]float64, n), prune: true}
 }
 
 // scan enumerates the restricted-growth partitions of the steps that
@@ -178,7 +186,9 @@ func newScanner(st *blockEval) scanner {
 // ties keep the earlier mapping). A candidate strictly worse than the
 // best of any shard cannot win the fold and is skipped; an incumbent
 // reaching the certified lower bound lb stops the shard and records it
-// in sh.
+// in sh. The processor assignment is a branch and bound: a partial
+// assignment whose cost bound the install rule already rejects is not
+// completed (see procs), so the result is the unpruned scan's.
 func (sc *scanner) scan(ctx context.Context, goal Goal, lb float64, prefix incumbent.Prefix,
 	sh *incumbent.Shards, shard int) (spMemo, bool, error) {
 	sc.ctx, sc.goal, sc.lb, sc.sh, sc.shard = ctx, goal, lb, sh, shard
@@ -197,7 +207,9 @@ func (sc *scanner) scan(ctx context.Context, goal Goal, lb float64, prefix incum
 }
 
 // parts assigns steps s.. to blocks (restricted growth, at most p
-// blocks), polling the context every 64 complete partitions.
+// blocks), polling the context every 64 complete partitions. Each
+// complete partition's block weights are summed in topological order —
+// costOf's summation — before its processors are assigned.
 func (sc *scanner) parts(s, blocks int) error {
 	if s == len(sc.assign) {
 		if sc.partitions++; sc.partitions == 64 {
@@ -206,7 +218,11 @@ func (sc *scanner) parts(s, blocks int) error {
 				return err
 			}
 		}
-		return sc.procs(0, blocks)
+		clear(sc.load[:blocks])
+		for _, v := range sc.st.topo {
+			sc.load[sc.assign[v]] += sc.st.g.Steps[v].Weight
+		}
+		return sc.procs(0, blocks, 0)
 	}
 	limit := blocks
 	if blocks < len(sc.usedProc) {
@@ -225,9 +241,32 @@ func (sc *scanner) parts(s, blocks int) error {
 	return nil
 }
 
+// busySlack shrinks a block's load over its speed into a lower bound on
+// its processor's busy time in costOf's list schedule, which sums the
+// steps' quotients one by one: the two roundings differ by a few ULPs
+// per step, and 2^-40 covers thousands of steps, far beyond the
+// exhaustive caps. A shrunk bound only cuts less.
+const busySlack = 1 - 1.0/(1<<40)
+
 // procs assigns distinct processors to blocks k.. and evaluates each
-// complete mapping.
-func (sc *scanner) procs(k, blocks int) error {
+// complete mapping; period is the largest load over speed of blocks
+// 0..k-1, costOf's operations, so it never exceeds the period of a
+// completion. Each block's processor is busy for its load over its speed,
+// so the shrunk period also bounds the latency: once the install rule
+// rejects that partial cost it rejects every completion, and the
+// subtree — or, with every block placed, the list schedule — is
+// skipped. The shard state is polled here, per node.
+func (sc *scanner) procs(k, blocks int, period float64) error {
+	if sc.poll--; sc.poll == 0 {
+		sc.poll = pollEvery
+		if sc.sh.Decided(sc.shard) {
+			return errStopEnum
+		}
+		sc.bound = min(sc.bound, sc.sh.Bound())
+	}
+	if sc.prune && sc.rejects(mapping.Cost{Period: period, Latency: period * busySlack}) {
+		return nil
+	}
 	if k == blocks {
 		return sc.evaluate()
 	}
@@ -237,7 +276,7 @@ func (sc *scanner) procs(k, blocks int) error {
 		}
 		sc.usedProc[q] = true
 		sc.blockProc[k] = q
-		if err := sc.procs(k+1, blocks); err != nil {
+		if err := sc.procs(k+1, blocks, max(period, sc.load[k]/sc.st.pl.Speeds[q])); err != nil {
 			return err
 		}
 		sc.usedProc[q] = false
@@ -245,22 +284,25 @@ func (sc *scanner) procs(k, blocks int) error {
 	return nil
 }
 
+// rejects is the install rule's test: a mapping of cost c is turned
+// down when it breaks a cap, when it does not strictly improve the
+// shard's best, or when it is strictly worse than the best of any
+// shard. Every clause is monotone in c, so a rejected lower bound proves
+// every completion is rejected too.
+func (sc *scanner) rejects(c mapping.Cost) bool {
+	return !sc.goal.Feasible(c) || sc.found && !sc.goal.Better(c, sc.best.c) || numeric.Greater(sc.goal.Value(c), sc.bound)
+}
+
 // evaluate costs the current mapping and installs it under the serial
 // rule.
 func (sc *scanner) evaluate() error {
-	if sc.poll--; sc.poll == 0 {
-		sc.poll = pollEvery
-		if sc.sh.Decided(sc.shard) {
-			return errStopEnum
-		}
-		sc.bound = min(sc.bound, sc.sh.Bound())
-	}
 	st := sc.st
 	for s, b := range sc.assign {
 		st.procOf[s] = sc.blockProc[b]
 	}
+	sc.costed++
 	c := st.costOf()
-	if !sc.goal.Feasible(c) || sc.found && !sc.goal.Better(c, sc.best.c) || numeric.Greater(sc.goal.Value(c), sc.bound) {
+	if sc.rejects(c) {
 		return nil
 	}
 	sc.best, sc.found = spMemo{blocks: st.blocks(), c: c}, true
@@ -274,8 +316,8 @@ func (sc *scanner) evaluate() error {
 	return nil
 }
 
-// pollEvery is how many evaluated mappings pass between polls of the
-// shared shard state; a stale bound only prunes less.
+// pollEvery is how many search nodes pass between polls of the shared
+// shard state; a stale bound only prunes less.
 const pollEvery = 64
 
 // BestHeuristic returns the goal-best candidate of the deterministic

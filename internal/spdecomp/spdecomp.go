@@ -13,6 +13,7 @@
 //     partitioned into blocks, each block runs on one distinct processor,
 //     the period is the largest block weight over speed, and the latency
 //     is the makespan of the canonical list schedule. Exhaustive search
+//     (a branch and bound over partitions and processor assignments)
 //     covers small instances; Heuristics and the budget-bounded local
 //     search of Budgeted cover the rest, with Bounds supplying certified
 //     lower bounds for anytime gaps.
