@@ -13,8 +13,10 @@
 // processor subset. Forks and fork-joins enumerate the set partitions of
 // the stages (restricted growth strings) and assign disjoint processor
 // subsets and modes block by block, as a branch and bound: the partial
-// cost of the blocks placed so far never exceeds a completion's, so a
-// subtree is cut once the install rule rejects it (see scan.go).
+// cost of the blocks placed so far, raised by a look-ahead bound on the
+// blocks still to place (their weight over the free processors' speed),
+// never exceeds a completion's, so a subtree is cut once the install
+// rule rejects it (see scan.go).
 //
 // All solvers are exponential in the number of processors (and, for forks,
 // in the number of stages); they are intended for the small instances used

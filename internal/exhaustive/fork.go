@@ -56,11 +56,12 @@ func partitionsFrom(assign []int, m, maxBlocks, start, used int, visit func(assi
 }
 
 // forkEnum is the resettable fork-mapping enumerator: all the scratch a
-// full enumeration needs — the restricted-growth string, the block array
-// and the per-block leaf lists — allocated once and reused across runs, so
-// the per-partition and per-mapping work of the hot scans allocates
-// nothing. The mapping passed to visit aliases that scratch; visitors must
-// deep-copy (copyForkMapping) what they retain.
+// full enumeration needs — the restricted-growth string, the block array,
+// the per-block weights and their suffix sums, and the per-block leaf
+// lists — allocated once and reused across runs, so the per-partition
+// and per-mapping work of the hot scans allocates nothing. The mapping
+// passed to visit aliases that scratch; visitors must deep-copy
+// (copyForkMapping) what they retain.
 type forkEnum struct {
 	f       workflow.Fork
 	pl      platform.Platform
@@ -69,8 +70,11 @@ type forkEnum struct {
 	step    *stepper
 	assign  []int
 	blocks  []mapping.ForkBlock
-	weights []float64
+	weights []float64 // block weights, then their suffix sums (see weighRest)
 	leaves  [][]int
+	// nodes counts the scan nodes visited over the enumerator's life:
+	// the host-independent work measure of the cut tests.
+	nodes int
 }
 
 func newForkEnum(f workflow.Fork, pl platform.Platform, allowDP bool, info []maskInfo) *forkEnum {
@@ -85,7 +89,7 @@ func newForkEnum(f workflow.Fork, pl platform.Platform, allowDP bool, info []mas
 		step:    newStepper(context.Background()),
 		assign:  make([]int, f.Leaves()+1),
 		blocks:  make([]mapping.ForkBlock, p),
-		weights: make([]float64, p),
+		weights: make([]float64, 2*p+1),
 		leaves:  leaves,
 	}
 }
@@ -133,6 +137,17 @@ func (p forkPartial) cost() mapping.Cost {
 	return mapping.Cost{Period: p.period, Latency: max(p.rootDelay, p.rootDone+p.maxOther)}
 }
 
+// ahead raises the partial state by the look-ahead bound once the root
+// is placed: the blocks still to place weigh wRem and get disjoint
+// subsets of processors whose speeds sum to sFree, so some block has a
+// period and a delay of at least wRem/sFree (see aheadSlack).
+func (p forkPartial) ahead(wRem, sFree float64) forkPartial {
+	lb := wRem / sFree * aheadSlack
+	p.period = max(p.period, lb)
+	p.maxOther = max(p.maxOther, lb)
+	return p
+}
+
 // runFrom invokes visit for every valid fork mapping whose partition
 // extends a fixed restricted-growth prefix naming `used` blocks (nil
 // enumerates everything) and that no cut drops, stopping early once the
@@ -171,13 +186,23 @@ func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, cut func
 			}
 			e.weights[b] = w
 		}
+		rem := weighRest(e.weights, nblocks)
 		var rec func(b, usedMask int, part forkPartial) bool
 		rec = func(b, usedMask int, part forkPartial) bool {
+			e.nodes++
 			if !e.step.ok() {
 				return false
 			}
+			free := full &^ usedMask
 			if b > 0 {
-				c := part.cost()
+				bound := part
+				if b < nblocks {
+					if free == 0 {
+						return true
+					}
+					bound = part.ahead(rem[b], e.info[free].sum)
+				}
+				c := bound.cost()
 				if cut != nil && cut(c) {
 					return true
 				}
@@ -188,7 +213,6 @@ func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, cut func
 			// Data-parallel is legal for leaf-only blocks and for the root
 			// alone (Section 3.4).
 			dp := e.allowDP && (!blocks[b].Root || len(blocks[b].Leaves) == 0)
-			free := full &^ usedMask
 			for sub := free; sub > 0; sub = (sub - 1) & free {
 				blocks[b].Procs = e.info[sub].procs
 				for _, mode := range modes(dp) {

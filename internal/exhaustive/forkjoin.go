@@ -22,9 +22,12 @@ type fjEnum struct {
 	step    *stepper
 	assign  []int
 	blocks  []mapping.ForkJoinBlock
-	weights []float64
+	weights []float64 // block weights, then their suffix sums (see weighRest)
 	leafW   []float64 // per-block leaf-only weight (no root/join share)
 	leaves  [][]int
+	// nodes counts the scan nodes visited over the enumerator's life:
+	// the host-independent work measure of the cut tests.
+	nodes int
 }
 
 func newFJEnum(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, info []maskInfo) *fjEnum {
@@ -39,7 +42,7 @@ func newFJEnum(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, info []
 		step:    newStepper(context.Background()),
 		assign:  make([]int, fj.Leaves()+2),
 		blocks:  make([]mapping.ForkJoinBlock, p),
-		weights: make([]float64, p),
+		weights: make([]float64, 2*p+1),
 		leafW:   make([]float64, p),
 		leaves:  leaves,
 	}
@@ -91,6 +94,23 @@ func (p fjPartial) cost() mapping.Cost {
 	return mapping.Cost{Period: p.period, Latency: p.leafDone + p.joinDelay}
 }
 
+// ahead raises the partial state by the look-ahead bound once the root
+// is placed. The blocks still to place weigh wRem — their leaves, plus
+// the join while it is unplaced (jRem is its weight then, else 0) — and
+// get disjoint processor subsets whose speeds sum to sFree; a block's
+// period and delay are at least its weight over its subset's speed sum.
+// So some block has a period of at least wRem/sFree; the latest
+// remaining leaf's delay plus an unplaced join's is at least wRem/sFree
+// past rootDone; and an unplaced join's delay, at least jRem/sFree,
+// follows the placed leaves. Until the join is placed its delay slot is
+// zero, so those terms raise leafDone and the latency stays
+// leafDone + joinDelay (see aheadSlack).
+func (p fjPartial) ahead(wRem, jRem, sFree float64) fjPartial {
+	p.period = max(p.period, wRem/sFree*aheadSlack)
+	p.leafDone = max(p.leafDone+jRem/sFree*aheadSlack, (p.rootDone+wRem/sFree)*aheadSlack)
+	return p
+}
+
 // runFrom invokes visit for every valid fork-join mapping whose
 // partition extends a fixed restricted-growth prefix naming `used`
 // blocks (nil enumerates everything) and that no cut drops, stopping
@@ -137,13 +157,27 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(m
 			e.weights[b] = w
 			e.leafW[b] = wl
 		}
+		rem, joinBlock := weighRest(e.weights, nblocks), assign[items-1]
 		var rec func(b, usedMask int, part fjPartial) bool
 		rec = func(b, usedMask int, part fjPartial) bool {
+			e.nodes++
 			if !e.step.ok() {
 				return false
 			}
+			free := full &^ usedMask
 			if b > 0 {
-				c := part.cost()
+				bound := part
+				if b < nblocks {
+					if free == 0 {
+						return true
+					}
+					var jRem float64
+					if b <= joinBlock {
+						jRem = e.fj.Join
+					}
+					bound = part.ahead(rem[b], jRem, e.info[free].sum)
+				}
+				c := bound.cost()
 				if cut != nil && cut(c) {
 					return true
 				}
@@ -155,7 +189,6 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(m
 			// root alone, or the join alone.
 			alone := len(blocks[b].Leaves) == 0 && !(blocks[b].Root && blocks[b].Join)
 			dp := e.allowDP && ((!blocks[b].Root && !blocks[b].Join) || alone)
-			free := full &^ usedMask
 			for sub := free; sub > 0; sub = (sub - 1) & free {
 				blocks[b].Procs = e.info[sub].procs
 				for _, mode := range modes(dp) {

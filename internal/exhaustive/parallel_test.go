@@ -183,14 +183,14 @@ func TestParallelPipelineSweepIdentity(t *testing.T) {
 // partitioned scan must stop every shard worker promptly — the solve on
 // an instance whose full scan takes seconds returns with ctx.Err() in a
 // small fraction of that. The instance is a period minimization whose
-// cut scan still runs for about 12 s of CPU on a 2.1 GHz Xeon (3 s of
-// wall time even spread over four cores, and far longer under the race
-// detector): neither the cut, the incumbent bound nor the anytime lower
-// bound ends it early on its own, so only cancellation can meet the time
-// bound.
+// serial cut scan, look-ahead bound included, still runs for about 22 s
+// on a 2.1 GHz Xeon (5 s of wall time even spread over four cores, and
+// far longer under the race detector): neither the cut, the incumbent
+// bound nor the anytime lower bound ends it early on its own, so only
+// cancellation can meet the time bound.
 func TestParallelScanCancellationPrompt(t *testing.T) {
-	f := workflow.NewFork(5, 7, 3, 9, 4, 6, 2, 8, 5, 1)
-	pl := platform.New(5, 4, 3, 2, 1, 3)
+	f := workflow.NewFork(3, 3, 5, 7, 8, 9, 5, 7, 6, 8, 4, 3)
+	pl := platform.New(4, 5, 2, 1, 3, 2, 1)
 	fp := NewForkPrepared(f, pl, true)
 	fp.SetParallelism(4)
 

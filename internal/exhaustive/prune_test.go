@@ -60,16 +60,31 @@ func countedScan[M any](e enumerator[M], allowDP, minimizePeriod, cut bool) (Res
 	return res, ok, costed, err
 }
 
+// scanNodes is the number of scan nodes e has visited.
+func scanNodes(e any) int {
+	switch e := e.(type) {
+	case *forkEnum:
+		return e.nodes
+	case *fjEnum:
+		return e.nodes
+	}
+	panic("unknown enumerator")
+}
+
 // checkCutSavings compares cut and uncut scans of one instance set, one
 // objective per instance (period on even indices, latency on odd ones,
-// as the kernel benchmarks do): results must be identical and the cut
-// must cost at least ten times fewer mappings over the set. The counts
-// are deterministic, unlike the benchmarks' timings.
-func checkCutSavings[M any](t *testing.T, kind string, enums []enumerator[M]) {
+// as the kernel benchmarks do): results must be identical, the cut must
+// cost at least ten times fewer mappings over the set, and the cut scans
+// may visit at most maxNodes scan nodes in all — the ceiling that pins
+// the look-ahead bound. The counts are deterministic, unlike the
+// benchmarks' timings.
+func checkCutSavings[M any](t *testing.T, kind string, enums []enumerator[M], maxNodes int) {
 	t.Helper()
-	var cutCosted, fullCosted int
+	var cutCosted, fullCosted, nodes int
 	for k, e := range enums {
+		before := scanNodes(e)
 		res, ok, n, err := countedScan(e, true, k%2 == 0, true)
+		nodes += scanNodes(e) - before
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,15 +98,19 @@ func checkCutSavings[M any](t *testing.T, kind string, enums []enumerator[M]) {
 		cutCosted += n
 		fullCosted += wantN
 	}
-	t.Logf("%s: %d mappings costed with the cut, %d without", kind, cutCosted, fullCosted)
+	t.Logf("%s: %d mappings costed with the cut, %d without; %d scan nodes", kind, cutCosted, fullCosted, nodes)
 	if 10*cutCosted > fullCosted {
 		t.Errorf("%s: the cut costs %d mappings against %d without it, want at least 10x fewer", kind, cutCosted, fullCosted)
+	}
+	if nodes > maxNodes {
+		t.Errorf("%s: the cut scans visit %d scan nodes, want at most %d", kind, nodes, maxNodes)
 	}
 }
 
 // TestForkCutCostsFewerMappings runs BenchmarkKernelFork's instance set
 // (internal/incumbent/kernels_bench_test.go: seed 2, a root and 5 leaves
 // of weight 1..10 on 4 processors of speed 1..5, data-parallelism on).
+// Without the look-ahead bound the cut scans visit 105,424 nodes.
 func TestForkCutCostsFewerMappings(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	var enums []enumerator[mapping.ForkMapping]
@@ -100,11 +119,12 @@ func TestForkCutCostsFewerMappings(t *testing.T) {
 		pl := platform.Random(r, 4, 5)
 		enums = append(enums, newForkEnum(f, pl, true, buildMaskInfo(pl)))
 	}
-	checkCutSavings(t, "fork", enums)
+	checkCutSavings(t, "fork", enums, 26000)
 }
 
 // TestForkJoinCutCostsFewerMappings runs BenchmarkKernelForkJoin's
 // instance set (seed 3, root, join and 4 leaves on 4 processors).
+// Without the look-ahead bound the cut scans visit 170,607 nodes.
 func TestForkJoinCutCostsFewerMappings(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	var enums []enumerator[mapping.ForkJoinMapping]
@@ -113,7 +133,7 @@ func TestForkJoinCutCostsFewerMappings(t *testing.T) {
 		pl := platform.Random(r, 4, 5)
 		enums = append(enums, newFJEnum(fj, pl, true, buildMaskInfo(pl)))
 	}
-	checkCutSavings(t, "fork-join", enums)
+	checkCutSavings(t, "fork-join", enums, 56000)
 }
 
 func TestPipelinePruningIsByteIdentical(t *testing.T) {

@@ -13,10 +13,14 @@ package exhaustive
 // The scan is a branch and bound: the enumerators carry the partial
 // cost of the blocks assigned so far, built with exactly the operations
 // of the complete cost (max, correctly rounded + and /, all monotone),
-// so it never exceeds the cost of a completion, bit for bit. The install
-// rule's test, applied to it, drops a subtree only when the rule would
-// reject every mapping in it; the enumeration order is unchanged, so
-// results are the unpruned scan's at every worker count.
+// so it never exceeds the cost of a completion, bit for bit. At every
+// internal node they raise it by a look-ahead bound on the blocks not
+// yet placed — their weight over the speed of the free processors,
+// shrunk by aheadSlack — which no completion undercuts either. The
+// install rule's test, applied to the raised cost, drops a subtree only
+// when the rule would reject every mapping in it; the enumeration order
+// is unchanged, so results are the unpruned scan's at every worker
+// count.
 
 import (
 	"context"
@@ -27,6 +31,31 @@ import (
 	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 )
+
+// aheadSlack shrinks a look-ahead bound (forkPartial.ahead,
+// fjPartial.ahead) into a true lower bound. Over the blocks still to
+// place, the sum of their weights over the sum of the free speeds is at
+// most the largest block's weight over its own speed sum (a mediant),
+// and hence at most its period and its delay; but the bound sums weights
+// and speeds in another order than the complete cost divides them, and
+// the fork-join bound adds one quotient to rootDone where the complete
+// cost may add two (a leaf's delay, then the join's). Those roundings
+// differ by a few ULPs per term, and 2^-40 covers thousands of terms,
+// far beyond the exhaustive caps. A shrunk bound only cuts less.
+const aheadSlack = 1 - 1.0/(1<<40)
+
+// weighRest fills the suffix sums of the first nblocks block weights of
+// w — w[:p] holds the weights, w[p:] (p+1 entries) the sums — and
+// returns them: rem[b] is the weight of blocks b..nblocks-1.
+func weighRest(w []float64, nblocks int) []float64 {
+	p := len(w) / 2
+	rem := w[p : p+nblocks+1]
+	rem[nblocks] = 0
+	for b := nblocks - 1; b >= 0; b-- {
+		rem[b] = w[b] + rem[b+1]
+	}
+	return rem
+}
 
 // Result is an optimal mapping together with its exact cost.
 type Result[M any] struct {
@@ -41,8 +70,9 @@ type enumerator[M any] interface {
 	// cancelled. The visited mapping aliases the enumerator's scratch.
 	// After each block's processors and mode are chosen, cut sees the
 	// partial cost of the blocks assigned so far — accumulated with the
-	// operations of the complete cost, so it never exceeds the cost of
-	// any completion in either field — and a true answer skips every
+	// operations of the complete cost and, while blocks remain, raised
+	// by the look-ahead bound, so it never exceeds the cost of any
+	// completion in either field — and a true answer skips every
 	// completion. A nil cut visits every mapping.
 	runFrom(ctx context.Context, prefix []int, used int, cut func(mapping.Cost) bool, visit func(M, mapping.Cost) bool)
 	// err is the cancellation latched by the last run.

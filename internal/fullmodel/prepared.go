@@ -25,6 +25,12 @@ import (
 // division the reported costs use.
 const lbSlack = 1 - 1.0/(1<<50)
 
+// aheadSlack shrinks the interval scan's look-ahead latency bound into a
+// true lower bound: the bound sums reciprocal products in another order
+// than the cost sums its divisions, a few ULPs per term, and 2^-40
+// covers thousands of terms.
+const aheadSlack = 1 - 1.0/(1<<40)
+
 // surelyGreater reports whether every value v >= a satisfies
 // numeric.Greater(v, b): a clears b by more than the comparison
 // tolerance at every scale (absolute near zero, relative above one).
@@ -277,6 +283,12 @@ type intervalScan struct {
 	bound  float64
 	leaves int
 	err    error
+	// latCut is whether the look-ahead latency bound can cut: the goal
+	// minimizes the latency or caps it.
+	latCut bool
+	// nodes counts the walk nodes visited over the scan's life: the
+	// host-independent work measure of the cut tests.
+	nodes int
 }
 
 // scan enumerates the interval mappings of one shard — the whole space,
@@ -292,13 +304,15 @@ func (sc *intervalScan) scan(ctx context.Context, goal Goal, sh *incumbent.Shard
 	}
 	sc.ctx, sc.goal, sc.sh = ctx, goal, sh
 	sc.best, sc.bound, sc.leaves, sc.err = pipeResult{}, sh.Bound(), 0, nil
+	sc.latCut = !goal.MinimizePeriod || goal.LatencyCap > 0
 	sc.bounds, sc.alloc = sc.bounds[:0], sc.alloc[:0]
 	procs := pp.pl.Processors()
 	if whole {
-		sc.walk(0, 0)
+		sc.walk(0, 0, 0)
 	} else if j, u := shard/procs, shard%procs; !pp.pruneInterval(goal, 0, j, u, sc.bound) {
+		lat := sc.placed(0, j, u, 0)
 		sc.push(j, u)
-		sc.walk(j+1, 1<<u)
+		sc.walk(j+1, 1<<u, lat)
 	}
 	best, err := sc.best, sc.err
 	sc.ctx, sc.best = nil, pipeResult{}
@@ -318,11 +332,58 @@ func (sc *intervalScan) pop() {
 	sc.alloc = sc.alloc[:len(sc.alloc)-1]
 }
 
-// walk places the intervals from stage i on, with the processors in
-// mask taken, and installs each complete mapping under the serial rule.
-// It polls the shared bound every 64 mappings and the context every 256.
-func (sc *intervalScan) walk(i, mask int) {
+// placed returns lat, the look-ahead latency of the intervals placed so
+// far, with stages i..j on processor u appended: the interval's input
+// transfer and its work over u's speed. Its output transfer is left out
+// (it depends on the next processor), so lat never exceeds the latency
+// of a completion up to rounding (see aheadSlack). Without latCut it
+// stays 0.
+func (sc *intervalScan) placed(i, j, u int, lat float64) float64 {
+	if !sc.latCut {
+		return 0
+	}
 	pp := sc.pp
+	var in float64
+	if len(sc.alloc) == 0 {
+		in = pp.p.Data[i] / pp.pl.InBand[u]
+	} else {
+		in = pp.p.Data[i] / pp.pl.Band[sc.alloc[len(sc.alloc)-1]][u]
+	}
+	return lat + in + pp.workTbl[i][j]*pp.inv[u]
+}
+
+// cutAhead reports whether every completion of a node whose placed
+// intervals cover stages ..i-1 with the processors in mask taken, at
+// look-ahead latency lat, is certainly infeasible under the latency cap
+// or certainly worse than the bound (latency objective). The remaining
+// stages' work runs at best on the fastest free processor, so lat plus
+// that work over its speed bounds the latency of every completion; a
+// node with stages left and no free processor has no completion.
+func (sc *intervalScan) cutAhead(i, mask int, lat float64) bool {
+	pp := sc.pp
+	inv := numeric.Inf
+	for u := range pp.inv {
+		if mask&(1<<u) == 0 {
+			inv = min(inv, pp.inv[u])
+		}
+	}
+	if inv == numeric.Inf {
+		return true
+	}
+	lb := (lat + pp.workTbl[i][pp.n-1]*inv) * aheadSlack
+	if sc.goal.LatencyCap > 0 && surelyGreater(lb, sc.goal.LatencyCap) {
+		return true
+	}
+	return !sc.goal.MinimizePeriod && surelyGreater(lb, sc.bound)
+}
+
+// walk places the intervals from stage i on, with the processors in
+// mask taken and look-ahead latency lat (see placed), and installs each
+// complete mapping under the serial rule. It polls the shared bound
+// every 64 mappings and the context every 256.
+func (sc *intervalScan) walk(i, mask int, lat float64) {
+	pp := sc.pp
+	sc.nodes++
 	if sc.err != nil {
 		return
 	}
@@ -348,14 +409,18 @@ func (sc *intervalScan) walk(i, mask int) {
 		sc.sh.Tighten(v)
 		return
 	}
+	if sc.latCut && sc.cutAhead(i, mask, lat) {
+		return
+	}
 	procs := pp.pl.Processors()
 	for j := i; j < pp.n; j++ {
 		for u := 0; u < procs; u++ {
 			if mask&(1<<u) != 0 || pp.pruneInterval(sc.goal, i, j, u, sc.bound) {
 				continue
 			}
+			next := sc.placed(i, j, u, lat)
 			sc.push(j, u)
-			sc.walk(j+1, mask|1<<u)
+			sc.walk(j+1, mask|1<<u, next)
 			sc.pop()
 		}
 	}

@@ -33,10 +33,12 @@ import (
 //
 // A second corpus, kernels_bench_golden.ndjson, holds instances of the
 // solve-nphard shapes (bench/workloads.go's npHardSpecs): forks with 5
-// leaves and fork-joins with 4 on 4–5 processors, and 6-step SP DAGs on
-// 5 processors — large enough that the partition scans' cuts drop most
-// of every search. It was recorded from the scans that cost every
-// complete mapping, before the cuts existed.
+// leaves and fork-joins with 4 on 4–5 processors, 6-step SP DAGs on 5
+// processors, and 6-stage comm pipelines on 5 processors with per-link
+// bandwidths — large enough that the scans' cuts drop most of every
+// search. The partition-scan records were recorded from the scans that
+// cost every complete mapping, before the cuts existed; the comm records
+// from the interval scan before its latency look-ahead.
 //
 // Do not regenerate either corpus to absorb a diff: a mismatch means a
 // kernel changed its answer.
@@ -250,7 +252,9 @@ func goldenInstances() []goldenCase {
 }
 
 // benchGoldenInstances draws the bench-shaped corpus instances: 48 of
-// each partition-scan kind, in the shapes of the solve-nphard workload.
+// each partition-scan kind and 48 comm pipelines, in the shapes of the
+// solve-nphard workload. The comm instances are drawn last, so adding
+// them left the earlier records unchanged.
 func benchGoldenInstances() []goldenCase {
 	rng := rand.New(rand.NewSource(20261017))
 	var out []goldenCase
@@ -268,6 +272,19 @@ func benchGoldenInstances() []goldenCase {
 		g := workflow.RandomSP(rng, 6, 10, 4, 3)
 		pl := platform.Random(rng, 5, 5)
 		out = append(out, goldenCase{Kernel: "sp", SP: &g, Platform: &pl})
+	}
+	// 6 stages on 5 processors with per-link bandwidths: stage weights
+	// 1..10, data sizes, speeds and bandwidths 1..5.
+	for i := 0; i < 48; i++ {
+		p := fullmodel.NewPipeline(kernelWeights(rng, 6), kernelData(rng, 7))
+		speeds := kernelData(rng, 5)
+		bw := fullmodel.Bandwidth{Links: make([][]float64, 5), In: kernelData(rng, 5), Out: kernelData(rng, 5)}
+		for u := range bw.Links {
+			bw.Links[u] = kernelData(rng, 5)
+			bw.Links[u][u] = 0
+		}
+		pl := bw.Apply(speeds)
+		out = append(out, goldenCase{Kernel: "comm", CommPipeline: &p, CommPlatform: &pl})
 	}
 	return out
 }
@@ -315,7 +332,7 @@ func TestKernelsGoldenCorpus(t *testing.T) {
 
 func TestKernelsBenchGoldenCorpus(t *testing.T) {
 	checkGoldenCorpus(t, benchGoldenPath, *writeBenchGolden, benchGoldenInstances,
-		[]string{"fork", "forkjoin", "sp"})
+		[]string{"fork", "forkjoin", "sp", "comm"})
 }
 
 // checkGoldenCorpus re-solves every record of the corpus at path at one
