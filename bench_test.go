@@ -541,7 +541,7 @@ func BenchmarkExhaustivePipeline(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Engine benchmarks: the parallel/caching batch solver against the serial
-// path. Results are recorded in BENCH_engine.json.
+// path. Their ceilings are gated by BENCH_baseline.json.
 
 // engineBenchProblems builds a workload of distinct instances replicated
 // `dup` times each — the repeated-scenario shape the engine's memoization

@@ -25,6 +25,16 @@
 // loop checkpoints and return ctx.Err() promptly when cancelled. Solve
 // is SolveContext with context.Background().
 //
+// # NP-hard cells
+//
+// Each NP-hard kind describes its hard cells once, in a small
+// descriptor: the in-limits test (its only reader of the exhaustive caps
+// in Options), its prepared exact solver, the heuristics past the caps
+// and its anytime portfolio, if any. One body runs every descriptor by
+// one rule: a one-shot solve is a prepared solve used once. Solve builds
+// the cell Prepare shares across an objective family, and the
+// portfolio's exact member is the same solver on one worker.
+//
 // # Anytime solving
 //
 // Options.AnytimeBudget switches every NP-hard cell of a kind with a

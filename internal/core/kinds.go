@@ -51,15 +51,6 @@ type KindSpec struct {
 	// the (validated) instance under normalized opts.
 	ExactlySolvable func(pr Problem, opts Options) bool
 
-	// Preparable is the registry-level gate of core.Prepare: it reports
-	// whether the kind can produce a prepared solver for the (validated)
-	// instance under normalized opts. Nil means no cell of the kind
-	// prepares, so Prepare fails fast without probing the cells. It must
-	// be truthful in the negative direction only — returning true merely
-	// lets Prepare probe the instance's cells, whose Prepare entries stay
-	// authoritative.
-	Preparable func(pr Problem, opts Options) bool
-
 	// ParallelWorthwhile is the auto-mode crossover of the partitioned
 	// exhaustive search. Nil means the kind has no parallel search path,
 	// so auto mode always stays serial.

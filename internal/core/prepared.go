@@ -32,12 +32,12 @@ var preparableObjectives = [...]Objective{MinPeriod, MinLatency, LatencyUnderPer
 // (nil, false) when preparation does not apply: the instance is invalid,
 // a positive AnytimeBudget routes solves to the portfolio (whose results
 // are time-dependent, so sharing state across solves would change them),
-// or the instance's kind spec does not advertise the Preparable
-// capability for it (legacy polynomial cells gain nothing from
-// preparation; NP-hard kinds prepare their exhaustive path and, where a
-// cached heuristic candidate set pays for itself — SP and the
-// communication-aware kinds — their oversized path too). The Objective
-// and Bound of pr are ignored — Solve supplies them per call.
+// or no cell of the instance prepares it. Polynomial legacy cells gain
+// nothing from preparation and register no Prepare; NP-hard cells
+// prepare their exhaustive path and, where a cached heuristic candidate
+// set pays for itself — SP and the communication-aware kinds — their
+// oversized path too. The Objective and Bound of pr are ignored — Solve
+// supplies them per call.
 func Prepare(pr Problem, opts Options) (*PreparedSolver, bool) {
 	opts = opts.Normalized()
 	if opts.AnytimeBudget > 0 {
@@ -47,13 +47,6 @@ func Prepare(pr Problem, opts Options) (*PreparedSolver, bool) {
 	sub.Objective = MinPeriod
 	sub.Bound = 0
 	if err := sub.Validate(); err != nil {
-		return nil, false
-	}
-	// Consult the kind's Preparable capability before probing any cell:
-	// the spec decides whether preparation applies to the instance at
-	// all, so the pool gate works uniformly across kinds instead of
-	// special-casing them here.
-	if spec := specOf(sub); spec == nil || spec.Preparable == nil || !spec.Preparable(sub, opts) {
 		return nil, false
 	}
 	ps := &PreparedSolver{base: sub, opts: opts}
@@ -70,7 +63,7 @@ func Prepare(pr Problem, opts Options) (*PreparedSolver, bool) {
 		}
 		if shared == nil {
 			if shared = e.Prepare(sub, opts); shared == nil {
-				return nil, false // outside the exhaustive limits
+				return nil, false // nothing to share, e.g. past the exhaustive limits
 			}
 		}
 		ps.fns[obj] = shared.Solve

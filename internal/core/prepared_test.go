@@ -17,8 +17,19 @@ import (
 // legacy cells, SP decompositions, communication-aware cells), the rest
 // exercise the polynomial fallback inside PreparedSolver.Solve.
 func randomHardishProblem(rng *rand.Rand) Problem {
+	return randomSizedProblem(rng, false)
+}
+
+// randomSizedProblem draws like randomHardishProblem; wide draws reach
+// past the default exhaustive caps, with up to 7 processors (11 for half
+// the pipelines) and three more stages, leaves or steps.
+func randomSizedProblem(rng *rand.Rand, wide bool) Problem {
 	pr := Problem{AllowDataParallel: rng.Intn(2) == 0}
-	procs := 1 + rng.Intn(4)
+	maxProcs, extra := 4, 0
+	if wide {
+		maxProcs, extra = 7, 3
+	}
+	procs := 1 + rng.Intn(maxProcs)
 	if rng.Intn(3) == 0 {
 		pr.Platform = platform.Homogeneous(procs, float64(1+rng.Intn(3)))
 	} else {
@@ -28,18 +39,21 @@ func randomHardishProblem(rng *rand.Rand) Problem {
 	case 0:
 		g := workflow.RandomPipeline(rng, 1+rng.Intn(5), 9)
 		pr.Pipeline = &g
+		if wide && rng.Intn(2) == 0 {
+			pr.Platform = platform.Random(rng, 11, 4)
+		}
 	case 1:
-		g := workflow.RandomFork(rng, 1+rng.Intn(3), 9)
+		g := workflow.RandomFork(rng, 1+rng.Intn(3+extra), 9)
 		pr.Fork = &g
 	case 2:
-		g := workflow.RandomForkJoin(rng, 1+rng.Intn(2), 9)
+		g := workflow.RandomForkJoin(rng, 1+rng.Intn(2+extra), 9)
 		pr.ForkJoin = &g
 	case 3:
-		g := workflow.RandomSP(rng, 1+rng.Intn(6), 9, 4, 3)
+		g := workflow.RandomSP(rng, 1+rng.Intn(6+extra), 9, 4, 3)
 		pr.SP = &g
 		pr.AllowDataParallel = false
 	case 4:
-		n := 1 + rng.Intn(5)
+		n := 1 + rng.Intn(5+extra)
 		ws := make([]float64, n)
 		for i := range ws {
 			ws[i] = float64(1 + rng.Intn(9))
@@ -53,7 +67,7 @@ func randomHardishProblem(rng *rand.Rand) Problem {
 		pr.Bandwidth = &fullmodel.Bandwidth{Uniform: float64(1 + rng.Intn(4))}
 		pr.AllowDataParallel = false
 	default:
-		leaves := rng.Intn(4)
+		leaves := rng.Intn(4 + extra)
 		f := fullmodel.Fork{
 			Root: float64(1 + rng.Intn(9)), In: float64(rng.Intn(3)), Out0: float64(rng.Intn(3)),
 			Weights: make([]float64, leaves), Outs: make([]float64, leaves),
@@ -72,17 +86,36 @@ func randomHardishProblem(rng *rand.Rand) Problem {
 // TestPreparedSolverMatchesSolveContext is the core-level byte-identity
 // corpus: for every objective (bounded and unbounded), a prepared solver
 // answering a shuffled sequence of solves must return exactly what
-// SolveContext returns on the same problem.
+// SolveContext returns on the same problem. The last 40 draws reach past
+// the default exhaustive caps, onto the oversized prepared paths. Every
+// solve also checks ExactlySolvable against the exactness it reports.
 func TestPreparedSolverMatchesSolveContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	ctx := context.Background()
 	prepared := 0
-	for trial := 0; trial < 60; trial++ {
-		pr := randomHardishProblem(rng)
+	oversized := map[string]int{} // prepared draws answered heuristically, by kind
+	checkExact := func(trial int, pr Problem) Solution {
+		t.Helper()
+		sol, err := SolveContext(ctx, pr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ExactlySolvable(pr, Options{}); got != sol.Exact {
+			t.Fatalf("trial %d %v: ExactlySolvable = %v, solve reports exact %v (%v)", trial, pr.Objective, got, sol.Exact, sol.Method)
+		}
+		return sol
+	}
+	for trial := 0; trial < 100; trial++ {
+		pr := randomSizedProblem(rng, trial >= 60)
 		ps, ok := Prepare(pr, Options{})
 		if !ok {
 			// No prepared capability for this instance (every registered
-			// cell polynomial): nothing to compare.
+			// cell polynomial, or a legacy kind past its caps): nothing
+			// to compare.
+			for _, obj := range []Objective{MinPeriod, MinLatency} {
+				pr.Objective = obj
+				checkExact(trial, pr)
+			}
 			continue
 		}
 		prepared++
@@ -107,18 +140,23 @@ func TestPreparedSolverMatchesSolveContext(t *testing.T) {
 			sub := pr
 			sub.Objective = c.obj
 			sub.Bound = c.bound
-			want, err := SolveContext(ctx, sub, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := checkExact(trial, sub)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d %v bound=%g: prepared solve diverges\n got %+v\nwant %+v",
 					trial, c.obj, c.bound, got, want)
 			}
+			if want.Method == MethodHeuristic && c.obj == MinPeriod {
+				oversized[specOf(pr).Name]++
+			}
 		}
 	}
-	if prepared < 10 {
-		t.Fatalf("only %d/60 trials exercised the prepared path; corpus too weak", prepared)
+	if prepared < 25 {
+		t.Fatalf("only %d/100 trials exercised the prepared path; corpus too weak", prepared)
+	}
+	for _, kind := range []workflow.Kind{workflow.KindSP, workflow.KindCommPipeline, workflow.KindCommFork} {
+		if oversized[kind.String()] == 0 {
+			t.Errorf("no oversized prepared %v draw; corpus too weak (%v)", kind, oversized)
+		}
 	}
 }
 

@@ -78,11 +78,7 @@ func init() {
 		PlatformHomogeneous: commHomogeneous,
 		NeedsBandwidth:      true,
 		Classify:            classifyCommPipeline,
-		ExactlySolvable:     commPipeInLimits,
-		// Every comm-pipeline cell prepares: the hom-platform DP reuses its
-		// tables and candidate set, the het-platform exhaustive its scratch
-		// and memo, the oversized path its heuristic candidate evaluations.
-		Preparable: func(Problem, Options) bool { return true },
+		ExactlySolvable:     commPipeKind.inLimits,
 		// Only the het-platform exhaustive scan has a partitioned path; the
 		// hom-platform DP is polynomial and stays serial.
 		ParallelWorthwhile: func(pr Problem) bool {
@@ -120,11 +116,10 @@ func init() {
 		Classify: func(CellKey) Classification {
 			return Classification{NPHard, "Section 3.3 (one-port fork)"}
 		},
-		ExactlySolvable: commForkInLimits,
-		// Every comm-fork cell prepares; the fork scan itself stays serial
-		// (instances behind the limits are small enough that scratch reuse
-		// dominates), so there is no ParallelWorthwhile.
-		Preparable:       func(Problem, Options) bool { return true },
+		ExactlySolvable: commForkKind.inLimits,
+		// The one-port fork scan stays serial (instances behind the limits
+		// are small enough that scratch reuse dominates), so there is no
+		// ParallelWorthwhile.
 		CandidatePeriods: commForkCandidatePeriods,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			mix(pr.CommFork.Root)
@@ -153,14 +148,10 @@ func init() {
 	// NP-hard and solved exhaustively within the fork limits.
 	for _, gh := range bools {
 		for _, obj := range objs {
-			method := MethodDP
-			if obj == MinPeriod || obj == PeriodUnderLatency {
-				method = MethodBinarySearchDP
-			}
 			register(CellKey{workflow.KindCommPipeline, true, gh, false, obj},
-				SolverEntry{method, true, "Section 3.2 (hom. platform)", solveCommPipeHom, prepareCommPipeHom, nil})
+				SolverEntry{methodForCommPipeObjective(obj), true, "Section 3.2 (hom. platform)", solveCommPipeHom, prepareCommPipeHom, nil})
 			register(CellKey{workflow.KindCommPipeline, false, gh, false, obj},
-				SolverEntry{MethodExhaustive, true, "Section 3.2 (het. platform)", solveCommPipeHard, prepareCommPipeHard, nil})
+				SolverEntry{MethodExhaustive, true, "Section 3.2 (het. platform)", commPipeKind.solve, commPipeKind.prepare, nil})
 		}
 	}
 	// Comm-fork cells: NP-hard on every axis combination (the one-port
@@ -169,7 +160,7 @@ func init() {
 		for _, gh := range bools {
 			for _, obj := range objs {
 				register(CellKey{workflow.KindCommFork, ph, gh, false, obj},
-					SolverEntry{MethodExhaustive, true, "Section 3.3 (one-port fork)", solveCommForkHard, prepareCommFork, nil})
+					SolverEntry{MethodExhaustive, true, "Section 3.3 (one-port fork)", commForkKind.solve, commForkKind.prepare, nil})
 			}
 		}
 	}
@@ -187,18 +178,58 @@ func classifyCommPipeline(k CellKey) Classification {
 	return Classification{PolyDP, "Section 3.2 (hom. platform)"}
 }
 
-// commPipeInLimits gates the exhaustive comm-pipeline search: the
-// enumeration assigns intervals to distinct processors, so it reuses the
-// fork limits (stage count and processor count).
-func commPipeInLimits(pr Problem, opts Options) bool {
-	return pr.CommPipeline.Stages() <= opts.MaxExhaustiveForkStages &&
-		pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
+// commPipeKind describes the NP-hard het-platform comm-pipeline cells:
+// the exhaustive interval scan within the limits (it assigns intervals to
+// distinct processors, so it reuses the fork limits), the deterministic
+// heuristic seeds beyond them.
+var commPipeKind = hardKind{
+	inLimits: func(pr Problem, opts Options) bool {
+		return pr.CommPipeline.Stages() <= opts.MaxExhaustiveForkStages &&
+			pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
+	},
+	newExact: func(pr Problem) (any, error) {
+		solver, err := fullmodel.NewPipelinePrepared(*pr.CommPipeline, commPlatform(pr))
+		return solver, err
+	},
+	exact: func(ctx context.Context, pp any, pr Problem) (Solution, bool, error) {
+		m, c, ok, err := pp.(*fullmodel.PipelinePrepared).SolveExact(ctx, commGoal(pr))
+		if !ok || err != nil {
+			return Solution{}, false, err
+		}
+		return commPipeMapped(m, commCost(c)), true, nil
+	},
+	heuristic: func(pr Problem, shared bool) (hardSolve, error) {
+		p, pl := *pr.CommPipeline, commPlatform(pr)
+		eval := func(m fullmodel.Mapping) (fullmodel.Cost, error) { return fullmodel.Eval(p, pl, m) }
+		return commHeuristic(fullmodel.HeuristicCandidates(p, pl), eval, shared, cloneCommPipeMapping, commPipeMapped)
+	},
 }
 
-// commForkInLimits gates the exhaustive one-port fork search.
-func commForkInLimits(pr Problem, opts Options) bool {
-	return pr.CommFork.Leaves()+1 <= opts.MaxExhaustiveForkStages &&
-		pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
+// commForkKind describes the one-port fork cells, NP-hard on every axis:
+// the exhaustive partition scan within the limits, the deterministic
+// heuristic seeds (each finished with its latency-optimal send order)
+// beyond them.
+var commForkKind = hardKind{
+	inLimits: func(pr Problem, opts Options) bool {
+		return pr.CommFork.Leaves()+1 <= opts.MaxExhaustiveForkStages &&
+			pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
+	},
+	newExact: func(pr Problem) (any, error) {
+		solver, err := fullmodel.NewForkPrepared(*pr.CommFork, commPlatform(pr))
+		return solver, err
+	},
+	exact: func(ctx context.Context, fp any, pr Problem) (Solution, bool, error) {
+		m, c, ok, err := fp.(*fullmodel.ForkPrepared).SolveExact(ctx, commGoal(pr))
+		if !ok || err != nil {
+			return Solution{}, false, err
+		}
+		return commForkMapped(m, commCost(c)), true, nil
+	},
+	heuristic: func(pr Problem, shared bool) (hardSolve, error) {
+		f, pl := *pr.CommFork, commPlatform(pr)
+		eval := func(m fullmodel.ForkMapping) (fullmodel.Cost, error) { return fullmodel.EvalFork(f, pl, m, false) }
+		return commHeuristic(fullmodel.ForkHeuristicCandidates(f, pl), eval, shared, cloneCommForkMapping, commForkMapped)
+	},
 }
 
 // commForkCandidatePeriods approximates the achievable period set of a
@@ -212,20 +243,13 @@ func commForkCandidatePeriods(pr Problem) []float64 {
 	return periodsFromWeights(forkBlockWeights(f.Root, 0, false, f.Weights), pr.Platform)
 }
 
-// commPipeSolution wraps a comm-pipeline mapping into a Solution.
-func commPipeSolution(m fullmodel.Mapping, c fullmodel.Cost, method Method, exact bool, cl Classification) Solution {
-	return Solution{
-		CommPipelineMapping: &m, Cost: commCost(c),
-		Method: method, Exact: exact, Feasible: true, Classification: cl,
-	}
+// commPipeMapped and commForkMapped wrap a hard cell's mapping and cost.
+func commPipeMapped(m fullmodel.Mapping, c mapping.Cost) Solution {
+	return Solution{CommPipelineMapping: &m, Cost: c}
 }
 
-// commForkSolution wraps a one-port fork mapping into a Solution.
-func commForkSolution(m fullmodel.ForkMapping, c fullmodel.Cost, method Method, exact bool, cl Classification) Solution {
-	return Solution{
-		CommForkMapping: &m, Cost: commCost(c),
-		Method: method, Exact: exact, Feasible: true, Classification: cl,
-	}
+func commForkMapped(m fullmodel.ForkMapping, c mapping.Cost) Solution {
+	return Solution{CommForkMapping: &m, Cost: c}
 }
 
 // methodForCommPipeObjective mirrors the registration table: binary
@@ -237,220 +261,53 @@ func methodForCommPipeObjective(o Objective) Method {
 	return MethodDP
 }
 
-// solveCommPipeHom solves the polynomial hom-platform comm-pipeline
-// cells through the fullmodel dynamic programs.
-func solveCommPipeHom(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	method := methodForCommPipeObjective(pr.Objective)
-	m, c, ok, err := fullmodel.SolveHom(*pr.CommPipeline, commPlatform(pr), commGoal(pr))
+// commPipeHom builds the polynomial hom-platform comm-pipeline cell on
+// one fullmodel.PipelinePrepared: its bound platform, reusable DP arrays,
+// the candidate-period set and a per-goal memo serve every objective of
+// the family. Prepare shares the cell; the registered solver uses it once.
+func commPipeHom(pr Problem) (PreparedSolve, error) {
+	pp, err := fullmodel.NewPipelinePrepared(*pr.CommPipeline, commPlatform(pr))
+	if err != nil {
+		return nil, err
+	}
+	return func(_ context.Context, pr Problem) (Solution, error) {
+		m, c, ok, err := pp.SolveHom(commGoal(pr))
+		if err != nil {
+			return Solution{}, err
+		}
+		method := methodForCommPipeObjective(pr.Objective)
+		if !ok {
+			return infeasible(method, true, classificationOf(pr)), nil
+		}
+		return stamp(commPipeMapped(m, commCost(c)), true, nil, method, true, pr)
+	}, nil
+}
+
+func solveCommPipeHom(ctx context.Context, pr Problem, _ Options) (Solution, error) {
+	solve, err := commPipeHom(pr)
 	if err != nil {
 		return Solution{}, err
 	}
-	if !ok {
-		return infeasible(method, true, cl), nil
-	}
-	return commPipeSolution(m, c, method, true, cl), nil
+	return solve(ctx, pr)
 }
 
-// solveCommPipeHard solves the NP-hard het-platform comm-pipeline cells:
-// exhaustively within the limits, otherwise by the deterministic
-// heuristic seeds.
-func solveCommPipeHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	cl := classificationOf(pr)
-	p, pl, goal := *pr.CommPipeline, commPlatform(pr), commGoal(pr)
-	if commPipeInLimits(pr, opts) {
-		pp, err := fullmodel.NewPipelinePrepared(p, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		pp.SetParallelism(searchParallelism(opts, pr))
-		m, c, ok, err := pp.SolveExact(ctx, goal)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return commPipeSolution(m, c, MethodExhaustive, true, cl), nil
-	}
-	cands := fullmodel.HeuristicCandidates(p, pl)
-	costs := make([]mapping.Cost, len(cands))
-	full := make([]fullmodel.Cost, len(cands))
-	for i, m := range cands {
-		c, err := fullmodel.Eval(p, pl, m)
-		if err != nil {
-			return Solution{}, err
-		}
-		costs[i], full[i] = commCost(c), c
-	}
-	idx, ok := pickBestIndex(costs, pr)
-	if !ok {
-		return infeasible(MethodHeuristic, false, cl), nil
-	}
-	return commPipeSolution(cands[idx], full[idx], MethodHeuristic, false, cl), nil
-}
-
-// solveCommForkHard solves every one-port fork cell: exhaustively within
-// the limits, otherwise by the deterministic heuristic seeds (each
-// finished with its latency-optimal send order).
-func solveCommForkHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	cl := classificationOf(pr)
-	f, pl, goal := *pr.CommFork, commPlatform(pr), commGoal(pr)
-	if commForkInLimits(pr, opts) {
-		m, c, ok, err := fullmodel.SolveForkExact(ctx, f, pl, goal)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return commForkSolution(m, c, MethodExhaustive, true, cl), nil
-	}
-	cands := fullmodel.ForkHeuristicCandidates(f, pl)
-	costs := make([]mapping.Cost, len(cands))
-	full := make([]fullmodel.Cost, len(cands))
-	for i, m := range cands {
-		c, err := fullmodel.EvalFork(f, pl, m, false)
-		if err != nil {
-			return Solution{}, err
-		}
-		costs[i], full[i] = commCost(c), c
-	}
-	idx, ok := pickBestIndex(costs, pr)
-	if !ok {
-		return infeasible(MethodHeuristic, false, cl), nil
-	}
-	return commForkSolution(cands[idx], full[idx], MethodHeuristic, false, cl), nil
-}
-
-// prepareCommPipeHom is the Prepare capability of the polynomial
-// hom-platform comm-pipeline cells: one fullmodel.PipelinePrepared —
-// its bound platform, reusable DP arrays, the candidate-period set, a
-// per-goal memo — serves every objective of the family,
-// byte-identical to solveCommPipeHom.
 func prepareCommPipeHom(pr Problem, _ Options) *PreparedCell {
-	pp, err := fullmodel.NewPipelinePrepared(*pr.CommPipeline, commPlatform(pr))
+	solve, err := commPipeHom(pr)
 	if err != nil {
 		return nil
 	}
-	solve := func(_ context.Context, pr2 Problem) (Solution, error) {
-		cl := classificationOf(pr2)
-		method := methodForCommPipeObjective(pr2.Objective)
-		m, c, ok, err := pp.SolveHom(commGoal(pr2))
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(method, true, cl), nil
-		}
-		return commPipeSolution(m, c, method, true, cl), nil
-	}
 	return &PreparedCell{Solve: solve}
 }
 
-// prepareCommPipeHard is the Prepare capability of the NP-hard
-// het-platform comm-pipeline cells: within the exhaustive limits one
-// fullmodel.PipelinePrepared shares the work table, enumeration scratch
-// and per-goal memo (with the optionally partitioned scan), byte-identical
-// to solveCommPipeHard; beyond them the goal-independent heuristic
-// candidate set and its evaluations are computed once, leaving only the
-// per-goal bound check to each solve.
-func prepareCommPipeHard(pr Problem, opts Options) *PreparedCell {
-	p, pl := *pr.CommPipeline, commPlatform(pr)
-	if commPipeInLimits(pr, opts) {
-		pp, err := fullmodel.NewPipelinePrepared(p, pl)
-		if err != nil {
-			return nil
-		}
-		pp.SetParallelism(searchParallelism(opts, pr))
-		solve := func(ctx context.Context, pr2 Problem) (Solution, error) {
-			cl := classificationOf(pr2)
-			m, c, ok, err := pp.SolveExact(ctx, commGoal(pr2))
-			if err != nil {
-				return Solution{}, err
-			}
-			if !ok {
-				return infeasible(MethodExhaustive, true, cl), nil
-			}
-			return commPipeSolution(m, c, MethodExhaustive, true, cl), nil
-		}
-		return &PreparedCell{Solve: solve, SetParallelism: pp.SetParallelism}
-	}
-	cands := fullmodel.HeuristicCandidates(p, pl)
-	costs := make([]mapping.Cost, len(cands))
-	full := make([]fullmodel.Cost, len(cands))
-	for i, m := range cands {
-		c, err := fullmodel.Eval(p, pl, m)
-		if err != nil {
-			return nil
-		}
-		costs[i], full[i] = commCost(c), c
-	}
-	solve := func(_ context.Context, pr2 Problem) (Solution, error) {
-		cl := classificationOf(pr2)
-		idx, ok := pickBestIndex(costs, pr2)
-		if !ok {
-			return infeasible(MethodHeuristic, false, cl), nil
-		}
-		m := fullmodel.Mapping{
-			Bounds: append([]int(nil), cands[idx].Bounds...),
-			Alloc:  append([]int(nil), cands[idx].Alloc...),
-		}
-		return commPipeSolution(m, full[idx], MethodHeuristic, false, cl), nil
-	}
-	return &PreparedCell{Solve: solve}
+// cloneCommPipeMapping deep-copies a pipeline mapping so prepared solves
+// never hand out aliases of the cached candidate set.
+func cloneCommPipeMapping(m fullmodel.Mapping) fullmodel.Mapping {
+	return fullmodel.Mapping{Bounds: append([]int(nil), m.Bounds...), Alloc: append([]int(nil), m.Alloc...)}
 }
 
-// prepareCommFork is the Prepare capability of the one-port fork cells:
-// within the exhaustive limits one fullmodel.ForkPrepared shares the
-// partition/assignment scratch, send-order buffers and per-goal memo,
-// byte-identical to solveCommForkHard; beyond them the heuristic
-// candidate set (each finished with its latency-optimal send order) and
-// its evaluations are computed once.
-func prepareCommFork(pr Problem, opts Options) *PreparedCell {
-	f, pl := *pr.CommFork, commPlatform(pr)
-	if commForkInLimits(pr, opts) {
-		fp, err := fullmodel.NewForkPrepared(f, pl)
-		if err != nil {
-			return nil
-		}
-		solve := func(ctx context.Context, pr2 Problem) (Solution, error) {
-			cl := classificationOf(pr2)
-			m, c, ok, err := fp.SolveExact(ctx, commGoal(pr2))
-			if err != nil {
-				return Solution{}, err
-			}
-			if !ok {
-				return infeasible(MethodExhaustive, true, cl), nil
-			}
-			return commForkSolution(m, c, MethodExhaustive, true, cl), nil
-		}
-		return &PreparedCell{Solve: solve}
-	}
-	cands := fullmodel.ForkHeuristicCandidates(f, pl)
-	costs := make([]mapping.Cost, len(cands))
-	full := make([]fullmodel.Cost, len(cands))
-	for i, m := range cands {
-		c, err := fullmodel.EvalFork(f, pl, m, false)
-		if err != nil {
-			return nil
-		}
-		costs[i], full[i] = commCost(c), c
-	}
-	solve := func(_ context.Context, pr2 Problem) (Solution, error) {
-		cl := classificationOf(pr2)
-		idx, ok := pickBestIndex(costs, pr2)
-		if !ok {
-			return infeasible(MethodHeuristic, false, cl), nil
-		}
-		return commForkSolution(cloneCommForkMapping(cands[idx]), full[idx], MethodHeuristic, false, cl), nil
-	}
-	return &PreparedCell{Solve: solve}
-}
-
-// cloneCommForkMapping deep-copies a fork mapping so prepared solves
-// never hand out aliases of the cached candidate set. Nil-ness of every
-// slice is preserved so clones stay deep-equal to the one-shot results.
+// cloneCommForkMapping is cloneCommPipeMapping for fork mappings. It keeps
+// the nil-ness of every slice, so clones stay deep-equal to the one-shot
+// results.
 func cloneCommForkMapping(m fullmodel.ForkMapping) fullmodel.ForkMapping {
 	out := fullmodel.ForkMapping{
 		RootBlock: m.RootBlock,

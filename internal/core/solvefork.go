@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 
+	"repliflow/internal/anytime"
 	"repliflow/internal/exhaustive"
 	"repliflow/internal/forkalgo"
 	"repliflow/internal/heuristics"
 	"repliflow/internal/mapping"
-	"repliflow/internal/numeric"
 	"repliflow/internal/workflow"
 )
 
@@ -65,22 +65,13 @@ func init() {
 		GraphHomogeneous: func(pr Problem) bool { return pr.Fork.IsHomogeneous() },
 		DataParallel:     true,
 		Classify:         classifyLegacy,
-		ExactlySolvable: func(pr Problem, opts Options) bool {
-			return pr.Fork.Leaves()+1 <= opts.MaxExhaustiveForkStages &&
-				pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
-		},
-		// Preparable mirrors prepareForkHard's gate: only the in-limit
-		// exhaustive path shares state worth preparing.
-		Preparable: func(pr Problem, opts Options) bool {
-			return pr.Fork.Leaves()+1 <= opts.MaxExhaustiveForkStages &&
-				pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
-		},
+		ExactlySolvable:  forkKind.inLimits,
 		ParallelWorthwhile: func(pr Problem) bool {
 			return pr.Fork.Leaves()+1 >= parMinForkItems &&
 				pr.Platform.Processors() >= parMinForkProcs
 		},
 		CandidatePeriods: forkCandidatePeriods,
-		Anytime:          solveForkAnytime,
+		Anytime:          forkKind.solveAnytime,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			mix(pr.Fork.Root)
 			for _, w := range pr.Fork.Weights {
@@ -100,21 +91,13 @@ func init() {
 		GraphHomogeneous: func(pr Problem) bool { return pr.ForkJoin.IsHomogeneous() },
 		DataParallel:     true,
 		Classify:         classifyLegacy,
-		ExactlySolvable: func(pr Problem, opts Options) bool {
-			return pr.ForkJoin.Leaves()+2 <= opts.MaxExhaustiveForkStages &&
-				pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
-		},
-		// Preparable mirrors prepareForkJoinHard's gate.
-		Preparable: func(pr Problem, opts Options) bool {
-			return pr.ForkJoin.Leaves()+2 <= opts.MaxExhaustiveForkStages &&
-				pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
-		},
+		ExactlySolvable:  forkJoinKind.inLimits,
 		ParallelWorthwhile: func(pr Problem) bool {
 			return pr.ForkJoin.Leaves()+2 >= parMinForkItems &&
 				pr.Platform.Processors() >= parMinForkProcs
 		},
 		CandidatePeriods: forkJoinCandidatePeriods,
-		Anytime:          solveForkJoinAnytime,
+		Anytime:          forkJoinKind.solveAnytime,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			mix(pr.ForkJoin.Root)
 			mix(pr.ForkJoin.Join)
@@ -129,11 +112,9 @@ func init() {
 		},
 	})
 	for _, kind := range []workflow.Kind{workflow.KindFork, workflow.KindForkJoin} {
-		periodSolver, t11, t14, hard := solveForkHomPeriod, solveForkTheorem11, solveForkTheorem14, solveForkHard
-		prepare := prepareForkHard
+		periodSolver, t11, t14, hard := solveForkHomPeriod, solveForkTheorem11, solveForkTheorem14, &forkKind
 		if kind == workflow.KindForkJoin {
-			periodSolver, t11, t14, hard = solveForkJoinHomPeriod, solveForkJoinTheorem11, solveForkJoinTheorem14, solveForkJoinHard
-			prepare = prepareForkJoinHard
+			periodSolver, t11, t14, hard = solveForkJoinHomPeriod, solveForkJoinTheorem11, solveForkJoinTheorem14, &forkJoinKind
 		}
 
 		// Homogeneous platforms: period is straightforward (Theorem 10);
@@ -150,7 +131,7 @@ func init() {
 				register(CellKey{kind, true, true, dp, obj},
 					SolverEntry{MethodDP, true, "Theorem 11", t11, nil, nil})
 				register(CellKey{kind, true, false, dp, obj},
-					SolverEntry{MethodExhaustive, true, "Theorem 12", hard, prepare, nil})
+					SolverEntry{MethodExhaustive, true, "Theorem 12", hard.solve, hard.prepare, nil})
 			}
 		}
 
@@ -166,10 +147,10 @@ func init() {
 				source = "Theorem 15"
 			}
 			register(CellKey{kind, false, false, false, obj},
-				SolverEntry{MethodExhaustive, true, source, hard, prepare, nil})
+				SolverEntry{MethodExhaustive, true, source, hard.solve, hard.prepare, nil})
 			for _, gh := range bools {
 				register(CellKey{kind, false, gh, true, obj},
-					SolverEntry{MethodExhaustive, true, "Theorem 13", hard, prepare, nil})
+					SolverEntry{MethodExhaustive, true, "Theorem 13", hard.solve, hard.prepare, nil})
 			}
 		}
 	}
@@ -253,71 +234,37 @@ func solveForkTheorem14(_ context.Context, pr Problem, _ Options) (Solution, err
 	}
 }
 
-// solveForkHard handles the NP-hard fork cells: exact set-partition search
-// (with cancellation checkpoints) within the exhaustive limits, polynomial
-// heuristics polished by hill climbing beyond them.
-func solveForkHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	f := *pr.Fork
-	pl := pr.Platform
-	cl := classificationOf(pr)
-	if f.Leaves()+1 <= opts.MaxExhaustiveForkStages && pl.Processors() <= opts.MaxExhaustiveForkProcs {
-		res, ok, err := exhaustiveFork(ctx, pr, searchParallelism(opts, pr))
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
-	}
-	maps, costs := forkHeuristicCandidates(pr)
-	idx, ok := pickBestIndex(costs, pr)
-	if !ok {
-		return infeasible(MethodHeuristic, false, cl), nil
-	}
-	best, bestCost := maps[idx], costs[idx]
-	// Polish with hill climbing on the optimized criterion, keeping the
-	// result only if it still honours the bound.
-	obj := heuristics.ForkMinLatency
-	if pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency {
-		obj = heuristics.ForkMinPeriod
-	}
-	if m, c, err := heuristics.LocalSearchFork(f, pl, best, obj); err == nil {
-		ok := true
-		switch pr.Objective {
-		case LatencyUnderPeriod:
-			ok = !numeric.Greater(c.Period, pr.Bound)
-		case PeriodUnderLatency:
-			ok = !numeric.Greater(c.Latency, pr.Bound)
-		}
-		if ok && numeric.Less(objectiveValue(c, pr.Objective), objectiveValue(bestCost, pr.Objective)) {
-			best, bestCost = m, c
-		}
-	}
-	return forkSolution(best, bestCost, MethodHeuristic, false, cl), nil
-}
-
-// exhaustiveFork runs the exact set-partition search matching pr's
-// objective — shared by the unbudgeted exact path and the anytime
-// portfolio's exact member. par is the resolved worker count of the
-// sharded scan (<= 1 serial); it never changes the result.
-func exhaustiveFork(ctx context.Context, pr Problem, par int) (exhaustive.ForkResult, bool, error) {
-	fp := exhaustive.NewForkPrepared(*pr.Fork, pr.Platform, pr.AllowDataParallel)
-	fp.SetParallelism(par)
-	return preparedDispatch[exhaustive.ForkResult](ctx, fp, pr)
-}
-
-// exhaustiveForkJoin is exhaustiveFork for fork-join graphs.
-func exhaustiveForkJoin(ctx context.Context, pr Problem, par int) (exhaustive.ForkJoinResult, bool, error) {
-	fp := exhaustive.NewForkJoinPrepared(*pr.ForkJoin, pr.Platform, pr.AllowDataParallel)
-	fp.SetParallelism(par)
-	return preparedDispatch[exhaustive.ForkJoinResult](ctx, fp, pr)
+// forkKind describes the NP-hard fork cells: the exact set-partition
+// scan within the limits, polynomial heuristics polished by hill climbing
+// beyond them.
+var forkKind = hardKind{
+	inLimits: func(pr Problem, opts Options) bool {
+		return pr.Fork.Leaves()+1 <= opts.MaxExhaustiveForkStages &&
+			pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
+	},
+	newExact: func(pr Problem) (any, error) {
+		return exhaustive.NewForkPrepared(*pr.Fork, pr.Platform, pr.AllowDataParallel), nil
+	},
+	exact: func(ctx context.Context, fp any, pr Problem) (Solution, bool, error) {
+		return exhaustiveSolve(ctx, fp.(*exhaustive.ForkPrepared), pr, func(r exhaustive.ForkResult) Solution {
+			return Solution{ForkMapping: &r.Mapping, Cost: r.Cost}
+		})
+	},
+	heuristic: perObjective(forkHeuristicCandidates, func(m *mapping.ForkMapping, c mapping.Cost) Solution {
+		return Solution{ForkMapping: m, Cost: c}
+	}),
+	portfolio: func(ctx context.Context, pr Problem, cfg anytime.Config) (anytime.Result, error) {
+		seeds, _ := forkHeuristicCandidates(pr)
+		return anytime.SolveFork(ctx, *pr.Fork, pr.Platform, anytimeSpec(pr), seeds, cfg)
+	},
 }
 
 // forkHeuristicCandidates returns the polynomial heuristic mappings of
 // an NP-hard fork instance (with their costs, aligned by index): the
 // candidate pool of both the heuristic fallback path and the anytime
-// portfolio's seeds.
+// portfolio's seeds. The last candidate polishes the best one by hill
+// climbing on the optimized criterion; coming last, it is picked only if
+// it honours the bound and strictly improves.
 func forkHeuristicCandidates(pr Problem) ([]mapping.ForkMapping, []mapping.Cost) {
 	f, pl := *pr.Fork, pr.Platform
 	var maps []mapping.ForkMapping
@@ -336,6 +283,15 @@ func forkHeuristicCandidates(pr Problem) ([]mapping.ForkMapping, []mapping.Cost)
 	if pl.IsHomogeneous() {
 		if m, _, err := heuristics.HetForkLatencyLPT(f, pl); err == nil {
 			add(m)
+		}
+	}
+	if idx, ok := pickBestIndex(costs, pr); ok {
+		obj := heuristics.ForkMinLatency
+		if pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency {
+			obj = heuristics.ForkMinPeriod
+		}
+		if m, c, err := heuristics.LocalSearchFork(f, pl, maps[idx], obj); err == nil {
+			maps, costs = append(maps, m), append(costs, c)
 		}
 	}
 	return maps, costs
@@ -419,26 +375,28 @@ func solveForkJoinTheorem14(_ context.Context, pr Problem, _ Options) (Solution,
 	}
 }
 
-func solveForkJoinHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	fj := *pr.ForkJoin
-	pl := pr.Platform
-	cl := classificationOf(pr)
-	if fj.Leaves()+2 <= opts.MaxExhaustiveForkStages && pl.Processors() <= opts.MaxExhaustiveForkProcs {
-		res, ok, err := exhaustiveForkJoin(ctx, pr, searchParallelism(opts, pr))
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
-	}
-	maps, costs := forkJoinHeuristicCandidates(pr)
-	idx, ok := pickBestIndex(costs, pr)
-	if !ok {
-		return infeasible(MethodHeuristic, false, cl), nil
-	}
-	return forkJoinSolution(maps[idx], costs[idx], MethodHeuristic, false, cl), nil
+// forkJoinKind describes the NP-hard fork-join cells: the exact scan
+// within the limits, polynomial heuristics beyond them.
+var forkJoinKind = hardKind{
+	inLimits: func(pr Problem, opts Options) bool {
+		return pr.ForkJoin.Leaves()+2 <= opts.MaxExhaustiveForkStages &&
+			pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
+	},
+	newExact: func(pr Problem) (any, error) {
+		return exhaustive.NewForkJoinPrepared(*pr.ForkJoin, pr.Platform, pr.AllowDataParallel), nil
+	},
+	exact: func(ctx context.Context, fp any, pr Problem) (Solution, bool, error) {
+		return exhaustiveSolve(ctx, fp.(*exhaustive.ForkJoinPrepared), pr, func(r exhaustive.ForkJoinResult) Solution {
+			return Solution{ForkJoinMapping: &r.Mapping, Cost: r.Cost}
+		})
+	},
+	heuristic: perObjective(forkJoinHeuristicCandidates, func(m *mapping.ForkJoinMapping, c mapping.Cost) Solution {
+		return Solution{ForkJoinMapping: m, Cost: c}
+	}),
+	portfolio: func(ctx context.Context, pr Problem, cfg anytime.Config) (anytime.Result, error) {
+		seeds, _ := forkJoinHeuristicCandidates(pr)
+		return anytime.SolveForkJoin(ctx, *pr.ForkJoin, pr.Platform, anytimeSpec(pr), seeds, cfg)
+	},
 }
 
 // forkJoinHeuristicCandidates returns the polynomial heuristic mappings
@@ -462,50 +420,4 @@ func forkJoinHeuristicCandidates(pr Problem) ([]mapping.ForkJoinMapping, []mappi
 		add(m)
 	}
 	return maps, costs
-}
-
-// prepareForkHard is the registry Prepare capability of the NP-hard fork
-// cells: within the exhaustive limits it shares one
-// exhaustive.ForkPrepared — enumeration scratch, anytime bounds,
-// per-bound memo — across every solve of the family, byte-identical to
-// solveForkHard. Outside the limits it returns nil.
-func prepareForkHard(pr Problem, opts Options) *PreparedCell {
-	if pr.Fork.Leaves()+1 > opts.MaxExhaustiveForkStages || pr.Platform.Processors() > opts.MaxExhaustiveForkProcs {
-		return nil
-	}
-	fp := exhaustive.NewForkPrepared(*pr.Fork, pr.Platform, pr.AllowDataParallel)
-	fp.SetParallelism(searchParallelism(opts, pr))
-	solve := func(ctx context.Context, pr Problem) (Solution, error) {
-		res, ok, err := preparedDispatch[exhaustive.ForkResult](ctx, fp, pr)
-		if err != nil {
-			return Solution{}, err
-		}
-		cl := classificationOf(pr)
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
-	}
-	return &PreparedCell{Solve: solve, SetParallelism: fp.SetParallelism}
-}
-
-// prepareForkJoinHard is prepareForkHard for fork-join graphs.
-func prepareForkJoinHard(pr Problem, opts Options) *PreparedCell {
-	if pr.ForkJoin.Leaves()+2 > opts.MaxExhaustiveForkStages || pr.Platform.Processors() > opts.MaxExhaustiveForkProcs {
-		return nil
-	}
-	fp := exhaustive.NewForkJoinPrepared(*pr.ForkJoin, pr.Platform, pr.AllowDataParallel)
-	fp.SetParallelism(searchParallelism(opts, pr))
-	solve := func(ctx context.Context, pr Problem) (Solution, error) {
-		res, ok, err := preparedDispatch[exhaustive.ForkJoinResult](ctx, fp, pr)
-		if err != nil {
-			return Solution{}, err
-		}
-		cl := classificationOf(pr)
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
-	}
-	return &PreparedCell{Solve: solve, SetParallelism: fp.SetParallelism}
 }

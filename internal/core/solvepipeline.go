@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"repliflow/internal/anytime"
 	"repliflow/internal/exhaustive"
 	"repliflow/internal/heuristics"
 	"repliflow/internal/mapping"
@@ -40,19 +41,12 @@ func init() {
 		GraphHomogeneous: func(pr Problem) bool { return pr.Pipeline.IsHomogeneous() },
 		DataParallel:     true,
 		Classify:         classifyLegacy,
-		ExactlySolvable: func(pr Problem, opts Options) bool {
-			return pr.Platform.Processors() <= opts.MaxExhaustivePipelineProcs
-		},
-		// Preparable mirrors preparePipelineHard's gate: only the in-limit
-		// exhaustive path shares state worth preparing.
-		Preparable: func(pr Problem, opts Options) bool {
-			return pr.Platform.Processors() <= opts.MaxExhaustivePipelineProcs
-		},
+		ExactlySolvable:  pipeKind.inLimits,
 		ParallelWorthwhile: func(pr Problem) bool {
 			return pr.Pipeline.Stages()<<pr.Platform.Processors() >= parMinPipelineStates
 		},
 		CandidatePeriods: pipelineCandidatePeriods,
-		Anytime:          solvePipelineAnytime,
+		Anytime:          pipeKind.solveAnytime,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			for _, w := range pr.Pipeline.Weights {
 				mix(w)
@@ -100,7 +94,7 @@ func init() {
 		SolverEntry{MethodBinarySearchDP, true, "Theorem 8", solvePipeHetHomPeriodUnderLatencyNoDP, nil, nil})
 	for _, obj := range []Objective{MinPeriod, LatencyUnderPeriod, PeriodUnderLatency} {
 		register(CellKey{kind, false, false, false, obj},
-			SolverEntry{MethodExhaustive, true, "Theorem 9", solvePipelineHard, preparePipelineHard, nil})
+			SolverEntry{MethodExhaustive, true, "Theorem 9", pipeKind.solve, pipeKind.prepare, nil})
 	}
 
 	// Data-parallelism on heterogeneous platforms is NP-hard across the
@@ -109,7 +103,7 @@ func init() {
 	for _, gh := range bools {
 		for _, obj := range []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency} {
 			register(CellKey{kind, false, gh, true, obj},
-				SolverEntry{MethodExhaustive, true, "Theorem 5", solvePipelineHard, preparePipelineHard, nil})
+				SolverEntry{MethodExhaustive, true, "Theorem 5", pipeKind.solve, pipeKind.prepare, nil})
 		}
 	}
 }
@@ -227,91 +221,27 @@ func solvePipeHetHomPeriodUnderLatencyNoDP(_ context.Context, pr Problem, _ Opti
 
 // --- NP-hard cells ---------------------------------------------------------
 
-// solvePipelineHard handles the NP-hard pipeline cells: exact exhaustive
-// search (with cancellation checkpoints) when the platform is small enough,
-// polynomial heuristics otherwise.
-func solvePipelineHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	pl := pr.Platform
-	cl := classificationOf(pr)
-	if pl.Processors() <= opts.MaxExhaustivePipelineProcs {
-		res, ok, err := exhaustivePipeline(ctx, pr, searchParallelism(opts, pr))
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return pipeSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
-	}
-	// Heuristic path: gather candidate mappings and pick the best that
-	// meets the bound (if any).
-	maps, costs := pipelineHeuristicCandidates(pr)
-	idx, okBest := pickBestIndex(costs, pr)
-	if !okBest {
-		return infeasible(MethodHeuristic, false, cl), nil
-	}
-	return pipeSolution(maps[idx], costs[idx], MethodHeuristic, false, cl), nil
-}
-
-// exhaustivePipeline runs the exact exponential search matching pr's
-// objective — the single dispatch shared by the unbudgeted exact path
-// and the anytime portfolio's exact member. par is the resolved worker
-// count of the partitioned search (<= 1 serial); it never changes the
-// result, only the schedule.
-func exhaustivePipeline(ctx context.Context, pr Problem, par int) (exhaustive.PipelineResult, bool, error) {
-	pp := exhaustive.NewPipelinePrepared(*pr.Pipeline, pr.Platform, pr.AllowDataParallel)
-	pp.SetParallelism(par)
-	return preparedDispatch[exhaustive.PipelineResult](ctx, pp, pr)
-}
-
-// exactSolver is the objective surface shared by the prepared exhaustive
-// solvers of the pipeline, fork and fork-join kinds.
-type exactSolver[R any] interface {
-	Period(ctx context.Context) (R, bool, error)
-	Latency(ctx context.Context) (R, bool, error)
-	LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (R, bool, error)
-	PeriodUnderLatency(ctx context.Context, maxLatency float64) (R, bool, error)
-}
-
-// preparedDispatch solves pr's objective on a shared prepared solver:
-// same dispatch and results as a fresh one, none of the per-solve setup.
-func preparedDispatch[R any](ctx context.Context, s exactSolver[R], pr Problem) (R, bool, error) {
-	switch pr.Objective {
-	case MinPeriod:
-		return s.Period(ctx)
-	case MinLatency:
-		return s.Latency(ctx)
-	case LatencyUnderPeriod:
-		return s.LatencyUnderPeriod(ctx, pr.Bound)
-	default:
-		return s.PeriodUnderLatency(ctx, pr.Bound)
-	}
-}
-
-// preparePipelineHard is the registry Prepare capability of the NP-hard
-// pipeline cells: within the exhaustive limits it shares one
-// exhaustive.PipelinePrepared — its platform table, epoch-reset DP arrays,
-// candidate periods, per-bound memo — across every solve of the family,
-// byte-identical to solvePipelineHard. Outside the limits it returns nil
-// (the heuristic path has no per-solve setup worth sharing).
-func preparePipelineHard(pr Problem, opts Options) *PreparedCell {
-	if pr.Platform.Processors() > opts.MaxExhaustivePipelineProcs {
-		return nil
-	}
-	pp := exhaustive.NewPipelinePrepared(*pr.Pipeline, pr.Platform, pr.AllowDataParallel)
-	pp.SetParallelism(searchParallelism(opts, pr))
-	solve := func(ctx context.Context, pr Problem) (Solution, error) {
-		res, ok, err := preparedDispatch[exhaustive.PipelineResult](ctx, pp, pr)
-		if err != nil {
-			return Solution{}, err
-		}
-		cl := classificationOf(pr)
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return pipeSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
-	}
-	return &PreparedCell{Solve: solve, SetParallelism: pp.SetParallelism}
+// pipeKind describes the NP-hard pipeline cells: the exhaustive bitmask DP
+// when the platform is small enough, polynomial heuristics otherwise.
+var pipeKind = hardKind{
+	inLimits: func(pr Problem, opts Options) bool {
+		return pr.Platform.Processors() <= opts.MaxExhaustivePipelineProcs
+	},
+	newExact: func(pr Problem) (any, error) {
+		return exhaustive.NewPipelinePrepared(*pr.Pipeline, pr.Platform, pr.AllowDataParallel), nil
+	},
+	exact: func(ctx context.Context, pp any, pr Problem) (Solution, bool, error) {
+		return exhaustiveSolve(ctx, pp.(*exhaustive.PipelinePrepared), pr, func(r exhaustive.PipelineResult) Solution {
+			return Solution{PipelineMapping: &r.Mapping, Cost: r.Cost}
+		})
+	},
+	heuristic: perObjective(pipelineHeuristicCandidates, func(m *mapping.PipelineMapping, c mapping.Cost) Solution {
+		return Solution{PipelineMapping: m, Cost: c}
+	}),
+	portfolio: func(ctx context.Context, pr Problem, cfg anytime.Config) (anytime.Result, error) {
+		seeds, _ := pipelineHeuristicCandidates(pr)
+		return anytime.SolvePipeline(ctx, *pr.Pipeline, pr.Platform, anytimeSpec(pr), seeds, cfg)
+	},
 }
 
 // pipelineHeuristicCandidates returns the polynomial heuristic mappings

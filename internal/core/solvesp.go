@@ -32,18 +32,18 @@ func init() {
 		// no-dp cells exist.
 		Classify:           classifySP,
 		ExactlySolvable:    spExactlySolvable,
-		Preparable:         spPreparable,
 		ParallelWorthwhile: spParallelWorthwhile,
 		CandidatePeriods:   spCandidatePeriods,
-		Anytime:            solveSPAnytime,
+		Anytime:            spSolver(spAnytime),
 		SeedMix:            spSeedMix,
 		AppendFingerprint:  appendSPFingerprint,
 	})
+	solve := spSolver(spKind.solve)
 	for _, platHom := range []bool{false, true} {
 		for _, graphHom := range []bool{false, true} {
 			for _, obj := range []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency} {
 				register(CellKey{workflow.KindSP, platHom, graphHom, false, obj},
-					SolverEntry{MethodExhaustive, true, "SP decomposition", solveSP, prepareSP, nil})
+					SolverEntry{MethodExhaustive, true, "SP decomposition", solve, prepareSP, nil})
 			}
 		}
 	}
@@ -114,12 +114,42 @@ func spSubProblem(pr Problem, red spdecomp.Reduction) Problem {
 	return sub
 }
 
-// spInLimits reports whether the irreducible block enumeration is within
-// the exhaustive limits; SP reuses the fork limits (the block search has
-// the same set-partition shape).
-func spInLimits(pr Problem, opts Options) bool {
-	return len(pr.SP.Steps) <= opts.MaxExhaustiveForkStages &&
-		pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
+// spKind describes the irreducible SP cells in the block model: the
+// exhaustive block scan within the limits (it has the fork scan's
+// set-partition shape, so it reuses the fork limits), the deterministic
+// heuristic candidates beyond them.
+var spKind = hardKind{
+	inLimits: func(pr Problem, opts Options) bool {
+		return len(pr.SP.Steps) <= opts.MaxExhaustiveForkStages &&
+			pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
+	},
+	newExact: func(pr Problem) (any, error) {
+		solver, err := spdecomp.NewPrepared(*pr.SP, pr.Platform)
+		return solver, err
+	},
+	exact: func(ctx context.Context, pp any, pr Problem) (Solution, bool, error) {
+		blocks, cost, ok, err := pp.(*spdecomp.Prepared).Exhaustive(ctx, spGoal(pr))
+		if !ok || err != nil {
+			return Solution{}, false, err
+		}
+		return spMapped(blocks, cost), true, nil
+	},
+	// The candidates do not depend on the goal, so a cell computes them
+	// once; a shared cell hands out copies.
+	heuristic: func(pr Problem, shared bool) (hardSolve, error) {
+		cands := spdecomp.Heuristics(*pr.SP, pr.Platform)
+		return func(_ context.Context, pr Problem) (Solution, bool, error) {
+			goal := spGoal(pr)
+			cand, ok := spdecomp.Best(cands, goal)
+			if !ok || !goal.Feasible(cand.Cost) {
+				return Solution{}, false, nil
+			}
+			if shared {
+				cand.Blocks = spdecomp.CloneBlocks(cand.Blocks)
+			}
+			return spMapped(cand.Blocks, cand.Cost), true, nil
+		}, nil
+	},
 }
 
 // spExactlySolvable: reducible instances are exactly solvable iff the
@@ -129,20 +159,7 @@ func spExactlySolvable(pr Problem, opts Options) bool {
 	if red, ok := spdecomp.Reduce(*pr.SP); ok {
 		return ExactlySolvable(spSubProblem(pr, red), opts)
 	}
-	return spInLimits(pr, opts)
-}
-
-// spPreparable: reducible instances prepare iff the reduced legacy kind
-// does (the prepared sub-solver is what gets shared); irreducible ones
-// always prepare — the block enumeration's scratch and memo within the
-// limits, the cached heuristic candidate set beyond them.
-func spPreparable(pr Problem, opts Options) bool {
-	if red, ok := spdecomp.Reduce(*pr.SP); ok {
-		sub := spSubProblem(pr, red)
-		spec := specOf(sub)
-		return spec != nil && spec.Preparable != nil && spec.Preparable(sub, opts)
-	}
-	return true
+	return spKind.inLimits(pr, opts)
 }
 
 // spParallelWorthwhile: reducible instances inherit the reduced kind's
@@ -191,13 +208,9 @@ func spCandidatePeriods(pr Problem) []float64 {
 	return periodsFromWeights(weights, pr.Platform)
 }
 
-// spSolution wraps an irreducible block mapping into a Solution.
-func spSolution(blocks []mapping.SPBlock, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
-	return Solution{
-		SPMapping: &mapping.SPMapping{Reduced: workflow.KindSP, Blocks: blocks},
-		Cost:      c,
-		Method:    method, Exact: exact, Feasible: true, Classification: cl,
-	}
+// spMapped wraps an irreducible block mapping and its cost.
+func spMapped(blocks []mapping.SPBlock, c mapping.Cost) Solution {
+	return Solution{SPMapping: &mapping.SPMapping{Reduced: workflow.KindSP, Blocks: blocks}, Cost: c}
 }
 
 // wrapSPSolution lifts a legacy sub-solution of an exact reduction into
@@ -220,78 +233,45 @@ func wrapSPSolution(sol Solution, red spdecomp.Reduction, cl Classification) Sol
 	return out
 }
 
-// solveSP is the registered solver of every SP cell.
-func solveSP(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	cl := classificationOf(pr)
-	g := *pr.SP
-	if red, ok := spdecomp.Reduce(g); ok {
+// spSolver returns a solver of the SP cells: a graph that reduces exactly
+// is solved through its reduced legacy cell and wrapped back into SP
+// form, an irreducible DAG by irreducible.
+func spSolver(irreducible SolverFunc) SolverFunc {
+	return func(ctx context.Context, pr Problem, opts Options) (Solution, error) {
+		red, ok := spdecomp.Reduce(*pr.SP)
+		if !ok {
+			return irreducible(ctx, pr, opts)
+		}
 		sol, err := SolveContext(ctx, spSubProblem(pr, red), opts)
 		if err != nil {
 			return Solution{}, err
 		}
-		return wrapSPSolution(sol, red, cl), nil
+		return wrapSPSolution(sol, red, classificationOf(pr)), nil
 	}
-	goal := spGoal(pr)
-	if spInLimits(pr, opts) {
-		pp, err := spdecomp.NewPrepared(g, pr.Platform)
-		if err != nil {
-			return Solution{}, err
-		}
-		pp.SetParallelism(searchParallelism(opts, pr))
-		blocks, cost, ok, err := pp.Exhaustive(ctx, goal)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return spSolution(blocks, cost, MethodExhaustive, true, cl), nil
-	}
-	cand, ok := spdecomp.Best(spdecomp.Heuristics(g, pr.Platform), goal)
-	if !ok || !goal.Feasible(cand.Cost) {
-		return infeasible(MethodHeuristic, false, cl), nil
-	}
-	return spSolution(cand.Blocks, cand.Cost, MethodHeuristic, false, cl), nil
 }
 
-// solveSPAnytime is the Anytime capability of the SP kind. Exact
-// reductions delegate the budget to the sub-problem's own solver (the
-// legacy portfolio certifies its gap; polynomial sub-cells ignore the
-// budget and return exact, gap 0). Irreducible DAGs run the seeded local
-// search of spdecomp.Budgeted and certify the incumbent against the
-// spdecomp.Bounds lower bounds.
-func solveSPAnytime(ctx context.Context, pr Problem, opts Options) (Solution, error) {
+// spAnytime is the anytime solver of irreducible DAGs; reducible ones
+// take their reduced cell's (the legacy portfolio certifies its gap;
+// polynomial sub-cells ignore the budget and return exact, gap 0).
+// Within the exhaustive limits it first tries to certify the true
+// optimum inside the budget — the SP analogue of the legacy portfolio's
+// exact member. A budget that expires mid-enumeration falls through to
+// the seeded local search of spdecomp.Budgeted, whose incumbent is
+// certified against the spdecomp.Bounds lower bounds.
+func spAnytime(ctx context.Context, pr Problem, opts Options) (Solution, error) {
 	cl := classificationOf(pr)
 	g := *pr.SP
-	if red, ok := spdecomp.Reduce(g); ok {
-		sol, err := SolveContext(ctx, spSubProblem(pr, red), opts)
-		if err != nil {
-			return Solution{}, err
-		}
-		return wrapSPSolution(sol, red, cl), nil
-	}
 	goal := spGoal(pr)
-	// Within the exhaustive limits, try to certify the true optimum inside
-	// the budget — the SP analogue of the legacy portfolio's exact member.
-	// A budget that expires mid-enumeration falls through to the budgeted
-	// local search below.
-	if spInLimits(pr, opts) {
-		bctx, cancel := anytimeContext(ctx, opts.AnytimeBudget)
-		blocks, cost, feasible, err := spdecomp.Exhaustive(bctx, g, pr.Platform, goal)
+	if spKind.inLimits(pr, opts) {
+		bctx, cancel := context.WithTimeout(ctx, opts.AnytimeBudget)
+		sol, feasible, err := spKind.exactOnce(bctx, pr)
 		cancel()
 		if err == nil {
-			var sol Solution
+			sol, _ = stamp(sol, feasible, nil, MethodAnytime, true, pr)
 			if feasible {
-				sol = spSolution(blocks, cost, MethodAnytime, true, cl)
-				sol.LowerBound = cost.Period
-				if goal.MinimizeLatency {
-					sol.LowerBound = cost.Latency
-				}
-			} else {
-				sol = infeasible(MethodAnytime, true, cl)
+				sol.LowerBound = goal.Value(sol.Cost)
 			}
-			sol.Anytime = true
-			sol.Iterations = 1
+			sol.Anytime, sol.Iterations = true, 1
 			return sol, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -323,84 +303,28 @@ func solveSPAnytime(ctx context.Context, pr Problem, opts Options) (Solution, er
 	return sol, nil
 }
 
-// prepareSP is the Prepare capability of the SP cells: when the graph
-// reduces exactly and the reduced cell advertises preparation, the
-// sub-problem's prepared solver is shared across the objective family and
-// each solve is wrapped back into SP form — byte-identical to solveSP.
-// Irreducible DAGs share a spdecomp.Prepared: the cached decomposition
-// state (topological order, evaluation scratch, certified bounds), the
-// enumeration buffers and per-goal memo within the exhaustive limits,
-// and the goal-independent heuristic candidate set beyond them.
+// prepareSP is the Prepare capability of the SP cells. A graph that
+// reduces exactly shares the reduced instance's prepared solver, when
+// Prepare accepts it, and wraps each answer back into SP form —
+// byte-identical to the registered solver, since PreparedSolver.Solve
+// is. An irreducible DAG prepares spKind's cell.
 func prepareSP(pr Problem, opts Options) *PreparedCell {
 	red, ok := spdecomp.Reduce(*pr.SP)
 	if !ok {
-		return prepareSPIrreducible(pr, opts)
+		return spKind.prepare(pr, opts)
 	}
-	sub := spSubProblem(pr, red)
-	e, ok := registry[CellKeyOf(sub)]
-	if !ok || e.Prepare == nil {
+	ps, ok := Prepare(spSubProblem(pr, red), opts)
+	if !ok {
 		return nil
 	}
-	pc := e.Prepare(sub, opts)
-	if pc == nil {
-		return nil
-	}
-	solve := func(ctx context.Context, pr2 Problem) (Solution, error) {
-		sub2 := sub
-		sub2.Objective, sub2.Bound = pr2.Objective, pr2.Bound
-		var (
-			sol Solution
-			err error
-		)
-		// Route through the shared prepared cell only for objectives whose
-		// reduced cell registers the prepared capability — the same
-		// per-objective gate Prepare applies to direct legacy problems.
-		// Objectives answered by a polynomial cell (e.g. closed-form
-		// min-latency) dispatch through SolveContext, like solveSP, so the
-		// solution metadata stays byte-identical to the unprepared path.
-		if e2, ok2 := registry[CellKeyOf(sub2)]; ok2 && e2.Prepare != nil {
-			sol, err = pc.Solve(ctx, sub2)
-		} else {
-			sol, err = SolveContext(ctx, sub2, opts)
-		}
+	solve := func(ctx context.Context, pr Problem) (Solution, error) {
+		sol, err := ps.Solve(ctx, pr.Objective, pr.Bound)
 		if err != nil {
 			return Solution{}, err
 		}
-		return wrapSPSolution(sol, red, classificationOf(pr2)), nil
+		return wrapSPSolution(sol, red, classificationOf(pr)), nil
 	}
-	return &PreparedCell{Solve: solve, SetParallelism: pc.SetParallelism}
-}
-
-// prepareSPIrreducible shares one spdecomp.Prepared across the objective
-// family of an irreducible SP instance, byte-identical to solveSP: the
-// in-limit branch runs the (optionally partitioned) exhaustive block
-// search with persistent scratch and a per-goal memo, the oversized
-// branch reuses the goal-independent heuristic candidate set.
-func prepareSPIrreducible(pr Problem, opts Options) *PreparedCell {
-	pp, err := spdecomp.NewPrepared(*pr.SP, pr.Platform)
-	if err != nil {
-		return nil
-	}
-	pp.SetParallelism(searchParallelism(opts, pr))
-	inLimits := spInLimits(pr, opts)
-	solve := func(ctx context.Context, pr2 Problem) (Solution, error) {
-		cl := classificationOf(pr2)
-		goal := spGoal(pr2)
-		if inLimits {
-			blocks, cost, ok, err := pp.Exhaustive(ctx, goal)
-			if err != nil {
-				return Solution{}, err
-			}
-			if !ok {
-				return infeasible(MethodExhaustive, true, cl), nil
-			}
-			return spSolution(blocks, cost, MethodExhaustive, true, cl), nil
-		}
-		cand, ok := pp.BestHeuristic(goal)
-		if !ok || !goal.Feasible(cand.Cost) {
-			return infeasible(MethodHeuristic, false, cl), nil
-		}
-		return spSolution(cand.Blocks, cand.Cost, MethodHeuristic, false, cl), nil
-	}
-	return &PreparedCell{Solve: solve, SetParallelism: pp.SetParallelism}
+	// A resolved worker count reads the same in the Options.Parallelism
+	// encoding ps.SetParallelism takes.
+	return &PreparedCell{Solve: solve, SetParallelism: ps.SetParallelism}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"repliflow/internal/fullmodel"
 	"repliflow/internal/platform"
+	"repliflow/internal/spdecomp"
 	"repliflow/internal/workflow"
 )
 
@@ -210,5 +212,67 @@ func TestSPValidation(t *testing.T) {
 	pr = Problem{SP: &g, Platform: platform.New(1, 2), Objective: MinPeriod, Bandwidth: &fullmodel.Bandwidth{Uniform: 1}}
 	if err := pr.Validate(); ErrKindOf(err) != ErrKindInvalidInstance {
 		t.Errorf("Bandwidth accepted on sp: %v", err)
+	}
+}
+
+// TestPrepareSPMatchesReduced: an SP instance that reduces exactly to a
+// legacy kind prepares exactly when the reduced instance does, and its
+// prepared solves match SolveContext. The first case reduces to a
+// heterogeneous fork on a homogeneous platform: its min-period cell is
+// the polynomial Theorem 10 cell, while the other objectives are the
+// preparable Theorem 12 cells.
+func TestPrepareSPMatchesReduced(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	sps := []workflow.SP{spFromFork(workflow.NewFork(2, 3, 5, 7))}
+	plats := []platform.Platform{platform.Homogeneous(3, 2)}
+	for len(sps) < 40 {
+		switch rng.Intn(3) {
+		case 0:
+			sps = append(sps, spFromPipeline(workflow.RandomPipeline(rng, 1+rng.Intn(5), 9)))
+		case 1:
+			sps = append(sps, spFromFork(workflow.RandomFork(rng, 1+rng.Intn(6), 9)))
+		default:
+			sps = append(sps, spFromForkJoin(workflow.RandomForkJoin(rng, 1+rng.Intn(5), 9)))
+		}
+		procs := 1 + rng.Intn(7)
+		if rng.Intn(2) == 0 {
+			plats = append(plats, platform.Homogeneous(procs, float64(1+rng.Intn(3))))
+		} else {
+			plats = append(plats, platform.Random(rng, procs, 4))
+		}
+	}
+	ctx := context.Background()
+	for i := range sps {
+		pr := Problem{SP: &sps[i], Platform: plats[i]}
+		red, ok := spdecomp.Reduce(sps[i])
+		if !ok {
+			t.Fatalf("case %d: fixture does not reduce", i)
+		}
+		ps, got := Prepare(pr, Options{})
+		_, want := Prepare(spSubProblem(pr, red), Options{})
+		if got != want || i == 0 && !got {
+			t.Fatalf("case %d (reduces to %v on %v): Prepare(sp) = %v, Prepare(reduced) = %v",
+				i, red.Kind, plats[i].Speeds, got, want)
+		}
+		if !got {
+			continue
+		}
+		for _, obj := range []Objective{MinPeriod, MinLatency, LatencyUnderPeriod} {
+			pr.Objective, pr.Bound = obj, 0
+			if obj.Bounded() {
+				pr.Bound = 12
+			}
+			gotSol, err := ps.Solve(ctx, obj, pr.Bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSol, err := SolveContext(ctx, pr, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotSol, wantSol) {
+				t.Fatalf("case %d %v: prepared solve diverges\n got %+v\nwant %+v", i, obj, gotSol, wantSol)
+			}
+		}
 	}
 }

@@ -184,8 +184,8 @@ func TestJobsSP(t *testing.T) {
 
 // TestParetoComm: the Pareto sweep works on a heterogeneous
 // communication-aware pipeline — the wire path of the engine's
-// sweep-scoped prepared pool, which the comm kind joins through the
-// Preparable capability. Every front point must carry a comm mapping.
+// sweep-scoped prepared pool, which the comm kind joins through its
+// cells' Prepare capability. Every front point must carry a comm mapping.
 func TestParetoComm(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/pareto", commPipelineHet)

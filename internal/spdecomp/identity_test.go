@@ -91,36 +91,6 @@ func TestSPPreparedIdentity(t *testing.T) {
 	}
 }
 
-// TestSPPreparedHeuristicIdentity: the cached heuristic candidate set must
-// pick the same winner as a fresh Heuristics scan, on both passes.
-func TestSPPreparedHeuristicIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	for trial := 0; trial < 25; trial++ {
-		g := workflow.RandomSP(rng, 1+rng.Intn(10), 9, 4, 3)
-		pl := platform.Random(rng, 1+rng.Intn(5), 5)
-		pp, err := NewPrepared(g, pl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, goal := range identityGoals(rng) {
-			want, wantOK := Best(Heuristics(g, pl), goal)
-			for pass := 0; pass < 2; pass++ {
-				got, ok := pp.BestHeuristic(goal)
-				if ok != wantOK {
-					t.Fatalf("trial %d goal %+v: ok=%v want %v", trial, goal, ok, wantOK)
-				}
-				if !ok {
-					continue
-				}
-				if got.Cost != want.Cost || !reflect.DeepEqual(got.Blocks, want.Blocks) {
-					t.Fatalf("trial %d pass %d goal %+v: heuristic diverges: %v %v vs %v %v",
-						trial, pass, goal, got.Blocks, got.Cost, want.Blocks, want.Cost)
-				}
-			}
-		}
-	}
-}
-
 // cutScan runs one serial block scan, with or without the cut of procs,
 // and returns its result and the number of mappings it costed.
 func cutScan(t *testing.T, g workflow.SP, pl platform.Platform, goal Goal, prune bool) (spMemo, bool, int) {

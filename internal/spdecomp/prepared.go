@@ -29,9 +29,6 @@ type Prepared struct {
 	par    int
 	search blockSearch
 
-	heur     []Candidate
-	heurDone bool
-
 	memo map[Goal]spMemo
 }
 
@@ -74,7 +71,9 @@ func (pp *Prepared) lowerBound(goal Goal) float64 {
 	return pp.periodLB
 }
 
-func cloneSPBlocks(bs []mapping.SPBlock) []mapping.SPBlock {
+// CloneBlocks deep-copies a block mapping, keeping nil nil, so memoized
+// and cached mappings are never handed out as aliases.
+func CloneBlocks(bs []mapping.SPBlock) []mapping.SPBlock {
 	if bs == nil {
 		return nil
 	}
@@ -96,7 +95,7 @@ var errStopEnum = errors.New("spdecomp: enumeration reached the certified bound"
 // fold.
 func (pp *Prepared) Exhaustive(ctx context.Context, goal Goal) ([]mapping.SPBlock, mapping.Cost, bool, error) {
 	if r, ok := pp.memo[goal]; ok {
-		return cloneSPBlocks(r.blocks), r.c, r.ok, nil
+		return CloneBlocks(r.blocks), r.c, r.ok, nil
 	}
 	bs := &pp.search
 	bs.ctx, bs.goal, bs.lb = ctx, goal, pp.lowerBound(goal)
@@ -111,7 +110,7 @@ func (pp *Prepared) Exhaustive(ctx context.Context, goal Goal) ([]mapping.SPBloc
 	}
 	r.ok = found
 	pp.memo[goal] = r
-	return cloneSPBlocks(r.blocks), r.c, found, nil
+	return CloneBlocks(r.blocks), r.c, found, nil
 }
 
 // blockSearch is the incumbent.Search of one Exhaustive solve: shards
@@ -319,21 +318,6 @@ func (sc *scanner) evaluate() error {
 // pollEvery is how many search nodes pass between polls of the shared
 // shard state; a stale bound only prunes less.
 const pollEvery = 64
-
-// BestHeuristic returns the goal-best candidate of the deterministic
-// heuristic set, computing the (goal-independent) set once per prepared
-// instance. The returned blocks are the caller's to keep.
-func (pp *Prepared) BestHeuristic(goal Goal) (Candidate, bool) {
-	if !pp.heurDone {
-		pp.heur = Heuristics(pp.g, pp.pl)
-		pp.heurDone = true
-	}
-	cand, ok := Best(pp.heur, goal)
-	if !ok {
-		return Candidate{}, false
-	}
-	return Candidate{Blocks: cloneSPBlocks(cand.Blocks), Cost: cand.Cost}, true
-}
 
 // Exhaustive enumerates every partition of the steps into blocks on
 // distinct processors (restricted-growth set partitions crossed with
