@@ -47,9 +47,10 @@ func crashChild(dir string) {
 	}
 	cfg := server.Config{
 		Store: st,
-		// Raised exhaustive limit: each sweep candidate solves long
-		// enough that the parent reliably kills us mid-sweep.
-		Options: core.Options{MaxExhaustivePipelineProcs: 10},
+		// Raised exhaustive limit: the 12-processor sweep's point solves
+		// run long enough after its first point that the parent reliably
+		// kills us mid-sweep.
+		Options: core.Options{MaxExhaustivePipelineProcs: 12},
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -152,7 +153,7 @@ func TestCrashRecoveryAcrossKill(t *testing.T) {
 		"kind": "pareto",
 		"instance": {
 			"pipeline": {"weights": [14, 4, 2, 4, 7, 3, 9]},
-			"platform": {"speeds": [5, 4, 3, 3, 2, 2, 1, 1, 4, 2]},
+			"platform": {"speeds": [5, 4, 3, 3, 2, 2, 1, 1, 4, 2, 3, 1]},
 			"allowDataParallel": true
 		},
 		"timeoutMs": 120000

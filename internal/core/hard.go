@@ -30,6 +30,9 @@ type hardKind struct {
 	// After an error the solver is not used.
 	newExact func(pr Problem) (any, error)
 	exact    func(ctx context.Context, solver any, pr Problem) (Solution, bool, error)
+	// front is the PreparedCell.Front of an exact solver; nil when the
+	// kind has no front pass.
+	front func(ctx context.Context, solver any) ([]float64, error)
 	// heuristic builds the solve of an oversized instance. A shared solve
 	// serves a whole objective family and hands out mappings the caller
 	// may keep; kinds whose candidates depend on the objective return nil
@@ -110,6 +113,9 @@ func (k *hardKind) prepare(pr Problem, opts Options) *PreparedCell {
 	pc := &PreparedCell{Solve: c.run}
 	if p, ok := c.solver.(parallelSolver); ok {
 		pc.SetParallelism = p.SetParallelism
+	}
+	if c.solver != nil && k.front != nil {
+		pc.Front = func(ctx context.Context) ([]float64, error) { return k.front(ctx, c.solver) }
 	}
 	return pc
 }

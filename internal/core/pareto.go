@@ -73,19 +73,29 @@ func ParetoFrontWith(ctx context.Context, pr Problem, opts Options, batch BatchS
 	// Dominance filtering is a serial walk over the ascending candidates;
 	// only the few accepted points pay a tightening solve.
 	acc := NewFrontAccumulator()
+	var tightenErr error
 	tighten := func(latency float64) (Solution, bool) {
 		tight := pr
 		tight.Objective = PeriodUnderLatency
 		tight.Bound = latency
 		tsols, err := batch(ctx, []Problem{tight}, opts)
 		if err != nil {
+			tightenErr = err
 			return Solution{}, false
 		}
 		return tsols[0], true
 	}
 	var front []Solution
 	for _, sol := range sols {
-		if point, ok := acc.Offer(sol, tighten); ok {
+		point, ok := acc.Offer(sol, tighten)
+		// A tightening probe killed by the sweep's own context fails the
+		// sweep, as the engine's does: the untightened candidate is not
+		// the point an uninterrupted sweep returns. Other probe failures
+		// keep the untightened fallback.
+		if tightenErr != nil && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if ok {
 			front = append(front, point)
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -103,6 +105,35 @@ func TestParetoFrontForkJoin(t *testing.T) {
 func TestParetoFrontRejectsInvalid(t *testing.T) {
 	if _, err := ParetoFront(Problem{}, Options{}); err == nil {
 		t.Error("graphless problem accepted")
+	}
+}
+
+// TestParetoFrontWithCancelledTightening: a sweep whose context dies
+// after the candidate batch, so that every tightening probe fails with
+// the context's error, returns that error — not a front assembled from
+// untightened candidates.
+func TestParetoFrontWithCancelledTightening(t *testing.T) {
+	p := workflow.NewPipeline(14, 4, 2, 4, 7, 5, 3, 9)
+	pr := Problem{Pipeline: &p, Platform: platform.New(5, 4, 3, 3, 2, 2, 1, 1), AllowDataParallel: true}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls, failed := 0, 0
+	batch := func(ctx context.Context, problems []Problem, opts Options) ([]Solution, error) {
+		calls++
+		if calls > 1 {
+			failed++
+			return nil, ctx.Err()
+		}
+		sols, err := serialBatch(ctx, problems, opts)
+		cancel() // the sweep dies after its candidate batch
+		return sols, err
+	}
+	front, err := ParetoFrontWith(ctx, pr, Options{}, batch)
+	if !errors.Is(err, context.Canceled) || front != nil {
+		t.Fatalf("cancelled sweep returned a front of %d points and error %v, want none and context.Canceled", len(front), err)
+	}
+	if failed == 0 {
+		t.Fatal("no tightening probe ran")
 	}
 }
 

@@ -23,6 +23,9 @@ type PreparedSolver struct {
 	// setPar retunes the shared prepared solver's worker count (nil when
 	// the cell has no parallel path); see SetParallelism.
 	setPar func(workers int)
+	// front is the shared cell's front pass when PeriodUnderLatency runs
+	// on that cell (nil otherwise); see Front.
+	front func(ctx context.Context) ([]float64, error)
 }
 
 // preparableObjectives is every objective a PreparedSolver dispatches.
@@ -73,8 +76,26 @@ func Prepare(pr Problem, opts Options) (*PreparedSolver, bool) {
 		return nil, false
 	}
 	ps.setPar = shared.SetParallelism
+	if ps.fns[PeriodUnderLatency] != nil {
+		ps.front = shared.Front
+	}
 	ps.SetParallelism(opts.Parallelism)
 	return ps, true
+}
+
+// Front returns the latencies of the instance's exact Pareto front in
+// order of increasing period: Solve(ctx, PeriodUnderLatency, L) at each
+// of them is the front's point at L, and each such solve after the pass
+// is a single bounded solve. ok is false, with nothing run, when the
+// instance's PeriodUnderLatency cell has no front pass; only the exact
+// pipeline cells have one today. The pass runs once per prepared solver;
+// a pass cut short returns ctx's error.
+func (ps *PreparedSolver) Front(ctx context.Context) (latencies []float64, ok bool, err error) {
+	if ps.front == nil {
+		return nil, false, nil
+	}
+	latencies, err = ps.front(ctx)
+	return latencies, true, err
 }
 
 // SetParallelism retunes the per-solve search parallelism of subsequent

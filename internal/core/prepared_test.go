@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"repliflow/internal/fullmodel"
+	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -211,5 +213,48 @@ func TestPreparedSolverRejectsInvalidBound(t *testing.T) {
 		if _, werr := SolveContext(context.Background(), sub, Options{}); ErrKindOf(werr) != ErrKindOf(err) {
 			t.Errorf("bound %g: prepared err kind %v != SolveContext err kind %v", bound, ErrKindOf(err), ErrKindOf(werr))
 		}
+	}
+}
+
+// TestPreparedSolverFront: Front reports ok only on a cell with a front
+// pass; there its latencies are those of ParetoFront (within the
+// tolerance: the pass sums a point's latency in its own order), and the
+// period-under-latency solve at each is the front's point. A pass cut
+// short returns the context's error and leaves the solver as good as new.
+func TestPreparedSolverFront(t *testing.T) {
+	pipe := workflow.NewPipeline(14, 4, 2, 4, 7, 5, 3, 9)
+	pr := Problem{Pipeline: &pipe, Platform: platform.New(5, 4, 3, 3, 2, 2, 1, 1), AllowDataParallel: true}
+	want, err := ParetoFront(pr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, ok := Prepare(pr, Options{})
+	if !ok {
+		t.Fatal("Prepare refused a small NP-hard pipeline")
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if lats, ok, err := ps.Front(cancelled); !ok || lats != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled pass: (%v, %v, %v), want (nil, true, context.Canceled)", lats, ok, err)
+	}
+	lats, ok, err := ps.Front(context.Background())
+	if !ok || err != nil || len(lats) != len(want) {
+		t.Fatalf("Front: %d latencies, ok %v, err %v; ParetoFront has %d points", len(lats), ok, err, len(want))
+	}
+	for k, l := range lats {
+		sol, err := ps.Solve(context.Background(), PeriodUnderLatency, l)
+		if err != nil || !numeric.Eq(l, want[k].Cost.Latency) || !reflect.DeepEqual(sol, want[k]) {
+			t.Errorf("point %d: latency %v, solve %+v (err %v); ParetoFront %+v", k, l, sol, err, want[k])
+		}
+	}
+
+	fork := workflow.NewFork(2, 7, 3, 9, 4)
+	fpr := Problem{Fork: &fork, Platform: platform.New(5, 4, 3, 2), AllowDataParallel: true}
+	fps, ok := Prepare(fpr, Options{})
+	if !ok {
+		t.Fatal("Prepare refused a small NP-hard fork")
+	}
+	if lats, ok, err := fps.Front(context.Background()); ok || lats != nil || err != nil {
+		t.Errorf("fork Front: (%v, %v, %v), want (nil, false, nil)", lats, ok, err)
 	}
 }

@@ -58,6 +58,12 @@ type PreparedCell struct {
 	// Results stay byte-identical at every setting, so retuning between
 	// solves never invalidates the prepared solver's memos.
 	SetParallelism func(workers int)
+	// Front, when non-nil, returns the latencies of the cell's exact
+	// Pareto front in order of increasing period, from one bi-criteria
+	// pass that is memoized for the cell's later solves: the
+	// PeriodUnderLatency solves at those latencies are the front's
+	// points. Nil on cells without a pass.
+	Front func(ctx context.Context) ([]float64, error)
 }
 
 // SolverEntry is one registered solver: the algorithm family used for

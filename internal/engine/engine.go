@@ -481,9 +481,15 @@ func (p *preparedPool) solve(ctx context.Context, pr core.Problem, opts core.Opt
 		return core.SolveContext(ctx, pr, opts)
 	}
 	defer p.pool.Put(ps)
+	return solveOn(ctx, ps, pr, opts)
+}
+
+// solveOn solves one objective/bound variant on a prepared solver the
+// caller owns for the call.
+func solveOn(ctx context.Context, ps *core.PreparedSolver, pr core.Problem, opts core.Options) (core.Solution, error) {
 	// The engine's slot donation rewrites Parallelism per solve; retune
-	// the pooled solver to this solve's grant (byte-identical results at
-	// every setting, so the pooled memos stay valid).
+	// the solver to this solve's grant (byte-identical results at every
+	// setting, so its memos stay valid).
 	ps.SetParallelism(opts.Parallelism)
 	return ps.SolveProblem(ctx, pr)
 }

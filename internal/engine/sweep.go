@@ -18,7 +18,7 @@ type SweepPoint struct {
 	// Index is the 0-based position of the point on the front.
 	Index int
 	// Explored counts the candidate periods resolved (solved or pruned)
-	// when the point was confirmed.
+	// when the point was confirmed; a front pass resolves them all.
 	Explored int
 	// Total is the number of candidate periods of the whole sweep.
 	Total int
@@ -52,15 +52,18 @@ type SweepObserver struct {
 // after the whole sweep. The emitted sequence is identical to the slice
 // ParetoFront returns — ParetoFront is a thin wrapper collecting it.
 //
-// On instances the dispatcher solves exactly, the sweep prunes by
-// monotonicity exactly like ParetoFront always has, but refines the
-// candidate list smallest-periods-first so the resolved prefix (and with
-// it the confirmed front) grows from the left while later candidates are
-// still being solved. Heuristically solved and budget-bounded instances
-// scan the candidates in ascending batches of one worker round each. A
-// positive Options.AnytimeBudget remains a whole-sweep wall-clock target:
-// it is split across the rounds of the candidate scan the way SolveBatch
-// splits a batch budget.
+// On instances the dispatcher solves exactly and whose prepared solver
+// has a front pass (core.PreparedSolver.Front: the exact pipeline
+// cells), one pass proves the whole front, and each point is then the
+// period-under-latency solve at its latency. On other exact instances
+// the sweep prunes by monotonicity exactly like ParetoFront always has,
+// but refines the candidate list smallest-periods-first so the resolved
+// prefix (and with it the confirmed front) grows from the left while
+// later candidates are still being solved. Heuristically solved and
+// budget-bounded instances scan the candidates in ascending batches of
+// one worker round each. A positive Options.AnytimeBudget remains a
+// whole-sweep wall-clock target: it is split across the rounds of the
+// candidate scan the way SolveBatch splits a batch budget.
 //
 // A context expiry (or a Point error) stops the sweep and returns the
 // error together with the stats; every point already delivered stands,
@@ -94,7 +97,8 @@ func (e *Engine) SweepFront(ctx context.Context, pr core.Problem, opts core.Opti
 	// the sweep differs only in Objective/Bound, so cache misses share the
 	// pooled solvers' preprocessing, scratch and bound memos across the
 	// entire sweep — not just within one solve round.
-	if pool := newPreparedPool(pr, opts); pool != nil {
+	pool := newPreparedPool(pr, opts)
+	if pool != nil {
 		s.via = pool.solve
 	}
 
@@ -106,7 +110,10 @@ func (e *Engine) SweepFront(ctx context.Context, pr core.Problem, opts core.Opti
 	pul.Bound = 1
 	var runErr error
 	if core.ExactlySolvable(lup, opts) && core.ExactlySolvable(pul, opts) {
-		runErr = s.runPruned(ctx)
+		var fronted bool
+		if fronted, runErr = s.runFront(ctx, pool); !fronted {
+			runErr = s.runPruned(ctx)
+		}
 	} else {
 		if opts.AnytimeBudget > 0 && !core.ClassifyCell(core.CellKeyOf(lup)).Complexity.Polynomial() {
 			// The budget is a whole-sweep target: split it across the
@@ -212,9 +219,7 @@ func (s *sweeper) drain(ctx context.Context) error {
 				return ctx.Err()
 			}
 			if ok {
-				sp := SweepPoint{Solution: point, Index: s.emitted, Explored: s.explored, Total: len(s.cands)}
-				s.emitted++
-				if err := s.obs.Point(sp); err != nil {
+				if err := s.emit(point); err != nil {
 					return err
 				}
 			}
@@ -222,6 +227,13 @@ func (s *sweeper) drain(ctx context.Context) error {
 		s.next++
 	}
 	return nil
+}
+
+// emit delivers the next confirmed front point to the observer.
+func (s *sweeper) emit(point core.Solution) error {
+	sp := SweepPoint{Solution: point, Index: s.emitted, Explored: s.explored, Total: len(s.cands)}
+	s.emitted++
+	return s.obs.Point(sp)
 }
 
 // runPruned is the exact-instance sweep: divide-and-conquer over the
@@ -290,6 +302,62 @@ func (s *sweeper) runPruned(ctx context.Context) error {
 		}
 	}
 	return s.drain(ctx)
+}
+
+// runFront is the sweep of an exact instance whose prepared solver has a
+// front pass: the pass, run once under one solve slot, names every front
+// latency, which resolves every candidate period at once. Each point is
+// then the PeriodUnderLatency solve at its latency — the solve runPruned's
+// tightening probe makes for it — through the cache, on the solver that
+// holds the memoized front, so each is one bounded solve. A pass cut
+// short has proven no point. runFront reports false, having run and
+// emitted nothing, when the instance has no pool (pool is nil) or its
+// solver no front pass.
+func (s *sweeper) runFront(ctx context.Context, pool *preparedPool) (bool, error) {
+	if pool == nil {
+		return false, nil
+	}
+	ps := pool.pool.Get().(*core.PreparedSolver)
+	if ps == nil {
+		return false, nil
+	}
+	select {
+	case s.e.sem <- struct{}{}:
+	case <-ctx.Done():
+		pool.pool.Put(ps)
+		return true, ctx.Err()
+	}
+	lats, ok, err := ps.Front(ctx)
+	<-s.e.sem
+	if !ok {
+		pool.pool.Put(ps)
+		return false, nil
+	}
+	if err != nil {
+		return true, err
+	}
+	s.explored = len(s.cands)
+	if s.obs.Progress != nil {
+		s.obs.Progress(s.explored, len(s.cands))
+	}
+	via := func(ctx context.Context, pr core.Problem, opts core.Options) (core.Solution, error) {
+		return solveOn(ctx, ps, pr, opts)
+	}
+	for _, latency := range lats {
+		tight := s.pr
+		tight.Objective = core.PeriodUnderLatency
+		tight.Bound = latency
+		sol, err := s.e.solveVia(ctx, tight, s.opts, via)
+		if err != nil {
+			return true, err
+		}
+		if point, ok := s.acc.Offer(sol, nil); ok {
+			if err := s.emit(point); err != nil {
+				return true, err
+			}
+		}
+	}
+	return true, nil
 }
 
 // runScan is the fallback sweep for instances without the monotonicity

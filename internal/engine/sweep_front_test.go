@@ -1,0 +1,81 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"repliflow/internal/core"
+	"repliflow/internal/exhaustive"
+)
+
+// TestSweepFrontOneSolvePerPoint: a sweep of an exact pipeline instance
+// runs one front pass and then exactly one scalar DP solve per front
+// point, at every worker count, and reports every candidate resolved
+// from its first point on. Solve counts are deterministic where wall
+// time is not.
+func TestSweepFrontOneSolvePerPoint(t *testing.T) {
+	cases := frontCorpusInstances()
+	cases = append(cases[:6], cases[len(cases)-1])
+	for _, workers := range []int{1, 3} {
+		for i, c := range cases {
+			before := exhaustive.PipelineDPSolves()
+			points, stats := collectSweep(t, New(workers), c.problem(), core.Options{})
+			solves := exhaustive.PipelineDPSolves() - before
+			if len(points) == 0 || solves != int64(len(points)) {
+				t.Errorf("case %d, %d workers: %d DP solves for %d front points", i, workers, solves, len(points))
+			}
+			for _, p := range points {
+				if p.Explored != p.Total {
+					t.Errorf("case %d, %d workers: point %d confirmed at %d of %d candidates", i, workers, p.Index, p.Explored, p.Total)
+				}
+			}
+			if stats.Explored != stats.Total {
+				t.Errorf("case %d, %d workers: completed sweep explored %d of %d", i, workers, stats.Explored, stats.Total)
+			}
+		}
+	}
+}
+
+// pollCountCtx is a context whose Err reports cancellation from its
+// n-th call on, and whose Done never fires: polled by the front pass's
+// stepper, it cancels the sweep in the middle of the pass.
+type pollCountCtx struct {
+	context.Context
+	polls, n int
+}
+
+func (c *pollCountCtx) Done() <-chan struct{}       { return nil }
+func (c *pollCountCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *pollCountCtx) Err() error {
+	c.polls++
+	if c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSweepFrontCancelledDuringPass: a sweep cancelled while the front
+// pass runs returns the context's error, emits no point and reports no
+// candidate explored — it has proven nothing.
+func TestSweepFrontCancelledDuringPass(t *testing.T) {
+	pr := frontCorpusInstances()[0].problem()
+	ctx := &pollCountCtx{Context: context.Background(), n: 3}
+	var points int
+	stats, err := New(2).SweepFront(ctx, pr, core.Options{}, SweepObserver{
+		Point: func(SweepPoint) error { points++; return nil },
+		Progress: func(explored, total int) {
+			t.Errorf("progress %d of %d reported by a cancelled pass", explored, total)
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("sweep cancelled during the pass returned %v, want context.Canceled", err)
+	}
+	if ctx.polls != ctx.n {
+		t.Fatalf("the pass polled its context %d times, want it stopped at poll %d", ctx.polls, ctx.n)
+	}
+	if points != 0 || stats.Points != 0 || stats.Explored != 0 || stats.Total == 0 {
+		t.Errorf("cancelled pass: %d points emitted, stats %+v", points, stats)
+	}
+}

@@ -25,14 +25,16 @@
 //
 // # Prepared solvers
 //
-// Pareto sweeps and bi-criteria binary searches solve the same
-// (workflow, platform) pair hundreds of times, varying only the bound.
-// The prepared solvers — PipelinePrepared, ForkPrepared, ForkJoinPrepared
-// — share everything that does not depend on the bound across those
-// solves: the per-platform subset table (built once per prepared solver,
-// see buildMaskInfo, and shared read-only with its shard workers), the
+// Pareto sweeps solve the same (workflow, platform) pair dozens to
+// hundreds of times, varying only the bound. The prepared solvers —
+// PipelinePrepared, ForkPrepared, ForkJoinPrepared — share everything
+// that does not depend on the bound across those solves: the
+// per-platform subset table (built once per prepared solver, see
+// buildMaskInfo, and shared read-only with its shard workers), the
 // DP/enumeration scratch memory (reset by epoch counters, never
-// reallocated), the candidate-period sets, and a per-bound result memo.
+// reallocated), the candidate-period sets, a per-bound result memo and,
+// for the pipeline DP, the exact Pareto front of one bi-criteria pass,
+// which makes each period-under-latency solve a single bounded solve.
 // Their results are byte-identical to the one-shot entry points, which
 // are themselves thin wrappers over a prepared solver used once.
 package exhaustive

@@ -3,6 +3,8 @@ package exhaustive
 import (
 	"context"
 	"math"
+	"sort"
+	"sync/atomic"
 
 	"repliflow/internal/anytime"
 	"repliflow/internal/incumbent"
@@ -60,6 +62,14 @@ type pipeSolver struct {
 	// par is the worker count of the level sweep; <= 1 keeps the
 	// top-down recursion (see solveParallel for the contract).
 	par int
+
+	// The bi-criteria pass (frontPass) keeps every state's non-dominated
+	// completions in arena, located by span and marked by visited/epoch
+	// like the scalar memo; lvl holds each stage level's working list and
+	// merge buffer. Every pass, completed or cut, releases all three.
+	span  []frontSpan
+	arena []frontPt
+	lvl   [][2][]frontPt
 }
 
 func newPipeSolver(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool, periodCap float64, minimizePeriod bool) *pipeSolver {
@@ -278,6 +288,216 @@ func (s *pipeSolver) solveParallel() float64 {
 	return v
 }
 
+// dpSolves counts the scalar DP solves of every pipeline solver in the
+// process (see PipelineDPSolves).
+var dpSolves atomic.Int64
+
+// PipelineDPSolves returns how many scalar DP solves the pipeline solvers
+// of this process have run: memo hits and the bi-criteria pass do not
+// count. Tests read it around a sweep to pin its solve count, which
+// wall-clock time cannot.
+func PipelineDPSolves() int64 { return dpSolves.Load() }
+
+// frontPt is one (period, latency) point of a state's Pareto list.
+type frontPt struct{ period, latency float64 }
+
+// frontSpan locates a state's Pareto list in the pass's arena.
+type frontSpan struct{ off, n int32 }
+
+// emptySuffix is the Pareto list of level n: the empty suffix costs
+// nothing on either criterion.
+var emptySuffix = [1]frontPt{}
+
+// frontPass computes the Pareto list of the root state: the exact front
+// of (period, latency), by increasing period and strictly decreasing
+// latency. It is the scalar DP with a list for a value. A state keeps
+// its non-dominated completions; a transition folds the group's
+// (period, delay) into the child's list as (max, sum), which is monotone
+// in both, so only the child's non-dominated completions can reach the
+// state's list. The caller resets the solver first; on cancellation the
+// result is nil and s.step.err is set.
+func (s *pipeSolver) frontPass() []frontPt {
+	if s.span == nil {
+		s.span = make([]frontSpan, len(s.memo))
+		s.arena = make([]frontPt, 0, len(s.memo))
+		// Every level's two lists start on one backing array, with room
+		// for the fronts of bench-sized instances; longer ones regrow.
+		const room = 16
+		s.lvl = make([][2][]frontPt, s.n)
+		backing := make([]frontPt, 2*room*s.n)
+		for i := range s.lvl {
+			s.lvl[i][0] = backing[2*room*i : 2*room*i : 2*room*i+room]
+			s.lvl[i][1] = backing[2*room*i+room : 2*room*i+room : 2*room*(i+1)]
+		}
+	}
+	s.arena = s.arena[:0]
+	root := s.front(0, 0)
+	var out []frontPt
+	if s.step.err == nil {
+		out = append([]frontPt(nil), root...)
+	}
+	// The scratch goes either way: a pass cut inside a state can leave
+	// that level's list and merge buffer on one array, so a later pass
+	// starts on fresh scratch.
+	s.span, s.arena, s.lvl = nil, nil, nil
+	return out
+}
+
+// front returns the Pareto list of state (i, usedMask), computing it on
+// the first visit of the epoch. The slice aliases the arena: it stays
+// valid until the next state is stored, which never happens before the
+// caller has folded it.
+func (s *pipeSolver) front(i, usedMask int) []frontPt {
+	if i == s.n {
+		return emptySuffix[:]
+	}
+	id := i<<s.pbits | usedMask
+	if s.visited[id] != s.epoch {
+		s.visited[id] = s.epoch
+		s.span[id] = s.frontState(i, usedMask)
+	}
+	sp := s.span[id]
+	return s.arena[sp.off : sp.off+sp.n]
+}
+
+// frontState runs the candidate loops of state on lists: a group whose
+// own (period, delay) is weakly dominated by the list so far cannot add
+// a point, and neither can the longer intervals on the same subset,
+// whose period and delay are larger still — the interval loop breaks
+// there, as the scalar DP's cannot-improve test does.
+func (s *pipeSolver) frontState(i, usedMask int) frontSpan {
+	cur := s.lvl[i][0][:0]
+	free := s.full &^ usedMask
+	for sub := free; sub > 0; sub = (sub - 1) & free {
+		if !s.step.ok() {
+			return frontSpan{}
+		}
+		info := &s.info[sub]
+		w := 0.0
+		for j := i; j < s.n; j++ {
+			w += s.p.Weights[j]
+			period, delay := w*info.perInv, w*info.invMin
+			if dominated(cur, period, delay) {
+				break
+			}
+			cur = s.fold(i, cur, period, delay, s.front(j+1, usedMask|sub))
+		}
+		if s.allowDP {
+			c := s.p.Weights[i] * info.invSum
+			if !dominated(cur, c, c) {
+				cur = s.fold(i, cur, c, c, s.front(i+1, usedMask|sub))
+			}
+		}
+	}
+	s.lvl[i][0] = cur
+	sp := frontSpan{off: int32(len(s.arena)), n: int32(len(cur))}
+	s.arena = append(s.arena, cur...)
+	return sp
+}
+
+// leq is numeric.LessEq on the pass's costs, which are non-negative:
+// it decides by the same float operations as numeric.Eq without that
+// function's general-case branches, and the d <= MaxFloat64 test keeps
+// an infinite a from passing (TestLeqMatchesLessEq pins the two
+// together). The pass spends most of its time in these comparisons: on
+// the 7-stage, 10-processor pipeline of the streaming tests, a pass took
+// 53 ms with leq against 76 ms with numeric.LessEq, with and without
+// data-parallelism (5 alternated pairs of test binaries, -cpu 1, 2-vCPU
+// container).
+func leq(a, b float64) bool {
+	if a <= b {
+		return true
+	}
+	d := a - b
+	return d <= numeric.Eps || d <= numeric.Eps*a && d <= math.MaxFloat64
+}
+
+// dominated reports whether a point of the list weakly dominates
+// (period, latency) under the numeric tolerance. The list rises in
+// period and falls in latency, so the last point within the period is
+// the only one to test.
+func dominated(list []frontPt, period, latency float64) bool {
+	k := -1
+	for k+1 < len(list) && leq(list[k+1].period, period) {
+		k++
+	}
+	return k >= 0 && leq(list[k].latency, latency)
+}
+
+// fold merges into level i's list cur the completions of a group of
+// cost (period, delay) followed by child's: (max(period, p), delay + l)
+// for each child point (p, l). The child points within the group's
+// period all collapse onto its period, where the last of them — the
+// least latency — dominates the others. Once a state's list has filled
+// in, most folds add nothing, so the completions are first tested
+// against the list, and only a survivor pays for the merge. The merge
+// runs in period order and keeps the list non-dominated; cur's buffer
+// becomes the level's next merge buffer.
+func (s *pipeSolver) fold(i int, cur []frontPt, period, delay float64, child []frontPt) []frontPt {
+	m := 0
+	for m+1 < len(child) && child[m+1].period <= period {
+		m++
+	}
+	if coversAll(cur, period, delay, child[m:]) {
+		return cur
+	}
+	first := frontPt{max(period, child[m].period), delay + child[m].latency}
+	a := 0
+	for a < len(cur) && (cur[a].period < first.period || cur[a].period == first.period && cur[a].latency <= first.latency) {
+		a++
+	}
+	out := append(s.lvl[i][1][:0], cur[:a]...)
+	for a < len(cur) || m < len(child) {
+		var pt frontPt
+		if m < len(child) {
+			pt = frontPt{max(period, child[m].period), delay + child[m].latency}
+		}
+		if m == len(child) || a < len(cur) && (cur[a].period < pt.period || cur[a].period == pt.period && cur[a].latency <= pt.latency) {
+			pt = cur[a]
+			a++
+		} else {
+			m++
+		}
+		out = addPoint(out, pt)
+	}
+	s.lvl[i][1] = cur
+	return out
+}
+
+// coversAll reports whether list weakly dominates every completion of a
+// group of cost (period, delay) followed by the child points, whose
+// periods rise: one pass of two pointers.
+func coversAll(list []frontPt, period, delay float64, child []frontPt) bool {
+	k := -1
+	for _, c := range child {
+		p, l := max(period, c.period), delay+c.latency
+		for k+1 < len(list) && leq(list[k+1].period, p) {
+			k++
+		}
+		if k < 0 || !leq(list[k].latency, l) {
+			return false
+		}
+	}
+	return true
+}
+
+// addPoint appends pt, whose period is no less than any on the list, and
+// keeps the list non-dominated: pt is dropped when the last point weakly
+// dominates it, and drops the last points it dominates in turn.
+func addPoint(list []frontPt, pt frontPt) []frontPt {
+	for len(list) > 0 {
+		last := list[len(list)-1]
+		if leq(last.latency, pt.latency) {
+			return list
+		}
+		if !leq(pt.period, last.period) {
+			break
+		}
+		list = list[:len(list)-1]
+	}
+	return append(list, pt)
+}
+
 // reconstruct rebuilds the optimal mapping from the recorded choices.
 // Procs slices are copied out of the platform table here — once per
 // returned mapping, never in the search loops — so callers own (and may
@@ -303,6 +523,7 @@ func (s *pipeSolver) reconstruct() mapping.PipelineMapping {
 }
 
 func (s *pipeSolver) result() (PipelineResult, bool, error) {
+	dpSolves.Add(1)
 	var v float64
 	if s.par > 1 && s.n > 0 {
 		v = s.solveParallel()
@@ -334,7 +555,7 @@ type pipeMemo struct {
 // PipelinePrepared solves repeated objective/bound variants of one
 // (pipeline, platform, model) triple, sharing the platform subset table,
 // the DP arrays (reset by epoch, not reallocation), the candidate-period
-// set of the bi-criteria binary search, and a per-bound result memo across
+// set, the exact Pareto front, and a per-bound result memo across
 // solves. Results are byte-identical to the one-shot package functions —
 // which are thin wrappers over a prepared solver used once.
 //
@@ -345,9 +566,11 @@ type PipelinePrepared struct {
 	pl      platform.Platform
 	allowDP bool
 	s       *pipeSolver
-	// cands is the lazily built candidate-period set of
-	// PeriodUnderLatency's binary search.
+	// cands is the lazily built candidate-period set: PeriodUnderLatency
+	// solves at one of them.
 	cands []float64
+	// front is the memoized exact Pareto front (see Front).
+	front []mapping.Cost
 	// lup memoizes LatencyUnderPeriod solves by the period cap's bits
 	// (math.Float64bits, so caps differing by one ULP stay distinct).
 	// +Inf is the unbounded MinLatency solve.
@@ -434,31 +657,46 @@ func (pp *PipelinePrepared) candidates() []float64 {
 	return pp.cands
 }
 
-// PeriodUnderLatency solves min-period under the latency cap by binary
-// search over the (cached) finite set of achievable group periods; every
-// probe shares the DP arrays and feeds the LatencyUnderPeriod memo, so
-// overlapping searches (the tightening probes of a Pareto sweep) skip
-// their common prefixes entirely.
-func (pp *PipelinePrepared) PeriodUnderLatency(ctx context.Context, maxLatency float64) (PipelineResult, bool, error) {
-	cands := pp.candidates()
-	lo, hi := 0, len(cands)-1
-	var best PipelineResult
-	found := false
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		res, ok, err := pp.LatencyUnderPeriod(ctx, cands[mid])
-		if err != nil {
-			return PipelineResult{}, false, err
+// Front returns the exact Pareto front of (period, latency), by
+// increasing period and decreasing latency, from one bi-criteria pass
+// over the DP's states (see frontPass). It is computed once per prepared
+// solver; the returned slice is the memo, which callers must not modify.
+// A pass cut short by ctx returns ctx's error and memoizes nothing.
+func (pp *PipelinePrepared) Front(ctx context.Context) ([]mapping.Cost, error) {
+	if pp.front == nil {
+		pp.s.reset(ctx, numeric.Inf, false)
+		pts := pp.s.frontPass()
+		if err := pp.s.step.err; err != nil {
+			return nil, err
 		}
-		if ok && numeric.LessEq(res.Cost.Latency, maxLatency) {
-			best = res
-			found = true
-			hi = mid - 1
-		} else {
-			lo = mid + 1
+		pp.front = make([]mapping.Cost, len(pts))
+		for k, pt := range pts {
+			pp.front[k] = mapping.Cost{Period: pt.period, Latency: pt.latency}
 		}
 	}
-	return best, found, nil
+	return pp.front, nil
+}
+
+// PeriodUnderLatency solves min-period under the latency cap with one
+// DP solve. The first front point within the cap has the least period
+// any mapping within it can reach, and that period is an achievable
+// group period: the latency-under-period solve at the smallest candidate
+// reaching it is the optimum, and the mapping and cost are that solve's.
+func (pp *PipelinePrepared) PeriodUnderLatency(ctx context.Context, maxLatency float64) (PipelineResult, bool, error) {
+	front, err := pp.Front(ctx)
+	if err != nil {
+		return PipelineResult{}, false, err
+	}
+	k := 0
+	for k < len(front) && !numeric.LessEq(front[k].Latency, maxLatency) {
+		k++
+	}
+	if k == len(front) {
+		return PipelineResult{}, false, nil
+	}
+	cands := pp.candidates()
+	c := sort.Search(len(cands), func(i int) bool { return numeric.GreaterEq(cands[i], front[k].Period) })
+	return pp.LatencyUnderPeriod(ctx, cands[c])
 }
 
 // Solve dispatches on (minimizePeriod, bound): the four objective shapes
@@ -520,9 +758,10 @@ func pipelinePeriodCandidates(p workflow.Pipeline, info []maskInfo, allowDP bool
 }
 
 // PipelinePeriodUnderLatency returns a mapping minimizing the period among
-// mappings whose latency does not exceed maxLatency. It binary-searches the
-// finite set of achievable group periods, so the result is exact. The
-// boolean is false when no mapping satisfies the latency bound.
+// mappings whose latency does not exceed maxLatency: the Pareto front
+// names the least period, and one latency-under-period solve at it
+// supplies the mapping, so the result is exact. The boolean is false when
+// no mapping satisfies the latency bound.
 func PipelinePeriodUnderLatency(p workflow.Pipeline, pl platform.Platform, allowDP bool, maxLatency float64) (PipelineResult, bool) {
 	res, ok, _ := NewPipelinePrepared(p, pl, allowDP).PeriodUnderLatency(context.Background(), maxLatency)
 	return res, ok
@@ -530,30 +769,19 @@ func PipelinePeriodUnderLatency(p workflow.Pipeline, pl platform.Platform, allow
 
 // PipelinePareto returns the exact Pareto front of (period, latency),
 // ordered by increasing period and decreasing latency. Each point carries a
-// mapping achieving it.
+// mapping achieving it: the front's pass, then one PeriodUnderLatency
+// solve per point.
 func PipelinePareto(p workflow.Pipeline, pl platform.Platform, allowDP bool) []PipelineResult {
 	pp := NewPipelinePrepared(p, pl, allowDP)
-	cands := pp.candidates()
-	var front []PipelineResult
-	prevLatency := numeric.Inf
 	ctx := context.Background()
-	for _, k := range cands {
-		res, ok, _ := pp.LatencyUnderPeriod(ctx, k)
-		if !ok {
-			continue
+	front, _ := pp.Front(ctx)
+	var out []PipelineResult
+	for _, pt := range front {
+		if res, ok, _ := pp.PeriodUnderLatency(ctx, pt.Latency); ok {
+			out = append(out, res)
 		}
-		if numeric.GreaterEq(res.Cost.Latency, prevLatency) {
-			continue
-		}
-		// Tighten the period: find the smallest period achieving this latency.
-		tight, ok, _ := pp.PeriodUnderLatency(ctx, res.Cost.Latency)
-		if ok {
-			res = tight
-		}
-		front = append(front, res)
-		prevLatency = res.Cost.Latency
 	}
-	return front
+	return out
 }
 
 // enumeratePipeline invokes visit for every valid canonical pipeline

@@ -20,7 +20,9 @@ import (
 // solvers, half minimizing the period and half the latency;
 // BenchmarkKernelPareto<Kind> computes the exact Pareto fronts of 3 such
 // instances through engine.ParetoFront, whose probes are bounded solves
-// on one prepared solver. They time the exact kernels without the wire
+// on one prepared solver; for the pipeline that is the prepared front
+// pass plus one bounded solve per point, and the bench gate holds it
+// below the bisection sweep it replaced. They time the exact kernels without the wire
 // path, so a change to a kernel can be compared against its parent
 // commit in alternated pairs of test binaries (go test -c at each
 // commit, then -test.bench '^BenchmarkKernelFork$' -test.cpu 1,

@@ -14,17 +14,38 @@ import (
 	"repliflow/internal/instance"
 )
 
-// exactSweepInstance is the staged slow instance of the exact (pruned)
-// sweep path: a 7-stage heterogeneous pipeline on 10 heterogeneous
-// processors, solved exhaustively under a raised limit. The whole sweep
-// takes on the order of a second at GOMAXPROCS=1 while the monotonicity
-// pruning resolves the left end of the candidate list within the first
-// few solves — so the first front point is proven (and must be flushed)
-// long before the sweep completes.
+// exactSweepInstance is the staged instance of the exact pipeline sweep,
+// the front path: a 7-stage heterogeneous pipeline on 10 heterogeneous
+// processors with data-parallelism, solved exhaustively under a raised
+// limit. One bi-criteria pass proves its 8-point front, and each point
+// is then one bounded solve — so the first point is flushed after the
+// pass, at about half the sweep, and the rest stream in one by one.
 const exactSweepInstance = `{
 	"pipeline": {"weights": [14, 4, 2, 4, 7, 3, 9]},
 	"platform": {"speeds": [5, 4, 3, 3, 2, 2, 1, 1, 4, 2]},
 	"allowDataParallel": true`
+
+// longFrontSweepInstance is exactSweepInstance without data-parallelism:
+// its front has over 20 points, so the point solves after the pass take
+// about three quarters of the sweep.
+const longFrontSweepInstance = `{
+	"pipeline": {"weights": [14, 4, 2, 4, 7, 3, 9]},
+	"platform": {"speeds": [5, 4, 3, 3, 2, 2, 1, 1, 4, 2]},
+	"allowDataParallel": false`
+
+// prunedSweepInstance is the staged slow instance of the exact pruned
+// sweep path (no front pass): a fork-join with 5 leaves on 7
+// heterogeneous processors, solved exhaustively under raised limits
+// (prunedSweepOptions). The bisection resolves the candidate list from
+// the left, so its first point is proven at about a third of the sweep
+// and the other 7 follow one by one while candidates are still
+// unexplored.
+const prunedSweepInstance = `{
+	"forkjoin": {"root": 5, "join": 4, "weights": [7, 3, 9, 4, 6]},
+	"platform": {"speeds": [5, 4, 3, 2, 1, 3, 2]},
+	"allowDataParallel": true`
+
+var prunedSweepOptions = core.Options{MaxExhaustiveForkStages: 7, MaxExhaustiveForkProcs: 7}
 
 // pacedSweepInstance is a small NP-hard staging instance with the
 // exhaustive limits lowered (newPacedServer) so the anytime portfolio
@@ -89,28 +110,45 @@ func parseStream(t *testing.T, lines []timedLine) (sols []timedLine, statuses []
 }
 
 // TestParetoFirstByteBeforeSweepCompletes is the tentpole's acceptance
-// test: on the staged slow exact sweep, the first NDJSON line must reach
-// the client in a small fraction of the total sweep time — the sweep is
-// delivered incrementally, not buffered.
+// test: on the staged slow exact sweeps, the first NDJSON line must
+// reach the client well before the sweep completes — the sweep is
+// delivered incrementally, not buffered. On the long front the first
+// point lands in a small fraction of the sweep. The data-parallel front
+// spends about half its sweep in the pass that proves every point, so
+// there the check is that the points after the first still stream in:
+// the first arrives at least a quarter of the sweep before the last.
 func TestParetoFirstByteBeforeSweepCompletes(t *testing.T) {
-	_, ts := newTestServer(t, Config{Options: core.Options{MaxExhaustivePipelineProcs: 10}})
-	code, lines, total := streamLines(t, ts.URL, exactSweepInstance+`, "timeoutMs": 120000}`)
-	if code != http.StatusOK {
-		t.Fatalf("status = %d", code)
+	for _, tc := range []struct {
+		name, instance string
+		dataParallel   bool
+	}{
+		{"long-front", longFrontSweepInstance, false},
+		{"data-parallel", exactSweepInstance, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Options: core.Options{MaxExhaustivePipelineProcs: 10}})
+			code, lines, total := streamLines(t, ts.URL, tc.instance+`, "timeoutMs": 120000}`)
+			if code != http.StatusOK {
+				t.Fatalf("status = %d", code)
+			}
+			sols, statuses := parseStream(t, lines)
+			if len(sols) < 2 {
+				t.Fatalf("staged sweep produced %d points, need >= 2", len(sols))
+			}
+			if n := len(statuses); n == 0 || statuses[n-1].Status != StreamStatusComplete {
+				t.Fatalf("missing terminal complete line: %+v", statuses)
+			}
+			first, last := sols[0].at, sols[len(sols)-1].at
+			if !tc.dataParallel && first >= total/2 {
+				t.Errorf("first point arrived at %v of a %v sweep — streaming is buffered, want first-byte << total", first, total)
+			}
+			if tc.dataParallel && last-first < total/4 {
+				t.Errorf("first point arrived at %v, last at %v of a %v sweep — streaming is buffered, want the points spread out", first, last, total)
+			}
+			// Increasing-period order across the delivered points.
+			assertIncreasingPeriods(t, sols)
+		})
 	}
-	sols, statuses := parseStream(t, lines)
-	if len(sols) < 2 {
-		t.Fatalf("staged sweep produced %d points, need >= 2", len(sols))
-	}
-	if n := len(statuses); n == 0 || statuses[n-1].Status != StreamStatusComplete {
-		t.Fatalf("missing terminal complete line: %+v", statuses)
-	}
-	first := sols[0].at
-	if first >= total/2 {
-		t.Errorf("first point arrived at %v of a %v sweep — streaming is buffered, want first-byte << total", first, total)
-	}
-	// Increasing-period order across the delivered points.
-	assertIncreasingPeriods(t, sols)
 }
 
 // checkTerminalDeadline asserts the terminal-line contract of a sweep
@@ -147,9 +185,9 @@ func checkTerminalDeadline(t *testing.T, statuses []StreamStatus, points int) {
 // the completion happen, and the timed run gets the midpoint — so the
 // test stages "mid-sweep" on any machine speed.
 func TestParetoDeadlineMidSweep(t *testing.T) {
-	cfg := Config{Options: core.Options{MaxExhaustivePipelineProcs: 10}}
+	cfg := Config{Options: prunedSweepOptions}
 	_, ref := newTestServer(t, cfg)
-	code, lines, total := streamLines(t, ref.URL, exactSweepInstance+`, "timeoutMs": 120000}`)
+	code, lines, total := streamLines(t, ref.URL, prunedSweepInstance+`, "timeoutMs": 120000}`)
 	if code != http.StatusOK {
 		t.Fatalf("reference sweep: status = %d", code)
 	}
@@ -165,7 +203,7 @@ func TestParetoDeadlineMidSweep(t *testing.T) {
 
 	// A fresh server: the reference run must not warm the timed run.
 	_, timed := newTestServer(t, cfg)
-	body := fmt.Sprintf(`%s, "timeoutMs": %d}`, exactSweepInstance, deadline.Milliseconds())
+	body := fmt.Sprintf(`%s, "timeoutMs": %d}`, prunedSweepInstance, deadline.Milliseconds())
 	code, lines, _ = streamLines(t, timed.URL, body)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d with a mid-sweep deadline", code)
@@ -185,6 +223,53 @@ func TestParetoDeadlineMidSweep(t *testing.T) {
 		}
 	}
 	checkTerminalDeadline(t, statuses, len(partial))
+}
+
+// TestParetoDeadlineAfterFrontPass is the deadline-expiry test of the
+// front path: a deadline landing between the front's points leaves an
+// ordered prefix of the front, closed by a deadline-exceeded terminal
+// line that reports every candidate explored — the pass proved the
+// whole front before the first point went out, so nothing is left
+// unexplored, only unsent.
+func TestParetoDeadlineAfterFrontPass(t *testing.T) {
+	cfg := Config{Options: core.Options{MaxExhaustivePipelineProcs: 10}}
+	_, ref := newTestServer(t, cfg)
+	code, lines, total := streamLines(t, ref.URL, longFrontSweepInstance+`, "timeoutMs": 120000}`)
+	if code != http.StatusOK {
+		t.Fatalf("reference sweep: status = %d", code)
+	}
+	sols, _ := parseStream(t, lines)
+	if len(sols) < 2 {
+		t.Fatalf("reference sweep produced %d points, need >= 2", len(sols))
+	}
+	first := sols[0].at
+	if total-first < 100*time.Millisecond {
+		t.Skipf("machine sweeps the staging instance in %v after the first point; cannot stage a mid-sweep deadline", total-first)
+	}
+	deadline := first + (total-first)/2
+
+	_, timed := newTestServer(t, cfg)
+	body := fmt.Sprintf(`%s, "timeoutMs": %d}`, longFrontSweepInstance, deadline.Milliseconds())
+	code, lines, _ = streamLines(t, timed.URL, body)
+	if code != http.StatusOK {
+		t.Fatalf("status = %d with a mid-sweep deadline", code)
+	}
+	partial, statuses := parseStream(t, lines)
+	if len(partial) == 0 || len(partial) >= len(sols) {
+		t.Fatalf("deadline at %v (first point at %v, total %v) left %d of %d points", deadline, first, total, len(partial), len(sols))
+	}
+	for i := range partial {
+		if partial[i].text != sols[i].text {
+			t.Errorf("partial front diverges from the full front at point %d:\n%s\n%s", i, partial[i].text, sols[i].text)
+		}
+	}
+	term := statuses[len(statuses)-1]
+	if term.Status != StreamStatusDeadlineExceeded || term.Error == nil || term.Error.Kind != ErrKindDeadlineExceeded {
+		t.Fatalf("terminal line %+v, want a deadline-exceeded status and error", term)
+	}
+	if term.Points != len(partial) || term.TotalCandidates == 0 || term.Explored != term.TotalCandidates || term.Unexplored != 0 {
+		t.Errorf("terminal line %+v after %d points, want every candidate explored", term, len(partial))
+	}
 }
 
 // TestParetoHeartbeatsKeepSlowStreamAlive: a sweep whose first candidate
