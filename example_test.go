@@ -179,8 +179,8 @@ func ExampleSolve_anytimeBudget() {
 
 // ExamplePrepare shows the prepared-solver layer: repeated solves of one
 // NP-hard instance that differ only in the objective's bound share
-// preprocessing, DP scratch and per-bound memos, returning exactly what
-// SolveContext would.
+// preprocessing and DP scratch, returning exactly what SolveContext
+// would.
 func ExamplePrepare() {
 	pipe := repliflow.NewPipeline(14, 4, 2, 4)
 	plat := repliflow.NewPlatform(3, 2, 1) // heterogeneous + DP: NP-hard (Theorem 5)

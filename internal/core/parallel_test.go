@@ -39,8 +39,8 @@ func TestParallelSolveIdentity(t *testing.T) {
 }
 
 // TestParallelPreparedIdentity: a prepared solver answering solves at
-// alternating parallelism — SetParallelism switches between solves, the
-// bound memos mix entries computed at different counts — must stay
+// alternating parallelism — SetParallelism switches between solves, each
+// solve runs on scratch a solve at another count left behind — must stay
 // byte-identical to serial SolveContext throughout.
 func TestParallelPreparedIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
@@ -65,7 +65,7 @@ func TestParallelPreparedIdentity(t *testing.T) {
 			{PeriodUnderLatency, float64(1+rng.Intn(8)) / 2, 4},
 		}
 		rng.Shuffle(len(cases), func(i, j int) { cases[i], cases[j] = cases[j], cases[i] })
-		// Repeats answer from memos populated at a different count.
+		// Repeats re-run each solve at a different count.
 		cases = append(cases, cases...)
 		for i, c := range cases {
 			if i >= len(cases)/2 {

@@ -7,8 +7,10 @@ import "context"
 // and bi-criteria probe sequence. Construct with Prepare. Objectives
 // whose dispatch cell advertises the prepared capability run on a shared
 // prepared exhaustive solver (its own platform table, epoch-reset DP
-// scratch, per-bound memoization); every other objective falls back to
-// SolveContext, so Solve is total over the four objectives either way.
+// scratch); every other objective falls back to SolveContext, so Solve
+// is total over the four objectives either way. It keeps no per-bound
+// results: every Solve runs its search, and repeated bounds are answered
+// by the engine's result cache.
 //
 // Results are byte-identical to SolveContext on the same problem: a
 // caching engine may freely mix prepared and unprepared solves of the
@@ -102,8 +104,8 @@ func (ps *PreparedSolver) Front(ctx context.Context) (latencies []float64, ok bo
 // Solve calls, using the Options.Parallelism encoding (0/1 serial, n > 1
 // explicit workers, negative auto). Results are byte-identical at every
 // setting, so engines may retune between solves — donating idle pool
-// workers to one solve, withdrawing them for the next — without
-// invalidating the shared memos.
+// workers to one solve, withdrawing them for the next — on the same
+// prepared scratch.
 func (ps *PreparedSolver) SetParallelism(par int) {
 	if ps.setPar == nil {
 		return

@@ -10,16 +10,46 @@ import (
 	"repliflow/internal/workflow"
 )
 
-// Allocation ceilings for warm prepared solves. A warm solve is a memo
-// hit: it must only pay for the defensive clone of the memoized mapping
-// (the sweep loop holds solutions while the prepared solver keeps
-// serving), never for re-deriving DP tables, candidate sets, or platform
-// tables. The ceilings have headroom over the measured costs but sit far
-// below a cold solve, so a regression that re-runs any real work trips
-// them immediately.
+// Allocation ceilings for warm prepared solves. A warm solve re-runs the
+// kernel's search on the prepared scratch — repeated bounds are answered
+// by the engine's result cache, not by the prepared solver — so it pays
+// for the search and the mapping it returns, never for re-deriving DP
+// tables, candidate sets, or platform tables. Each check therefore sets
+// the warm count against the same fixture's one-shot solve, which builds
+// all of those, and under a fixed ceiling with small headroom over the
+// measured cost that sits below every one-shot count.
+
+// warmBelowOneShot solves pr under obj once on ps (the warm-up), then
+// fails t unless a warm solve allocates at most ceiling objects and
+// strictly fewer than a one-shot SolveContext of the same problem.
+func warmBelowOneShot(t *testing.T, name string, ps *PreparedSolver, pr Problem, obj Objective, ceiling float64) {
+	t.Helper()
+	ctx := context.Background()
+	if _, err := ps.Solve(ctx, obj, 0); err != nil {
+		t.Fatal(err)
+	}
+	warm := testing.AllocsPerRun(100, func() {
+		if _, err := ps.Solve(ctx, obj, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pr.Objective = obj
+	oneShot := testing.AllocsPerRun(100, func() {
+		if _, err := SolveContext(ctx, pr, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warm > ceiling {
+		t.Errorf("warm prepared %s solve (%v): %.0f allocs, want <= %.0f", name, obj, warm, ceiling)
+	}
+	if warm >= oneShot {
+		t.Errorf("warm prepared %s solve (%v): %.0f allocs, not below the one-shot solve's %.0f", name, obj, warm, oneShot)
+	}
+}
 
 // TestPreparedSPSolveAllocs: warm prepared solves of an irreducible SP
-// instance stay within the clone-only budget.
+// instance pay for the block search only (33/26 allocs measured against
+// 116/109 one-shot, min-period/min-latency).
 func TestPreparedSPSolveAllocs(t *testing.T) {
 	g := workflow.NewSP(
 		workflow.SPStep{Name: "a", Weight: 3},
@@ -36,29 +66,17 @@ func TestPreparedSPSolveAllocs(t *testing.T) {
 	if !ok {
 		t.Fatal("Prepare refused an irreducible SP instance")
 	}
-	ctx := context.Background()
 	for _, obj := range []Objective{MinPeriod, MinLatency} {
-		if _, err := ps.Solve(ctx, obj, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, obj := range []Objective{MinPeriod, MinLatency} {
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := ps.Solve(ctx, obj, 0); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 12 {
-			t.Errorf("warm prepared SP solve (%v): %.0f allocs, want <= 12", obj, allocs)
-		}
+		warmBelowOneShot(t, "SP", ps, pr, obj, 40)
 	}
 }
 
 // TestPreparedCommSolveAllocs: warm prepared comm-pipeline and comm-fork
-// solves stay within the clone-only budget, on both the heterogeneous
-// exhaustive path and the homogeneous DP path.
+// solves pay for the search only, on both the heterogeneous exhaustive
+// path and the homogeneous DP path (min-period/min-latency measured:
+// pipeline-het 9/15 against 25/31 one-shot, pipeline-hom 7/5 against
+// 39/32, fork 18/9 against 36/27).
 func TestPreparedCommSolveAllocs(t *testing.T) {
-	ctx := context.Background()
 	p := fullmodel.NewPipeline([]float64{3, 1, 2, 2}, []float64{1, 2, 1, 0, 1})
 	f := fullmodel.Fork{Root: 2, In: 1, Out0: 1, Weights: []float64{4, 2, 3}, Outs: []float64{1, 0, 2}}
 	cases := []struct {
@@ -76,19 +94,7 @@ func TestPreparedCommSolveAllocs(t *testing.T) {
 				t.Fatal("Prepare refused a communication-aware instance")
 			}
 			for _, obj := range []Objective{MinPeriod, MinLatency} {
-				if _, err := ps.Solve(ctx, obj, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, obj := range []Objective{MinPeriod, MinLatency} {
-				allocs := testing.AllocsPerRun(100, func() {
-					if _, err := ps.Solve(ctx, obj, 0); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs > 8 {
-					t.Errorf("warm prepared comm solve (%s, %v): %.0f allocs, want <= 8", tc.name, obj, allocs)
-				}
+				warmBelowOneShot(t, "comm "+tc.name, ps, tc.pr, obj, 20)
 			}
 		})
 	}
@@ -98,9 +104,12 @@ func TestPreparedCommSolveAllocs(t *testing.T) {
 // prepared solve used once, and must cost no more than the kernel's own
 // setup and search. One case per kind inside the exhaustive limits and
 // one past them (7 processors exceed the fork caps; the pipeline caps
-// stay out of reach, so its oversized path has no case). Ceilings are
-// the counts measured before the one-shot path went through preparation,
-// plus a small margin; want holds min-period, then min-latency.
+// stay out of reach, so its oversized path has no case). The in-limit
+// ceilings are the measured counts plus one, below the counts of a
+// kernel that allocated a per-bound result memo on every solve; the
+// oversized ceilings are the counts measured before the one-shot path
+// went through preparation, plus a small margin. want holds min-period,
+// then min-latency.
 func TestOneShotHardSolveAllocs(t *testing.T) {
 	sp := workflow.NewSP(
 		workflow.SPStep{Name: "a", Weight: 3},
@@ -121,16 +130,16 @@ func TestOneShotHardSolveAllocs(t *testing.T) {
 		pr   Problem
 		want [2]float64
 	}{
-		{"pipeline", Problem{Pipeline: &pipe, Platform: small, AllowDataParallel: true}, [2]float64{24, 22}},
-		{"fork", Problem{Fork: &fork, Platform: small}, [2]float64{44, 64}},
+		{"pipeline", Problem{Pipeline: &pipe, Platform: small, AllowDataParallel: true}, [2]float64{19, 16}},
+		{"fork", Problem{Fork: &fork, Platform: small}, [2]float64{39, 59}},
 		{"fork/oversized", Problem{Fork: &fork, Platform: big}, [2]float64{433, 433}},
-		{"fork-join", Problem{ForkJoin: &fj, Platform: small}, [2]float64{42, 66}},
+		{"fork-join", Problem{ForkJoin: &fj, Platform: small}, [2]float64{37, 61}},
 		{"fork-join/oversized", Problem{ForkJoin: &fj, Platform: big}, [2]float64{67, 67}},
-		{"sp", Problem{SP: &sp, Platform: small}, [2]float64{126, 118}},
+		{"sp", Problem{SP: &sp, Platform: small}, [2]float64{117, 110}},
 		{"sp/oversized", Problem{SP: &sp, Platform: big}, [2]float64{200, 200}},
-		{"comm-pipeline", Problem{CommPipeline: &cp, Bandwidth: bw, Platform: small}, [2]float64{31, 41}},
+		{"comm-pipeline", Problem{CommPipeline: &cp, Bandwidth: bw, Platform: small}, [2]float64{23, 33}},
 		{"comm-pipeline/oversized", Problem{CommPipeline: &cp, Bandwidth: bw, Platform: big}, [2]float64{54, 54}},
-		{"comm-fork", Problem{CommFork: &cf, Bandwidth: bw, Platform: small}, [2]float64{47, 37}},
+		{"comm-fork", Problem{CommFork: &cf, Bandwidth: bw, Platform: small}, [2]float64{37, 28}},
 		{"comm-fork/oversized", Problem{CommFork: &cf, Bandwidth: bw, Platform: big}, [2]float64{56, 56}},
 	}
 	ctx := context.Background()

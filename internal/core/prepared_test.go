@@ -132,7 +132,8 @@ func TestPreparedSolverMatchesSolveContext(t *testing.T) {
 			{PeriodUnderLatency, float64(1+rng.Intn(8)) / 2},
 		}
 		rng.Shuffle(len(cases), func(i, j int) { cases[i], cases[j] = cases[j], cases[i] })
-		// Solve each case twice: the repeat hits the prepared memos.
+		// Solve each case twice: the repeat re-runs the kernel on the
+		// scratch the other cases left behind.
 		cases = append(cases, cases...)
 		for _, c := range cases {
 			got, err := ps.Solve(ctx, c.obj, c.bound)
@@ -256,5 +257,136 @@ func TestPreparedSolverFront(t *testing.T) {
 	}
 	if lats, ok, err := fps.Front(context.Background()); ok || lats != nil || err != nil {
 		t.Errorf("fork Front: (%v, %v, %v), want (nil, false, nil)", lats, ok, err)
+	}
+}
+
+// TestPreparedInterleavedIdentity: a prepared solver keeps no per-bound
+// results, so every repeat re-runs its kernel on scratch that another
+// bound, or another worker count, left behind. For each of the six kinds
+// on an in-limit instance, one solver answers A, B, A for several bound
+// pairs, serially and then at three workers, and every answer must equal
+// a fresh SolveContext. A caller that overwrites the slices of a
+// returned mapping (the ones the engine's cloneSolution copies) must not
+// change the next answer either.
+func TestPreparedInterleavedIdentity(t *testing.T) {
+	sp := workflow.NewSP(
+		workflow.SPStep{Name: "a", Weight: 3},
+		workflow.SPStep{Name: "b", Weight: 2},
+		workflow.SPStep{Name: "c", Weight: 4, After: workflow.After("a")},
+		workflow.SPStep{Name: "d", Weight: 1, After: workflow.After("a", "b")},
+		workflow.SPStep{Name: "e", Weight: 2, After: workflow.After("c", "d")},
+	)
+	pipe := workflow.NewPipeline(4, 2, 7, 3, 5)
+	fork := workflow.NewFork(2, 3, 5, 7, 4)
+	fj := workflow.NewForkJoin(2, 3, 5, 7, 4)
+	cp := fullmodel.NewPipeline([]float64{3, 1, 2, 2}, []float64{1, 2, 1, 0, 1})
+	cf := fullmodel.Fork{Root: 2, In: 1, Out0: 1, Weights: []float64{4, 2, 3}, Outs: []float64{1, 0, 2}}
+	bw := &fullmodel.Bandwidth{Uniform: 2}
+	pl := platform.New(3, 2, 2, 1)
+	cases := []struct {
+		name string
+		pr   Problem
+	}{
+		{"pipeline", Problem{Pipeline: &pipe, Platform: pl, AllowDataParallel: true}},
+		{"fork", Problem{Fork: &fork, Platform: pl, AllowDataParallel: true}},
+		{"fork-join", Problem{ForkJoin: &fj, Platform: pl}},
+		{"sp", Problem{SP: &sp, Platform: pl}},
+		{"comm-pipeline", Problem{CommPipeline: &cp, Bandwidth: bw, Platform: pl}},
+		{"comm-fork", Problem{CommFork: &cf, Bandwidth: bw, Platform: pl}},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := func(obj Objective, bound float64) Solution {
+				t.Helper()
+				pr := tc.pr
+				pr.Objective, pr.Bound = obj, bound
+				sol, err := SolveContext(ctx, pr, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sol
+			}
+			per, lat := fresh(MinPeriod, 0), fresh(MinLatency, 0)
+			if !per.Exact || !lat.Exact || per.Method == MethodHeuristic {
+				t.Fatalf("fixture not on the exact path (%v, exact %v)", per.Method, per.Exact)
+			}
+			P, L := per.Cost.Period, lat.Cost.Latency
+			type bounded struct {
+				obj   Objective
+				bound float64
+			}
+			pairs := [][2]bounded{
+				{{LatencyUnderPeriod, P}, {LatencyUnderPeriod, 2 * P}},
+				{{PeriodUnderLatency, 1.5 * L}, {PeriodUnderLatency, 3 * L}},
+				{{MinPeriod, 0}, {MinLatency, 0}},
+				{{LatencyUnderPeriod, 1.5 * P}, {PeriodUnderLatency, 2 * L}},
+			}
+			ps, ok := Prepare(tc.pr, Options{})
+			if !ok {
+				t.Fatal("Prepare refused an in-limit NP-hard instance")
+			}
+			for _, workers := range []int{1, 3} {
+				ps.SetParallelism(workers)
+				for _, pair := range pairs {
+					for _, c := range []bounded{pair[0], pair[1], pair[0]} {
+						got, err := ps.Solve(ctx, c.obj, c.bound)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := fresh(c.obj, c.bound)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("workers=%d %v bound=%g: prepared solve diverges\n got %+v\nwant %+v",
+								workers, c.obj, c.bound, got, want)
+						}
+						if !got.Feasible {
+							continue
+						}
+						scribble(&got)
+						again, err := ps.Solve(ctx, c.obj, c.bound)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(again, want) {
+							t.Fatalf("workers=%d %v bound=%g: solve after overwriting the last answer diverges\n got %+v\nwant %+v",
+								workers, c.obj, c.bound, again, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// scribble overwrites every element of the mapping slices the engine's
+// cloneSolution copies; the processor lists inside them are shared and
+// read-only, so it replaces the elements that hold them instead.
+func scribble(s *Solution) {
+	if m := s.PipelineMapping; m != nil {
+		clear(m.Intervals)
+	}
+	if m := s.ForkMapping; m != nil {
+		clear(m.Blocks)
+	}
+	if m := s.ForkJoinMapping; m != nil {
+		clear(m.Blocks)
+	}
+	if m := s.SPMapping; m != nil {
+		clear(m.Order)
+		clear(m.Blocks)
+	}
+	if m := s.CommPipelineMapping; m != nil {
+		for i := range m.Bounds {
+			m.Bounds[i] = -1
+		}
+		for i := range m.Alloc {
+			m.Alloc[i] = -1
+		}
+	}
+	if m := s.CommForkMapping; m != nil {
+		clear(m.Blocks)
+		for i := range m.SendOrder {
+			m.SendOrder[i] = -1
+		}
 	}
 }

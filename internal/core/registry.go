@@ -56,11 +56,11 @@ type PreparedCell struct {
 	// concrete, already-resolved value (engine pools donate idle slots
 	// per solve). Nil when the cell's solver has no parallel path.
 	// Results stay byte-identical at every setting, so retuning between
-	// solves never invalidates the prepared solver's memos.
+	// solves never changes an answer.
 	SetParallelism func(workers int)
 	// Front, when non-nil, returns the latencies of the cell's exact
 	// Pareto front in order of increasing period, from one bi-criteria
-	// pass that is memoized for the cell's later solves: the
+	// pass that is kept for the cell's later solves: the
 	// PeriodUnderLatency solves at those latencies are the front's
 	// points. Nil on cells without a pass.
 	Front func(ctx context.Context) ([]float64, error)
@@ -79,8 +79,9 @@ type SolverEntry struct {
 	Solve  SolverFunc
 	// Prepare, when non-nil, returns a prepared variant of Solve for
 	// repeated solves of one instance that differ only in Objective and
-	// Bound (Pareto sweeps, bi-criteria probes): shared preprocessing,
-	// reusable scratch memory and per-bound memoization. It returns nil
+	// Bound (Pareto sweeps, bi-criteria probes): shared preprocessing and
+	// reusable scratch memory; repeated bounds are answered by the
+	// engine's result cache, not by the prepared variant. It returns nil
 	// when preparation does not apply under opts (e.g. the instance
 	// exceeds the exhaustive limits, so solves take the heuristic path).
 	// All cells of one graph kind share a single Prepare implementation,

@@ -262,9 +262,9 @@ func methodForCommPipeObjective(o Objective) Method {
 }
 
 // commPipeHom builds the polynomial hom-platform comm-pipeline cell on
-// one fullmodel.PipelinePrepared: its bound platform, reusable DP arrays,
-// the candidate-period set and a per-goal memo serve every objective of
-// the family. Prepare shares the cell; the registered solver uses it once.
+// one fullmodel.PipelinePrepared: its bound platform, reusable DP arrays
+// and the candidate-period set serve every objective of the family.
+// Prepare shares the cell; the registered solver uses it once.
 func commPipeHom(pr Problem) (PreparedSolve, error) {
 	pp, err := fullmodel.NewPipelinePrepared(*pr.CommPipeline, commPlatform(pr))
 	if err != nil {

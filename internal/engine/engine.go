@@ -489,7 +489,7 @@ func (p *preparedPool) solve(ctx context.Context, pr core.Problem, opts core.Opt
 func solveOn(ctx context.Context, ps *core.PreparedSolver, pr core.Problem, opts core.Options) (core.Solution, error) {
 	// The engine's slot donation rewrites Parallelism per solve; retune
 	// the solver to this solve's grant (byte-identical results at every
-	// setting, so its memos stay valid).
+	// setting).
 	ps.SetParallelism(opts.Parallelism)
 	return ps.SolveProblem(ctx, pr)
 }

@@ -95,8 +95,9 @@ func (e *Engine) SweepFront(ctx context.Context, pr core.Problem, opts core.Opti
 	// One prepared pool for the whole sweep (nil when the instance has no
 	// prepared capability): every candidate solve and tightening probe of
 	// the sweep differs only in Objective/Bound, so cache misses share the
-	// pooled solvers' preprocessing, scratch and bound memos across the
-	// entire sweep — not just within one solve round.
+	// pooled solvers' preprocessing and scratch across the entire sweep —
+	// not just within one solve round. Repeated bounds are the cache's:
+	// the pooled solvers keep no per-bound results.
 	pool := newPreparedPool(pr, opts)
 	if pool != nil {
 		s.via = pool.solve
@@ -309,7 +310,7 @@ func (s *sweeper) runPruned(ctx context.Context) error {
 // latency, which resolves every candidate period at once. Each point is
 // then the PeriodUnderLatency solve at its latency — the solve runPruned's
 // tightening probe makes for it — through the cache, on the solver that
-// holds the memoized front, so each is one bounded solve. A pass cut
+// holds the computed front, so each is one bounded solve. A pass cut
 // short has proven no point. runFront reports false, having run and
 // emitted nothing, when the instance has no pool (pool is nil) or its
 // solver no front pass.

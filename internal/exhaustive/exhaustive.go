@@ -32,11 +32,13 @@
 // per-platform subset table (built once per prepared solver, see
 // buildMaskInfo, and shared read-only with its shard workers), the
 // DP/enumeration scratch memory (reset by epoch counters, never
-// reallocated), the candidate-period sets, a per-bound result memo and,
-// for the pipeline DP, the exact Pareto front of one bi-criteria pass,
-// which makes each period-under-latency solve a single bounded solve.
-// Their results are byte-identical to the one-shot entry points, which
-// are themselves thin wrappers over a prepared solver used once.
+// reallocated), the candidate-period sets and, for the pipeline DP, the
+// exact Pareto front of one bi-criteria pass, which makes each
+// period-under-latency solve a single bounded solve. They keep no
+// per-bound results: every solve runs its search, and repeated bounds
+// are answered by the engine's result cache. Their results are
+// byte-identical to the one-shot entry points, which are themselves thin
+// wrappers over a prepared solver used once.
 package exhaustive
 
 import (

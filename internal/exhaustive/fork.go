@@ -261,11 +261,6 @@ func (e *forkEnum) err() error { return e.step.err }
 
 func (e *forkEnum) retain(m mapping.ForkMapping) mapping.ForkMapping { return copyForkMapping(m) }
 
-func (e *forkEnum) share(m mapping.ForkMapping) mapping.ForkMapping {
-	m.Blocks = append([]mapping.ForkBlock(nil), m.Blocks...)
-	return m
-}
-
 func (e *forkEnum) fresh() enumerator[mapping.ForkMapping] {
 	return newForkEnum(e.f, e.pl, e.allowDP, e.info)
 }

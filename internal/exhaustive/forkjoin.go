@@ -234,11 +234,6 @@ func (e *fjEnum) retain(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 	return copyForkJoinMapping(m)
 }
 
-func (e *fjEnum) share(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
-	m.Blocks = append([]mapping.ForkJoinBlock(nil), m.Blocks...)
-	return m
-}
-
 func (e *fjEnum) fresh() enumerator[mapping.ForkJoinMapping] {
 	return newFJEnum(e.fj, e.pl, e.allowDP, e.info)
 }

@@ -293,9 +293,9 @@ func (s *pipeSolver) solveParallel() float64 {
 var dpSolves atomic.Int64
 
 // PipelineDPSolves returns how many scalar DP solves the pipeline solvers
-// of this process have run: memo hits and the bi-criteria pass do not
-// count. Tests read it around a sweep to pin its solve count, which
-// wall-clock time cannot.
+// of this process have run: the bi-criteria pass does not count. Tests
+// read it around a sweep to pin its solve count, which wall-clock time
+// cannot.
 func PipelineDPSolves() int64 { return dpSolves.Load() }
 
 // frontPt is one (period, latency) point of a state's Pareto list.
@@ -546,18 +546,13 @@ func (s *pipeSolver) result() (PipelineResult, bool, error) {
 	return PipelineResult{Mapping: m, Cost: c}, true, nil
 }
 
-// pipeMemo is one memoized bounded solve of a prepared pipeline solver.
-type pipeMemo struct {
-	res PipelineResult
-	ok  bool
-}
-
 // PipelinePrepared solves repeated objective/bound variants of one
 // (pipeline, platform, model) triple, sharing the platform subset table,
 // the DP arrays (reset by epoch, not reallocation), the candidate-period
-// set, the exact Pareto front, and a per-bound result memo across
-// solves. Results are byte-identical to the one-shot package functions —
-// which are thin wrappers over a prepared solver used once.
+// set and the exact Pareto front across solves; every solve runs the DP
+// (repeated bounds are answered by the engine's result cache). Results
+// are byte-identical to the one-shot package functions — which are thin
+// wrappers over a prepared solver used once.
 //
 // A PipelinePrepared is NOT safe for concurrent use: callers pool
 // instances (one per worker) instead of locking.
@@ -569,15 +564,8 @@ type PipelinePrepared struct {
 	// cands is the lazily built candidate-period set: PeriodUnderLatency
 	// solves at one of them.
 	cands []float64
-	// front is the memoized exact Pareto front (see Front).
+	// front is the exact Pareto front, computed once (see Front).
 	front []mapping.Cost
-	// lup memoizes LatencyUnderPeriod solves by the period cap's bits
-	// (math.Float64bits, so caps differing by one ULP stay distinct).
-	// +Inf is the unbounded MinLatency solve.
-	lup map[uint64]pipeMemo
-	// period memoizes the single MinPeriod solve.
-	period    pipeMemo
-	hasPeriod bool
 }
 
 // NewPipelinePrepared returns a prepared solver for the triple. It builds
@@ -585,44 +573,24 @@ type PipelinePrepared struct {
 func NewPipelinePrepared(p workflow.Pipeline, pl platform.Platform, allowDP bool) *PipelinePrepared {
 	return &PipelinePrepared{
 		p: p, pl: pl, allowDP: allowDP,
-		s:   newPipeSolver(context.Background(), p, pl, allowDP, numeric.Inf, true),
-		lup: make(map[uint64]pipeMemo),
+		s: newPipeSolver(context.Background(), p, pl, allowDP, numeric.Inf, true),
 	}
 }
 
 // SetParallelism sets the worker count of subsequent solves: counts
 // above 1 select the level-synchronous parallel DP sweep, anything else
 // the serial recursion. Results are byte-identical either way (see
-// solveParallel), so the per-bound memos may freely mix entries computed
-// at different counts. The prepared solver itself remains single-owner:
+// solveParallel). The prepared solver itself remains single-owner:
 // parallelism fans out inside one solve, it does not make the solver
 // safe for concurrent use.
 func (pp *PipelinePrepared) SetParallelism(workers int) {
 	pp.s.par = workers
 }
 
-// clone returns a result whose interval slice is independent of the memo,
-// so every solve hands out a fresh mapping exactly like a fresh solver
-// (the read-only Procs slices stay shared, as everywhere else).
-func (m pipeMemo) clone() (PipelineResult, bool) {
-	res := m.res
-	res.Mapping.Intervals = append([]mapping.PipelineInterval(nil), res.Mapping.Intervals...)
-	return res, m.ok
-}
-
 // Period solves MinPeriod.
 func (pp *PipelinePrepared) Period(ctx context.Context) (PipelineResult, bool, error) {
-	if !pp.hasPeriod {
-		pp.s.reset(ctx, numeric.Inf, true)
-		res, ok, err := pp.s.result()
-		if err != nil {
-			return PipelineResult{}, false, err
-		}
-		pp.period = pipeMemo{res: res, ok: ok}
-		pp.hasPeriod = true
-	}
-	res, ok := pp.period.clone()
-	return res, ok, nil
+	pp.s.reset(ctx, numeric.Inf, true)
+	return pp.s.result()
 }
 
 // Latency solves MinLatency.
@@ -630,22 +598,10 @@ func (pp *PipelinePrepared) Latency(ctx context.Context) (PipelineResult, bool, 
 	return pp.LatencyUnderPeriod(ctx, numeric.Inf)
 }
 
-// LatencyUnderPeriod solves min-latency under the period cap. Repeated
-// caps (bit-identical floats) are answered from the memo.
+// LatencyUnderPeriod solves min-latency under the period cap.
 func (pp *PipelinePrepared) LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (PipelineResult, bool, error) {
-	key := math.Float64bits(maxPeriod)
-	m, hit := pp.lup[key]
-	if !hit {
-		pp.s.reset(ctx, maxPeriod, false)
-		res, ok, err := pp.s.result()
-		if err != nil {
-			return PipelineResult{}, false, err
-		}
-		m = pipeMemo{res: res, ok: ok}
-		pp.lup[key] = m
-	}
-	res, ok := m.clone()
-	return res, ok, nil
+	pp.s.reset(ctx, maxPeriod, false)
+	return pp.s.result()
 }
 
 // candidates returns the achievable group periods, built once per prepared
@@ -660,8 +616,8 @@ func (pp *PipelinePrepared) candidates() []float64 {
 // Front returns the exact Pareto front of (period, latency), by
 // increasing period and decreasing latency, from one bi-criteria pass
 // over the DP's states (see frontPass). It is computed once per prepared
-// solver; the returned slice is the memo, which callers must not modify.
-// A pass cut short by ctx returns ctx's error and memoizes nothing.
+// solver; the returned slice is the solver's own, which callers must not
+// modify. A pass cut short by ctx returns ctx's error and keeps nothing.
 func (pp *PipelinePrepared) Front(ctx context.Context) ([]mapping.Cost, error) {
 	if pp.front == nil {
 		pp.s.reset(ctx, numeric.Inf, false)

@@ -14,9 +14,9 @@ import (
 
 // A prepared solver answering a sequence of objective/bound solves must be
 // byte-identical to a freshly constructed solver per solve — resetting the
-// DP epoch, reusing enumeration scratch and serving bound memos may never
-// change a result. These corpora run interleaved objective sequences so
-// every solve of a prepared instance executes on dirty scratch.
+// DP epoch and reusing enumeration scratch may never change a result.
+// These corpora run interleaved objective sequences so every solve of a
+// prepared instance executes on dirty scratch.
 
 func TestPipelinePreparedMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -47,7 +47,7 @@ func TestPipelinePreparedMatchesFresh(t *testing.T) {
 				func() (PipelineResult, bool, error) {
 					return NewPipelinePrepared(p, pl, dp).PeriodUnderLatency(ctx, b2)
 				}},
-			// Repeats exercise the memo path.
+			// Repeats re-run a bound on scratch other bounds left behind.
 			{"lup-repeat", func() (PipelineResult, bool, error) { return pp.LatencyUnderPeriod(ctx, b1) },
 				func() (PipelineResult, bool, error) {
 					return NewPipelinePrepared(p, pl, dp).LatencyUnderPeriod(ctx, b1)
@@ -156,8 +156,8 @@ func TestForkJoinPreparedMatchesFresh(t *testing.T) {
 
 // TestPipelinePreparedParetoMatchesPointwise: the prepared-solver
 // PipelinePareto must equal the front assembled from one-shot solvers —
-// the memo-heavy path of the tightening binary searches is exercised end
-// to end.
+// the front pass and the bounded solve per point are exercised end to
+// end.
 func TestPipelinePreparedParetoMatchesPointwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 10; trial++ {

@@ -79,10 +79,6 @@ type enumerator[M any] interface {
 	err() error
 	// retain deep-copies a visited mapping so it can outlive the run.
 	retain(M) M
-	// share copies the block slice of a retained mapping, so every solve
-	// hands out a fresh mapping (the leaf and processor slices stay
-	// shared and read-only).
-	share(M) M
 	// fresh returns a new enumerator over the same instance, for
 	// another worker: the scratch is single-owner, the platform table
 	// is shared read-only.
@@ -225,25 +221,11 @@ func (ps *partitionSearch[M]) Final(r Result[M]) bool {
 	return ps.lb > 0 && numeric.LessEq(ps.objective(r.Cost), ps.lb)
 }
 
-// scanKey identifies one memoized bounded solve: the objective and the
-// raw bits of the bound on the other metric.
-type scanKey struct {
-	minimizePeriod bool
-	bound          uint64
-}
-
-// scanMemo is one memoized scan result.
-type scanMemo[M any] struct {
-	res Result[M]
-	ok  bool
-}
-
 // scanPrepared solves repeated objective/bound variants of one
 // (graph, platform, model) triple by partition scans: enumeration
-// scratch is shared across solves, the anytime lower bounds are
-// computed once per objective, and solves are memoized by objective and
-// bound bits. Results are byte-identical at every worker count, so the
-// memo may mix entries computed at different counts. Not safe for
+// scratch is shared across solves and the anytime lower bounds are
+// computed once per objective; every solve runs its scan (repeated
+// bounds are answered by the engine's result cache). Not safe for
 // concurrent use: parallelism fans out inside one solve.
 type scanPrepared[M any] struct {
 	search  partitionSearch[M]
@@ -253,11 +235,6 @@ type scanPrepared[M any] struct {
 	par     int
 	lbs     [2]float64
 	hasLB   [2]bool
-	// unbounded holds the MinLatency and MinPeriod solves, memo the
-	// bounded ones.
-	unbounded    [2]scanMemo[M]
-	hasUnbounded [2]bool
-	memo         map[scanKey]scanMemo[M]
 }
 
 // ForkPrepared solves repeated objective/bound variants of one
@@ -275,10 +252,7 @@ type ForkResult = Result[mapping.ForkMapping]
 type ForkJoinResult = Result[mapping.ForkJoinMapping]
 
 func newScanPrepared[M any](e enumerator[M], items, procs int, allowDP bool) *scanPrepared[M] {
-	sp := &scanPrepared[M]{
-		items: items, procs: procs, allowDP: allowDP,
-		memo: make(map[scanKey]scanMemo[M]),
-	}
+	sp := &scanPrepared[M]{items: items, procs: procs, allowDP: allowDP}
 	sp.search.own.init(e)
 	return sp
 }
@@ -305,54 +279,31 @@ func (sp *scanPrepared[M]) scan(ctx context.Context,
 }
 
 // Solve minimizes the period (minimizePeriod) or the latency subject to
-// a bound on the other metric; +Inf is unbounded. Repeated solves
-// (bit-identical bounds) are answered from the memo.
+// a bound on the other metric; +Inf is unbounded. The returned mapping
+// is the scan's own retained copy, which the caller owns.
 func (sp *scanPrepared[M]) Solve(ctx context.Context, minimizePeriod bool, bound float64) (Result[M], bool, error) {
 	i := 0
 	if minimizePeriod {
 		i = 1
 	}
-	unbounded := math.IsInf(bound, 1)
-	key := scanKey{minimizePeriod, math.Float64bits(bound)}
-	var m scanMemo[M]
-	hit := false
-	if unbounded {
-		m, hit = sp.unbounded[i], sp.hasUnbounded[i]
-	} else {
-		m, hit = sp.memo[key]
+	objective, accept := latency, acceptAll
+	if minimizePeriod {
+		objective = period
 	}
-	if !hit {
-		objective, accept := latency, acceptAll
-		if minimizePeriod {
-			objective = period
-		}
-		// The bound test reads the field directly: accept runs on every
-		// mapping of a bounded scan.
-		switch {
-		case unbounded:
-		case minimizePeriod:
-			accept = func(c mapping.Cost) bool { return numeric.LessEq(c.Latency, bound) }
-		default:
-			accept = func(c mapping.Cost) bool { return numeric.LessEq(c.Period, bound) }
-		}
-		if !sp.hasLB[i] {
-			spec := anytime.Spec{MinimizePeriod: minimizePeriod, AllowDP: sp.allowDP}
-			sp.lbs[i], sp.hasLB[i] = sp.search.own.e.lowerBound(spec), true
-		}
-		res, ok, err := sp.scan(ctx, accept, objective, sp.lbs[i])
-		if err != nil {
-			return Result[M]{}, false, err
-		}
-		m = scanMemo[M]{res: res, ok: ok}
-		if unbounded {
-			sp.unbounded[i], sp.hasUnbounded[i] = m, true
-		} else {
-			sp.memo[key] = m
-		}
+	// The bound test reads the field directly: accept runs on every
+	// mapping of a bounded scan.
+	switch {
+	case math.IsInf(bound, 1):
+	case minimizePeriod:
+		accept = func(c mapping.Cost) bool { return numeric.LessEq(c.Latency, bound) }
+	default:
+		accept = func(c mapping.Cost) bool { return numeric.LessEq(c.Period, bound) }
 	}
-	res := m.res
-	res.Mapping = sp.search.own.e.share(res.Mapping)
-	return res, m.ok, nil
+	if !sp.hasLB[i] {
+		spec := anytime.Spec{MinimizePeriod: minimizePeriod, AllowDP: sp.allowDP}
+		sp.lbs[i], sp.hasLB[i] = sp.search.own.e.lowerBound(spec), true
+	}
+	return sp.scan(ctx, accept, objective, sp.lbs[i])
 }
 
 // Period solves MinPeriod.

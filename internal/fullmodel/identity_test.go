@@ -10,8 +10,9 @@ import (
 // Byte-identity corpora for the prepared and parallel comm-aware solvers.
 // The replay harness diffs recorded costs with ==, so these tests compare
 // costs with == (not the tolerant numeric.Eq) and mappings with
-// reflect.DeepEqual: the prepared, memoized and partitioned paths must
-// reproduce the one-shot serial results bit for bit.
+// reflect.DeepEqual: the prepared (scratch reused across goals) and
+// partitioned paths must reproduce the one-shot serial results bit for
+// bit.
 
 // randomBandwidth returns a uniform or full-table bandwidth description
 // for p processors.
@@ -75,8 +76,9 @@ func TestCommPipelineParallelSerialIdentity(t *testing.T) {
 	}
 }
 
-// TestCommPipelinePreparedIdentity: prepared solves — including memo hits
-// and DP-table reuse across goals — must equal fresh one-shot solves.
+// TestCommPipelinePreparedIdentity: prepared solves — including repeated
+// goals and DP-table reuse across goals — must equal fresh one-shot
+// solves.
 func TestCommPipelinePreparedIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 30; trial++ {
@@ -99,7 +101,7 @@ func TestCommPipelinePreparedIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		goals := allGoals(float64(3 + rng.Intn(10)))
-		// Two passes: the second hits the per-goal memo.
+		// Two passes: the second re-runs every goal on reused tables.
 		for pass := 0; pass < 2; pass++ {
 			for _, goal := range goals {
 				var gm, wm Mapping
@@ -131,7 +133,7 @@ func TestCommPipelinePreparedIdentity(t *testing.T) {
 }
 
 // TestCommForkPreparedIdentity: prepared one-port fork solves (scratch
-// reuse, memo hits) must equal fresh one-shot solves.
+// reuse, repeated goals) must equal fresh one-shot solves.
 func TestCommForkPreparedIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 25; trial++ {

@@ -15,9 +15,11 @@ import (
 // (built once per solver and shared read-only with its shard workers;
 // reciprocals never enter reported costs, which always divide), an
 // interval work table, the homogeneous DP tables and candidate-period
-// set, the enumeration scratch, and a per-goal result memo. Their results
-// are bit-identical to the one-shot entry points, which are themselves
-// thin wrappers over a prepared solver used once.
+// set, and the enumeration scratch. They keep no per-goal results: every
+// solve runs its search, and repeated goals are answered by the engine's
+// result cache. Their results are bit-identical to the one-shot entry
+// points, which are themselves thin wrappers over a prepared solver used
+// once.
 
 // lbSlack scales multiply-by-reciprocal lower bounds: w*(1/s) carries at
 // most a couple of ULPs of relative rounding error against w/s, so
@@ -40,7 +42,8 @@ func surelyGreater(a, b float64) bool {
 	return a > b+numeric.Eps && a*(1-numeric.Eps) > b
 }
 
-// pipeResult is one memoized comm-pipeline solve.
+// pipeResult is one comm-pipeline solve: a shard's best mapping, which
+// the install copies out of the scan's scratch.
 type pipeResult struct {
 	m  Mapping
 	c  Cost
@@ -70,9 +73,6 @@ type PipelinePrepared struct {
 
 	// The heterogeneous exhaustive scan, kept across solves.
 	search intervalSearch
-
-	memoHom   map[Goal]pipeResult
-	memoExact map[Goal]pipeResult
 }
 
 // NewPipelinePrepared validates the instance once and builds a prepared
@@ -101,9 +101,7 @@ func NewPipelinePrepared(p Pipeline, pl Platform) (*PipelinePrepared, error) {
 	pp := &PipelinePrepared{
 		p: p, pl: pl, inv: inv,
 		hom: pl.IsFullyHomogeneous(), n: n,
-		workTbl:   wt,
-		memoHom:   make(map[Goal]pipeResult),
-		memoExact: make(map[Goal]pipeResult),
+		workTbl: wt,
 	}
 	pp.search.own.pp = pp
 	return pp, nil
@@ -125,18 +123,14 @@ func cloneMapping(m Mapping) Mapping {
 }
 
 // SolveHom is SolveHom for the prepared instance: the DP tables and the
-// candidate-period set persist across calls, and each goal's result is
-// memoized, so a bi-criteria sweep pays each distinct bound once.
+// candidate-period set persist across calls, and each solve builds its
+// mapping afresh (homLUPInto).
 func (pp *PipelinePrepared) SolveHom(goal Goal) (Mapping, Cost, bool, error) {
 	if !pp.hom {
 		return Mapping{}, Cost{}, false, errPlatformNotHomogeneous
 	}
-	if r, ok := pp.memoHom[goal]; ok {
-		return cloneMapping(r.m), r.c, r.ok, nil
-	}
 	m, c, ok := pp.solveHom(goal)
-	pp.memoHom[goal] = pipeResult{m: m, c: c, ok: ok}
-	return cloneMapping(m), c, ok, nil
+	return m, c, ok, nil
 }
 
 // lup runs the latency-under-period DP in the reused tables. It shares
@@ -203,14 +197,12 @@ func (pp *PipelinePrepared) solveHom(goal Goal) (Mapping, Cost, bool) {
 
 // SolveExact is the exhaustive heterogeneous solve for the prepared
 // instance: enumeration scratch and the work table persist across calls,
-// each goal's result is memoized, and with SetParallelism >= 2 the scan
+// the returned mapping is the copy made at install, and with
+// SetParallelism >= 2 the scan
 // is sharded by its first choice — the first interval's end stage j and
 // processor u, shard j*p+u in the serial visit order — with a
 // shard-order fold.
 func (pp *PipelinePrepared) SolveExact(ctx context.Context, goal Goal) (Mapping, Cost, bool, error) {
-	if r, ok := pp.memoExact[goal]; ok {
-		return cloneMapping(r.m), r.c, r.ok, nil
-	}
 	is := &pp.search
 	is.ctx, is.goal, is.nshards = ctx, goal, 1
 	if pp.par > 1 {
@@ -224,8 +216,7 @@ func (pp *PipelinePrepared) SolveExact(ctx context.Context, goal Goal) (Mapping,
 	if err != nil {
 		return Mapping{}, Cost{}, false, err
 	}
-	pp.memoExact[goal] = r
-	return cloneMapping(r.m), r.c, r.ok, nil
+	return r.m, r.c, r.ok, nil
 }
 
 // pruneInterval reports whether every completion that places stages i..j
@@ -426,13 +417,6 @@ func (sc *intervalScan) walk(i, mask int, lat float64) {
 	}
 }
 
-// forkResult is one memoized one-port fork solve.
-type forkResult struct {
-	m  ForkMapping
-	c  Cost
-	ok bool
-}
-
 // ForkPrepared solves one one-port fork instance repeatedly under
 // varying goals, reusing the partition/assignment scratch and the
 // send-order buffers across solves. Not safe for concurrent use.
@@ -448,8 +432,6 @@ type ForkPrepared struct {
 	leafBufs   [][]int
 	post       []float64
 	order      []int
-
-	memo map[Goal]forkResult
 }
 
 // NewForkPrepared validates the instance once and builds a prepared
@@ -479,7 +461,6 @@ func NewForkPrepared(f Fork, pl Platform) (*ForkPrepared, error) {
 		leafBufs:   leafBufs,
 		post:       make([]float64, 0, maxBlocks),
 		order:      make([]int, 0, maxBlocks),
-		memo:       make(map[Goal]forkResult),
 	}, nil
 }
 
@@ -502,12 +483,10 @@ func cloneForkMapping(m ForkMapping) ForkMapping {
 // SolveExact mirrors the one-shot SolveForkExact enumeration exactly —
 // same partition order, same injective processor assignments, same
 // latency-optimal send order (a stable insertion sort reproducing
-// OptimalSendOrder's stable sort) — but reuses all scratch and memoizes
-// per goal, so the installed mapping and cost are bit-identical.
+// OptimalSendOrder's stable sort) — but reuses all scratch, so the
+// installed mapping and cost are bit-identical. The returned mapping is
+// the copy made at install.
 func (fp *ForkPrepared) SolveExact(ctx context.Context, goal Goal) (ForkMapping, Cost, bool, error) {
-	if r, ok := fp.memo[goal]; ok {
-		return cloneForkMapping(r.m), r.c, r.ok, nil
-	}
 	n, procs := fp.n, fp.pl.Processors()
 	var (
 		bestM  ForkMapping
@@ -603,6 +582,5 @@ func (fp *ForkPrepared) SolveExact(ctx context.Context, goal Goal) (ForkMapping,
 	if ctxErr != nil {
 		return ForkMapping{}, Cost{}, false, ctxErr
 	}
-	fp.memo[goal] = forkResult{m: bestM, c: bestC, ok: found}
-	return cloneForkMapping(bestM), bestC, found, nil
+	return bestM, bestC, found, nil
 }

@@ -13,7 +13,7 @@ import (
 
 // Byte-identity corpora for the prepared and sharded SP block search.
 // Replay diffs recorded costs with ==, so costs are compared exactly and
-// blocks with reflect.DeepEqual: memo hits, scratch reuse, and the
+// blocks with reflect.DeepEqual: repeated goals, scratch reuse, and the
 // restricted-growth sharded scan must all reproduce the serial one-shot
 // result bit for bit.
 
@@ -59,9 +59,9 @@ func TestSPParallelSerialIdentity(t *testing.T) {
 	}
 }
 
-// TestSPPreparedIdentity: prepared solves — including memo hits on the
-// second pass and the cached heuristic candidate set — must equal fresh
-// one-shot Exhaustive calls.
+// TestSPPreparedIdentity: prepared solves — including the second pass's
+// re-runs on scratch the first left behind, and the cached heuristic
+// candidate set — must equal fresh one-shot Exhaustive calls.
 func TestSPPreparedIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	for trial := 0; trial < 25; trial++ {

@@ -15,10 +15,10 @@ import (
 // goals: the topological order, predecessor lists and evaluation scratch
 // of blockEval, the restricted-growth/assignment buffers of the
 // exhaustive enumeration, the certified Bounds and the goal-independent
-// heuristic candidate set all persist across solves, and each goal's
-// exhaustive result is memoized. Results are bit-identical to the
-// one-shot entry points, which wrap a prepared solver used once. Not
-// safe for concurrent use.
+// heuristic candidate set all persist across solves; every Exhaustive
+// call runs its search (repeated goals are answered by the engine's
+// result cache). Results are bit-identical to the one-shot entry points,
+// which wrap a prepared solver used once. Not safe for concurrent use.
 type Prepared struct {
 	g  workflow.SP
 	pl platform.Platform
@@ -28,15 +28,12 @@ type Prepared struct {
 
 	par    int
 	search blockSearch
-
-	memo map[Goal]spMemo
 }
 
-// spMemo is one memoized exhaustive solve.
+// spMemo is one shard's best block mapping with its cost.
 type spMemo struct {
 	blocks []mapping.SPBlock
 	c      mapping.Cost
-	ok     bool
 }
 
 // NewPrepared builds a prepared solver, validating the graph structure
@@ -51,7 +48,6 @@ func NewPrepared(g workflow.SP, pl platform.Platform) (*Prepared, error) {
 		g: g, pl: pl,
 		periodLB: periodLB, latencyLB: latencyLB,
 		search: blockSearch{own: newScanner(st)},
-		memo:   make(map[Goal]spMemo),
 	}, nil
 }
 
@@ -71,8 +67,8 @@ func (pp *Prepared) lowerBound(goal Goal) float64 {
 	return pp.periodLB
 }
 
-// CloneBlocks deep-copies a block mapping, keeping nil nil, so memoized
-// and cached mappings are never handed out as aliases.
+// CloneBlocks deep-copies a block mapping, keeping nil nil, so cached
+// mappings are never handed out as aliases.
 func CloneBlocks(bs []mapping.SPBlock) []mapping.SPBlock {
 	if bs == nil {
 		return nil
@@ -89,14 +85,11 @@ func CloneBlocks(bs []mapping.SPBlock) []mapping.SPBlock {
 var errStopEnum = errors.New("spdecomp: enumeration reached the certified bound")
 
 // Exhaustive is the exhaustive block search for the prepared instance:
-// scratch persists across calls, each goal's result is memoized, and
-// with SetParallelism >= 2 the partition space is sharded across workers
-// (incumbent.PartitionShards with at most p blocks) with a shard-order
-// fold.
+// scratch persists across calls, the returned mapping is built fresh by
+// the solve, and with SetParallelism >= 2 the partition space is sharded
+// across workers (incumbent.PartitionShards with at most p blocks) with
+// a shard-order fold.
 func (pp *Prepared) Exhaustive(ctx context.Context, goal Goal) ([]mapping.SPBlock, mapping.Cost, bool, error) {
-	if r, ok := pp.memo[goal]; ok {
-		return CloneBlocks(r.blocks), r.c, r.ok, nil
-	}
 	bs := &pp.search
 	bs.ctx, bs.goal, bs.lb = ctx, goal, pp.lowerBound(goal)
 	bs.prefixes = incumbent.PartitionShards(len(pp.g.Steps), pp.pl.Processors(), pp.par)
@@ -108,9 +101,7 @@ func (pp *Prepared) Exhaustive(ctx context.Context, goal Goal) ([]mapping.SPBloc
 	if err != nil {
 		return nil, mapping.Cost{}, false, err
 	}
-	r.ok = found
-	pp.memo[goal] = r
-	return CloneBlocks(r.blocks), r.c, found, nil
+	return r.blocks, r.c, found, nil
 }
 
 // blockSearch is the incumbent.Search of one Exhaustive solve: shards

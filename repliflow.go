@@ -247,8 +247,8 @@ func SolveBatch(ctx context.Context, problems []Problem, opts Options) ([]Soluti
 func NewEngine(workers int) *Engine { return engine.New(workers) }
 
 // PreparedSolver solves repeated objective/bound variants of one
-// (workflow, platform, model) triple with shared preprocessing, scratch
-// memory and per-bound memoization; see Prepare.
+// (workflow, platform, model) triple with shared preprocessing and
+// scratch memory; see Prepare.
 type PreparedSolver = core.PreparedSolver
 
 // Prepare returns a prepared solver for repeated solves of one instance
@@ -260,6 +260,10 @@ type PreparedSolver = core.PreparedSolver
 // polynomial — in which case plain SolveContext is the right call. A
 // PreparedSolver is not safe for concurrent use; pool instances instead.
 // Engine sweeps and sweep-shaped batches use this automatically.
+//
+// A PreparedSolver keeps no per-bound results: solving the same bound
+// twice runs the search twice and returns the identical answer. Repeated
+// requests are answered by the result cache of an Engine (NewEngine).
 func Prepare(pr Problem, opts Options) (*PreparedSolver, bool) { return core.Prepare(pr, opts) }
 
 // Classify returns the Table 1 cell of a problem instance.
