@@ -120,6 +120,7 @@ func printStats(w io.Writer, s *replay.Stats) {
 	fmt.Fprintf(w, "skipped volatile %d\n", s.SkippedVolatile)
 	fmt.Fprintf(w, "429 divergences  %d\n", s.RateLimitDivergences)
 	fmt.Fprintf(w, "429 responses    %d\n", s.RateLimited)
+	fmt.Fprintf(w, "job polls        %d\n", s.JobPolls)
 	fmt.Fprintf(w, "duration         %.1f ms\n", s.DurationMs)
 	fmt.Fprintf(w, "throughput       %.1f req/s\n", s.ThroughputRPS)
 	fmt.Fprintf(w, "latency p50/p99  %.2f / %.2f ms\n", s.LatencyP50Ms, s.LatencyP99Ms)

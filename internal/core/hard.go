@@ -43,6 +43,19 @@ type hardKind struct {
 	portfolio func(ctx context.Context, pr Problem, cfg anytime.Config) (anytime.Result, error)
 }
 
+// latencies is the front of an exact solver with a front pass: the
+// latencies of the points the pass returns, by increasing period.
+func latencies[C mapping.Cost | fullmodel.Cost](front []C, err error) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	lats := make([]float64, len(front))
+	for k, c := range front {
+		lats[k] = mapping.Cost(c).Latency
+	}
+	return lats, nil
+}
+
 // parallelSolver is an exact solver with a parallel search path.
 type parallelSolver interface{ SetParallelism(workers int) }
 

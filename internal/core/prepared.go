@@ -89,9 +89,10 @@ func Prepare(pr Problem, opts Options) (*PreparedSolver, bool) {
 // order of increasing period: Solve(ctx, PeriodUnderLatency, L) at each
 // of them is the front's point at L, and each such solve after the pass
 // is a single bounded solve. ok is false, with nothing run, when the
-// instance's PeriodUnderLatency cell has no front pass; only the exact
-// pipeline cells have one today. The pass runs once per prepared solver;
-// a pass cut short returns ctx's error.
+// instance's PeriodUnderLatency cell has no front pass; the exact
+// pipeline, fork, fork-join and comm-pipeline cells have one, irreducible
+// SP and comm-fork do not. The pipeline pass runs once per prepared
+// solver, the scans' on every call; a pass cut short returns ctx's error.
 func (ps *PreparedSolver) Front(ctx context.Context) (latencies []float64, ok bool, err error) {
 	if ps.front == nil {
 		return nil, false, nil

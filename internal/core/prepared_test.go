@@ -218,45 +218,68 @@ func TestPreparedSolverRejectsInvalidBound(t *testing.T) {
 }
 
 // TestPreparedSolverFront: Front reports ok only on a cell with a front
-// pass; there its latencies are those of ParetoFront (within the
-// tolerance: the pass sums a point's latency in its own order), and the
+// pass — the exact pipeline, fork, fork-join and comm-pipeline cells;
+// there its latencies are those of ParetoFront (within the tolerance:
+// the pass sums a point's latency in its own order), and the
 // period-under-latency solve at each is the front's point. A pass cut
 // short returns the context's error and leaves the solver as good as new.
+// An irreducible SP cell, still swept by bisection, has no front pass.
 func TestPreparedSolverFront(t *testing.T) {
 	pipe := workflow.NewPipeline(14, 4, 2, 4, 7, 5, 3, 9)
-	pr := Problem{Pipeline: &pipe, Platform: platform.New(5, 4, 3, 3, 2, 2, 1, 1), AllowDataParallel: true}
-	want, err := ParetoFront(pr, Options{})
-	if err != nil {
-		t.Fatal(err)
+	fork := workflow.NewFork(5, 2, 2, 1, 5, 1)
+	fj := workflow.NewForkJoin(8, 6, 2, 4, 1, 6)
+	cp := fullmodel.NewPipeline([]float64{6, 3, 8, 2, 5, 7}, []float64{2, 1, 3, 4, 1, 2, 3})
+	bw := &fullmodel.Bandwidth{
+		Links: [][]float64{{0, 3, 1, 2, 4}, {2, 0, 5, 1, 3}, {4, 1, 0, 2, 2}, {1, 3, 2, 0, 5}, {3, 2, 4, 1, 0}},
+		In:    []float64{2, 4, 1, 3, 5}, Out: []float64{3, 1, 4, 2, 2},
 	}
-	ps, ok := Prepare(pr, Options{})
-	if !ok {
-		t.Fatal("Prepare refused a small NP-hard pipeline")
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if lats, ok, err := ps.Front(cancelled); !ok || lats != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled pass: (%v, %v, %v), want (nil, true, context.Canceled)", lats, ok, err)
-	}
-	lats, ok, err := ps.Front(context.Background())
-	if !ok || err != nil || len(lats) != len(want) {
-		t.Fatalf("Front: %d latencies, ok %v, err %v; ParetoFront has %d points", len(lats), ok, err, len(want))
-	}
-	for k, l := range lats {
-		sol, err := ps.Solve(context.Background(), PeriodUnderLatency, l)
-		if err != nil || !numeric.Eq(l, want[k].Cost.Latency) || !reflect.DeepEqual(sol, want[k]) {
-			t.Errorf("point %d: latency %v, solve %+v (err %v); ParetoFront %+v", k, l, sol, err, want[k])
+	for _, tc := range []struct {
+		name string
+		pr   Problem
+	}{
+		{"pipeline", Problem{Pipeline: &pipe, Platform: platform.New(5, 4, 3, 3, 2, 2, 1, 1), AllowDataParallel: true}},
+		{"fork", Problem{Fork: &fork, Platform: platform.New(4, 2, 2, 1), AllowDataParallel: true}},
+		{"fork-join", Problem{ForkJoin: &fj, Platform: platform.New(5, 4, 4, 5), AllowDataParallel: true}},
+		{"comm-pipeline", Problem{CommPipeline: &cp, Platform: platform.New(5, 4, 3, 2, 1), Bandwidth: bw}},
+	} {
+		want, err := ParetoFront(tc.pr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, ok := Prepare(tc.pr, Options{})
+		if !ok {
+			t.Fatalf("%s: Prepare refused a small NP-hard instance", tc.name)
+		}
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if lats, ok, err := ps.Front(cancelled); !ok || lats != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled pass: (%v, %v, %v), want (nil, true, context.Canceled)", tc.name, lats, ok, err)
+		}
+		lats, ok, err := ps.Front(context.Background())
+		if !ok || err != nil || len(lats) != len(want) || len(want) < 2 {
+			t.Fatalf("%s: Front: %d latencies, ok %v, err %v; ParetoFront has %d points", tc.name, len(lats), ok, err, len(want))
+		}
+		for k, l := range lats {
+			sol, err := ps.Solve(context.Background(), PeriodUnderLatency, l)
+			if err != nil || !numeric.Eq(l, want[k].Cost.Latency) || !reflect.DeepEqual(sol, want[k]) {
+				t.Errorf("%s: point %d: latency %v, solve %+v (err %v); ParetoFront %+v", tc.name, k, l, sol, err, want[k])
+			}
 		}
 	}
 
-	fork := workflow.NewFork(2, 7, 3, 9, 4)
-	fpr := Problem{Fork: &fork, Platform: platform.New(5, 4, 3, 2), AllowDataParallel: true}
-	fps, ok := Prepare(fpr, Options{})
+	sp := workflow.NewSP(
+		workflow.SPStep{Name: "a", Weight: 3},
+		workflow.SPStep{Name: "b", Weight: 2},
+		workflow.SPStep{Name: "c", Weight: 4, After: workflow.After("a")},
+		workflow.SPStep{Name: "d", Weight: 1, After: workflow.After("a", "b")},
+		workflow.SPStep{Name: "e", Weight: 2, After: workflow.After("c", "d")},
+	)
+	sps, ok := Prepare(Problem{SP: &sp, Platform: platform.New(3, 2, 2, 1)}, Options{})
 	if !ok {
-		t.Fatal("Prepare refused a small NP-hard fork")
+		t.Fatal("Prepare refused a small irreducible SP")
 	}
-	if lats, ok, err := fps.Front(context.Background()); ok || lats != nil || err != nil {
-		t.Errorf("fork Front: (%v, %v, %v), want (nil, false, nil)", lats, ok, err)
+	if lats, ok, err := sps.Front(context.Background()); ok || lats != nil || err != nil {
+		t.Errorf("sp Front: (%v, %v, %v), want (nil, false, nil)", lats, ok, err)
 	}
 }
 

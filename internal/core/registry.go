@@ -60,9 +60,10 @@ type PreparedCell struct {
 	SetParallelism func(workers int)
 	// Front, when non-nil, returns the latencies of the cell's exact
 	// Pareto front in order of increasing period, from one bi-criteria
-	// pass that is kept for the cell's later solves: the
-	// PeriodUnderLatency solves at those latencies are the front's
-	// points. Nil on cells without a pass.
+	// pass: the PeriodUnderLatency solves at those latencies are the
+	// front's points. The exact pipeline, fork, fork-join and
+	// comm-pipeline cells have one (the pipeline DP keeps its pass for
+	// the cell's later solves); it is nil on cells without a pass.
 	Front func(ctx context.Context) ([]float64, error)
 }
 

@@ -198,6 +198,9 @@ var commPipeKind = hardKind{
 		}
 		return commPipeMapped(m, commCost(c)), true, nil
 	},
+	front: func(ctx context.Context, pp any) ([]float64, error) {
+		return latencies(pp.(*fullmodel.PipelinePrepared).Front(ctx))
+	},
 	heuristic: func(pr Problem, shared bool) (hardSolve, error) {
 		p, pl := *pr.CommPipeline, commPlatform(pr)
 		eval := func(m fullmodel.Mapping) (fullmodel.Cost, error) { return fullmodel.Eval(p, pl, m) }

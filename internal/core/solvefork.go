@@ -250,6 +250,9 @@ var forkKind = hardKind{
 			return Solution{ForkMapping: &r.Mapping, Cost: r.Cost}
 		})
 	},
+	front: func(ctx context.Context, fp any) ([]float64, error) {
+		return latencies(fp.(*exhaustive.ForkPrepared).Front(ctx))
+	},
 	heuristic: perObjective(forkHeuristicCandidates, func(m *mapping.ForkMapping, c mapping.Cost) Solution {
 		return Solution{ForkMapping: m, Cost: c}
 	}),
@@ -389,6 +392,9 @@ var forkJoinKind = hardKind{
 		return exhaustiveSolve(ctx, fp.(*exhaustive.ForkJoinPrepared), pr, func(r exhaustive.ForkJoinResult) Solution {
 			return Solution{ForkJoinMapping: &r.Mapping, Cost: r.Cost}
 		})
+	},
+	front: func(ctx context.Context, fp any) ([]float64, error) {
+		return latencies(fp.(*exhaustive.ForkJoinPrepared).Front(ctx))
 	},
 	heuristic: perObjective(forkJoinHeuristicCandidates, func(m *mapping.ForkJoinMapping, c mapping.Cost) Solution {
 		return Solution{ForkJoinMapping: m, Cost: c}

@@ -236,15 +236,7 @@ var pipeKind = hardKind{
 		})
 	},
 	front: func(ctx context.Context, pp any) ([]float64, error) {
-		front, err := pp.(*exhaustive.PipelinePrepared).Front(ctx)
-		if err != nil {
-			return nil, err
-		}
-		lats := make([]float64, len(front))
-		for k, c := range front {
-			lats[k] = c.Latency
-		}
-		return lats, nil
+		return latencies(pp.(*exhaustive.PipelinePrepared).Front(ctx))
 	},
 	heuristic: perObjective(pipelineHeuristicCandidates, func(m *mapping.PipelineMapping, c mapping.Cost) Solution {
 		return Solution{PipelineMapping: m, Cost: c}

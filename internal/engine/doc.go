@@ -5,8 +5,9 @@
 // subproblems, and the Pareto sweep is rebuilt on top of the batch
 // solver so candidate-period subproblems solve concurrently while
 // sharing classification and cache work. Where the prepared solver has
-// a front pass (the exact pipeline cells), the sweep runs that pass once
-// and solves one bounded subproblem per front point instead.
+// a front pass (the exact pipeline, fork, fork-join and comm-pipeline
+// cells), the sweep runs that pass once and solves one bounded
+// subproblem per front point instead.
 //
 // # Concurrency model
 //

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 
 	"repliflow/internal/core"
@@ -186,6 +187,51 @@ func TestKindFrontGoldenCorpus(t *testing.T) {
 			c.Front = nil
 			if got := sweepKindCase(t, workers, c); !bytes.Equal(got, want) {
 				t.Errorf("record %d, %d workers: front diverges from the recorded sweep\nwant %s\ngot  %s", i, workers, want, got)
+			}
+		}
+	}
+}
+
+// TestEngineParetoMatchesSerialKinds: on random fork, fork-join and
+// comm-pipeline instances of the bench's shapes and smaller, on
+// homogeneous and heterogeneous platforms, with data-parallelism on and
+// off, the engine's sweep (the front pass, then one bounded solve per
+// point) returns the front of the serial core.ParetoFront, which solves
+// every candidate period, at one and three workers: same costs, same
+// mappings, same metadata.
+func TestEngineParetoMatchesSerialKinds(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 24; trial++ {
+		homPlat, dp := trial%4 == 3, trial%2 == 0
+		var pr core.Problem
+		switch trial % 3 {
+		case 0:
+			g := workflow.NewFork(float64(1+rng.Intn(10)), kindWeights(rng, 2+rng.Intn(4), false)...)
+			pr = core.Problem{Fork: &g, Platform: kindPlatform(rng, 2+rng.Intn(3), homPlat), AllowDataParallel: dp}
+		case 1:
+			g := workflow.NewForkJoin(float64(1+rng.Intn(10)), float64(1+rng.Intn(10)), kindWeights(rng, 2+rng.Intn(3), false)...)
+			pr = core.Problem{ForkJoin: &g, Platform: kindPlatform(rng, 2+rng.Intn(3), homPlat), AllowDataParallel: dp}
+		default:
+			n, p := 3+rng.Intn(4), 3+rng.Intn(3)
+			g := fullmodel.NewPipeline(kindWeights(rng, n, false), kindData(rng, n+1))
+			bw := &fullmodel.Bandwidth{Links: make([][]float64, p), In: kindData(rng, p), Out: kindData(rng, p)}
+			for u := range bw.Links {
+				bw.Links[u] = kindData(rng, p)
+				bw.Links[u][u] = 0
+			}
+			pr = core.Problem{CommPipeline: &g, Platform: kindPlatform(rng, p, homPlat), Bandwidth: bw}
+		}
+		serial, err := core.ParetoFront(pr, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			front, err := New(workers).ParetoFront(context.Background(), pr, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(front) == 0 || !reflect.DeepEqual(front, serial) {
+				t.Errorf("trial %d, %d workers: engine front diverges from serial\nserial: %v\nengine: %v", trial, workers, serial, front)
 			}
 		}
 	}

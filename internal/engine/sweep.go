@@ -53,13 +53,14 @@ type SweepObserver struct {
 // ParetoFront returns — ParetoFront is a thin wrapper collecting it.
 //
 // On instances the dispatcher solves exactly and whose prepared solver
-// has a front pass (core.PreparedSolver.Front: the exact pipeline
-// cells), one pass proves the whole front, and each point is then the
-// period-under-latency solve at its latency. On other exact instances
-// the sweep prunes by monotonicity exactly like ParetoFront always has,
-// but refines the candidate list smallest-periods-first so the resolved
-// prefix (and with it the confirmed front) grows from the left while
-// later candidates are still being solved. Heuristically solved and
+// has a front pass (core.PreparedSolver.Front: the exact pipeline, fork,
+// fork-join and comm-pipeline cells), one pass proves the whole front,
+// and each point is then the period-under-latency solve at its latency.
+// On other exact instances (irreducible SP, comm-fork, the polynomial
+// cells) the sweep prunes by monotonicity exactly like ParetoFront always
+// has, but refines the candidate list smallest-periods-first so the
+// resolved prefix (and with it the confirmed front) grows from the left
+// while later candidates are still being solved. Heuristically solved and
 // budget-bounded instances scan the candidates in ascending batches of
 // one worker round each. A positive Options.AnytimeBudget remains a
 // whole-sweep wall-clock target: it is split across the rounds of the
@@ -310,7 +311,8 @@ func (s *sweeper) runPruned(ctx context.Context) error {
 // latency, which resolves every candidate period at once. Each point is
 // then the PeriodUnderLatency solve at its latency — the solve runPruned's
 // tightening probe makes for it — through the cache, on the solver that
-// holds the computed front, so each is one bounded solve. A pass cut
+// ran the pass (a pipeline solver keeps its front, so each is one DP
+// solve). A pass cut
 // short has proven no point. runFront reports false, having run and
 // emitted nothing, when the instance has no pool (pool is nil) or its
 // solver no front pass.

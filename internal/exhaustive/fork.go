@@ -305,11 +305,14 @@ func ForkPareto(f workflow.Fork, pl platform.Platform, allowDP bool) []ForkResul
 	EnumerateFork(f, pl, allowDP, func(m mapping.ForkMapping, c mapping.Cost) {
 		all = append(all, ForkResult{Mapping: m, Cost: c})
 	})
-	return paretoFilterFork(all)
+	return paretoFilter(all)
 }
 
-func paretoFilterFork(all []ForkResult) []ForkResult {
-	var front []ForkResult
+// paretoFilter keeps the results no other result dominates with a
+// strict gain on one criterion, one per (period, latency) pair, ordered
+// by increasing period: the enumerate-then-filter front.
+func paretoFilter[M any](all []Result[M]) []Result[M] {
+	var front []Result[M]
 	for _, cand := range all {
 		dominated := false
 		for _, other := range all {
@@ -333,16 +336,12 @@ func paretoFilterFork(all []ForkResult) []ForkResult {
 			front = append(front, cand)
 		}
 	}
-	sortForkResultsByPeriod(front)
-	return front
-}
-
-func sortForkResultsByPeriod(rs []ForkResult) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Cost.Period < rs[j-1].Cost.Period; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
+	for i := 1; i < len(front); i++ {
+		for j := i; j > 0 && front[j].Cost.Period < front[j-1].Cost.Period; j-- {
+			front[j], front[j-1] = front[j-1], front[j]
 		}
 	}
+	return front
 }
 
 var (

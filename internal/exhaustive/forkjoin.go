@@ -228,6 +228,17 @@ func EnumerateForkJoin(fj workflow.ForkJoin, pl platform.Platform, allowDP bool,
 	})
 }
 
+// ForkJoinPareto returns the exact Pareto front of (period, latency) over
+// all fork-join mappings, ordered by increasing period: every mapping
+// enumerated, then filtered, as ForkPareto does for forks.
+func ForkJoinPareto(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) []ForkJoinResult {
+	var all []ForkJoinResult
+	EnumerateForkJoin(fj, pl, allowDP, func(m mapping.ForkJoinMapping, c mapping.Cost) {
+		all = append(all, ForkJoinResult{Mapping: m, Cost: c})
+	})
+	return paretoFilter(all)
+}
+
 func (e *fjEnum) err() error { return e.step.err }
 
 func (e *fjEnum) retain(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {

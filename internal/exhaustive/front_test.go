@@ -3,7 +3,6 @@ package exhaustive
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -262,20 +261,88 @@ func TestPipelineFrontAllocs(t *testing.T) {
 	}
 }
 
-// TestLeqMatchesLessEq: the pass's leq decides as numeric.LessEq on
-// every non-negative pair, at and around the tolerance's edges, with
-// infinities and NaN.
-func TestLeqMatchesLessEq(t *testing.T) {
-	vals := []float64{0, numeric.Eps / 2, numeric.Eps, 2 * numeric.Eps, 0.5, 1, 1 + numeric.Eps, 1 + 2*numeric.Eps, 3, 7.000000001, 1e6, 1e6 * (1 + numeric.Eps), math.MaxFloat64, math.Inf(1), math.NaN()}
-	rng := rand.New(rand.NewSource(66))
-	for k := 0; k < 200; k++ {
-		x := rng.Float64() * 20
-		vals = append(vals, x, x*(1+numeric.Eps*rng.Float64()*2), x+numeric.Eps*rng.Float64()*2)
+// scanFrontCase is a small random fork or fork-join instance of the
+// scan front tests: trial picks the kind, the platform's homogeneity and
+// data-parallelism, so every combination recurs.
+func scanFrontCase(rng *rand.Rand, trial int) (front func(context.Context) ([]mapping.Cost, error), oracle func() []mapping.Cost) {
+	dp := trial%2 == 0
+	procs := 1 + rng.Intn(4)
+	pl := platform.Random(rng, procs, 5)
+	if trial%4 >= 2 {
+		pl = platform.Homogeneous(procs, float64(1+rng.Intn(3)))
 	}
-	for _, a := range vals {
-		for _, b := range vals {
-			if got, want := leq(a, b), numeric.LessEq(a, b); got != want {
-				t.Errorf("leq(%v, %v) = %v, numeric.LessEq says %v", a, b, got, want)
+	if trial%8 < 4 {
+		f := workflow.RandomFork(rng, 1+rng.Intn(4), 9)
+		return NewForkPrepared(f, pl, dp).Front, func() []mapping.Cost { return resultCosts(ForkPareto(f, pl, dp)) }
+	}
+	fj := workflow.RandomForkJoin(rng, 1+rng.Intn(3), 9)
+	return NewForkJoinPrepared(fj, pl, dp).Front, func() []mapping.Cost { return resultCosts(ForkJoinPareto(fj, pl, dp)) }
+}
+
+func resultCosts[M any](rs []Result[M]) []mapping.Cost {
+	out := make([]mapping.Cost, len(rs))
+	for k, r := range rs {
+		out[k] = r.Cost
+	}
+	return out
+}
+
+// TestScanFrontMatchesEnumeration: the fork and fork-join passes' fronts
+// are the enumerate-then-filter fronts of ForkPareto and ForkJoinPareto,
+// point for point within the tolerance, on homogeneous and heterogeneous
+// platforms, with data-parallelism on and off.
+func TestScanFrontMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 64; trial++ {
+		front, oracle := scanFrontCase(rng, trial)
+		got, err := front(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracle()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: front %v, enumeration %v", trial, got, want)
+		}
+		for k := range got {
+			if !numeric.Eq(got[k].Period, want[k].Period) || !numeric.Eq(got[k].Latency, want[k].Latency) {
+				t.Fatalf("trial %d: front %v, enumeration %v", trial, got, want)
+			}
+		}
+	}
+}
+
+// TestScanFrontCancellation: a fork or fork-join pass cut at any of its
+// polls returns the context's error and no front, and the next pass on
+// the same solver returns the whole front.
+func TestScanFrontCancellation(t *testing.T) {
+	ctx := context.Background()
+	fork := workflow.NewFork(4, 7, 3, 9, 4, 6, 2)
+	fj := workflow.NewForkJoin(5, 4, 7, 3, 9, 4, 6)
+	pl := platform.New(5, 4, 3, 2, 1)
+	type fronter interface {
+		Front(context.Context) ([]mapping.Cost, error)
+	}
+	for name, newSolver := range map[string]func() fronter{
+		"fork":      func() fronter { return NewForkPrepared(fork, pl, true) },
+		"fork-join": func() fronter { return NewForkJoinPrepared(fj, pl, true) },
+	} {
+		counter := &pollCountCtx{Context: ctx, n: int(^uint(0) >> 1)}
+		want, err := newSolver().Front(counter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counter.polls < 3 {
+			t.Fatalf("%s: the pass polled %d times; the instance is too small to cut mid-pass", name, counter.polls)
+		}
+		t.Logf("%s: %d polls, %d points", name, counter.polls, len(want))
+		for n := 1; n <= counter.polls; n++ {
+			s := newSolver()
+			if front, err := s.Front(&pollCountCtx{Context: ctx, n: n}); !errors.Is(err, context.Canceled) || front != nil {
+				t.Fatalf("%s: pass cut at poll %d returned (%v, %v), want (nil, context.Canceled)", name, n, front, err)
+			}
+			got, err := s.Front(ctx)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: front after a pass cut at poll %d: (%v, %v), want %v", name, n, got, err, want)
 			}
 		}
 	}

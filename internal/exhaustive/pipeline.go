@@ -68,8 +68,8 @@ type pipeSolver struct {
 	// like the scalar memo; lvl holds each stage level's working list and
 	// merge buffer. Every pass, completed or cut, releases all three.
 	span  []frontSpan
-	arena []frontPt
-	lvl   [][2][]frontPt
+	arena []incumbent.Point
+	lvl   [][2][]incumbent.Point
 }
 
 func newPipeSolver(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool, periodCap float64, minimizePeriod bool) *pipeSolver {
@@ -298,15 +298,12 @@ var dpSolves atomic.Int64
 // cannot.
 func PipelineDPSolves() int64 { return dpSolves.Load() }
 
-// frontPt is one (period, latency) point of a state's Pareto list.
-type frontPt struct{ period, latency float64 }
-
 // frontSpan locates a state's Pareto list in the pass's arena.
 type frontSpan struct{ off, n int32 }
 
 // emptySuffix is the Pareto list of level n: the empty suffix costs
 // nothing on either criterion.
-var emptySuffix = [1]frontPt{}
+var emptySuffix = [1]incumbent.Point{}
 
 // frontPass computes the Pareto list of the root state: the exact front
 // of (period, latency), by increasing period and strictly decreasing
@@ -316,15 +313,15 @@ var emptySuffix = [1]frontPt{}
 // in both, so only the child's non-dominated completions can reach the
 // state's list. The caller resets the solver first; on cancellation the
 // result is nil and s.step.err is set.
-func (s *pipeSolver) frontPass() []frontPt {
+func (s *pipeSolver) frontPass() []incumbent.Point {
 	if s.span == nil {
 		s.span = make([]frontSpan, len(s.memo))
-		s.arena = make([]frontPt, 0, len(s.memo))
+		s.arena = make([]incumbent.Point, 0, len(s.memo))
 		// Every level's two lists start on one backing array, with room
 		// for the fronts of bench-sized instances; longer ones regrow.
 		const room = 16
-		s.lvl = make([][2][]frontPt, s.n)
-		backing := make([]frontPt, 2*room*s.n)
+		s.lvl = make([][2][]incumbent.Point, s.n)
+		backing := make([]incumbent.Point, 2*room*s.n)
 		for i := range s.lvl {
 			s.lvl[i][0] = backing[2*room*i : 2*room*i : 2*room*i+room]
 			s.lvl[i][1] = backing[2*room*i+room : 2*room*i+room : 2*room*(i+1)]
@@ -332,9 +329,9 @@ func (s *pipeSolver) frontPass() []frontPt {
 	}
 	s.arena = s.arena[:0]
 	root := s.front(0, 0)
-	var out []frontPt
+	var out []incumbent.Point
 	if s.step.err == nil {
-		out = append([]frontPt(nil), root...)
+		out = append([]incumbent.Point(nil), root...)
 	}
 	// The scratch goes either way: a pass cut inside a state can leave
 	// that level's list and merge buffer on one array, so a later pass
@@ -347,7 +344,7 @@ func (s *pipeSolver) frontPass() []frontPt {
 // the first visit of the epoch. The slice aliases the arena: it stays
 // valid until the next state is stored, which never happens before the
 // caller has folded it.
-func (s *pipeSolver) front(i, usedMask int) []frontPt {
+func (s *pipeSolver) front(i, usedMask int) []incumbent.Point {
 	if i == s.n {
 		return emptySuffix[:]
 	}
@@ -377,14 +374,14 @@ func (s *pipeSolver) frontState(i, usedMask int) frontSpan {
 		for j := i; j < s.n; j++ {
 			w += s.p.Weights[j]
 			period, delay := w*info.perInv, w*info.invMin
-			if dominated(cur, period, delay) {
+			if incumbent.Dominated(cur, period, delay) {
 				break
 			}
 			cur = s.fold(i, cur, period, delay, s.front(j+1, usedMask|sub))
 		}
 		if s.allowDP {
 			c := s.p.Weights[i] * info.invSum
-			if !dominated(cur, c, c) {
+			if !incumbent.Dominated(cur, c, c) {
 				cur = s.fold(i, cur, c, c, s.front(i+1, usedMask|sub))
 			}
 		}
@@ -393,35 +390,6 @@ func (s *pipeSolver) frontState(i, usedMask int) frontSpan {
 	sp := frontSpan{off: int32(len(s.arena)), n: int32(len(cur))}
 	s.arena = append(s.arena, cur...)
 	return sp
-}
-
-// leq is numeric.LessEq on the pass's costs, which are non-negative:
-// it decides by the same float operations as numeric.Eq without that
-// function's general-case branches, and the d <= MaxFloat64 test keeps
-// an infinite a from passing (TestLeqMatchesLessEq pins the two
-// together). The pass spends most of its time in these comparisons: on
-// the 7-stage, 10-processor pipeline of the streaming tests, a pass took
-// 53 ms with leq against 76 ms with numeric.LessEq, with and without
-// data-parallelism (5 alternated pairs of test binaries, -cpu 1, 2-vCPU
-// container).
-func leq(a, b float64) bool {
-	if a <= b {
-		return true
-	}
-	d := a - b
-	return d <= numeric.Eps || d <= numeric.Eps*a && d <= math.MaxFloat64
-}
-
-// dominated reports whether a point of the list weakly dominates
-// (period, latency) under the numeric tolerance. The list rises in
-// period and falls in latency, so the last point within the period is
-// the only one to test.
-func dominated(list []frontPt, period, latency float64) bool {
-	k := -1
-	for k+1 < len(list) && leq(list[k+1].period, period) {
-		k++
-	}
-	return k >= 0 && leq(list[k].latency, latency)
 }
 
 // fold merges into level i's list cur the completions of a group of
@@ -433,32 +401,32 @@ func dominated(list []frontPt, period, latency float64) bool {
 // against the list, and only a survivor pays for the merge. The merge
 // runs in period order and keeps the list non-dominated; cur's buffer
 // becomes the level's next merge buffer.
-func (s *pipeSolver) fold(i int, cur []frontPt, period, delay float64, child []frontPt) []frontPt {
+func (s *pipeSolver) fold(i int, cur []incumbent.Point, period, delay float64, child []incumbent.Point) []incumbent.Point {
 	m := 0
-	for m+1 < len(child) && child[m+1].period <= period {
+	for m+1 < len(child) && child[m+1].Period <= period {
 		m++
 	}
 	if coversAll(cur, period, delay, child[m:]) {
 		return cur
 	}
-	first := frontPt{max(period, child[m].period), delay + child[m].latency}
+	first := incumbent.Point{Period: max(period, child[m].Period), Latency: delay + child[m].Latency}
 	a := 0
-	for a < len(cur) && (cur[a].period < first.period || cur[a].period == first.period && cur[a].latency <= first.latency) {
+	for a < len(cur) && (cur[a].Period < first.Period || cur[a].Period == first.Period && cur[a].Latency <= first.Latency) {
 		a++
 	}
 	out := append(s.lvl[i][1][:0], cur[:a]...)
 	for a < len(cur) || m < len(child) {
-		var pt frontPt
+		var pt incumbent.Point
 		if m < len(child) {
-			pt = frontPt{max(period, child[m].period), delay + child[m].latency}
+			pt = incumbent.Point{Period: max(period, child[m].Period), Latency: delay + child[m].Latency}
 		}
-		if m == len(child) || a < len(cur) && (cur[a].period < pt.period || cur[a].period == pt.period && cur[a].latency <= pt.latency) {
+		if m == len(child) || a < len(cur) && (cur[a].Period < pt.Period || cur[a].Period == pt.Period && cur[a].Latency <= pt.Latency) {
 			pt = cur[a]
 			a++
 		} else {
 			m++
 		}
-		out = addPoint(out, pt)
+		out = incumbent.Append(out, pt)
 	}
 	s.lvl[i][1] = cur
 	return out
@@ -467,35 +435,18 @@ func (s *pipeSolver) fold(i int, cur []frontPt, period, delay float64, child []f
 // coversAll reports whether list weakly dominates every completion of a
 // group of cost (period, delay) followed by the child points, whose
 // periods rise: one pass of two pointers.
-func coversAll(list []frontPt, period, delay float64, child []frontPt) bool {
+func coversAll(list []incumbent.Point, period, delay float64, child []incumbent.Point) bool {
 	k := -1
 	for _, c := range child {
-		p, l := max(period, c.period), delay+c.latency
-		for k+1 < len(list) && leq(list[k+1].period, p) {
+		p, l := max(period, c.Period), delay+c.Latency
+		for k+1 < len(list) && incumbent.Leq(list[k+1].Period, p) {
 			k++
 		}
-		if k < 0 || !leq(list[k].latency, l) {
+		if k < 0 || !incumbent.Leq(list[k].Latency, l) {
 			return false
 		}
 	}
 	return true
-}
-
-// addPoint appends pt, whose period is no less than any on the list, and
-// keeps the list non-dominated: pt is dropped when the last point weakly
-// dominates it, and drops the last points it dominates in turn.
-func addPoint(list []frontPt, pt frontPt) []frontPt {
-	for len(list) > 0 {
-		last := list[len(list)-1]
-		if leq(last.latency, pt.latency) {
-			return list
-		}
-		if !leq(pt.period, last.period) {
-			break
-		}
-		list = list[:len(list)-1]
-	}
-	return append(list, pt)
 }
 
 // reconstruct rebuilds the optimal mapping from the recorded choices.
@@ -627,7 +578,7 @@ func (pp *PipelinePrepared) Front(ctx context.Context) ([]mapping.Cost, error) {
 		}
 		pp.front = make([]mapping.Cost, len(pts))
 		for k, pt := range pts {
-			pp.front[k] = mapping.Cost{Period: pt.period, Latency: pt.latency}
+			pp.front[k] = mapping.Cost{Period: pt.Period, Latency: pt.Latency}
 		}
 	}
 	return pp.front, nil

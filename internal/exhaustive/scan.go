@@ -306,6 +306,35 @@ func (sp *scanPrepared[M]) Solve(ctx context.Context, minimizePeriod bool, bound
 	return sp.scan(ctx, accept, objective, sp.lbs[i])
 }
 
+// Front returns the exact Pareto front of (period, latency), by
+// increasing period and decreasing latency, from one bi-criteria pass:
+// a serial scan of the whole space that keeps the non-dominated costs
+// of the mappings it visits (incumbent.Insert: the scan meets them out
+// of period order) and cuts a partial mapping once a point of the list
+// weakly dominates its raised cost. That cost is a lower bound on every
+// completion in both fields and incumbent.Leq is monotone, so every
+// completion of a cut node is weakly dominated too, and would have left
+// the list unchanged. A pass cut short by ctx returns ctx's error and
+// keeps nothing.
+func (sp *scanPrepared[M]) Front(ctx context.Context) ([]mapping.Cost, error) {
+	var list []incumbent.Point
+	e := sp.search.own.e
+	e.runFrom(ctx, nil, 0,
+		func(c mapping.Cost) bool { return incumbent.Dominated(list, c.Period, c.Latency) },
+		func(_ M, c mapping.Cost) bool {
+			list = incumbent.Insert(list, incumbent.Point{Period: c.Period, Latency: c.Latency})
+			return true
+		})
+	if err := e.err(); err != nil {
+		return nil, err
+	}
+	front := make([]mapping.Cost, len(list))
+	for k, pt := range list {
+		front[k] = mapping.Cost{Period: pt.Period, Latency: pt.Latency}
+	}
+	return front, nil
+}
+
 // Period solves MinPeriod.
 func (sp *scanPrepared[M]) Period(ctx context.Context) (Result[M], bool, error) {
 	return sp.Solve(ctx, true, math.Inf(1))

@@ -280,6 +280,9 @@ type intervalScan struct {
 	// nodes counts the walk nodes visited over the scan's life: the
 	// host-independent work measure of the cut tests.
 	nodes int
+	// front is the Pareto list of a front pass (see Front), kept as
+	// scratch for the next one.
+	front []incumbent.Point
 }
 
 // scan enumerates the interval mappings of one shard — the whole space,
@@ -351,6 +354,22 @@ func (sc *intervalScan) placed(i, j, u int, lat float64) float64 {
 // that work over its speed bounds the latency of every completion; a
 // node with stages left and no free processor has no completion.
 func (sc *intervalScan) cutAhead(i, mask int, lat float64) bool {
+	lb, ok := sc.ahead(i, mask, lat)
+	if !ok {
+		return true
+	}
+	if sc.goal.LatencyCap > 0 && surelyGreater(lb, sc.goal.LatencyCap) {
+		return true
+	}
+	return !sc.goal.MinimizePeriod && surelyGreater(lb, sc.bound)
+}
+
+// ahead returns the look-ahead latency bound of a node whose placed
+// intervals cover stages ..i-1 with the processors in mask taken, at
+// look-ahead latency lat: the remaining stages' work runs at best on the
+// fastest free processor. ok is false when the node has stages left and
+// no free processor, hence no completion.
+func (sc *intervalScan) ahead(i, mask int, lat float64) (lb float64, ok bool) {
 	pp := sc.pp
 	inv := numeric.Inf
 	for u := range pp.inv {
@@ -359,13 +378,9 @@ func (sc *intervalScan) cutAhead(i, mask int, lat float64) bool {
 		}
 	}
 	if inv == numeric.Inf {
-		return true
+		return 0, false
 	}
-	lb := (lat + pp.workTbl[i][pp.n-1]*inv) * aheadSlack
-	if sc.goal.LatencyCap > 0 && surelyGreater(lb, sc.goal.LatencyCap) {
-		return true
-	}
-	return !sc.goal.MinimizePeriod && surelyGreater(lb, sc.bound)
+	return (lat + pp.workTbl[i][pp.n-1]*inv) * aheadSlack, true
 }
 
 // walk places the intervals from stage i on, with the processors in
@@ -412,6 +427,74 @@ func (sc *intervalScan) walk(i, mask int, lat float64) {
 			next := sc.placed(i, j, u, lat)
 			sc.push(j, u)
 			sc.walk(j+1, mask|1<<u, next)
+			sc.pop()
+		}
+	}
+}
+
+// Front returns the exact Pareto front of (period, latency), by
+// increasing period and decreasing latency, from one bi-criteria pass:
+// a serial walk of the interval scan's tree that keeps the
+// non-dominated costs of the mappings it reaches (incumbent.Insert: the
+// walk meets them out of period order). A node carries two lower bounds
+// on every completion: the largest work-over-speed of its placed
+// intervals (pruneInterval's bound, which their period brackets cannot
+// undercut) and the look-ahead latency of cutAhead. Once a point of the
+// list weakly dominates that pair, every completion is weakly dominated
+// too (incumbent.Leq is monotone) and would leave the list unchanged, so
+// the node is cut. A pass cut short by ctx returns ctx's error and keeps
+// nothing.
+func (pp *PipelinePrepared) Front(ctx context.Context) ([]Cost, error) {
+	sc := &pp.search.own
+	if sc.bounds == nil {
+		sc.bounds, sc.alloc = make([]int, 0, pp.n), make([]int, 0, pp.n)
+	}
+	sc.ctx, sc.leaves, sc.err, sc.latCut = ctx, 0, nil, true
+	sc.bounds, sc.alloc, sc.front = sc.bounds[:0], sc.alloc[:0], sc.front[:0]
+	sc.frontWalk(0, 0, 0, 0)
+	sc.ctx = nil
+	if sc.err != nil {
+		return nil, sc.err
+	}
+	front := make([]Cost, len(sc.front))
+	for k, pt := range sc.front {
+		front[k] = Cost{Period: pt.Period, Latency: pt.Latency}
+	}
+	return front, nil
+}
+
+// frontWalk is walk for the front pass: it places the intervals from
+// stage i on, with the processors in mask taken, look-ahead latency lat
+// (see placed) and period bound per, and inserts each complete mapping's
+// cost into the list. It polls the context every 256 mappings.
+func (sc *intervalScan) frontWalk(i, mask int, lat, per float64) {
+	pp := sc.pp
+	sc.nodes++
+	if sc.err != nil {
+		return
+	}
+	if i == pp.n {
+		if sc.leaves++; sc.leaves%256 == 0 {
+			if sc.err = sc.ctx.Err(); sc.err != nil {
+				return
+			}
+		}
+		c := evalTrusted(pp.p, pp.pl, Mapping{Bounds: sc.bounds, Alloc: sc.alloc})
+		sc.front = incumbent.Insert(sc.front, incumbent.Point{Period: c.Period, Latency: c.Latency})
+		return
+	}
+	if lb, ok := sc.ahead(i, mask, lat); !ok || incumbent.Dominated(sc.front, per, lb) {
+		return
+	}
+	procs := pp.pl.Processors()
+	for j := i; j < pp.n; j++ {
+		for u := 0; u < procs; u++ {
+			if mask&(1<<u) != 0 {
+				continue
+			}
+			next := sc.placed(i, j, u, lat)
+			sc.push(j, u)
+			sc.frontWalk(j+1, mask|1<<u, next, max(per, pp.workTbl[i][j]*pp.inv[u]*lbSlack))
 			sc.pop()
 		}
 	}

@@ -4,18 +4,21 @@
 //   - Best, a mutex-guarded incumbent mapping with the offer/adopt
 //     protocol of the anytime portfolio members (strict improvement
 //     installs, exact results replace ties);
-//   - Bound, a lock-free monotonically tightening objective bound; and
+//   - Bound, a lock-free monotonically tightening objective bound;
 //   - Run and Each, the shard runner: workers claim shards in order,
 //     share a Bound and the lowest shard that reached the lower bound
 //     (Shards), and Run folds the per-shard bests in shard order, so
 //     the result is the serial scan's at every worker count. One shard
 //     runs inline on the caller's goroutine — that is the serial
 //     search. PartitionShards cuts a restricted-growth set-partition
-//     enumeration into such shards.
+//     enumeration into such shards; and
+//   - the Pareto list of the bi-criteria front passes (Point, Leq,
+//     Dominated, Append, Insert).
 //
 // Its users are the fork and fork-join scans and the pipeline level
-// sweep of internal/exhaustive, the SP block scan of internal/spdecomp,
-// and the comm-pipeline interval scan of internal/fullmodel.
+// sweep and front pass of internal/exhaustive, the SP block scan of
+// internal/spdecomp, and the comm-pipeline interval scan of
+// internal/fullmodel.
 package incumbent
 
 import (

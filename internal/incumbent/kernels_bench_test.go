@@ -20,9 +20,10 @@ import (
 // solvers, half minimizing the period and half the latency;
 // BenchmarkKernelPareto<Kind> computes the exact Pareto fronts of 3 such
 // instances through engine.ParetoFront, whose probes are bounded solves
-// on one prepared solver; for the pipeline that is the prepared front
-// pass plus one bounded solve per point, and the bench gate holds it
-// below the bisection sweep it replaced. They time the exact kernels without the wire
+// on one prepared solver; for the pipeline, fork, fork-join and comm
+// kinds that is the prepared front pass plus one bounded solve per
+// point, and the bench gate holds them below the bisection sweeps they
+// replaced (SP still bisects). They time the exact kernels without the wire
 // path, so a change to a kernel can be compared against its parent
 // commit in alternated pairs of test binaries (go test -c at each
 // commit, then -test.bench '^BenchmarkKernelFork$' -test.cpu 1,

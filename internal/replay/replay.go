@@ -68,6 +68,11 @@ type Stats struct {
 	RateLimitDivergences int `json:"rateLimitDivergences"`
 	// RateLimited counts replayed responses that came back 429.
 	RateLimited int `json:"rateLimited"`
+	// JobPolls counts the extra GETs of job snapshots that were terminal
+	// in the recording but still running in the replay (pollTerminal
+	// re-GETs them every JobPollInterval): how many there are depends on
+	// how fast the replayed server finishes its jobs.
+	JobPolls int `json:"jobPolls"`
 	// StatusCounts histograms the replayed HTTP statuses.
 	StatusCounts map[string]int `json:"statusCounts"`
 	// DurationMs and ThroughputRPS measure the replay itself.
@@ -141,7 +146,7 @@ func Replay(ctx context.Context, tr *Trace, target string, opts Options) (*Stats
 		// replayed job is terminal too, then diff terminal vs terminal.
 		if ev.Method == http.MethodGet && strings.HasPrefix(ev.Path, "/v1/jobs/") &&
 			status == http.StatusOK && jobTerminal(ev.Response) && !jobTerminal(body) {
-			status, body, err = pollTerminal(ctx, client, target, ev, jobIDs, opts)
+			status, body, err = pollTerminal(ctx, client, target, ev, jobIDs, opts, &stats.JobPolls)
 			if err != nil {
 				return nil, fmt.Errorf("polling job for event %d: %w", ev.Seq, err)
 			}
@@ -207,10 +212,12 @@ func issue(ctx context.Context, client *http.Client, target string, ev *Event, j
 	return resp.StatusCode, string(b), time.Since(t0), nil
 }
 
-// pollTerminal re-GETs a job snapshot until it reaches a terminal state.
-func pollTerminal(ctx context.Context, client *http.Client, target string, ev *Event, jobIDs map[string]string, opts Options) (int, string, error) {
+// pollTerminal re-GETs a job snapshot until it reaches a terminal state,
+// adding each GET to *polls.
+func pollTerminal(ctx context.Context, client *http.Client, target string, ev *Event, jobIDs map[string]string, opts Options, polls *int) (int, string, error) {
 	deadline := time.Now().Add(opts.JobPollTimeout)
 	for {
+		*polls++
 		status, body, _, err := issue(ctx, client, target, ev, jobIDs)
 		if err != nil {
 			return 0, "", err

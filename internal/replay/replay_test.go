@@ -317,6 +317,7 @@ func BenchmarkReplaySeedTrace(b *testing.B) {
 	defer ts.Close()
 	defer srv.Close()
 
+	polls := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stats, err := Replay(context.Background(), tr, ts.URL, Options{})
@@ -326,6 +327,11 @@ func BenchmarkReplaySeedTrace(b *testing.B) {
 		if stats.Events != len(tr.Events) {
 			b.Fatalf("replayed %d of %d events", stats.Events, len(tr.Events))
 		}
+		polls += stats.JobPolls
 	}
 	b.ReportMetric(float64(len(tr.Events)), "events/op")
+	// The job polls, and the requests and allocations they bring, depend
+	// on how fast the server finishes each job, so this row is gated on
+	// ns/op only (docs/performance.md).
+	b.ReportMetric(float64(polls)/float64(b.N), "polls/op")
 }

@@ -34,18 +34,26 @@ const longFrontSweepInstance = `{
 	"allowDataParallel": false`
 
 // prunedSweepInstance is the staged slow instance of the exact pruned
-// sweep path (no front pass): a fork-join with 5 leaves on 7
-// heterogeneous processors, solved exhaustively under raised limits
-// (prunedSweepOptions). The bisection resolves the candidate list from
-// the left, so its first point is proven at about a third of the sweep
-// and the other 7 follow one by one while candidates are still
-// unexplored.
+// sweep path (no front pass): an irreducible series-parallel DAG of 8
+// steps on 5 heterogeneous processors, solved exhaustively under a
+// raised step limit (prunedSweepOptions). The bisection resolves the
+// candidate list from the left, so its first point is proven at about
+// an eighth of the sweep and the other 14 follow one by one while
+// candidates are still unexplored.
 const prunedSweepInstance = `{
-	"forkjoin": {"root": 5, "join": 4, "weights": [7, 3, 9, 4, 6]},
-	"platform": {"speeds": [5, 4, 3, 2, 1, 3, 2]},
-	"allowDataParallel": true`
+	"sp": {"steps": [
+		{"name": "a", "weight": 2},
+		{"name": "b", "weight": 3, "after": ["a"]},
+		{"name": "c", "weight": 1, "after": ["a", "b"]},
+		{"name": "d", "weight": 2, "after": ["b", "c"]},
+		{"name": "e", "weight": 4, "after": ["d"]},
+		{"name": "f", "weight": 2, "after": ["d", "e"]},
+		{"name": "g", "weight": 3, "after": ["e", "f"]},
+		{"name": "h", "weight": 1, "after": ["f", "g"]}
+	]},
+	"platform": {"speeds": [5, 4, 3, 2, 1]}`
 
-var prunedSweepOptions = core.Options{MaxExhaustiveForkStages: 7, MaxExhaustiveForkProcs: 7}
+var prunedSweepOptions = core.Options{MaxExhaustiveForkStages: 8}
 
 // pacedSweepInstance is a small NP-hard staging instance with the
 // exhaustive limits lowered (newPacedServer) so the anytime portfolio
