@@ -97,8 +97,9 @@ type Result struct {
 //
 // The -4 suffix is the GOMAXPROCS (or -cpu value) the run used; it is
 // captured separately and normalized by resultKey. The B/op + allocs/op
-// tail is present only under -benchmem.
-var benchLine = regexp.MustCompile(`^(Benchmark[^\s]*?)(-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+// tail is present only under -benchmem, after any columns the benchmark
+// adds with b.ReportMetric, which go test prints right after ns/op.
+var benchLine = regexp.MustCompile(`^(Benchmark[^\s]*?)(-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:(?:\s+\S+ \S+)*?\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
 // resultKey normalizes a benchmark name + -GOMAXPROCS suffix into its
 // baseline key: "-1" (and a bare name, which go test emits when

@@ -39,6 +39,35 @@ func TestParseResultsTakesFastestRun(t *testing.T) {
 	}
 }
 
+// TestParseResultsSkipsReportedMetrics: go test prints the columns a
+// benchmark adds with b.ReportMetric (and SetBytes' MB/s) between ns/op
+// and B/op; they must not hide the allocs.
+func TestParseResultsSkipsReportedMetrics(t *testing.T) {
+	const out = `BenchmarkReplaySeedTrace 1 118102113 ns/op 12.00 events/op 0 polls/op 29034240 B/op 417388 allocs/op
+BenchmarkKernelParetoPipeline-4   	       1	  17523110 ns/op	         0 dpsolves/op	  412345 B/op	    1058 allocs/op
+BenchmarkDecode   	   10000	      1500 ns/op	  85.33 MB/s	     512 B/op	       7 allocs/op
+BenchmarkCustomOnly   	       1	      2000 ns/op	         3.000 events/op
+`
+	res, err := ParseResults(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Result{
+		"BenchmarkReplaySeedTrace":        {NsPerOp: 118102113, AllocsPerOp: 417388, HasAllocs: true},
+		"BenchmarkKernelParetoPipeline-4": {NsPerOp: 17523110, AllocsPerOp: 1058, HasAllocs: true},
+		"BenchmarkDecode":                 {NsPerOp: 1500, AllocsPerOp: 7, HasAllocs: true},
+		"BenchmarkCustomOnly":             {NsPerOp: 2000},
+	}
+	if len(res) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d: %v", len(res), len(want), res)
+	}
+	for name, r := range want {
+		if res[name] != r {
+			t.Errorf("%s = %+v, want %+v", name, res[name], r)
+		}
+	}
+}
+
 // TestParseResultsNormalizesCPUSuffix: a -cpu 1,4 run interleaves
 // GOMAXPROCS variants of one benchmark. The -1 suffix (and a bare name)
 // normalizes to the serial key; other suffixes stay distinct keys, so

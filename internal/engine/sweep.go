@@ -311,11 +311,10 @@ func (s *sweeper) runPruned(ctx context.Context) error {
 // latency, which resolves every candidate period at once. Each point is
 // then the PeriodUnderLatency solve at its latency — the solve runPruned's
 // tightening probe makes for it — through the cache, on the solver that
-// ran the pass (a pipeline solver keeps its front, so each is one DP
-// solve). A pass cut
-// short has proven no point. runFront reports false, having run and
-// emitted nothing, when the instance has no pool (pool is nil) or its
-// solver no front pass.
+// ran the pass (a pipeline solver keeps the pass's per-state lists, so
+// each is a walk over them, not a DP solve). A pass cut short has proven
+// no point. runFront reports false, having run and emitted nothing, when
+// the instance has no pool (pool is nil) or its solver no front pass.
 func (s *sweeper) runFront(ctx context.Context, pool *preparedPool) (bool, error) {
 	if pool == nil {
 		return false, nil

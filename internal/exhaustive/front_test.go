@@ -162,16 +162,115 @@ func TestPipelineFrontPULMatchesBisection(t *testing.T) {
 	}
 }
 
-// TestPipelineParetoSolvesOncePerPoint: PipelinePareto runs one scalar
-// DP solve per front point on top of the pass.
-func TestPipelineParetoSolvesOncePerPoint(t *testing.T) {
+// TestPipelineParetoNoDPSolves: PipelinePareto runs no scalar DP solve
+// on top of the pass — every point's solve is a walk over its lists.
+func TestPipelineParetoNoDPSolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for trial := 0; trial < 4; trial++ {
 		p, pl := benchShaped(rng)
 		before := PipelineDPSolves()
 		front := PipelinePareto(p, pl, trial%2 == 0)
-		if solves := PipelineDPSolves() - before; solves != int64(len(front)) {
+		if solves := PipelineDPSolves() - before; len(front) == 0 || solves != 0 {
 			t.Errorf("trial %d: %d DP solves for a front of %d points", trial, solves, len(front))
+		}
+	}
+}
+
+// walkCase draws an instance of the walk tests: trial picks the weights
+// (integer, all equal, float), the platform (heterogeneous, homogeneous,
+// float speeds) and data-parallelism, so every combination recurs.
+func walkCase(rng *rand.Rand, trial int) (workflow.Pipeline, platform.Platform, bool) {
+	ws := make([]float64, 1+rng.Intn(6))
+	same := float64(1 + rng.Intn(6))
+	for i := range ws {
+		switch trial % 3 {
+		case 0:
+			ws[i] = float64(1 + rng.Intn(10))
+		case 1:
+			ws[i] = same
+		default:
+			ws[i] = 0.5 + 9*rng.Float64()
+		}
+	}
+	procs := 1 + rng.Intn(5)
+	var pl platform.Platform
+	switch trial / 3 % 3 {
+	case 0:
+		pl = platform.Random(rng, procs, 5)
+	case 1:
+		pl = platform.Homogeneous(procs, float64(1+rng.Intn(3)))
+	default:
+		speeds := make([]float64, procs)
+		for k := range speeds {
+			speeds[k] = 0.5 + 4*rng.Float64()
+		}
+		pl = platform.New(speeds...)
+	}
+	return workflow.NewPipeline(ws...), pl, trial/9%2 == 0
+}
+
+// walkCaps returns the caps of the walk tests: every candidate period,
+// each one nudged by a relative 1e-10 either way, the midpoints between
+// neighbours, one below the least candidate and +Inf.
+func walkCaps(cands []float64) []float64 {
+	caps := []float64{cands[0] / 2, numeric.Inf}
+	for k, c := range cands {
+		caps = append(caps, c, c*(1-1e-10), c*(1+1e-10))
+		if k+1 < len(cands) {
+			caps = append(caps, (c+cands[k+1])/2)
+		}
+	}
+	return caps
+}
+
+// TestPipelineWalkMatchesDP: after a pass, LatencyUnderPeriod answers by
+// a walk over the pass's lists, with no DP solve, and equals a DP solve
+// on a solver that ran no pass — mapping and cost — at every candidate
+// period, next to it and between candidates, over integer, all-equal and
+// float weights on heterogeneous, homogeneous and float-speed platforms,
+// with data-parallelism on and off. Walks repeated in a shuffled cap
+// order give the same answers, and a walk cut by its context leaves the
+// next one exact.
+func TestPipelineWalkMatchesDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(69))
+	ctx := context.Background()
+	for trial := 0; trial < 180; trial++ {
+		p, pl, dp := walkCase(rng, trial)
+		pp := NewPipelinePrepared(p, pl, dp)
+		ref := NewPipelinePrepared(p, pl, dp)
+		if _, err := pp.Front(ctx); err != nil {
+			t.Fatal(err)
+		}
+		caps := walkCaps(ref.candidates())
+		type answer struct {
+			res PipelineResult
+			ok  bool
+		}
+		want := make([]answer, len(caps))
+		before := PipelineDPSolves()
+		for k, c := range caps {
+			got, ok, err := pp.LatencyUnderPeriod(ctx, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k].res, want[k].ok, _ = ref.LatencyUnderPeriod(ctx, c)
+			if ok != want[k].ok || !reflect.DeepEqual(got, want[k].res) {
+				t.Fatalf("trial %d (%v on %v, dp %v), cap %v: walk (%v, %v), DP (%v, %v)", trial, p.Weights, pl.Speeds, dp, c, got, ok, want[k].res, want[k].ok)
+			}
+		}
+		if solves := PipelineDPSolves() - before; solves != int64(len(caps)) {
+			t.Fatalf("trial %d: %d DP solves for %d caps, want only the reference's", trial, solves, len(caps))
+		}
+		cancelled, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, _, err := pp.LatencyUnderPeriod(cancelled, numeric.Inf); !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d: walk on a cancelled context returned %v", trial, err)
+		}
+		for _, k := range rng.Perm(len(caps)) {
+			got, ok, err := pp.LatencyUnderPeriod(ctx, caps[k])
+			if err != nil || ok != want[k].ok || !reflect.DeepEqual(got, want[k].res) {
+				t.Fatalf("trial %d, cap %v repeated: walk (%v, %v, %v), DP (%v, %v)", trial, caps[k], got, ok, err, want[k].res, want[k].ok)
+			}
 		}
 	}
 }
@@ -195,8 +294,9 @@ func (c *pollCountCtx) Err() error {
 // TestPipelineFrontCancellation: a pass cut short returns the context's
 // error, and so does a PeriodUnderLatency waiting on it. Cut at any of
 // its polls — so after folds have run in its per-level lists — it
+// keeps no lists, so the next LatencyUnderPeriod runs the DP, and it
 // leaves the solver as good as new: the next Front and
-// PeriodUnderLatency on it equal a fresh solver's.
+// PeriodUnderLatency on it equal a fresh solver's, with no DP solve.
 func TestPipelineFrontCancellation(t *testing.T) {
 	p, pl := benchShaped(rand.New(rand.NewSource(65)))
 	fresh := NewPipelinePrepared(p, pl, true)
@@ -212,6 +312,8 @@ func TestPipelineFrontCancellation(t *testing.T) {
 	if counter.polls < 3 {
 		t.Fatalf("the pass polled %d times; the instance is too small to cut mid-pass", counter.polls)
 	}
+	midCap := want[len(want)/2].Period
+	dpRes, dpOK, _ := NewPipelinePrepared(p, pl, true).LatencyUnderPeriod(context.Background(), midCap)
 	bounds := []float64{numeric.Inf, want[0].Latency, want[len(want)-1].Latency, want[len(want)-1].Latency * 0.99}
 	for _, c := range want {
 		bounds = append(bounds, c.Latency*1.01)
@@ -225,6 +327,11 @@ func TestPipelineFrontCancellation(t *testing.T) {
 		if _, _, err := pp.PeriodUnderLatency(ctx, numeric.Inf); !errors.Is(err, context.Canceled) {
 			t.Fatalf("PeriodUnderLatency on a cancelled context returned %v", err)
 		}
+		before := PipelineDPSolves()
+		res, ok, err := pp.LatencyUnderPeriod(context.Background(), midCap)
+		if solves := PipelineDPSolves() - before; err != nil || solves != 1 || ok != dpOK || !reflect.DeepEqual(res, dpRes) {
+			t.Fatalf("LatencyUnderPeriod after a pass cut at poll %d: (%v, %v, %v) in %d DP solves, want (%v, %v) in 1", n, res, ok, err, solves, dpRes, dpOK)
+		}
 		got, err := pp.Front(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -232,12 +339,16 @@ func TestPipelineFrontCancellation(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("front after a pass cut at poll %d:\n%v\nfresh:\n%v", n, got, want)
 		}
+		before = PipelineDPSolves()
 		for _, b := range bounds {
 			res, ok, err := pp.PeriodUnderLatency(context.Background(), b)
 			ref, refOK, _ := fresh.PeriodUnderLatency(context.Background(), b)
 			if err != nil || ok != refOK || !reflect.DeepEqual(res, ref) {
 				t.Fatalf("PeriodUnderLatency(%v) after a pass cut at poll %d: (%v, %v, %v), fresh (%v, %v)", b, n, res, ok, err, ref, refOK)
 			}
+		}
+		if solves := PipelineDPSolves() - before; solves != 0 {
+			t.Fatalf("after a pass cut at poll %d and a completed one: %d DP solves, want 0", n, solves)
 		}
 	}
 }

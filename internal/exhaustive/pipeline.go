@@ -65,11 +65,15 @@ type pipeSolver struct {
 
 	// The bi-criteria pass (frontPass) keeps every state's non-dominated
 	// completions in arena, located by span and marked by visited/epoch
-	// like the scalar memo; lvl holds each stage level's working list and
-	// merge buffer. Every pass, completed or cut, releases all three.
-	span  []frontSpan
-	arena []incumbent.Point
-	lvl   [][2][]incumbent.Point
+	// like the scalar memo; listed names the states it listed, and lvl
+	// holds each stage level's working list and merge buffer. A completed
+	// pass keeps span, arena and listed, which answer every later
+	// latency-under-period solve (see walk); a pass cut short releases
+	// all four.
+	span   []frontSpan
+	arena  []incumbent.Point
+	listed []int32
+	lvl    [][2][]incumbent.Point
 }
 
 func newPipeSolver(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool, periodCap float64, minimizePeriod bool) *pipeSolver {
@@ -293,9 +297,9 @@ func (s *pipeSolver) solveParallel() float64 {
 var dpSolves atomic.Int64
 
 // PipelineDPSolves returns how many scalar DP solves the pipeline solvers
-// of this process have run: the bi-criteria pass does not count. Tests
-// read it around a sweep to pin its solve count, which wall-clock time
-// cannot.
+// of this process have run: neither the bi-criteria pass nor a walk over
+// its lists counts. Tests read it around a sweep to pin its solve count,
+// which wall-clock time cannot.
 func PipelineDPSolves() int64 { return dpSolves.Load() }
 
 // frontSpan locates a state's Pareto list in the pass's arena.
@@ -312,32 +316,66 @@ var emptySuffix = [1]incumbent.Point{}
 // (period, delay) into the child's list as (max, sum), which is monotone
 // in both, so only the child's non-dominated completions can reach the
 // state's list. The caller resets the solver first; on cancellation the
-// result is nil and s.step.err is set.
+// result is nil and s.step.err is set. A completed pass keeps its lists
+// for walk.
 func (s *pipeSolver) frontPass() []incumbent.Point {
-	if s.span == nil {
-		s.span = make([]frontSpan, len(s.memo))
-		s.arena = make([]incumbent.Point, 0, len(s.memo))
-		// Every level's two lists start on one backing array, with room
-		// for the fronts of bench-sized instances; longer ones regrow.
-		const room = 16
-		s.lvl = make([][2][]incumbent.Point, s.n)
-		backing := make([]incumbent.Point, 2*room*s.n)
-		for i := range s.lvl {
-			s.lvl[i][0] = backing[2*room*i : 2*room*i : 2*room*i+room]
-			s.lvl[i][1] = backing[2*room*i+room : 2*room*i+room : 2*room*(i+1)]
-		}
+	s.span = make([]frontSpan, len(s.memo))
+	s.arena = make([]incumbent.Point, 0, len(s.memo))
+	s.listed = make([]int32, 0, len(s.memo))
+	// Every level's two lists start on one backing array, with room for
+	// the fronts of bench-sized instances; longer ones regrow.
+	const room = 16
+	s.lvl = make([][2][]incumbent.Point, s.n)
+	backing := make([]incumbent.Point, 2*room*s.n)
+	for i := range s.lvl {
+		s.lvl[i][0] = backing[2*room*i : 2*room*i : 2*room*i+room]
+		s.lvl[i][1] = backing[2*room*i+room : 2*room*i+room : 2*room*(i+1)]
 	}
-	s.arena = s.arena[:0]
 	root := s.front(0, 0)
-	var out []incumbent.Point
-	if s.step.err == nil {
-		out = append([]incumbent.Point(nil), root...)
+	s.lvl = nil
+	if s.step.err != nil {
+		// A pass cut inside a state has listed only part of the states
+		// and left part of its lists unfolded: nothing of it is kept.
+		s.span, s.arena, s.listed = nil, nil, nil
+		return nil
 	}
-	// The scratch goes either way: a pass cut inside a state can leave
-	// that level's list and merge buffer on one array, so a later pass
-	// starts on fresh scratch.
-	s.span, s.arena, s.lvl = nil, nil, nil
-	return out
+	return append([]incumbent.Point(nil), root...)
+}
+
+// walk answers the latency-under-period solve at s.periodCap, after a
+// completed pass, without the DP: the value of a listed state under the
+// cap is the latency of the last point of its list whose period is
+// within the cap — the list rises in period and falls in latency — or
+// +Inf when none is. With every listed state's memo filled that way, the
+// unchanged candidate loops of state, run along the path from (0, 0),
+// record the DP's choices; a child the pass never listed is a memo miss,
+// solved by the scalar recursion as in the DP. A fold adds a group's
+// delay to a child's latency as the DP adds it to the child's value, so
+// a list value is the DP's total for the same completion, bit for bit
+// (TestPipelineWalkMatchesDP compares the mappings and costs). The
+// caller resets the solver first.
+func (s *pipeSolver) walk() float64 {
+	for _, id := range s.listed {
+		v := numeric.Inf
+		sp := s.span[id]
+		for _, pt := range s.arena[sp.off : sp.off+sp.n] {
+			if numeric.Greater(pt.Period, s.periodCap) {
+				break
+			}
+			v = pt.Latency
+		}
+		s.memo[id], s.visited[id] = v, s.epoch
+	}
+	for i, usedMask := 0, 0; i < s.n; {
+		v, ch := s.state(i, usedMask, s.step, false)
+		if s.step.err != nil || math.IsInf(v, 1) {
+			return numeric.Inf
+		}
+		id := i<<s.pbits | usedMask
+		s.memo[id], s.choice[id], s.visited[id] = v, ch, s.epoch
+		i, usedMask = ch.last+1, usedMask|ch.sub
+	}
+	return s.memo[0] // the root; 0, the empty suffix, when n == 0
 }
 
 // front returns the Pareto list of state (i, usedMask), computing it on
@@ -352,6 +390,7 @@ func (s *pipeSolver) front(i, usedMask int) []incumbent.Point {
 	if s.visited[id] != s.epoch {
 		s.visited[id] = s.epoch
 		s.span[id] = s.frontState(i, usedMask)
+		s.listed = append(s.listed, int32(id))
 	}
 	sp := s.span[id]
 	return s.arena[sp.off : sp.off+sp.n]
@@ -474,11 +513,15 @@ func (s *pipeSolver) reconstruct() mapping.PipelineMapping {
 }
 
 func (s *pipeSolver) result() (PipelineResult, bool, error) {
-	dpSolves.Add(1)
 	var v float64
-	if s.par > 1 && s.n > 0 {
+	switch {
+	case s.listed != nil && !s.minimizePeriod:
+		v = s.walk()
+	case s.par > 1 && s.n > 0:
+		dpSolves.Add(1)
 		v = s.solveParallel()
-	} else {
+	default:
+		dpSolves.Add(1)
 		v = s.solve(0, 0)
 	}
 	if s.step.err != nil {
@@ -500,7 +543,9 @@ func (s *pipeSolver) result() (PipelineResult, bool, error) {
 // PipelinePrepared solves repeated objective/bound variants of one
 // (pipeline, platform, model) triple, sharing the platform subset table,
 // the DP arrays (reset by epoch, not reallocation), the candidate-period
-// set and the exact Pareto front across solves; every solve runs the DP
+// set and the exact Pareto front across solves. Once Front's pass has
+// completed, a latency-under-period solve (and so a period-under-latency
+// one) walks the pass's per-state lists; every other solve runs the DP
 // (repeated bounds are answered by the engine's result cache). Results
 // are byte-identical to the one-shot package functions — which are thin
 // wrappers over a prepared solver used once.
@@ -549,7 +594,8 @@ func (pp *PipelinePrepared) Latency(ctx context.Context) (PipelineResult, bool, 
 	return pp.LatencyUnderPeriod(ctx, numeric.Inf)
 }
 
-// LatencyUnderPeriod solves min-latency under the period cap.
+// LatencyUnderPeriod solves min-latency under the period cap: by a walk
+// over the front pass's lists once Front has completed, else by the DP.
 func (pp *PipelinePrepared) LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (PipelineResult, bool, error) {
 	pp.s.reset(ctx, maxPeriod, false)
 	return pp.s.result()
@@ -585,10 +631,11 @@ func (pp *PipelinePrepared) Front(ctx context.Context) ([]mapping.Cost, error) {
 }
 
 // PeriodUnderLatency solves min-period under the latency cap with one
-// DP solve. The first front point within the cap has the least period
-// any mapping within it can reach, and that period is an achievable
-// group period: the latency-under-period solve at the smallest candidate
-// reaching it is the optimum, and the mapping and cost are that solve's.
+// walk over the front pass's lists. The first front point within the cap
+// has the least period any mapping within it can reach, and that period
+// is an achievable group period: the latency-under-period solve at the
+// smallest candidate reaching it is the optimum, and the mapping and
+// cost are that solve's.
 func (pp *PipelinePrepared) PeriodUnderLatency(ctx context.Context, maxLatency float64) (PipelineResult, bool, error) {
 	front, err := pp.Front(ctx)
 	if err != nil {
@@ -677,7 +724,7 @@ func PipelinePeriodUnderLatency(p workflow.Pipeline, pl platform.Platform, allow
 // PipelinePareto returns the exact Pareto front of (period, latency),
 // ordered by increasing period and decreasing latency. Each point carries a
 // mapping achieving it: the front's pass, then one PeriodUnderLatency
-// solve per point.
+// solve per point, each a walk over the pass's lists.
 func PipelinePareto(p workflow.Pipeline, pl platform.Platform, allowDP bool) []PipelineResult {
 	pp := NewPipelinePrepared(p, pl, allowDP)
 	ctx := context.Background()

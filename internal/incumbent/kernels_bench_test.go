@@ -22,8 +22,10 @@ import (
 // instances through engine.ParetoFront, whose probes are bounded solves
 // on one prepared solver; for the pipeline, fork, fork-join and comm
 // kinds that is the prepared front pass plus one bounded solve per
-// point, and the bench gate holds them below the bisection sweeps they
-// replaced (SP still bisects). They time the exact kernels without the wire
+// point — for the pipeline a walk over the pass's lists, no DP solve,
+// which BenchmarkKernelParetoPipeline reports as dpsolves/op — and the
+// bench gate holds them below the bisection sweeps they replaced (SP
+// still bisects). They time the exact kernels without the wire
 // path, so a change to a kernel can be compared against its parent
 // commit in alternated pairs of test binaries (go test -c at each
 // commit, then -test.bench '^BenchmarkKernelFork$' -test.cpu 1,
@@ -236,7 +238,12 @@ func benchmarkPareto(b *testing.B, kind string) {
 	}
 }
 
-func BenchmarkKernelParetoPipeline(b *testing.B) { benchmarkPareto(b, "pipeline") }
+func BenchmarkKernelParetoPipeline(b *testing.B) {
+	before := exhaustive.PipelineDPSolves()
+	benchmarkPareto(b, "pipeline")
+	b.ReportMetric(float64(exhaustive.PipelineDPSolves()-before)/float64(b.N), "dpsolves/op")
+}
+
 func BenchmarkKernelParetoFork(b *testing.B)     { benchmarkPareto(b, "fork") }
 func BenchmarkKernelParetoForkJoin(b *testing.B) { benchmarkPareto(b, "forkjoin") }
 func BenchmarkKernelParetoSP(b *testing.B)       { benchmarkPareto(b, "sp") }

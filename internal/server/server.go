@@ -365,11 +365,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost float64, pr 
 	return false
 }
 
-// solveMetrics records one latency under its (cell, operation) series.
-func (s *Server) solveMetrics(pr core.Problem, op string, elapsed time.Duration) {
-	s.metrics.recordSolve(core.CellKeyOf(pr).String(), op, elapsed.Seconds())
-}
-
 // solveOptions derives the per-request solve options: a positive
 // budgetMs engages anytime solving for this request, a negative one
 // explicitly opts out (exhaustive/heuristic solving even on a server
@@ -429,7 +424,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sol, err := s.eng.Solve(ctx, pr, opts)
 	elapsed := time.Since(start)
-	s.solveMetrics(pr, "solve", elapsed)
+	cell := core.CellKeyOf(pr).String()
+	s.metrics.recordSolve(cell, "solve", elapsed.Seconds())
 	if err != nil {
 		s.writeRequestError(w, err, &pr)
 		return
@@ -438,7 +434,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.countAnytime(out)
 	writeJSON(w, http.StatusOK, SolveResponse{
 		Solution:  out,
-		Cell:      core.CellKeyOf(pr).String(),
+		Cell:      cell,
 		ElapsedMs: float64(elapsed) / float64(time.Millisecond),
 	})
 }
@@ -567,7 +563,7 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 		Progress: ps.progress,
 	})
 	stopHeartbeats()
-	s.solveMetrics(sweep, "pareto", time.Since(start))
+	s.metrics.recordSolve(core.CellKeyOf(sweep).String(), "pareto", time.Since(start).Seconds())
 	// The observer only sees progress up to the last solve round; the
 	// returned stats also cover trailing pruning, so the terminal line
 	// reports the exact unexplored count.

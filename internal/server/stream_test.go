@@ -17,21 +17,26 @@ import (
 // exactSweepInstance is the staged instance of the exact pipeline sweep,
 // the front path: a 7-stage heterogeneous pipeline on 10 heterogeneous
 // processors with data-parallelism, solved exhaustively under a raised
-// limit. One bi-criteria pass proves its 8-point front, and each point
-// is then one bounded solve — so the first point is flushed after the
-// pass, at about half the sweep, and the rest stream in one by one.
+// limit. One bi-criteria pass proves its 8-point front, and each point's
+// bounded solve is then a walk over the pass's lists — so the points are
+// flushed together, right after the pass.
 const exactSweepInstance = `{
 	"pipeline": {"weights": [14, 4, 2, 4, 7, 3, 9]},
 	"platform": {"speeds": [5, 4, 3, 3, 2, 2, 1, 1, 4, 2]},
 	"allowDataParallel": true`
 
-// longFrontSweepInstance is exactSweepInstance without data-parallelism:
-// its front has over 20 points, so the point solves after the pass take
-// about three quarters of the sweep.
-const longFrontSweepInstance = `{
-	"pipeline": {"weights": [14, 4, 2, 4, 7, 3, 9]},
-	"platform": {"speeds": [5, 4, 3, 3, 2, 2, 1, 1, 4, 2]},
-	"allowDataParallel": false`
+// forkJoinFrontSweepInstance is the staged instance of a front path
+// whose points stream out one by one: a fork-join of 9 stages on 5
+// heterogeneous processors with data-parallelism, solved exhaustively
+// under a raised limit (forkJoinFrontOptions). Its pass proves the
+// 7-point front in about a fifth of the sweep, and each point is then
+// one bounded partition scan.
+const forkJoinFrontSweepInstance = `{
+	"forkjoin": {"root": 5, "join": 4, "weights": [7, 3, 9, 4, 6, 2, 5]},
+	"platform": {"speeds": [5, 4, 3, 2, 1]},
+	"allowDataParallel": true`
+
+var forkJoinFrontOptions = core.Options{MaxExhaustiveForkStages: 9}
 
 // prunedSweepInstance is the staged slow instance of the exact pruned
 // sweep path (no front pass): an irreducible series-parallel DAG of 8
@@ -118,23 +123,25 @@ func parseStream(t *testing.T, lines []timedLine) (sols []timedLine, statuses []
 }
 
 // TestParetoFirstByteBeforeSweepCompletes is the tentpole's acceptance
-// test: on the staged slow exact sweeps, the first NDJSON line must
-// reach the client well before the sweep completes — the sweep is
-// delivered incrementally, not buffered. On the long front the first
-// point lands in a small fraction of the sweep. The data-parallel front
-// spends about half its sweep in the pass that proves every point, so
-// there the check is that the points after the first still stream in:
-// the first arrives at least a quarter of the sweep before the last.
+// test: on a staged slow exact sweep, the first NDJSON line must reach
+// the client well before the sweep completes — the sweep is delivered
+// incrementally, not buffered. The staging instance is the pruned
+// sweep's irreducible SP, whose bisection proves its 15 points one by
+// one (a pipeline's front pass proves every point at once, so those
+// points arrive together). On the long front the first point lands in
+// a small fraction of the sweep; the spread check is that the points
+// after the first still stream in: the first arrives at least a quarter
+// of the sweep before the last.
 func TestParetoFirstByteBeforeSweepCompletes(t *testing.T) {
 	for _, tc := range []struct {
 		name, instance string
-		dataParallel   bool
+		spread         bool
 	}{
-		{"long-front", longFrontSweepInstance, false},
-		{"data-parallel", exactSweepInstance, true},
+		{"long-front", prunedSweepInstance, false},
+		{"points-spread", prunedSweepInstance, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts := newTestServer(t, Config{Options: core.Options{MaxExhaustivePipelineProcs: 10}})
+			_, ts := newTestServer(t, Config{Options: prunedSweepOptions})
 			code, lines, total := streamLines(t, ts.URL, tc.instance+`, "timeoutMs": 120000}`)
 			if code != http.StatusOK {
 				t.Fatalf("status = %d", code)
@@ -147,10 +154,10 @@ func TestParetoFirstByteBeforeSweepCompletes(t *testing.T) {
 				t.Fatalf("missing terminal complete line: %+v", statuses)
 			}
 			first, last := sols[0].at, sols[len(sols)-1].at
-			if !tc.dataParallel && first >= total/2 {
+			if !tc.spread && first >= total/2 {
 				t.Errorf("first point arrived at %v of a %v sweep — streaming is buffered, want first-byte << total", first, total)
 			}
-			if tc.dataParallel && last-first < total/4 {
+			if tc.spread && last-first < total/4 {
 				t.Errorf("first point arrived at %v, last at %v of a %v sweep — streaming is buffered, want the points spread out", first, last, total)
 			}
 			// Increasing-period order across the delivered points.
@@ -240,9 +247,9 @@ func TestParetoDeadlineMidSweep(t *testing.T) {
 // whole front before the first point went out, so nothing is left
 // unexplored, only unsent.
 func TestParetoDeadlineAfterFrontPass(t *testing.T) {
-	cfg := Config{Options: core.Options{MaxExhaustivePipelineProcs: 10}}
+	cfg := Config{Options: forkJoinFrontOptions}
 	_, ref := newTestServer(t, cfg)
-	code, lines, total := streamLines(t, ref.URL, longFrontSweepInstance+`, "timeoutMs": 120000}`)
+	code, lines, total := streamLines(t, ref.URL, forkJoinFrontSweepInstance+`, "timeoutMs": 120000}`)
 	if code != http.StatusOK {
 		t.Fatalf("reference sweep: status = %d", code)
 	}
@@ -257,7 +264,7 @@ func TestParetoDeadlineAfterFrontPass(t *testing.T) {
 	deadline := first + (total-first)/2
 
 	_, timed := newTestServer(t, cfg)
-	body := fmt.Sprintf(`%s, "timeoutMs": %d}`, longFrontSweepInstance, deadline.Milliseconds())
+	body := fmt.Sprintf(`%s, "timeoutMs": %d}`, forkJoinFrontSweepInstance, deadline.Milliseconds())
 	code, lines, _ = streamLines(t, timed.URL, body)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d with a mid-sweep deadline", code)
