@@ -602,9 +602,10 @@ func BenchmarkEngineSolveBatch(b *testing.B) {
 }
 
 // BenchmarkEngineParetoFront contrasts the serial candidate-period sweep
-// with the engine-backed sweep (concurrent batches + monotonicity pruning
-// on exactly-solved instances) on a heterogeneous 8-processor NP-hard
-// pipeline instance — the acceptance benchmark of the engine refactor.
+// with the engine-backed sweep (the front pass plus one bounded solve per
+// point on exactly-solved instances) on a heterogeneous 8-processor
+// NP-hard pipeline instance — the acceptance benchmark of the engine
+// refactor.
 func BenchmarkEngineParetoFront(b *testing.B) {
 	p := workflow.NewPipeline(14, 4, 2, 4, 7, 5, 3, 9)
 	pl := platform.New(5, 4, 3, 3, 2, 2, 1, 1)

@@ -223,7 +223,8 @@ func TestPreparedSolverRejectsInvalidBound(t *testing.T) {
 // the pass sums a point's latency in its own order), and the
 // period-under-latency solve at each is the front's point. A pass cut
 // short returns the context's error and leaves the solver as good as new.
-// An irreducible SP cell, still swept by bisection, has no front pass.
+// An irreducible SP cell, whose sweep walks the two bounded solves, has
+// no front pass.
 func TestPreparedSolverFront(t *testing.T) {
 	pipe := workflow.NewPipeline(14, 4, 2, 4, 7, 5, 3, 9)
 	fork := workflow.NewFork(5, 2, 2, 1, 5, 1)

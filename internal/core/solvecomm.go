@@ -5,6 +5,7 @@ import (
 
 	"repliflow/internal/fullmodel"
 	"repliflow/internal/mapping"
+	"repliflow/internal/numeric"
 	"repliflow/internal/workflow"
 )
 
@@ -237,13 +238,18 @@ var commForkKind = hardKind{
 
 // commForkCandidatePeriods approximates the achievable period set of a
 // one-port fork with the communication-free block weights expanded over
-// the raw speeds. The true period adds transfer terms, so this set is
-// deliberately coarse — missing candidates only coarsen the Pareto front
-// between points, exactly like the oversized-platform speed-sum
-// approximation of subsetSpeedSums.
+// the raw speeds, plus the closed-form bound on every mapping's period
+// (fullmodel.Fork.PeriodBound). The true period adds transfer terms, so
+// the weight-derived set is deliberately coarse — missing candidates only
+// coarsen the Pareto front between points, exactly like the
+// oversized-platform speed-sum approximation of subsetSpeedSums — and
+// can end below every achievable period. The bound keeps the last
+// candidate at or above every period, so the sweep always reaches the
+// least-latency end of the front.
 func commForkCandidatePeriods(pr Problem) []float64 {
 	f := pr.CommFork
-	return periodsFromWeights(forkBlockWeights(f.Root, 0, false, f.Weights), pr.Platform)
+	cands := periodsFromWeights(forkBlockWeights(f.Root, 0, false, f.Weights), pr.Platform)
+	return numeric.DedupSorted(append(cands, f.PeriodBound(commPlatform(pr))))
 }
 
 // commPipeMapped and commForkMapped wrap a hard cell's mapping and cost.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repliflow/internal/fullmodel"
+	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -146,5 +147,41 @@ func TestCommForkDispatch(t *testing.T) {
 	}
 	if budgeted.Anytime || budgeted.Method != sol.Method || budgeted.Cost != sol.Cost {
 		t.Errorf("budget changed a kind without the Anytime capability: %+v vs %+v", budgeted, sol)
+	}
+}
+
+// TestCommForkFrontReachesMinLatency: the comm-fork candidate set ends at
+// or above every mapping's period, so the sweep reaches the least-latency
+// end of the front. On this instance every period lies past the largest
+// communication-free candidate, and the front used to come out empty
+// although min-period solves exactly.
+func TestCommForkFrontReachesMinLatency(t *testing.T) {
+	f := fullmodel.Fork{Root: 5, In: 5, Out0: 4, Weights: []float64{3, 4, 5, 2}, Outs: []float64{2, 5, 3, 5}}
+	pr := Problem{
+		CommFork: &f,
+		Bandwidth: &fullmodel.Bandwidth{
+			Links: [][]float64{{0, 1, 5}, {4, 0, 4}, {1, 5, 0}},
+			In:    []float64{4, 1, 3},
+			Out:   []float64{5, 5, 5},
+		},
+		Platform:  platform.New(4, 4, 5),
+		Objective: MinLatency,
+	}
+	best, err := Solve(pr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !best.Exact {
+		t.Fatalf("min-latency solve = %+v, want exact", best)
+	}
+	front, err := ParetoFront(pr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(front) == 0 {
+		t.Fatal("empty front for a feasible instance")
+	}
+	if last := front[len(front)-1]; !numeric.Eq(last.Cost.Latency, best.Cost.Latency) {
+		t.Errorf("front ends at latency %v, want the least latency %v", last.Cost.Latency, best.Cost.Latency)
 	}
 }

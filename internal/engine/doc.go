@@ -2,12 +2,15 @@
 // answers one question at a time, engine answers many: a worker pool
 // fans independent solves out across GOMAXPROCS, a memoization cache
 // keyed by a canonical instance fingerprint deduplicates repeated
-// subproblems, and the Pareto sweep is rebuilt on top of the batch
-// solver so candidate-period subproblems solve concurrently while
-// sharing classification and cache work. Where the prepared solver has
-// a front pass (the exact pipeline, fork, fork-join and comm-pipeline
-// cells), the sweep runs that pass once and solves one bounded
-// subproblem per front point instead.
+// subproblems, and the Pareto sweep runs on top of both. On exactly
+// solved instances each front point is the period-under-latency solve at
+// its latency: where the prepared solver has a front pass (the exact
+// pipeline, fork, fork-join and comm-pipeline cells) the pass names
+// every front latency at once; elsewhere a serial walk alternates the
+// paper's two bounded problems, latency under a period bound and period
+// under a latency bound, to name them one at a time. Heuristic and
+// budgeted sweeps solve the candidate-period subproblems concurrently,
+// one worker round at a time.
 //
 // # Concurrency model
 //

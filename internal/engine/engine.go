@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -625,10 +626,10 @@ feed:
 // on the engine, returning the identical front to the serial
 // core.ParetoFront. It is a thin wrapper over SweepFront — the
 // incremental generator that emits each point as soon as dominance proves
-// it final — collecting the emitted points into a slice. Candidate-period
-// subproblems solve concurrently across the worker pool and share the
-// cache; on instances the dispatcher solves exactly, the sweep prunes by
-// monotonicity (see SweepFront).
+// it final — collecting the emitted points into a slice. On instances the
+// dispatcher solves exactly, the sweep solves only the bounded problems at
+// the front's points; on the others the candidate-period subproblems
+// solve concurrently across the worker pool (see SweepFront).
 func (e *Engine) ParetoFront(ctx context.Context, pr core.Problem, opts core.Options) ([]core.Solution, error) {
 	var front []core.Solution
 	_, err := e.SweepFront(ctx, pr, opts, SweepObserver{Point: func(p SweepPoint) error {
@@ -703,7 +704,7 @@ func cloneSolution(s core.Solution) core.Solution {
 	if s.CommForkMapping != nil {
 		m := *s.CommForkMapping
 		m.Blocks = append([]fullmodel.ForkBlock(nil), m.Blocks...)
-		m.SendOrder = append([]int(nil), m.SendOrder...)
+		m.SendOrder = slices.Clone(m.SendOrder) // keeps an empty order non-nil, as core returns it
 		s.CommForkMapping = &m
 	}
 	return s

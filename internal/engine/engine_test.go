@@ -288,13 +288,36 @@ func TestEngineParetoMatchesSerial(t *testing.T) {
 	if cases != 18 {
 		t.Fatalf("covered %d cases, want 18", cases)
 	}
+
+	// Extra inputs: the walked cells (irreducible SP, comm-fork and the
+	// polynomial cells, the homogeneous comm-pipeline among them) and
+	// fractional speeds on the front-pass kinds.
+	pipe := workflow.NewPipeline(14, 4, 2, 4, 7)
+	fj := workflow.NewForkJoin(5, 4, 7, 3, 9)
+	extra := append(walkedInstances(),
+		walkedCase{"pipeline/float-speeds", core.Problem{Pipeline: &pipe, Platform: platform.New(2.5, 1.25, 0.75), AllowDataParallel: true}},
+		walkedCase{"fork-join/float-speeds", core.Problem{ForkJoin: &fj, Platform: platform.New(3.5, 1.5, 0.5, 2.25)}},
+	)
+	for _, c := range extra {
+		serial, err := core.ParetoFront(c.pr, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := ParetoFront(context.Background(), c.pr, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(serial) == 0 || !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("%s: engine front diverges from serial\nserial:   %v\nparallel: %v", c.name, serial, parallel)
+		}
+	}
 }
 
 // TestEngineParetoMatchesSerialLarge pins engine/serial front equality on
 // the two regimes the randomized corpus undersamples: a heterogeneous
-// 8-processor NP-hard instance solved exhaustively (the monotonicity-
-// pruned sweep), and an oversized instance solved heuristically (the
-// full-scan fallback, where monotonicity is not guaranteed).
+// 8-processor NP-hard instance solved exhaustively (the front pass), and
+// an oversized instance solved heuristically (the full-scan fallback,
+// where monotonicity is not guaranteed).
 func TestEngineParetoMatchesSerialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second serial sweep")

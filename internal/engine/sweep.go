@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
+	"sort"
 
 	"repliflow/internal/core"
 	"repliflow/internal/numeric"
@@ -17,8 +19,10 @@ type SweepPoint struct {
 	Solution core.Solution
 	// Index is the 0-based position of the point on the front.
 	Index int
-	// Explored counts the candidate periods resolved (solved or pruned)
-	// when the point was confirmed; a front pass resolves them all.
+	// Explored counts the candidate periods resolved when the point was
+	// confirmed: a front pass resolves them all at once, a walk those up
+	// to the candidate that gave the point its latency, and a scan the
+	// rounds solved so far.
 	Explored int
 	// Total is the number of candidate periods of the whole sweep.
 	Total int
@@ -48,19 +52,20 @@ type SweepObserver struct {
 
 // SweepFront computes the period/latency trade-off curve of the instance
 // incrementally: each front point is delivered to the observer as soon as
-// dominance proves no smaller-period candidate can precede it, instead of
-// after the whole sweep. The emitted sequence is identical to the slice
-// ParetoFront returns — ParetoFront is a thin wrapper collecting it.
+// it is proven final, instead of after the whole sweep. The emitted
+// sequence is identical to the slice ParetoFront returns — ParetoFront is
+// a thin wrapper collecting it.
 //
-// On instances the dispatcher solves exactly and whose prepared solver
-// has a front pass (core.PreparedSolver.Front: the exact pipeline, fork,
-// fork-join and comm-pipeline cells), one pass proves the whole front,
-// and each point is then the period-under-latency solve at its latency.
-// On other exact instances (irreducible SP, comm-fork, the polynomial
-// cells) the sweep prunes by monotonicity exactly like ParetoFront always
-// has, but refines the candidate list smallest-periods-first so the
-// resolved prefix (and with it the confirmed front) grows from the left
-// while later candidates are still being solved. Heuristically solved and
+// On instances the dispatcher solves exactly, each point is the
+// period-under-latency solve at its front latency. Where the prepared
+// solver has a front pass (core.PreparedSolver.Front: the exact pipeline,
+// fork, fork-join and comm-pipeline cells), one pass names every front
+// latency at once. On the other exact instances (irreducible SP,
+// comm-fork, the polynomial cells) a serial walk over the paper's two
+// bounded problems names them one at a time: the least period, snapped to
+// a candidate, gives the next latency by a latency-under-period solve,
+// and a period-under-latency solve strictly below that latency gives the
+// next least period, until none is feasible. Heuristically solved and
 // budget-bounded instances scan the candidates in ascending batches of
 // one worker round each. A positive Options.AnytimeBudget remains a
 // whole-sweep wall-clock target: it is split across the rounds of the
@@ -89,16 +94,13 @@ func (e *Engine) SweepFront(ctx context.Context, pr core.Problem, opts core.Opti
 		opts:  opts,
 		obs:   obs,
 		cands: cands,
-		sols:  make([]core.Solution, len(cands)),
-		state: make([]uint8, len(cands)),
 		acc:   core.NewFrontAccumulator(),
 	}
 	// One prepared pool for the whole sweep (nil when the instance has no
-	// prepared capability): every candidate solve and tightening probe of
-	// the sweep differs only in Objective/Bound, so cache misses share the
-	// pooled solvers' preprocessing and scratch across the entire sweep —
-	// not just within one solve round. Repeated bounds are the cache's:
-	// the pooled solvers keep no per-bound results.
+	// prepared capability): every solve of the sweep differs only in
+	// Objective/Bound, so cache misses share the pooled solvers'
+	// preprocessing and scratch across the entire sweep. Repeated bounds
+	// are the cache's: the pooled solvers keep no per-bound results.
 	pool := newPreparedPool(pr, opts)
 	if pool != nil {
 		s.via = pool.solve
@@ -112,10 +114,7 @@ func (e *Engine) SweepFront(ctx context.Context, pr core.Problem, opts core.Opti
 	pul.Bound = 1
 	var runErr error
 	if core.ExactlySolvable(lup, opts) && core.ExactlySolvable(pul, opts) {
-		var fronted bool
-		if fronted, runErr = s.runFront(ctx, pool); !fronted {
-			runErr = s.runPruned(ctx)
-		}
+		runErr = s.runFront(ctx, pool)
 	} else {
 		if opts.AnytimeBudget > 0 && !core.ClassifyCell(core.CellKeyOf(lup)).Complexity.Polynomial() {
 			// The budget is a whole-sweep target: split it across the
@@ -128,88 +127,191 @@ func (e *Engine) SweepFront(ctx context.Context, pr core.Problem, opts core.Opti
 	return SweepStats{Points: s.emitted, Explored: s.explored, Total: len(s.cands)}, runErr
 }
 
-// Candidate resolution states of a sweep.
-const (
-	candUnsolved uint8 = iota
-	candSolved
-	candSkipped // pruned by monotonicity: the serial walk would discard it
-)
-
 // sweeper carries the state of one incremental sweep: the ascending
-// candidate periods, their resolution state, and the emission walk — a
-// prefix pointer plus the dominance accumulator — that confirms and
-// delivers points as the resolved prefix grows.
+// candidate periods, the resolved prefix of them, and the dominance
+// accumulator that confirms the points delivered to the observer.
 type sweeper struct {
 	e     *Engine
 	pr    core.Problem // normalized: Objective == MinPeriod, validated
 	opts  core.Options
 	obs   SweepObserver
 	cands []float64
-	sols  []core.Solution
-	state []uint8
 
-	next     int           // first candidate not yet consumed by the emission walk
 	via      coreSolveFunc // prepared-pool solve override (nil = SolveContext)
 	acc      *core.FrontAccumulator
-	explored int
-	emitted  int // points actually delivered to the observer
+	explored int     // candidates [0, explored) are resolved
+	latency  float64 // the walk's last front latency
+	emitted  int     // points actually delivered to the observer
 }
 
-// solveIdx solves the candidate subproblems at the given indices as one
-// concurrent batch and marks them resolved.
-func (s *sweeper) solveIdx(ctx context.Context, idxs []int) error {
-	probs := make([]core.Problem, len(idxs))
-	for j, i := range idxs {
-		sub := s.pr
-		sub.Objective = core.LatencyUnderPeriod
-		sub.Bound = s.cands[i]
-		probs[j] = sub
+// bounded returns the instance under a bounded objective.
+func (s *sweeper) bounded(obj core.Objective, bound float64) core.Problem {
+	sub := s.pr
+	sub.Objective = obj
+	sub.Bound = bound
+	return sub
+}
+
+// resolve marks the candidates [0, n) resolved and reports the progress.
+func (s *sweeper) resolve(n int) {
+	s.explored = n
+	if s.obs.Progress != nil {
+		s.obs.Progress(n, len(s.cands))
 	}
-	res, err := s.e.solveBatchVia(ctx, probs, s.opts, s.via)
+}
+
+// emit delivers the next confirmed front point to the observer.
+func (s *sweeper) emit(point core.Solution) error {
+	sp := SweepPoint{Solution: point, Index: s.emitted, Explored: s.explored, Total: len(s.cands)}
+	s.emitted++
+	return s.obs.Point(sp)
+}
+
+// runFront is the sweep of an exact instance: a source names the front
+// latencies in increasing-period order — the prepared solver's front pass
+// where it has one (pass), the walk over the two bounded solves otherwise
+// (walk) — and each point is the PeriodUnderLatency solve at its latency,
+// through the cache.
+func (s *sweeper) runFront(ctx context.Context, pool *preparedPool) error {
+	next, via, err := s.pass(ctx, pool)
 	if err != nil {
 		return err
 	}
-	for j, i := range idxs {
-		s.sols[i] = res[j]
-		if s.state[i] == candUnsolved {
-			s.explored++
+	if next == nil {
+		next, via = s.walk, s.via
+	}
+	for {
+		latency, ok, err := next(ctx)
+		if err != nil || !ok {
+			return err
 		}
-		s.state[i] = candSolved
-	}
-	if s.obs.Progress != nil {
-		s.obs.Progress(s.explored, len(s.cands))
-	}
-	return nil
-}
-
-// skipInterior marks the candidates strictly inside [lo, hi] as pruned.
-func (s *sweeper) skipInterior(lo, hi int) {
-	for i := lo + 1; i < hi; i++ {
-		if s.state[i] == candUnsolved {
-			s.state[i] = candSkipped
-			s.explored++
+		sol, err := s.e.solveVia(ctx, s.bounded(core.PeriodUnderLatency, latency), s.opts, via)
+		if err != nil {
+			return err
+		}
+		if point, ok := s.acc.Offer(sol, nil); ok {
+			if err := s.emit(point); err != nil {
+				return err
+			}
 		}
 	}
 }
 
-// drain advances the emission walk over the resolved prefix: every solved
-// candidate is offered to the dominance accumulator and each confirmed
-// point is delivered immediately. Confirmation is final because every
-// smaller candidate is already resolved.
-func (s *sweeper) drain(ctx context.Context) error {
-	for s.next < len(s.cands) && s.state[s.next] != candUnsolved {
-		if s.state[s.next] == candSolved {
+// latencySource yields the next front latency of an exact sweep, or
+// false once the front is complete.
+type latencySource func(ctx context.Context) (float64, bool, error)
+
+// pass runs the prepared solver's front pass once, under one solve slot.
+// The pass names every front latency, which resolves every candidate
+// period at once; it returns them as a source, with the solver that ran
+// the pass for the points' solves (a pipeline solver keeps the pass's
+// per-state lists, so each is a walk over them, not a DP solve). A pass
+// cut short has proven no point. pass returns a nil source, having run
+// nothing, when the instance has no pool or its solver no front pass.
+func (s *sweeper) pass(ctx context.Context, pool *preparedPool) (latencySource, coreSolveFunc, error) {
+	if pool == nil {
+		return nil, nil, nil
+	}
+	ps := pool.pool.Get().(*core.PreparedSolver)
+	if ps == nil {
+		return nil, nil, nil
+	}
+	select {
+	case s.e.sem <- struct{}{}:
+	case <-ctx.Done():
+		pool.pool.Put(ps)
+		return nil, nil, ctx.Err()
+	}
+	lats, ok, err := ps.Front(ctx)
+	<-s.e.sem
+	if !ok {
+		pool.pool.Put(ps)
+		return nil, nil, nil
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	s.resolve(len(s.cands))
+	next := func(context.Context) (float64, bool, error) {
+		if len(lats) == 0 {
+			return 0, false, nil
+		}
+		latency := lats[0]
+		lats = lats[1:]
+		return latency, true, nil
+	}
+	via := func(ctx context.Context, pr core.Problem, opts core.Options) (core.Solution, error) {
+		return solveOn(ctx, ps, pr, opts)
+	}
+	return next, via, nil
+}
+
+// walk is the latency source of an exact instance without a front pass.
+// The first call solves MinPeriod, each later one the PeriodUnderLatency
+// strictly below the last front latency; its period, snapped to the
+// first candidate not below it, gives the next front latency by a
+// LatencyUnderPeriod solve at that candidate — the candidate solve of
+// the serial sweep that accepts the point, since no smaller candidate
+// reaches a latency under the last one. The candidates up to the snapped
+// one are then resolved. The walk ends, every candidate resolved, when
+// the solve is infeasible or its period lies past the last candidate.
+func (s *sweeper) walk(ctx context.Context) (float64, bool, error) {
+	// A solve can succeed under a dead context (a solve slot free, a
+	// kernel that does not poll it), so a cancelled walk stops here,
+	// at the next point's first solve.
+	if err := ctx.Err(); err != nil {
+		return 0, false, err
+	}
+	probe := s.pr // MinPeriod
+	if s.explored > 0 {
+		// The kernels' tolerant <= accepts under this bound exactly the
+		// latencies FrontAccumulator counts as a strict drop.
+		probe = s.bounded(core.PeriodUnderLatency, s.latency-2*numeric.Eps*math.Max(1, s.latency))
+	}
+	sol, err := s.e.solveVia(ctx, probe, s.opts, s.via)
+	if err != nil {
+		return 0, false, err
+	}
+	j := s.explored
+	if sol.Feasible {
+		j += sort.Search(len(s.cands)-j, func(i int) bool { return !numeric.Less(s.cands[j+i], sol.Cost.Period) })
+	}
+	if !sol.Feasible || j == len(s.cands) {
+		s.resolve(len(s.cands))
+		return 0, false, nil
+	}
+	if sol, err = s.e.solveVia(ctx, s.bounded(core.LatencyUnderPeriod, s.cands[j]), s.opts, s.via); err != nil {
+		return 0, false, err
+	}
+	s.latency = sol.Cost.Latency
+	s.resolve(j + 1)
+	return s.latency, true, nil
+}
+
+// runScan is the sweep of instances without the monotonicity guarantee
+// (heuristic solves) and of budget-bounded sweeps: solve the candidates
+// in ascending batches of one worker round each, offering each round's
+// solutions to the dominance accumulator in order. An accepted candidate
+// is tightened by the PeriodUnderLatency solve at its latency.
+func (s *sweeper) runScan(ctx context.Context) error {
+	chunk := max(s.e.workers, 1)
+	for s.explored < len(s.cands) {
+		end := min(s.explored+chunk, len(s.cands))
+		probs := make([]core.Problem, 0, end-s.explored)
+		for _, c := range s.cands[s.explored:end] {
+			probs = append(probs, s.bounded(core.LatencyUnderPeriod, c))
+		}
+		sols, err := s.e.solveBatchVia(ctx, probs, s.opts, s.via)
+		if err != nil {
+			return err
+		}
+		s.resolve(end)
+		for _, sol := range sols {
 			var tightenErr error
-			point, ok := s.acc.Offer(s.sols[s.next], func(latency float64) (core.Solution, bool) {
-				tight := s.pr
-				tight.Objective = core.PeriodUnderLatency
-				tight.Bound = latency
-				ts, err := s.e.solveVia(ctx, tight, s.opts, s.via)
-				if err != nil {
-					tightenErr = err
-					return core.Solution{}, false
-				}
-				return ts, true
+			point, ok := s.acc.Offer(sol, func(latency float64) (core.Solution, bool) {
+				ts, err := s.e.solveVia(ctx, s.bounded(core.PeriodUnderLatency, latency), s.opts, s.via)
+				tightenErr = err
+				return ts, err == nil
 			})
 			// A tightening probe killed by the sweep's own context must
 			// abort before emitting: falling back to the untightened
@@ -225,167 +327,6 @@ func (s *sweeper) drain(ctx context.Context) error {
 					return err
 				}
 			}
-		}
-		s.next++
-	}
-	return nil
-}
-
-// emit delivers the next confirmed front point to the observer.
-func (s *sweeper) emit(point core.Solution) error {
-	sp := SweepPoint{Solution: point, Index: s.emitted, Explored: s.explored, Total: len(s.cands)}
-	s.emitted++
-	return s.obs.Point(sp)
-}
-
-// runPruned is the exact-instance sweep: divide-and-conquer over the
-// candidate periods using the monotonicity of feasibility and optimal
-// latency in the period bound, refining smallest-period spans first so
-// the resolved prefix — and with it the emitted front — grows from the
-// left while larger candidates are still outstanding. Which candidates
-// are solved versus pruned matches the level-order refinement ParetoFront
-// historically used only up to ordering; the resulting front is identical
-// either way, because pruned candidates are exactly those the serial
-// dominance walk would discard.
-func (s *sweeper) runPruned(ctx context.Context) error {
-	n := len(s.cands)
-	last := []int{0}
-	if n > 1 {
-		last = []int{0, n - 1}
-	}
-	if err := s.solveIdx(ctx, last); err != nil {
-		return err
-	}
-	type span struct{ lo, hi int }
-	// spans is kept sorted by lo; spans are contiguous and share
-	// endpoints, so children of a popped prefix stay left of the rest.
-	spans := []span{{0, n - 1}}
-	for len(spans) > 0 {
-		var mids []int
-		var children []span
-		i := 0
-		for ; i < len(spans); i++ {
-			sp := spans[i]
-			if sp.hi-sp.lo <= 1 {
-				continue
-			}
-			lo, hi := s.sols[sp.lo], s.sols[sp.hi]
-			// Monotonicity (exact instances): a span bracketed by two
-			// infeasible probes is all-infeasible, one bracketed by two
-			// equal latencies is all-equal — either way the serial walk
-			// would skip every interior candidate.
-			if !lo.Feasible && !hi.Feasible {
-				s.skipInterior(sp.lo, sp.hi)
-				continue
-			}
-			if lo.Feasible && hi.Feasible && numeric.Eq(lo.Cost.Latency, hi.Cost.Latency) {
-				s.skipInterior(sp.lo, sp.hi)
-				continue
-			}
-			mid := (sp.lo + sp.hi) / 2
-			mids = append(mids, mid)
-			children = append(children, span{sp.lo, mid}, span{mid, sp.hi})
-			if len(mids) >= s.e.workers {
-				i++
-				break
-			}
-		}
-		rest := spans[i:]
-		if len(mids) > 0 {
-			if err := s.solveIdx(ctx, mids); err != nil {
-				return err
-			}
-		} else if s.obs.Progress != nil && s.explored < len(s.cands) {
-			s.obs.Progress(s.explored, len(s.cands))
-		}
-		spans = append(children, rest...)
-		if err := s.drain(ctx); err != nil {
-			return err
-		}
-	}
-	return s.drain(ctx)
-}
-
-// runFront is the sweep of an exact instance whose prepared solver has a
-// front pass: the pass, run once under one solve slot, names every front
-// latency, which resolves every candidate period at once. Each point is
-// then the PeriodUnderLatency solve at its latency — the solve runPruned's
-// tightening probe makes for it — through the cache, on the solver that
-// ran the pass (a pipeline solver keeps the pass's per-state lists, so
-// each is a walk over them, not a DP solve). A pass cut short has proven
-// no point. runFront reports false, having run and emitted nothing, when
-// the instance has no pool (pool is nil) or its solver no front pass.
-func (s *sweeper) runFront(ctx context.Context, pool *preparedPool) (bool, error) {
-	if pool == nil {
-		return false, nil
-	}
-	ps := pool.pool.Get().(*core.PreparedSolver)
-	if ps == nil {
-		return false, nil
-	}
-	select {
-	case s.e.sem <- struct{}{}:
-	case <-ctx.Done():
-		pool.pool.Put(ps)
-		return true, ctx.Err()
-	}
-	lats, ok, err := ps.Front(ctx)
-	<-s.e.sem
-	if !ok {
-		pool.pool.Put(ps)
-		return false, nil
-	}
-	if err != nil {
-		return true, err
-	}
-	s.explored = len(s.cands)
-	if s.obs.Progress != nil {
-		s.obs.Progress(s.explored, len(s.cands))
-	}
-	via := func(ctx context.Context, pr core.Problem, opts core.Options) (core.Solution, error) {
-		return solveOn(ctx, ps, pr, opts)
-	}
-	for _, latency := range lats {
-		tight := s.pr
-		tight.Objective = core.PeriodUnderLatency
-		tight.Bound = latency
-		sol, err := s.e.solveVia(ctx, tight, s.opts, via)
-		if err != nil {
-			return true, err
-		}
-		if point, ok := s.acc.Offer(sol, nil); ok {
-			if err := s.emit(point); err != nil {
-				return true, err
-			}
-		}
-	}
-	return true, nil
-}
-
-// runScan is the fallback sweep for instances without the monotonicity
-// guarantee (heuristic solves) and for budget-bounded sweeps: solve the
-// candidates in ascending batches of one worker round each, draining the
-// emission walk after every round.
-func (s *sweeper) runScan(ctx context.Context) error {
-	n := len(s.cands)
-	chunk := s.e.workers
-	if chunk < 1 {
-		chunk = 1
-	}
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		idxs := make([]int, 0, end-start)
-		for i := start; i < end; i++ {
-			idxs = append(idxs, i)
-		}
-		if err := s.solveIdx(ctx, idxs); err != nil {
-			return err
-		}
-		if err := s.drain(ctx); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -139,37 +139,45 @@ func TestSweepFrontPartialIsPrefix(t *testing.T) {
 	}
 }
 
-// TestSweepFrontProgress: the progress callback is monotone and reaches
-// the candidate total on a completed sweep.
+// TestSweepFrontProgress: the explored count never decreases, across
+// progress reports and confirmed points alike, and reaches the candidate
+// total on a completed sweep — on a front-pass pipeline sweep and on the
+// walked sweeps.
 func TestSweepFrontProgress(t *testing.T) {
 	pipe := workflow.NewPipeline(14, 4, 2, 4)
-	pr := core.Problem{Pipeline: &pipe, Platform: platform.New(2, 1, 1), AllowDataParallel: true}
-	var last, calls int
-	var points []SweepPoint
-	stats, err := New(2).SweepFront(context.Background(), pr, core.Options{}, SweepObserver{
-		Point: func(p SweepPoint) error { points = append(points, p); return nil },
-		Progress: func(explored, total int) {
-			calls++
-			if explored < last {
-				t.Errorf("progress went backwards: %d after %d", explored, last)
-			}
-			if explored > total {
-				t.Errorf("progress %d exceeds total %d", explored, total)
+	cases := append([]walkedCase{{"pipeline", core.Problem{Pipeline: &pipe, Platform: platform.New(2, 1, 1), AllowDataParallel: true}}}, walkedInstances()...)
+	for _, c := range cases {
+		var last, calls int
+		advance := func(explored, total int, what string) {
+			if explored < last || explored > total {
+				t.Errorf("%s: %s reports %d of %d explored after %d", c.name, what, explored, total, last)
 			}
 			last = explored
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("progress callback never invoked")
-	}
-	if last != stats.Total || stats.Explored != stats.Total {
-		t.Errorf("completed sweep reports explored %d / stats %+v", last, stats)
-	}
-	if len(points) != stats.Points {
-		t.Errorf("emitted %d points, stats say %d", len(points), stats.Points)
+		}
+		var points []SweepPoint
+		stats, err := New(2).SweepFront(context.Background(), c.pr, core.Options{}, SweepObserver{
+			Point: func(p SweepPoint) error {
+				advance(p.Explored, p.Total, "a point")
+				points = append(points, p)
+				return nil
+			},
+			Progress: func(explored, total int) {
+				calls++
+				advance(explored, total, "progress")
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls == 0 {
+			t.Fatalf("%s: progress callback never invoked", c.name)
+		}
+		if last != stats.Total || stats.Explored != stats.Total {
+			t.Errorf("%s: completed sweep reports explored %d / stats %+v", c.name, last, stats)
+		}
+		if len(points) != stats.Points {
+			t.Errorf("%s: emitted %d points, stats say %d", c.name, len(points), stats.Points)
+		}
 	}
 }
 

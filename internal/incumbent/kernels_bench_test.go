@@ -19,17 +19,19 @@ import (
 // fixed seeded set of 8 instances cold per op, on fresh prepared
 // solvers, half minimizing the period and half the latency;
 // BenchmarkKernelPareto<Kind> computes the exact Pareto fronts of 3 such
-// instances through engine.ParetoFront, whose probes are bounded solves
+// instances on a fresh engine each, whose probes are bounded solves
 // on one prepared solver; for the pipeline, fork, fork-join and comm
 // kinds that is the prepared front pass plus one bounded solve per
 // point — for the pipeline a walk over the pass's lists, no DP solve,
-// which BenchmarkKernelParetoPipeline reports as dpsolves/op — and the
-// bench gate holds them below the bisection sweeps they replaced (SP
-// still bisects). They time the exact kernels without the wire
-// path, so a change to a kernel can be compared against its parent
-// commit in alternated pairs of test binaries (go test -c at each
-// commit, then -test.bench '^BenchmarkKernelFork$' -test.cpu 1,
-// alternating which runs first).
+// which BenchmarkKernelParetoPipeline reports as dpsolves/op. For SP,
+// which has no front pass, it is a walk over the two bounded solves,
+// one min-period solve and then three per point, which
+// BenchmarkKernelParetoSP reports as solves/op. The bench gate holds
+// them below the bisection sweeps they replaced. They time the exact
+// kernels without the wire path, so a change to a kernel can be
+// compared against its parent commit in alternated pairs of test
+// binaries (go test -c at each commit, then -test.bench
+// '^BenchmarkKernelFork$' -test.cpu 1, alternating which runs first).
 
 func kernelWeights(r *rand.Rand, n int) []float64 {
 	ws := make([]float64, n)
@@ -225,17 +227,24 @@ func paretoInstances(kind string) []core.Problem {
 	return out
 }
 
-func benchmarkPareto(b *testing.B, kind string) {
+// benchmarkPareto times the fronts of one kind and returns the engine
+// solves (cache misses) per op; each front runs on a fresh engine, as
+// engine.ParetoFront does.
+func benchmarkPareto(b *testing.B, kind string) float64 {
 	prs := paretoInstances(kind)
+	var solves uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pr := range prs {
-			front, err := engine.ParetoFront(context.Background(), pr, core.Options{})
+			e := engine.New(0)
+			front, err := e.ParetoFront(context.Background(), pr, core.Options{})
 			if err != nil || len(front) == 0 {
 				b.Fatalf("%s: front of %d points, err %v", kind, len(front), err)
 			}
+			solves += e.Stats().Misses
 		}
 	}
+	return float64(solves) / float64(b.N)
 }
 
 func BenchmarkKernelParetoPipeline(b *testing.B) {
@@ -246,5 +255,8 @@ func BenchmarkKernelParetoPipeline(b *testing.B) {
 
 func BenchmarkKernelParetoFork(b *testing.B)     { benchmarkPareto(b, "fork") }
 func BenchmarkKernelParetoForkJoin(b *testing.B) { benchmarkPareto(b, "forkjoin") }
-func BenchmarkKernelParetoSP(b *testing.B)       { benchmarkPareto(b, "sp") }
 func BenchmarkKernelParetoComm(b *testing.B)     { benchmarkPareto(b, "comm") }
+
+func BenchmarkKernelParetoSP(b *testing.B) {
+	b.ReportMetric(benchmarkPareto(b, "sp"), "solves/op")
+}

@@ -25,40 +25,91 @@ const exactSweepInstance = `{
 	"platform": {"speeds": [5, 4, 3, 3, 2, 2, 1, 1, 4, 2]},
 	"allowDataParallel": true`
 
-// forkJoinFrontSweepInstance is the staged instance of a front path
-// whose points stream out one by one: a fork-join of 9 stages on 5
-// heterogeneous processors with data-parallelism, solved exhaustively
-// under a raised limit (forkJoinFrontOptions). Its pass proves the
-// 7-point front in about a fifth of the sweep, and each point is then
-// one bounded partition scan.
-const forkJoinFrontSweepInstance = `{
-	"forkjoin": {"root": 5, "join": 4, "weights": [7, 3, 9, 4, 6, 2, 5]},
+// sweepRung is one staging instance of a streaming test: the instance
+// body (without its closing brace) and the server options that solve it
+// exactly.
+type sweepRung struct {
+	instance string
+	opts     core.Options
+}
+
+// forkJoinFrontRung is a staged instance of a front path whose points
+// stream out one by one: a fork-join with the first leaves of
+// [7, 3, 9, 4, 6, 2, 5, 8] on 5 heterogeneous processors with
+// data-parallelism, solved exhaustively under a raised limit. With 7
+// leaves its pass proves the 7-point front in about a fifth of the
+// sweep, and each point is then one bounded partition scan.
+func forkJoinFrontRung(leaves int) sweepRung {
+	weights := []string{"7", "3", "9", "4", "6", "2", "5", "8"}[:leaves]
+	return sweepRung{
+		instance: `{
+	"forkjoin": {"root": 5, "join": 4, "weights": [` + strings.Join(weights, ", ") + `]},
 	"platform": {"speeds": [5, 4, 3, 2, 1]},
-	"allowDataParallel": true`
+	"allowDataParallel": true`,
+		opts: core.Options{MaxExhaustiveForkStages: leaves + 2},
+	}
+}
 
-var forkJoinFrontOptions = core.Options{MaxExhaustiveForkStages: 9}
+// walkedSweepSteps are the steps of the walked sweep's staging DAGs. Every
+// prefix from four steps on is an irreducible series-parallel DAG: c, d, f
+// and g each join two predecessors that are ordered themselves.
+var walkedSweepSteps = []string{
+	`{"name": "a", "weight": 2}`,
+	`{"name": "b", "weight": 3, "after": ["a"]}`,
+	`{"name": "c", "weight": 1, "after": ["a", "b"]}`,
+	`{"name": "d", "weight": 2, "after": ["b", "c"]}`,
+	`{"name": "e", "weight": 4, "after": ["d"]}`,
+	`{"name": "f", "weight": 2, "after": ["d", "e"]}`,
+	`{"name": "g", "weight": 3, "after": ["e", "f"]}`,
+	`{"name": "h", "weight": 1, "after": ["f", "g"]}`,
+	`{"name": "i", "weight": 2, "after": ["g", "h"]}`,
+}
 
-// prunedSweepInstance is the staged slow instance of the exact pruned
-// sweep path (no front pass): an irreducible series-parallel DAG of 8
-// steps on 5 heterogeneous processors, solved exhaustively under a
-// raised step limit (prunedSweepOptions). The bisection resolves the
-// candidate list from the left, so its first point is proven at about
-// an eighth of the sweep and the other 14 follow one by one while
-// candidates are still unexplored.
-const prunedSweepInstance = `{
+// walkedSweepRung is a staged instance of the exact path without a front
+// pass: an irreducible series-parallel DAG of the first steps of
+// walkedSweepSteps on 5 heterogeneous processors, solved exhaustively
+// under a raised step limit. The sweep walks the two bounded solves, so
+// each point is proven by its own three solves: with 8 steps the first
+// of its 15 points arrives early in the sweep, and the others follow one
+// by one.
+func walkedSweepRung(steps int) sweepRung {
+	return sweepRung{
+		instance: `{
 	"sp": {"steps": [
-		{"name": "a", "weight": 2},
-		{"name": "b", "weight": 3, "after": ["a"]},
-		{"name": "c", "weight": 1, "after": ["a", "b"]},
-		{"name": "d", "weight": 2, "after": ["b", "c"]},
-		{"name": "e", "weight": 4, "after": ["d"]},
-		{"name": "f", "weight": 2, "after": ["d", "e"]},
-		{"name": "g", "weight": 3, "after": ["e", "f"]},
-		{"name": "h", "weight": 1, "after": ["f", "g"]}
+		` + strings.Join(walkedSweepSteps[:steps], ",\n\t\t") + `
 	]},
-	"platform": {"speeds": [5, 4, 3, 2, 1]}`
+	"platform": {"speeds": [5, 4, 3, 2, 1]}`,
+		opts: core.Options{MaxExhaustiveForkStages: steps},
+	}
+}
 
-var prunedSweepOptions = core.Options{MaxExhaustiveForkStages: 8}
+// stageMidSweep picks the deadline of a mid-sweep deadline test. It runs
+// the reference sweep of each rung, smallest first, and stops at the
+// first whose sweep runs on for at least 100 ms after its first point.
+// It returns that rung, its reference points and a deadline halfway
+// between its first point and its end; it fails the test when no rung
+// sweeps long enough, since a deadline could then not land mid-sweep.
+func stageMidSweep(t *testing.T, rungs ...sweepRung) (sweepRung, []timedLine, time.Duration) {
+	t.Helper()
+	var gap time.Duration
+	for _, r := range rungs {
+		_, ref := newTestServer(t, Config{Options: r.opts})
+		code, lines, total := streamLines(t, ref.URL, r.instance+`, "timeoutMs": 120000}`)
+		if code != http.StatusOK {
+			t.Fatalf("reference sweep: status = %d", code)
+		}
+		sols, _ := parseStream(t, lines)
+		if len(sols) < 2 {
+			t.Fatalf("reference sweep produced %d points, need >= 2", len(sols))
+		}
+		first := sols[0].at
+		if gap = total - first; gap >= 100*time.Millisecond {
+			return r, sols, first + gap/2
+		}
+	}
+	t.Fatalf("the largest staging instance sweeps in %v after its first point; cannot stage a mid-sweep deadline", gap)
+	return sweepRung{}, nil, 0
+}
 
 // pacedSweepInstance is a small NP-hard staging instance with the
 // exhaustive limits lowered (newPacedServer) so the anytime portfolio
@@ -125,24 +176,25 @@ func parseStream(t *testing.T, lines []timedLine) (sols []timedLine, statuses []
 // TestParetoFirstByteBeforeSweepCompletes is the tentpole's acceptance
 // test: on a staged slow exact sweep, the first NDJSON line must reach
 // the client well before the sweep completes — the sweep is delivered
-// incrementally, not buffered. The staging instance is the pruned
-// sweep's irreducible SP, whose bisection proves its 15 points one by
-// one (a pipeline's front pass proves every point at once, so those
-// points arrive together). On the long front the first point lands in
+// incrementally, not buffered. The staging instance is the walked
+// sweep's irreducible SP, whose walk proves its 15 points one by one (a
+// pipeline's front pass proves every point at once, so those points
+// arrive together). On the long front the first point lands in
 // a small fraction of the sweep; the spread check is that the points
 // after the first still stream in: the first arrives at least a quarter
 // of the sweep before the last.
 func TestParetoFirstByteBeforeSweepCompletes(t *testing.T) {
 	for _, tc := range []struct {
-		name, instance string
-		spread         bool
+		name   string
+		rung   sweepRung
+		spread bool
 	}{
-		{"long-front", prunedSweepInstance, false},
-		{"points-spread", prunedSweepInstance, true},
+		{"long-front", walkedSweepRung(8), false},
+		{"points-spread", walkedSweepRung(8), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts := newTestServer(t, Config{Options: prunedSweepOptions})
-			code, lines, total := streamLines(t, ts.URL, tc.instance+`, "timeoutMs": 120000}`)
+			_, ts := newTestServer(t, Config{Options: tc.rung.opts})
+			code, lines, total := streamLines(t, ts.URL, tc.rung.instance+`, "timeoutMs": 120000}`)
 			if code != http.StatusOK {
 				t.Fatalf("status = %d", code)
 			}
@@ -197,38 +249,26 @@ func checkTerminalDeadline(t *testing.T, statuses []StreamStatus, points int) {
 // status line reporting how many candidates were left unexplored —
 // never a bare 504 once a point is on the wire. The deadline is chosen
 // adaptively — a cold reference run measures when the first point and
-// the completion happen, and the timed run gets the midpoint — so the
+// the completion happen, and the timed run gets the midpoint — on the
+// first rung of a ladder of walked sweeps that runs long enough, so the
 // test stages "mid-sweep" on any machine speed.
 func TestParetoDeadlineMidSweep(t *testing.T) {
-	cfg := Config{Options: prunedSweepOptions}
-	_, ref := newTestServer(t, cfg)
-	code, lines, total := streamLines(t, ref.URL, prunedSweepInstance+`, "timeoutMs": 120000}`)
-	if code != http.StatusOK {
-		t.Fatalf("reference sweep: status = %d", code)
-	}
-	sols, _ := parseStream(t, lines)
-	if len(sols) < 2 {
-		t.Fatalf("reference sweep produced %d points, need >= 2", len(sols))
-	}
+	rung, sols, deadline := stageMidSweep(t, walkedSweepRung(7), walkedSweepRung(8), walkedSweepRung(9))
 	first := sols[0].at
-	if total-first < 100*time.Millisecond {
-		t.Skipf("machine sweeps the staging instance in %v after the first point; cannot stage a mid-sweep deadline", total-first)
-	}
-	deadline := first + (total-first)/2
 
 	// A fresh server: the reference run must not warm the timed run.
-	_, timed := newTestServer(t, cfg)
-	body := fmt.Sprintf(`%s, "timeoutMs": %d}`, prunedSweepInstance, deadline.Milliseconds())
-	code, lines, _ = streamLines(t, timed.URL, body)
+	_, timed := newTestServer(t, Config{Options: rung.opts})
+	body := fmt.Sprintf(`%s, "timeoutMs": %d}`, rung.instance, deadline.Milliseconds())
+	code, lines, _ := streamLines(t, timed.URL, body)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d with a mid-sweep deadline", code)
 	}
 	partial, statuses := parseStream(t, lines)
 	if len(partial) == 0 {
-		t.Fatalf("deadline at %v (first point at %v, total %v) cut the sweep before any point", deadline, first, total)
+		t.Fatalf("deadline at %v (first point at %v) cut the sweep before any point", deadline, first)
 	}
 	if len(partial) >= len(sols) {
-		t.Fatalf("deadline at %v did not cut the %v sweep (got all %d points)", deadline, total, len(partial))
+		t.Fatalf("deadline at %v did not cut the sweep (got all %d points)", deadline, len(partial))
 	}
 	assertIncreasingPeriods(t, partial)
 	// The partial front is a prefix of the reference front.
@@ -247,31 +287,18 @@ func TestParetoDeadlineMidSweep(t *testing.T) {
 // whole front before the first point went out, so nothing is left
 // unexplored, only unsent.
 func TestParetoDeadlineAfterFrontPass(t *testing.T) {
-	cfg := Config{Options: forkJoinFrontOptions}
-	_, ref := newTestServer(t, cfg)
-	code, lines, total := streamLines(t, ref.URL, forkJoinFrontSweepInstance+`, "timeoutMs": 120000}`)
-	if code != http.StatusOK {
-		t.Fatalf("reference sweep: status = %d", code)
-	}
-	sols, _ := parseStream(t, lines)
-	if len(sols) < 2 {
-		t.Fatalf("reference sweep produced %d points, need >= 2", len(sols))
-	}
+	rung, sols, deadline := stageMidSweep(t, forkJoinFrontRung(6), forkJoinFrontRung(7), forkJoinFrontRung(8))
 	first := sols[0].at
-	if total-first < 100*time.Millisecond {
-		t.Skipf("machine sweeps the staging instance in %v after the first point; cannot stage a mid-sweep deadline", total-first)
-	}
-	deadline := first + (total-first)/2
 
-	_, timed := newTestServer(t, cfg)
-	body := fmt.Sprintf(`%s, "timeoutMs": %d}`, forkJoinFrontSweepInstance, deadline.Milliseconds())
-	code, lines, _ = streamLines(t, timed.URL, body)
+	_, timed := newTestServer(t, Config{Options: rung.opts})
+	body := fmt.Sprintf(`%s, "timeoutMs": %d}`, rung.instance, deadline.Milliseconds())
+	code, lines, _ := streamLines(t, timed.URL, body)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d with a mid-sweep deadline", code)
 	}
 	partial, statuses := parseStream(t, lines)
 	if len(partial) == 0 || len(partial) >= len(sols) {
-		t.Fatalf("deadline at %v (first point at %v, total %v) left %d of %d points", deadline, first, total, len(partial), len(sols))
+		t.Fatalf("deadline at %v (first point at %v) left %d of %d points", deadline, first, len(partial), len(sols))
 	}
 	for i := range partial {
 		if partial[i].text != sols[i].text {

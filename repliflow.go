@@ -291,9 +291,8 @@ func ParetoFront(pr Problem, opts Options) ([]Solution, error) {
 	return engine.ParetoFront(context.Background(), pr, opts)
 }
 
-// ParetoFrontContext is ParetoFront with cancellation: the concurrent
-// candidate-period solves stop promptly with ctx.Err() when ctx is
-// cancelled.
+// ParetoFrontContext is ParetoFront with cancellation: the sweep's
+// solves stop promptly with ctx.Err() when ctx is cancelled.
 func ParetoFrontContext(ctx context.Context, pr Problem, opts Options) ([]Solution, error) {
 	return engine.ParetoFront(ctx, pr, opts)
 }
