@@ -6,7 +6,7 @@
 // solved instances each front point is the period-under-latency solve at
 // its latency: where the prepared solver has a front pass (the exact
 // pipeline, fork, fork-join and comm-pipeline cells) the pass names
-// every front latency at once; elsewhere a serial walk alternates the
+// every front latency at once; elsewhere a walk alternates the
 // paper's two bounded problems, latency under a period bound and period
 // under a latency bound, to name them one at a time. Heuristic and
 // budgeted sweeps solve the candidate-period subproblems concurrently,

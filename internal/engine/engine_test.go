@@ -290,11 +290,16 @@ func TestEngineParetoMatchesSerial(t *testing.T) {
 	}
 
 	// Extra inputs: the walked cells (irreducible SP, comm-fork and the
-	// polynomial cells, the homogeneous comm-pipeline among them) and
-	// fractional speeds on the front-pass kinds.
+	// polynomial cells, the homogeneous comm-pipeline among them),
+	// fractional speeds on the front-pass kinds, and walked fronts whose
+	// latencies lie within 2·Eps of zero, where no positive bound is
+	// strictly below a front latency.
 	pipe := workflow.NewPipeline(14, 4, 2, 4, 7)
 	fj := workflow.NewForkJoin(5, 4, 7, 3, 9)
+	unit := workflow.NewPipeline(1, 1)
 	extra := append(walkedInstances(),
+		walkedCase{"pipeline/near-zero-latency", core.Problem{Pipeline: &unit, Platform: platform.New(1e9, 1e9)}},
+		walkedCase{"pipeline/near-zero-latency-dp", core.Problem{Pipeline: &unit, Platform: platform.New(1e9, 1e9, 1e9), AllowDataParallel: true}},
 		walkedCase{"pipeline/float-speeds", core.Problem{Pipeline: &pipe, Platform: platform.New(2.5, 1.25, 0.75), AllowDataParallel: true}},
 		walkedCase{"fork-join/float-speeds", core.Problem{ForkJoin: &fj, Platform: platform.New(3.5, 1.5, 0.5, 2.25)}},
 	)

@@ -61,7 +61,7 @@ type SweepObserver struct {
 // solver has a front pass (core.PreparedSolver.Front: the exact pipeline,
 // fork, fork-join and comm-pipeline cells), one pass names every front
 // latency at once. On the other exact instances (irreducible SP,
-// comm-fork, the polynomial cells) a serial walk over the paper's two
+// comm-fork, the polynomial cells) a walk over the paper's two
 // bounded problems names them one at a time: the least period, snapped to
 // a candidate, gives the next latency by a latency-under-period solve,
 // and a period-under-latency solve strictly below that latency gives the
@@ -139,9 +139,9 @@ type sweeper struct {
 
 	via      coreSolveFunc // prepared-pool solve override (nil = SolveContext)
 	acc      *core.FrontAccumulator
-	explored int     // candidates [0, explored) are resolved
-	latency  float64 // the walk's last front latency
-	emitted  int     // points actually delivered to the observer
+	explored int           // candidates [0, explored) are resolved
+	below    core.Solution // the walk's solve strictly below its last latency
+	emitted  int           // points actually delivered to the observer
 }
 
 // bounded returns the instance under a bounded objective.
@@ -167,26 +167,22 @@ func (s *sweeper) emit(point core.Solution) error {
 	return s.obs.Point(sp)
 }
 
-// runFront is the sweep of an exact instance: a source names the front
-// latencies in increasing-period order — the prepared solver's front pass
-// where it has one (pass), the walk over the two bounded solves otherwise
-// (walk) — and each point is the PeriodUnderLatency solve at its latency,
-// through the cache.
+// runFront is the sweep of an exact instance: a source yields, in
+// increasing-period order, the PeriodUnderLatency solve at each front
+// latency — the prepared solver's front pass where it has one (pass), the
+// walk over the two bounded solves otherwise (walk) — and the accumulator
+// confirms each one as the next point.
 func (s *sweeper) runFront(ctx context.Context, pool *preparedPool) error {
-	next, via, err := s.pass(ctx, pool)
+	next, err := s.pass(ctx, pool)
 	if err != nil {
 		return err
 	}
 	if next == nil {
-		next, via = s.walk, s.via
+		next = s.walk
 	}
 	for {
-		latency, ok, err := next(ctx)
+		sol, ok, err := next(ctx)
 		if err != nil || !ok {
-			return err
-		}
-		sol, err := s.e.solveVia(ctx, s.bounded(core.PeriodUnderLatency, latency), s.opts, via)
-		if err != nil {
 			return err
 		}
 		if point, ok := s.acc.Offer(sol, nil); ok {
@@ -197,95 +193,111 @@ func (s *sweeper) runFront(ctx context.Context, pool *preparedPool) error {
 	}
 }
 
-// latencySource yields the next front latency of an exact sweep, or
-// false once the front is complete.
-type latencySource func(ctx context.Context) (float64, bool, error)
+// pointSource yields the PeriodUnderLatency solve at the next front
+// latency of an exact sweep, or false once the front is complete.
+type pointSource func(ctx context.Context) (core.Solution, bool, error)
 
 // pass runs the prepared solver's front pass once, under one solve slot.
 // The pass names every front latency, which resolves every candidate
-// period at once; it returns them as a source, with the solver that ran
-// the pass for the points' solves (a pipeline solver keeps the pass's
-// per-state lists, so each is a walk over them, not a DP solve). A pass
-// cut short has proven no point. pass returns a nil source, having run
-// nothing, when the instance has no pool or its solver no front pass.
-func (s *sweeper) pass(ctx context.Context, pool *preparedPool) (latencySource, coreSolveFunc, error) {
+// period at once; it returns them as a source whose solves run on the
+// solver that ran the pass (a pipeline solver keeps the pass's per-state
+// lists, so each is a walk over them, not a DP solve). A pass cut short
+// has proven no point. pass returns a nil source, having run nothing,
+// when the instance has no pool or its solver no front pass.
+func (s *sweeper) pass(ctx context.Context, pool *preparedPool) (pointSource, error) {
 	if pool == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
 	ps := pool.pool.Get().(*core.PreparedSolver)
 	if ps == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
 	select {
 	case s.e.sem <- struct{}{}:
 	case <-ctx.Done():
 		pool.pool.Put(ps)
-		return nil, nil, ctx.Err()
+		return nil, ctx.Err()
 	}
 	lats, ok, err := ps.Front(ctx)
 	<-s.e.sem
 	if !ok {
 		pool.pool.Put(ps)
-		return nil, nil, nil
+		return nil, nil
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.resolve(len(s.cands))
-	next := func(context.Context) (float64, bool, error) {
-		if len(lats) == 0 {
-			return 0, false, nil
-		}
-		latency := lats[0]
-		lats = lats[1:]
-		return latency, true, nil
-	}
 	via := func(ctx context.Context, pr core.Problem, opts core.Options) (core.Solution, error) {
 		return solveOn(ctx, ps, pr, opts)
 	}
-	return next, via, nil
+	return func(ctx context.Context) (core.Solution, bool, error) {
+		if len(lats) == 0 {
+			return core.Solution{}, false, nil
+		}
+		latency := lats[0]
+		lats = lats[1:]
+		sol, err := s.e.solveVia(ctx, s.bounded(core.PeriodUnderLatency, latency), s.opts, via)
+		return sol, err == nil, err
+	}, nil
 }
 
-// walk is the latency source of an exact instance without a front pass.
-// The first call solves MinPeriod, each later one the PeriodUnderLatency
-// strictly below the last front latency; its period, snapped to the
-// first candidate not below it, gives the next front latency by a
-// LatencyUnderPeriod solve at that candidate — the candidate solve of
-// the serial sweep that accepts the point, since no smaller candidate
-// reaches a latency under the last one. The candidates up to the snapped
-// one are then resolved. The walk ends, every candidate resolved, when
-// the solve is infeasible or its period lies past the last candidate.
-func (s *sweeper) walk(ctx context.Context) (float64, bool, error) {
+// walk is the point source of an exact instance without a front pass.
+// The first call solves MinPeriod; each later one takes the
+// PeriodUnderLatency solve strictly below the last front latency, made
+// with the last point. Its period, snapped to the first candidate not
+// below it, gives the next front latency by a LatencyUnderPeriod solve at
+// that candidate — the candidate solve of the serial sweep that accepts
+// the point, since no smaller candidate reaches a latency under the last
+// one. The candidates up to the snapped one are then resolved, and the
+// point's solve and the next strictly-below solve, both bounded by that
+// latency alone, run as one batch. The walk ends, every candidate
+// resolved, when the strictly-below solve is infeasible, has no positive
+// bound, or finds a period past the last candidate.
+func (s *sweeper) walk(ctx context.Context) (core.Solution, bool, error) {
 	// A solve can succeed under a dead context (a solve slot free, a
 	// kernel that does not poll it), so a cancelled walk stops here,
-	// at the next point's first solve.
+	// before the next point's first solve.
 	if err := ctx.Err(); err != nil {
-		return 0, false, err
+		return core.Solution{}, false, err
 	}
-	probe := s.pr // MinPeriod
-	if s.explored > 0 {
-		// The kernels' tolerant <= accepts under this bound exactly the
-		// latencies FrontAccumulator counts as a strict drop.
-		probe = s.bounded(core.PeriodUnderLatency, s.latency-2*numeric.Eps*math.Max(1, s.latency))
-	}
-	sol, err := s.e.solveVia(ctx, probe, s.opts, s.via)
-	if err != nil {
-		return 0, false, err
+	below := s.below
+	if s.explored == 0 {
+		var err error
+		if below, err = s.e.solveVia(ctx, s.pr, s.opts, s.via); err != nil { // MinPeriod
+			return core.Solution{}, false, err
+		}
 	}
 	j := s.explored
-	if sol.Feasible {
-		j += sort.Search(len(s.cands)-j, func(i int) bool { return !numeric.Less(s.cands[j+i], sol.Cost.Period) })
+	if below.Feasible {
+		j += sort.Search(len(s.cands)-j, func(i int) bool { return !numeric.Less(s.cands[j+i], below.Cost.Period) })
 	}
-	if !sol.Feasible || j == len(s.cands) {
+	if !below.Feasible || j == len(s.cands) {
 		s.resolve(len(s.cands))
-		return 0, false, nil
+		return core.Solution{}, false, nil
 	}
-	if sol, err = s.e.solveVia(ctx, s.bounded(core.LatencyUnderPeriod, s.cands[j]), s.opts, s.via); err != nil {
-		return 0, false, err
+	at, err := s.e.solveVia(ctx, s.bounded(core.LatencyUnderPeriod, s.cands[j]), s.opts, s.via)
+	if err != nil {
+		return core.Solution{}, false, err
 	}
-	s.latency = sol.Cost.Latency
 	s.resolve(j + 1)
-	return s.latency, true, nil
+	latency := at.Cost.Latency
+	probs := []core.Problem{s.bounded(core.PeriodUnderLatency, latency)}
+	// The kernels' tolerant <= accepts under this bound exactly the
+	// latencies FrontAccumulator counts as a strict drop. A latency within
+	// 2·Eps of zero has no positive bound below it: the walk ends there.
+	if bound := latency - 2*numeric.Eps*math.Max(1, latency); bound > 0 {
+		probs = append(probs, s.bounded(core.PeriodUnderLatency, bound))
+	}
+	sols, err := s.e.solveBatchVia(ctx, probs, s.opts, s.via)
+	if err != nil {
+		return core.Solution{}, false, err
+	}
+	s.below = core.Solution{} // infeasible
+	if len(sols) == 2 {
+		s.below = sols[1]
+	}
+	return sols[0], true, nil
 }
 
 // runScan is the sweep of instances without the monotonicity guarantee
