@@ -1,6 +1,11 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+
+	"repliflow/internal/incumbent"
+)
 
 // ErrKind classifies the errors returned by this package into
 // machine-readable categories, so callers exposing solves over a wire
@@ -68,4 +73,17 @@ func ErrKindOf(err error) ErrKind {
 		return ke.kind
 	}
 	return ErrKindUnknown
+}
+
+// Recovered turns the value of a recovered solver panic into an error. It
+// carries no ErrKind: the panic is a broken invariant of a solver, not a
+// fault of the instance, and callers report it as an internal failure. A
+// panic a search worker raised, which reaches its caller as an
+// *incumbent.WorkerPanic, is reported by the worker's own value; the
+// stack stays out of the message.
+func Recovered(r any) error {
+	if wp, ok := r.(*incumbent.WorkerPanic); ok {
+		r = wp.Value
+	}
+	return fmt.Errorf("solver panic: %v", r)
 }

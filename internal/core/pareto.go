@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
@@ -254,27 +255,37 @@ func forkBlockWeights(root, join float64, hasJoin bool, leaves []float64) []floa
 
 // periodsFromWeights expands block weights into period values over every
 // replication count and minimum speed (and speed sums for data-parallel
-// groups), deduplicated and ascending.
+// groups), deduplicated and ascending. Each quotient is formed once per
+// distinct weight and distinct divisor: numeric.DedupSorted keeps the
+// first of a run of equal values, so an exact duplicate cannot change
+// what it returns, and the quotients are the same divisions as before.
 func periodsFromWeights(weights []float64, pl platform.Platform) []float64 {
 	speeds := numeric.DedupSorted(append([]float64(nil), pl.Speeds...))
 	p := pl.Processors()
-	var cands []float64
-	for _, w := range weights {
-		for _, s := range speeds {
-			for k := 1; k <= p; k++ {
-				cands = append(cands, w/(float64(k)*s))
-			}
+	// Replicated groups divide by a replication count times a minimum
+	// speed, data-parallel groups by a speed sum: sums of sorted prefixes
+	// and, when small, all subset sums.
+	divs := subsetSpeedSums(pl)
+	for _, s := range speeds {
+		for k := 1; k <= p; k++ {
+			divs = append(divs, float64(k)*s)
 		}
 	}
-	// Data-parallel groups divide by speed sums; enumerate sums of sorted
-	// prefixes and, when small, all subset sums.
-	sums := subsetSpeedSums(pl)
-	for _, w := range weights {
-		for _, s := range sums {
-			cands = append(cands, w/s)
+	divs = distinct(divs)
+	ws := distinct(append([]float64(nil), weights...))
+	cands := make([]float64, 0, len(ws)*len(divs))
+	for _, w := range ws {
+		for _, d := range divs {
+			cands = append(cands, w/d)
 		}
 	}
 	return numeric.DedupSorted(cands)
+}
+
+// distinct sorts vals ascending and drops exact duplicates, in place.
+func distinct(vals []float64) []float64 {
+	slices.Sort(vals)
+	return slices.Compact(vals)
 }
 
 // subsetSpeedSums returns the distinct subset speed sums when 2^p is small

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repliflow/internal/exhaustive"
@@ -163,3 +164,86 @@ func forkRefCosts(ref []exhaustive.ForkResult) []Cost2 {
 
 // Cost2 is a compact (period, latency) pair for test failure messages.
 type Cost2 struct{ P, L float64 }
+
+// naivePeriodsFromWeights is periodsFromWeights before it deduplicated
+// its weights and divisors: one quotient per weight, speed and count,
+// then one per weight and speed sum. It is the oracle of
+// TestPeriodsFromWeightsMatchesNaive.
+func naivePeriodsFromWeights(weights []float64, pl platform.Platform) []float64 {
+	speeds := numeric.DedupSorted(append([]float64(nil), pl.Speeds...))
+	p := pl.Processors()
+	var cands []float64
+	for _, w := range weights {
+		for _, s := range speeds {
+			for k := 1; k <= p; k++ {
+				cands = append(cands, w/(float64(k)*s))
+			}
+		}
+	}
+	sums := subsetSpeedSums(pl)
+	for _, w := range weights {
+		for _, s := range sums {
+			cands = append(cands, w/s)
+		}
+	}
+	return numeric.DedupSorted(cands)
+}
+
+// TestPeriodsFromWeightsMatchesNaive: the candidate periods are bit for
+// bit the naive formulation's, over the block weights of pipelines,
+// forks and fork-joins with integer and fractional weights, on
+// integer-speed, fractional-speed and homogeneous platforms of up to 16
+// processors (past 12, speed sums are prefix sums).
+func TestPeriodsFromWeightsMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	draw := func(n int, frac bool) []float64 {
+		ws := make([]float64, n)
+		for i := range ws {
+			ws[i] = float64(1 + rng.Intn(10))
+			if frac {
+				ws[i] = 0.25 + 9*rng.Float64()
+			}
+		}
+		return ws
+	}
+	for trial := 0; trial < 300; trial++ {
+		procs := 1 + rng.Intn(16)
+		var pl platform.Platform
+		switch trial % 3 {
+		case 0:
+			pl = platform.Random(rng, procs, 5)
+		case 1:
+			speeds := make([]float64, procs)
+			for k := range speeds {
+				speeds[k] = 0.5 + 4*rng.Float64()
+			}
+			pl = platform.New(speeds...)
+		default:
+			pl = platform.Homogeneous(procs, float64(1+rng.Intn(3)))
+		}
+		frac := trial%5 == 0
+		var weights []float64
+		switch trial % 4 {
+		case 0, 1:
+			ws := draw(1+rng.Intn(10), frac)
+			for i := range ws {
+				w := 0.0
+				for _, x := range ws[i:] {
+					w += x
+					weights = append(weights, w)
+				}
+			}
+		case 2:
+			weights = forkBlockWeights(float64(1+rng.Intn(10)), 0, false, draw(rng.Intn(7), frac))
+		default:
+			weights = forkBlockWeights(float64(1+rng.Intn(10)), float64(1+rng.Intn(10)), true, draw(rng.Intn(7), frac))
+		}
+		if len(weights) == 0 {
+			continue
+		}
+		want := naivePeriodsFromWeights(weights, pl)
+		if got := periodsFromWeights(weights, pl); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: weights %v on %v: %d candidates, naive %d\n got %v\nwant %v", trial, weights, pl.Speeds, len(got), len(want), got, want)
+		}
+	}
+}

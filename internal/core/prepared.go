@@ -87,16 +87,30 @@ func Prepare(pr Problem, opts Options) (*PreparedSolver, bool) {
 
 // Front returns the latencies of the instance's exact Pareto front in
 // order of increasing period: Solve(ctx, PeriodUnderLatency, L) at each
-// of them is the front's point at L, and each such solve after the pass
-// is a single bounded solve. ok is false, with nothing run, when the
-// instance's PeriodUnderLatency cell has no front pass; the exact
+// of them is the front's point at L. ok is false, with nothing run, when
+// the instance's PeriodUnderLatency cell has no front pass; the exact
 // pipeline, fork, fork-join and comm-pipeline cells have one, irreducible
 // SP and comm-fork do not. The pipeline pass runs once per prepared
 // solver, the scans' on every call; a pass cut short returns ctx's error.
+//
+// After the pass, a point's solve costs far less than a solve without
+// it: on a pipeline it walks the pass's per-state lists, with no DP
+// solve; on a fork, fork-join or comm-pipeline its scan starts from the
+// optimum the pass proved, cuts every mapping strictly worse and stops
+// at the first mapping that reaches it.
+//
+// A panic in the pass returns as an error (Recovered), so a caller
+// holding a solve slot around the pass releases it as after any other
+// error.
 func (ps *PreparedSolver) Front(ctx context.Context) (latencies []float64, ok bool, err error) {
 	if ps.front == nil {
 		return nil, false, nil
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			latencies, err = nil, Recovered(r)
+		}
+	}()
 	latencies, err = ps.front(ctx)
 	return latencies, true, err
 }

@@ -6,7 +6,10 @@
 // solved instances each front point is the period-under-latency solve at
 // its latency: where the prepared solver has a front pass (the exact
 // pipeline, fork, fork-join and comm-pipeline cells) the pass names
-// every front latency at once; elsewhere a walk alternates the
+// every front latency at once, and each point's solve then starts from
+// what the pass proved — a walk over the pipeline pass's lists, or a
+// scan that knows the point's optimum and stops at the first mapping
+// reaching it; elsewhere a walk alternates the
 // paper's two bounded problems, latency under a period bound and period
 // under a latency bound, to name them one at a time. Heuristic and
 // budgeted sweeps solve the candidate-period subproblems concurrently,

@@ -220,13 +220,7 @@ func (e *Engine) solveVia(ctx context.Context, pr core.Problem, opts core.Option
 			return core.Solution{}, en.err
 		}
 		e.misses.Add(1)
-		solveOpts, extra := e.donate(opts)
-		if via != nil {
-			en.sol, en.err = via(ctx, pr, solveOpts)
-		} else {
-			en.sol, en.err = core.SolveContext(ctx, pr, solveOpts)
-		}
-		e.releaseExtra(extra)
+		en.sol, en.err = e.compute(ctx, pr, opts, via)
 		// An anytime incumbent returned while this caller's context is
 		// dead was truncated by the deadline, not by its budget (a
 		// budget expiry never cancels ctx): flag it before releasing
@@ -243,6 +237,27 @@ func (e *Engine) solveVia(ctx context.Context, pr core.Problem, opts core.Option
 		}
 		return cloneSolution(en.sol), en.err
 	}
+}
+
+// compute runs the solve of a claimed flight on the slot its caller
+// holds, with the extra slots donate grants. It releases them in a
+// defer, which also recovers a solver panic into an error
+// (core.Recovered). So a panic reaches solveVia as a failed solve: the
+// slot is released, the flight fails and is dropped, never cached, and
+// waiters retry. It costs its request and neither a solve slot nor the
+// fingerprint, and on a batch worker it no longer ends the process.
+func (e *Engine) compute(ctx context.Context, pr core.Problem, opts core.Options, via coreSolveFunc) (sol core.Solution, err error) {
+	opts, extra := e.donate(opts)
+	defer func() {
+		e.releaseExtra(extra)
+		if r := recover(); r != nil {
+			sol, err = core.Solution{}, core.Recovered(r)
+		}
+	}()
+	if via != nil {
+		return via(ctx, pr, opts)
+	}
+	return core.SolveContext(ctx, pr, opts)
 }
 
 // donate resolves Options.Parallelism against the engine's solve-slot

@@ -32,11 +32,12 @@
 // per-platform subset table (built once per prepared solver, see
 // buildMaskInfo, and shared read-only with its shard workers), the
 // DP/enumeration scratch memory (reset by epoch counters, never
-// reallocated), the candidate-period sets and, for the pipeline DP, the
-// exact Pareto front of one bi-criteria pass, which makes each
-// period-under-latency solve a single bounded solve. They keep no
-// per-bound results: every solve runs its search, and repeated bounds
-// are answered by the engine's result cache. Their results are
+// reallocated) and the Pareto list of the last completed bi-criteria
+// pass. After a pass a pipeline solve walks the pass's per-state lists
+// instead of running the DP, and a fork or fork-join scan starts from
+// the optimum the list proves. They keep no per-bound results: every
+// solve runs its search, and repeated bounds are answered by the
+// engine's result cache. Their results are
 // byte-identical to the one-shot entry points, which are themselves thin
 // wrappers over a prepared solver used once.
 package exhaustive
@@ -46,7 +47,6 @@ import (
 	"math"
 	"math/bits"
 
-	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 )
 
@@ -167,10 +167,4 @@ func groupCosts(w float64, info maskInfo, dataParallel bool) (period, delay floa
 		return c, c
 	}
 	return w / (float64(info.count) * info.min), w / info.min
-}
-
-// dedupSorted sorts values ascending and removes duplicates within the
-// numeric tolerance.
-func dedupSorted(vals []float64) []float64 {
-	return numeric.DedupSorted(vals)
 }

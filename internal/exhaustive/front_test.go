@@ -13,12 +13,37 @@ import (
 	"repliflow/internal/workflow"
 )
 
+// pipelinePeriodCandidates returns every achievable group period of any
+// stage interval on any processor subset, sorted ascending and
+// deduplicated: the period of any mapping is one of them. info is the
+// platform's subset table. The bisection reference and the walk tests
+// range over them.
+func pipelinePeriodCandidates(p workflow.Pipeline, info []maskInfo, allowDP bool) []float64 {
+	var vals []float64
+	n := p.Stages()
+	for i := 0; i < n; i++ {
+		w := 0.0
+		for j := i; j < n; j++ {
+			w += p.Weights[j]
+			for mask := 1; mask < len(info); mask++ {
+				per, _ := groupCosts(w, info[mask], false)
+				vals = append(vals, per)
+				if allowDP && i == j {
+					per, _ = groupCosts(w, info[mask], true)
+					vals = append(vals, per)
+				}
+			}
+		}
+	}
+	return numeric.DedupSorted(vals)
+}
+
 // pulBisect is PeriodUnderLatency as it was before the Pareto front: a
 // binary search for the least candidate period whose latency-under-period
 // solve meets the latency cap. It is the reference the front-backed
 // solve must equal.
 func pulBisect(ctx context.Context, pp *PipelinePrepared, maxLatency float64) (PipelineResult, bool, error) {
-	cands := pp.candidates()
+	cands := pipelinePeriodCandidates(pp.p, pp.s.info, pp.allowDP)
 	lo, hi := 0, len(cands)-1
 	var best PipelineResult
 	found := false
@@ -120,7 +145,7 @@ func TestPipelineFrontPULMatchesBisection(t *testing.T) {
 		}
 		var walk []mapping.Cost
 		prev := numeric.Inf
-		for _, k := range ref.candidates() {
+		for _, k := range pipelinePeriodCandidates(ref.p, ref.s.info, ref.allowDP) {
 			res, ok, _ := ref.LatencyUnderPeriod(ctx, k)
 			if !ok || numeric.GreaterEq(res.Cost.Latency, prev) {
 				continue
@@ -241,7 +266,7 @@ func TestPipelineWalkMatchesDP(t *testing.T) {
 		if _, err := pp.Front(ctx); err != nil {
 			t.Fatal(err)
 		}
-		caps := walkCaps(ref.candidates())
+		caps := walkCaps(pipelinePeriodCandidates(ref.p, ref.s.info, ref.allowDP))
 		type answer struct {
 			res PipelineResult
 			ok  bool
@@ -455,6 +480,96 @@ func TestScanFrontCancellation(t *testing.T) {
 			if err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: front after a pass cut at poll %d: (%v, %v), want %v", name, n, got, err, want)
 			}
+		}
+	}
+}
+
+// seededBounds returns the bounds of the seeded-solve tests over a
+// front: latency bounds at each front latency, nudged by a relative
+// 1e-10 either way, between neighbours and below the least; period
+// bounds at each front period, nudged either way and 1% above. Both
+// lists hold +Inf too.
+func seededBounds(front []mapping.Cost) (lats, pers []float64) {
+	lats = []float64{front[len(front)-1].Latency / 2, numeric.Inf}
+	pers = []float64{numeric.Inf}
+	for k, c := range front {
+		lats = append(lats, c.Latency, c.Latency*(1-1e-10), c.Latency*(1+1e-10))
+		if k > 0 {
+			lats = append(lats, (c.Latency+front[k-1].Latency)/2)
+		}
+		pers = append(pers, c.Period, c.Period*(1-1e-10), c.Period*(1+1e-10), c.Period*1.01)
+	}
+	return lats, pers
+}
+
+// checkSeeded runs a front pass on a solver of newSolver at the given
+// worker count, then every seededBounds solve on it and on a fresh
+// solver that ran no pass, and fails unless each pair is equal, mapping
+// and cost. A pass then cut at its first poll must leave no list to seed
+// from.
+func checkSeeded[M any](t *testing.T, trial, workers int, newSolver func() *scanPrepared[M]) {
+	t.Helper()
+	ctx := context.Background()
+	sp := newSolver()
+	sp.SetParallelism(workers)
+	front, err := sp.Front(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sp.front) != len(front) {
+		t.Fatalf("trial %d: a completed pass kept %d of its %d points", trial, len(sp.front), len(front))
+	}
+	lats, pers := seededBounds(front)
+	check := func(minimizePeriod bool, bound float64) {
+		t.Helper()
+		got, ok, err := sp.Solve(ctx, minimizePeriod, bound)
+		fresh := newSolver()
+		fresh.SetParallelism(workers)
+		want, wantOK, wantErr := fresh.Solve(ctx, minimizePeriod, bound)
+		if err != nil || wantErr != nil || ok != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d, %d workers, minimize period %v under %v: seeded (%v, %v, %v), fresh (%v, %v, %v); front %v",
+				trial, workers, minimizePeriod, bound, got, ok, err, want, wantOK, wantErr, front)
+		}
+	}
+	for _, l := range lats {
+		check(true, l)
+	}
+	for _, p := range pers {
+		check(false, p)
+	}
+	if _, err := sp.Front(&pollCountCtx{Context: ctx, n: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("trial %d: a pass cut at its first poll returned %v", trial, err)
+	}
+	if sp.front != nil {
+		t.Fatalf("trial %d: a cut pass left %d points to seed from", trial, len(sp.front))
+	}
+}
+
+// TestScanFrontSeededMatchesFresh: after a completed front pass, each
+// bounded solve of a fork or fork-join solver starts from the optimum
+// the pass proved and equals the same solve on a fresh solver, mapping
+// and cost (see checkSeeded), with data-parallelism on and off, on
+// integer and fractional speeds, at 1 and 3 workers.
+func TestScanFrontSeededMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(70))
+	for trial := 0; trial < 96; trial++ {
+		dp := trial%2 == 0
+		procs := 2 + rng.Intn(3)
+		pl := platform.Random(rng, procs, 5)
+		if trial%4 >= 2 {
+			speeds := make([]float64, procs)
+			for k := range speeds {
+				speeds[k] = 0.5 + 4*rng.Float64()
+			}
+			pl = platform.New(speeds...)
+		}
+		workers := 1 + 2*(trial/4%2)
+		if trial%16 < 8 {
+			f := workflow.RandomFork(rng, 2+rng.Intn(4), 9)
+			checkSeeded(t, trial, workers, func() *ForkPrepared { return NewForkPrepared(f, pl, dp) })
+		} else {
+			fj := workflow.RandomForkJoin(rng, 2+rng.Intn(3), 9)
+			checkSeeded(t, trial, workers, func() *ForkJoinPrepared { return NewForkJoinPrepared(fj, pl, dp) })
 		}
 	}
 }

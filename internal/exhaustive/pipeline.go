@@ -3,7 +3,6 @@ package exhaustive
 import (
 	"context"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"repliflow/internal/anytime"
@@ -542,8 +541,8 @@ func (s *pipeSolver) result() (PipelineResult, bool, error) {
 
 // PipelinePrepared solves repeated objective/bound variants of one
 // (pipeline, platform, model) triple, sharing the platform subset table,
-// the DP arrays (reset by epoch, not reallocation), the candidate-period
-// set and the exact Pareto front across solves. Once Front's pass has
+// the DP arrays (reset by epoch, not reallocation) and the exact Pareto
+// front across solves. Once Front's pass has
 // completed, a latency-under-period solve (and so a period-under-latency
 // one) walks the pass's per-state lists; every other solve runs the DP
 // (repeated bounds are answered by the engine's result cache). Results
@@ -557,9 +556,6 @@ type PipelinePrepared struct {
 	pl      platform.Platform
 	allowDP bool
 	s       *pipeSolver
-	// cands is the lazily built candidate-period set: PeriodUnderLatency
-	// solves at one of them.
-	cands []float64
 	// front is the exact Pareto front, computed once (see Front).
 	front []mapping.Cost
 }
@@ -601,15 +597,6 @@ func (pp *PipelinePrepared) LatencyUnderPeriod(ctx context.Context, maxPeriod fl
 	return pp.s.result()
 }
 
-// candidates returns the achievable group periods, built once per prepared
-// solver.
-func (pp *PipelinePrepared) candidates() []float64 {
-	if pp.cands == nil {
-		pp.cands = pipelinePeriodCandidates(pp.p, pp.s.info, pp.allowDP)
-	}
-	return pp.cands
-}
-
 // Front returns the exact Pareto front of (period, latency), by
 // increasing period and decreasing latency, from one bi-criteria pass
 // over the DP's states (see frontPass). It is computed once per prepared
@@ -632,10 +619,10 @@ func (pp *PipelinePrepared) Front(ctx context.Context) ([]mapping.Cost, error) {
 
 // PeriodUnderLatency solves min-period under the latency cap with one
 // walk over the front pass's lists. The first front point within the cap
-// has the least period any mapping within it can reach, and that period
-// is an achievable group period: the latency-under-period solve at the
-// smallest candidate reaching it is the optimum, and the mapping and
-// cost are that solve's.
+// has the least period any mapping within it can reach, and the least
+// latency any mapping within that period can reach: the
+// latency-under-period walk at the point's own period is the optimum,
+// and the mapping and cost are that walk's.
 func (pp *PipelinePrepared) PeriodUnderLatency(ctx context.Context, maxLatency float64) (PipelineResult, bool, error) {
 	front, err := pp.Front(ctx)
 	if err != nil {
@@ -648,9 +635,7 @@ func (pp *PipelinePrepared) PeriodUnderLatency(ctx context.Context, maxLatency f
 	if k == len(front) {
 		return PipelineResult{}, false, nil
 	}
-	cands := pp.candidates()
-	c := sort.Search(len(cands), func(i int) bool { return numeric.GreaterEq(cands[i], front[k].Period) })
-	return pp.LatencyUnderPeriod(ctx, cands[c])
+	return pp.LatencyUnderPeriod(ctx, front[k].Period)
 }
 
 // Solve dispatches on (minimizePeriod, bound): the four objective shapes
@@ -685,30 +670,6 @@ func PipelineLatency(p workflow.Pipeline, pl platform.Platform, allowDP bool) (P
 func PipelineLatencyUnderPeriod(p workflow.Pipeline, pl platform.Platform, allowDP bool, maxPeriod float64) (PipelineResult, bool) {
 	res, ok, _ := NewPipelinePrepared(p, pl, allowDP).LatencyUnderPeriod(context.Background(), maxPeriod)
 	return res, ok
-}
-
-// pipelinePeriodCandidates returns every achievable group period of any
-// stage interval on any processor subset, sorted ascending and deduplicated.
-// The optimal period of any mapping is one of these values. info is the
-// platform's subset table.
-func pipelinePeriodCandidates(p workflow.Pipeline, info []maskInfo, allowDP bool) []float64 {
-	var vals []float64
-	n := p.Stages()
-	for i := 0; i < n; i++ {
-		w := 0.0
-		for j := i; j < n; j++ {
-			w += p.Weights[j]
-			for mask := 1; mask < len(info); mask++ {
-				per, _ := groupCosts(w, info[mask], false)
-				vals = append(vals, per)
-				if allowDP && i == j {
-					per, _ = groupCosts(w, info[mask], true)
-					vals = append(vals, per)
-				}
-			}
-		}
-	}
-	return dedupSorted(vals)
 }
 
 // PipelinePeriodUnderLatency returns a mapping minimizing the period among

@@ -105,6 +105,9 @@ type shardScan[M any] struct {
 	accept    func(mapping.Cost) bool
 	objective func(mapping.Cost) float64
 	lb        float64
+	// seed is the optimum a completed front pass proved, +Inf for none:
+	// the shard's starting bound.
+	seed float64
 
 	sh      *incumbent.Shards
 	shard   int
@@ -127,7 +130,7 @@ type shardScan[M any] struct {
 // already rejects, and polls the shard state: once the shard is
 // decided, it drops everything.
 func (st *shardScan[M]) init(e enumerator[M]) *shardScan[M] {
-	st.e = e
+	st.e, st.seed = e, numeric.Inf
 	st.visit = func(m M, c mapping.Cost) bool {
 		if st.rejects(c) {
 			return true
@@ -170,10 +173,12 @@ func (st *shardScan[M]) rejects(c mapping.Cost) bool {
 }
 
 // scan returns the best mapping of one shard, the completions of prefix.
+// The shard's bound starts at the seed or the best of any shard,
+// whichever is smaller.
 func (st *shardScan[M]) scan(ctx context.Context, prefix incumbent.Prefix, sh *incumbent.Shards, shard int) (Result[M], bool, error) {
 	st.sh, st.shard = sh, shard
 	st.best, st.bestObj, st.found = Result[M]{}, 0, false
-	st.bound, st.decided, st.poll = sh.Bound(), false, pollEvery
+	st.bound, st.decided, st.poll = min(sh.Bound(), st.seed), false, pollEvery
 	st.e.runFrom(ctx, prefix.Assign, prefix.Used, st.cut, st.visit)
 	best := st.best
 	st.best = Result[M]{}
@@ -196,6 +201,7 @@ type partitionSearch[M any] struct {
 	accept    func(mapping.Cost) bool
 	objective func(mapping.Cost) float64
 	lb        float64
+	seed      float64
 	prefixes  []incumbent.Prefix
 	own       shardScan[M]
 	extra     []*shardScan[M]
@@ -209,7 +215,7 @@ func (ps *partitionSearch[M]) Scan(sh *incumbent.Shards, w, shard int) (Result[M
 		}
 		st = ps.extra[w-1]
 	}
-	st.accept, st.objective, st.lb = ps.accept, ps.objective, ps.lb
+	st.accept, st.objective, st.lb, st.seed = ps.accept, ps.objective, ps.lb, ps.seed
 	return st.scan(ps.ctx, ps.prefixes[shard], sh, shard)
 }
 
@@ -225,8 +231,10 @@ func (ps *partitionSearch[M]) Final(r Result[M]) bool {
 // (graph, platform, model) triple by partition scans: enumeration
 // scratch is shared across solves and the anytime lower bounds are
 // computed once per objective; every solve runs its scan (repeated
-// bounds are answered by the engine's result cache). Not safe for
-// concurrent use: parallelism fans out inside one solve.
+// bounds are answered by the engine's result cache). Once a front pass
+// has completed, a solve starts from the optimum the pass's list proves
+// (see Solve). Not safe for concurrent use: parallelism fans out inside
+// one solve.
 type scanPrepared[M any] struct {
 	search  partitionSearch[M]
 	items   int // partition items
@@ -235,6 +243,9 @@ type scanPrepared[M any] struct {
 	par     int
 	lbs     [2]float64
 	hasLB   [2]bool
+	// front is the Pareto list of the last front pass, nil when none has
+	// run or the last one was cut short.
+	front []incumbent.Point
 }
 
 // ForkPrepared solves repeated objective/bound variants of one
@@ -266,9 +277,9 @@ func (sp *scanPrepared[M]) SetParallelism(workers int) {
 
 // scan runs one bounded scan through incumbent.Run.
 func (sp *scanPrepared[M]) scan(ctx context.Context,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (Result[M], bool, error) {
+	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb, seed float64) (Result[M], bool, error) {
 	ps := &sp.search
-	ps.ctx, ps.accept, ps.objective, ps.lb = ctx, accept, objective, lb
+	ps.ctx, ps.accept, ps.objective, ps.lb, ps.seed = ctx, accept, objective, lb, seed
 	ps.prefixes = incumbent.PartitionShards(sp.items, sp.procs, sp.par)
 	for len(ps.extra) < sp.par-1 {
 		ps.extra = append(ps.extra, nil)
@@ -281,6 +292,16 @@ func (sp *scanPrepared[M]) scan(ctx context.Context,
 // Solve minimizes the period (minimizePeriod) or the latency subject to
 // a bound on the other metric; +Inf is unbounded. The returned mapping
 // is the scan's own retained copy, which the caller owns.
+//
+// After a completed front pass the solve's optimum is known
+// (incumbent.Optimum on the pass's list). It is the scan's early-stop
+// lower bound, when larger than the anytime one, and every shard's
+// starting bound, so the scan cuts every mapping strictly worse than it
+// and stops at the first one that reaches it. The scan order and the
+// install rule are unchanged, and the unseeded scan keeps that same
+// mapping: no later one strictly improves on the optimum, and the
+// mappings it cuts are strictly worse than the one it keeps. The result
+// is the unseeded scan's, byte for byte.
 func (sp *scanPrepared[M]) Solve(ctx context.Context, minimizePeriod bool, bound float64) (Result[M], bool, error) {
 	i := 0
 	if minimizePeriod {
@@ -303,7 +324,11 @@ func (sp *scanPrepared[M]) Solve(ctx context.Context, minimizePeriod bool, bound
 		spec := anytime.Spec{MinimizePeriod: minimizePeriod, AllowDP: sp.allowDP}
 		sp.lbs[i], sp.hasLB[i] = sp.search.own.e.lowerBound(spec), true
 	}
-	return sp.scan(ctx, accept, objective, sp.lbs[i])
+	lb, seed := sp.lbs[i], numeric.Inf
+	if v, ok := incumbent.Optimum(sp.front, minimizePeriod, bound); ok {
+		lb, seed = max(lb, v), v
+	}
+	return sp.scan(ctx, accept, objective, lb, seed)
 }
 
 // Front returns the exact Pareto front of (period, latency), by
@@ -314,10 +339,12 @@ func (sp *scanPrepared[M]) Solve(ctx context.Context, minimizePeriod bool, bound
 // weakly dominates its raised cost. That cost is a lower bound on every
 // completion in both fields and incumbent.Leq is monotone, so every
 // completion of a cut node is weakly dominated too, and would have left
-// the list unchanged. A pass cut short by ctx returns ctx's error and
-// keeps nothing.
+// the list unchanged. A completed pass keeps its list to seed the
+// bounded solves that follow (see Solve); a pass cut short by ctx
+// returns ctx's error and keeps nothing.
 func (sp *scanPrepared[M]) Front(ctx context.Context) ([]mapping.Cost, error) {
 	var list []incumbent.Point
+	sp.front = nil
 	e := sp.search.own.e
 	e.runFrom(ctx, nil, 0,
 		func(c mapping.Cost) bool { return incumbent.Dominated(list, c.Period, c.Latency) },
@@ -328,6 +355,7 @@ func (sp *scanPrepared[M]) Front(ctx context.Context) ([]mapping.Cost, error) {
 	if err := e.err(); err != nil {
 		return nil, err
 	}
+	sp.front = list
 	front := make([]mapping.Cost, len(list))
 	for k, pt := range list {
 		front[k] = mapping.Cost{Period: pt.Period, Latency: pt.Latency}

@@ -152,3 +152,78 @@ func TestCommFrontCancellation(t *testing.T) {
 		}
 	}
 }
+
+// TestCommFrontSeededMatchesFresh: after a completed front pass, each
+// exact solve starts from the optimum the pass proved and equals the
+// same solve on a fresh solver that ran no pass, mapping and cost:
+// period under each front latency, nudged by a relative 1e-10 either
+// way, between neighbours and below the least; latency under each front
+// period, nudged either way and 1% above; both unbounded. Speeds are
+// integer and fractional, bandwidths uniform and per link, at 1 and 3
+// workers. A pass cut at its first poll leaves no list to seed from.
+func TestCommFrontSeededMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	ctx := context.Background()
+	for trial := 0; trial < 120; trial++ {
+		p := randomCommPipeline(rng, 2+rng.Intn(4))
+		procs := 2 + rng.Intn(3)
+		speeds := make([]float64, procs)
+		for i := range speeds {
+			speeds[i] = float64(1 + rng.Intn(5))
+			if trial%2 == 1 {
+				speeds[i] = 0.5 + 4*rng.Float64()
+			}
+		}
+		pl := randomBandwidth(rng, procs).Apply(speeds)
+		workers := 1 + 2*(trial/2%2)
+		newSolver := func() *PipelinePrepared {
+			pp, err := NewPipelinePrepared(p, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp.SetParallelism(workers)
+			return pp
+		}
+		pp := newSolver()
+		front, err := pp.Front(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goals := []Goal{{MinimizePeriod: true}, {}, {MinimizePeriod: true, LatencyCap: front[len(front)-1].Latency / 2}}
+		for k, c := range front {
+			for _, l := range []float64{c.Latency, c.Latency * (1 - 1e-10), c.Latency * (1 + 1e-10)} {
+				goals = append(goals, Goal{MinimizePeriod: true, LatencyCap: l})
+			}
+			if k > 0 {
+				goals = append(goals, Goal{MinimizePeriod: true, LatencyCap: (c.Latency + front[k-1].Latency) / 2})
+			}
+			for _, q := range []float64{c.Period, c.Period * (1 - 1e-10), c.Period * (1 + 1e-10), c.Period * 1.01} {
+				goals = append(goals, Goal{PeriodCap: q})
+			}
+		}
+		for _, goal := range goals {
+			m, c, ok, err := pp.SolveExact(ctx, goal)
+			wm, wc, wok, werr := newSolver().SolveExact(ctx, goal)
+			if err != nil || werr != nil || ok != wok || c != wc || !reflect.DeepEqual(m, wm) {
+				t.Fatalf("trial %d, %d workers, goal %+v: seeded (%v, %v, %v, %v), fresh (%v, %v, %v, %v); front %v",
+					trial, workers, goal, m, c, ok, err, wm, wc, wok, werr, front)
+			}
+		}
+	}
+	// The pass polls its context every 256 mappings: a 6-stage pipeline
+	// on 6 processors has enough of them to cut.
+	p := randomCommPipeline(rng, 6)
+	pp, err := NewPipelinePrepared(p, randomBandwidth(rng, 6).Apply([]float64{5, 4, 3, 2, 1, 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pp.Front(ctx); err != nil || pp.front == nil {
+		t.Fatalf("a completed pass kept %v to seed from, error %v", pp.front, err)
+	}
+	if _, err := pp.Front(&pollCountCtx{Context: ctx, n: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a pass cut at its first poll returned %v", err)
+	}
+	if pp.front != nil {
+		t.Fatalf("a cut pass left %d points to seed from", len(pp.front))
+	}
+}

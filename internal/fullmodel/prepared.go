@@ -73,6 +73,9 @@ type PipelinePrepared struct {
 
 	// The heterogeneous exhaustive scan, kept across solves.
 	search intervalSearch
+	// front is the Pareto list of the last front pass, nil when none has
+	// run or the last one was cut short.
+	front []incumbent.Point
 }
 
 // NewPipelinePrepared validates the instance once and builds a prepared
@@ -202,9 +205,27 @@ func (pp *PipelinePrepared) solveHom(goal Goal) (Mapping, Cost, bool) {
 // is sharded by its first choice — the first interval's end stage j and
 // processor u, shard j*p+u in the serial visit order — with a
 // shard-order fold.
+//
+// After a completed front pass the goal's optimum is known
+// (incumbent.Optimum on the pass's list, under the cap on the other
+// metric). It seeds every shard's bound, so the scan cuts every mapping
+// strictly worse than it, and the scan stops at the first mapping that
+// reaches it. The scan order and the install rule are unchanged, and the
+// unseeded scan keeps that same mapping: no later one strictly improves
+// on the optimum. The result is the unseeded scan's, byte for byte.
 func (pp *PipelinePrepared) SolveExact(ctx context.Context, goal Goal) (Mapping, Cost, bool, error) {
 	is := &pp.search
-	is.ctx, is.goal, is.nshards = ctx, goal, 1
+	is.ctx, is.goal, is.nshards, is.seed = ctx, goal, 1, numeric.Inf
+	cap := goal.PeriodCap
+	if goal.MinimizePeriod {
+		cap = goal.LatencyCap
+	}
+	if cap <= 0 {
+		cap = numeric.Inf
+	}
+	if v, ok := incumbent.Optimum(pp.front, goal.MinimizePeriod, cap); ok {
+		is.seed = v
+	}
 	if pp.par > 1 {
 		is.nshards = pp.n * pp.pl.Processors()
 	}
@@ -238,10 +259,12 @@ func (pp *PipelinePrepared) pruneInterval(goal Goal, i, j, u int, bound float64)
 // intervalSearch is the incumbent.Search of one SolveExact call:
 // nshards is 1 (the whole space) or stages*procs. own is worker 0's scan
 // — the serial scan — and extra[w-1] worker w's; all are kept across
-// solves.
+// solves. seed is the goal's optimum a completed front pass proved, +Inf
+// for none.
 type intervalSearch struct {
 	ctx     context.Context
 	goal    Goal
+	seed    float64
 	nshards int
 	own     intervalScan
 	extra   []*intervalScan
@@ -252,14 +275,22 @@ func (is *intervalSearch) Scan(sh *incumbent.Shards, w, shard int) (pipeResult, 
 	if w > 0 {
 		sc = is.extra[w-1]
 	}
-	return sc.scan(is.ctx, is.goal, sh, shard, is.nshards == 1)
+	return sc.scan(is.ctx, is.goal, is.seed, sh, shard, is.nshards == 1)
 }
 
 func (is *intervalSearch) Better(a, b pipeResult) bool {
 	return numeric.Less(is.goal.value(a.c), is.goal.value(b.c))
 }
 
-func (is *intervalSearch) Final(pipeResult) bool { return false }
+func (is *intervalSearch) Final(r pipeResult) bool {
+	return reaches(is.goal.value(r.c), is.seed)
+}
+
+// reaches reports whether a goal value v reaches the seed, the optimum a
+// front pass proved (+Inf for none): no mapping strictly improves on it.
+func reaches(v, seed float64) bool {
+	return seed < numeric.Inf && numeric.LessEq(v, seed)
+}
 
 // intervalScan is one worker of the interval scan: the (bounds, alloc)
 // scratch and the state of the shard it is scanning.
@@ -269,11 +300,16 @@ type intervalScan struct {
 
 	ctx    context.Context
 	goal   Goal
+	seed   float64
 	sh     *incumbent.Shards
+	shard  int
 	best   pipeResult
 	bound  float64
 	leaves int
 	err    error
+	// done is set once the shard's best reaches the seed, or an earlier
+	// shard's did: the scan stops.
+	done bool
 	// latCut is whether the look-ahead latency bound can cut: the goal
 	// minimizes the latency or caps it.
 	latCut bool
@@ -289,15 +325,16 @@ type intervalScan struct {
 // or those whose first interval is stages 0..j on processor u for shard
 // j*p+u — and returns the goal-best feasible one under the serial install
 // rule (strict improvement replaces, ties keep the earlier mapping). The
-// bound is the best value of any shard, polled every few dozen mappings:
-// a candidate strictly worse cannot win the fold.
-func (sc *intervalScan) scan(ctx context.Context, goal Goal, sh *incumbent.Shards, shard int, whole bool) (pipeResult, bool, error) {
+// bound is the seed or the best value of any shard, whichever is
+// smaller, polled every few dozen mappings: a candidate strictly worse
+// cannot win the fold. A best within the seed ends the scan.
+func (sc *intervalScan) scan(ctx context.Context, goal Goal, seed float64, sh *incumbent.Shards, shard int, whole bool) (pipeResult, bool, error) {
 	pp := sc.pp
 	if sc.bounds == nil {
 		sc.bounds, sc.alloc = make([]int, 0, pp.n), make([]int, 0, pp.n)
 	}
-	sc.ctx, sc.goal, sc.sh = ctx, goal, sh
-	sc.best, sc.bound, sc.leaves, sc.err = pipeResult{}, sh.Bound(), 0, nil
+	sc.ctx, sc.goal, sc.seed, sc.sh, sc.shard = ctx, goal, seed, sh, shard
+	sc.best, sc.bound, sc.leaves, sc.err, sc.done = pipeResult{}, min(sh.Bound(), seed), 0, nil, false
 	sc.latCut = !goal.MinimizePeriod || goal.LatencyCap > 0
 	sc.bounds, sc.alloc = sc.bounds[:0], sc.alloc[:0]
 	procs := pp.pl.Processors()
@@ -385,17 +422,20 @@ func (sc *intervalScan) ahead(i, mask int, lat float64) (lb float64, ok bool) {
 
 // walk places the intervals from stage i on, with the processors in
 // mask taken and look-ahead latency lat (see placed), and installs each
-// complete mapping under the serial rule. It polls the shared bound
-// every 64 mappings and the context every 256.
+// complete mapping under the serial rule. It polls the shared bound and
+// the shard's decision every 64 mappings and the context every 256.
 func (sc *intervalScan) walk(i, mask int, lat float64) {
 	pp := sc.pp
 	sc.nodes++
-	if sc.err != nil {
+	if sc.err != nil || sc.done {
 		return
 	}
 	if i == pp.n {
 		if sc.leaves++; sc.leaves%64 == 0 {
 			sc.bound = min(sc.bound, sc.sh.Bound())
+			if sc.done = sc.sh.Decided(sc.shard); sc.done {
+				return
+			}
 			if sc.leaves%256 == 0 {
 				if sc.err = sc.ctx.Err(); sc.err != nil {
 					return
@@ -413,6 +453,10 @@ func (sc *intervalScan) walk(i, mask int, lat float64) {
 		sc.best = pipeResult{m: cloneMapping(Mapping{Bounds: sc.bounds, Alloc: sc.alloc}), c: c, ok: true}
 		sc.bound = min(sc.bound, v)
 		sc.sh.Tighten(v)
+		if reaches(v, sc.seed) {
+			sc.done = true
+			sc.sh.ReachedLB(sc.shard)
+		}
 		return
 	}
 	if sc.latCut && sc.cutAhead(i, mask, lat) {
@@ -442,9 +486,11 @@ func (sc *intervalScan) walk(i, mask int, lat float64) {
 // undercut) and the look-ahead latency of cutAhead. Once a point of the
 // list weakly dominates that pair, every completion is weakly dominated
 // too (incumbent.Leq is monotone) and would leave the list unchanged, so
-// the node is cut. A pass cut short by ctx returns ctx's error and keeps
-// nothing.
+// the node is cut. A completed pass keeps its list to seed the exact
+// solves that follow (see SolveExact); a pass cut short by ctx returns
+// ctx's error and keeps nothing.
 func (pp *PipelinePrepared) Front(ctx context.Context) ([]Cost, error) {
+	pp.front = nil
 	sc := &pp.search.own
 	if sc.bounds == nil {
 		sc.bounds, sc.alloc = make([]int, 0, pp.n), make([]int, 0, pp.n)
@@ -456,6 +502,7 @@ func (pp *PipelinePrepared) Front(ctx context.Context) ([]Cost, error) {
 	if sc.err != nil {
 		return nil, sc.err
 	}
+	pp.front = sc.front
 	front := make([]Cost, len(sc.front))
 	for k, pt := range sc.front {
 		front[k] = Cost{Period: pt.Period, Latency: pt.Latency}

@@ -48,6 +48,30 @@ func Dominated(list []Point, period, latency float64) bool {
 	return k >= 0 && Leq(list[k].Latency, latency)
 }
 
+// Optimum returns the optimum of a bounded solve as the Pareto list of a
+// completed pass proves it. Minimizing the period under a latency bound,
+// it is the period of the first point whose latency is within the bound;
+// minimizing the latency under a period bound, the latency of the last
+// point whose period is within it. +Inf bounds neither. ok is false when
+// no point is within the bound. The bound test is Leq, the bounded
+// solves' own numeric.LessEq.
+func Optimum(list []Point, minimizePeriod bool, bound float64) (v float64, ok bool) {
+	if minimizePeriod {
+		for _, pt := range list {
+			if Leq(pt.Latency, bound) {
+				return pt.Period, true
+			}
+		}
+		return 0, false
+	}
+	for k := len(list) - 1; k >= 0; k-- {
+		if Leq(list[k].Period, bound) {
+			return list[k].Latency, true
+		}
+	}
+	return 0, false
+}
+
 // Append adds pt, whose period is no less than any on the list, and
 // keeps the list non-dominated: pt is dropped when the last point weakly
 // dominates it, and drops the last points it dominates in turn. It is

@@ -99,3 +99,40 @@ func TestInsertKeepsFront(t *testing.T) {
 		}
 	}
 }
+
+// TestOptimumIsBestWithinBound: on lists built by Insert, Optimum is the
+// least objective over the points within the bound, tested with Leq, at
+// every point's coordinates, next to them and at +Inf, and reports
+// none when no point is within the bound.
+func TestOptimumIsBestWithinBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		var list []Point
+		for _, pt := range randomPoints(rng, 1+rng.Intn(12)) {
+			list = Insert(list, pt)
+		}
+		bounds := []float64{0.5, math.Inf(1)}
+		for _, pt := range list {
+			for _, v := range []float64{pt.Period, pt.Latency} {
+				bounds = append(bounds, v, v*(1-numeric.Eps/2), v*(1-2*numeric.Eps), v+0.5)
+			}
+		}
+		for _, minimizePeriod := range []bool{true, false} {
+			for _, b := range bounds {
+				want, wantOK := math.Inf(1), false
+				for _, pt := range list {
+					obj, other := pt.Latency, pt.Period
+					if minimizePeriod {
+						obj, other = pt.Period, pt.Latency
+					}
+					if Leq(other, b) && obj < want {
+						want, wantOK = obj, true
+					}
+				}
+				if got, ok := Optimum(list, minimizePeriod, b); ok != wantOK || ok && got != want {
+					t.Fatalf("trial %d: Optimum(%v, %v, %v) = (%v, %v), want (%v, %v)", trial, list, minimizePeriod, b, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
