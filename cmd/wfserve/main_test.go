@@ -82,7 +82,9 @@ func TestRunServesAndShutsDown(t *testing.T) {
 // in-progress NDJSON stream finish its current line and write a
 // terminal status line — never truncate mid-JSON. The instance's
 // candidate solves run for multiples of the shutdown window, so without
-// the drain the stream would be cut off.
+// the drain the stream would be cut off. Its speeds are distinct: the
+// exhaustive DP searches each set of equal-speed processors once, and on
+// 3 speeds the whole sweep took milliseconds.
 func TestShutdownDuringParetoStream(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -108,7 +110,7 @@ func TestShutdownDuringParetoStream(t *testing.T) {
 
 	resp, err := http.Post("http://"+addr.String()+"/v1/pareto", "application/json", strings.NewReader(`{
 		"pipeline": {"weights": [14, 4, 2, 4, 7, 3, 9, 5, 6, 8, 2, 11]},
-		"platform": {"speeds": [2, 2, 1, 1, 3, 1, 2, 1, 1, 2, 3, 1]},
+		"platform": {"speeds": [20, 21, 10, 11, 30, 12, 22, 13, 14, 23, 31, 15]},
 		"allowDataParallel": true,
 		"timeoutMs": 120000
 	}`))

@@ -133,11 +133,23 @@ func run[M any](
 			certify()
 		}
 
+		// A member's panic stops the run and is re-raised on the
+		// caller's goroutine once every member has returned, as
+		// incumbent.Each does for its workers: unrecovered on a member's
+		// goroutine it would end the process.
+		panics := make([]*incumbent.WorkerPanic, cfg.Workers+1)
+		guard := func(member int) {
+			if r := recover(); r != nil {
+				panics[member] = incumbent.AsWorkerPanic(r)
+				cancelRun()
+			}
+		}
 		var wg sync.WaitGroup
 		if cfg.Exact != nil && !optimal.Load() {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer guard(cfg.Workers)
 				ex, err := cfg.Exact(runCtx)
 				if err != nil {
 					return // cancelled or failed: the incumbent stands uncertified
@@ -154,10 +166,16 @@ func run[M any](
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
+				defer guard(id)
 				anneal(runCtx, spec, cfg, lb, id, inc, &iters, certify, seeds, eval, mutate)
 			}(w)
 		}
 		wg.Wait()
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
 	} else if _, bc, ok := inc.Snapshot(); ok && numeric.LessEq(spec.Objective(bc), lb) {
 		optimal.Store(true) // a seed already proves the bound
 	}

@@ -225,9 +225,12 @@ func checkAgainstSeed(t *testing.T, pr Problem, key CellKey) {
 func TestSolveContextCancellation(t *testing.T) {
 	// An NP-hard pipeline cell with the exhaustive limit raised to 14
 	// heterogeneous processors: a >500ms bitmask-DP search, two orders of
-	// magnitude beyond the 10ms cancellation deadline.
+	// magnitude beyond the 10ms cancellation deadline. The speeds are
+	// distinct: the DP searches each set of equal-speed processors once,
+	// and on the 5 speeds (5, 4, 3, 3, 2, 2, 1, 1, 4, 2, 3, 5, 2, 1) it
+	// finishes in about 14 ms, racing the deadline.
 	p := workflow.NewPipeline(14, 4, 2, 4, 7, 5, 3, 9)
-	pl := platform.New(5, 4, 3, 3, 2, 2, 1, 1, 4, 2, 3, 5, 2, 1)
+	pl := platform.New(50, 40, 30, 31, 20, 21, 10, 11, 41, 22, 32, 51, 23, 12)
 	pr := Problem{Pipeline: &p, Platform: pl, AllowDataParallel: true, Objective: MinPeriod}
 	opts := Options{MaxExhaustivePipelineProcs: 14}
 

@@ -150,9 +150,11 @@ func TestSolveBatchCancellation(t *testing.T) {
 // cancellation error.
 func TestSolveWaiterSurvivesOtherCallersCancellation(t *testing.T) {
 	// A multi-hundred-millisecond exhaustive search so the waiter reliably
-	// joins the first caller's flight before it is cancelled.
+	// joins the first caller's flight before it is cancelled. Its speeds
+	// are distinct, since the DP searches each set of equal-speed
+	// processors once.
 	pipe := workflow.NewPipeline(14, 4, 2, 4, 7, 5, 3, 9)
-	pl := platform.New(5, 4, 3, 3, 2, 2, 1, 1, 4, 2, 3, 5, 2, 1)
+	pl := platform.New(50, 40, 30, 31, 20, 21, 10, 11, 41, 22, 32, 51, 23, 12)
 	pr := core.Problem{Pipeline: &pipe, Platform: pl, AllowDataParallel: true, Objective: core.MinPeriod}
 	opts := core.Options{MaxExhaustivePipelineProcs: 14}
 

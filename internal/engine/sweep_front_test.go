@@ -84,13 +84,23 @@ func (c *pollCountCtx) Err() error {
 // TestSweepFrontCancelledDuringPass: a sweep cancelled while the front
 // pass runs returns the context's error, emits no point and reports no
 // candidate explored — it has proven nothing.
+//
+// The pipeline case gives the first corpus instance distinct speeds
+// (processor q gains q/16): the pass skips subsets that only relabel
+// equal-speed processors, and on its drawn speeds it finishes before
+// its third poll.
 func TestSweepFrontCancelledDuringPass(t *testing.T) {
 	kinds := kindCorpusProblems()
+	pipe := frontCorpusInstances()[0]
+	pipe.Speeds = append([]float64(nil), pipe.Speeds...)
+	for q := range pipe.Speeds {
+		pipe.Speeds[q] += float64(q) / 16
+	}
 	for name, c := range map[string]struct {
 		pr   core.Problem
 		opts core.Options
 	}{
-		"pipeline":      {frontCorpusInstances()[0].problem(), core.Options{}},
+		"pipeline":      {pipe.problem(), core.Options{}},
 		"fork":          {kinds[0].problem(t), kinds[0].options()},
 		"fork-join":     {kinds[16].problem(t), kinds[16].options()},
 		"comm-pipeline": {kinds[32].problem(t), kinds[32].options()},

@@ -18,6 +18,21 @@
 // never exceeds a completion's, so a subtree is cut once the install
 // rule rejects it (see scan.go).
 //
+// A processor enters every cost of the model only through its speed, so
+// two processors of equal speed are interchangeable: swapping them in a
+// mapping changes no period and no latency. Every search here picks
+// processor subsets in a descending submask loop, and skips a subset
+// that only relabels one the loop met earlier (see relabels): of the
+// subsets with the same number of processors of each speed, it keeps
+// the one taking the highest-index free processors of every speed. The
+// skipped subtrees tie the kept one, cost for cost, and no tie replaces
+// an incumbent or adds a Pareto point, so every answer is unchanged.
+// The pipeline DP then only reaches used-processor masks that hold the
+// highest-index processors of each speed: 144 of the 16,384 masks of 14
+// processors in 3 speeds. The enumeration oracles (enumeratePipeline,
+// EnumerateFork, EnumerateForkJoin) and the unpruned searches of the
+// tests keep every subset.
+//
 // All solvers are exponential in the number of processors (and, for forks,
 // in the number of stages); they are intended for the small instances used
 // in tests and benchmarks, up to roughly p = 12 for pipelines and
@@ -118,6 +133,26 @@ type maskInfo struct {
 	perInv float64
 	// procs is the sorted processor index list of the mask.
 	procs []int
+	// twins is the set of processors that share the speed of some
+	// processor q of the mask and have a lower index than q (see
+	// relabels).
+	twins int
+}
+
+// relabels reports whether choosing the subset sub of the free
+// processors free only relabels a subset the descending submask loop
+// met earlier: some processor of sub has an equal-speed twin of higher
+// index that is free but left out. A processor enters every cost only
+// through its speed, so swapping the two maps the subtree of sub onto
+// the subtree of an earlier subset with the same speeds, cost for cost.
+// Among the subsets with the same number of processors of each speed,
+// the one taking the highest-index free processors of every speed is
+// the numerically largest, so it is the one the loop meets first, and
+// the only one relabels keeps. A used-processor mask built from kept
+// subsets only is "canonical": within each speed, the used processors
+// are the highest-index ones.
+func relabels(info []maskInfo, free, sub int) bool {
+	return info[free&^sub].twins&sub != 0
 }
 
 // buildMaskInfo precomputes aggregates for every non-empty processor subset.
@@ -136,13 +171,22 @@ func buildMaskInfo(pl platform.Platform) []maskInfo {
 		rest := mask &^ (1 << high)
 		s := pl.Speeds[high]
 		in := maskInfo{count: 1, min: s, max: s, sum: s}
-		if rest != 0 {
+		if rest == 0 {
+			// A singleton, met before any larger mask with its bit:
+			// its twins are the lower processors of its speed.
+			for q := range high {
+				if pl.Speeds[q] == s {
+					in.twins |= 1 << q
+				}
+			}
+		} else {
 			prev := &info[rest]
 			in = maskInfo{
 				count: prev.count + 1,
 				min:   math.Min(prev.min, s),
 				max:   math.Max(prev.max, s),
 				sum:   prev.sum + s,
+				twins: prev.twins | info[1<<high].twins,
 			}
 		}
 		in.invMin = 1 / in.min

@@ -214,6 +214,9 @@ func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, cut func
 			// alone (Section 3.4).
 			dp := e.allowDP && (!blocks[b].Root || len(blocks[b].Leaves) == 0)
 			for sub := free; sub > 0; sub = (sub - 1) & free {
+				if cut != nil && relabels(e.info, free, sub) {
+					continue
+				}
 				blocks[b].Procs = e.info[sub].procs
 				for _, mode := range modes(dp) {
 					blocks[b].Mode = mode

@@ -190,6 +190,9 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(m
 			alone := len(blocks[b].Leaves) == 0 && !(blocks[b].Root && blocks[b].Join)
 			dp := e.allowDP && ((!blocks[b].Root && !blocks[b].Join) || alone)
 			for sub := free; sub > 0; sub = (sub - 1) & free {
+				if cut != nil && relabels(e.info, free, sub) {
+					continue
+				}
 				blocks[b].Procs = e.info[sub].procs
 				for _, mode := range modes(dp) {
 					blocks[b].Mode = mode

@@ -74,6 +74,16 @@ func benchShaped(rng *rand.Rand) (workflow.Pipeline, platform.Platform) {
 	return workflow.NewPipeline(ws...), platform.Random(rng, 6+rng.Intn(2), 5)
 }
 
+// distinctSpeeds returns pl with processor q's speed raised by q/16, so
+// no two processors share a speed and no subset relabels another.
+func distinctSpeeds(pl platform.Platform) platform.Platform {
+	speeds := make([]float64, len(pl.Speeds))
+	for q, s := range pl.Speeds {
+		speeds[q] = s + float64(q)/16
+	}
+	return platform.New(speeds...)
+}
+
 // TestPipelineFrontMatchesEnumeration: the pass's front is the
 // non-dominated filter of every mapping's cost, point for point.
 func TestPipelineFrontMatchesEnumeration(t *testing.T) {
@@ -84,32 +94,47 @@ func TestPipelineFrontMatchesEnumeration(t *testing.T) {
 		dp := trial%2 == 0
 		var costs []mapping.Cost
 		enumeratePipeline(p, pl, dp, func(_ mapping.PipelineMapping, c mapping.Cost) { costs = append(costs, c) })
-		var want []mapping.Cost
-		for _, c := range costs {
-			dominated := false
-			for _, d := range costs {
-				if d.Dominates(c) && !c.Dominates(d) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				want = insertCost(want, c)
-			}
-		}
+		want := filterFront(costs)
 		got, err := NewPipelinePrepared(p, pl, dp).Front(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
+		if !sameFront(got, want) {
 			t.Fatalf("trial %d: front %v, enumeration %v", trial, got, want)
 		}
-		for k := range got {
-			if !numeric.Eq(got[k].Period, want[k].Period) || !numeric.Eq(got[k].Latency, want[k].Latency) {
-				t.Fatalf("trial %d: front %v, enumeration %v", trial, got, want)
+	}
+}
+
+// filterFront is the non-dominated filter of costs, by increasing period.
+func filterFront(costs []mapping.Cost) []mapping.Cost {
+	var front []mapping.Cost
+	for _, c := range costs {
+		dominated := false
+		for _, d := range costs {
+			if d.Dominates(c) && !c.Dominates(d) {
+				dominated = true
+				break
 			}
 		}
+		if !dominated {
+			front = insertCost(front, c)
+		}
 	}
+	return front
+}
+
+// sameFront reports whether two fronts match point for point within the
+// tolerance.
+func sameFront(got, want []mapping.Cost) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for k := range got {
+		if !numeric.Eq(got[k].Period, want[k].Period) || !numeric.Eq(got[k].Latency, want[k].Latency) {
+			return false
+		}
+	}
+	return true
 }
 
 // insertCost adds c to a period-ordered list of distinct front costs.
@@ -322,8 +347,14 @@ func (c *pollCountCtx) Err() error {
 // keeps no lists, so the next LatencyUnderPeriod runs the DP, and it
 // leaves the solver as good as new: the next Front and
 // PeriodUnderLatency on it equal a fresh solver's, with no DP solve.
+//
+// The speeds are made distinct (processor q gains q/16): the pass skips
+// subsets that only relabel equal-speed processors, and on the drawn
+// speeds {2, 1, 2, 5, 1, 2} it lists 170 states and polls once, against
+// 463 states and 4 polls here.
 func TestPipelineFrontCancellation(t *testing.T) {
 	p, pl := benchShaped(rand.New(rand.NewSource(65)))
+	pl = distinctSpeeds(pl)
 	fresh := NewPipelinePrepared(p, pl, true)
 	want, err := fresh.Front(context.Background())
 	if err != nil {
@@ -435,14 +466,8 @@ func TestScanFrontMatchesEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracle()
-		if len(got) != len(want) {
+		if want := oracle(); !sameFront(got, want) {
 			t.Fatalf("trial %d: front %v, enumeration %v", trial, got, want)
-		}
-		for k := range got {
-			if !numeric.Eq(got[k].Period, want[k].Period) || !numeric.Eq(got[k].Latency, want[k].Latency) {
-				t.Fatalf("trial %d: front %v, enumeration %v", trial, got, want)
-			}
 		}
 	}
 }

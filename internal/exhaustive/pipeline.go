@@ -55,12 +55,16 @@ type pipeSolver struct {
 	// anytime lower bound that prunes a state's search once its best
 	// value provably cannot improve.
 	suffix []float64
-	// prune disables the bound cutoffs when false (the regression tests
-	// compare pruned against unpruned searches byte for byte).
+	// prune disables the bound cutoffs and the equal-speed skip (see
+	// relabels) when false (the regression tests compare pruned against
+	// unpruned searches byte for byte).
 	prune bool
 	// par is the worker count of the level sweep; <= 1 keeps the
 	// top-down recursion (see solveParallel for the contract).
 	par int
+	// masks lists the used-processor masks the level sweep fills, built
+	// on its first run (see levelMasks).
+	masks []int32
 
 	// The bi-criteria pass (frontPass) keeps every state's non-dominated
 	// completions in arena, located by span and marked by visited/epoch
@@ -166,6 +170,9 @@ func (s *pipeSolver) state(i, usedMask int, st *stepper, sweep bool) (float64, p
 	wi := s.p.Weights[i]
 search:
 	for sub := free; sub > 0; sub = (sub - 1) & free {
+		if s.prune && relabels(s.info, free, sub) {
+			continue
+		}
 		if !st.ok() {
 			return numeric.Inf, pipeChoice{}
 		}
@@ -256,22 +263,23 @@ const sweepChunk = 32
 // body the top-down recursion runs, and they depend only on deeper
 // levels — never on sibling order — so the table, the root value and the
 // reconstructed mapping are byte-identical to the recursion. The sweep
-// computes every mask, including states the recursion never reaches;
-// that extra work is why small instances stay serial (core's auto mode
-// applies a crossover heuristic before enabling the sweep).
+// computes every mask levelMasks lists, including states the recursion
+// never reaches; that extra work is why small instances stay serial
+// (core's auto mode applies a crossover heuristic before enabling the
+// sweep).
 func (s *pipeSolver) solveParallel() float64 {
 	ctx := s.step.ctx
-	nmasks := 1 << s.pbits
+	masks := s.levelMasks()
 	steps := make([]*stepper, s.par)
 	for w := range steps {
 		steps[w] = newStepper(ctx)
 	}
 	for i := s.n - 1; i >= 1; i-- {
-		err := incumbent.Each(s.par, (nmasks+sweepChunk-1)/sweepChunk, func(_ *incumbent.Shards, w, chunk int) error {
+		err := incumbent.Each(s.par, (len(masks)+sweepChunk-1)/sweepChunk, func(_ *incumbent.Shards, w, chunk int) error {
 			st := steps[w]
-			for mask := chunk * sweepChunk; mask < min((chunk+1)*sweepChunk, nmasks); mask++ {
-				id := i<<s.pbits | mask
-				s.memo[id], s.choice[id] = s.state(i, mask, st, true)
+			for _, mask := range masks[chunk*sweepChunk : min((chunk+1)*sweepChunk, len(masks))] {
+				id := i<<s.pbits | int(mask)
+				s.memo[id], s.choice[id] = s.state(i, int(mask), st, true)
 				if st.err != nil {
 					return st.err
 				}
@@ -289,6 +297,21 @@ func (s *pipeSolver) solveParallel() float64 {
 		s.memo[0], s.choice[0], s.visited[0] = v, ch, s.epoch
 	}
 	return v
+}
+
+// levelMasks returns the used-processor masks the level sweep fills:
+// every mask, or under prune only the canonical ones, the only states a
+// solve that skips relabelled subsets reaches (see relabels).
+func (s *pipeSolver) levelMasks() []int32 {
+	if s.masks == nil {
+		s.masks = make([]int32, 0, s.full+1)
+		for mask := 0; mask <= s.full; mask++ {
+			if !s.prune || !relabels(s.info, s.full, mask) {
+				s.masks = append(s.masks, int32(mask))
+			}
+		}
+	}
+	return s.masks
 }
 
 // dpSolves counts the scalar DP solves of every pipeline solver in the
@@ -404,6 +427,9 @@ func (s *pipeSolver) frontState(i, usedMask int) frontSpan {
 	cur := s.lvl[i][0][:0]
 	free := s.full &^ usedMask
 	for sub := free; sub > 0; sub = (sub - 1) & free {
+		if s.prune && relabels(s.info, free, sub) {
+			continue
+		}
 		if !s.step.ok() {
 			return frontSpan{}
 		}

@@ -20,6 +20,22 @@ import (
 // ties never replace an incumbent. These tests are the regression
 // oracle for that argument, on randomized corpora across objectives.
 
+// speedPools are the speed sets of the repeated-speed corpora: integer
+// speeds, and fractional ones whose subset sums depend on the order of
+// addition, so relabelled subsets may differ in cost by an ULP.
+var speedPools = [][]float64{{1, 2, 3, 4, 5}, {0.7, 1.0 / 3, 2.9}}
+
+// identityPlatforms returns the platforms of one identity trial: p
+// processors of integer speeds 1..maxS, and p+1 processors in one to
+// three speed classes from a pool, on which the pruned searches skip
+// the subsets that only relabel equal-speed processors.
+func identityPlatforms(rng *rand.Rand, p, maxS int) []platform.Platform {
+	return []platform.Platform{
+		platform.Random(rng, p, maxS),
+		platform.RandomClasses(rng, p+1, 1+rng.Intn(3), speedPools[rng.Intn(len(speedPools))]),
+	}
+}
+
 // forkScan and forkJoinScan run one serial scan on a fresh enumerator
 // without the partial-assignment cut; lb = 0 disables the lower-bound
 // cutoff too, leaving the plain scan that costs every mapping.
@@ -140,30 +156,31 @@ func TestPipelinePruningIsByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 40; trial++ {
 		p := workflow.RandomPipeline(rng, 1+rng.Intn(5), 9)
-		pl := platform.Random(rng, 1+rng.Intn(4), 4)
 		dp := trial%2 == 0
-		for name, cfg := range map[string]struct {
-			periodCap      float64
-			minimizePeriod bool
-		}{
-			"period":               {numeric.Inf, true},
-			"latency":              {numeric.Inf, false},
-			"latency-under-period": {float64(1+rng.Intn(6)) / 2, false},
-		} {
-			pruned := newPipeSolver(context.Background(), p, pl, dp, cfg.periodCap, cfg.minimizePeriod)
-			res, ok, err := pruned.result()
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain := newPipeSolver(context.Background(), p, pl, dp, cfg.periodCap, cfg.minimizePeriod)
-			plain.prune = false
-			wantRes, wantOK, err := plain.result()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok != wantOK || !reflect.DeepEqual(res, wantRes) {
-				t.Fatalf("trial %d %s: pruned (%v, %v) != unpruned (%v, %v) for %v on %v dp=%v",
-					trial, name, res, ok, wantRes, wantOK, p, pl, dp)
+		for _, pl := range identityPlatforms(rng, 1+rng.Intn(4), 4) {
+			for name, cfg := range map[string]struct {
+				periodCap      float64
+				minimizePeriod bool
+			}{
+				"period":               {numeric.Inf, true},
+				"latency":              {numeric.Inf, false},
+				"latency-under-period": {float64(1+rng.Intn(6)) / 2, false},
+			} {
+				pruned := newPipeSolver(context.Background(), p, pl, dp, cfg.periodCap, cfg.minimizePeriod)
+				res, ok, err := pruned.result()
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain := newPipeSolver(context.Background(), p, pl, dp, cfg.periodCap, cfg.minimizePeriod)
+				plain.prune = false
+				wantRes, wantOK, err := plain.result()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != wantOK || !reflect.DeepEqual(res, wantRes) {
+					t.Fatalf("trial %d %s: pruned (%v, %v) != unpruned (%v, %v) for %v on %v dp=%v",
+						trial, name, res, ok, wantRes, wantOK, p, pl, dp)
+				}
 			}
 		}
 	}
@@ -174,50 +191,51 @@ func TestForkPruningIsByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 30; trial++ {
 		f := workflow.RandomFork(rng, 1+rng.Intn(3), 9)
-		pl := platform.Random(rng, 1+rng.Intn(3), 4)
 		dp := trial%2 == 0
 		bound := float64(1+rng.Intn(8)) / 2
+		for _, pl := range identityPlatforms(rng, 1+rng.Intn(3), 4) {
 
-		type scan struct {
-			pruned func() (ForkResult, bool, error)
-			plain  func() (ForkResult, bool, error)
-		}
-		scans := map[string]scan{
-			"period": {
-				func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Period(ctx) },
-				func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, period, 0) },
-			},
-			"latency": {
-				func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Latency(ctx) },
-				func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, latency, 0) },
-			},
-			"latency-under-period": {
-				func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).LatencyUnderPeriod(ctx, bound) },
-				func() (ForkResult, bool, error) {
-					return forkScan(ctx, f, pl, dp,
-						func(c mapping.Cost) bool { return numeric.LessEq(c.Period, bound) }, latency, 0)
-				},
-			},
-			"period-under-latency": {
-				func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).PeriodUnderLatency(ctx, bound) },
-				func() (ForkResult, bool, error) {
-					return forkScan(ctx, f, pl, dp,
-						func(c mapping.Cost) bool { return numeric.LessEq(c.Latency, bound) }, period, 0)
-				},
-			},
-		}
-		for name, s := range scans {
-			res, ok, err := s.pruned()
-			if err != nil {
-				t.Fatal(err)
+			type scan struct {
+				pruned func() (ForkResult, bool, error)
+				plain  func() (ForkResult, bool, error)
 			}
-			wantRes, wantOK, err := s.plain()
-			if err != nil {
-				t.Fatal(err)
+			scans := map[string]scan{
+				"period": {
+					func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Period(ctx) },
+					func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, period, 0) },
+				},
+				"latency": {
+					func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Latency(ctx) },
+					func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, latency, 0) },
+				},
+				"latency-under-period": {
+					func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).LatencyUnderPeriod(ctx, bound) },
+					func() (ForkResult, bool, error) {
+						return forkScan(ctx, f, pl, dp,
+							func(c mapping.Cost) bool { return numeric.LessEq(c.Period, bound) }, latency, 0)
+					},
+				},
+				"period-under-latency": {
+					func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).PeriodUnderLatency(ctx, bound) },
+					func() (ForkResult, bool, error) {
+						return forkScan(ctx, f, pl, dp,
+							func(c mapping.Cost) bool { return numeric.LessEq(c.Latency, bound) }, period, 0)
+					},
+				},
 			}
-			if ok != wantOK || !reflect.DeepEqual(res, wantRes) {
-				t.Fatalf("trial %d %s: pruned (%v, %v) != unpruned (%v, %v) for %v on %v dp=%v",
-					trial, name, res, ok, wantRes, wantOK, f, pl, dp)
+			for name, s := range scans {
+				res, ok, err := s.pruned()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantRes, wantOK, err := s.plain()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != wantOK || !reflect.DeepEqual(res, wantRes) {
+					t.Fatalf("trial %d %s: pruned (%v, %v) != unpruned (%v, %v) for %v on %v dp=%v",
+						trial, name, res, ok, wantRes, wantOK, f, pl, dp)
+				}
 			}
 		}
 	}
@@ -228,31 +246,31 @@ func TestForkJoinPruningIsByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 20; trial++ {
 		fj := workflow.RandomForkJoin(rng, 1+rng.Intn(2), 9)
-		pl := platform.Random(rng, 1+rng.Intn(3), 4)
 		dp := trial%2 == 0
+		for _, pl := range identityPlatforms(rng, 1+rng.Intn(3), 4) {
+			res, ok, err := NewForkJoinPrepared(fj, pl, dp).Period(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRes, wantOK, err := forkJoinScan(ctx, fj, pl, dp, acceptAll, period, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != wantOK || !reflect.DeepEqual(res, wantRes) {
+				t.Fatalf("trial %d period: pruned != unpruned for %v on %v dp=%v", trial, fj, pl, dp)
+			}
 
-		res, ok, err := NewForkJoinPrepared(fj, pl, dp).Period(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRes, wantOK, err := forkJoinScan(ctx, fj, pl, dp, acceptAll, period, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok != wantOK || !reflect.DeepEqual(res, wantRes) {
-			t.Fatalf("trial %d period: pruned != unpruned for %v on %v dp=%v", trial, fj, pl, dp)
-		}
-
-		res, ok, err = NewForkJoinPrepared(fj, pl, dp).Latency(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRes, wantOK, err = forkJoinScan(ctx, fj, pl, dp, acceptAll, latency, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok != wantOK || !reflect.DeepEqual(res, wantRes) {
-			t.Fatalf("trial %d latency: pruned != unpruned for %v on %v dp=%v", trial, fj, pl, dp)
+			res, ok, err = NewForkJoinPrepared(fj, pl, dp).Latency(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRes, wantOK, err = forkJoinScan(ctx, fj, pl, dp, acceptAll, latency, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != wantOK || !reflect.DeepEqual(res, wantRes) {
+				t.Fatalf("trial %d latency: pruned != unpruned for %v on %v dp=%v", trial, fj, pl, dp)
+			}
 		}
 	}
 }

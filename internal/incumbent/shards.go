@@ -75,6 +75,16 @@ func (p *WorkerPanic) Error() string {
 	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
 }
 
+// AsWorkerPanic wraps a value recovered on a worker goroutine, with the
+// stack of the recovering call. A *WorkerPanic a nested worker raised
+// passes through unchanged, keeping the innermost value and stack.
+func AsWorkerPanic(r any) *WorkerPanic {
+	if wp, ok := r.(*WorkerPanic); ok {
+		return wp
+	}
+	return &WorkerPanic{Value: r, Stack: debug.Stack()}
+}
+
 // Each calls fn for every shard 0..n-1 on up to workers goroutines.
 // Workers claim shard indices in order from the shared counter, so a
 // worker that drains a cheap shard immediately claims the next; shards
@@ -96,7 +106,7 @@ func Each(workers, n int, fn func(sh *Shards, worker, shard int) error) error {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					panics[w] = &WorkerPanic{Value: r, Stack: debug.Stack()}
+					panics[w] = AsWorkerPanic(r)
 					sh.lbShard.Store(-1)
 				}
 			}()

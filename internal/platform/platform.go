@@ -138,3 +138,17 @@ func Random(rng *rand.Rand, p, maxS int) Platform {
 	}
 	return Platform{Speeds: speeds}
 }
+
+// RandomClasses returns a platform of p processors whose speeds take at
+// most `classes` distinct values, drawn without repetition from pool;
+// each processor's speed is drawn uniformly from those values. It makes
+// the repeated-speed platforms on which equal-speed processors are
+// interchangeable.
+func RandomClasses(rng *rand.Rand, p, classes int, pool []float64) Platform {
+	perm := rng.Perm(len(pool))[:min(classes, len(pool))]
+	speeds := make([]float64, p)
+	for i := range speeds {
+		speeds[i] = pool[perm[rng.Intn(len(perm))]]
+	}
+	return Platform{Speeds: speeds}
+}

@@ -183,9 +183,16 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 
 // runJob executes one admitted job to its terminal state. rec is the
 // job's stored record; a recovered pareto job's record carries the
-// front its previous run proved.
+// front its previous run proved. The engine turns a solver's panic into
+// an error; any other panic on the job's goroutine (an observer's, the
+// store's) ends the job failed, kind internal, instead of the process.
 func (s *Server) runJob(ctx context.Context, j *job, rec store.JobRecord, problems []core.Problem, opts core.Options, timeout time.Duration) {
 	defer j.cancel()
+	defer func() {
+		if r := recover(); r != nil {
+			s.finishJob(j, rec, fmt.Errorf("job panic: %v", r))
+		}
+	}()
 	// Jobs queue on the same weighted-fair slot pool as synchronous
 	// requests, under the submitting client's identity, so a burst of
 	// jobs cannot oversubscribe the engine or starve other tenants.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repliflow/internal/store"
 )
 
 // panicInstance passes validation, since its weights and speeds are
@@ -72,5 +74,32 @@ func TestSolverPanicCostsOneRequest(t *testing.T) {
 	unrelated := strings.Replace(section2, "[14, 4, 2, 4]", "[14, 4, 2, 5]", 1)
 	if code, body := postWithin(t, client, ts.URL+"/v1/solve", unrelated, 5*time.Second); code != http.StatusOK {
 		t.Fatalf("solve after the batch: status %d, body %s", code, body)
+	}
+}
+
+// faultyStore panics on every appended front point: a fault outside the
+// engine, on a job's own goroutine.
+type faultyStore struct{ store.Store }
+
+func (faultyStore) AppendFrontPoint(string, json.RawMessage) error { panic("store fault") }
+
+// TestJobPanicFailsTheJob: a panic on a job's goroutine outside the
+// engine — here in the store, as the job's first Pareto point is
+// persisted — ends that job failed with kind internal and frees its
+// solve slot; the process keeps serving.
+func TestJobPanicFailsTheJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{Store: faultyStore{store.Mem()}, MaxInFlight: 1})
+	resp, jr := postJob(t, ts.URL, fmt.Sprintf(`{"kind": "pareto", "instance": %s}`, section2))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status = %d, want 202", resp.StatusCode)
+	}
+	done := pollJob(t, ts.URL, jr.ID, "terminal", terminal)
+	if done.Status != JobStatusFailed || done.Error == nil || done.Error.Kind != ErrKindInternal ||
+		!strings.Contains(done.Error.Message, "store fault") {
+		t.Fatalf("job ended %q with error %+v, want failed, kind %q, naming the panic", done.Status, done.Error, ErrKindInternal)
+	}
+	client := &http.Client{Timeout: 30 * time.Second}
+	if code, body := postWithin(t, client, ts.URL+"/v1/solve", section2, 5*time.Second); code != http.StatusOK {
+		t.Fatalf("solve after the job's panic: status %d, body %s", code, body)
 	}
 }

@@ -29,10 +29,13 @@ const section2 = `{
 // slowInstance solves exhaustively in seconds at 14 processors: an
 // NP-hard cell (Theorem 5) within the raised exhaustive limit of
 // newSlowServer. (Sized up from 12 processors when the prepared-solver
-// DP got an order of magnitude faster.)
+// DP got an order of magnitude faster.) Its speeds are all distinct:
+// the exhaustive DP searches each set of equal-speed processors once,
+// so with the 3 speeds it once had it reached 144 used-processor masks
+// instead of 16,384 and solved in about 10 ms.
 const slowInstance = `{
 	"pipeline": {"weights": [14, 4, 2, 4, 7, 3, 9, 5, 6, 8, 2, 11, 6, 5]},
-	"platform": {"speeds": [2, 2, 1, 1, 3, 1, 2, 1, 1, 2, 3, 1, 2, 1]},
+	"platform": {"speeds": [20, 21, 10, 11, 30, 12, 22, 13, 14, 23, 31, 15, 24, 16]},
 	"allowDataParallel": true,
 	"objective": "min-latency"
 }`

@@ -112,19 +112,30 @@ func cutScan(t *testing.T, g workflow.SP, pl platform.Platform, goal Goal, prune
 	return r, found, sc.costed
 }
 
+// speedPools are the speed sets of the repeated-speed corpora: integer
+// speeds, and fractional ones.
+var speedPools = [][]float64{{1, 2, 3, 4, 5}, {0.7, 1.0 / 3, 2.9}}
+
 // TestSPCutIsByteIdentical: the cut only drops assignments the install
-// rule rejects, so the pruned scan returns the unpruned scan's result
-// bit for bit, capped goals included.
+// rule rejects, and the equal-speed skip only assignments that relabel
+// an earlier one, so the pruned scan returns the unpruned scan's result
+// bit for bit, capped goals included. Each trial also runs on a platform
+// of one to three speed classes, where the skip fires.
 func TestSPCutIsByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 30; trial++ {
 		g := workflow.RandomSP(rng, 3+rng.Intn(4), 9, 4, 3)
-		pl := platform.Random(rng, 2+rng.Intn(3), 5)
-		for _, goal := range identityGoals(rng) {
-			got, gotOK, _ := cutScan(t, g, pl, goal, true)
-			want, wantOK, _ := cutScan(t, g, pl, goal, false)
-			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d goal %+v: cut scan (%v, %v) != full scan (%v, %v)", trial, goal, got, gotOK, want, wantOK)
+		p := 2 + rng.Intn(3)
+		for _, pl := range []platform.Platform{
+			platform.Random(rng, p, 5),
+			platform.RandomClasses(rng, p+1, 1+rng.Intn(3), speedPools[rng.Intn(len(speedPools))]),
+		} {
+			for _, goal := range identityGoals(rng) {
+				got, gotOK, _ := cutScan(t, g, pl, goal, true)
+				want, wantOK, _ := cutScan(t, g, pl, goal, false)
+				if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d goal %+v on %v: cut scan (%v, %v) != full scan (%v, %v)", trial, goal, pl, got, gotOK, want, wantOK)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package spdecomp
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
@@ -144,9 +145,13 @@ type scanner struct {
 	blockProc []int
 	usedProc  []bool
 	load      []float64 // per-block weight of the current partition
-	// prune enables the cut of procs; the unpruned scan (false) is the
-	// regression oracle of the pruned one.
+	// prune enables the cut of procs and its equal-speed skip (see
+	// twinBelow); the unpruned scan (false) is the regression oracle of
+	// the pruned one.
 	prune bool
+	// twins reports whether two processors share a speed: without, the
+	// skip has nothing to find and is not tried.
+	twins bool
 
 	ctx        context.Context
 	goal       Goal
@@ -165,8 +170,12 @@ type scanner struct {
 
 func newScanner(st *blockEval) scanner {
 	n := len(st.g.Steps)
-	return scanner{st: st, assign: make([]int, n), blockProc: make([]int, n), usedProc: make([]bool, st.pl.Processors()),
+	sc := scanner{st: st, assign: make([]int, n), blockProc: make([]int, n), usedProc: make([]bool, st.pl.Processors()),
 		load: make([]float64, n), prune: true}
+	for q, s := range st.pl.Speeds {
+		sc.twins = sc.twins || slices.Contains(st.pl.Speeds[:q], s)
+	}
+	return sc
 }
 
 // scan enumerates the restricted-growth partitions of the steps that
@@ -261,7 +270,7 @@ func (sc *scanner) procs(k, blocks int, period float64) error {
 		return sc.evaluate()
 	}
 	for q := range sc.usedProc {
-		if sc.usedProc[q] {
+		if sc.usedProc[q] || sc.prune && sc.twins && sc.twinBelow(q) {
 			continue
 		}
 		sc.usedProc[q] = true
@@ -272,6 +281,22 @@ func (sc *scanner) procs(k, blocks int, period float64) error {
 		sc.usedProc[q] = false
 	}
 	return nil
+}
+
+// twinBelow reports whether an unused processor of lower index than q
+// has q's speed. A processor enters costOf only through its speed, so
+// swapping the two maps the subtree of q onto the subtree of that
+// processor, which procs tried earlier, cost for cost: every mapping of
+// q's subtree ties an earlier one and cannot install. Each block thus
+// tries only the lowest-index unused processor of every speed.
+func (sc *scanner) twinBelow(q int) bool {
+	speeds := sc.st.pl.Speeds
+	for r := range q {
+		if !sc.usedProc[r] && speeds[r] == speeds[q] {
+			return true
+		}
+	}
+	return false
 }
 
 // rejects is the install rule's test: a mapping of cost c is turned

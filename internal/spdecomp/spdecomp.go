@@ -17,6 +17,11 @@
 //     covers small instances; Heuristics and the budget-bounded local
 //     search of Budgeted cover the rest, with Bounds supplying certified
 //     lower bounds for anytime gaps.
+//
+// The block model sees a processor only through its speed, so the
+// exhaustive search gives each block only the lowest-index unused
+// processor of each speed: any other choice relabels a mapping it has
+// already costed, ties it, and could not replace it.
 package spdecomp
 
 import (
