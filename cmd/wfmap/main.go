@@ -92,13 +92,14 @@ func runBatch(paths []string, opts core.Options, out io.Writer) error {
 	return nil
 }
 
-// runPareto prints the trade-off curve of the instance, sweeping the
-// candidate periods concurrently on the batch engine. A budget is a
-// whole-sweep wall-clock target, split across the candidate solves
-// (anytime solving on NP-hard instances). With stream set, each point
-// is printed the moment the incremental sweep proves it final — the
-// rows are identical to the buffered output, they just appear as the
-// sweep progresses — followed by a summary comment line.
+// runPareto prints the trade-off curve of the instance, swept on the
+// batch engine (engine.SweepFront). A budget is a whole-sweep wall-clock
+// target, split across the candidate solves (anytime solving on NP-hard
+// instances). With stream set, each point is printed the moment the
+// incremental sweep proves it final — the rows are identical to the
+// buffered output, they just appear as the sweep progresses — followed
+// by a summary comment line counting the points and the sweep's units
+// explored.
 func runPareto(path string, opts core.Options, stream bool, out io.Writer) error {
 	pr, err := loadProblem(path)
 	if err != nil {
@@ -124,7 +125,9 @@ func runPareto(path string, opts core.Options, stream bool, out io.Writer) error
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "# %d points, %d/%d candidate periods explored\n", stats.Points, stats.Explored, stats.Total)
+		// A sweep with a front pass has one unit, the pass; a walk or a
+		// scan counts candidate periods.
+		fmt.Fprintf(out, "# %d points, %d/%d sweep units explored (the front pass, or candidate periods)\n", stats.Points, stats.Explored, stats.Total)
 		return nil
 	}
 	front, err := engine.ParetoFront(context.Background(), pr, opts)

@@ -47,10 +47,10 @@ func crashChild(dir string) {
 	}
 	cfg := server.Config{
 		Store: st,
-		// Raised exhaustive limit: the 12-processor sweep's point solves
-		// run long enough after its first point that the parent reliably
-		// kills us mid-sweep.
-		Options: core.Options{MaxExhaustivePipelineProcs: 12},
+		// Raised exhaustive limit: the 9-step SP sweep is walked, its 17
+		// points proven one by one, so it runs on long after its first
+		// point and the parent reliably kills us mid-sweep.
+		Options: core.Options{MaxExhaustiveForkStages: 9},
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -137,11 +137,35 @@ func pollCrashJob(t *testing.T, base, id, what string, cond func(jobView) bool) 
 	return last
 }
 
+// crashSweepInstance is the crash test's sweep: an irreducible
+// series-parallel DAG of 9 steps (c, d, f, g, h and i each join two
+// predecessors that are ordered themselves) on 5 processors of distinct
+// speeds, solved exactly under the child's raised step limit. Having no
+// front pass, its sweep walks the two bounded solves and proves its 17
+// points one by one: on a 2-vCPU container the first arrives after
+// about 85 ms and the last about 0.6 s later.
+const crashSweepInstance = `{
+	"sp": {"steps": [
+		{"name": "a", "weight": 2},
+		{"name": "b", "weight": 3, "after": ["a"]},
+		{"name": "c", "weight": 1, "after": ["a", "b"]},
+		{"name": "d", "weight": 2, "after": ["b", "c"]},
+		{"name": "e", "weight": 4, "after": ["d"]},
+		{"name": "f", "weight": 2, "after": ["d", "e"]},
+		{"name": "g", "weight": 3, "after": ["e", "f"]},
+		{"name": "h", "weight": 1, "after": ["f", "g"]},
+		{"name": "i", "weight": 2, "after": ["g", "h"]}
+	]},
+	"platform": {"speeds": [5, 4, 3, 2, 1]}
+}`
+
 // TestCrashRecoveryAcrossKill is the Go mirror of CI's crash-recovery
 // job: submit a long pareto sweep to a durable wfserve, SIGKILL the
 // process mid-sweep, restart it on the same directory, and require the
 // job to resume to completion with a front at least as long as the
-// partial one proven before the kill.
+// partial one proven before the kill. A job already finished at the kill
+// would only test that a restart serves a terminal job, so the test
+// fails if it sees one.
 func TestCrashRecoveryAcrossKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs the test binary")
@@ -149,15 +173,8 @@ func TestCrashRecoveryAcrossKill(t *testing.T) {
 	dir := t.TempDir()
 
 	child1, base1 := startCrashChild(t, dir)
-	resp, err := http.Post(base1+"/v1/jobs", "application/json", strings.NewReader(`{
-		"kind": "pareto",
-		"instance": {
-			"pipeline": {"weights": [14, 4, 2, 4, 7, 3, 9]},
-			"platform": {"speeds": [5, 4, 3, 3, 2, 2, 1, 1, 4, 2, 3, 1]},
-			"allowDataParallel": true
-		},
-		"timeoutMs": 120000
-	}`))
+	resp, err := http.Post(base1+"/v1/jobs", "application/json", strings.NewReader(
+		`{"kind": "pareto", "instance": `+crashSweepInstance+`, "timeoutMs": 120000}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +189,7 @@ func TestCrashRecoveryAcrossKill(t *testing.T) {
 	}
 
 	// Kill as soon as the sweep has proven (and persisted) at least one
-	// point. On a machine fast enough to finish first, the test degrades
-	// to restart-serves-terminal-job — the assertions below still hold.
+	// point.
 	pre := pollCrashJob(t, base1, sub.ID, "first front point", func(j jobView) bool {
 		return j.Progress.Points >= 1 || crashJobTerminal(j)
 	})
@@ -181,6 +197,10 @@ func TestCrashRecoveryAcrossKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	child1.Wait() //nolint:errcheck // expected: killed
+	if crashJobTerminal(pre) {
+		t.Fatalf("the job was %s with %d points before the kill: the sweep did not run long enough to be killed mid-sweep",
+			pre.Status, len(pre.Front))
+	}
 
 	child2, base2 := startCrashChild(t, dir)
 	defer func() {

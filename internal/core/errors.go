@@ -75,15 +75,19 @@ func ErrKindOf(err error) ErrKind {
 	return ErrKindUnknown
 }
 
-// Recovered turns the value of a recovered solver panic into an error. It
-// carries no ErrKind: the panic is a broken invariant of a solver, not a
-// fault of the instance, and callers report it as an internal failure. A
-// panic a search worker raised, which reaches its caller as an
-// *incumbent.WorkerPanic, is reported by the worker's own value; the
-// stack stays out of the message.
+// ErrSolverPanic is wrapped by every error Recovered returns, so callers
+// can tell a recovered solver panic from other failures (errors.Is).
+var ErrSolverPanic = errors.New("solver panic")
+
+// Recovered turns the value of a recovered solver panic into an error
+// wrapping ErrSolverPanic. It carries no ErrKind: the panic is a broken
+// invariant of a solver, not a fault of the instance, and callers report
+// it as an internal failure. A panic a search worker raised, which
+// reaches its caller as an *incumbent.WorkerPanic, is reported by the
+// worker's own value; the stack stays out of the message.
 func Recovered(r any) error {
 	if wp, ok := r.(*incumbent.WorkerPanic); ok {
 		r = wp.Value
 	}
-	return fmt.Errorf("solver panic: %v", r)
+	return fmt.Errorf("%w: %v", ErrSolverPanic, r)
 }

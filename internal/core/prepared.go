@@ -85,13 +85,17 @@ func Prepare(pr Problem, opts Options) (*PreparedSolver, bool) {
 	return ps, true
 }
 
+// HasFront reports whether the instance's PeriodUnderLatency cell has a
+// front pass (see Front): the exact pipeline, fork, fork-join and
+// comm-pipeline cells have one, irreducible SP and comm-fork do not.
+func (ps *PreparedSolver) HasFront() bool { return ps.front != nil }
+
 // Front returns the latencies of the instance's exact Pareto front in
 // order of increasing period: Solve(ctx, PeriodUnderLatency, L) at each
-// of them is the front's point at L. ok is false, with nothing run, when
-// the instance's PeriodUnderLatency cell has no front pass; the exact
-// pipeline, fork, fork-join and comm-pipeline cells have one, irreducible
-// SP and comm-fork do not. The pipeline pass runs once per prepared
-// solver, the scans' on every call; a pass cut short returns ctx's error.
+// of them is the front's point at L. Without a front pass (HasFront
+// false) it returns nil, having run nothing. The pipeline pass runs once
+// per prepared solver, the scans' on every call; a pass cut short
+// returns ctx's error.
 //
 // After the pass, a point's solve costs far less than a solve without
 // it: on a pipeline it walks the pass's per-state lists, with no DP
@@ -102,17 +106,16 @@ func Prepare(pr Problem, opts Options) (*PreparedSolver, bool) {
 // A panic in the pass returns as an error (Recovered), so a caller
 // holding a solve slot around the pass releases it as after any other
 // error.
-func (ps *PreparedSolver) Front(ctx context.Context) (latencies []float64, ok bool, err error) {
+func (ps *PreparedSolver) Front(ctx context.Context) (latencies []float64, err error) {
 	if ps.front == nil {
-		return nil, false, nil
+		return nil, nil
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			latencies, err = nil, Recovered(r)
 		}
 	}()
-	latencies, err = ps.front(ctx)
-	return latencies, true, err
+	return ps.front(ctx)
 }
 
 // SetParallelism retunes the per-solve search parallelism of subsequent

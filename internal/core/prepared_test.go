@@ -253,12 +253,15 @@ func TestPreparedSolverFront(t *testing.T) {
 		}
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
-		if lats, ok, err := ps.Front(cancelled); !ok || lats != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: cancelled pass: (%v, %v, %v), want (nil, true, context.Canceled)", tc.name, lats, ok, err)
+		if !ps.HasFront() {
+			t.Fatalf("%s: no front pass", tc.name)
 		}
-		lats, ok, err := ps.Front(context.Background())
-		if !ok || err != nil || len(lats) != len(want) || len(want) < 2 {
-			t.Fatalf("%s: Front: %d latencies, ok %v, err %v; ParetoFront has %d points", tc.name, len(lats), ok, err, len(want))
+		if lats, err := ps.Front(cancelled); lats != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled pass: (%v, %v), want (nil, context.Canceled)", tc.name, lats, err)
+		}
+		lats, err := ps.Front(context.Background())
+		if err != nil || len(lats) != len(want) || len(want) < 2 {
+			t.Fatalf("%s: Front: %d latencies, err %v; ParetoFront has %d points", tc.name, len(lats), err, len(want))
 		}
 		for k, l := range lats {
 			sol, err := ps.Solve(context.Background(), PeriodUnderLatency, l)
@@ -279,8 +282,8 @@ func TestPreparedSolverFront(t *testing.T) {
 	if !ok {
 		t.Fatal("Prepare refused a small irreducible SP")
 	}
-	if lats, ok, err := sps.Front(context.Background()); ok || lats != nil || err != nil {
-		t.Errorf("sp Front: (%v, %v, %v), want (nil, false, nil)", lats, ok, err)
+	if lats, err := sps.Front(context.Background()); sps.HasFront() || lats != nil || err != nil {
+		t.Errorf("sp Front: has front %v, (%v, %v), want no front and (nil, nil)", sps.HasFront(), lats, err)
 	}
 }
 

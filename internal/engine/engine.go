@@ -36,6 +36,13 @@ type Engine struct {
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
+	// candidateSets counts the candidate-period sets the engine's sweeps
+	// have built (sweeper.candidates), for the tests that pin which
+	// sweeps build one.
+	candidateSets atomic.Int64
+
+	panicMu sync.Mutex
+	panics  map[string]uint64 // recovered solver panics by dispatch cell
 }
 
 // cacheEntry is a single-flight slot: the first goroutine to claim a
@@ -252,12 +259,38 @@ func (e *Engine) compute(ctx context.Context, pr core.Problem, opts core.Options
 		e.releaseExtra(extra)
 		if r := recover(); r != nil {
 			sol, err = core.Solution{}, core.Recovered(r)
+			e.countPanic(pr)
 		}
 	}()
 	if via != nil {
 		return via(ctx, pr, opts)
 	}
 	return core.SolveContext(ctx, pr, opts)
+}
+
+// countPanic counts one recovered solver panic against the instance's
+// dispatch cell.
+func (e *Engine) countPanic(pr core.Problem) {
+	cell := core.CellKeyOf(pr).String()
+	e.panicMu.Lock()
+	if e.panics == nil {
+		e.panics = make(map[string]uint64)
+	}
+	e.panics[cell]++
+	e.panicMu.Unlock()
+}
+
+// Panics returns how many solver panics the engine has recovered, by
+// dispatch cell (core.CellKey.String()): each failed one solve or one
+// front pass. Cells without a panic are absent.
+func (e *Engine) Panics() map[string]uint64 {
+	e.panicMu.Lock()
+	defer e.panicMu.Unlock()
+	out := make(map[string]uint64, len(e.panics))
+	for cell, n := range e.panics {
+		out[cell] = n
+	}
+	return out
 }
 
 // donate resolves Options.Parallelism against the engine's solve-slot

@@ -19,19 +19,22 @@ type SweepPoint struct {
 	Solution core.Solution
 	// Index is the 0-based position of the point on the front.
 	Index int
-	// Explored counts the candidate periods resolved when the point was
-	// confirmed: a front pass resolves them all at once, a walk those up
-	// to the candidate that gave the point its latency, and a scan the
-	// rounds solved so far.
+	// Explored counts the units of the sweep done when the point was
+	// confirmed. A sweep with a front pass has one unit, the pass, done
+	// before its first point. A walk or a scan counts candidate periods:
+	// a walk those up to the candidate that gave the point its latency,
+	// a scan the rounds solved so far.
 	Explored int
-	// Total is the number of candidate periods of the whole sweep.
+	// Total is the number of units of the whole sweep: 1 with a front
+	// pass, the number of candidate periods otherwise.
 	Total int
 }
 
-// SweepStats summarizes a sweep when SweepFront returns. On a completed
-// sweep Explored == Total; on one cut short (context expiry, observer
-// abort) the difference Total - Explored is the number of candidate
-// periods left unexplored — every point emitted before the cut stands.
+// SweepStats summarizes a sweep when SweepFront returns, in the units of
+// SweepPoint. On a completed sweep Explored == Total; on one cut short
+// (context expiry, observer abort) the difference Total - Explored is
+// the number of units left unexplored (1 for a front pass cut short) —
+// every point emitted before the cut stands.
 type SweepStats struct {
 	Points   int
 	Explored int
@@ -45,8 +48,9 @@ type SweepObserver struct {
 	// non-nil error stops the sweep; the error is returned by SweepFront.
 	Point func(SweepPoint) error
 	// Progress, when non-nil, is called after every solve round with the
-	// number of candidate periods resolved so far — it advances between
-	// points, so slow sweeps stay observable (heartbeats, job progress).
+	// units resolved so far (see SweepPoint.Explored) — it advances
+	// between points, so slow sweeps stay observable (heartbeats, job
+	// progress).
 	Progress func(explored, total int)
 }
 
@@ -69,7 +73,9 @@ type SweepObserver struct {
 // budget-bounded instances scan the candidates in ascending batches of
 // one worker round each. A positive Options.AnytimeBudget remains a
 // whole-sweep wall-clock target: it is split across the rounds of the
-// candidate scan the way SolveBatch splits a batch budget.
+// candidate scan the way SolveBatch splits a batch budget. Only the walk
+// and the scan build the candidate periods (core.CandidatePeriods); a
+// sweep with a front pass counts the pass as its one unit of progress.
 //
 // A context expiry (or a Point error) stops the sweep and returns the
 // error together with the stats; every point already delivered stands,
@@ -84,17 +90,12 @@ func (e *Engine) SweepFront(ctx context.Context, pr core.Problem, opts core.Opti
 	}
 	opts = opts.Normalized()
 
-	cands := core.CandidatePeriods(pr)
-	if len(cands) == 0 {
-		return SweepStats{}, nil
-	}
 	s := &sweeper{
-		e:     e,
-		pr:    pr,
-		opts:  opts,
-		obs:   obs,
-		cands: cands,
-		acc:   core.NewFrontAccumulator(),
+		e:    e,
+		pr:   pr,
+		opts: opts,
+		obs:  obs,
+		acc:  core.NewFrontAccumulator(),
 	}
 	// One prepared pool for the whole sweep (nil when the instance has no
 	// prepared capability): every solve of the sweep differs only in
@@ -115,33 +116,45 @@ func (e *Engine) SweepFront(ctx context.Context, pr core.Problem, opts core.Opti
 	var runErr error
 	if core.ExactlySolvable(lup, opts) && core.ExactlySolvable(pul, opts) {
 		runErr = s.runFront(ctx, pool)
-	} else {
+	} else if s.candidates() {
 		if opts.AnytimeBudget > 0 && !core.ClassifyCell(core.CellKeyOf(lup)).Complexity.Polynomial() {
 			// The budget is a whole-sweep target: split it across the
 			// worker rounds the candidate scan occupies, exactly as
 			// SolveBatch splits a batch budget.
-			s.opts = splitBudget(opts, len(cands), e.workers)
+			s.opts = splitBudget(opts, len(s.cands), e.workers)
 		}
 		runErr = s.runScan(ctx)
 	}
-	return SweepStats{Points: s.emitted, Explored: s.explored, Total: len(s.cands)}, runErr
+	return SweepStats{Points: s.emitted, Explored: s.explored, Total: s.total}, runErr
 }
 
-// sweeper carries the state of one incremental sweep: the ascending
-// candidate periods, the resolved prefix of them, and the dominance
-// accumulator that confirms the points delivered to the observer.
+// sweeper carries the state of one incremental sweep: its progress
+// units (the front pass, or the ascending candidate periods of a walk or
+// scan), the resolved prefix of them, and the dominance accumulator that
+// confirms the points delivered to the observer.
 type sweeper struct {
 	e     *Engine
 	pr    core.Problem // normalized: Objective == MinPeriod, validated
 	opts  core.Options
 	obs   SweepObserver
-	cands []float64
+	cands []float64 // built by candidates; nil on a front-pass sweep
 
 	via      coreSolveFunc // prepared-pool solve override (nil = SolveContext)
 	acc      *core.FrontAccumulator
-	explored int           // candidates [0, explored) are resolved
+	explored int           // units [0, explored) are resolved
+	total    int           // units of the whole sweep
 	below    core.Solution // the walk's solve strictly below its last latency
 	emitted  int           // points actually delivered to the observer
+}
+
+// candidates builds the ascending candidate periods a walk or scan
+// resolves, making them the sweep's units, and reports whether there
+// are any.
+func (s *sweeper) candidates() bool {
+	s.e.candidateSets.Add(1)
+	s.cands = core.CandidatePeriods(s.pr)
+	s.total = len(s.cands)
+	return s.total > 0
 }
 
 // bounded returns the instance under a bounded objective.
@@ -152,17 +165,17 @@ func (s *sweeper) bounded(obj core.Objective, bound float64) core.Problem {
 	return sub
 }
 
-// resolve marks the candidates [0, n) resolved and reports the progress.
+// resolve marks the units [0, n) resolved and reports the progress.
 func (s *sweeper) resolve(n int) {
 	s.explored = n
 	if s.obs.Progress != nil {
-		s.obs.Progress(n, len(s.cands))
+		s.obs.Progress(n, s.total)
 	}
 }
 
 // emit delivers the next confirmed front point to the observer.
 func (s *sweeper) emit(point core.Solution) error {
-	sp := SweepPoint{Solution: point, Index: s.emitted, Explored: s.explored, Total: len(s.cands)}
+	sp := SweepPoint{Solution: point, Index: s.emitted, Explored: s.explored, Total: s.total}
 	s.emitted++
 	return s.obs.Point(sp)
 }
@@ -178,6 +191,9 @@ func (s *sweeper) runFront(ctx context.Context, pool *preparedPool) error {
 		return err
 	}
 	if next == nil {
+		if !s.candidates() {
+			return nil
+		}
 		next = s.walk
 	}
 	for {
@@ -197,13 +213,13 @@ func (s *sweeper) runFront(ctx context.Context, pool *preparedPool) error {
 // latency of an exact sweep, or false once the front is complete.
 type pointSource func(ctx context.Context) (core.Solution, bool, error)
 
-// pass runs the prepared solver's front pass once, under one solve slot.
-// The pass names every front latency, which resolves every candidate
-// period at once; it returns them as a source whose solves run on the
-// solver that ran the pass (a pipeline solver keeps the pass's per-state
-// lists, so each is a walk over them, not a DP solve). A pass cut short
-// has proven no point. pass returns a nil source, having run nothing,
-// when the instance has no pool or its solver no front pass.
+// pass runs the prepared solver's front pass once, under one solve slot:
+// the sweep's one unit, resolved once the pass names every front latency.
+// It returns them as a source whose solves run on the solver that ran
+// the pass (a pipeline solver keeps the pass's per-state lists, so each
+// is a walk over them, not a DP solve). A pass cut short has proven no
+// point. pass returns a nil source, having run nothing, when the instance
+// has no pool or its solver no front pass.
 func (s *sweeper) pass(ctx context.Context, pool *preparedPool) (pointSource, error) {
 	if pool == nil {
 		return nil, nil
@@ -212,22 +228,26 @@ func (s *sweeper) pass(ctx context.Context, pool *preparedPool) (pointSource, er
 	if ps == nil {
 		return nil, nil
 	}
+	if !ps.HasFront() {
+		pool.pool.Put(ps)
+		return nil, nil
+	}
+	s.total = 1
 	select {
 	case s.e.sem <- struct{}{}:
 	case <-ctx.Done():
 		pool.pool.Put(ps)
 		return nil, ctx.Err()
 	}
-	lats, ok, err := ps.Front(ctx)
+	lats, err := ps.Front(ctx)
 	<-s.e.sem
-	if !ok {
-		pool.pool.Put(ps)
-		return nil, nil
-	}
 	if err != nil {
+		if errors.Is(err, core.ErrSolverPanic) {
+			s.e.countPanic(s.bounded(core.PeriodUnderLatency, 1))
+		}
 		return nil, err
 	}
-	s.resolve(len(s.cands))
+	s.resolve(1)
 	via := func(ctx context.Context, pr core.Problem, opts core.Options) (core.Solution, error) {
 		return solveOn(ctx, ps, pr, opts)
 	}

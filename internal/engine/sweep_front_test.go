@@ -12,19 +12,23 @@ import (
 
 // TestSweepFrontNoDPSolves: a sweep of an exact pipeline instance runs
 // one front pass and no scalar DP solve — each point's solve walks the
-// pass's lists — at every worker count, and reports every candidate
-// resolved from its first point on. Solve counts are deterministic where
-// wall time is not.
+// pass's lists — at every worker count, builds no candidate-period set,
+// and reports its one unit, the pass, resolved from its first point on.
+// Solve counts are deterministic where wall time is not.
 func TestSweepFrontNoDPSolves(t *testing.T) {
 	cases := frontCorpusInstances()
 	cases = append(cases[:6], cases[len(cases)-1])
 	for _, workers := range []int{1, 3} {
 		for i, c := range cases {
 			before := exhaustive.PipelineDPSolves()
-			points, stats := collectSweep(t, New(workers), c.problem(), core.Options{})
+			e := New(workers)
+			points, stats := collectSweep(t, e, c.problem(), core.Options{})
 			solves := exhaustive.PipelineDPSolves() - before
 			if len(points) == 0 || solves != 0 {
 				t.Errorf("case %d, %d workers: %d DP solves for %d front points", i, workers, solves, len(points))
+			}
+			if built := e.candidateSets.Load(); built != 0 || stats.Total != 1 {
+				t.Errorf("case %d, %d workers: %d candidate sets built, %d units, want none and the pass", i, workers, built, stats.Total)
 			}
 			for _, p := range points {
 				if p.Explored != p.Total {
@@ -41,8 +45,8 @@ func TestSweepFrontNoDPSolves(t *testing.T) {
 // TestSweepFrontKindsOneSolvePerPoint: a sweep of an exact fork,
 // fork-join or comm-pipeline instance — every record of the kind front
 // corpus — runs its front pass and then exactly one engine solve per
-// front point, at every worker count, and reports every candidate
-// resolved from its first point on.
+// front point, at every worker count, builds no candidate-period set,
+// and reports its one unit, the pass, resolved from its first point on.
 func TestSweepFrontKindsOneSolvePerPoint(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for i, c := range kindCorpusProblems() {
@@ -50,6 +54,9 @@ func TestSweepFrontKindsOneSolvePerPoint(t *testing.T) {
 			points, stats := collectSweep(t, e, c.problem(t), c.options())
 			if solves := e.Stats().Misses; len(points) == 0 || solves != uint64(len(points)) {
 				t.Errorf("record %d, %d workers: %d engine solves for %d front points", i, workers, solves, len(points))
+			}
+			if built := e.candidateSets.Load(); built != 0 || stats.Total != 1 {
+				t.Errorf("record %d, %d workers: %d candidate sets built, %d units, want none and the pass", i, workers, built, stats.Total)
 			}
 			for _, p := range points {
 				if p.Explored != p.Total {
@@ -82,8 +89,8 @@ func (c *pollCountCtx) Err() error {
 }
 
 // TestSweepFrontCancelledDuringPass: a sweep cancelled while the front
-// pass runs returns the context's error, emits no point and reports no
-// candidate explored — it has proven nothing.
+// pass runs returns the context's error, emits no point and reports its
+// one unit, the pass, unexplored — it has proven nothing.
 //
 // The pipeline case gives the first corpus instance distinct speeds
 // (processor q gains q/16): the pass skips subsets that only relabel
@@ -121,6 +128,9 @@ func TestSweepFrontCancelledDuringPass(t *testing.T) {
 		}
 		if points != 0 || stats.Points != 0 || stats.Explored != 0 || stats.Total == 0 {
 			t.Errorf("%s: cancelled pass: %d points emitted, stats %+v", name, points, stats)
+		}
+		if stats.Total != 1 {
+			t.Errorf("%s: cancelled pass: stats %+v, want 0 of 1 unit explored", name, stats)
 		}
 	}
 }

@@ -58,7 +58,8 @@ func walkedInstances() []walkedCase {
 // and then three engine solves per front point — the latency-under-period
 // solve at the snapped candidate, the point's period-under-latency solve,
 // and the period-under-latency solve strictly below its latency that
-// finds the next point or ends the walk — at every worker count.
+// finds the next point or ends the walk — at every worker count, and
+// builds its candidate-period set once.
 func TestSweepWalkSolvesPerPoint(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, c := range walkedInstances() {
@@ -66,6 +67,9 @@ func TestSweepWalkSolvesPerPoint(t *testing.T) {
 			points, _ := collectSweep(t, e, c.pr, core.Options{})
 			if want := uint64(1 + 3*len(points)); len(points) == 0 || e.Stats().Misses != want {
 				t.Errorf("%s, %d workers: %d engine solves for %d front points, want %d", c.name, workers, e.Stats().Misses, len(points), want)
+			}
+			if built := e.candidateSets.Load(); built != 1 {
+				t.Errorf("%s, %d workers: %d candidate sets built, want 1", c.name, workers, built)
 			}
 		}
 	}

@@ -148,6 +148,7 @@ func BenchmarkKernelSP(b *testing.B) {
 		insts = append(insts, inst{workflow.RandomSP(r, 6, 10, 4, 3), platform.Random(r, 5, 5)})
 	}
 	ctx := context.Background()
+	before := spdecomp.MappingsCosted()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k, in := range insts {
@@ -159,6 +160,7 @@ func BenchmarkKernelSP(b *testing.B) {
 			mustFind(b, k, ok, err)
 		}
 	}
+	b.ReportMetric(float64(spdecomp.MappingsCosted()-before)/float64(b.N), "costed/op")
 }
 
 func BenchmarkKernelComm(b *testing.B) {

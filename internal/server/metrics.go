@@ -99,17 +99,18 @@ type gauge struct {
 	value           float64
 }
 
-// write renders every metric in the Prometheus text exposition format.
-// The snapshot is rendered into a buffer under the lock and written to
-// w after releasing it, so a slow scraper can never stall the request
-// handlers that record metrics.
-func (m *metrics) write(w io.Writer, gauges []gauge) {
+// write renders every metric in the Prometheus text exposition format,
+// with panics (the engine's recovered solver panics by dispatch cell) as
+// one counter series per cell. The snapshot is rendered into a buffer
+// under the lock and written to w after releasing it, so a slow scraper
+// can never stall the request handlers that record metrics.
+func (m *metrics) write(w io.Writer, gauges []gauge, panics map[string]uint64) {
 	var b bytes.Buffer
-	m.render(&b, gauges)
+	m.render(&b, gauges, panics)
 	w.Write(b.Bytes()) //nolint:errcheck // the scraper is gone if this fails
 }
 
-func (m *metrics) render(w *bytes.Buffer, gauges []gauge) {
+func (m *metrics) render(w *bytes.Buffer, gauges []gauge, panics map[string]uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -149,6 +150,17 @@ func (m *metrics) render(w *bytes.Buffer, gauges []gauge) {
 		fmt.Fprintf(w, "wfserve_solve_seconds_bucket{cell=%q,op=%q,le=\"+Inf\"} %d\n", k.cell, k.op, h.count)
 		fmt.Fprintf(w, "wfserve_solve_seconds_sum{cell=%q,op=%q} %s\n", k.cell, k.op, formatFloat(h.sum))
 		fmt.Fprintf(w, "wfserve_solve_seconds_count{cell=%q,op=%q} %d\n", k.cell, k.op, h.count)
+	}
+
+	fmt.Fprintf(w, "# HELP wfserve_solver_panics_total Solver panics recovered into internal errors, by Table 1 dispatch cell.\n")
+	fmt.Fprintf(w, "# TYPE wfserve_solver_panics_total counter\n")
+	cells := make([]string, 0, len(panics))
+	for cell := range panics {
+		cells = append(cells, cell)
+	}
+	sort.Strings(cells)
+	for _, cell := range cells {
+		fmt.Fprintf(w, "wfserve_solver_panics_total{cell=%q} %d\n", cell, panics[cell])
 	}
 
 	for _, g := range gauges {

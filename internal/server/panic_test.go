@@ -40,8 +40,9 @@ func postWithin(t *testing.T, client *http.Client, url, body string, limit time.
 	return resp.StatusCode, b
 }
 
-// wantInternal fails unless a response is a structured internal error.
-func wantInternal(t *testing.T, what string, code int, body []byte) {
+// wantInternal fails unless a response is a structured internal error,
+// and returns its body.
+func wantInternal(t *testing.T, what string, code int, body []byte) ErrorBody {
 	t.Helper()
 	var er ErrorResponse
 	if err := json.Unmarshal(body, &er); err != nil {
@@ -50,6 +51,7 @@ func wantInternal(t *testing.T, what string, code int, body []byte) {
 	if code != http.StatusInternalServerError || er.Error.Kind != ErrKindInternal || !strings.Contains(er.Error.Message, "solver panic") {
 		t.Fatalf("%s: status %d, error %+v; want 500 with kind %q", what, code, er.Error, ErrKindInternal)
 	}
+	return er.Error
 }
 
 // TestSolverPanicCostsOneRequest: a solver panic fails its own request
@@ -58,12 +60,15 @@ func wantInternal(t *testing.T, what string, code int, body []byte) {
 // neither cached nor left open. After three panics on a 2-worker server
 // an unrelated solve still gets a solve slot, and a batch holding the
 // instance fails with the same error while the process stays up.
+// /metrics counts the four recovered panics against the instance's cell
+// and no other.
 func TestSolverPanicCostsOneRequest(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	client := &http.Client{Timeout: 30 * time.Second}
+	var cell string
 	for i := 0; i < 3; i++ {
 		code, body := postWithin(t, client, ts.URL+"/v1/solve", panicInstance, 5*time.Second)
-		wantInternal(t, fmt.Sprintf("solve %d", i+1), code, body)
+		cell = wantInternal(t, fmt.Sprintf("solve %d", i+1), code, body).Cell
 	}
 	if code, body := postWithin(t, client, ts.URL+"/v1/solve", section2, 5*time.Second); code != http.StatusOK {
 		t.Fatalf("unrelated solve after three panics: status %d, body %s", code, body)
@@ -74,6 +79,16 @@ func TestSolverPanicCostsOneRequest(t *testing.T) {
 	unrelated := strings.Replace(section2, "[14, 4, 2, 4]", "[14, 4, 2, 5]", 1)
 	if code, body := postWithin(t, client, ts.URL+"/v1/solve", unrelated, 5*time.Second); code != http.StatusOK {
 		t.Fatalf("solve after the batch: status %d, body %s", code, body)
+	}
+	_, metrics := getJSON(t, ts.URL+"/metrics")
+	var series []string
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if strings.HasPrefix(line, "wfserve_solver_panics_total{") {
+			series = append(series, line)
+		}
+	}
+	if want := fmt.Sprintf("wfserve_solver_panics_total{cell=%q} 4", cell); cell == "" || len(series) != 1 || series[0] != want {
+		t.Errorf("/metrics panic series %q, want [%q]", series, want)
 	}
 }
 

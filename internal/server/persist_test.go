@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repliflow/internal/core"
 	"repliflow/internal/store"
 )
 
@@ -50,23 +49,31 @@ func drain(t *testing.T, s *Server, ts *httptest.Server, st *store.DiskStore) {
 // TestRestartResumesParetoJob: a pareto job interrupted by shutdown is
 // re-queued in the store, and a new server over the same directory
 // adopts it, re-runs it to completion, and never lets the observable
-// front shrink below what the first incarnation proved.
+// front shrink below what the first incarnation proved. The sweep is
+// the 9-step walked SP rung, whose 17 points are proven one by one, so
+// the shutdown lands mid-sweep; a job already finished at the shutdown
+// would only test that a restart serves a terminal job, and fails the
+// test.
 func TestRestartResumesParetoJob(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Options: core.Options{MaxExhaustivePipelineProcs: 10}}
+	rung := walkedSweepRung(9)
+	cfg := Config{Options: rung.opts}
 	s1, ts1, st1 := newDiskServer(t, dir, cfg)
 
-	body := `{"kind": "pareto", "instance": ` + exactSweepInstance + `}, "timeoutMs": 120000}`
+	body := `{"kind": "pareto", "instance": ` + rung.instance + `}, "timeoutMs": 120000}`
 	resp, jr := postJob(t, ts1.URL, body)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status = %d", resp.StatusCode)
 	}
-	// Wait for the sweep to prove at least one point (or finish outright
-	// on a fast machine — the restart assertions hold either way).
+	// Shut down as soon as the sweep has proven at least one point.
 	mid := pollJob(t, ts1.URL, jr.ID, "first front point", func(j JobResponse) bool {
 		return j.Progress.Points >= 1 || terminal(j)
 	})
 	drain(t, s1, ts1, st1)
+	if terminal(mid) {
+		t.Fatalf("the job was %s with %d points before the shutdown: the sweep did not run long enough to be cut mid-sweep",
+			mid.Status, mid.Progress.Points)
+	}
 
 	s2, ts2, st2 := newDiskServer(t, dir, cfg)
 	defer drain(t, s2, ts2, st2)

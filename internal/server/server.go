@@ -792,7 +792,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"wfserve_store_result_misses_total", "Persisted-result lookups that missed and ran the solver.", "counter", float64(s.storeResultMisses.Load())},
 		{"wfserve_store_recovered_jobs_total", "Orphaned jobs adopted from the store and re-run.", "counter", float64(s.storeRecovered.Load())},
 		{"wfserve_uptime_seconds", "Seconds since the server started.", "gauge", time.Since(s.start).Seconds()},
-	})
+	}, s.eng.Panics())
 }
 
 // cellInfo assembles the CellInfo of a registered dispatch cell.

@@ -93,12 +93,13 @@ type StreamStatus struct {
 	Status string `json:"status"`
 	// Points counts the solution lines written so far.
 	Points int `json:"points"`
-	// Explored counts the candidate periods the sweep has resolved,
-	// TotalCandidates the whole candidate set.
+	// Explored counts the units the sweep has resolved, TotalCandidates
+	// the whole sweep's: one unit, the front pass, on a sweep with one,
+	// the candidate periods otherwise (engine.SweepPoint).
 	Explored        int `json:"explored"`
 	TotalCandidates int `json:"totalCandidates"`
 	// Unexplored is TotalCandidates - Explored: on a terminal line of a
-	// cut-short sweep, the number of candidates left unexplored.
+	// cut-short sweep, the number of units left unexplored.
 	Unexplored int     `json:"unexplored"`
 	ElapsedMs  float64 `json:"elapsedMs"`
 	// Error carries the failure on terminal lines of streams that ended

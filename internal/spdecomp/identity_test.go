@@ -146,10 +146,11 @@ func TestSPCutIsByteIdentical(t *testing.T) {
 // processors, period on even indices, latency on odd ones) with and
 // without the cut: identical results, and at least ten times fewer
 // mappings costed over the set — a count that does not move with the
-// host, unlike the benchmark's timing.
+// host, unlike the benchmark's timing. The latency goals' count is
+// pinned: 2,497 before cpBound's critical path, 114 with it.
 func TestSPCutCostsFewerMappings(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	var cutCosted, fullCosted int
+	var cutCosted, fullCosted, latencyCosted int
 	for k := 0; k < 8; k++ {
 		g := workflow.RandomSP(r, 6, 10, 4, 3)
 		pl := platform.Random(r, 5, 5)
@@ -161,9 +162,15 @@ func TestSPCutCostsFewerMappings(t *testing.T) {
 		}
 		cutCosted += n
 		fullCosted += wantN
+		if goal.MinimizeLatency {
+			latencyCosted += n
+		}
 	}
 	t.Logf("sp: %d mappings costed with the cut, %d without", cutCosted, fullCosted)
 	if 10*cutCosted > fullCosted {
 		t.Errorf("sp: the cut costs %d mappings against %d without it, want at least 10x fewer", cutCosted, fullCosted)
+	}
+	if latencyCosted != 114 {
+		t.Errorf("sp: the latency goals cost %d mappings, want 114", latencyCosted)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync/atomic"
 
 	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
@@ -145,6 +146,7 @@ type scanner struct {
 	blockProc []int
 	usedProc  []bool
 	load      []float64 // per-block weight of the current partition
+	cp        []float64 // per-step finish of cpBound's longest path
 	// prune enables the cut of procs and its equal-speed skip (see
 	// twinBelow); the unpruned scan (false) is the regression oracle of
 	// the pruned one.
@@ -153,8 +155,11 @@ type scanner struct {
 	// skip has nothing to find and is not tried.
 	twins bool
 
-	ctx        context.Context
-	goal       Goal
+	ctx  context.Context
+	goal Goal
+	// cpCut enables cpBound's latency bound at internal nodes: set
+	// on pruned scans whose goal involves the latency.
+	cpCut      bool
 	lb         float64
 	sh         *incumbent.Shards
 	shard      int
@@ -171,7 +176,7 @@ type scanner struct {
 func newScanner(st *blockEval) scanner {
 	n := len(st.g.Steps)
 	sc := scanner{st: st, assign: make([]int, n), blockProc: make([]int, n), usedProc: make([]bool, st.pl.Processors()),
-		load: make([]float64, n), prune: true}
+		load: make([]float64, n), cp: make([]float64, n), prune: true}
 	for q, s := range st.pl.Speeds {
 		sc.twins = sc.twins || slices.Contains(st.pl.Speeds[:q], s)
 	}
@@ -191,10 +196,13 @@ func newScanner(st *blockEval) scanner {
 func (sc *scanner) scan(ctx context.Context, goal Goal, lb float64, prefix incumbent.Prefix,
 	sh *incumbent.Shards, shard int) (spMemo, bool, error) {
 	sc.ctx, sc.goal, sc.lb, sc.sh, sc.shard = ctx, goal, lb, sh, shard
+	sc.cpCut = sc.prune && (goal.MinimizeLatency || goal.LatencyCap > 0)
 	sc.best, sc.found, sc.bound = spMemo{}, false, sh.Bound()
 	sc.partitions, sc.poll = 0, pollEvery
 	copy(sc.assign, prefix.Assign)
+	costed := sc.costed
 	err := sc.parts(len(prefix.Assign), prefix.Used)
+	mappingsCosted.Add(int64(sc.costed - costed))
 	// An unwind skips the resets on the recursion path: leave usedProc
 	// clean for the next shard.
 	clear(sc.usedProc)
@@ -251,10 +259,12 @@ const busySlack = 1 - 1.0/(1<<40)
 // complete mapping; period is the largest load over speed of blocks
 // 0..k-1, costOf's operations, so it never exceeds the period of a
 // completion. Each block's processor is busy for its load over its speed,
-// so the shrunk period also bounds the latency: once the install rule
-// rejects that partial cost it rejects every completion, and the
-// subtree — or, with every block placed, the list schedule — is
-// skipped. The shard state is polled here, per node.
+// so the shrunk period also bounds the latency; when the goal involves
+// the latency, an internal node raises that bound to its critical path
+// (see cpBound). Once the install rule rejects the partial cost it
+// rejects every completion, and the subtree — or, with every block
+// placed, the list schedule — is skipped. The shard state is polled
+// here, per node.
 func (sc *scanner) procs(k, blocks int, period float64) error {
 	if sc.poll--; sc.poll == 0 {
 		sc.poll = pollEvery
@@ -264,6 +274,9 @@ func (sc *scanner) procs(k, blocks int, period float64) error {
 		sc.bound = min(sc.bound, sc.sh.Bound())
 	}
 	if sc.prune && sc.rejects(mapping.Cost{Period: period, Latency: period * busySlack}) {
+		return nil
+	}
+	if sc.cpCut && 0 < k && k < blocks && sc.rejects(mapping.Cost{Period: period, Latency: sc.cpBound(k, period)}) {
 		return nil
 	}
 	if k == blocks {
@@ -281,6 +294,40 @@ func (sc *scanner) procs(k, blocks int, period float64) error {
 		sc.usedProc[q] = false
 	}
 	return nil
+}
+
+// cpBound returns a lower bound on the latency of every completion of
+// the current partition with blocks 0..k-1 placed and partial period
+// period: the larger of the period and the longest path, shrunk by
+// busySlack. On that path each step runs for its weight over its block's
+// processor speed or, unplaced, over the fastest unused speed, and
+// starts when its predecessors finish. A completion gives an unplaced
+// block an unused processor, no faster than that, and costOf starts each
+// step no earlier than its predecessors' finish, adding the same
+// quotients in the same order; rounding is monotone, so the path never
+// exceeds the latency (the period needs the slack, see busySlack).
+func (sc *scanner) cpBound(k int, period float64) float64 {
+	st := sc.st
+	free := 0.0
+	for q, used := range sc.usedProc {
+		if !used {
+			free = max(free, st.pl.Speeds[q])
+		}
+	}
+	cp := period
+	for _, v := range st.topo {
+		start := 0.0
+		for _, u := range st.preds[v] {
+			start = max(start, sc.cp[u])
+		}
+		speed := free
+		if b := sc.assign[v]; b < k {
+			speed = st.pl.Speeds[sc.blockProc[b]]
+		}
+		sc.cp[v] = start + st.g.Steps[v].Weight/speed
+		cp = max(cp, sc.cp[v])
+	}
+	return cp * busySlack
 }
 
 // twinBelow reports whether an unused processor of lower index than q
@@ -330,6 +377,15 @@ func (sc *scanner) evaluate() error {
 	}
 	return nil
 }
+
+// mappingsCosted counts the mappings every block scan of the process has
+// costed (see MappingsCosted).
+var mappingsCosted atomic.Int64
+
+// MappingsCosted returns how many mappings the SP block scans of this
+// process have costed. Tests and benchmarks read it around a solve or a
+// sweep to pin the work of the scan's cuts, which wall-clock time cannot.
+func MappingsCosted() int64 { return mappingsCosted.Load() }
 
 // pollEvery is how many search nodes pass between polls of the shared
 // shard state; a stale bound only prunes less.

@@ -44,18 +44,20 @@ func TestSPSymmetrySkipMatchesUnprunedScan(t *testing.T) {
 // TestSPSymmetrySkipCounters pins the mappings the pruned scan costs
 // over BenchmarkKernelSP's goals (min period, then min latency) on one
 // 6-step DAG, a count that does not move with the host. before is what
-// the scan costed without the equal-speed skip. On five processors of
-// speeds {3, 1, 3, 1, 3} the count falls; with the speeds made distinct
-// nothing relabels, and it stays where it was.
+// the scan costs without the equal-speed skip. On five processors of
+// speeds {3, 1, 3, 1, 3} the count falls below the distinct-speed
+// platform's; with the speeds made distinct nothing relabels, and it
+// stays where it was.
 func TestSPSymmetrySkipCounters(t *testing.T) {
 	g := workflow.RandomSP(rand.New(rand.NewSource(4)), 6, 10, 4, 3)
+	counts := map[string]int{}
 	for _, c := range []struct {
 		name          string
 		pl            platform.Platform
 		before, after int
 	}{
-		{"repeated", platform.New(3, 1, 3, 1, 3), 234, 36},
-		{"distinct", platform.New(3, 1.0625, 3.125, 1.1875, 3.25), 819, 819},
+		{"repeated", platform.New(3, 1, 3, 1, 3), 168, 30},
+		{"distinct", platform.New(3, 1.0625, 3.125, 1.1875, 3.25), 192, 192},
 	} {
 		costed := 0
 		for _, goal := range []Goal{{}, {MinimizeLatency: true}} {
@@ -65,5 +67,9 @@ func TestSPSymmetrySkipCounters(t *testing.T) {
 		if costed != c.after {
 			t.Errorf("%s: %d mappings costed, want %d (%d without the skip)", c.name, costed, c.after, c.before)
 		}
+		counts[c.name] = costed
+	}
+	if counts["repeated"] >= counts["distinct"] {
+		t.Errorf("repeated speeds cost %d mappings, distinct ones %d: the skip found nothing", counts["repeated"], counts["distinct"])
 	}
 }
