@@ -601,11 +601,12 @@ func BenchmarkEngineSolveBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineParetoFront contrasts the serial candidate-period sweep
-// with the engine-backed sweep (the front pass plus one bounded solve per
-// point on exactly-solved instances) on a heterogeneous 8-processor
-// NP-hard pipeline instance — the acceptance benchmark of the engine
-// refactor.
+// BenchmarkEngineParetoFront contrasts the serial walk of
+// core.ParetoFront (a min-period solve, then three cold bounded solves
+// per point) with the engine-backed sweep (the front pass plus one
+// bounded solve per point on exactly-solved instances) on a
+// heterogeneous 8-processor NP-hard pipeline instance — the acceptance
+// benchmark of the engine refactor.
 func BenchmarkEngineParetoFront(b *testing.B) {
 	p := workflow.NewPipeline(14, 4, 2, 4, 7, 5, 3, 9)
 	pl := platform.New(5, 4, 3, 3, 2, 2, 1, 1)
@@ -799,11 +800,11 @@ func BenchmarkSolveSPParallel(b *testing.B) {
 
 // BenchmarkCommPipelinePareto sweeps the full trade-off front of a
 // heterogeneous communication-aware pipeline — the acceptance benchmark
-// of the prepared comm solvers. Serial is the candidate-period sweep
-// through core.ParetoFront (one cold solve per bound); Engine routes the
-// sweep through the engine's prepared-solver pool, so the platform
-// table, the interval-DP scratch and the candidate-period set are built
-// once and every bound after the first is a warm solve. The fronts are
+// of the prepared comm solvers. Serial is the walk of core.ParetoFront
+// (one cold solve per bound); Engine routes the sweep through the
+// engine's prepared-solver pool, so the platform table and the
+// interval-DP scratch are built once, one front pass names every front
+// latency, and every bound after it is a warm solve. The fronts are
 // asserted byte-identical.
 func BenchmarkCommPipelinePareto(b *testing.B) {
 	p := fullmodel.NewPipeline(

@@ -94,7 +94,7 @@ func runBatch(paths []string, opts core.Options, out io.Writer) error {
 
 // runPareto prints the trade-off curve of the instance, swept on the
 // batch engine (engine.SweepFront). A budget is a whole-sweep wall-clock
-// target, split across the candidate solves (anytime solving on NP-hard
+// target, shared out over the walk's solves (anytime solving on NP-hard
 // instances). With stream set, each point is printed the moment the
 // incremental sweep proves it final — the rows are identical to the
 // buffered output, they just appear as the sweep progresses — followed
@@ -125,9 +125,9 @@ func runPareto(path string, opts core.Options, stream bool, out io.Writer) error
 		if err != nil {
 			return err
 		}
-		// A sweep with a front pass has one unit, the pass; a walk or a
-		// scan counts candidate periods.
-		fmt.Fprintf(out, "# %d points, %d/%d sweep units explored (the front pass, or candidate periods)\n", stats.Points, stats.Explored, stats.Total)
+		// A sweep with a front pass has one unit, the pass; a walk has
+		// one per step, each finding one point.
+		fmt.Fprintf(out, "# %d points, %d/%d sweep units explored (the front pass, or walk steps)\n", stats.Points, stats.Explored, stats.Total)
 		return nil
 	}
 	front, err := engine.ParetoFront(context.Background(), pr, opts)

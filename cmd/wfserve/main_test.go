@@ -81,7 +81,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 // TestShutdownDuringParetoStream: graceful shutdown must let an
 // in-progress NDJSON stream finish its current line and write a
 // terminal status line — never truncate mid-JSON. The instance's
-// candidate solves run for multiples of the shutdown window, so without
+// sweep solves run for multiples of the shutdown window, so without
 // the drain the stream would be cut off. Its speeds are distinct: the
 // exhaustive DP searches each set of equal-speed processors once, and on
 // 3 speeds the whole sweep took milliseconds.
@@ -92,8 +92,8 @@ func TestShutdownDuringParetoStream(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- run(ctx, "127.0.0.1:0", server.Config{
-			// Raised exhaustive limit: each candidate solve of the sweep
-			// below runs for seconds, far beyond the shutdown window.
+			// Raised exhaustive limit: each solve of the sweep below runs
+			// for seconds, far beyond the shutdown window.
 			Options: core.Options{MaxExhaustivePipelineProcs: 12},
 			// Fast heartbeats commit the stream before the first point.
 			StreamHeartbeat: 40 * time.Millisecond,

@@ -13,7 +13,7 @@ import (
 // dispatcher used to switch on the closed three-value workflow.Kind enum
 // in half a dozen places (validation, cell-key derivation,
 // classification, exhaustive limits, the parallel-search crossover, the
-// Pareto candidate enumeration, the anytime portfolio, RNG seeding);
+// anytime portfolio, RNG seeding);
 // every one of those switches is now a capability lookup on the
 // registered spec, so adding a kind means registering one spec plus its
 // Table-1-style cells — no dispatcher edits. Capabilities marked
@@ -55,10 +55,6 @@ type KindSpec struct {
 	// exhaustive search. Nil means the kind has no parallel search path,
 	// so auto mode always stays serial.
 	ParallelWorthwhile func(pr Problem) bool
-	// CandidatePeriods enumerates a superset of the achievable period
-	// values for the Pareto sweep (ascending, deduplicated). Nil means
-	// the kind does not support Pareto sweeps.
-	CandidatePeriods func(pr Problem) []float64
 	// Anytime is the budget-bounded portfolio solver of the kind's
 	// NP-hard cells. Nil means a positive AnytimeBudget falls through to
 	// the registered cell solver.

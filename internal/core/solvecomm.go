@@ -5,7 +5,6 @@ import (
 
 	"repliflow/internal/fullmodel"
 	"repliflow/internal/mapping"
-	"repliflow/internal/numeric"
 	"repliflow/internal/workflow"
 )
 
@@ -87,9 +86,6 @@ func init() {
 				pr.CommPipeline.Stages() >= parMinForkItems &&
 				pr.Platform.Processors() >= parMinForkProcs
 		},
-		CandidatePeriods: func(pr Problem) []float64 {
-			return fullmodel.PeriodCandidates(*pr.CommPipeline, commPlatform(pr))
-		},
 		SeedMix: func(pr Problem, mix func(float64)) {
 			for _, w := range pr.CommPipeline.Weights {
 				mix(w)
@@ -121,7 +117,6 @@ func init() {
 		// The one-port fork scan stays serial (instances behind the limits
 		// are small enough that scratch reuse dominates), so there is no
 		// ParallelWorthwhile.
-		CandidatePeriods: commForkCandidatePeriods,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			mix(pr.CommFork.Root)
 			mix(pr.CommFork.In)
@@ -234,22 +229,6 @@ var commForkKind = hardKind{
 		eval := func(m fullmodel.ForkMapping) (fullmodel.Cost, error) { return fullmodel.EvalFork(f, pl, m, false) }
 		return commHeuristic(fullmodel.ForkHeuristicCandidates(f, pl), eval, shared, cloneCommForkMapping, commForkMapped)
 	},
-}
-
-// commForkCandidatePeriods approximates the achievable period set of a
-// one-port fork with the communication-free block weights expanded over
-// the raw speeds, plus the closed-form bound on every mapping's period
-// (fullmodel.Fork.PeriodBound). The true period adds transfer terms, so
-// the weight-derived set is deliberately coarse — missing candidates only
-// coarsen the Pareto front between points, exactly like the
-// oversized-platform speed-sum approximation of subsetSpeedSums — and
-// can end below every achievable period. The bound keeps the last
-// candidate at or above every period, so the sweep always reaches the
-// least-latency end of the front.
-func commForkCandidatePeriods(pr Problem) []float64 {
-	f := pr.CommFork
-	cands := periodsFromWeights(forkBlockWeights(f.Root, 0, false, f.Weights), pr.Platform)
-	return numeric.DedupSorted(append(cands, f.PeriodBound(commPlatform(pr))))
 }
 
 // commPipeMapped and commForkMapped wrap a hard cell's mapping and cost.

@@ -150,11 +150,11 @@ func TestCommForkDispatch(t *testing.T) {
 	}
 }
 
-// TestCommForkFrontReachesMinLatency: the comm-fork candidate set ends at
-// or above every mapping's period, so the sweep reaches the least-latency
-// end of the front. On this instance every period lies past the largest
-// communication-free candidate, and the front used to come out empty
-// although min-period solves exactly.
+// TestCommForkFrontReachesMinLatency: the comm-fork sweep reaches the
+// least-latency end of the front. On this instance every period carries
+// transfer terms that a sweep over communication-free candidate periods
+// missed, and its front once came out empty although min-period solves
+// exactly.
 func TestCommForkFrontReachesMinLatency(t *testing.T) {
 	f := fullmodel.Fork{Root: 5, In: 5, Out0: 4, Weights: []float64{3, 4, 5, 2}, Outs: []float64{2, 5, 3, 5}}
 	pr := Problem{

@@ -70,8 +70,7 @@ func init() {
 			return pr.Fork.Leaves()+1 >= parMinForkItems &&
 				pr.Platform.Processors() >= parMinForkProcs
 		},
-		CandidatePeriods: forkCandidatePeriods,
-		Anytime:          forkKind.solveAnytime,
+		Anytime: forkKind.solveAnytime,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			mix(pr.Fork.Root)
 			for _, w := range pr.Fork.Weights {
@@ -96,8 +95,7 @@ func init() {
 			return pr.ForkJoin.Leaves()+2 >= parMinForkItems &&
 				pr.Platform.Processors() >= parMinForkProcs
 		},
-		CandidatePeriods: forkJoinCandidatePeriods,
-		Anytime:          forkJoinKind.solveAnytime,
+		Anytime: forkJoinKind.solveAnytime,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			mix(pr.ForkJoin.Root)
 			mix(pr.ForkJoin.Join)

@@ -45,8 +45,7 @@ func init() {
 		ParallelWorthwhile: func(pr Problem) bool {
 			return pr.Pipeline.Stages()<<pr.Platform.Processors() >= parMinPipelineStates
 		},
-		CandidatePeriods: pipelineCandidatePeriods,
-		Anytime:          pipeKind.solveAnytime,
+		Anytime: pipeKind.solveAnytime,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			for _, w := range pr.Pipeline.Weights {
 				mix(w)

@@ -33,7 +33,6 @@ func init() {
 		Classify:           classifySP,
 		ExactlySolvable:    spExactlySolvable,
 		ParallelWorthwhile: spParallelWorthwhile,
-		CandidatePeriods:   spCandidatePeriods,
 		Anytime:            spSolver(spAnytime),
 		SeedMix:            spSeedMix,
 		AppendFingerprint:  appendSPFingerprint,
@@ -171,41 +170,6 @@ func spParallelWorthwhile(pr Problem) bool {
 	}
 	return len(pr.SP.Steps) >= parMinForkItems &&
 		pr.Platform.Processors() >= parMinForkProcs
-}
-
-// spCandidatePeriods enumerates achievable block loads (subset sums of
-// the step weights when the graph is small, canonical-prefix sums plus
-// single steps beyond that) expanded over the platform speeds. For
-// reduced instances this is a superset of the legacy candidate sets, so
-// the Pareto sweep stays exact on them; for large irreducible DAGs the
-// coarser set only coarsens the front between points.
-func spCandidatePeriods(pr Problem) []float64 {
-	g := *pr.SP
-	var sums []float64
-	if n := len(g.Steps); n <= 12 {
-		sums = append(sums, 0)
-		for _, s := range g.Steps {
-			for _, acc := range append([]float64(nil), sums...) {
-				sums = append(sums, acc+s.Weight)
-			}
-			sums = numeric.DedupSorted(sums)
-		}
-	} else {
-		topo, _ := g.Topo()
-		acc := 0.0
-		for _, v := range topo {
-			sums = append(sums, g.Steps[v].Weight)
-			acc += g.Steps[v].Weight
-			sums = append(sums, acc)
-		}
-	}
-	var weights []float64
-	for _, s := range sums {
-		if s > 0 {
-			weights = append(weights, s)
-		}
-	}
-	return periodsFromWeights(weights, pr.Platform)
 }
 
 // spMapped wraps an irreducible block mapping and its cost.

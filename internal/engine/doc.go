@@ -2,18 +2,17 @@
 // answers one question at a time, engine answers many: a worker pool
 // fans independent solves out across GOMAXPROCS, a memoization cache
 // keyed by a canonical instance fingerprint deduplicates repeated
-// subproblems, and the Pareto sweep runs on top of both. On exactly
-// solved instances each front point is the period-under-latency solve at
-// its latency: where the prepared solver has a front pass (the exact
-// pipeline, fork, fork-join and comm-pipeline cells) the pass names
-// every front latency at once, and each point's solve then starts from
-// what the pass proved — a walk over the pipeline pass's lists, or a
-// scan that knows the point's optimum and stops at the first mapping
-// reaching it; elsewhere a walk alternates the
-// paper's two bounded problems, latency under a period bound and period
-// under a latency bound, to name them one at a time. Heuristic and
-// budgeted sweeps solve the candidate-period subproblems concurrently,
-// one worker round at a time.
+// subproblems, and the Pareto sweep runs on top of both. Each front
+// point is a period-under-latency solve at its latency. Where the
+// prepared solver of an exactly solved instance has a front pass (the
+// exact pipeline, fork, fork-join and comm-pipeline cells) the pass
+// names every front latency at once, and each point's solve then starts
+// from what the pass proved — a walk over the pipeline pass's lists, or
+// a scan that knows the point's optimum and stops at the first mapping
+// reaching it. Every other sweep, heuristic and budgeted ones included,
+// is core.Walk on the engine: it alternates the paper's two bounded
+// problems, latency under a period bound and period under a latency
+// bound, to name the front latencies one at a time.
 //
 // # Concurrency model
 //

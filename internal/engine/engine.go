@@ -36,10 +36,6 @@ type Engine struct {
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
-	// candidateSets counts the candidate-period sets the engine's sweeps
-	// have built (sweeper.candidates), for the tests that pin which
-	// sweeps build one.
-	candidateSets atomic.Int64
 
 	panicMu sync.Mutex
 	panics  map[string]uint64 // recovered solver panics by dispatch cell
@@ -558,7 +554,7 @@ func sameSweepBase(a, b core.Problem) bool {
 }
 
 // batchPool returns a prepared pool when every problem of the batch is an
-// objective/bound variant of one instance (the candidate solves of a
+// objective/bound variant of one instance (the bounded solves of a
 // Pareto sweep), nil otherwise.
 func batchPool(problems []core.Problem, opts core.Options) *preparedPool {
 	if len(problems) < 2 {
@@ -599,7 +595,7 @@ func (e *Engine) dropEntry(key string, en *cacheEntry) {
 // Each solve is cached under its split per-solve budget.
 //
 // When the whole batch varies one instance only in Objective/Bound (the
-// candidate solves of a Pareto sweep), the cache misses run on pooled
+// bounded solves of a Pareto sweep), the cache misses run on pooled
 // prepared solvers — one per worker — sharing preprocessing and scratch
 // across the batch (results identical either way; see core.Prepare).
 func (e *Engine) SolveBatch(ctx context.Context, problems []core.Problem, opts core.Options) ([]core.Solution, error) {
@@ -674,10 +670,9 @@ feed:
 // on the engine, returning the identical front to the serial
 // core.ParetoFront. It is a thin wrapper over SweepFront — the
 // incremental generator that emits each point as soon as dominance proves
-// it final — collecting the emitted points into a slice. On instances the
-// dispatcher solves exactly, the sweep solves only the bounded problems at
-// the front's points; on the others the candidate-period subproblems
-// solve concurrently across the worker pool (see SweepFront).
+// it final — collecting the emitted points into a slice. The sweep
+// solves only the bounded problems at the front's points, with a front
+// pass where the exact solver has one (see SweepFront).
 func (e *Engine) ParetoFront(ctx context.Context, pr core.Problem, opts core.Options) ([]core.Solution, error) {
 	var front []core.Solution
 	_, err := e.SweepFront(ctx, pr, opts, SweepObserver{Point: func(p SweepPoint) error {

@@ -323,8 +323,9 @@ func TestEngineParetoMatchesSerial(t *testing.T) {
 // TestEngineParetoMatchesSerialLarge pins engine/serial front equality on
 // the two regimes the randomized corpus undersamples: a heterogeneous
 // 8-processor NP-hard instance solved exhaustively (the front pass), and
-// an oversized instance solved heuristically (the full-scan fallback,
-// where monotonicity is not guaranteed).
+// an oversized instance solved heuristically (the walk, whose heuristic
+// bounded solves guarantee no monotonicity: the front accumulator keeps
+// the front monotone).
 func TestEngineParetoMatchesSerialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second serial sweep")
@@ -337,7 +338,7 @@ func TestEngineParetoMatchesSerialLarge(t *testing.T) {
 	exact := core.Problem{Pipeline: &pipe, Platform: het8, AllowDataParallel: true}
 
 	// Heuristic regime: 12 processors exceed MaxExhaustivePipelineProcs,
-	// forcing the heuristic fallback on every candidate solve.
+	// forcing the heuristic fallback on every solve of the walk.
 	het12 := platform.New(5, 4, 3, 3, 2, 2, 1, 1, 4, 2, 3, 1)
 	heuristic := core.Problem{Pipeline: &pipe, Platform: het12, AllowDataParallel: true}
 
@@ -353,8 +354,8 @@ func TestEngineParetoMatchesSerialLarge(t *testing.T) {
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("%s: engine front diverges from serial\nserial:   %v\nparallel: %v", name, serial, parallel)
 		}
-		if len(parallel) == 0 {
-			t.Errorf("%s: empty front", name)
+		if len(parallel) == 0 || !core.FrontIsMonotone(parallel) {
+			t.Errorf("%s: empty or non-monotone front %v", name, parallel)
 		}
 	}
 }

@@ -196,8 +196,8 @@ func TestKindFrontGoldenCorpus(t *testing.T) {
 // comm-pipeline instances of the bench's shapes and smaller, on
 // homogeneous and heterogeneous platforms, with data-parallelism on and
 // off, the engine's sweep (the front pass, then one bounded solve per
-// point) returns the front of the serial core.ParetoFront, which solves
-// every candidate period, at one and three workers: same costs, same
+// point) returns the front of the serial core.ParetoFront, which walks
+// the two bounded solves, at one and three workers: same costs, same
 // mappings, same metadata.
 func TestEngineParetoMatchesSerialKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))

@@ -12,8 +12,8 @@ import (
 
 // TestSweepFrontNoDPSolves: a sweep of an exact pipeline instance runs
 // one front pass and no scalar DP solve — each point's solve walks the
-// pass's lists — at every worker count, builds no candidate-period set,
-// and reports its one unit, the pass, resolved from its first point on.
+// pass's lists — at every worker count, and reports its one unit, the
+// pass, resolved from its first point on.
 // Solve counts are deterministic where wall time is not.
 func TestSweepFrontNoDPSolves(t *testing.T) {
 	cases := frontCorpusInstances()
@@ -27,12 +27,12 @@ func TestSweepFrontNoDPSolves(t *testing.T) {
 			if len(points) == 0 || solves != 0 {
 				t.Errorf("case %d, %d workers: %d DP solves for %d front points", i, workers, solves, len(points))
 			}
-			if built := e.candidateSets.Load(); built != 0 || stats.Total != 1 {
-				t.Errorf("case %d, %d workers: %d candidate sets built, %d units, want none and the pass", i, workers, built, stats.Total)
+			if stats.Total != 1 {
+				t.Errorf("case %d, %d workers: %d units, want the pass", i, workers, stats.Total)
 			}
 			for _, p := range points {
 				if p.Explored != p.Total {
-					t.Errorf("case %d, %d workers: point %d confirmed at %d of %d candidates", i, workers, p.Index, p.Explored, p.Total)
+					t.Errorf("case %d, %d workers: point %d confirmed at %d of %d units", i, workers, p.Index, p.Explored, p.Total)
 				}
 			}
 			if stats.Explored != stats.Total {
@@ -45,8 +45,8 @@ func TestSweepFrontNoDPSolves(t *testing.T) {
 // TestSweepFrontKindsOneSolvePerPoint: a sweep of an exact fork,
 // fork-join or comm-pipeline instance — every record of the kind front
 // corpus — runs its front pass and then exactly one engine solve per
-// front point, at every worker count, builds no candidate-period set,
-// and reports its one unit, the pass, resolved from its first point on.
+// front point, at every worker count, and reports its one unit, the
+// pass, resolved from its first point on.
 func TestSweepFrontKindsOneSolvePerPoint(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for i, c := range kindCorpusProblems() {
@@ -55,12 +55,12 @@ func TestSweepFrontKindsOneSolvePerPoint(t *testing.T) {
 			if solves := e.Stats().Misses; len(points) == 0 || solves != uint64(len(points)) {
 				t.Errorf("record %d, %d workers: %d engine solves for %d front points", i, workers, solves, len(points))
 			}
-			if built := e.candidateSets.Load(); built != 0 || stats.Total != 1 {
-				t.Errorf("record %d, %d workers: %d candidate sets built, %d units, want none and the pass", i, workers, built, stats.Total)
+			if stats.Total != 1 {
+				t.Errorf("record %d, %d workers: %d units, want the pass", i, workers, stats.Total)
 			}
 			for _, p := range points {
 				if p.Explored != p.Total {
-					t.Errorf("record %d, %d workers: point %d confirmed at %d of %d candidates", i, workers, p.Index, p.Explored, p.Total)
+					t.Errorf("record %d, %d workers: point %d confirmed at %d of %d units", i, workers, p.Index, p.Explored, p.Total)
 				}
 			}
 			if stats.Explored != stats.Total {
@@ -90,7 +90,8 @@ func (c *pollCountCtx) Err() error {
 
 // TestSweepFrontCancelledDuringPass: a sweep cancelled while the front
 // pass runs returns the context's error, emits no point and reports its
-// one unit, the pass, unexplored — it has proven nothing.
+// one unit, the pass, unexplored — it has proven nothing. Its only
+// progress report is the 0 of 1 every sweep starts with.
 //
 // The pipeline case gives the first corpus instance distinct speeds
 // (processor q gains q/16): the pass skips subsets that only relabel
@@ -114,11 +115,10 @@ func TestSweepFrontCancelledDuringPass(t *testing.T) {
 	} {
 		ctx := &pollCountCtx{Context: context.Background(), n: 3}
 		var points int
+		var progress [][2]int
 		stats, err := New(2).SweepFront(ctx, c.pr, c.opts, SweepObserver{
-			Point: func(SweepPoint) error { points++; return nil },
-			Progress: func(explored, total int) {
-				t.Errorf("%s: progress %d of %d reported by a cancelled pass", name, explored, total)
-			},
+			Point:    func(SweepPoint) error { points++; return nil },
+			Progress: func(explored, total int) { progress = append(progress, [2]int{explored, total}) },
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: sweep cancelled during the pass returned %v, want context.Canceled", name, err)
@@ -131,6 +131,9 @@ func TestSweepFrontCancelledDuringPass(t *testing.T) {
 		}
 		if stats.Total != 1 {
 			t.Errorf("%s: cancelled pass: stats %+v, want 0 of 1 unit explored", name, stats)
+		}
+		if len(progress) != 1 || progress[0] != [2]int{0, 1} {
+			t.Errorf("%s: cancelled pass reported progress %v, want only [0 1]", name, progress)
 		}
 	}
 }

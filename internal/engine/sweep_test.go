@@ -58,16 +58,16 @@ func TestSweepFrontMatchesParetoFront(t *testing.T) {
 		if stats.Points != len(points) || stats.Explored > stats.Total {
 			t.Errorf("trial %d: inconsistent stats %+v for %d points", trial, stats, len(points))
 		}
-		if stats.Total > 0 && stats.Explored != stats.Total {
-			t.Errorf("trial %d: completed sweep left %d of %d candidates unexplored", trial, stats.Total-stats.Explored, stats.Total)
+		if stats.Total == 0 || stats.Explored != stats.Total {
+			t.Errorf("trial %d: completed sweep left %d of %d units unexplored", trial, stats.Total-stats.Explored, stats.Total)
 		}
 	}
 }
 
 // TestSweepFrontEmitsBeforeSweepCompletes: on a budget-staged slow sweep
-// the first point must be confirmed while candidates are still
-// outstanding — the defining property of the incremental generator. The
-// point's own progress counter proves it without wall-clock assertions.
+// the first point must be confirmed while the walk still has steps to
+// take — the defining property of the incremental generator. The point's
+// own progress counter proves it without wall-clock assertions.
 func TestSweepFrontEmitsBeforeSweepCompletes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pipe := workflow.RandomPipeline(rng, 6, 9)
@@ -139,17 +139,18 @@ func TestSweepFrontPartialIsPrefix(t *testing.T) {
 	}
 }
 
-// TestSweepFrontProgress: the explored count never decreases, across
-// progress reports and confirmed points alike, and reaches the candidate
-// total on a completed sweep — on a front-pass pipeline sweep and on the
-// walked sweeps.
+// TestSweepFrontProgress: a sweep first reports 0 of 1 units; the
+// explored count never decreases, across progress reports and confirmed
+// points alike, and is at most one unit behind the total; a completed
+// sweep has explored every unit — the pass of a front-pass pipeline
+// sweep, one step per point of the walked sweeps.
 func TestSweepFrontProgress(t *testing.T) {
 	pipe := workflow.NewPipeline(14, 4, 2, 4)
 	cases := append([]walkedCase{{"pipeline", core.Problem{Pipeline: &pipe, Platform: platform.New(2, 1, 1), AllowDataParallel: true}}}, walkedInstances()...)
-	for _, c := range cases {
+	for i, c := range cases {
 		var last, calls int
 		advance := func(explored, total int, what string) {
-			if explored < last || explored > total {
+			if explored < last || explored > total || total > explored+1 {
 				t.Errorf("%s: %s reports %d of %d explored after %d", c.name, what, explored, total, last)
 			}
 			last = explored
@@ -162,7 +163,9 @@ func TestSweepFrontProgress(t *testing.T) {
 				return nil
 			},
 			Progress: func(explored, total int) {
-				calls++
+				if calls++; calls == 1 && (explored != 0 || total != 1) {
+					t.Errorf("%s: first progress report %d of %d, want 0 of 1", c.name, explored, total)
+				}
 				advance(explored, total, "progress")
 			},
 		})
@@ -175,14 +178,17 @@ func TestSweepFrontProgress(t *testing.T) {
 		if last != stats.Total || stats.Explored != stats.Total {
 			t.Errorf("%s: completed sweep reports explored %d / stats %+v", c.name, last, stats)
 		}
+		if want := len(points); i == 0 && stats.Total != 1 || i > 0 && stats.Total != want {
+			t.Errorf("%s: completed sweep of %d points counts %d units", c.name, want, stats.Total)
+		}
 		if len(points) != stats.Points {
 			t.Errorf("%s: emitted %d points, stats say %d", c.name, len(points), stats.Points)
 		}
 	}
 }
 
-// TestSweepFrontBudgeted: a budgeted NP-hard sweep streams an
-// increasing-period front of anytime-certified points.
+// TestSweepFrontBudgeted: a budgeted NP-hard sweep streams a monotone
+// front (core.FrontIsMonotone) of anytime-certified points.
 func TestSweepFrontBudgeted(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pipe := workflow.RandomPipeline(rng, 6, 9)
@@ -191,15 +197,18 @@ func TestSweepFrontBudgeted(t *testing.T) {
 	if len(points) == 0 {
 		t.Fatal("budgeted sweep emitted no points")
 	}
-	prev := 0.0
+	front := make([]core.Solution, len(points))
 	for i, p := range points {
-		if !p.Solution.Feasible || p.Solution.Cost.Period < prev {
-			t.Errorf("point %d breaks the front invariant: %+v", i, p.Solution.Cost)
+		if !p.Solution.Feasible {
+			t.Errorf("point %d is infeasible: %+v", i, p.Solution.Cost)
 		}
-		prev = p.Solution.Cost.Period
 		if p.Solution.Anytime && p.Solution.Gap < 0 {
 			t.Errorf("point %d has negative gap %g", i, p.Solution.Gap)
 		}
+		front[i] = p.Solution
+	}
+	if !core.FrontIsMonotone(front) {
+		t.Errorf("budgeted front breaks the front invariant: %v", front)
 	}
 	if stats.Explored != stats.Total {
 		t.Errorf("completed sweep explored %d of %d", stats.Explored, stats.Total)

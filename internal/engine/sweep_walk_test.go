@@ -8,6 +8,7 @@ import (
 
 	"repliflow/internal/core"
 	"repliflow/internal/fullmodel"
+	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -56,20 +57,20 @@ func walkedInstances() []walkedCase {
 
 // TestSweepWalkSolvesPerPoint: a walked sweep makes one min-period solve
 // and then three engine solves per front point — the latency-under-period
-// solve at the snapped candidate, the point's period-under-latency solve,
+// solve at the period it holds, the point's period-under-latency solve,
 // and the period-under-latency solve strictly below its latency that
 // finds the next point or ends the walk — at every worker count, and
-// builds its candidate-period set once.
+// counts one unit per point.
 func TestSweepWalkSolvesPerPoint(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, c := range walkedInstances() {
 			e := New(workers)
-			points, _ := collectSweep(t, e, c.pr, core.Options{})
+			points, stats := collectSweep(t, e, c.pr, core.Options{})
 			if want := uint64(1 + 3*len(points)); len(points) == 0 || e.Stats().Misses != want {
 				t.Errorf("%s, %d workers: %d engine solves for %d front points, want %d", c.name, workers, e.Stats().Misses, len(points), want)
 			}
-			if built := e.candidateSets.Load(); built != 1 {
-				t.Errorf("%s, %d workers: %d candidate sets built, want 1", c.name, workers, built)
+			if stats.Explored != len(points) || stats.Total != len(points) {
+				t.Errorf("%s, %d workers: stats %+v for %d front points, want one unit per point", c.name, workers, stats, len(points))
 			}
 		}
 	}
@@ -77,9 +78,12 @@ func TestSweepWalkSolvesPerPoint(t *testing.T) {
 
 // TestSweepWalkCancelledIsPrefix: a walk whose context is cancelled after
 // its k-th point returns the cancellation, having delivered exactly the
-// first k points of the full front.
+// first k points of the full front — on the exact walked instances and
+// on a heuristic one past the exhaustive limits.
 func TestSweepWalkCancelledIsPrefix(t *testing.T) {
-	for _, c := range walkedInstances() {
+	pipe := workflow.NewPipeline(14, 4, 2, 4, 7)
+	heuristic := core.Problem{Pipeline: &pipe, Platform: platform.New(5, 4, 3, 3, 2, 2, 1, 1, 4, 2, 3, 1), AllowDataParallel: true}
+	for _, c := range append(walkedInstances(), walkedCase{"pipeline/heuristic12", heuristic}) {
 		full, err := New(2).ParetoFront(context.Background(), c.pr, core.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -101,6 +105,49 @@ func TestSweepWalkCancelledIsPrefix(t *testing.T) {
 			if !reflect.DeepEqual(got, full[:k]) {
 				t.Errorf("%s, k=%d: cancelled walk delivered %v, want the prefix %v", c.name, k, got, full[:k])
 			}
+		}
+	}
+}
+
+// TestCommForkPastCandidatesFront: on the one-port fork whose periods all
+// carry transfer terms, the walk finds the five-point front from
+// (5.15, 7.5) to (6.45, 6.45). Every point re-solves to itself under
+// both bounded objectives — the least latency within its period and the
+// least period within its latency — and the front weakly dominates
+// (6.45, 6.45), the one point a sweep over the communication-free
+// candidate periods found.
+func TestCommForkPastCandidatesFront(t *testing.T) {
+	var pr core.Problem
+	for _, c := range walkedInstances() {
+		if c.name == "comm-fork/past-candidates" {
+			pr = c.pr
+		}
+	}
+	front, err := New(2).ParetoFront(context.Background(), pr, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(front) != 5 || !numeric.Eq(front[0].Cost.Period, 5.15) || !numeric.Eq(front[0].Cost.Latency, 7.5) {
+		t.Fatalf("front %v, want 5 points from (5.15, 7.5)", front)
+	}
+	last := front[len(front)-1].Cost
+	if !numeric.LessEq(last.Period, 6.45) || !numeric.LessEq(last.Latency, 6.45) {
+		t.Errorf("last point %v does not weakly dominate (6.45, 6.45)", last)
+	}
+	for i, pt := range front {
+		lup, pul := pr, pr
+		lup.Objective, lup.Bound = core.LatencyUnderPeriod, pt.Cost.Period
+		pul.Objective, pul.Bound = core.PeriodUnderLatency, pt.Cost.Latency
+		a, err := core.SolveContext(context.Background(), lup, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := core.SolveContext(context.Background(), pul, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !numeric.Eq(a.Cost.Latency, pt.Cost.Latency) || !numeric.Eq(b.Cost.Period, pt.Cost.Period) {
+			t.Errorf("point %d %v: least latency within its period %v, least period within its latency %v", i, pt.Cost, a.Cost.Latency, b.Cost.Period)
 		}
 	}
 }

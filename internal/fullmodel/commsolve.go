@@ -297,33 +297,3 @@ func finishOrders(f Fork, pl Platform, ms []ForkMapping) []ForkMapping {
 	}
 	return ms
 }
-
-// PeriodCandidates enumerates the exact set of achievable interval
-// periods of a pipeline: Equation (1) brackets over every interval, every
-// hosting processor and every neighbour-processor combination (with the
-// ends standing in for Pin/Pout). The period of any mapping is the
-// maximum of its interval costs, so the optimum of any objective lies in
-// this set — which is what makes Pareto sweeps over it exact on
-// exactly-solved cells. Ascending and deduplicated.
-func PeriodCandidates(p Pipeline, pl Platform) []float64 {
-	n, procs := p.Stages(), pl.Processors()
-	var cands []float64
-	for first := 0; first < n; first++ {
-		for last := first; last < n; last++ {
-			for u := 0; u < procs; u++ {
-				for prev := -1; prev < procs; prev++ {
-					if prev == u {
-						continue
-					}
-					for next := -1; next < procs; next++ {
-						if next == u {
-							continue
-						}
-						cands = append(cands, intervalCost(p, pl, first, last, u, prev, next))
-					}
-				}
-			}
-		}
-	}
-	return numeric.DedupSorted(cands)
-}

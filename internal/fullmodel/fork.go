@@ -3,7 +3,6 @@ package fullmodel
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -217,31 +216,6 @@ func evalForkTrusted(f Fork, pl Platform, m ForkMapping, strict bool) Cost {
 		c.Period = per
 	}
 	return c
-}
-
-// PeriodBound returns an upper bound on the period of every mapping of
-// the fork onto pl, under either model: the root block's cycle with
-// every stage and every output on it and the most sends a root block can
-// make, each at the slowest processor and link. It also bounds every
-// non-root block's cycle (one send, some leaves, their outputs).
-func (f Fork) PeriodBound(pl Platform) float64 {
-	p := pl.Processors()
-	speed, in, out, link := numeric.Inf, numeric.Inf, numeric.Inf, numeric.Inf
-	for u := 0; u < p; u++ {
-		speed = math.Min(speed, pl.Speeds[u])
-		in = math.Min(in, pl.InBand[u])
-		out = math.Min(out, pl.OutBand[u])
-		for v := 0; v < p; v++ {
-			if u != v {
-				link = math.Min(link, pl.Band[u][v])
-			}
-		}
-	}
-	bound := f.In/in + f.TotalWork()/speed + numeric.SumFloat(f.Outs)/out
-	if sends := min(p-1, f.Leaves()); sends > 0 {
-		bound += float64(sends) * f.Out0 / link
-	}
-	return bound
 }
 
 // OptimalSendOrder returns the latency-minimizing one-port send order for

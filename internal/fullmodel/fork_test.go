@@ -165,76 +165,3 @@ func TestZeroCommunicationForkMatchesSimplifiedModel(t *testing.T) {
 		t.Errorf("latency = %v, want 8", c.Latency)
 	}
 }
-
-// TestForkPeriodBoundCoversEnumeration: on random one-port forks over
-// random bandwidth tables, with integer and fractional sizes and light
-// and heavy broadcasts, no mapping
-// of the full enumeration (every root processor, every leaf placement)
-// has a period above PeriodBound under either model.
-func TestForkPeriodBoundCoversEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	draw := func(lo float64) float64 {
-		if rng.Intn(2) == 0 {
-			return lo + float64(rng.Intn(5))
-		}
-		return lo + 4*rng.Float64()
-	}
-	for trial := 0; trial < 60; trial++ {
-		n, p := 1+rng.Intn(4), 1+rng.Intn(3)
-		f := Fork{Root: draw(1), In: draw(0), Out0: draw(0)}
-		if trial%2 == 0 {
-			f.Out0 *= 10 // broadcasts dominate: the root's sends set the period
-		}
-		for i := 0; i < n; i++ {
-			f.Weights = append(f.Weights, draw(1))
-			f.Outs = append(f.Outs, draw(0))
-		}
-		b := Bandwidth{Links: make([][]float64, p), In: make([]float64, p), Out: make([]float64, p)}
-		speeds := make([]float64, p)
-		for u := 0; u < p; u++ {
-			speeds[u], b.In[u], b.Out[u] = draw(1), draw(1), draw(1)
-			b.Links[u] = make([]float64, p)
-			for v := range b.Links[u] {
-				if u != v {
-					b.Links[u][v] = draw(1)
-				}
-			}
-		}
-		pl := b.Apply(speeds)
-		bound := f.PeriodBound(pl)
-		procOf := make([]int, n)
-		var place func(l, root int)
-		place = func(l, root int) {
-			if l < n {
-				for u := 0; u < p; u++ {
-					procOf[l] = u
-					place(l+1, root)
-				}
-				return
-			}
-			m := ForkMapping{Blocks: []ForkBlock{{Proc: root}}}
-			block := map[int]int{root: 0}
-			for leaf, u := range procOf {
-				bi, ok := block[u]
-				if !ok {
-					bi = len(m.Blocks)
-					block[u] = bi
-					m.Blocks = append(m.Blocks, ForkBlock{Proc: u})
-				}
-				m.Blocks[bi].Leaves = append(m.Blocks[bi].Leaves, leaf)
-			}
-			for _, strict := range []bool{false, true} {
-				c, err := EvalFork(f, pl, m, strict)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if numeric.Greater(c.Period, bound) {
-					t.Fatalf("trial %d: mapping %v has period %v above the bound %v", trial, m, c.Period, bound)
-				}
-			}
-		}
-		for root := 0; root < p; root++ {
-			place(0, root)
-		}
-	}
-}

@@ -40,7 +40,7 @@ func ClientID(r *http.Request) string {
 // priced between (their latency is bounded by the budget), and NP-hard
 // exhaustive solves — the requests that can monopolize workers for
 // seconds — pay the most. A Pareto sweep multiplies its instance's cost
-// by paretoCostFactor, since one sweep solves many candidate bounds.
+// by paretoCostFactor, since one sweep solves many bounded problems.
 const (
 	costPoly         = 1
 	costAnytime      = 4

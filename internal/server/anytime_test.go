@@ -144,9 +144,9 @@ func TestSolveOptionsPrecedence(t *testing.T) {
 }
 
 // TestParetoHonoursBudget: /v1/pareto accepts budgetMs and still
-// returns a well-formed NDJSON front on an NP-hard instance (a
-// moderate one — the sweep solves one subproblem per candidate period,
-// so the huge largeHardInstance is out of reach for any pareto call).
+// returns a well-formed NDJSON front on an NP-hard instance: a budgeted
+// sweep walks the two bounded problems, and its budget is a whole-sweep
+// target shared out over the walk's solves.
 func TestParetoHonoursBudget(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := `{

@@ -64,7 +64,7 @@ func BenchmarkSolveUnique(b *testing.B) {
 
 // BenchmarkParetoStream measures the incremental NDJSON sweep end to
 // end: request decode, the engine sweep (cold cache each iteration, so
-// the candidate solves are real work), per-point encode + flush, and
+// the bounded solves are real work), per-point encode + flush, and
 // the terminal status line. One untimed warmup request pays the
 // process-level one-time costs (connection setup, encoding/json
 // reflection caches) so single-iteration gate runs measure the sweep,

@@ -259,10 +259,8 @@ func (s *Server) runJob(ctx context.Context, j *job, rec store.JobRecord, proble
 				j.mu.Unlock()
 			},
 		})
-		// The observer only sees progress up to the last solve round; the
-		// returned stats also cover trailing pruning. A deadline or
-		// cancellation keeps the partial front: the points are final, the
-		// sweep just did not finish.
+		// A deadline or cancellation keeps the partial front: the points
+		// are final, the sweep just did not finish.
 		j.setProgress(JobProgress{Done: stats.Explored, Total: stats.Total, Points: len(front)})
 		rec.Front = front
 	}

@@ -133,8 +133,8 @@ func TestJobBatch(t *testing.T) {
 	}
 }
 
-// TestJobParetoDeliversFront: a pareto job reports live candidate
-// progress and ends with the full front.
+// TestJobParetoDeliversFront: a pareto job reports live sweep progress
+// and ends with the full front.
 func TestJobParetoDeliversFront(t *testing.T) {
 	_, ts := newTestServer(t, Config{Options: core.Options{MaxExhaustivePipelineProcs: 10}})
 	resp, jr := postJob(t, ts.URL, fmt.Sprintf(`{"kind": "pareto", "instance": %s}}`,

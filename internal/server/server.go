@@ -516,7 +516,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 // rest of the sweep is still running. While a slow sweep is between
 // points the stream carries heartbeat status lines, and every stream
 // ends with a terminal status line reporting the sweep outcome and how
-// many candidate periods were explored. When the deadline expires (or
+// many of its units were explored. When the deadline expires (or
 // the server drains) mid-sweep, the points already written stand as a
 // well-formed partial front — a prefix of the full one — and the
 // terminal line carries the error; a bare error response is only
@@ -564,9 +564,7 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	})
 	stopHeartbeats()
 	s.metrics.recordSolve(core.CellKeyOf(sweep).String(), "pareto", time.Since(start).Seconds())
-	// The observer only sees progress up to the last solve round; the
-	// returned stats also cover trailing pruning, so the terminal line
-	// reports the exact unexplored count.
+	// The terminal line reports the sweep's final units.
 	ps.progress(stats.Explored, stats.Total)
 
 	switch {

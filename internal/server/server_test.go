@@ -298,8 +298,9 @@ func TestParetoStreamsNDJSON(t *testing.T) {
 		t.Fatalf("statuses = %+v, want one terminal complete line", statuses)
 	}
 	term := statuses[0]
-	if term.Points != 2 || term.Unexplored != 0 || term.Explored != term.TotalCandidates || term.TotalCandidates == 0 {
-		t.Errorf("terminal line = %+v, want 2 points, fully explored", term)
+	// A walked sweep: one unit per step, each finding one point.
+	if term.Points != 2 || term.Unexplored != 0 || term.Explored != 2 || term.TotalCandidates != 2 {
+		t.Errorf("terminal line = %+v, want 2 points, 2 of 2 walk steps explored", term)
 	}
 	// The terminal line is the last line of the stream.
 	trimmed := bytes.TrimSpace(body)

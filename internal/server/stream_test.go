@@ -116,7 +116,7 @@ func stageMidSweep(t *testing.T, rungs ...sweepRung) (sweepRung, []timedLine, ti
 
 // pacedSweepInstance is a small NP-hard staging instance with the
 // exhaustive limits lowered (newPacedServer) so the anytime portfolio
-// owns every candidate solve; its sweep takes long enough that a short
+// owns every bounded solve; its sweep takes long enough that a short
 // deadline reliably fires before the first point on any machine.
 const pacedSweepInstance = `{
 	"pipeline": {"weights": [8, 4, 4]},
@@ -222,9 +222,10 @@ func TestParetoFirstByteBeforeSweepCompletes(t *testing.T) {
 }
 
 // checkTerminalDeadline asserts the terminal-line contract of a sweep
-// cut by its deadline: the last status line reports deadline expiry, a
-// positive and consistent unexplored candidate count, the exact number
-// of points delivered, and the structured error body.
+// cut by its deadline before its last point: the last status line
+// reports deadline expiry, one unexplored unit (the pass or the walk
+// step that was cut), the exact number of points delivered, and the
+// structured error body.
 func checkTerminalDeadline(t *testing.T, statuses []StreamStatus, points int) {
 	t.Helper()
 	if len(statuses) == 0 {
@@ -234,8 +235,8 @@ func checkTerminalDeadline(t *testing.T, statuses []StreamStatus, points int) {
 	if term.Status != StreamStatusDeadlineExceeded {
 		t.Fatalf("terminal status = %q, want %q (%+v)", term.Status, StreamStatusDeadlineExceeded, term)
 	}
-	if term.Unexplored <= 0 || term.Unexplored != term.TotalCandidates-term.Explored {
-		t.Errorf("terminal line reports unexplored %d of %d (explored %d), want a positive consistent count",
+	if term.Unexplored != 1 || term.Unexplored != term.TotalCandidates-term.Explored {
+		t.Errorf("terminal line reports unexplored %d of %d (explored %d), want the one unit that was cut",
 			term.Unexplored, term.TotalCandidates, term.Explored)
 	}
 	if term.Points != points {
@@ -249,7 +250,7 @@ func checkTerminalDeadline(t *testing.T, statuses []StreamStatus, points int) {
 // TestParetoDeadlineMidSweep is the deadline-expiry test for a deadline
 // landing after the first point: the client gets an ordered partial
 // front whose every line parses as SolutionJSON, closed by a terminal
-// status line reporting how many candidates were left unexplored —
+// status line reporting the walk step that was cut —
 // never a bare 504 once a point is on the wire. The deadline is chosen
 // adaptively — a cold reference run measures when the first point and
 // the completion happen, and the timed run gets the midpoint — on the
@@ -286,9 +287,9 @@ func TestParetoDeadlineMidSweep(t *testing.T) {
 // TestParetoDeadlineAfterFrontPass is the deadline-expiry test of the
 // front path: a deadline landing between the front's points leaves an
 // ordered prefix of the front, closed by a deadline-exceeded terminal
-// line that reports every candidate explored — the pass proved the
-// whole front before the first point went out, so nothing is left
-// unexplored, only unsent.
+// line that reports the sweep's one unit, the pass, explored — the pass
+// proved the whole front before the first point went out, so nothing is
+// left unexplored, only unsent.
 func TestParetoDeadlineAfterFrontPass(t *testing.T) {
 	rung, sols, deadline := stageMidSweep(t, forkJoinFrontRung(6), forkJoinFrontRung(7), forkJoinFrontRung(8))
 	first := sols[0].at
@@ -312,13 +313,13 @@ func TestParetoDeadlineAfterFrontPass(t *testing.T) {
 	if term.Status != StreamStatusDeadlineExceeded || term.Error == nil || term.Error.Kind != ErrKindDeadlineExceeded {
 		t.Fatalf("terminal line %+v, want a deadline-exceeded status and error", term)
 	}
-	if term.Points != len(partial) || term.TotalCandidates == 0 || term.Explored != term.TotalCandidates || term.Unexplored != 0 {
-		t.Errorf("terminal line %+v after %d points, want every candidate explored", term, len(partial))
+	if term.Points != len(partial) || term.TotalCandidates != 1 || term.Explored != 1 || term.Unexplored != 0 {
+		t.Errorf("terminal line %+v after %d points, want the pass explored", term, len(partial))
 	}
 }
 
-// TestParetoHeartbeatsKeepSlowStreamAlive: a sweep whose first candidate
-// solves outlast the deadline still produces a live, well-formed stream:
+// TestParetoHeartbeatsKeepSlowStreamAlive: a sweep whose first solves
+// outlast the deadline still produces a live, well-formed stream:
 // heartbeat status lines commit the response and the deadline lands
 // in-stream as a terminal status line — not a 504 — even with zero
 // points delivered.

@@ -94,8 +94,9 @@ type StreamStatus struct {
 	// Points counts the solution lines written so far.
 	Points int `json:"points"`
 	// Explored counts the units the sweep has resolved, TotalCandidates
-	// the whole sweep's: one unit, the front pass, on a sweep with one,
-	// the candidate periods otherwise (engine.SweepPoint).
+	// the sweep's as far as they are known: one unit, the front pass, on
+	// a sweep with one; on a walk, one unit per step taken plus one
+	// until the walk has ended (engine.SweepPoint).
 	Explored        int `json:"explored"`
 	TotalCandidates int `json:"totalCandidates"`
 	// Unexplored is TotalCandidates - Explored: on a terminal line of a
@@ -142,8 +143,9 @@ type JobRequest struct {
 }
 
 // JobProgress reports how far a job has advanced: Done/Total counts
-// candidate periods for pareto jobs and instances for solve/batch jobs;
-// Points counts confirmed front points of a pareto job.
+// the sweep's units for pareto jobs (engine.SweepPoint) and instances
+// for solve/batch jobs; Points counts confirmed front points of a
+// pareto job.
 type JobProgress struct {
 	Done   int `json:"done"`
 	Total  int `json:"total"`

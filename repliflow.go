@@ -302,8 +302,8 @@ func ParetoFrontContext(ctx context.Context, pr Problem, opts Options) ([]Soluti
 // as soon as dominance proves it final — instead of after the whole
 // sweep. The emitted sequence is identical to the ParetoFront slice; on
 // cancellation the points already delivered form a well-formed prefix of
-// the full front, and the returned stats report how many candidate
-// periods were left unexplored. Use an explicit Engine
+// the full front, and the returned stats report the sweep's units
+// explored (the front pass, or the walk's steps). Use an explicit Engine
 // (Engine.SweepFront) to share the cache across sweeps.
 func SweepFront(ctx context.Context, pr Problem, opts Options, obs SweepObserver) (SweepStats, error) {
 	return engine.New(0).SweepFront(ctx, pr, opts, obs)
