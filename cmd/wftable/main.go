@@ -75,14 +75,14 @@ func runWith(out io.Writer, trials int, seed int64, skipTable1 bool, verify func
 	renderRegistry(out)
 }
 
-// renderRegistry lists every registered cell outside the paper's three
+// renderRegistry lists every dispatch cell outside the paper's three
 // simplified-model kinds — the series-parallel and communication-aware
 // kinds added behind the capability registry — with its classification.
 func renderRegistry(out io.Writer) {
 	legacy := map[workflow.Kind]bool{
 		workflow.KindPipeline: true, workflow.KindFork: true, workflow.KindForkJoin: true,
 	}
-	for _, key := range core.RegisteredCells() {
+	for _, key := range core.AllCellKeys() {
 		if legacy[key.Kind] {
 			continue
 		}

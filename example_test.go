@@ -100,7 +100,7 @@ func ExampleSolveBatch() {
 	// period=10 latency=17
 }
 
-// ExampleLookupSolver inspects the solver registry: the dispatch cell of
+// ExampleLookupSolver inspects Table 1: the dispatch cell of
 // an instance resolves to the algorithm, exactness and paper result that
 // Solve would use on it.
 func ExampleLookupSolver() {

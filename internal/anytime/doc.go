@@ -29,6 +29,6 @@
 //
 // The package sits beside internal/heuristics in the layering: it
 // depends only on the graph/platform/mapping layers, and internal/core
-// wires it into the solver registry (one anytime entry per NP-hard
-// cell, engaged when Options.AnytimeBudget is set).
+// wires it into dispatch (the anytime solver of every NP-hard cell,
+// engaged when Options.AnytimeBudget is set).
 package anytime

@@ -7,9 +7,9 @@ import (
 	"repliflow/internal/anytime"
 )
 
-// This file wires the internal/anytime portfolio into the registry.
-// Every NP-hard cell of a kind whose spec advertises the Anytime
-// capability dispatches to it when Options.AnytimeBudget is set (see
+// This file wires the internal/anytime portfolio into dispatch. Every
+// NP-hard cell of a kind whose spec advertises the Anytime capability
+// dispatches to it when Options.AnytimeBudget is set (see
 // SolverEntry.Anytime). The portfolio is seeded with the exact same
 // heuristic candidates the legacy fallback path uses, so a budgeted
 // solve can never return a worse objective than an unbudgeted heuristic

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repliflow/internal/workflow"
-)
+import "fmt"
 
 // Complexity is the Table 1 classification of a problem instance.
 type Complexity int
@@ -60,84 +56,30 @@ func Classify(pr Problem) (Classification, error) {
 
 // ClassifyCell returns the Table 1 classification of a dispatch cell
 // without constructing an instance: ClassifyCell(CellKeyOf(pr)) equals
-// Classify(pr) for every valid problem pr. It lets registry consumers
+// Classify(pr) for every valid problem pr. It lets table consumers
 // (wftable, the /v1/table endpoint of cmd/wfserve) annotate cells with
 // their complexity and paper source. The classification comes from the
 // kind's capability spec; cells of an unregistered kind return the zero
 // Classification (use KindSpecFor for the structured error).
 func ClassifyCell(k CellKey) Classification {
-	if spec, ok := kindSpecs[k.Kind]; ok {
-		return spec.Classify(k)
+	if spec := specFor(k.Kind); spec != nil {
+		return spec.Classify(k).Classification
 	}
 	return Classification{}
 }
 
-// classifyLegacy is the Classify capability shared by the three legacy
-// simplified-model kinds: the verbatim Table 1 of the paper, with
-// fork-joins classifying exactly as forks (Section 6.3).
-func classifyLegacy(k CellKey) Classification {
-	bounded := k.Objective.Bounded()
-	if k.Kind == workflow.KindPipeline {
-		return classifyPipeline(k.PlatformHomogeneous, k.GraphHomogeneous, k.DataParallel, k.Objective, bounded)
-	}
-	return classifyFork(k.PlatformHomogeneous, k.GraphHomogeneous, k.DataParallel, k.Objective, bounded)
-}
-
-func classifyPipeline(platHom, graphHom, dp bool, obj Objective, bounded bool) Classification {
-	if platHom {
-		switch {
-		case obj == MinPeriod:
-			return Classification{PolyStraightforward, "Theorem 1"}
-		case !dp && obj == MinLatency:
-			return Classification{PolyStraightforward, "Theorem 2"}
-		case !dp && bounded:
-			return Classification{PolyStraightforward, "Corollary 1"}
-		case obj == MinLatency:
-			return Classification{PolyDP, "Theorem 3"}
-		default:
-			return Classification{PolyDP, "Theorem 4"}
-		}
-	}
-	// Heterogeneous platform.
-	if dp {
-		// NP-hard already for homogeneous pipelines (Theorem 5); the
-		// heterogeneous case inherits it.
-		return Classification{NPHard, "Theorem 5"}
-	}
-	switch {
-	case obj == MinLatency:
-		return Classification{PolyStraightforward, "Theorem 6"}
-	case graphHom && obj == MinPeriod:
-		return Classification{PolyBinarySearchDP, "Theorem 7"}
-	case graphHom:
-		return Classification{PolyBinarySearchDP, "Theorem 8"}
+// method is the algorithm family of a cell of complexity c: a closed
+// form, a dynamic program or a binary search over one for the polynomial
+// labels, and exhaustive search (within the limits) for NP-hard cells.
+func (c Complexity) method() Method {
+	switch c {
+	case PolyStraightforward:
+		return MethodClosedForm
+	case PolyDP:
+		return MethodDP
+	case PolyBinarySearchDP:
+		return MethodBinarySearchDP
 	default:
-		return Classification{NPHard, "Theorem 9"}
+		return MethodExhaustive
 	}
-}
-
-func classifyFork(platHom, graphHom, dp bool, obj Objective, bounded bool) Classification {
-	if platHom {
-		switch {
-		case obj == MinPeriod:
-			return Classification{PolyStraightforward, "Theorem 10"}
-		case graphHom:
-			return Classification{PolyDP, "Theorem 11"}
-		default:
-			// Latency (and hence bi-criteria) for heterogeneous forks is
-			// NP-hard even on homogeneous platforms.
-			return Classification{NPHard, "Theorem 12"}
-		}
-	}
-	// Heterogeneous platform.
-	if dp {
-		return Classification{NPHard, "Theorem 13"}
-	}
-	if graphHom {
-		return Classification{PolyBinarySearchDP, "Theorem 14"}
-	}
-	if obj == MinPeriod && !bounded {
-		return Classification{NPHard, "Theorem 15"}
-	}
-	return Classification{NPHard, "Theorems 12/15"}
 }

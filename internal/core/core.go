@@ -122,28 +122,3 @@ func (pr Problem) validate() error {
 	}
 	return nil
 }
-
-// graphKind returns the graph kind of the problem.
-func (pr Problem) graphKind() workflow.Kind {
-	if spec := specOf(pr); spec != nil {
-		return spec.Kind
-	}
-	return workflow.Kind(-1)
-}
-
-// graphHomogeneous reports whether all (leaf) stage weights are equal —
-// the "homogeneous pipeline / fork" rows of Table 1.
-func (pr Problem) graphHomogeneous() bool {
-	spec := specOf(pr)
-	return spec != nil && spec.GraphHomogeneous(pr)
-}
-
-// platformHomogeneous is the platform axis of the problem's cell: the
-// speed-only test by default, overridden per kind (communication-aware
-// kinds include bandwidths).
-func (pr Problem) platformHomogeneous() bool {
-	if spec := specOf(pr); spec != nil && spec.PlatformHomogeneous != nil {
-		return spec.PlatformHomogeneous(pr)
-	}
-	return pr.Platform.IsHomogeneous()
-}

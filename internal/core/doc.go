@@ -9,17 +9,20 @@
 // # Dispatch
 //
 // Every instance reduces to a CellKey (graph kind, platform and graph
-// homogeneity, mapping model, objective), and an init-time registry
-// maps every reachable key to a SolverEntry: the algorithm family, its
-// exactness, the paper result backing the cell, and the solver
-// function. Solve is CellKeyOf followed by one registry lookup; a
-// completeness test guarantees the registry is total. LookupSolver and
-// ClassifyCell expose the registry read-only to harnesses (wftable, the
-// /v1/table endpoint of cmd/wfserve).
+// homogeneity, mapping model, objective). Table 1 is written once: each
+// kind's Classify tree maps a key to one of the kind's package-level
+// cells, and a cell is the classification (complexity and the paper
+// result backing it) together with its solver and, on cells that share
+// preprocessing across objectives, its Prepare. Solve is CellKeyOf
+// followed by that tree. The rest of a cell's SolverEntry is derived:
+// the method from the complexity, exactness always, and the anytime
+// solver from the kind. LookupSolver and ClassifyCell expose the table
+// read-only to harnesses (wftable, the /v1/table endpoint of
+// cmd/wfserve), and a golden file pins every cell.
 //
 // # Cancellation
 //
-// SolveContext threads its context into every registered solver.
+// SolveContext threads its context into every cell's solver.
 // Polynomial solvers complete fast enough that they only check the
 // context on entry; the exhaustive searches on NP-hard cells poll it at
 // loop checkpoints and return ctx.Err() promptly when cancelled. Solve
@@ -38,7 +41,7 @@
 // # Anytime solving
 //
 // Options.AnytimeBudget switches every NP-hard cell of a kind with a
-// portfolio to its SolverEntry.Anytime solver, filled at registration:
+// portfolio to the kind's Anytime solver (SolverEntry.Anytime):
 // heuristic seeds, simulated-annealing members and — within the
 // exhaustive limits — the exact solver race until the budget or the
 // caller's deadline expires, and the best incumbent is returned with a

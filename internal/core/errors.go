@@ -23,8 +23,8 @@ const (
 	// or speeds, a bounded objective without a positive bound, or an
 	// unknown objective.
 	ErrKindInvalidInstance
-	// ErrKindNoSolver marks a dispatch cell with no registered solver.
-	// Unreachable while the registry-completeness test passes.
+	// ErrKindNoSolver marks a dispatch cell with no solver. Unreachable:
+	// every cell of a kind's Table 1 carries its solver.
 	ErrKindNoSolver
 	// ErrKindUnsupportedKind marks a workflow kind (or kind name) with no
 	// registered capability spec: every dispatch site that used to have a

@@ -9,8 +9,8 @@ import (
 )
 
 // This file holds the one path of every NP-hard kind: a kind describes
-// its hard cells in a hardKind, and one body serves the registry's
-// one-shot Solve, its Prepare and the anytime portfolio's exact member.
+// its hard cells in a hardKind, and one body serves the cells' one-shot
+// Solve, their Prepare and the anytime portfolio's exact member.
 // A one-shot solve is a prepared solve used once.
 
 // hardSolve answers one objective of a built cell with the mapping and
@@ -85,27 +85,31 @@ func (k *hardKind) cell(pr Problem, opts Options, shared bool) (hardCell, error)
 func (c hardCell) run(ctx context.Context, pr Problem) (Solution, error) {
 	if c.solver == nil {
 		sol, ok, err := c.heur(ctx, pr)
-		return stamp(sol, ok, err, MethodHeuristic, false, pr)
+		return stamp(sol, ok, err, MethodHeuristic, false, classificationOf(pr))
 	}
 	sol, ok, err := c.kind.exact(ctx, c.solver, pr)
-	return stamp(sol, ok, err, MethodExhaustive, true, pr)
+	return stamp(sol, ok, err, MethodExhaustive, true, classificationOf(pr))
 }
 
-// stamp completes a hard cell's answer with the method and exactness of
-// the path that produced it and pr's classification; ok false makes it
+// stamp completes a cell's answer with the method and exactness of the
+// path that produced it and the cell's classification; ok false makes it
 // the infeasible verdict.
-func stamp(sol Solution, ok bool, err error, method Method, exact bool, pr Problem) (Solution, error) {
+func stamp(sol Solution, ok bool, err error, method Method, exact bool, cl Classification) (Solution, error) {
 	if err != nil {
 		return Solution{}, err
 	}
 	if !ok {
-		return infeasible(method, exact, classificationOf(pr)), nil
+		return infeasible(method, exact, cl), nil
 	}
-	sol.Method, sol.Exact, sol.Feasible, sol.Classification = method, exact, true, classificationOf(pr)
+	sol.Method, sol.Exact, sol.Feasible, sol.Classification = method, exact, true, cl
 	return sol, nil
 }
 
-// solve is the registered solver of the kind's hard cells: the prepared
+func infeasible(method Method, exact bool, cl Classification) Solution {
+	return Solution{Method: method, Exact: exact, Feasible: false, Classification: cl}
+}
+
+// solve is the solver of the kind's hard cells: the prepared
 // path, built for this one solve.
 func (k *hardKind) solve(ctx context.Context, pr Problem, opts Options) (Solution, error) {
 	c, err := k.cell(pr, opts, false)
@@ -115,7 +119,7 @@ func (k *hardKind) solve(ctx context.Context, pr Problem, opts Options) (Solutio
 	return c.run(ctx, pr)
 }
 
-// prepare is the registered Prepare capability of the kind's hard cells:
+// prepare is the Prepare capability of the kind's hard cells:
 // one cell shared by every objective of the family, byte-identical to
 // solve. It returns nil when the cell has nothing to share.
 func (k *hardKind) prepare(pr Problem, opts Options) *PreparedCell {

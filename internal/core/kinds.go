@@ -15,8 +15,8 @@ import (
 // classification, exhaustive limits, the parallel-search crossover, the
 // anytime portfolio, RNG seeding);
 // every one of those switches is now a capability lookup on the
-// registered spec, so adding a kind means registering one spec plus its
-// Table-1-style cells — no dispatcher edits. Capabilities marked
+// registered spec, so adding a kind means registering one spec whose
+// Classify tree returns its Table-1-style cells — no dispatcher edits. Capabilities marked
 // optional may be nil; the dispatcher then degrades as documented on the
 // field.
 type KindSpec struct {
@@ -44,9 +44,10 @@ type KindSpec struct {
 	// Problem.Bandwidth is required for it and rejected for others.
 	NeedsBandwidth bool
 
-	// Classify returns the Table 1 classification of one of the kind's
-	// cells (k.Kind == Kind).
-	Classify func(k CellKey) Classification
+	// Classify returns the Table 1 cell of one of the kind's dispatch keys
+	// (k.Kind == Kind): its classification and its solver. Every key
+	// AllCellKeys enumerates for the kind resolves to a cell.
+	Classify func(k CellKey) *tableCell
 	// ExactlySolvable reports whether the in-limit exact path applies to
 	// the (validated) instance under normalized opts.
 	ExactlySolvable func(pr Problem, opts Options) bool
@@ -57,7 +58,7 @@ type KindSpec struct {
 	ParallelWorthwhile func(pr Problem) bool
 	// Anytime is the budget-bounded portfolio solver of the kind's
 	// NP-hard cells. Nil means a positive AnytimeBudget falls through to
-	// the registered cell solver.
+	// the cell's solver.
 	Anytime SolverFunc
 	// SeedMix feeds the instance's graph data into the deterministic
 	// portfolio RNG seed.
@@ -69,19 +70,15 @@ type KindSpec struct {
 	AppendFingerprint func(pr Problem, b []byte) []byte
 }
 
-// kindSpecs is the capability registry, populated at init time by the
-// per-kind solver files and immutable after; kindSpecList holds the same
-// specs sorted by kind so hot-path iteration (specOf runs on every
-// dispatch and fingerprint) never allocates.
-var (
-	kindSpecs    = map[workflow.Kind]*KindSpec{}
-	kindSpecList []*KindSpec
-)
+// kindSpecList is the capability registry, populated at init time by the
+// per-kind solver files, sorted by kind and immutable after. Iterating it
+// (specOf runs on every dispatch and fingerprint) never allocates.
+var kindSpecList []*KindSpec
 
 // registerKind installs a kind spec, panicking on duplicates or missing
 // required capabilities — programming errors caught by any test run.
 func registerKind(spec KindSpec) {
-	if _, dup := kindSpecs[spec.Kind]; dup {
+	if specFor(spec.Kind) != nil {
 		panic(fmt.Sprintf("core: duplicate kind registration for %v", spec.Kind))
 	}
 	switch {
@@ -96,7 +93,6 @@ func registerKind(spec KindSpec) {
 		panic(fmt.Sprintf("core: kind %v registered with missing capabilities", spec.Kind))
 	}
 	cp := spec
-	kindSpecs[spec.Kind] = &cp
 	kindSpecList = append(kindSpecList, &cp)
 	sort.Slice(kindSpecList, func(i, j int) bool { return kindSpecList[i].Kind < kindSpecList[j].Kind })
 }
@@ -112,7 +108,7 @@ func KindSpecs() []*KindSpec {
 // with ErrKindUnsupportedKind — the structured error every dispatch site
 // returns instead of silently defaulting.
 func KindSpecFor(kind workflow.Kind) (*KindSpec, error) {
-	if s, ok := kindSpecs[kind]; ok {
+	if s := specFor(kind); s != nil {
 		return s, nil
 	}
 	return nil, WithErrKind(ErrKindUnsupportedKind,
@@ -129,6 +125,16 @@ func KindByName(name string) (*KindSpec, error) {
 	}
 	return nil, WithErrKind(ErrKindUnsupportedKind,
 		fmt.Errorf("core: unsupported workflow kind %q", name))
+}
+
+// specFor returns the spec of a kind, or nil when no spec registers it.
+func specFor(kind workflow.Kind) *KindSpec {
+	for _, s := range kindSpecList {
+		if s.Kind == kind {
+			return s
+		}
+	}
+	return nil
 }
 
 // specOf returns the spec of a problem's graph kind, or nil when no

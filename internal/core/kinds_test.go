@@ -65,7 +65,7 @@ func TestUnknownKindDispatchSites(t *testing.T) {
 	// Cell-key derivation and classification degrade to explicit
 	// sentinels, never to a legacy kind's cell.
 	key := CellKeyOf(unclaimed)
-	if _, registered := kindSpecs[key.Kind]; registered {
+	if specFor(key.Kind) != nil {
 		t.Errorf("CellKeyOf mapped an unclaimed instance onto registered kind %v", key.Kind)
 	}
 	if cl := ClassifyCell(key); cl != (Classification{}) {

@@ -15,6 +15,32 @@ import (
 	"repliflow/internal/workflow"
 )
 
+// pipeSolution, forkSolution and forkJoinSolution wrap a mapping into a
+// Solution.
+func pipeSolution(m mapping.PipelineMapping, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
+	cp := m
+	return Solution{
+		PipelineMapping: &cp, Cost: c,
+		Method: method, Exact: exact, Feasible: true, Classification: cl,
+	}
+}
+
+func forkSolution(m mapping.ForkMapping, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
+	cp := m
+	return Solution{
+		ForkMapping: &cp, Cost: c,
+		Method: method, Exact: exact, Feasible: true, Classification: cl,
+	}
+}
+
+func forkJoinSolution(m mapping.ForkJoinMapping, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
+	cp := m
+	return Solution{
+		ForkJoinMapping: &cp, Cost: c,
+		Method: method, Exact: exact, Feasible: true, Classification: cl,
+	}
+}
+
 // legacySolve is the seed's core.Solve.
 func legacySolve(pr Problem, opts Options) (Solution, error) {
 	if err := pr.Validate(); err != nil {

@@ -38,7 +38,7 @@ var preparableObjectives = [...]Objective{MinPeriod, MinLatency, LatencyUnderPer
 // a positive AnytimeBudget routes solves to the portfolio (whose results
 // are time-dependent, so sharing state across solves would change them),
 // or no cell of the instance prepares it. Polynomial legacy cells gain
-// nothing from preparation and register no Prepare; NP-hard cells
+// nothing from preparation and have no Prepare; NP-hard cells
 // prepare their exhaustive path and, where a cached heuristic candidate
 // set pays for itself — SP and the communication-aware kinds — their
 // oversized path too. The Objective and Bound of pr are ignored — Solve
@@ -55,19 +55,22 @@ func Prepare(pr Problem, opts Options) (*PreparedSolver, bool) {
 		return nil, false
 	}
 	ps := &PreparedSolver{base: sub, opts: opts}
-	// All hard cells of one graph kind register the same Prepare
+	// All hard cells of one graph kind have the same Prepare
 	// implementation, so the first successful preparation is shared by
 	// every objective whose cell has the capability.
+	spec := specOf(sub)
+	key := keyOf(spec, sub)
 	var shared *PreparedCell
 	n := 0
 	for _, obj := range preparableObjectives {
-		sub.Objective = obj
-		e, ok := registry[CellKeyOf(sub)]
-		if !ok || e.Prepare == nil {
+		key.Objective = obj
+		prepare := spec.Classify(key).prepare
+		if prepare == nil {
 			continue
 		}
 		if shared == nil {
-			if shared = e.Prepare(sub, opts); shared == nil {
+			sub.Objective = obj
+			if shared = prepare(sub, opts); shared == nil {
 				return nil, false // nothing to share, e.g. past the exhaustive limits
 			}
 		}

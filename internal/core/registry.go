@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repliflow/internal/workflow"
 )
@@ -11,7 +10,7 @@ import (
 // CellKey identifies one dispatch cell of Table 1: the graph kind, the two
 // homogeneity axes, the mapping model (with or without data-parallelism)
 // and the objective. Every problem instance reduces to exactly one key,
-// and every key resolves to exactly one registered solver.
+// and every key to exactly one cell of its kind's Table 1.
 type CellKey struct {
 	Kind                workflow.Kind
 	PlatformHomogeneous bool
@@ -67,12 +66,12 @@ type PreparedCell struct {
 	Front func(ctx context.Context) ([]float64, error)
 }
 
-// SolverEntry is one registered solver: the algorithm family used for
-// in-limit instances, whether that family is exact, the paper result
-// backing the cell, and the solver itself. On NP-hard cells Method and
-// Exact describe the exhaustive path; oversized instances fall back to
-// polynomial heuristics at solve time (reported per-solution through
-// Solution.Method and Solution.Exact).
+// SolverEntry is the read-only view of one Table 1 cell's solver: the
+// algorithm family used for in-limit instances, whether that family is
+// exact, the paper result backing the cell, and the solver itself. On
+// NP-hard cells Method and Exact describe the exhaustive path; oversized
+// instances fall back to polynomial heuristics at solve time (reported
+// per-solution through Solution.Method and Solution.Exact).
 type SolverEntry struct {
 	Method Method
 	Exact  bool
@@ -89,66 +88,93 @@ type SolverEntry struct {
 	// so one prepared instance serves every objective of the family.
 	Prepare func(pr Problem, opts Options) *PreparedCell
 	// Anytime is the budget-bounded portfolio solver that replaces Solve
-	// when Options.AnytimeBudget is positive. register fills it for every
-	// MethodExhaustive cell whose kind spec has the Anytime capability;
-	// it is nil on polynomial cells and on kinds without a portfolio (the
-	// communication-aware variants), which ignore the budget.
+	// when Options.AnytimeBudget is positive: the kind spec's Anytime on
+	// NP-hard cells, nil on polynomial cells and on kinds without a
+	// portfolio (the communication-aware variants), which ignore the
+	// budget.
 	Anytime SolverFunc
 }
 
-// registry maps every Table 1 dispatch cell to its solver. It is populated
-// at init time by the per-kind solver files and immutable after.
-var registry = map[CellKey]SolverEntry{}
-
-// register installs a solver entry, panicking on duplicates or nil solvers:
-// both are programming errors caught by any test run.
-func register(key CellKey, e SolverEntry) {
-	if e.Solve == nil {
-		panic(fmt.Sprintf("core: nil solver registered for cell %v", key))
-	}
-	if _, dup := registry[key]; dup {
-		panic(fmt.Sprintf("core: duplicate solver registration for cell %v", key))
-	}
-	if spec := kindSpecs[key.Kind]; spec != nil && e.Method == MethodExhaustive {
-		e.Anytime = spec.Anytime
-	}
-	registry[key] = e
+// tableCell is one cell of Table 1: its classification and the solver
+// behind it. Each kind's Classify tree returns a pointer to one of the
+// kind's package-level cells, so the table is written once; everything
+// else a SolverEntry reports derives from the cell and its kind.
+type tableCell struct {
+	Classification
+	solve SolverFunc
+	// prepare is the cell's SolverEntry.Prepare (nil when it has none).
+	prepare func(pr Problem, opts Options) *PreparedCell
 }
+
+// npHardCell is an NP-hard cell of Table 1, solved by the kind's hard path.
+func npHardCell(source string, k *hardKind) *tableCell {
+	return &tableCell{Classification{NPHard, source}, k.solve, k.prepare}
+}
+
+// polyCell is a polynomial cell of Table 1. run is its algorithm: the
+// mapping and cost of pr's optimum, and whether any mapping meets pr's
+// bound; the cell stamps its method and classification on the answer.
+func polyCell(c Complexity, source string, run func(pr Problem) (Solution, bool, error)) *tableCell {
+	cl := Classification{c, source}
+	return &tableCell{Classification: cl, solve: func(_ context.Context, pr Problem, _ Options) (Solution, error) {
+		sol, ok, err := run(pr)
+		return stamp(sol, ok, err, c.method(), true, cl)
+	}}
+}
+
+// feasible adapts an unbounded algorithm's result to polyCell's run:
+// every mapping meets no bound.
+func feasible[R any](r R, err error) (R, bool, error) { return r, true, err }
 
 // CellKeyOf returns the dispatch key of a problem. The problem should be
 // validated first; the key of an invalid problem is unspecified.
 func CellKeyOf(pr Problem) CellKey {
-	return CellKey{
-		Kind:                pr.graphKind(),
-		PlatformHomogeneous: pr.platformHomogeneous(),
-		GraphHomogeneous:    pr.graphHomogeneous(),
-		DataParallel:        pr.AllowDataParallel,
-		Objective:           pr.Objective,
-	}
+	return keyOf(specOf(pr), pr)
 }
 
-// LookupSolver returns the registered solver entry for a dispatch cell.
+// keyOf is CellKeyOf for the spec of pr's kind, nil when no kind claims pr.
+func keyOf(spec *KindSpec, pr Problem) CellKey {
+	k := CellKey{Kind: workflow.Kind(-1), DataParallel: pr.AllowDataParallel, Objective: pr.Objective}
+	if spec == nil {
+		k.PlatformHomogeneous = pr.Platform.IsHomogeneous()
+		return k
+	}
+	k.Kind, k.GraphHomogeneous = spec.Kind, spec.GraphHomogeneous(pr)
+	if spec.PlatformHomogeneous != nil {
+		k.PlatformHomogeneous = spec.PlatformHomogeneous(pr)
+	} else {
+		k.PlatformHomogeneous = pr.Platform.IsHomogeneous()
+	}
+	return k
+}
+
+// cellOf returns the spec of a validated problem's kind and the problem's
+// Table 1 cell.
+func cellOf(pr Problem) (*KindSpec, *tableCell) {
+	spec := specOf(pr)
+	return spec, spec.Classify(keyOf(spec, pr))
+}
+
+// LookupSolver returns the solver entry of a dispatch cell; ok is false
+// for keys AllCellKeys does not enumerate.
 func LookupSolver(key CellKey) (SolverEntry, bool) {
-	e, ok := registry[key]
-	return e, ok
-}
-
-// RegisteredCells returns every registered dispatch key in a deterministic
-// order.
-func RegisteredCells() []CellKey {
-	keys := make([]CellKey, 0, len(registry))
-	for k := range registry {
-		keys = append(keys, k)
+	spec := specFor(key.Kind)
+	if spec == nil || key.DataParallel && !spec.DataParallel ||
+		key.Objective < MinPeriod || key.Objective > PeriodUnderLatency {
+		return SolverEntry{}, false
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return keys
+	c := spec.Classify(key)
+	e := SolverEntry{Method: c.Complexity.method(), Exact: true, Source: c.Source, Solve: c.solve, Prepare: c.prepare}
+	if !c.Complexity.Polynomial() {
+		e.Anytime = spec.Anytime
+	}
+	return e, true
 }
 
 // AllCellKeys enumerates every dispatch key Classify can emit: for each
 // registered kind, the cross product of the homogeneity axes, the mapping
 // models the kind supports (the data-parallel axis exists only for kinds
-// with the capability) and the objectives. The registry-completeness test
-// checks each resolves to a registered solver.
+// with the capability) and the objectives.
 func AllCellKeys() []CellKey {
 	var keys []CellKey
 	for _, spec := range KindSpecs() {
@@ -172,7 +198,8 @@ func AllCellKeys() []CellKey {
 // classificationOf returns the Table 1 cell of a validated problem without
 // re-validating it.
 func classificationOf(pr Problem) Classification {
-	return ClassifyCell(CellKeyOf(pr))
+	_, c := cellOf(pr)
+	return c.Classification
 }
 
 // ExactlySolvable reports whether Solve is guaranteed to return an exact
@@ -180,22 +207,25 @@ func classificationOf(pr Problem) Classification {
 // the cell is polynomial, or it is NP-hard but within the kind's
 // exhaustive search limits. The instance must be valid.
 func ExactlySolvable(pr Problem, opts Options) bool {
-	opts = opts.Normalized()
-	if classificationOf(pr).Complexity.Polynomial() {
+	spec := specOf(pr)
+	if spec == nil {
+		return false
+	}
+	if spec.Classify(keyOf(spec, pr)).Complexity.Polynomial() {
 		return true
 	}
 	// A budget switches NP-hard cells with a portfolio to the anytime
 	// path, whose result is certified but not guaranteed exact (the
 	// budget may expire before the exact member finishes).
-	if opts.AnytimeBudget > 0 && registry[CellKeyOf(pr)].Anytime != nil {
+	opts = opts.Normalized()
+	if opts.AnytimeBudget > 0 && spec.Anytime != nil {
 		return false
 	}
-	spec := specOf(pr)
-	return spec != nil && spec.ExactlySolvable(pr, opts)
+	return spec.ExactlySolvable(pr, opts)
 }
 
 // SolveContext classifies the problem into its Table 1 cell and solves it
-// with the registered solver, honouring ctx: exhaustive searches on NP-hard
+// with the cell's solver, honouring ctx: exhaustive searches on NP-hard
 // cells poll the context and return ctx.Err() promptly when cancelled. The
 // zero Options value applies DefaultOptions.
 func SolveContext(ctx context.Context, pr Problem, opts Options) (Solution, error) {
@@ -206,17 +236,11 @@ func SolveContext(ctx context.Context, pr Problem, opts Options) (Solution, erro
 		return Solution{}, err
 	}
 	opts = opts.Normalized()
-	key := CellKeyOf(pr)
-	e, ok := registry[key]
-	if !ok {
-		// Unreachable when the registry is complete (guaranteed by test).
-		return Solution{}, WithErrKind(ErrKindNoSolver,
-			fmt.Errorf("core: no solver registered for cell %v", key))
+	spec, c := cellOf(pr)
+	if opts.AnytimeBudget > 0 && spec.Anytime != nil && !c.Complexity.Polynomial() {
+		return spec.Anytime(ctx, pr, opts)
 	}
-	if opts.AnytimeBudget > 0 && e.Anytime != nil {
-		return e.Anytime(ctx, pr, opts)
-	}
-	return e.Solve(ctx, pr, opts)
+	return c.solve(ctx, pr, opts)
 }
 
 // Solve classifies the problem into its Table 1 cell and solves it with

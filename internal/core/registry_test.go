@@ -12,10 +12,10 @@ import (
 	"repliflow/internal/workflow"
 )
 
-// TestRegistryCompleteness checks the registry is total: every dispatch
-// key Classify can emit — the full cross product of graph kinds,
-// homogeneity axes, mapping models and objectives — resolves to a
-// registered solver whose metadata agrees with the classification.
+// TestRegistryCompleteness checks the table is total: every dispatch key
+// Classify can emit — the full cross product of graph kinds, homogeneity
+// axes, mapping models and objectives — resolves to a solver. What each
+// cell holds is pinned by TestTable1Golden.
 func TestRegistryCompleteness(t *testing.T) {
 	keys := AllCellKeys()
 	want := 0
@@ -30,42 +30,9 @@ func TestRegistryCompleteness(t *testing.T) {
 		t.Fatalf("AllCellKeys: %d keys, want %d", len(keys), want)
 	}
 	for _, key := range keys {
-		e, ok := LookupSolver(key)
-		if !ok {
-			t.Errorf("cell %v: no solver registered", key)
-			continue
+		if e, ok := LookupSolver(key); !ok || e.Solve == nil {
+			t.Errorf("cell %v: no solver", key)
 		}
-		cl := classifyKey(key)
-		if e.Source != cl.Source {
-			t.Errorf("cell %v: solver source %q, classification source %q", key, e.Source, cl.Source)
-		}
-		if cl.Complexity.Polynomial() && e.Method == MethodExhaustive {
-			t.Errorf("cell %v: polynomial cell registered with exhaustive solver", key)
-		}
-		if !cl.Complexity.Polynomial() && e.Method != MethodExhaustive {
-			t.Errorf("cell %v: NP-hard cell registered with %v solver", key, e.Method)
-		}
-		if !e.Exact {
-			t.Errorf("cell %v: primary method not exact", key)
-		}
-	}
-	if got := len(RegisteredCells()); got != len(keys) {
-		t.Errorf("registry holds %d cells, want %d", got, len(keys))
-	}
-}
-
-// classifyKey reproduces Classify for a bare dispatch key: the legacy
-// kinds through the Table 1 decision trees preserved verbatim (fork-joins
-// classify as forks, Section 6.3), the registry-extension kinds through
-// their registered Classify capability.
-func classifyKey(k CellKey) Classification {
-	switch k.Kind {
-	case workflow.KindPipeline:
-		return classifyPipeline(k.PlatformHomogeneous, k.GraphHomogeneous, k.DataParallel, k.Objective, k.Objective.Bounded())
-	case workflow.KindFork, workflow.KindForkJoin:
-		return classifyFork(k.PlatformHomogeneous, k.GraphHomogeneous, k.DataParallel, k.Objective, k.Objective.Bounded())
-	default:
-		return ClassifyCell(k)
 	}
 }
 

@@ -64,9 +64,6 @@ func fpBandwidth(b []byte, bw *fullmodel.Bandwidth) []byte {
 }
 
 func init() {
-	bools := []bool{false, true}
-	objs := []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency}
-
 	registerKind(KindSpec{
 		Kind:     workflow.KindCommPipeline,
 		Name:     workflow.KindCommPipeline.String(),
@@ -110,10 +107,8 @@ func init() {
 		GraphHomogeneous:    func(pr Problem) bool { return pr.CommFork.IsHomogeneous() },
 		PlatformHomogeneous: commHomogeneous,
 		NeedsBandwidth:      true,
-		Classify: func(CellKey) Classification {
-			return Classification{NPHard, "Section 3.3 (one-port fork)"}
-		},
-		ExactlySolvable: commForkKind.inLimits,
+		Classify:            func(CellKey) *tableCell { return commForkCell },
+		ExactlySolvable:     commForkKind.inLimits,
 		// The one-port fork scan stays serial (instances behind the limits
 		// are small enough that scratch reuse dominates), so there is no
 		// ParallelWorthwhile.
@@ -137,41 +132,35 @@ func init() {
 			return fpBandwidth(b, pr.Bandwidth)
 		},
 	})
-
-	// Comm-pipeline cells. Fully homogeneous platforms are polynomial
-	// (latency objectives by the interval DP, period objectives by binary
-	// search over the candidate periods); heterogeneous platforms are
-	// NP-hard and solved exhaustively within the fork limits.
-	for _, gh := range bools {
-		for _, obj := range objs {
-			register(CellKey{workflow.KindCommPipeline, true, gh, false, obj},
-				SolverEntry{methodForCommPipeObjective(obj), true, "Section 3.2 (hom. platform)", solveCommPipeHom, prepareCommPipeHom, nil})
-			register(CellKey{workflow.KindCommPipeline, false, gh, false, obj},
-				SolverEntry{MethodExhaustive, true, "Section 3.2 (het. platform)", commPipeKind.solve, commPipeKind.prepare, nil})
-		}
-	}
-	// Comm-fork cells: NP-hard on every axis combination (the one-port
-	// serialization makes even uniform instances a partition problem).
-	for _, ph := range bools {
-		for _, gh := range bools {
-			for _, obj := range objs {
-				register(CellKey{workflow.KindCommFork, ph, gh, false, obj},
-					SolverEntry{MethodExhaustive, true, "Section 3.3 (one-port fork)", commForkKind.solve, commForkKind.prepare, nil})
-			}
-		}
-	}
 }
 
+// The communication-aware columns of Table 1. Comm-pipelines on fully
+// homogeneous platforms are polynomial: latency objectives by the
+// interval DP, period objectives by binary search over the candidate
+// periods. On heterogeneous platforms they are NP-hard and solved
+// exhaustively within the fork limits. Comm-forks are NP-hard on every
+// axis: the one-port serialization makes even uniform instances a
+// partition problem.
+const commPipeHomSource = "Section 3.2 (hom. platform)"
+
+var (
+	commPipeHomPeriod  = &tableCell{Classification{PolyBinarySearchDP, commPipeHomSource}, solveCommPipeHom, prepareCommPipeHom}
+	commPipeHomLatency = &tableCell{Classification{PolyDP, commPipeHomSource}, solveCommPipeHom, prepareCommPipeHom}
+	commPipeHet        = npHardCell("Section 3.2 (het. platform)", &commPipeKind)
+	commForkCell       = npHardCell("Section 3.3 (one-port fork)", &commForkKind)
+)
+
 // classifyCommPipeline is the Classify capability of the comm-pipeline
-// kind: polynomial on fully homogeneous platforms, NP-hard otherwise.
-func classifyCommPipeline(k CellKey) Classification {
-	if !k.PlatformHomogeneous {
-		return Classification{NPHard, "Section 3.2 (het. platform)"}
+// kind.
+func classifyCommPipeline(k CellKey) *tableCell {
+	switch {
+	case !k.PlatformHomogeneous:
+		return commPipeHet
+	case k.Objective == MinPeriod || k.Objective == PeriodUnderLatency:
+		return commPipeHomPeriod
+	default:
+		return commPipeHomLatency
 	}
-	if k.Objective == MinPeriod || k.Objective == PeriodUnderLatency {
-		return Classification{PolyBinarySearchDP, "Section 3.2 (hom. platform)"}
-	}
-	return Classification{PolyDP, "Section 3.2 (hom. platform)"}
 }
 
 // commPipeKind describes the NP-hard het-platform comm-pipeline cells:
@@ -240,19 +229,10 @@ func commForkMapped(m fullmodel.ForkMapping, c mapping.Cost) Solution {
 	return Solution{CommForkMapping: &m, Cost: c}
 }
 
-// methodForCommPipeObjective mirrors the registration table: binary
-// search for the period objectives, plain DP for the latency ones.
-func methodForCommPipeObjective(o Objective) Method {
-	if o == MinPeriod || o == PeriodUnderLatency {
-		return MethodBinarySearchDP
-	}
-	return MethodDP
-}
-
 // commPipeHom builds the polynomial hom-platform comm-pipeline cell on
 // one fullmodel.PipelinePrepared: its bound platform, reusable DP arrays
 // and the candidate-period set serve every objective of the family.
-// Prepare shares the cell; the registered solver uses it once.
+// Prepare shares the cell; the cell's solver uses it once.
 func commPipeHom(pr Problem) (PreparedSolve, error) {
 	pp, err := fullmodel.NewPipelinePrepared(*pr.CommPipeline, commPlatform(pr))
 	if err != nil {
@@ -260,14 +240,8 @@ func commPipeHom(pr Problem) (PreparedSolve, error) {
 	}
 	return func(_ context.Context, pr Problem) (Solution, error) {
 		m, c, ok, err := pp.SolveHom(commGoal(pr))
-		if err != nil {
-			return Solution{}, err
-		}
-		method := methodForCommPipeObjective(pr.Objective)
-		if !ok {
-			return infeasible(method, true, classificationOf(pr)), nil
-		}
-		return stamp(commPipeMapped(m, commCost(c)), true, nil, method, true, pr)
+		cl := classificationOf(pr)
+		return stamp(commPipeMapped(m, commCost(c)), ok, err, cl.Complexity.method(), true, cl)
 	}, nil
 }
 

@@ -11,22 +11,6 @@ import (
 	"repliflow/internal/workflow"
 )
 
-func forkSolution(m mapping.ForkMapping, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
-	cp := m
-	return Solution{
-		ForkMapping: &cp, Cost: c,
-		Method: method, Exact: exact, Feasible: true, Classification: cl,
-	}
-}
-
-func forkJoinSolution(m mapping.ForkJoinMapping, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
-	cp := m
-	return Solution{
-		ForkJoinMapping: &cp, Cost: c,
-		Method: method, Exact: exact, Feasible: true, Classification: cl,
-	}
-}
-
 // wholeForkOnProcessor maps the entire fork onto the single processor q.
 func wholeForkOnProcessor(f workflow.Fork, q int) mapping.ForkMapping {
 	leaves := make([]int, f.Leaves())
@@ -49,14 +33,125 @@ func wholeForkJoinOnProcessor(fj workflow.ForkJoin, q int) mapping.ForkJoinMappi
 	}}
 }
 
-// registerForkSolvers populates the registry with the fork and fork-join
-// columns of Table 1; fork-joins classify exactly as forks (Section 6.3),
-// so both kinds share the registration structure with kind-specific solver
-// funcs.
-func init() {
-	bools := []bool{false, true}
-	objs := []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency}
+// The fork and fork-join columns of Table 1: fork-joins classify exactly
+// as forks (Section 6.3), each cell backed by the kind's own algorithm.
+var (
+	forkCells = newForkColumn(
+		func(pr Problem) (Solution, bool, error) {
+			return forkRun(feasible(forkalgo.HomForkPeriod(*pr.Fork, pr.Platform)))
+		},
+		func(pr Problem) (Solution, bool, error) {
+			f, pl, dp := *pr.Fork, pr.Platform, pr.AllowDataParallel
+			switch pr.Objective {
+			case MinLatency:
+				return forkRun(feasible(forkalgo.HomForkLatency(f, pl, dp)))
+			case LatencyUnderPeriod:
+				return forkRun(forkalgo.HomForkLatencyUnderPeriod(f, pl, dp, pr.Bound))
+			default:
+				return forkRun(forkalgo.HomForkPeriodUnderLatency(f, pl, dp, pr.Bound))
+			}
+		},
+		func(pr Problem) (Solution, bool, error) {
+			f, pl := *pr.Fork, pr.Platform
+			switch pr.Objective {
+			case MinPeriod:
+				return forkRun(feasible(forkalgo.HetHomForkPeriodNoDP(f, pl)))
+			case MinLatency:
+				return forkRun(feasible(forkalgo.HetHomForkLatencyNoDP(f, pl)))
+			case LatencyUnderPeriod:
+				return forkRun(forkalgo.HetHomForkLatencyUnderPeriodNoDP(f, pl, pr.Bound))
+			default:
+				return forkRun(forkalgo.HetHomForkPeriodUnderLatencyNoDP(f, pl, pr.Bound))
+			}
+		},
+		&forkKind)
+	forkJoinCells = newForkColumn(
+		func(pr Problem) (Solution, bool, error) {
+			return forkJoinRun(feasible(forkalgo.HomForkJoinPeriod(*pr.ForkJoin, pr.Platform)))
+		},
+		func(pr Problem) (Solution, bool, error) {
+			fj, pl, dp := *pr.ForkJoin, pr.Platform, pr.AllowDataParallel
+			switch pr.Objective {
+			case MinLatency:
+				return forkJoinRun(feasible(forkalgo.HomForkJoinLatency(fj, pl, dp)))
+			case LatencyUnderPeriod:
+				return forkJoinRun(forkalgo.HomForkJoinLatencyUnderPeriod(fj, pl, dp, pr.Bound))
+			default:
+				return forkJoinRun(forkalgo.HomForkJoinPeriodUnderLatency(fj, pl, dp, pr.Bound))
+			}
+		},
+		func(pr Problem) (Solution, bool, error) {
+			fj, pl := *pr.ForkJoin, pr.Platform
+			switch pr.Objective {
+			case MinPeriod:
+				return forkJoinRun(feasible(forkalgo.HetHomForkJoinPeriodNoDP(fj, pl)))
+			case MinLatency:
+				return forkJoinRun(feasible(forkalgo.HetHomForkJoinLatencyNoDP(fj, pl)))
+			case LatencyUnderPeriod:
+				return forkJoinRun(forkalgo.HetHomForkJoinLatencyUnderPeriodNoDP(fj, pl, pr.Bound))
+			default:
+				return forkJoinRun(forkalgo.HetHomForkJoinPeriodUnderLatencyNoDP(fj, pl, pr.Bound))
+			}
+		},
+		&forkJoinKind)
+)
 
+// forkColumn is the fork column of Table 1 for one of the two fork kinds.
+type forkColumn struct {
+	theorem10, theorem11, theorem12, theorem13, theorem14, theorem15, theorems12or15 *tableCell
+}
+
+// newForkColumn builds a fork column on the kind's algorithms of
+// Theorems 10, 11 and 14 and its hard path.
+func newForkColumn(theorem10, theorem11, theorem14 func(Problem) (Solution, bool, error), hard *hardKind) *forkColumn {
+	return &forkColumn{
+		theorem10:      polyCell(PolyStraightforward, "Theorem 10", theorem10),
+		theorem11:      polyCell(PolyDP, "Theorem 11", theorem11),
+		theorem12:      npHardCell("Theorem 12", hard),
+		theorem13:      npHardCell("Theorem 13", hard),
+		theorem14:      polyCell(PolyBinarySearchDP, "Theorem 14", theorem14),
+		theorem15:      npHardCell("Theorem 15", hard),
+		theorems12or15: npHardCell("Theorems 12/15", hard),
+	}
+}
+
+// classify is the Classify capability of the column's kind.
+func (c *forkColumn) classify(k CellKey) *tableCell {
+	if k.PlatformHomogeneous {
+		switch {
+		case k.Objective == MinPeriod:
+			return c.theorem10
+		case k.GraphHomogeneous:
+			return c.theorem11
+		default:
+			// Latency (and hence bi-criteria) for heterogeneous forks is
+			// NP-hard even on homogeneous platforms.
+			return c.theorem12
+		}
+	}
+	switch {
+	case k.DataParallel:
+		return c.theorem13
+	case k.GraphHomogeneous:
+		return c.theorem14
+	case k.Objective == MinPeriod:
+		return c.theorem15
+	default:
+		return c.theorems12or15
+	}
+}
+
+// forkRun and forkJoinRun adapt a fork algorithm's result to polyCell's
+// run.
+func forkRun(r forkalgo.Result, ok bool, err error) (Solution, bool, error) {
+	return Solution{ForkMapping: &r.Mapping, Cost: r.Cost}, ok, err
+}
+
+func forkJoinRun(r forkalgo.ForkJoinResult, ok bool, err error) (Solution, bool, error) {
+	return Solution{ForkJoinMapping: &r.Mapping, Cost: r.Cost}, ok, err
+}
+
+func init() {
 	registerKind(KindSpec{
 		Kind:             workflow.KindFork,
 		Name:             workflow.KindFork.String(),
@@ -64,7 +159,7 @@ func init() {
 		ValidateGraph:    func(pr Problem) error { return pr.Fork.Validate() },
 		GraphHomogeneous: func(pr Problem) bool { return pr.Fork.IsHomogeneous() },
 		DataParallel:     true,
-		Classify:         classifyLegacy,
+		Classify:         forkCells.classify,
 		ExactlySolvable:  forkKind.inLimits,
 		ParallelWorthwhile: func(pr Problem) bool {
 			return pr.Fork.Leaves()+1 >= parMinForkItems &&
@@ -89,7 +184,7 @@ func init() {
 		ValidateGraph:    func(pr Problem) error { return pr.ForkJoin.Validate() },
 		GraphHomogeneous: func(pr Problem) bool { return pr.ForkJoin.IsHomogeneous() },
 		DataParallel:     true,
-		Classify:         classifyLegacy,
+		Classify:         forkJoinCells.classify,
 		ExactlySolvable:  forkJoinKind.inLimits,
 		ParallelWorthwhile: func(pr Problem) bool {
 			return pr.ForkJoin.Leaves()+2 >= parMinForkItems &&
@@ -109,128 +204,9 @@ func init() {
 			return fpFloats(b, pr.ForkJoin.Weights)
 		},
 	})
-	for _, kind := range []workflow.Kind{workflow.KindFork, workflow.KindForkJoin} {
-		periodSolver, t11, t14, hard := solveForkHomPeriod, solveForkTheorem11, solveForkTheorem14, &forkKind
-		if kind == workflow.KindForkJoin {
-			periodSolver, t11, t14, hard = solveForkJoinHomPeriod, solveForkJoinTheorem11, solveForkJoinTheorem14, &forkJoinKind
-		}
-
-		// Homogeneous platforms: period is straightforward (Theorem 10);
-		// the remaining objectives are polynomial only for homogeneous
-		// forks (Theorem 11) and NP-hard otherwise (Theorem 12).
-		for _, gh := range bools {
-			for _, dp := range bools {
-				register(CellKey{kind, true, gh, dp, MinPeriod},
-					SolverEntry{MethodClosedForm, true, "Theorem 10", periodSolver, nil, nil})
-			}
-		}
-		for _, dp := range bools {
-			for _, obj := range objs[1:] {
-				register(CellKey{kind, true, true, dp, obj},
-					SolverEntry{MethodDP, true, "Theorem 11", t11, nil, nil})
-				register(CellKey{kind, true, false, dp, obj},
-					SolverEntry{MethodExhaustive, true, "Theorem 12", hard.solve, hard.prepare, nil})
-			}
-		}
-
-		// Heterogeneous platforms: homogeneous forks without
-		// data-parallelism stay polynomial (Theorem 14); data-parallelism
-		// is NP-hard (Theorem 13), and so are heterogeneous forks
-		// (Theorems 12/15).
-		for _, obj := range objs {
-			register(CellKey{kind, false, true, false, obj},
-				SolverEntry{MethodBinarySearchDP, true, "Theorem 14", t14, nil, nil})
-			source := "Theorems 12/15"
-			if obj == MinPeriod {
-				source = "Theorem 15"
-			}
-			register(CellKey{kind, false, false, false, obj},
-				SolverEntry{MethodExhaustive, true, source, hard.solve, hard.prepare, nil})
-			for _, gh := range bools {
-				register(CellKey{kind, false, gh, true, obj},
-					SolverEntry{MethodExhaustive, true, "Theorem 13", hard.solve, hard.prepare, nil})
-			}
-		}
-	}
 }
 
 // --- Fork solvers ----------------------------------------------------------
-
-func solveForkHomPeriod(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := forkalgo.HomForkPeriod(*pr.Fork, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return forkSolution(res.Mapping, res.Cost, MethodClosedForm, true, classificationOf(pr)), nil
-}
-
-func solveForkTheorem11(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	f, pl, dp := *pr.Fork, pr.Platform, pr.AllowDataParallel
-	cl := classificationOf(pr)
-	switch pr.Objective {
-	case MinLatency:
-		res, err := forkalgo.HomForkLatency(f, pl, dp)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HomForkLatencyUnderPeriod(f, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	default: // PeriodUnderLatency
-		res, ok, err := forkalgo.HomForkPeriodUnderLatency(f, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	}
-}
-
-func solveForkTheorem14(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	f, pl := *pr.Fork, pr.Platform
-	cl := classificationOf(pr)
-	switch pr.Objective {
-	case MinPeriod:
-		res, err := forkalgo.HetHomForkPeriodNoDP(f, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case MinLatency:
-		res, err := forkalgo.HetHomForkLatencyNoDP(f, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HetHomForkLatencyUnderPeriodNoDP(f, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	default:
-		res, ok, err := forkalgo.HetHomForkPeriodUnderLatencyNoDP(f, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	}
-}
 
 // forkKind describes the NP-hard fork cells: the exact set-partition
 // scan within the limits, polynomial heuristics polished by hill climbing
@@ -299,82 +275,6 @@ func forkHeuristicCandidates(pr Problem) ([]mapping.ForkMapping, []mapping.Cost)
 }
 
 // --- Fork-join solvers -----------------------------------------------------
-
-func solveForkJoinHomPeriod(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := forkalgo.HomForkJoinPeriod(*pr.ForkJoin, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return forkJoinSolution(res.Mapping, res.Cost, MethodClosedForm, true, classificationOf(pr)), nil
-}
-
-func solveForkJoinTheorem11(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	fj, pl, dp := *pr.ForkJoin, pr.Platform, pr.AllowDataParallel
-	cl := classificationOf(pr)
-	switch pr.Objective {
-	case MinLatency:
-		res, err := forkalgo.HomForkJoinLatency(fj, pl, dp)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HomForkJoinLatencyUnderPeriod(fj, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	default:
-		res, ok, err := forkalgo.HomForkJoinPeriodUnderLatency(fj, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	}
-}
-
-func solveForkJoinTheorem14(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	fj, pl := *pr.ForkJoin, pr.Platform
-	cl := classificationOf(pr)
-	switch pr.Objective {
-	case MinPeriod:
-		res, err := forkalgo.HetHomForkJoinPeriodNoDP(fj, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case MinLatency:
-		res, err := forkalgo.HetHomForkJoinLatencyNoDP(fj, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HetHomForkJoinLatencyUnderPeriodNoDP(fj, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	default:
-		res, ok, err := forkalgo.HetHomForkJoinPeriodUnderLatencyNoDP(fj, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	}
-}
 
 // forkJoinKind describes the NP-hard fork-join cells: the exact scan
 // within the limits, polynomial heuristics beyond them.

@@ -12,27 +12,94 @@ import (
 	"repliflow/internal/workflow"
 )
 
-// pipeSolution wraps a pipeline mapping into a Solution.
-func pipeSolution(m mapping.PipelineMapping, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
-	cp := m
-	return Solution{
-		PipelineMapping: &cp, Cost: c,
-		Method: method, Exact: exact, Feasible: true, Classification: cl,
+// The pipeline column of Table 1. On homogeneous platforms every cell is
+// polynomial (Theorems 1-4, Corollary 1). On heterogeneous platforms
+// latency without data-parallelism is polynomial (Theorem 6), and so are
+// the period objectives of homogeneous pipelines (Theorems 7-8); the
+// rest is NP-hard (Theorems 5 and 9).
+var (
+	pipeTheorem1 = polyCell(PolyStraightforward, "Theorem 1", func(pr Problem) (Solution, bool, error) {
+		return pipeRun(feasible(pipealgo.HomPeriod(*pr.Pipeline, pr.Platform)))
+	})
+	pipeTheorem2 = polyCell(PolyStraightforward, "Theorem 2", func(pr Problem) (Solution, bool, error) {
+		return pipeRun(feasible(pipealgo.HomLatencyNoDP(*pr.Pipeline, pr.Platform)))
+	})
+	// Without data-parallelism every mapping has latency W/s, so
+	// replicating everything reaches the minimum period; the bound only
+	// decides feasibility.
+	pipeCorollary1 = polyCell(PolyStraightforward, "Corollary 1", func(pr Problem) (Solution, bool, error) {
+		res, err := pipealgo.HomBiCriteriaNoDP(*pr.Pipeline, pr.Platform)
+		bounded := res.Cost.Period
+		if pr.Objective == PeriodUnderLatency {
+			bounded = res.Cost.Latency
+		}
+		return pipeRun(res, !numeric.Greater(bounded, pr.Bound), err)
+	})
+	pipeTheorem3 = polyCell(PolyDP, "Theorem 3", func(pr Problem) (Solution, bool, error) {
+		return pipeRun(feasible(pipealgo.HomLatencyDP(*pr.Pipeline, pr.Platform)))
+	})
+	pipeTheorem4 = polyCell(PolyDP, "Theorem 4", func(pr Problem) (Solution, bool, error) {
+		if pr.Objective == LatencyUnderPeriod {
+			return pipeRun(pipealgo.HomLatencyUnderPeriodDP(*pr.Pipeline, pr.Platform, pr.Bound))
+		}
+		return pipeRun(pipealgo.HomPeriodUnderLatencyDP(*pr.Pipeline, pr.Platform, pr.Bound))
+	})
+	pipeTheorem5 = npHardCell("Theorem 5", &pipeKind)
+	pipeTheorem6 = polyCell(PolyStraightforward, "Theorem 6", func(pr Problem) (Solution, bool, error) {
+		return pipeRun(feasible(pipealgo.HetLatencyNoDP(*pr.Pipeline, pr.Platform)))
+	})
+	pipeTheorem7 = polyCell(PolyBinarySearchDP, "Theorem 7", func(pr Problem) (Solution, bool, error) {
+		return pipeRun(feasible(pipealgo.HetHomPipelinePeriodNoDP(*pr.Pipeline, pr.Platform)))
+	})
+	pipeTheorem8 = polyCell(PolyBinarySearchDP, "Theorem 8", func(pr Problem) (Solution, bool, error) {
+		if pr.Objective == LatencyUnderPeriod {
+			return pipeRun(pipealgo.HetHomPipelineLatencyUnderPeriodNoDP(*pr.Pipeline, pr.Platform, pr.Bound))
+		}
+		return pipeRun(pipealgo.HetHomPipelinePeriodUnderLatencyNoDP(*pr.Pipeline, pr.Platform, pr.Bound))
+	})
+	pipeTheorem9 = npHardCell("Theorem 9", &pipeKind)
+)
+
+// pipeRun adapts a pipeline algorithm's result to polyCell's run.
+func pipeRun(r pipealgo.Result, ok bool, err error) (Solution, bool, error) {
+	return Solution{PipelineMapping: &r.Mapping, Cost: r.Cost}, ok, err
+}
+
+// classifyPipeline is the Classify capability of the pipeline kind.
+func classifyPipeline(k CellKey) *tableCell {
+	obj, dp := k.Objective, k.DataParallel
+	if k.PlatformHomogeneous {
+		switch {
+		case obj == MinPeriod:
+			return pipeTheorem1
+		case !dp && obj == MinLatency:
+			return pipeTheorem2
+		case !dp && obj.Bounded():
+			return pipeCorollary1
+		case obj == MinLatency:
+			return pipeTheorem3
+		default:
+			return pipeTheorem4
+		}
+	}
+	switch {
+	case dp:
+		// NP-hard already for homogeneous pipelines (Theorem 5); the
+		// heterogeneous case inherits it.
+		return pipeTheorem5
+	case obj == MinLatency:
+		return pipeTheorem6
+	case k.GraphHomogeneous && obj == MinPeriod:
+		return pipeTheorem7
+	case k.GraphHomogeneous:
+		return pipeTheorem8
+	default:
+		return pipeTheorem9
 	}
 }
 
-func infeasible(method Method, exact bool, cl Classification) Solution {
-	return Solution{Method: method, Exact: exact, Feasible: false, Classification: cl}
-}
-
-// registerPipelineSolvers populates the registry with the pipeline column
-// of Table 1. Cells whose algorithm ignores an axis (e.g. Theorem 1 works
-// for any graph homogeneity) are registered once per concrete key so the
-// registry stays total over the cross product.
 func init() {
 	kind := workflow.KindPipeline
-	bools := []bool{false, true}
-
 	registerKind(KindSpec{
 		Kind:             kind,
 		Name:             kind.String(),
@@ -40,7 +107,7 @@ func init() {
 		ValidateGraph:    func(pr Problem) error { return pr.Pipeline.Validate() },
 		GraphHomogeneous: func(pr Problem) bool { return pr.Pipeline.IsHomogeneous() },
 		DataParallel:     true,
-		Classify:         classifyLegacy,
+		Classify:         classifyPipeline,
 		ExactlySolvable:  pipeKind.inLimits,
 		ParallelWorthwhile: func(pr Problem) bool {
 			return pr.Pipeline.Stages()<<pr.Platform.Processors() >= parMinPipelineStates
@@ -55,167 +122,6 @@ func init() {
 			return fpFloats(append(b, 'P'), pr.Pipeline.Weights)
 		},
 	})
-
-	// Homogeneous platforms: every cell is polynomial (Theorems 1-4,
-	// Corollary 1).
-	for _, gh := range bools {
-		for _, dp := range bools {
-			register(CellKey{kind, true, gh, dp, MinPeriod},
-				SolverEntry{MethodClosedForm, true, "Theorem 1", solvePipeHomPeriod, nil, nil})
-		}
-		register(CellKey{kind, true, gh, false, MinLatency},
-			SolverEntry{MethodClosedForm, true, "Theorem 2", solvePipeHomLatencyNoDP, nil, nil})
-		register(CellKey{kind, true, gh, false, LatencyUnderPeriod},
-			SolverEntry{MethodClosedForm, true, "Corollary 1", solvePipeHomBiCriteriaNoDP, nil, nil})
-		register(CellKey{kind, true, gh, false, PeriodUnderLatency},
-			SolverEntry{MethodClosedForm, true, "Corollary 1", solvePipeHomBiCriteriaNoDP, nil, nil})
-		register(CellKey{kind, true, gh, true, MinLatency},
-			SolverEntry{MethodDP, true, "Theorem 3", solvePipeHomLatencyDP, nil, nil})
-		register(CellKey{kind, true, gh, true, LatencyUnderPeriod},
-			SolverEntry{MethodDP, true, "Theorem 4", solvePipeHomLatencyUnderPeriodDP, nil, nil})
-		register(CellKey{kind, true, gh, true, PeriodUnderLatency},
-			SolverEntry{MethodDP, true, "Theorem 4", solvePipeHomPeriodUnderLatencyDP, nil, nil})
-	}
-
-	// Heterogeneous platforms without data-parallelism: latency is always
-	// polynomial (Theorem 6); period-type objectives are polynomial for
-	// homogeneous pipelines (Theorems 7-8) and NP-hard otherwise
-	// (Theorem 9).
-	for _, gh := range bools {
-		register(CellKey{kind, false, gh, false, MinLatency},
-			SolverEntry{MethodClosedForm, true, "Theorem 6", solvePipeHetLatencyNoDP, nil, nil})
-	}
-	register(CellKey{kind, false, true, false, MinPeriod},
-		SolverEntry{MethodBinarySearchDP, true, "Theorem 7", solvePipeHetHomPeriodNoDP, nil, nil})
-	register(CellKey{kind, false, true, false, LatencyUnderPeriod},
-		SolverEntry{MethodBinarySearchDP, true, "Theorem 8", solvePipeHetHomLatencyUnderPeriodNoDP, nil, nil})
-	register(CellKey{kind, false, true, false, PeriodUnderLatency},
-		SolverEntry{MethodBinarySearchDP, true, "Theorem 8", solvePipeHetHomPeriodUnderLatencyNoDP, nil, nil})
-	for _, obj := range []Objective{MinPeriod, LatencyUnderPeriod, PeriodUnderLatency} {
-		register(CellKey{kind, false, false, false, obj},
-			SolverEntry{MethodExhaustive, true, "Theorem 9", pipeKind.solve, pipeKind.prepare, nil})
-	}
-
-	// Data-parallelism on heterogeneous platforms is NP-hard across the
-	// board (Theorem 5 covers homogeneous pipelines; heterogeneous ones
-	// inherit the hardness).
-	for _, gh := range bools {
-		for _, obj := range []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency} {
-			register(CellKey{kind, false, gh, true, obj},
-				SolverEntry{MethodExhaustive, true, "Theorem 5", pipeKind.solve, pipeKind.prepare, nil})
-		}
-	}
-}
-
-// --- Polynomial cells (homogeneous platform) -------------------------------
-
-func solvePipeHomPeriod(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := pipealgo.HomPeriod(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodClosedForm, true, classificationOf(pr)), nil
-}
-
-func solvePipeHomLatencyNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := pipealgo.HomLatencyNoDP(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodClosedForm, true, classificationOf(pr)), nil
-}
-
-// solvePipeHomBiCriteriaNoDP handles Corollary 1: without data-parallelism
-// every mapping has latency W/s, so replicating everything reaches the
-// minimum period; the bound only decides feasibility.
-func solvePipeHomBiCriteriaNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	res, err := pipealgo.HomBiCriteriaNoDP(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	bounded := res.Cost.Period
-	if pr.Objective == PeriodUnderLatency {
-		bounded = res.Cost.Latency
-	}
-	if numeric.Greater(bounded, pr.Bound) {
-		return infeasible(MethodClosedForm, true, cl), nil
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodClosedForm, true, cl), nil
-}
-
-func solvePipeHomLatencyDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := pipealgo.HomLatencyDP(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodDP, true, classificationOf(pr)), nil
-}
-
-func solvePipeHomLatencyUnderPeriodDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	res, ok, err := pipealgo.HomLatencyUnderPeriodDP(*pr.Pipeline, pr.Platform, pr.Bound)
-	if err != nil {
-		return Solution{}, err
-	}
-	if !ok {
-		return infeasible(MethodDP, true, cl), nil
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-}
-
-func solvePipeHomPeriodUnderLatencyDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	res, ok, err := pipealgo.HomPeriodUnderLatencyDP(*pr.Pipeline, pr.Platform, pr.Bound)
-	if err != nil {
-		return Solution{}, err
-	}
-	if !ok {
-		return infeasible(MethodDP, true, cl), nil
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-}
-
-// --- Polynomial cells (heterogeneous platform, no data-parallelism) --------
-
-func solvePipeHetLatencyNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := pipealgo.HetLatencyNoDP(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodClosedForm, true, classificationOf(pr)), nil
-}
-
-func solvePipeHetHomPeriodNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := pipealgo.HetHomPipelinePeriodNoDP(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, classificationOf(pr)), nil
-}
-
-func solvePipeHetHomLatencyUnderPeriodNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	res, ok, err := pipealgo.HetHomPipelineLatencyUnderPeriodNoDP(*pr.Pipeline, pr.Platform, pr.Bound)
-	if err != nil {
-		return Solution{}, err
-	}
-	if !ok {
-		return infeasible(MethodBinarySearchDP, true, cl), nil
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-}
-
-func solvePipeHetHomPeriodUnderLatencyNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	res, ok, err := pipealgo.HetHomPipelinePeriodUnderLatencyNoDP(*pr.Pipeline, pr.Platform, pr.Bound)
-	if err != nil {
-		return Solution{}, err
-	}
-	if !ok {
-		return infeasible(MethodBinarySearchDP, true, cl), nil
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
 }
 
 // --- NP-hard cells ---------------------------------------------------------

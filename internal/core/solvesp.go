@@ -37,24 +37,16 @@ func init() {
 		SeedMix:            spSeedMix,
 		AppendFingerprint:  appendSPFingerprint,
 	})
-	solve := spSolver(spKind.solve)
-	for _, platHom := range []bool{false, true} {
-		for _, graphHom := range []bool{false, true} {
-			for _, obj := range []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency} {
-				register(CellKey{workflow.KindSP, platHom, graphHom, false, obj},
-					SolverEntry{MethodExhaustive, true, "SP decomposition", solve, prepareSP, nil})
-			}
-		}
-	}
 }
 
-// classifySP: mapping a general series-parallel DAG subsumes the
-// heterogeneous fork latency problem (Theorem 12), so every cell is
-// NP-hard; the decomposer still solves reducible instances exactly
-// through the polynomial legacy cells.
-func classifySP(CellKey) Classification {
-	return Classification{NPHard, "SP decomposition"}
-}
+// spDecomposition is every SP cell of Table 1: mapping a general
+// series-parallel DAG subsumes the heterogeneous fork latency problem
+// (Theorem 12), so every cell is NP-hard; the decomposer still solves
+// reducible instances exactly through the polynomial legacy cells.
+var spDecomposition = &tableCell{Classification{NPHard, "SP decomposition"}, spSolver(spKind.solve), prepareSP}
+
+// classifySP is the Classify capability of the SP kind.
+func classifySP(CellKey) *tableCell { return spDecomposition }
 
 // spSeedMix feeds the step weights and the DAG shape into the portfolio
 // RNG seed.
@@ -231,7 +223,7 @@ func spAnytime(ctx context.Context, pr Problem, opts Options) (Solution, error) 
 		sol, feasible, err := spKind.exactOnce(bctx, pr)
 		cancel()
 		if err == nil {
-			sol, _ = stamp(sol, feasible, nil, MethodAnytime, true, pr)
+			sol, _ = stamp(sol, feasible, nil, MethodAnytime, true, cl)
 			if feasible {
 				sol.LowerBound = goal.Value(sol.Cost)
 			}
@@ -270,8 +262,7 @@ func spAnytime(ctx context.Context, pr Problem, opts Options) (Solution, error) 
 // prepareSP is the Prepare capability of the SP cells. A graph that
 // reduces exactly shares the reduced instance's prepared solver, when
 // Prepare accepts it, and wraps each answer back into SP form —
-// byte-identical to the registered solver, since PreparedSolver.Solve
-// is. An irreducible DAG prepares spKind's cell.
+// byte-identical to the cell's solver, since PreparedSolver.Solve is. An irreducible DAG prepares spKind's cell.
 func prepareSP(pr Problem, opts Options) *PreparedCell {
 	red, ok := spdecomp.Reduce(*pr.SP)
 	if !ok {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -748,7 +749,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	keys := core.RegisteredCells()
+	keys := core.AllCellKeys()
+	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 	cells := make([]CellInfo, 0, len(keys))
 	for _, key := range keys {
 		if info, ok := cellInfo(key); ok {
@@ -793,7 +795,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}, s.eng.Panics())
 }
 
-// cellInfo assembles the CellInfo of a registered dispatch cell.
+// cellInfo assembles the CellInfo of a dispatch cell.
 func cellInfo(key core.CellKey) (CellInfo, bool) {
 	entry, ok := core.LookupSolver(key)
 	if !ok {

@@ -337,7 +337,7 @@ func TestClassifyAndTable(t *testing.T) {
 	if err := json.Unmarshal(body, &table); err != nil {
 		t.Fatal(err)
 	}
-	if want := len(core.RegisteredCells()); len(table.Cells) != want {
+	if want := len(core.AllCellKeys()); len(table.Cells) != want {
 		t.Errorf("table has %d cells, want %d", len(table.Cells), want)
 	}
 	for _, c := range table.Cells {

@@ -338,7 +338,7 @@ func TestClassifyNewKinds(t *testing.T) {
 	if err := json.Unmarshal(body, &table); err != nil {
 		t.Fatal(err)
 	}
-	if want := len(core.RegisteredCells()); len(table.Cells) != want {
+	if want := len(core.AllCellKeys()); len(table.Cells) != want {
 		t.Errorf("table has %d cells, want %d", len(table.Cells), want)
 	}
 	kinds := map[string]bool{}

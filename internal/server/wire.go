@@ -185,7 +185,7 @@ type JobListResponse struct {
 
 // CellInfo describes one Table 1 dispatch cell: its coordinates, its
 // complexity classification with the paper result establishing it, and
-// the registered solver's method and exactness (the in-limit path on
+// the cell solver's method and exactness (the in-limit path on
 // NP-hard cells; oversized instances fall back to heuristics at solve
 // time). Returned by GET /v1/classify and GET /v1/table.
 type CellInfo struct {

@@ -111,9 +111,9 @@ type (
 	Classification = core.Classification
 	// Complexity is the Table 1 complexity class of a cell.
 	Complexity = core.Complexity
-	// CellKey is a Table 1 dispatch cell of the solver registry.
+	// CellKey is a Table 1 dispatch cell.
 	CellKey = core.CellKey
-	// SolverEntry is one registered solver; see core.SolverEntry.
+	// SolverEntry is the solver of one Table 1 cell; see core.SolverEntry.
 	SolverEntry = core.SolverEntry
 	// Engine is a concurrent, caching batch solver; see engine.Engine.
 	Engine = engine.Engine
@@ -139,7 +139,7 @@ const (
 	ErrKindUnknown = core.ErrKindUnknown
 	// ErrKindInvalidInstance marks ill-formed problem instances.
 	ErrKindInvalidInstance = core.ErrKindInvalidInstance
-	// ErrKindNoSolver marks dispatch cells with no registered solver.
+	// ErrKindNoSolver marks dispatch cells with no solver (unreachable).
 	ErrKindNoSolver = core.ErrKindNoSolver
 )
 
@@ -223,7 +223,7 @@ func NewPlatform(speeds ...float64) Platform { return platform.New(speeds...) }
 func HomogeneousPlatform(p int, s float64) Platform { return platform.Homogeneous(p, s) }
 
 // Solve classifies the problem into its Table 1 cell and solves it with the
-// matching algorithm from the solver registry. The zero Options applies
+// cell's algorithm. The zero Options applies
 // core.DefaultOptions.
 func Solve(pr Problem, opts Options) (Solution, error) { return core.Solve(pr, opts) }
 
@@ -279,7 +279,7 @@ func CellKeyOf(pr Problem) CellKey { return core.CellKeyOf(pr) }
 // the classification Classify(pr) returns for every valid pr.
 func ClassifyCell(key CellKey) Classification { return core.ClassifyCell(key) }
 
-// LookupSolver returns the registered solver entry for a dispatch cell,
+// LookupSolver returns the solver entry of a dispatch cell,
 // exposing the method, exactness and paper source backing it.
 func LookupSolver(key CellKey) (SolverEntry, bool) { return core.LookupSolver(key) }
 

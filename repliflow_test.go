@@ -161,16 +161,16 @@ func TestPublicAPIEngine(t *testing.T) {
 		t.Error("ParetoFrontContext diverges from ParetoFront")
 	}
 
-	// The registry is visible through the public API.
+	// Table 1 is visible through the public API.
 	cl, err := repliflow.Classify(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	entry, ok := repliflow.LookupSolver(core.CellKeyOf(pr))
 	if !ok {
-		t.Fatal("no registered solver for the quickstart cell")
+		t.Fatal("no solver for the quickstart cell")
 	}
 	if entry.Source != cl.Source {
-		t.Errorf("registry source %q, classification source %q", entry.Source, cl.Source)
+		t.Errorf("solver source %q, classification source %q", entry.Source, cl.Source)
 	}
 }
