@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"repliflow/internal/numeric"
@@ -166,9 +165,10 @@ func (w *Walk) Next(ctx context.Context) (Solution, bool, error) {
 	latency := held.Cost.Latency
 	probs := []Problem{w.bounded(PeriodUnderLatency, latency)}
 	// The kernels' tolerant <= accepts under this bound exactly the
-	// latencies FrontAccumulator counts as a strict drop. A latency within
-	// 2·Eps of zero has no positive bound below it: the walk ends there.
-	if bound := latency - 2*numeric.Eps*math.Max(1, latency); bound > 0 {
+	// latencies FrontAccumulator counts as a strict drop. A latency that
+	// underflowed to zero has no positive bound below it: the walk ends
+	// there.
+	if bound := latency * (1 - 2*numeric.Eps); bound > 0 {
 		probs = append(probs, w.bounded(PeriodUnderLatency, bound))
 	}
 	sols, err := w.solve(ctx, probs...)

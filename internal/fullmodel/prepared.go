@@ -34,12 +34,12 @@ const lbSlack = 1 - 1.0/(1<<50)
 const aheadSlack = 1 - 1.0/(1<<40)
 
 // surelyGreater reports whether every value v >= a satisfies
-// numeric.Greater(v, b): a clears b by more than the comparison
-// tolerance at every scale (absolute near zero, relative above one).
+// numeric.Greater(v, b): a clears b by more than the relative comparison
+// tolerance.
 // Prune-side lower bounds use this instead of numeric.Greater so they
 // can never cut a candidate the tolerant comparison would keep.
 func surelyGreater(a, b float64) bool {
-	return a > b+numeric.Eps && a*(1-numeric.Eps) > b
+	return a*(1-numeric.Eps) > b
 }
 
 // pipeResult is one comm-pipeline solve: a shard's best mapping, which

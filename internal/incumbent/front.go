@@ -34,7 +34,7 @@ func Leq(a, b float64) bool {
 		return true
 	}
 	d := a - b
-	return d <= numeric.Eps || d <= numeric.Eps*a && d <= math.MaxFloat64
+	return d <= numeric.Eps*a && d <= math.MaxFloat64
 }
 
 // Dominated reports whether a point of list weakly dominates (period,

@@ -10,14 +10,14 @@ import (
 )
 
 // TestLeqMatchesLessEq: Leq decides as numeric.LessEq on every
-// non-negative pair, at and around the tolerance's edges, with
-// infinities and NaN.
+// non-negative pair, at and around the relative tolerance's edges at
+// every scale from 2^-40 to 2^40, with infinities and NaN.
 func TestLeqMatchesLessEq(t *testing.T) {
 	vals := []float64{0, numeric.Eps / 2, numeric.Eps, 2 * numeric.Eps, 0.5, 1, 1 + numeric.Eps, 1 + 2*numeric.Eps, 3, 7.000000001, 1e6, 1e6 * (1 + numeric.Eps), math.MaxFloat64, math.Inf(1), math.NaN()}
 	rng := rand.New(rand.NewSource(66))
 	for k := 0; k < 200; k++ {
-		x := rng.Float64() * 20
-		vals = append(vals, x, x*(1+numeric.Eps*rng.Float64()*2), x+numeric.Eps*rng.Float64()*2)
+		x := math.Ldexp(rng.Float64()*20, rng.Intn(81)-40)
+		vals = append(vals, x, x*(1+numeric.Eps*rng.Float64()*2), x*(1-numeric.Eps*rng.Float64()*2), x+numeric.Eps*rng.Float64()*2)
 	}
 	for _, a := range vals {
 		for _, b := range vals {

@@ -21,7 +21,10 @@ const Eps = 1e-9
 var Inf = math.Inf(1)
 
 // Eq reports whether a and b are equal within a relative tolerance of Eps
-// (absolute near zero).
+// at every magnitude. Every cost of the model is a ratio of weight sums
+// to speed sums, so scaling all weights by 2^k scales every cost exactly;
+// a relative tolerance decides the scaled instance as the original one,
+// where an absolute one would call distinct tiny weights equal.
 func Eq(a, b float64) bool {
 	if a == b {
 		return true
@@ -29,12 +32,7 @@ func Eq(a, b float64) bool {
 	if math.IsInf(a, 0) || math.IsInf(b, 0) {
 		return false
 	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale <= 1 {
-		return diff <= Eps
-	}
-	return diff <= Eps*scale
+	return math.Abs(a-b) <= Eps*math.Max(math.Abs(a), math.Abs(b))
 }
 
 // Less reports whether a is strictly smaller than b beyond the tolerance.

@@ -29,12 +29,24 @@ func TestEqTolerance(t *testing.T) {
 	}
 }
 
+// TestEqNearZero: the tolerance is relative at every magnitude, so tiny
+// values compare as their scaled-up images do, and nothing but zero
+// equals zero.
 func TestEqNearZero(t *testing.T) {
-	if !Eq(0, 1e-12) {
-		t.Fatal("Eq(0, 1e-12) = false")
+	if Eq(0, 1e-12) || Eq(0, 1e-300) {
+		t.Fatal("a positive value equals 0")
 	}
-	if Eq(0, 1e-3) {
-		t.Fatal("Eq(0, 1e-3) = true")
+	if Eq(1e-10, 3e-10) {
+		t.Fatal("Eq(1e-10, 3e-10) = true")
+	}
+	if !Eq(1e-12, 1e-12*(1+1e-12)) {
+		t.Fatal("relative tolerance not applied below 1")
+	}
+	for k := -40; k <= 40; k++ {
+		s := math.Ldexp(1, k)
+		if !Eq(0.1*s+0.2*s, 0.3*s) || Eq(1*s, 3*s) || Eq(s, s*(1+1e-6)) {
+			t.Fatalf("Eq decides differently at scale 2^%d", k)
+		}
 	}
 }
 

@@ -13,11 +13,10 @@ import (
 )
 
 // panicInstance passes validation, since its weights and speeds are
-// positive, yet makes a solver panic: numeric.Eq's absolute tolerance on
-// magnitudes below 1 calls its three weights equal, so the dispatcher
-// sends it to Theorem 7's homogeneous-pipeline solver, which finds no
-// feasible candidate period and panics.
-const panicInstance = `{"pipeline":{"weights":[4.656612873077393e-10,1.3969838619232178e-09,4.656612873077393e-10]},"platform":{"speeds":[2,3]},"objective":"min-period"}`
+// positive and finite, yet makes a solver panic: its work sums overflow
+// float64, so Theorem 7's homogeneous-pipeline solver finds no feasible
+// candidate period and panics.
+const panicInstance = `{"pipeline":{"weights":[1.7e308,1.7e308,1.7e308]},"platform":{"speeds":[2,3]},"objective":"min-period"}`
 
 // postWithin POSTs body and fails the test unless the response arrives
 // within limit: before solver panics were contained, a repeat of a
