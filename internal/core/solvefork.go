@@ -141,14 +141,15 @@ func (c *forkColumn) classify(k CellKey) *tableCell {
 	}
 }
 
-// forkRun and forkJoinRun adapt a fork algorithm's result to polyCell's
-// run.
+// forkRun and forkJoinRun are pipeRun for the fork algorithms.
 func forkRun(r forkalgo.Result, ok bool, err error) (Solution, bool, error) {
-	return Solution{ForkMapping: &r.Mapping, Cost: r.Cost}, ok, err
+	m := r.Mapping
+	return Solution{ForkMapping: &m, Cost: r.Cost}, ok, err
 }
 
 func forkJoinRun(r forkalgo.ForkJoinResult, ok bool, err error) (Solution, bool, error) {
-	return Solution{ForkJoinMapping: &r.Mapping, Cost: r.Cost}, ok, err
+	m := r.Mapping
+	return Solution{ForkJoinMapping: &m, Cost: r.Cost}, ok, err
 }
 
 func init() {

@@ -60,9 +60,11 @@ var (
 	pipeTheorem9 = npHardCell("Theorem 9", &pipeKind)
 )
 
-// pipeRun adapts a pipeline algorithm's result to polyCell's run.
+// pipeRun adapts a pipeline algorithm's result to polyCell's run. The
+// solution points at a copy of the mapping alone, not at the whole result.
 func pipeRun(r pipealgo.Result, ok bool, err error) (Solution, bool, error) {
-	return Solution{PipelineMapping: &r.Mapping, Cost: r.Cost}, ok, err
+	m := r.Mapping
+	return Solution{PipelineMapping: &m, Cost: r.Cost}, ok, err
 }
 
 // classifyPipeline is the Classify capability of the pipeline kind.
