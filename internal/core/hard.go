@@ -105,12 +105,13 @@ func stamp(sol Solution, ok bool, err error, method Method, exact bool, cl Class
 	return sol, nil
 }
 
+// infeasible is the answer when no mapping meets the bound.
 func infeasible(method Method, exact bool, cl Classification) Solution {
 	return Solution{Method: method, Exact: exact, Feasible: false, Classification: cl}
 }
 
-// solve is the solver of the kind's hard cells: the prepared
-// path, built for this one solve.
+// solve is the solver of the kind's hard cells: the prepared path, built
+// for this one solve.
 func (k *hardKind) solve(ctx context.Context, pr Problem, opts Options) (Solution, error) {
 	c, err := k.cell(pr, opts, false)
 	if err != nil {

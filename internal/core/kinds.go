@@ -16,9 +16,9 @@ import (
 // anytime portfolio, RNG seeding);
 // every one of those switches is now a capability lookup on the
 // registered spec, so adding a kind means registering one spec whose
-// Classify tree returns its Table-1-style cells — no dispatcher edits. Capabilities marked
-// optional may be nil; the dispatcher then degrades as documented on the
-// field.
+// Classify tree returns its Table-1-style cells — no dispatcher edits.
+// Capabilities marked optional may be nil; the dispatcher then degrades
+// as documented on the field.
 type KindSpec struct {
 	Kind workflow.Kind
 	// Name is the stable wire name of the kind (workflow.Kind.String()),

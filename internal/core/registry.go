@@ -122,8 +122,8 @@ func polyCell(c Complexity, source string, run func(pr Problem) (Solution, bool,
 	}}
 }
 
-// feasible adapts an unbounded algorithm's result to polyCell's run:
-// every mapping meets no bound.
+// feasible adapts an unbounded algorithm's result to polyCell's run: with
+// no bound to meet, its optimum is always feasible.
 func feasible[R any](r R, err error) (R, bool, error) { return r, true, err }
 
 // CellKeyOf returns the dispatch key of a problem. The problem should be
