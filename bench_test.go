@@ -420,12 +420,17 @@ func BenchmarkTheorem7(b *testing.B) {
 	}
 }
 
+// BenchmarkTheorem14 times the Theorem 14 latency search on a fork and on
+// a fork-join (Section 6.3) of each size, on one random platform per size,
+// then both objectives of both kinds through core.Solve on one fixed
+// instance: 8 leaves of weight 7, root 4 and join 6, on speeds
+// {3,1,4,2,5,2,3,1}.
 func BenchmarkTheorem14(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	for _, size := range []struct{ n, p int }{{4, 4}, {8, 8}, {16, 12}} {
+		pl := platform.Random(rng, size.p, 9)
 		b.Run(fmt.Sprintf("n%d_p%d", size.n, size.p), func(b *testing.B) {
 			f := workflow.HomogeneousFork(5, size.n, 3)
-			pl := platform.Random(rng, size.p, 9)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := forkalgo.HetHomForkLatencyNoDP(f, pl); err != nil {
@@ -433,6 +438,35 @@ func BenchmarkTheorem14(b *testing.B) {
 				}
 			}
 		})
+		b.Run(fmt.Sprintf("ForkJoin/n%d_p%d", size.n, size.p), func(b *testing.B) {
+			fj := workflow.HomogeneousForkJoin(5, 4, size.n, 3)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := forkalgo.HetHomForkJoinLatencyNoDP(fj, pl); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	f := workflow.HomogeneousFork(4, 8, 7)
+	fj := workflow.HomogeneousForkJoin(4, 6, 8, 7)
+	pl := platform.New(3, 1, 4, 2, 5, 2, 3, 1)
+	for _, kind := range []struct {
+		name string
+		pr   core.Problem
+	}{{"Solve/Fork", core.Problem{Fork: &f}}, {"Solve/ForkJoin", core.Problem{ForkJoin: &fj}}} {
+		for _, obj := range []core.Objective{core.MinPeriod, core.MinLatency} {
+			pr := kind.pr
+			pr.Platform, pr.Objective = pl, obj
+			b.Run(kind.name+"/"+obj.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.Solve(pr, core.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
