@@ -14,8 +14,12 @@
 //     values combined with the W(i,j) dynamic program over sorted processor
 //     intervals, with an extra loop over the interval in charge of S0
 //     (Lemma 4 structure).
-//   - Section 6.3: the extensions of Theorems 10, 11 and 14 to fork-join
-//     graphs (extra loops over the join block's composition and placement).
+//
+// Section 6.3 extends Theorems 10, 11 and 14 to fork-join graphs by extra
+// loops over the join block's composition and placement, so a fork is a
+// fork-join without a join. Theorems 11 and 14 are each one search, run on
+// a fork-join as it is and on a fork as a fork-join without a join; the
+// fork entry points drop the Join flags of the answer.
 //
 // The NP-hard instances (Theorems 12, 13, 15) have no polynomial algorithm;
 // see internal/heuristics and internal/exhaustive.
@@ -26,6 +30,7 @@ import (
 	"fmt"
 
 	"repliflow/internal/mapping"
+	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -49,6 +54,135 @@ var ErrNotHomogeneousPlatform = errors.New("forkalgo: platform is not homogeneou
 // ErrNotHomogeneousFork is returned by the homogeneous-fork algorithms when
 // leaf weights differ (those instances are NP-hard, Theorems 12/13/15).
 var ErrNotHomogeneousFork = errors.New("forkalgo: fork leaves are not identical")
+
+// check validates the inputs of an algorithm: the graph's own validation
+// error, whether its leaves are identical, and the platform, whose speeds
+// must be equal when homPlatform is set.
+func check(graphErr error, graphHom bool, pl platform.Platform, homPlatform bool) error {
+	if graphErr != nil {
+		return graphErr
+	}
+	if err := pl.Validate(); err != nil {
+		return err
+	}
+	if homPlatform && !pl.IsHomogeneous() {
+		return ErrNotHomogeneousPlatform
+	}
+	if !graphHom {
+		return ErrNotHomogeneousFork
+	}
+	return nil
+}
+
+// instance is a homogeneous fork-join as the Theorem 11 and 14 searches
+// see it. A fork is run as a fork-join without a join: join is 0 and
+// hasJoin false.
+type instance struct {
+	root, join float64
+	hasJoin    bool
+	n          int
+	w          float64 // the leaf weight, 0 without leaves
+	pl         platform.Platform
+	allowDP    bool
+	// cost prices a mapping by the model of the graph's own kind.
+	cost func(mapping.ForkJoinMapping) mapping.Cost
+}
+
+// search is a Theorem 11 or 14 search under one bound.
+type search func(in instance, bound float64) (mapping.ForkJoinMapping, bool)
+
+func newInstance(root, join float64, hasJoin bool, leaves []float64, pl platform.Platform, allowDP bool) instance {
+	in := instance{root: root, join: join, hasJoin: hasJoin, n: len(leaves), pl: pl, allowDP: allowDP}
+	if in.n > 0 {
+		in.w = leaves[0]
+	}
+	return in
+}
+
+// solveFork runs a search on a fork, as a fork-join without a join, and
+// returns its answer as a fork mapping. homPlatform requires equal speeds.
+func solveFork(f workflow.Fork, pl platform.Platform, homPlatform, allowDP bool, s search, bound float64) (Result, bool, error) {
+	if err := check(f.Validate(), f.IsHomogeneous(), pl, homPlatform); err != nil {
+		return Result{}, false, err
+	}
+	finish := func(m mapping.ForkJoinMapping) Result {
+		fm := mapping.ForkMapping{Blocks: make([]mapping.ForkBlock, len(m.Blocks))}
+		for i, b := range m.Blocks {
+			fm.Blocks[i] = mapping.ForkBlock{Root: b.Root, Leaves: b.Leaves, Assignment: b.Assignment}
+		}
+		return finishFork(f, pl, fm)
+	}
+	in := newInstance(f.Root, 0, false, f.Weights, pl, allowDP)
+	in.cost = func(m mapping.ForkJoinMapping) mapping.Cost { return finish(m).Cost }
+	m, ok := s(in, bound)
+	if !ok {
+		return Result{}, false, nil
+	}
+	return finish(m), true, nil
+}
+
+// solveForkJoin runs a search on a fork-join. homPlatform requires equal
+// speeds.
+func solveForkJoin(fj workflow.ForkJoin, pl platform.Platform, homPlatform, allowDP bool, s search, bound float64) (ForkJoinResult, bool, error) {
+	if err := check(fj.Validate(), fj.IsHomogeneous(), pl, homPlatform); err != nil {
+		return ForkJoinResult{}, false, err
+	}
+	in := newInstance(fj.Root, fj.Join, true, fj.Weights, pl, allowDP)
+	in.cost = func(m mapping.ForkJoinMapping) mapping.Cost { return finishForkJoin(fj, pl, m).Cost }
+	m, ok := s(in, bound)
+	if !ok {
+		return ForkJoinResult{}, false, nil
+	}
+	return finishForkJoin(fj, pl, m), true, nil
+}
+
+// unconstrained returns the answer of a search run without a bound, which
+// always finds a mapping.
+func unconstrained[R any](res R, ok bool, err error) (R, error) {
+	if err == nil && !ok {
+		panic("forkalgo: unconstrained search found no mapping")
+	}
+	return res, err
+}
+
+// bisect returns the answer of probe at the least candidate it accepts.
+// Acceptance is monotone: a candidate is accepted when a smaller one is.
+func bisect(cands []float64, probe func(float64) (mapping.ForkJoinMapping, bool)) (mapping.ForkJoinMapping, bool) {
+	var best mapping.ForkJoinMapping
+	found := false
+	for lo, hi := 0, len(cands)-1; lo <= hi; {
+		mid := (lo + hi) / 2
+		if m, ok := probe(cands[mid]); ok {
+			best, found = m, true
+			hi = mid - 1
+		} else {
+			lo = mid + 1
+		}
+	}
+	return best, found
+}
+
+// periodCandidates lists the finite set of values a block period can take
+// with blocks of k <= p processors of one of the given speeds: (w0 + m*w),
+// m*w, and with a join (m*w + wjoin) and (w0 + m*w + wjoin), over k*s.
+func periodCandidates(in instance, speeds []float64, p int) []float64 {
+	var cands []float64
+	for _, s := range speeds {
+		for k := 1; k <= p; k++ {
+			for m := 0; m <= in.n; m++ {
+				base := float64(m) * in.w
+				cands = append(cands, (in.root+base)/(float64(k)*s))
+				if in.hasJoin {
+					cands = append(cands, (base+in.join)/(float64(k)*s), (in.root+base+in.join)/(float64(k)*s))
+				}
+				if m > 0 {
+					cands = append(cands, base/(float64(k)*s))
+				}
+			}
+		}
+	}
+	return numeric.DedupSorted(cands)
+}
 
 func finishFork(f workflow.Fork, pl platform.Platform, m mapping.ForkMapping) Result {
 	c, err := mapping.EvalFork(f, pl, m)

@@ -90,34 +90,42 @@ type procInterval struct {
 	cap         int
 }
 
-// hetForkConfig attempts the Theorem 14 feasibility check for fixed period
-// bound K and latency bound L, a fixed number q of enrolled processors and
-// a fixed index q0 (0-based, within the sorted q fastest) of the first
-// processor of the interval in charge of S0. On success it returns a
-// complete fork mapping.
-func hetForkConfig(f workflow.Fork, pl platform.Platform, q, q0 int, K, L float64) (mapping.ForkMapping, bool) {
-	n := f.Leaves()
-	procs := pl.FastestK(q)
-	s := make([]float64, q)
-	for u, idx := range procs {
-		s[u] = pl.Speeds[idx]
-	}
-	w := 0.0
-	if n > 0 {
-		w = f.Weights[0]
-	}
-	s0 := s[q0]
-	// Every non-root interval's leaves complete at w0/s0 + m*w/s_i <= L.
-	L0 := L
+// The kinds of the first interval of a segment of sorted processors.
+const (
+	normalInterval = iota
+	rootInterval   // in charge of S0
+	joinInterval   // in charge of S_{n+1}
+)
+
+// hetConfig is the Theorem 14 feasibility check, with its Section 6.3
+// extension, for fixed period and latency bounds K and L. procs are the q
+// enrolled processors and s their speeds, by non-decreasing speed; q0 is
+// the first processor of the interval in charge of S0 and jq that of the
+// interval in charge of S_{n+1}. jq == q0 places S_{n+1} with S0, the case
+// the paper singles out and the only one without a join. On success it
+// returns a complete mapping.
+func hetConfig(in instance, procs []int, s []float64, q0, jq int, K, L float64) (mapping.ForkJoinMapping, bool) {
+	n, w, q := in.n, in.w, len(s)
+	rootDone := in.root / s[q0]
+
+	// Every leaf must complete by leafDeadline = L - wjoin/sJoin so that the
+	// join stage finishes by L.
+	leafDeadline := L
 	if !math.IsInf(L, 1) {
-		L0 = L - f.Root/s0
+		leafDeadline = L - in.join/s[jq]
 	}
-	if L0 < 0 {
-		// Tolerate rounding noise when the bound exactly equals w0/s0.
-		if !numeric.GreaterEq(L, f.Root/s0) {
-			return mapping.ForkMapping{}, false
+	// Non-root intervals start their leaves at rootDone.
+	othersBudget := leafDeadline
+	if !math.IsInf(leafDeadline, 1) {
+		othersBudget = leafDeadline - rootDone
+	}
+	if othersBudget < 0 {
+		// Tolerate rounding noise when the deadline exactly equals the root
+		// completion time.
+		if !numeric.GreaterEq(leafDeadline, rootDone) {
+			return mapping.ForkJoinMapping{}, false
 		}
-		L0 = 0
+		othersBudget = 0
 	}
 
 	// leafCap converts a work budget into a leaf count, clamped to [0, n].
@@ -128,86 +136,91 @@ func hetForkConfig(f workflow.Fork, pl platform.Platform, q, q0 int, K, L float6
 		if math.IsInf(budget, 1) {
 			return n
 		}
-		c := numeric.FloorDiv(budget, w)
-		if c < 0 {
-			c = 0
-		}
-		if c > n {
-			c = n
-		}
-		return c
+		return min(max(numeric.FloorDiv(budget, w), 0), n)
 	}
-	normalCap := func(i, j int) int {
-		cK := leafCap(K * s[i] * float64(j-i+1))
-		cL := leafCap(L0 * s[i])
-		if cK < cL {
-			return cK
+	// capOf is the leaf capacity of the interval [i..j], or negInf when it
+	// cannot hold its special stage within the bounds.
+	capOf := func(kind, i, j int) int {
+		count := float64(j - i + 1)
+		work := K * s[i] * count // the work the interval runs per period K
+		switch kind {
+		case rootInterval:
+			base := in.root
+			if jq == q0 {
+				base += in.join
+			}
+			// Period: (w0 [+ wjoin] + m*w) / (count * s_i) <= K; the
+			// root-block leaves complete at (w0 + m*w)/s_i <= leafDeadline.
+			if numeric.Greater(base/(count*s[i]), K) || numeric.Greater(in.root/s[i], leafDeadline) {
+				return negInf
+			}
+			return min(leafCap(work-base), leafCap(leafDeadline*s[i]-in.root))
+		case joinInterval:
+			// Period: (m*w + wjoin)/(count * s_i) <= K; the join interval's
+			// own leaves complete at rootDone + m*w/s_i <= leafDeadline.
+			if numeric.Greater(in.join/(count*s[i]), K) {
+				return negInf
+			}
+			return min(leafCap(work-in.join), leafCap(othersBudget*s[i]))
 		}
-		return cL
-	}
-	rootCap := func(i, j int) int {
-		// The root interval must at least fit S0 within both bounds.
-		if numeric.Greater(f.Root/(float64(j-i+1)*s[i]), K) || numeric.Greater(f.Root/s[i], L) {
-			return negInf
-		}
-		cK := leafCap(K*s[i]*float64(j-i+1) - f.Root)
-		cL := leafCap(L*s[i] - f.Root)
-		if cK < cL {
-			return cK
-		}
-		return cL
+		return min(leafCap(work), leafCap(othersBudget*s[i]))
 	}
 
-	// Range [0 .. q0-1]: normal intervals only.
-	pre := newHetIntervals(q0, func(i, j int) int { return normalCap(i, j) })
-	// Range [q0 .. q-1]: the interval starting at q0 carries S0.
-	post := newHetIntervals(q-q0, func(i, j int) int {
-		if i == 0 {
-			return rootCap(q0+i, q0+j)
+	// Split the sorted processor range at the special positions: each
+	// segment [from, to] starts with an interval of its kind.
+	type segment struct{ from, to, kind int }
+	segs := []segment{{0, q0 - 1, normalInterval}, {q0, q - 1, rootInterval}}
+	if jq != q0 {
+		a, b, ka, kb := q0, jq, rootInterval, joinInterval
+		if a > b {
+			a, b, ka, kb = b, a, kb, ka
 		}
-		return normalCap(q0+i, q0+j)
-	})
-	if post.total() == negInf {
-		return mapping.ForkMapping{}, false
+		segs = []segment{{0, a - 1, normalInterval}, {a, b - 1, ka}, {b, q - 1, kb}}
 	}
-	if pre.total()+post.total() < n {
-		return mapping.ForkMapping{}, false
+	total := 0
+	tables := make([]*hetIntervals, len(segs))
+	for k, sg := range segs {
+		if sg.to < sg.from {
+			continue
+		}
+		tables[k] = newHetIntervals(sg.to-sg.from+1, func(i, j int) int {
+			if i == 0 {
+				return capOf(sg.kind, sg.from, sg.from+j)
+			}
+			return capOf(normalInterval, sg.from+i, sg.from+j)
+		})
+		if tables[k].total() == negInf {
+			return mapping.ForkJoinMapping{}, false
+		}
+		total += tables[k].total()
+	}
+	if total < n {
+		return mapping.ForkJoinMapping{}, false
 	}
 
 	// Assemble the mapping: distribute the n leaves over the intervals,
-	// never exceeding a capacity. The root interval is the first leaf of
-	// the post range.
-	type piece struct {
-		iv   procInterval
-		root bool
-	}
-	var pieces []piece
-	for _, iv := range pre.leaves() {
-		pieces = append(pieces, piece{iv: iv})
-	}
-	for idx, iv := range post.leaves() {
-		iv.first += q0
-		iv.last += q0
-		pieces = append(pieces, piece{iv: iv, root: idx == 0})
-	}
+	// never exceeding a capacity.
 	remaining := n
-	nextLeaf := 0
-	var m mapping.ForkMapping
-	for _, pc := range pieces {
-		take := pc.iv.cap
-		if take > remaining {
-			take = remaining
+	var m mapping.ForkJoinMapping
+	for k, sg := range segs {
+		if tables[k] == nil {
+			continue
 		}
-		if take == 0 && !pc.root {
-			continue // idle processors
+		for idx, iv := range tables[k].leaves() {
+			isRoot := sg.kind == rootInterval && idx == 0
+			isJoin := (sg.kind == joinInterval && idx == 0) || (isRoot && jq == q0)
+			take := min(iv.cap, remaining)
+			if take == 0 && !isRoot && !isJoin {
+				continue // idle processors
+			}
+			set := make([]int, 0, iv.last-iv.first+1)
+			for u := iv.first; u <= iv.last; u++ {
+				set = append(set, procs[sg.from+u])
+			}
+			m.Blocks = append(m.Blocks,
+				mapping.NewForkJoinBlock(isRoot, isJoin, leafRange(n-remaining, take), mapping.Replicated, set...))
+			remaining -= take
 		}
-		set := make([]int, 0, pc.iv.last-pc.iv.first+1)
-		for u := pc.iv.first; u <= pc.iv.last; u++ {
-			set = append(set, procs[u])
-		}
-		m.Blocks = append(m.Blocks, mapping.NewForkBlock(pc.root, leafRange(nextLeaf, take), mapping.Replicated, set...))
-		nextLeaf += take
-		remaining -= take
 	}
 	if remaining != 0 {
 		panic("forkalgo: Theorem 14 reconstruction dropped leaves")
@@ -215,154 +228,122 @@ func hetForkConfig(f workflow.Fork, pl platform.Platform, q, q0 int, K, L float6
 	return m, true
 }
 
-// hetForkFeasible scans q and q0 as prescribed by Lemma 4 and returns any
-// mapping meeting both bounds.
-func hetForkFeasible(f workflow.Fork, pl platform.Platform, K, L float64) (mapping.ForkMapping, bool) {
-	for q := 1; q <= pl.Processors(); q++ {
+// hetFeasible scans q, q0 and jq as prescribed by Lemma 4, the join's
+// interval jq only with a join, and returns any mapping meeting both
+// bounds. order lists the processors by non-decreasing speed and speeds
+// their speeds: the q fastest are their suffixes.
+func hetFeasible(in instance, order []int, speeds []float64, K, L float64) (mapping.ForkJoinMapping, bool) {
+	p := len(order)
+	for q := 1; q <= p; q++ {
 		for q0 := 0; q0 < q; q0++ {
-			if m, ok := hetForkConfig(f, pl, q, q0, K, L); ok {
-				return m, true
-			}
-		}
-	}
-	return mapping.ForkMapping{}, false
-}
-
-func checkHetHomFork(f workflow.Fork, pl platform.Platform) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	if err := pl.Validate(); err != nil {
-		return err
-	}
-	if !f.IsHomogeneous() {
-		return ErrNotHomogeneousFork
-	}
-	return nil
-}
-
-// hetForkPeriodCandidates lists the finite set of values the bottleneck
-// block period can take: (w0 + m*w)/(k*s) for the root block and
-// m*w/(k*s) for leaf blocks.
-func hetForkPeriodCandidates(f workflow.Fork, pl platform.Platform) []float64 {
-	n, p := f.Leaves(), pl.Processors()
-	w := 0.0
-	if n > 0 {
-		w = f.Weights[0]
-	}
-	var cands []float64
-	for _, s := range pl.Speeds {
-		for k := 1; k <= p; k++ {
-			for m := 0; m <= n; m++ {
-				cands = append(cands, (f.Root+float64(m)*w)/(float64(k)*s))
-				if m > 0 {
-					cands = append(cands, float64(m)*w/(float64(k)*s))
+			for jq := 0; jq < q; jq++ {
+				if !in.hasJoin && jq != q0 {
+					continue
+				}
+				if m, ok := hetConfig(in, order[p-q:], speeds[p-q:], q0, jq, K, L); ok {
+					return m, true
 				}
 			}
 		}
 	}
-	return numeric.DedupSorted(cands)
+	return mapping.ForkJoinMapping{}, false
 }
 
-// hetForkLatencyCandidates lists the finite set of values the latency can
-// take: (w0 + m*w)/s' for root-block completion and w0/s' + m*w/s” for the
-// other blocks.
-func hetForkLatencyCandidates(f workflow.Fork, pl platform.Platform) []float64 {
-	n := f.Leaves()
-	w := 0.0
-	if n > 0 {
-		w = f.Weights[0]
+// hetSearch bisects the candidates with the Theorem 14 feasibility check,
+// bound maps a candidate to the check's (K, L) bounds.
+func hetSearch(in instance, cands []float64, bounds func(c float64) (K, L float64)) (mapping.ForkJoinMapping, bool) {
+	order := in.pl.SortedBySpeed()
+	speeds := make([]float64, len(order))
+	for u, idx := range order {
+		speeds[u] = in.pl.Speeds[idx]
 	}
+	return bisect(cands, func(c float64) (mapping.ForkJoinMapping, bool) {
+		K, L := bounds(c)
+		return hetFeasible(in, order, speeds, K, L)
+	})
+}
+
+// hetLatency minimizes the latency under a period bound over the finite
+// latency candidate set: the leaf completion times (w0 + m*w)/s1 and
+// w0/s1 + m*w/s2, plus with a join a join delay wjoin/s3, over all speeds
+// s1, s2 and s3.
+func hetLatency(in instance, maxPeriod float64) (mapping.ForkJoinMapping, bool) {
 	var cands []float64
-	for _, s1 := range pl.Speeds {
-		for m := 0; m <= n; m++ {
-			cands = append(cands, (f.Root+float64(m)*w)/s1)
-			for _, s2 := range pl.Speeds {
-				if m > 0 {
-					cands = append(cands, f.Root/s1+float64(m)*w/s2)
+	for _, s1 := range in.pl.Speeds {
+		for m := 0; m <= in.n; m++ {
+			cands = append(cands, (in.root+float64(m)*in.w)/s1)
+			if m > 0 {
+				for _, s2 := range in.pl.Speeds {
+					cands = append(cands, in.root/s1+float64(m)*in.w/s2)
 				}
 			}
 		}
 	}
-	return numeric.DedupSorted(cands)
+	if in.hasJoin {
+		leafDone := cands
+		cands = nil
+		for _, ld := range leafDone {
+			for _, s3 := range in.pl.Speeds {
+				cands = append(cands, ld+in.join/s3)
+			}
+		}
+	}
+	return hetSearch(in, numeric.DedupSorted(cands), func(L float64) (float64, float64) { return maxPeriod, L })
+}
+
+// hetPeriod minimizes the period under a latency bound over the finite
+// period candidate set.
+func hetPeriod(in instance, maxLatency float64) (mapping.ForkJoinMapping, bool) {
+	cands := periodCandidates(in, in.pl.Speeds, in.pl.Processors())
+	return hetSearch(in, cands, func(K float64) (float64, float64) { return K, maxLatency })
 }
 
 // HetHomForkPeriodNoDP implements the period direction of Theorem 14: the
 // optimal period of a homogeneous fork on a Heterogeneous platform without
 // data-parallelism.
 func HetHomForkPeriodNoDP(f workflow.Fork, pl platform.Platform) (Result, error) {
-	res, ok, err := HetHomForkPeriodUnderLatencyNoDP(f, pl, numeric.Inf)
-	if err != nil {
-		return Result{}, err
-	}
-	if !ok {
-		panic("forkalgo: unconstrained Theorem 14 period search failed")
-	}
-	return res, nil
+	return unconstrained(HetHomForkPeriodUnderLatencyNoDP(f, pl, numeric.Inf))
 }
 
 // HetHomForkLatencyNoDP implements the latency direction of Theorem 14.
 func HetHomForkLatencyNoDP(f workflow.Fork, pl platform.Platform) (Result, error) {
-	res, ok, err := HetHomForkLatencyUnderPeriodNoDP(f, pl, numeric.Inf)
-	if err != nil {
-		return Result{}, err
-	}
-	if !ok {
-		panic("forkalgo: unconstrained Theorem 14 latency search failed")
-	}
-	return res, nil
+	return unconstrained(HetHomForkLatencyUnderPeriodNoDP(f, pl, numeric.Inf))
 }
 
 // HetHomForkLatencyUnderPeriodNoDP minimizes the latency of a homogeneous
 // fork on a Heterogeneous platform without data-parallelism, subject to a
 // period bound, by binary search over the finite latency candidate set.
 func HetHomForkLatencyUnderPeriodNoDP(f workflow.Fork, pl platform.Platform, maxPeriod float64) (Result, bool, error) {
-	if err := checkHetHomFork(f, pl); err != nil {
-		return Result{}, false, err
-	}
-	cands := hetForkLatencyCandidates(f, pl)
-	lo, hi := 0, len(cands)-1
-	var best mapping.ForkMapping
-	found := false
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if m, ok := hetForkFeasible(f, pl, maxPeriod, cands[mid]); ok {
-			best = m
-			found = true
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-	}
-	if !found {
-		return Result{}, false, nil
-	}
-	return finishFork(f, pl, best), true, nil
+	return solveFork(f, pl, false, false, hetLatency, maxPeriod)
 }
 
 // HetHomForkPeriodUnderLatencyNoDP minimizes the period of a homogeneous
 // fork on a Heterogeneous platform without data-parallelism, subject to a
 // latency bound, by binary search over the finite period candidate set.
 func HetHomForkPeriodUnderLatencyNoDP(f workflow.Fork, pl platform.Platform, maxLatency float64) (Result, bool, error) {
-	if err := checkHetHomFork(f, pl); err != nil {
-		return Result{}, false, err
-	}
-	cands := hetForkPeriodCandidates(f, pl)
-	lo, hi := 0, len(cands)-1
-	var best mapping.ForkMapping
-	found := false
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if m, ok := hetForkFeasible(f, pl, cands[mid], maxLatency); ok {
-			best = m
-			found = true
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-	}
-	if !found {
-		return Result{}, false, nil
-	}
-	return finishFork(f, pl, best), true, nil
+	return solveFork(f, pl, false, false, hetPeriod, maxLatency)
+}
+
+// HetHomForkJoinPeriodNoDP extends the period direction of Theorem 14 to
+// homogeneous fork-join graphs (Section 6.3).
+func HetHomForkJoinPeriodNoDP(fj workflow.ForkJoin, pl platform.Platform) (ForkJoinResult, error) {
+	return unconstrained(HetHomForkJoinPeriodUnderLatencyNoDP(fj, pl, numeric.Inf))
+}
+
+// HetHomForkJoinLatencyNoDP extends the latency direction of Theorem 14 to
+// homogeneous fork-join graphs.
+func HetHomForkJoinLatencyNoDP(fj workflow.ForkJoin, pl platform.Platform) (ForkJoinResult, error) {
+	return unconstrained(HetHomForkJoinLatencyUnderPeriodNoDP(fj, pl, numeric.Inf))
+}
+
+// HetHomForkJoinLatencyUnderPeriodNoDP minimizes latency under a period
+// bound for a homogeneous fork-join on a Heterogeneous platform.
+func HetHomForkJoinLatencyUnderPeriodNoDP(fj workflow.ForkJoin, pl platform.Platform, maxPeriod float64) (ForkJoinResult, bool, error) {
+	return solveForkJoin(fj, pl, false, false, hetLatency, maxPeriod)
+}
+
+// HetHomForkJoinPeriodUnderLatencyNoDP minimizes the period under a latency
+// bound for a homogeneous fork-join on a Heterogeneous platform.
+func HetHomForkJoinPeriodUnderLatencyNoDP(fj workflow.ForkJoin, pl platform.Platform, maxLatency float64) (ForkJoinResult, bool, error) {
+	return solveForkJoin(fj, pl, false, false, hetPeriod, maxLatency)
 }

@@ -14,14 +14,8 @@ import (
 // graph as one block onto all processors, reaching the absolute lower bound
 // (w0 + sum wi) / (p*s). Data-parallelism cannot improve it (Lemma 1).
 func HomForkPeriod(f workflow.Fork, pl platform.Platform) (Result, error) {
-	if err := f.Validate(); err != nil {
+	if err := check(f.Validate(), true, pl, true); err != nil {
 		return Result{}, err
-	}
-	if err := pl.Validate(); err != nil {
-		return Result{}, err
-	}
-	if !pl.IsHomogeneous() {
-		return Result{}, ErrNotHomogeneousPlatform
 	}
 	return finishFork(f, pl, mapping.ReplicateAllFork(f, pl)), nil
 }
@@ -30,14 +24,8 @@ func HomForkPeriod(f workflow.Fork, pl platform.Platform) (Result, error) {
 // graphs: replication of the whole graph on all processors is still
 // optimal.
 func HomForkJoinPeriod(fj workflow.ForkJoin, pl platform.Platform) (ForkJoinResult, error) {
-	if err := fj.Validate(); err != nil {
+	if err := check(fj.Validate(), true, pl, true); err != nil {
 		return ForkJoinResult{}, err
-	}
-	if err := pl.Validate(); err != nil {
-		return ForkJoinResult{}, err
-	}
-	if !pl.IsHomogeneous() {
-		return ForkJoinResult{}, ErrNotHomogeneousPlatform
 	}
 	return finishForkJoin(fj, pl, mapping.ReplicateAllForkJoin(fj, pl)), nil
 }
@@ -124,33 +112,94 @@ func (d *remDP) blocks(i, q int) [][2]int {
 	return out
 }
 
-// homForkSearch scans the Theorem 11 configuration space — n0 leaves in the
-// root block on q0 processors, the rest handled either as one data-parallel
-// block (allowDP) or as replicated blocks via remDP — and returns a mapping
-// minimizing the latency under the period bound K. ok is false when K is
-// infeasible.
-func homForkSearch(f workflow.Fork, pl platform.Platform, allowDP bool, K float64) (Result, bool) {
-	n := f.Leaves()
-	p := pl.Processors()
-	s := pl.Speeds[0]
-	w := 0.0
-	if n > 0 {
-		w = f.Weights[0]
-	}
+// rootOption is one way to map the root's block of a Theorem 11
+// configuration: its mode, its period, the completion time of S0 (when
+// the other blocks start their leaves) and that of its own leaves.
+type rootOption struct {
+	mode                        mapping.Mode
+	period, rootDone, innerDone float64
+}
+
+// homLatency scans the Theorem 11 configuration space and its Section 6.3
+// extension for a homogeneous fork-join on a Homogeneous platform, and
+// returns a mapping minimizing the latency under the period bound K; ok is
+// false when K is infeasible. The root's block holds n0 leaves on q0
+// processors; the leaves outside the root and join blocks go either to one
+// data-parallel block (allowDP) or to replicated blocks via remDP. With a
+// join, the paper's two extra loops place the join stage: in the root's
+// block (case A) or in a block of its own with n1 leaves on q1 processors
+// (case B). A fork is case A without a join.
+func homLatency(in instance, K float64) (mapping.ForkJoinMapping, bool) {
+	n, p, s, w := in.n, in.pl.Processors(), in.pl.Speeds[0], in.w
 	var rd *remDP
-	if !allowDP {
+	if !in.allowDP {
 		rd = newRemDP(n, p, w, s, K)
 	}
 
 	bestLatency := numeric.Inf
-	var best mapping.ForkMapping
-	consider := func(latency float64, m mapping.ForkMapping) {
+	var best mapping.ForkJoinMapping
+	consider := func(latency float64, m mapping.ForkJoinMapping) {
 		if numeric.Less(latency, bestLatency) {
 			bestLatency = latency
 			best = m
 		}
 	}
 
+	// middle maps the rem leaves not in the root or join blocks onto qrem
+	// processors, returning (maxDelay, blocks) or false if K is infeasible.
+	middle := func(rem, qrem, leafFrom, procFrom int) (float64, []mapping.ForkJoinBlock, bool) {
+		if rem == 0 {
+			return 0, nil, true
+		}
+		if qrem == 0 {
+			return 0, nil, false
+		}
+		if in.allowDP {
+			// One data-parallel block holds every remaining leaf: merging
+			// data-parallel blocks never hurts on a homogeneous platform
+			// (mediant inequality), and by Lemma 1 replication cannot beat
+			// it either.
+			d := float64(rem) * w / (float64(qrem) * s)
+			if numeric.Greater(d, K) {
+				return 0, nil, false
+			}
+			return d, []mapping.ForkJoinBlock{
+				mapping.NewForkJoinBlock(false, false, leafRange(leafFrom, rem), mapping.DataParallel, procRange(procFrom, qrem)...),
+			}, true
+		}
+		dmax := rd.solve(rem, qrem)
+		if math.IsInf(dmax, 1) {
+			return 0, nil, false
+		}
+		var blocks []mapping.ForkJoinBlock
+		leaf, proc := leafFrom, procFrom
+		for _, b := range rd.blocks(rem, qrem) {
+			blocks = append(blocks,
+				mapping.NewForkJoinBlock(false, false, leafRange(leaf, b[0]), mapping.Replicated, procRange(proc, b[1])...))
+			leaf += b[0]
+			proc += b[1]
+		}
+		return dmax, blocks, true
+	}
+
+	// rootOptions lists the root block's options: replicated {S0 + n0
+	// leaves [+ S_{n+1}]}, or S0 alone data-parallelized when the model
+	// allows it.
+	rootOptions := func(n0, q0 int, join float64, withJoin bool) []rootOption {
+		opts := []rootOption{{
+			mode:      mapping.Replicated,
+			period:    (in.root + float64(n0)*w + join) / (float64(q0) * s),
+			rootDone:  in.root / s,
+			innerDone: (in.root + float64(n0)*w) / s,
+		}}
+		if n0 == 0 && in.allowDP && q0 > 1 && !withJoin {
+			d := in.root / (float64(q0) * s)
+			opts = append(opts, rootOption{mode: mapping.DataParallel, period: d, rootDone: d, innerDone: d})
+		}
+		return opts
+	}
+
+	// Case A: the join stage, if any, shares the root's block.
 	for n0 := 0; n0 <= n; n0++ {
 		rem := n - n0
 		for q0 := 1; q0 <= p; q0++ {
@@ -158,159 +207,120 @@ func homForkSearch(f workflow.Fork, pl platform.Platform, allowDP bool, K float6
 			if rem > 0 && qrem == 0 {
 				continue
 			}
-			// Root block: replicated {S0 + n0 leaves}, or S0 alone
-			// data-parallelized when n0 = 0 and the model allows it.
-			type rootOpt struct {
-				mode      mapping.Mode
-				period    float64
-				rootDone  float64 // completion time of S0 (leaf start time)
-				innerDone float64 // completion time of the root block's leaves
-			}
-			opts := []rootOpt{{
-				mode:      mapping.Replicated,
-				period:    (f.Root + float64(n0)*w) / (float64(q0) * s),
-				rootDone:  f.Root / s,
-				innerDone: (f.Root + float64(n0)*w) / s,
-			}}
-			if n0 == 0 && allowDP && q0 > 1 {
-				d := f.Root / (float64(q0) * s)
-				opts = append(opts, rootOpt{mode: mapping.DataParallel, period: d, rootDone: d, innerDone: d})
-			}
-			for _, opt := range opts {
-				if numeric.Greater(opt.period, K) {
+			for _, ro := range rootOptions(n0, q0, in.join, in.hasJoin) {
+				if numeric.Greater(ro.period, K) {
 					continue
 				}
-				if rem == 0 {
-					m := mapping.ForkMapping{Blocks: []mapping.ForkBlock{
-						mapping.NewForkBlock(true, leafRange(0, n0), opt.mode, procRange(0, q0)...),
-					}}
-					consider(opt.innerDone, m)
+				dmax, blocks, ok := middle(rem, qrem, n0, q0)
+				if !ok {
 					continue
 				}
-				if allowDP {
-					// One data-parallel block holds every remaining leaf:
-					// merging data-parallel blocks never hurts on a
-					// homogeneous platform (mediant inequality), and by
-					// Lemma 1 replication cannot beat it either.
-					d := float64(rem) * w / (float64(qrem) * s)
-					if numeric.Greater(d, K) {
-						continue
-					}
-					lat := math.Max(opt.innerDone, opt.rootDone+d)
-					m := mapping.ForkMapping{Blocks: []mapping.ForkBlock{
-						mapping.NewForkBlock(true, leafRange(0, n0), opt.mode, procRange(0, q0)...),
-						mapping.NewForkBlock(false, leafRange(n0, rem), mapping.DataParallel, procRange(q0, qrem)...),
-					}}
-					consider(lat, m)
-					continue
-				}
-				dmax := rd.solve(rem, qrem)
-				if math.IsInf(dmax, 1) {
-					continue
-				}
-				lat := math.Max(opt.innerDone, opt.rootDone+dmax)
-				m := mapping.ForkMapping{Blocks: []mapping.ForkBlock{
-					mapping.NewForkBlock(true, leafRange(0, n0), opt.mode, procRange(0, q0)...),
-				}}
-				leaf, proc := n0, q0
-				for _, b := range rd.blocks(rem, qrem) {
-					m.Blocks = append(m.Blocks,
-						mapping.NewForkBlock(false, leafRange(leaf, b[0]), mapping.Replicated, procRange(proc, b[1])...))
-					leaf += b[0]
-					proc += b[1]
-				}
-				consider(lat, m)
+				lat := math.Max(ro.innerDone, ro.rootDone+dmax) + in.join/s
+				consider(lat, mapping.ForkJoinMapping{Blocks: append([]mapping.ForkJoinBlock{
+					mapping.NewForkJoinBlock(true, in.hasJoin, leafRange(0, n0), ro.mode, procRange(0, q0)...),
+				}, blocks...)})
 			}
 		}
 	}
-	if math.IsInf(bestLatency, 1) {
-		return Result{}, false
+
+	// Case B: the join stage has its own block with n1 leaves on q1
+	// processors.
+	for n0 := 0; n0 <= n && in.hasJoin; n0++ {
+		for n1 := 0; n1 <= n-n0; n1++ {
+			rem := n - n0 - n1
+			for q0 := 1; q0 <= p; q0++ {
+				for q1 := 1; q1 <= p-q0; q1++ {
+					qrem := p - q0 - q1
+					if rem > 0 && qrem == 0 {
+						continue
+					}
+					// Join block options: its period and its own delay.
+					type joinOpt struct {
+						mode              mapping.Mode
+						period, joinDelay float64
+					}
+					jopts := []joinOpt{{
+						mode:      mapping.Replicated,
+						period:    (float64(n1)*w + in.join) / (float64(q1) * s),
+						joinDelay: in.join / s,
+					}}
+					if n1 == 0 && in.allowDP && q1 > 1 {
+						d := in.join / (float64(q1) * s)
+						jopts = append(jopts, joinOpt{mode: mapping.DataParallel, period: d, joinDelay: d})
+					}
+					for _, ro := range rootOptions(n0, q0, 0, false) {
+						if numeric.Greater(ro.period, K) {
+							continue
+						}
+						for _, jo := range jopts {
+							if numeric.Greater(jo.period, K) {
+								continue
+							}
+							dmax, blocks, ok := middle(rem, qrem, n0+n1, q0+q1)
+							if !ok {
+								continue
+							}
+							leafDone := math.Max(ro.innerDone, ro.rootDone+math.Max(float64(n1)*w/s, dmax))
+							consider(leafDone+jo.joinDelay, mapping.ForkJoinMapping{Blocks: append([]mapping.ForkJoinBlock{
+								mapping.NewForkJoinBlock(true, false, leafRange(0, n0), ro.mode, procRange(0, q0)...),
+								mapping.NewForkJoinBlock(false, true, leafRange(n0, n1), jo.mode, procRange(q0, q1)...),
+							}, blocks...)})
+						}
+					}
+				}
+			}
+		}
 	}
-	return finishFork(f, pl, best), true
+
+	return best, !math.IsInf(bestLatency, 1)
 }
 
-func checkHomFork(f workflow.Fork, pl platform.Platform) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	if err := pl.Validate(); err != nil {
-		return err
-	}
-	if !pl.IsHomogeneous() {
-		return ErrNotHomogeneousPlatform
-	}
-	if !f.IsHomogeneous() {
-		return ErrNotHomogeneousFork
-	}
-	return nil
+// homPeriod is the converse bi-criteria direction of Theorem 11: the
+// minimum period under a latency bound, by binary search over the finite
+// period candidate set, each probe's answer priced by the graph's model.
+func homPeriod(in instance, maxLatency float64) (mapping.ForkJoinMapping, bool) {
+	cands := periodCandidates(in, in.pl.Speeds[:1], in.pl.Processors())
+	return bisect(cands, func(K float64) (mapping.ForkJoinMapping, bool) {
+		m, ok := homLatency(in, K)
+		return m, ok && numeric.LessEq(in.cost(m).Latency, maxLatency)
+	})
 }
 
 // HomForkLatency implements the latency half of Theorem 11: the minimum
 // latency of a homogeneous fork on a Homogeneous platform, with or without
 // data-parallelism.
 func HomForkLatency(f workflow.Fork, pl platform.Platform, allowDP bool) (Result, error) {
-	if err := checkHomFork(f, pl); err != nil {
-		return Result{}, err
-	}
-	res, ok := homForkSearch(f, pl, allowDP, numeric.Inf)
-	if !ok {
-		panic("forkalgo: unconstrained Theorem 11 search found no mapping")
-	}
-	return res, nil
+	return unconstrained(HomForkLatencyUnderPeriod(f, pl, allowDP, numeric.Inf))
 }
 
 // HomForkLatencyUnderPeriod implements the bi-criteria direction of
 // Theorem 11 minimizing latency under a period bound. The boolean is false
 // when the bound is infeasible.
 func HomForkLatencyUnderPeriod(f workflow.Fork, pl platform.Platform, allowDP bool, maxPeriod float64) (Result, bool, error) {
-	if err := checkHomFork(f, pl); err != nil {
-		return Result{}, false, err
-	}
-	res, ok := homForkSearch(f, pl, allowDP, maxPeriod)
-	return res, ok, nil
-}
-
-// homForkPeriodCandidates lists every value a block period can take in a
-// Theorem 11 configuration.
-func homForkPeriodCandidates(f workflow.Fork, pl platform.Platform) []float64 {
-	n, p, s := f.Leaves(), pl.Processors(), pl.Speeds[0]
-	w := 0.0
-	if n > 0 {
-		w = f.Weights[0]
-	}
-	var cands []float64
-	for q := 1; q <= p; q++ {
-		for m := 0; m <= n; m++ {
-			cands = append(cands, (f.Root+float64(m)*w)/(float64(q)*s))
-			if m > 0 {
-				cands = append(cands, float64(m)*w/(float64(q)*s))
-			}
-		}
-	}
-	return numeric.DedupSorted(cands)
+	return solveFork(f, pl, true, allowDP, homLatency, maxPeriod)
 }
 
 // HomForkPeriodUnderLatency implements the converse bi-criteria direction
 // of Theorem 11: minimum period under a latency bound, by binary search
 // over the finite candidate period set.
 func HomForkPeriodUnderLatency(f workflow.Fork, pl platform.Platform, allowDP bool, maxLatency float64) (Result, bool, error) {
-	if err := checkHomFork(f, pl); err != nil {
-		return Result{}, false, err
-	}
-	cands := homForkPeriodCandidates(f, pl)
-	lo, hi := 0, len(cands)-1
-	var best Result
-	found := false
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		res, ok := homForkSearch(f, pl, allowDP, cands[mid])
-		if ok && numeric.LessEq(res.Cost.Latency, maxLatency) {
-			best = res
-			found = true
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-	}
-	return best, found, nil
+	return solveFork(f, pl, true, allowDP, homPeriod, maxLatency)
+}
+
+// HomForkJoinLatency extends Theorem 11 to fork-join graphs (Section 6.3):
+// minimum latency of a homogeneous fork-join on a Homogeneous platform.
+func HomForkJoinLatency(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) (ForkJoinResult, error) {
+	return unconstrained(HomForkJoinLatencyUnderPeriod(fj, pl, allowDP, numeric.Inf))
+}
+
+// HomForkJoinLatencyUnderPeriod extends the bi-criteria direction of
+// Theorem 11 to fork-join graphs.
+func HomForkJoinLatencyUnderPeriod(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxPeriod float64) (ForkJoinResult, bool, error) {
+	return solveForkJoin(fj, pl, true, allowDP, homLatency, maxPeriod)
+}
+
+// HomForkJoinPeriodUnderLatency extends the converse bi-criteria direction
+// of Theorem 11 to fork-join graphs.
+func HomForkJoinPeriodUnderLatency(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxLatency float64) (ForkJoinResult, bool, error) {
+	return solveForkJoin(fj, pl, true, allowDP, homPeriod, maxLatency)
 }

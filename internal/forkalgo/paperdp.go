@@ -26,7 +26,7 @@ import (
 // production implementation HomForkLatency (loops + remDP) additionally
 // builds mappings. Agreement between the two is checked in tests.
 func HomForkLatencyPaperRecurrence(f workflow.Fork, pl platform.Platform) (float64, error) {
-	if err := checkHomFork(f, pl); err != nil {
+	if err := check(f.Validate(), f.IsHomogeneous(), pl, true); err != nil {
 		return 0, err
 	}
 	s := pl.Speeds[0]
