@@ -121,14 +121,6 @@ func (pl Platform) SortedBySpeed() []int {
 	return idx
 }
 
-// FastestK returns the indices of the k fastest processors ordered by
-// non-decreasing speed, as used by the Theorem 7/14 algorithms ("consider
-// the q fastest processors, ordered by non-decreasing speeds").
-func (pl Platform) FastestK(k int) []int {
-	all := pl.SortedBySpeed()
-	return all[len(all)-k:]
-}
-
 // Random returns a platform of p processors with integer speeds drawn
 // uniformly from [1, maxS].
 func Random(rng *rand.Rand, p, maxS int) Platform {

@@ -95,18 +95,6 @@ func TestSortedBySpeedIsPermutation(t *testing.T) {
 	}
 }
 
-func TestFastestK(t *testing.T) {
-	pl := New(4, 1, 3, 2)
-	got := pl.FastestK(2)
-	if len(got) != 2 || pl.Speeds[got[0]] != 3 || pl.Speeds[got[1]] != 4 {
-		t.Fatalf("FastestK(2) = %v", got)
-	}
-	all := pl.FastestK(4)
-	if len(all) != 4 {
-		t.Fatal("FastestK(p) wrong length")
-	}
-}
-
 func TestRandomBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
