@@ -208,7 +208,7 @@ func hetConfig(in instance, procs []int, s []float64, q0, jq int, K, L float64) 
 		}
 		for idx, iv := range tables[k].leaves() {
 			isRoot := sg.kind == rootInterval && idx == 0
-			isJoin := (sg.kind == joinInterval && idx == 0) || (isRoot && jq == q0)
+			isJoin := (sg.kind == joinInterval && idx == 0) || (isRoot && jq == q0 && in.hasJoin)
 			take := min(iv.cap, remaining)
 			if take == 0 && !isRoot && !isJoin {
 				continue // idle processors

@@ -262,59 +262,42 @@ func (d *thm8DP) reconstruct(m, i, j int, first *int, procs []int, out *mapping.
 	d.reconstruct(m-m1, k+1, j, first, procs, out)
 }
 
-// thm8Latency is the Theorem 8 latency search under the period bound K:
-// the dynamic program on the q fastest processors for every q, which are
-// the suffixes of order (the processors by non-decreasing speed) and of
-// speeds (their speeds).
-func thm8Latency(p workflow.Pipeline, pl platform.Platform, order []int, speeds []float64, K float64) (Result, bool) {
-	n, w, all := p.Stages(), p.Weights[0], len(order)
-	bestVal := numeric.Inf
-	var best mapping.PipelineMapping
-	for q := 1; q <= all; q++ {
-		d := newThm8DP(n, w, speeds[all-q:], K)
-		if v := d.solve(n, 0, q-1); numeric.Less(v, bestVal) {
-			bestVal = v
-			var m mapping.PipelineMapping
-			first := 0
-			d.reconstruct(n, 0, q-1, &first, order[all-q:], &m)
-			best = m
-		}
-	}
-	if math.IsInf(bestVal, 1) {
-		return Result{}, false
-	}
-	return finish(p, pl, best), true
-}
-
-// thm8Inputs checks a Theorem 8 instance and returns its processors by
-// non-decreasing speed with their speeds.
-func thm8Inputs(p workflow.Pipeline, pl platform.Platform) ([]int, []float64, error) {
-	if err := checkInputs(p, pl); err != nil {
-		return nil, nil, err
-	}
-	if !p.IsHomogeneous() {
-		return nil, nil, ErrNotHomogeneousPipeline
-	}
-	order := pl.SortedBySpeed()
-	speeds := make([]float64, len(order))
-	for u, idx := range order {
-		speeds[u] = pl.Speeds[idx]
-	}
-	return order, speeds, nil
-}
-
 // HetHomPipelineLatencyUnderPeriodNoDP implements one direction of
 // Theorem 8: the minimum latency of a homogeneous pipeline on a
 // Heterogeneous platform without data-parallelism, among mappings whose
 // period does not exceed maxPeriod. The boolean result is false when the
 // period bound is infeasible.
 func HetHomPipelineLatencyUnderPeriodNoDP(p workflow.Pipeline, pl platform.Platform, maxPeriod float64) (Result, bool, error) {
-	order, speeds, err := thm8Inputs(p, pl)
-	if err != nil {
+	if err := checkInputs(p, pl); err != nil {
 		return Result{}, false, err
 	}
-	res, ok := thm8Latency(p, pl, order, speeds, maxPeriod)
-	return res, ok, nil
+	if !p.IsHomogeneous() {
+		return Result{}, false, ErrNotHomogeneousPipeline
+	}
+	n, w := p.Stages(), p.Weights[0]
+	order := pl.SortedBySpeed()
+	speeds := make([]float64, len(order))
+	for u, idx := range order {
+		speeds[u] = pl.Speeds[idx]
+	}
+	bestVal := numeric.Inf
+	var best mapping.PipelineMapping
+	for q := 1; q <= len(order); q++ {
+		// The q fastest processors and their speeds.
+		procs := order[len(order)-q:]
+		d := newThm8DP(n, w, speeds[len(order)-q:], maxPeriod)
+		if v := d.solve(n, 0, q-1); numeric.Less(v, bestVal) {
+			bestVal = v
+			var m mapping.PipelineMapping
+			first := 0
+			d.reconstruct(n, 0, q-1, &first, procs, &m)
+			best = m
+		}
+	}
+	if math.IsInf(bestVal, 1) {
+		return Result{}, false, nil
+	}
+	return finish(p, pl, best), true, nil
 }
 
 // HetHomPipelinePeriodUnderLatencyNoDP implements the other direction of
@@ -322,9 +305,11 @@ func HetHomPipelineLatencyUnderPeriodNoDP(p workflow.Pipeline, pl platform.Platf
 // exceed maxLatency, via binary search over the finite candidate period
 // set. The boolean result is false when the latency bound is infeasible.
 func HetHomPipelinePeriodUnderLatencyNoDP(p workflow.Pipeline, pl platform.Platform, maxLatency float64) (Result, bool, error) {
-	order, speeds, err := thm8Inputs(p, pl)
-	if err != nil {
+	if err := checkInputs(p, pl); err != nil {
 		return Result{}, false, err
+	}
+	if !p.IsHomogeneous() {
+		return Result{}, false, ErrNotHomogeneousPipeline
 	}
 	cands := periodCandidates(p.Stages(), p.Weights[0], pl)
 	lo, hi := 0, len(cands)-1
@@ -332,7 +317,11 @@ func HetHomPipelinePeriodUnderLatencyNoDP(p workflow.Pipeline, pl platform.Platf
 	found := false
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		if res, ok := thm8Latency(p, pl, order, speeds, cands[mid]); ok && numeric.LessEq(res.Cost.Latency, maxLatency) {
+		res, ok, err := HetHomPipelineLatencyUnderPeriodNoDP(p, pl, cands[mid])
+		if err != nil {
+			return Result{}, false, err
+		}
+		if ok && numeric.LessEq(res.Cost.Latency, maxLatency) {
 			best = res
 			found = true
 			hi = mid - 1
