@@ -112,14 +112,6 @@ func (d *remDP) blocks(i, q int) [][2]int {
 	return out
 }
 
-// rootOption is one way to map the root's block of a Theorem 11
-// configuration: its mode, its period, the completion time of S0 (when
-// the other blocks start their leaves) and that of its own leaves.
-type rootOption struct {
-	mode                        mapping.Mode
-	period, rootDone, innerDone float64
-}
-
 // homLatency scans the Theorem 11 configuration space and its Section 6.3
 // extension for a homogeneous fork-join on a Homogeneous platform, and
 // returns a mapping minimizing the latency under the period bound K; ok is
@@ -182,6 +174,13 @@ func homLatency(in instance, K float64) (mapping.ForkJoinMapping, bool) {
 		return dmax, blocks, true
 	}
 
+	// rootOption is one way to map the root's block: its mode, its
+	// period, the completion time of S0 (when the other blocks start
+	// their leaves) and that of its own leaves.
+	type rootOption struct {
+		mode                        mapping.Mode
+		period, rootDone, innerDone float64
+	}
 	// rootOptions lists the root block's options: replicated {S0 + n0
 	// leaves [+ S_{n+1}]}, or S0 alone data-parallelized when the model
 	// allows it.
