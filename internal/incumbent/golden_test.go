@@ -40,16 +40,24 @@ import (
 // cost every complete mapping, before the cuts existed; the comm records
 // from the interval scan before its latency look-ahead.
 //
-// Do not regenerate either corpus to absorb a diff: a mismatch means a
+// A third corpus, kernels_fractional_golden.ndjson, holds forks and
+// fork-joins with fractional weights and speeds, each under every goal
+// and under bounds at its optimum times 1, 1.3 and 1-1e-6. The integer
+// corpora sum their block weights exactly in any order; this one pins
+// the cost bits that depend on the scans' summation order.
+//
+// Do not regenerate any corpus to absorb a diff: a mismatch means a
 // kernel changed its answer.
 var (
 	writeGolden      = flag.Bool("write-golden-kernels", false, "rewrite testdata/kernels_golden.ndjson from the current kernels")
 	writeBenchGolden = flag.Bool("write-golden-bench-kernels", false, "rewrite testdata/kernels_bench_golden.ndjson from the current kernels")
+	writeFracGolden  = flag.Bool("write-golden-fractional-kernels", false, "rewrite testdata/kernels_fractional_golden.ndjson from the current kernels")
 )
 
 const (
 	goldenPath      = "testdata/kernels_golden.ndjson"
 	benchGoldenPath = "testdata/kernels_bench_golden.ndjson"
+	fracGoldenPath  = "testdata/kernels_fractional_golden.ndjson"
 )
 
 // goldenCase is one corpus record: the instance of exactly one kernel,
@@ -289,60 +297,115 @@ func benchGoldenInstances() []goldenCase {
 	return out
 }
 
-// generateGolden expands every instance into its four goals. The
-// bounded goals cap the other metric at its unbounded optimum scaled by
-// one of {1, 1.25, 1.5, 0.5}, so the corpus holds bounds that touch the
-// optimum exactly, loose bounds and infeasible ones.
-func generateGolden(ctx context.Context, insts []goldenCase) ([]goldenCase, error) {
-	scales := []float64{1, 1.25, 1.5, 0.5}
+// fractionalGoldenInstances draws the fractional corpus instances: forks
+// of 1–5 leaves and fork-joins of 1–4 on 2–5 processors, with weights
+// and speeds drawn from continuous ranges, so no two processors share a
+// speed and no block weight is an integer.
+func fractionalGoldenInstances() []goldenCase {
+	rng := rand.New(rand.NewSource(20261019))
+	frac := func(n int, lo, span float64) []float64 {
+		v := make([]float64, n)
+		for k := range v {
+			v[k] = lo + span*rng.Float64()
+		}
+		return v
+	}
 	var out []goldenCase
+	for i := 0; i < 40; i++ {
+		f := workflow.Fork{Root: frac(1, 0.1, 5)[0], Weights: frac(1+rng.Intn(5), 0.1, 5)}
+		pl := platform.Platform{Speeds: frac(2+rng.Intn(4), 0.1, 3)}
+		out = append(out, goldenCase{Kernel: "fork", DP: i%2 == 0, Fork: &f, Platform: &pl})
+	}
+	for i := 0; i < 40; i++ {
+		w := frac(2, 0.1, 5)
+		fj := workflow.ForkJoin{Root: w[0], Join: w[1], Weights: frac(1+rng.Intn(4), 0.1, 5)}
+		pl := platform.Platform{Speeds: frac(2+rng.Intn(4), 0.1, 3)}
+		out = append(out, goldenCase{Kernel: "forkjoin", DP: i%2 == 1, ForkJoin: &fj, Platform: &pl})
+	}
+	return out
+}
+
+// boundScales returns the scales of instance i's bounded goals: each cap
+// is the other metric's unbounded optimum times one of them.
+type boundScales func(i int) (lup, pul []float64)
+
+// cycledScales gives each instance one scale per bounded goal, cycling
+// through {1, 1.25, 1.5, 0.5}, so a corpus holds bounds that touch the
+// optimum exactly, loose bounds and infeasible ones.
+func cycledScales(i int) (lup, pul []float64) {
+	scales := []float64{1, 1.25, 1.5, 0.5}
+	return scales[i%4 : i%4+1], scales[(i+1)%4 : (i+1)%4+1]
+}
+
+// nearScales gives every instance the bounds at, above and just below
+// its optimum.
+func nearScales(int) (lup, pul []float64) {
+	scales := []float64{1, 1.3, 1 - 1e-6}
+	return scales, scales
+}
+
+// generateGolden expands every instance into its goals: the two
+// unbounded ones, then a bounded one per scale.
+func generateGolden(ctx context.Context, insts []goldenCase, scales boundScales) ([]goldenCase, error) {
+	var out []goldenCase
+	solve := func(c goldenCase, goal string, bound float64) (goldenCase, error) {
+		c.Goal, c.Bound = goal, bound
+		c, err := solveGolden(ctx, c, 1)
+		out = append(out, c)
+		return c, err
+	}
 	for i, inst := range insts {
-		var periodOpt, latencyOpt float64
-		for _, goal := range goldenGoals {
-			c := inst
-			c.Goal = goal
-			switch goal {
-			case "lup":
-				c.Bound = periodOpt * scales[i%len(scales)]
-			case "pul":
-				c.Bound = latencyOpt * scales[(i+1)%len(scales)]
-			}
-			c, err := solveGolden(ctx, c, 1)
-			if err != nil {
+		pc, err := solve(inst, "period", 0)
+		if err != nil {
+			return nil, err
+		}
+		lc, err := solve(inst, "latency", 0)
+		if err != nil {
+			return nil, err
+		}
+		lups, puls := scales(i)
+		for _, s := range lups {
+			if _, err := solve(inst, "lup", fromHex(pc.Period)*s); err != nil {
 				return nil, err
 			}
-			p, _ := strconv.ParseUint(c.Period, 16, 64)
-			l, _ := strconv.ParseUint(c.Latency, 16, 64)
-			switch goal {
-			case "period":
-				periodOpt = math.Float64frombits(p)
-			case "latency":
-				latencyOpt = math.Float64frombits(l)
+		}
+		for _, s := range puls {
+			if _, err := solve(inst, "pul", fromHex(lc.Latency)*s); err != nil {
+				return nil, err
 			}
-			out = append(out, c)
 		}
 	}
 	return out, nil
 }
 
+func fromHex(s string) float64 {
+	b, _ := strconv.ParseUint(s, 16, 64)
+	return math.Float64frombits(b)
+}
+
 func TestKernelsGoldenCorpus(t *testing.T) {
-	checkGoldenCorpus(t, goldenPath, *writeGolden, goldenInstances,
+	checkGoldenCorpus(t, goldenPath, *writeGolden, goldenInstances, cycledScales,
 		[]string{"pipeline", "fork", "forkjoin", "sp", "comm"})
 }
 
 func TestKernelsBenchGoldenCorpus(t *testing.T) {
-	checkGoldenCorpus(t, benchGoldenPath, *writeBenchGolden, benchGoldenInstances,
+	checkGoldenCorpus(t, benchGoldenPath, *writeBenchGolden, benchGoldenInstances, cycledScales,
 		[]string{"fork", "forkjoin", "sp", "comm"})
+}
+
+func TestKernelsFractionalGoldenCorpus(t *testing.T) {
+	checkGoldenCorpus(t, fracGoldenPath, *writeFracGolden, fractionalGoldenInstances, nearScales,
+		[]string{"fork", "forkjoin"})
 }
 
 // checkGoldenCorpus re-solves every record of the corpus at path at one
 // and at three workers and compares the answers bit for bit; write first
-// regenerates the corpus from instances. kernels lists the kernels the
-// corpus must cover.
-func checkGoldenCorpus(t *testing.T, path string, write bool, instances func() []goldenCase, kernels []string) {
+// regenerates the corpus from instances under scales. kernels lists the
+// kernels the corpus must cover.
+func checkGoldenCorpus(t *testing.T, path string, write bool, instances func() []goldenCase, scales boundScales, kernels []string) {
 	ctx := context.Background()
 	if write {
-		cases, err := generateGolden(ctx, instances())
+		cases, err := generateGolden(ctx, instances(), scales)
 		if err != nil {
 			t.Fatal(err)
 		}
