@@ -69,19 +69,10 @@ func splitProcs(rng *rand.Rand, procs []int) (a, b []int) {
 
 // --- Pipeline ---------------------------------------------------------------
 
-func clonePipeline(m mapping.PipelineMapping) mapping.PipelineMapping {
-	out := mapping.PipelineMapping{Intervals: make([]mapping.PipelineInterval, len(m.Intervals))}
-	copy(out.Intervals, m.Intervals)
-	for i := range out.Intervals {
-		out.Intervals[i].Procs = append([]int(nil), out.Intervals[i].Procs...)
-	}
-	return out
-}
-
 // pipelineMutator returns the pipeline neighbourhood function.
 func pipelineMutator(p workflow.Pipeline, pl platform.Platform, allowDP bool) func(*rand.Rand, mapping.PipelineMapping) mapping.PipelineMapping {
 	return func(rng *rand.Rand, m0 mapping.PipelineMapping) mapping.PipelineMapping {
-		m := clonePipeline(m0)
+		m := m0.Clone()
 		for attempt := 0; attempt < 4; attempt++ {
 			if pipelineMove(rng, &m, pl, allowDP) {
 				break
@@ -201,19 +192,9 @@ func pipelineMove(rng *rand.Rand, m *mapping.PipelineMapping, pl platform.Platfo
 
 // --- Fork -------------------------------------------------------------------
 
-func cloneFork(m mapping.ForkMapping) mapping.ForkMapping {
-	out := mapping.ForkMapping{Blocks: make([]mapping.ForkBlock, len(m.Blocks))}
-	copy(out.Blocks, m.Blocks)
-	for i := range out.Blocks {
-		out.Blocks[i].Procs = append([]int(nil), out.Blocks[i].Procs...)
-		out.Blocks[i].Leaves = append([]int(nil), out.Blocks[i].Leaves...)
-	}
-	return out
-}
-
 func forkMutator(f workflow.Fork, pl platform.Platform, allowDP bool) func(*rand.Rand, mapping.ForkMapping) mapping.ForkMapping {
 	return func(rng *rand.Rand, m0 mapping.ForkMapping) mapping.ForkMapping {
-		m := cloneFork(m0)
+		m := m0.Clone()
 		for attempt := 0; attempt < 4; attempt++ {
 			if forkMove(rng, &m, pl, allowDP) {
 				break
@@ -356,19 +337,9 @@ func forkMove(rng *rand.Rand, m *mapping.ForkMapping, pl platform.Platform, allo
 
 // --- Fork-join --------------------------------------------------------------
 
-func cloneForkJoin(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
-	out := mapping.ForkJoinMapping{Blocks: make([]mapping.ForkJoinBlock, len(m.Blocks))}
-	copy(out.Blocks, m.Blocks)
-	for i := range out.Blocks {
-		out.Blocks[i].Procs = append([]int(nil), out.Blocks[i].Procs...)
-		out.Blocks[i].Leaves = append([]int(nil), out.Blocks[i].Leaves...)
-	}
-	return out
-}
-
 func forkJoinMutator(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) func(*rand.Rand, mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 	return func(rng *rand.Rand, m0 mapping.ForkJoinMapping) mapping.ForkJoinMapping {
-		m := cloneForkJoin(m0)
+		m := m0.Clone()
 		for attempt := 0; attempt < 4; attempt++ {
 			if forkJoinMove(rng, &m, pl, allowDP) {
 				break

@@ -34,7 +34,7 @@ func LocalSearchFork(f workflow.Fork, pl platform.Platform, m mapping.ForkMappin
 	if err != nil {
 		return mapping.ForkMapping{}, mapping.Cost{}, err
 	}
-	best := cloneForkMapping(m)
+	best := m.Clone()
 	const maxRounds = 200
 	for round := 0; round < maxRounds; round++ {
 		improved := false
@@ -54,16 +54,6 @@ func LocalSearchFork(f workflow.Fork, pl platform.Platform, m mapping.ForkMappin
 		}
 	}
 	return best, cur, nil
-}
-
-func cloneForkMapping(m mapping.ForkMapping) mapping.ForkMapping {
-	out := mapping.ForkMapping{Blocks: make([]mapping.ForkBlock, len(m.Blocks))}
-	for i, b := range m.Blocks {
-		out.Blocks[i] = b
-		out.Blocks[i].Leaves = append([]int(nil), b.Leaves...)
-		out.Blocks[i].Procs = append([]int(nil), b.Procs...)
-	}
-	return out
 }
 
 // dropEmptyBlocks removes non-root blocks left without stages.
@@ -91,7 +81,7 @@ func forkNeighbours(m mapping.ForkMapping, pl platform.Platform) []mapping.ForkM
 				if i == j {
 					continue
 				}
-				c := cloneForkMapping(m)
+				c := m.Clone()
 				leaf := c.Blocks[i].Leaves[li]
 				c.Blocks[i].Leaves = append(c.Blocks[i].Leaves[:li], c.Blocks[i].Leaves[li+1:]...)
 				c.Blocks[j].Leaves = append(c.Blocks[j].Leaves, leaf)
@@ -109,7 +99,7 @@ func forkNeighbours(m mapping.ForkMapping, pl platform.Platform) []mapping.ForkM
 			if i == j {
 				continue
 			}
-			c := cloneForkMapping(m)
+			c := m.Clone()
 			moved := c.Blocks[i].Procs[len(c.Blocks[i].Procs)-1]
 			c.Blocks[i].Procs = c.Blocks[i].Procs[:len(c.Blocks[i].Procs)-1]
 			c.Blocks[j].Procs = append(c.Blocks[j].Procs, moved)
@@ -134,7 +124,7 @@ func forkNeighbours(m mapping.ForkMapping, pl platform.Platform) []mapping.ForkM
 	if idle >= 0 {
 		for i := 0; i < k; i++ {
 			for li := range m.Blocks[i].Leaves {
-				c := cloneForkMapping(m)
+				c := m.Clone()
 				leaf := c.Blocks[i].Leaves[li]
 				c.Blocks[i].Leaves = append(c.Blocks[i].Leaves[:li], c.Blocks[i].Leaves[li+1:]...)
 				c.Blocks = append(c.Blocks, mapping.NewForkBlock(false, []int{leaf}, mapping.Replicated, idle))
@@ -149,7 +139,7 @@ func forkNeighbours(m mapping.ForkMapping, pl platform.Platform) []mapping.ForkM
 			if i == j || m.Blocks[j].Root {
 				continue
 			}
-			c := cloneForkMapping(m)
+			c := m.Clone()
 			c.Blocks[i].Leaves = append(c.Blocks[i].Leaves, c.Blocks[j].Leaves...)
 			c.Blocks[i].Procs = append(c.Blocks[i].Procs, c.Blocks[j].Procs...)
 			c.Blocks[i].Mode = mapping.Replicated

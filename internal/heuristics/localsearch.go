@@ -24,7 +24,7 @@ func LocalSearchPipelinePeriod(p workflow.Pipeline, pl platform.Platform, m mapp
 	if err != nil {
 		return mapping.PipelineMapping{}, mapping.Cost{}, err
 	}
-	best := clonePipelineMapping(m)
+	best := m.Clone()
 	const maxRounds = 200
 	for round := 0; round < maxRounds; round++ {
 		improved := false
@@ -47,15 +47,6 @@ func LocalSearchPipelinePeriod(p workflow.Pipeline, pl platform.Platform, m mapp
 	return best, cur, nil
 }
 
-func clonePipelineMapping(m mapping.PipelineMapping) mapping.PipelineMapping {
-	out := mapping.PipelineMapping{Intervals: make([]mapping.PipelineInterval, len(m.Intervals))}
-	for i, iv := range m.Intervals {
-		out.Intervals[i] = iv
-		out.Intervals[i].Procs = append([]int(nil), iv.Procs...)
-	}
-	return out
-}
-
 // pipelineNeighbours generates candidate moves from m. Invalid candidates
 // (for example a shift that would empty an interval) are filtered by the
 // caller through EvalPipeline's validation.
@@ -67,7 +58,7 @@ func pipelineNeighbours(m mapping.PipelineMapping, pl platform.Platform) []mappi
 	for i := 0; i+1 < k; i++ {
 		if m.Intervals[i].Last > m.Intervals[i].First {
 			// Give the last stage of interval i to interval i+1.
-			c := clonePipelineMapping(m)
+			c := m.Clone()
 			c.Intervals[i].Last--
 			c.Intervals[i+1].First--
 			if legalModes(c.Intervals[i]) && legalModes(c.Intervals[i+1]) {
@@ -76,7 +67,7 @@ func pipelineNeighbours(m mapping.PipelineMapping, pl platform.Platform) []mappi
 		}
 		if m.Intervals[i+1].Last > m.Intervals[i+1].First {
 			// Take the first stage of interval i+1 into interval i.
-			c := clonePipelineMapping(m)
+			c := m.Clone()
 			c.Intervals[i].Last++
 			c.Intervals[i+1].First++
 			if legalModes(c.Intervals[i]) && legalModes(c.Intervals[i+1]) {
@@ -88,7 +79,7 @@ func pipelineNeighbours(m mapping.PipelineMapping, pl platform.Platform) []mappi
 	// Move 2: swap processor sets of two intervals.
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			c := clonePipelineMapping(m)
+			c := m.Clone()
 			c.Intervals[i].Procs, c.Intervals[j].Procs = c.Intervals[j].Procs, c.Intervals[i].Procs
 			out = append(out, c)
 		}
@@ -104,7 +95,7 @@ func pipelineNeighbours(m mapping.PipelineMapping, pl platform.Platform) []mappi
 			if i == j {
 				continue
 			}
-			c := clonePipelineMapping(m)
+			c := m.Clone()
 			moved := c.Intervals[i].Procs[len(c.Intervals[i].Procs)-1]
 			c.Intervals[i].Procs = c.Intervals[i].Procs[:len(c.Intervals[i].Procs)-1]
 			c.Intervals[j].Procs = append(c.Intervals[j].Procs, moved)
@@ -132,7 +123,7 @@ func pipelineNeighbours(m mapping.PipelineMapping, pl platform.Platform) []mappi
 	if idle >= 0 {
 		for i := 0; i < k; i++ {
 			for cut := m.Intervals[i].First; cut < m.Intervals[i].Last; cut++ {
-				c := clonePipelineMapping(m)
+				c := m.Clone()
 				right := c.Intervals[i]
 				right.First = cut + 1
 				right.Procs = []int{idle}
@@ -149,7 +140,7 @@ func pipelineNeighbours(m mapping.PipelineMapping, pl platform.Platform) []mappi
 
 	// Move 5: merge adjacent intervals, pooling their processors.
 	for i := 0; i+1 < k; i++ {
-		c := clonePipelineMapping(m)
+		c := m.Clone()
 		merged := c.Intervals[i]
 		merged.Last = c.Intervals[i+1].Last
 		merged.Procs = append(merged.Procs, c.Intervals[i+1].Procs...)

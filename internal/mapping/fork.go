@@ -26,6 +26,18 @@ type ForkMapping struct {
 	Blocks []ForkBlock
 }
 
+// Clone returns a deep copy of m: its blocks and their leaf and
+// processor lists are fresh, and an empty list stays nil.
+func (m ForkMapping) Clone() ForkMapping {
+	out := ForkMapping{Blocks: make([]ForkBlock, len(m.Blocks))}
+	copy(out.Blocks, m.Blocks)
+	for i := range out.Blocks {
+		out.Blocks[i].Leaves = append([]int(nil), out.Blocks[i].Leaves...)
+		out.Blocks[i].Procs = append([]int(nil), out.Blocks[i].Procs...)
+	}
+	return out
+}
+
 // NewForkBlock is a convenience constructor.
 func NewForkBlock(root bool, leaves []int, mode Mode, procs ...int) ForkBlock {
 	return ForkBlock{Root: root, Leaves: leaves, Assignment: Assignment{Procs: procs, Mode: mode}}

@@ -26,6 +26,33 @@ type ForkJoinMapping struct {
 	Blocks []ForkJoinBlock
 }
 
+// Clone returns a deep copy of m: its blocks and their leaf and
+// processor lists are fresh, and an empty list stays nil.
+func (m ForkJoinMapping) Clone() ForkJoinMapping {
+	out := ForkJoinMapping{Blocks: make([]ForkJoinBlock, len(m.Blocks))}
+	copy(out.Blocks, m.Blocks)
+	for i := range out.Blocks {
+		out.Blocks[i].Leaves = append([]int(nil), out.Blocks[i].Leaves...)
+		out.Blocks[i].Procs = append([]int(nil), out.Blocks[i].Procs...)
+	}
+	return out
+}
+
+// Fork returns m as a fork mapping: a fork is mapped as a fork-join
+// without a join (see EvalForkJoin), so its mapping is m's blocks with
+// their Join flags dropped. The blocks share m's leaf and processor
+// lists, and a nil block list stays nil.
+func (m ForkJoinMapping) Fork() ForkMapping {
+	if m.Blocks == nil {
+		return ForkMapping{}
+	}
+	out := ForkMapping{Blocks: make([]ForkBlock, len(m.Blocks))}
+	for i, b := range m.Blocks {
+		out.Blocks[i] = ForkBlock{Root: b.Root, Leaves: b.Leaves, Assignment: b.Assignment}
+	}
+	return out
+}
+
 // NewForkJoinBlock is a convenience constructor.
 func NewForkJoinBlock(root, join bool, leaves []int, mode Mode, procs ...int) ForkJoinBlock {
 	return ForkJoinBlock{Root: root, Join: join, Leaves: leaves, Assignment: Assignment{Procs: procs, Mode: mode}}

@@ -22,6 +22,17 @@ type PipelineMapping struct {
 	Intervals []PipelineInterval
 }
 
+// Clone returns a deep copy of m: its intervals and their processor
+// lists are fresh, and an empty processor list stays nil.
+func (m PipelineMapping) Clone() PipelineMapping {
+	out := PipelineMapping{Intervals: make([]PipelineInterval, len(m.Intervals))}
+	copy(out.Intervals, m.Intervals)
+	for i := range out.Intervals {
+		out.Intervals[i].Procs = append([]int(nil), out.Intervals[i].Procs...)
+	}
+	return out
+}
+
 // NewPipelineInterval is a convenience constructor.
 func NewPipelineInterval(first, last int, mode Mode, procs ...int) PipelineInterval {
 	return PipelineInterval{First: first, Last: last, Assignment: Assignment{Procs: procs, Mode: mode}}
