@@ -37,15 +37,17 @@ func TestBoundsUnderlieExhaustiveOptima(t *testing.T) {
 				}
 			}
 
+			// A fork's bound is its joinless fork-join's.
 			f := workflow.RandomFork(rng, 1+rng.Intn(3), 9)
+			joinless := workflow.ForkJoin{Root: f.Root, Weights: f.Weights}
 			if res, ok := exhaustive.ForkPeriod(f, pl, dp); ok {
-				lb := anytime.ForkLB(f, pl, anytime.Spec{MinimizePeriod: true, AllowDP: dp})
+				lb := anytime.ForkJoinLB(joinless, pl, anytime.Spec{MinimizePeriod: true, AllowDP: dp})
 				if numeric.Greater(lb, res.Cost.Period) {
 					t.Fatalf("fork period LB %g > optimum %g (dp=%v, %v on %v)", lb, res.Cost.Period, dp, f, pl)
 				}
 			}
 			if res, ok := exhaustive.ForkLatency(f, pl, dp); ok {
-				lb := anytime.ForkLB(f, pl, anytime.Spec{AllowDP: dp})
+				lb := anytime.ForkJoinLB(joinless, pl, anytime.Spec{AllowDP: dp})
 				if numeric.Greater(lb, res.Cost.Latency) {
 					t.Fatalf("fork latency LB %g > optimum %g (dp=%v, %v on %v)", lb, res.Cost.Latency, dp, f, pl)
 				}
@@ -132,7 +134,7 @@ func TestPortfolioExactMemberCertifies(t *testing.T) {
 				if err != nil {
 					return anytime.Exact{}, err
 				}
-				m := res.Mapping
+				m := res.Mapping.Fork()
 				return anytime.Exact{Fork: &m, Cost: res.Cost, Feasible: ok}, nil
 			},
 		}

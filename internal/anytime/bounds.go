@@ -86,19 +86,11 @@ func heaviest(weights []float64) float64 {
 	return numeric.MaxFloat(weights)
 }
 
-// ForkLB returns a lower bound on the spec's optimized criterion over
-// all valid mappings of the fork: sum-of-work for the period,
-// critical-path (root plus heaviest leaf) for the latency.
-func ForkLB(f workflow.Fork, pl platform.Platform, spec Spec) float64 {
-	if spec.MinimizePeriod {
-		return PeriodLB(f.TotalWork(), pl.TotalSpeed())
-	}
-	return LatencyLB(f.Root+heaviest(f.Weights), pl.TotalSpeed(), pl.MaxSpeed(), spec.AllowDP)
-}
-
 // ForkJoinLB returns a lower bound on the spec's optimized criterion
 // over all valid mappings of the fork-join: sum-of-work for the
 // period, critical-path (root, heaviest leaf, join) for the latency.
+// A fork's bound is that of the fork-join without a join (Join 0): the
+// join adds 0 to each sum, so the bound is the fork's own.
 func ForkJoinLB(fj workflow.ForkJoin, pl platform.Platform, spec Spec) float64 {
 	if spec.MinimizePeriod {
 		return PeriodLB(fj.TotalWork(), pl.TotalSpeed())

@@ -20,12 +20,13 @@
 //
 // Every result carries a certified optimality statement: the cheap
 // lower bounds of this package (sum-of-work for the period,
-// critical-path for the latency — see PeriodLB/LatencyLB and the
-// per-kind PipelineLB/ForkLB/ForkJoinLB) bound the optimum from below,
-// so Result.Gap = objective/lower-bound − 1 is a true upper bound on
-// the distance to the optimum, and Gap == 0 proves optimality. The
-// same bound primitives drive branch pruning inside
-// internal/exhaustive; this package is the single implementation.
+// critical-path for the latency — see PeriodLB/LatencyLB, PipelineLB
+// and ForkJoinLB, which bounds a fork as a fork-join without a join)
+// bound the optimum from below, so Result.Gap = objective/lower-bound
+// − 1 is a true upper bound on the distance to the optimum, and
+// Gap == 0 proves optimality. The same bound primitives drive branch
+// pruning inside internal/exhaustive; this package is the single
+// implementation.
 //
 // The package sits beside internal/heuristics in the layering: it
 // depends only on the graph/platform/mapping layers, and internal/core

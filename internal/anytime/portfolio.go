@@ -78,7 +78,7 @@ type Result struct {
 	// or the incumbent reached the lower bound.
 	Optimal bool
 	// LowerBound is the instance's lower bound on the optimized
-	// criterion (PipelineLB/ForkLB/ForkJoinLB).
+	// criterion (PipelineLB or ForkJoinLB).
 	LowerBound float64
 	// Gap is the certified relative optimality gap,
 	// objective/LowerBound - 1, and 0 for proven optima. The true
@@ -314,7 +314,7 @@ func SolvePipeline(ctx context.Context, p workflow.Pipeline, pl platform.Platfor
 
 // SolveFork runs the portfolio on a fork instance.
 func SolveFork(ctx context.Context, f workflow.Fork, pl platform.Platform, spec Spec, seeds []mapping.ForkMapping, cfg Config) (Result, error) {
-	lb := ForkLB(f, pl, spec)
+	lb := ForkJoinLB(workflow.ForkJoin{Root: f.Root, Weights: f.Weights}, pl, spec)
 	eval := func(m mapping.ForkMapping) (mapping.Cost, bool) {
 		c, err := mapping.EvalFork(f, pl, m)
 		return c, err == nil

@@ -221,8 +221,9 @@ var forkKind = hardKind{
 		return exhaustive.NewForkPrepared(*pr.Fork, pr.Platform, pr.AllowDataParallel), nil
 	},
 	exact: func(ctx context.Context, fp any, pr Problem) (Solution, bool, error) {
-		return exhaustiveSolve(ctx, fp.(*exhaustive.ForkPrepared), pr, func(r exhaustive.ForkResult) Solution {
-			return Solution{ForkMapping: &r.Mapping, Cost: r.Cost}
+		return exhaustiveSolve(ctx, fp.(*exhaustive.ForkPrepared), pr, func(r exhaustive.ForkJoinResult) Solution {
+			m := r.Mapping.Fork()
+			return Solution{ForkMapping: &m, Cost: r.Cost}
 		})
 	},
 	front: func(ctx context.Context, fp any) ([]float64, error) {

@@ -10,9 +10,10 @@
 //
 // Pipelines are solved by a dynamic program over (next stage, set of used
 // processors) — exact because interval costs are independent given the
-// processor subset. Forks and fork-joins enumerate the set partitions of
-// the stages (restricted growth strings) and assign disjoint processor
-// subsets and modes block by block, as a branch and bound: the partial
+// processor subset. Fork-joins enumerate the set partitions of the
+// stages (restricted growth strings) and assign disjoint processor
+// subsets and modes block by block, and forks run the same scan as
+// fork-joins without a join. The scan is a branch and bound: the partial
 // cost of the blocks placed so far, raised by a look-ahead bound on the
 // blocks still to place (their weight over the free processors' speed),
 // never exceeds a completion's, so a subtree is cut once the install
@@ -42,7 +43,7 @@
 //
 // Pareto sweeps solve the same (workflow, platform) pair dozens to
 // hundreds of times, varying only the bound. The prepared solvers —
-// PipelinePrepared, ForkPrepared, ForkJoinPrepared — share everything
+// PipelinePrepared and ForkJoinPrepared (ForkPrepared) — share everything
 // that does not depend on the bound across those solves: the
 // per-platform subset table (built once per prepared solver, see
 // buildMaskInfo, and shared read-only with its shard workers), the
@@ -116,9 +117,9 @@ func (s *stepper) reset(ctx context.Context) {
 // neither divide nor allocate. max feeds the anytime lower bounds used for
 // branch pruning. procs is internal scratch shared by every worker of the
 // solver that owns the table: search loops alias it freely, but any
-// mapping that escapes the package copies it (reconstruct,
-// copyForkMapping) — the table must never leak into caller-visible
-// results.
+// mapping that escapes the package copies it (reconstruct, and the
+// mapping Clone of a retained scan mapping) — the table must never leak
+// into caller-visible results.
 type maskInfo struct {
 	count int
 	min   float64

@@ -3,56 +3,82 @@ package exhaustive
 import (
 	"context"
 
-	"repliflow/internal/anytime"
 	"repliflow/internal/mapping"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
 
-// fjEnum is the resettable fork-join enumerator, sharing scratch across
-// runs exactly like forkEnum. Items are ordered root, leaves, join; blocks
-// come from set partitions and processor subsets from disjoint bitmask
-// assignments. The mapping passed to visit aliases the scratch; visitors
-// deep-copy (copyForkJoinMapping) what they retain.
+// fjEnum is the resettable partition enumerator of the fork and
+// fork-join scans: all the scratch a full enumeration needs — the
+// restricted-growth string, the block array, the per-block weights and
+// their suffix sums, and the per-block leaf lists — allocated once and
+// reused across runs, so the per-partition and per-mapping work of the
+// hot scans allocates nothing. Items are ordered root, leaves, join;
+// blocks come from set partitions and processor subsets from disjoint
+// bitmask assignments. A fork runs as a fork-join without a join: fj.Join
+// is 0, join is false, no item is the join and no block sets Join. The
+// mapping passed to visit aliases the scratch; visitors deep-copy
+// (mapping.ForkJoinMapping.Clone) what they retain.
 type fjEnum struct {
 	fj      workflow.ForkJoin
+	join    bool
 	pl      platform.Platform
 	allowDP bool
 	info    []maskInfo
-	step    *stepper
+	step    stepper // armed by runFrom
 	assign  []int
 	blocks  []mapping.ForkJoinBlock
 	weights []float64 // block weights, then their suffix sums (see weighRest)
-	leafW   []float64 // per-block leaf-only weight (no root/join share)
+	done    []float64 // per-block numerator of the leaf-done time (see fjPartial.add)
 	leaves  [][]int
 	// nodes counts the scan nodes visited over the enumerator's life:
 	// the host-independent work measure of the cut tests.
 	nodes int
 }
 
-func newFJEnum(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, info []maskInfo) *fjEnum {
-	p := pl.Processors()
-	leaves := make([][]int, p)
+func newFJEnum(fj workflow.ForkJoin, join bool, pl platform.Platform, allowDP bool, info []maskInfo) *fjEnum {
+	// One backing array for every leaf list: a block holds at most every
+	// leaf, so no list outgrows its n slots.
+	p, n := pl.Processors(), fj.Leaves()
+	backing, leaves := make([]int, p*n), make([][]int, p)
 	for i := range leaves {
-		leaves[i] = make([]int, 0, fj.Leaves())
+		leaves[i] = backing[i*n : i*n : (i+1)*n]
 	}
 	return &fjEnum{
-		fj: fj, pl: pl, allowDP: allowDP,
+		fj: fj, join: join, pl: pl, allowDP: allowDP,
 		info:    info,
-		step:    newStepper(context.Background()),
 		assign:  make([]int, fj.Leaves()+2),
 		blocks:  make([]mapping.ForkJoinBlock, p),
 		weights: make([]float64, 2*p+1),
-		leafW:   make([]float64, p),
+		done:    make([]float64, p),
 		leaves:  leaves,
 	}
 }
 
-// fjPartial is the cost state of the blocks assigned so far, kept
-// exactly as forkPartial is for forks: once every block is assigned the
-// cost is bit-identical to mapping.EvalForkJoin's
-// (TestForkJoinInlineCostMatchesEval). The root is item 0, so it is
-// always in block 0; the join's delay counts from its block on.
+// items is the number of partitioned items: the root, the leaves and,
+// with a join, the join.
+func (e *fjEnum) items() int {
+	if e.join {
+		return e.fj.Leaves() + 2
+	}
+	return e.fj.Leaves() + 1
+}
+
+// fresh returns a new enumerator over the same instance, for another
+// worker: the scratch is single-owner, the platform table is shared
+// read-only.
+func (e *fjEnum) fresh() *fjEnum { return newFJEnum(e.fj, e.join, e.pl, e.allowDP, e.info) }
+
+// fjPartial is the cost state of the blocks assigned so far. The
+// enumeration produces only valid mappings by construction (every stage
+// in exactly one block, disjoint subset masks), so it costs them without
+// mapping.EvalForkJoin's validation — which dominated the scan profile —
+// but with its arithmetic, division for division (using the same
+// ascending-order subset speed sums, see buildMaskInfo): once every block
+// is assigned the cost is bit-identical to EvalForkJoin's, and without a
+// join to EvalFork's (TestForkJoinInlineCostMatchesEval,
+// TestForkInlineCostMatchesEval). The root is item 0, so it is always in
+// block 0; the join's delay counts from its block on.
 type fjPartial struct {
 	period    float64
 	rootDone  float64 // root weight over the root block's speed
@@ -60,31 +86,27 @@ type fjPartial struct {
 	joinDelay float64 // join weight over the join block's speed
 }
 
-// add returns the state with one more block, of weight w and leaf-only
-// weight wl, on the subset in under the block's mode.
-func (p fjPartial) add(fj *workflow.ForkJoin, in *maskInfo, w, wl float64, blk *mapping.ForkJoinBlock) fjPartial {
-	var per, speed float64
+// add returns the state with one more block, of weight w, on the subset
+// in under the block's mode. wd is the numerator of the block's
+// leaf-done time: its leaf weight, or on the root block the root weight
+// plus that — summed as EvalForkJoin sums it with a join, and as EvalFork
+// sums the block's weight without one.
+func (p fjPartial) add(fj *workflow.ForkJoin, in *maskInfo, w, wd float64, blk *mapping.ForkJoinBlock) fjPartial {
+	// A data-parallel block's period is w over its speed sum, exactly
+	// w/(1*sum); a replicated one's w over count times its least speed.
+	speed, count := in.min, float64(in.count)
 	if blk.Mode == mapping.DataParallel {
-		speed = in.sum
-		per = w / speed
-	} else {
-		speed = in.min
-		per = w / (float64(in.count) * speed)
+		speed, count = in.sum, 1
 	}
-	p.period = max(p.period, per)
+	p.period = max(p.period, w/(count*speed))
 	if blk.Root {
 		p.rootDone = fj.Root / speed
-		p.leafDone = p.rootDone
+		p.leafDone = max(p.rootDone, wd/speed)
+	} else {
+		p.leafDone = max(p.leafDone, p.rootDone+wd/speed)
 	}
 	if blk.Join {
 		p.joinDelay = fj.Join / speed
-	}
-	if wl != 0 {
-		if blk.Root {
-			p.leafDone = max(p.leafDone, (fj.Root+wl)/speed)
-		} else {
-			p.leafDone = max(p.leafDone, p.rootDone+wl/speed)
-		}
 	}
 	return p
 }
@@ -111,15 +133,19 @@ func (p fjPartial) ahead(wRem, jRem, sFree float64) fjPartial {
 	return p
 }
 
-// runFrom invokes visit for every valid fork-join mapping whose
-// partition extends a fixed restricted-growth prefix naming `used`
-// blocks (nil enumerates everything) and that no cut drops, stopping
-// early once the stepper latches a context error or visit returns
-// false.
+// runFrom invokes visit for every valid mapping whose partition extends
+// a fixed restricted-growth prefix naming `used` blocks (nil enumerates
+// everything), in enumeration order, stopping early once the stepper
+// latches a context error or visit returns false. After each block's
+// processors and mode are chosen, cut sees the partial cost of the
+// blocks assigned so far — raised by the look-ahead bound while blocks
+// remain, so it never exceeds the cost of any completion in either
+// field — and a true answer skips every completion. A nil cut visits
+// every mapping.
 func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(mapping.Cost) bool, visit func(mapping.ForkJoinMapping, mapping.Cost) bool) {
 	e.step.reset(ctx)
 	full := (1 << e.pl.Processors()) - 1
-	items := e.fj.Leaves() + 2
+	items := e.items()
 	copy(e.assign, prefix)
 	partitionsFrom(e.assign, items, e.pl.Processors(), len(prefix), used, func(assign []int, nblocks int) bool {
 		blocks := e.blocks[:nblocks]
@@ -127,7 +153,11 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(m
 			blocks[b] = mapping.ForkJoinBlock{}
 		}
 		blocks[assign[0]].Root = true
-		blocks[assign[items-1]].Join = true
+		joinBlock := -1
+		if e.join {
+			joinBlock = assign[items-1]
+			blocks[joinBlock].Join = true
+		}
 		for l := 0; l < e.fj.Leaves(); l++ {
 			b := assign[l+1]
 			if blocks[b].Leaves == nil {
@@ -135,29 +165,32 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(m
 			}
 			blocks[b].Leaves = append(blocks[b].Leaves, l)
 		}
-		// Keep grown leaf backing, and precompute per-partition weights in
-		// ForkJoinBlock.weight's addition order (root, join, then leaves)
-		// plus the leaf-only weight of EvalForkJoin's latency pass.
+		// Precompute per-partition weights in ForkJoinBlock.weight's
+		// addition order (root, join, then leaves) plus the leaf-done
+		// numerators.
 		for b := range blocks {
-			if blocks[b].Leaves != nil {
-				e.leaves[b] = blocks[b].Leaves
-			}
-			var w float64
+			var w, wl float64
 			if blocks[b].Root {
 				w += e.fj.Root
 			}
 			if blocks[b].Join {
 				w += e.fj.Join
 			}
-			var wl float64
 			for _, l := range blocks[b].Leaves {
 				w += e.fj.Weights[l]
 				wl += e.fj.Weights[l]
 			}
-			e.weights[b] = w
-			e.leafW[b] = wl
+			e.weights[b], e.done[b] = w, wl
+			if blocks[b].Root {
+				// EvalForkJoin adds the leaf sum to the root weight;
+				// EvalFork takes the root block's own weight.
+				e.done[b] = e.fj.Root + wl
+				if !e.join {
+					e.done[b] = w
+				}
+			}
 		}
-		rem, joinBlock := weighRest(e.weights, nblocks), assign[items-1]
+		rem := weighRest(e.weights, nblocks)
 		var rec func(b, usedMask int, part fjPartial) bool
 		rec = func(b, usedMask int, part fjPartial) bool {
 			e.nodes++
@@ -186,7 +219,7 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(m
 				}
 			}
 			// Data-parallel requires the block to be leaf-only, or the
-			// root alone, or the join alone.
+			// root alone, or the join alone (Section 3.4).
 			alone := len(blocks[b].Leaves) == 0 && !(blocks[b].Root && blocks[b].Join)
 			dp := e.allowDP && ((!blocks[b].Root && !blocks[b].Join) || alone)
 			for sub := free; sub > 0; sub = (sub - 1) & free {
@@ -196,7 +229,7 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(m
 				blocks[b].Procs = e.info[sub].procs
 				for _, mode := range modes(dp) {
 					blocks[b].Mode = mode
-					if !rec(b+1, usedMask|sub, part.add(&e.fj, &e.info[sub], e.weights[b], e.leafW[b], &blocks[b])) {
+					if !rec(b+1, usedMask|sub, part.add(&e.fj, &e.info[sub], e.weights[b], e.done[b], &blocks[b])) {
 						return false
 					}
 				}
@@ -209,24 +242,11 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(m
 	})
 }
 
-// copyForkJoinMapping deep-copies the block, leaf and processor slices
-// of a scratch mapping (Procs are copied out of the shared platform
-// table exactly as in copyForkMapping: on retention, not per visit).
-func copyForkJoinMapping(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
-	blocks := make([]mapping.ForkJoinBlock, len(m.Blocks))
-	copy(blocks, m.Blocks)
-	for i := range blocks {
-		blocks[i].Leaves = append([]int(nil), blocks[i].Leaves...)
-		blocks[i].Procs = append([]int(nil), blocks[i].Procs...)
-	}
-	return mapping.ForkJoinMapping{Blocks: blocks}
-}
-
 // EnumerateForkJoin invokes visit for every valid fork-join mapping. Each
 // visited mapping is an independent copy the visitor may retain.
 func EnumerateForkJoin(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, visit func(mapping.ForkJoinMapping, mapping.Cost)) {
-	newFJEnum(fj, pl, allowDP, buildMaskInfo(pl)).runFrom(context.Background(), nil, 0, nil, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
-		visit(copyForkJoinMapping(m), c)
+	newFJEnum(fj, true, pl, allowDP, buildMaskInfo(pl)).runFrom(context.Background(), nil, 0, nil, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
+		visit(m.Clone(), c)
 		return true
 	})
 }
@@ -242,21 +262,9 @@ func ForkJoinPareto(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) []
 	return paretoFilter(all)
 }
 
-func (e *fjEnum) err() error { return e.step.err }
-
-func (e *fjEnum) retain(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
-	return copyForkJoinMapping(m)
-}
-
-func (e *fjEnum) fresh() enumerator[mapping.ForkJoinMapping] {
-	return newFJEnum(e.fj, e.pl, e.allowDP, e.info)
-}
-
-func (e *fjEnum) lowerBound(spec anytime.Spec) float64 { return anytime.ForkJoinLB(e.fj, e.pl, spec) }
-
 // NewForkJoinPrepared returns a prepared solver for the triple.
 func NewForkJoinPrepared(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) *ForkJoinPrepared {
-	return newScanPrepared(newFJEnum(fj, pl, allowDP, buildMaskInfo(pl)), fj.Leaves()+2, pl.Processors(), allowDP)
+	return newPrepared(newFJEnum(fj, true, pl, allowDP, buildMaskInfo(pl)))
 }
 
 // ForkJoinPeriod returns a fork-join mapping minimizing the period.

@@ -532,7 +532,7 @@ func seededBounds(front []mapping.Cost) (lats, pers []float64) {
 // solver that ran no pass, and fails unless each pair is equal, mapping
 // and cost. A pass then cut at its first poll must leave no list to seed
 // from.
-func checkSeeded[M any](t *testing.T, trial, workers int, newSolver func() *scanPrepared[M]) {
+func checkSeeded(t *testing.T, trial, workers int, newSolver func() *ForkJoinPrepared) {
 	t.Helper()
 	ctx := context.Background()
 	sp := newSolver()

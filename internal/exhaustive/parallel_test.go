@@ -34,20 +34,20 @@ func TestParallelShardsTileEnumeration(t *testing.T) {
 		dp := trial%2 == 0
 
 		type visit struct {
-			m mapping.ForkMapping
+			m mapping.ForkJoinMapping
 			c mapping.Cost
 		}
 		var serial []visit
-		newForkEnum(f, pl, dp, buildMaskInfo(pl)).runFrom(ctx, nil, 0, nil, func(m mapping.ForkMapping, c mapping.Cost) bool {
-			serial = append(serial, visit{copyForkMapping(m), c})
+		newFJEnum(joinless(f), false, pl, dp, buildMaskInfo(pl)).runFrom(ctx, nil, 0, nil, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
+			serial = append(serial, visit{m.Clone(), c})
 			return true
 		})
 
 		var sharded []visit
-		e := newForkEnum(f, pl, dp, buildMaskInfo(pl))
+		e := newFJEnum(joinless(f), false, pl, dp, buildMaskInfo(pl))
 		for _, sh := range incumbent.PartitionShards(f.Leaves()+1, pl.Processors(), 2+rng.Intn(4)) {
-			e.runFrom(ctx, sh.Assign, sh.Used, nil, func(m mapping.ForkMapping, c mapping.Cost) bool {
-				sharded = append(sharded, visit{copyForkMapping(m), c})
+			e.runFrom(ctx, sh.Assign, sh.Used, nil, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
+				sharded = append(sharded, visit{m.Clone(), c})
 				return true
 			})
 		}
@@ -71,7 +71,7 @@ func TestParallelForkScanIdentity(t *testing.T) {
 		par := 2 + rng.Intn(3)
 		b := float64(1+rng.Intn(8)) / 2
 
-		check := func(name string, solve func(fp *ForkPrepared) (ForkResult, bool, error)) {
+		check := func(name string, solve func(fp *ForkPrepared) (ForkJoinResult, bool, error)) {
 			t.Helper()
 			sp := NewForkPrepared(f, pl, dp)
 			want, wantOK, err := solve(sp)
@@ -89,10 +89,10 @@ func TestParallelForkScanIdentity(t *testing.T) {
 					trial, name, par, got, gotOK, want, wantOK, f, pl, dp)
 			}
 		}
-		check("period", func(fp *ForkPrepared) (ForkResult, bool, error) { return fp.Period(ctx) })
-		check("latency", func(fp *ForkPrepared) (ForkResult, bool, error) { return fp.Latency(ctx) })
-		check("lup", func(fp *ForkPrepared) (ForkResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) })
-		check("pul", func(fp *ForkPrepared) (ForkResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) })
+		check("period", func(fp *ForkPrepared) (ForkJoinResult, bool, error) { return fp.Period(ctx) })
+		check("latency", func(fp *ForkPrepared) (ForkJoinResult, bool, error) { return fp.Latency(ctx) })
+		check("lup", func(fp *ForkPrepared) (ForkJoinResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) })
+		check("pul", func(fp *ForkPrepared) (ForkJoinResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) })
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
@@ -82,7 +81,7 @@ func TestForkPreparedMatchesFresh(t *testing.T) {
 		fp := NewForkPrepared(f, pl, dp)
 		b := float64(1+rng.Intn(8)) / 2
 
-		check := func(name string, prep, oneshot func() (ForkResult, bool, error)) {
+		check := func(name string, prep, oneshot func() (ForkJoinResult, bool, error)) {
 			t.Helper()
 			got, gotOK, err := prep()
 			if err != nil {
@@ -97,16 +96,16 @@ func TestForkPreparedMatchesFresh(t *testing.T) {
 					trial, name, got, gotOK, want, wantOK, f, pl, dp)
 			}
 		}
-		check("latency", func() (ForkResult, bool, error) { return fp.Latency(ctx) },
-			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Latency(ctx) })
-		check("pul", func() (ForkResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) },
-			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).PeriodUnderLatency(ctx, b) })
-		check("period", func() (ForkResult, bool, error) { return fp.Period(ctx) },
-			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Period(ctx) })
-		check("lup", func() (ForkResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) },
-			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).LatencyUnderPeriod(ctx, b) })
-		check("lup-repeat", func() (ForkResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) },
-			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).LatencyUnderPeriod(ctx, b) })
+		check("latency", func() (ForkJoinResult, bool, error) { return fp.Latency(ctx) },
+			func() (ForkJoinResult, bool, error) { return NewForkPrepared(f, pl, dp).Latency(ctx) })
+		check("pul", func() (ForkJoinResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) },
+			func() (ForkJoinResult, bool, error) { return NewForkPrepared(f, pl, dp).PeriodUnderLatency(ctx, b) })
+		check("period", func() (ForkJoinResult, bool, error) { return fp.Period(ctx) },
+			func() (ForkJoinResult, bool, error) { return NewForkPrepared(f, pl, dp).Period(ctx) })
+		check("lup", func() (ForkJoinResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) },
+			func() (ForkJoinResult, bool, error) { return NewForkPrepared(f, pl, dp).LatencyUnderPeriod(ctx, b) })
+		check("lup-repeat", func() (ForkJoinResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) },
+			func() (ForkJoinResult, bool, error) { return NewForkPrepared(f, pl, dp).LatencyUnderPeriod(ctx, b) })
 	}
 }
 
@@ -191,12 +190,8 @@ func TestPlatformTableShared(t *testing.T) {
 	pl := platform.New(3, 2, 1)
 	fp := NewForkPrepared(workflow.NewFork(4, 5, 3, 2, 6), pl, true)
 	fjp := NewForkJoinPrepared(workflow.NewForkJoin(4, 2, 5, 3, 2, 6), pl, true)
-	ta := checkOneTable(t, "fork", fp, func(e enumerator[mapping.ForkMapping]) []maskInfo {
-		return e.(*forkEnum).info
-	})
-	checkOneTable(t, "fork-join", fjp, func(e enumerator[mapping.ForkJoinMapping]) []maskInfo {
-		return e.(*fjEnum).info
-	})
+	ta := checkOneTable(t, "fork", fp)
+	checkOneTable(t, "fork-join", fjp)
 	// Precomputed procs expand the masks correctly.
 	if got := ta[0b101].procs; !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Errorf("procs(0b101) = %v, want [0 2]", got)
@@ -210,21 +205,21 @@ func TestPlatformTableShared(t *testing.T) {
 // worker enumerator whose table is not the solver's own, which it
 // returns. Workers that claimed no shard are never built, so fresh() —
 // the constructor of every worker — is checked directly as well.
-func checkOneTable[M any](t *testing.T, name string, sp *scanPrepared[M], table func(enumerator[M]) []maskInfo) []maskInfo {
+func checkOneTable(t *testing.T, name string, sp *ForkJoinPrepared) []maskInfo {
 	t.Helper()
 	sp.SetParallelism(3)
 	if _, _, err := sp.Latency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	own := table(sp.search.own.e)
-	enums := []enumerator[M]{sp.search.own.e.fresh()}
+	own := sp.search.own.e.info
+	enums := []*fjEnum{sp.search.own.e.fresh()}
 	for _, st := range sp.search.extra {
 		if st != nil {
 			enums = append(enums, st.e)
 		}
 	}
 	for i, e := range enums {
-		if got := table(e); &got[0] != &own[0] {
+		if got := e.info; &got[0] != &own[0] {
 			t.Errorf("%s: worker enumerator %d built its own platform table", name, i)
 		}
 	}

@@ -40,15 +40,15 @@ func identityPlatforms(rng *rand.Rand, p, maxS int) []platform.Platform {
 // without the partial-assignment cut; lb = 0 disables the lower-bound
 // cutoff too, leaving the plain scan that costs every mapping.
 func forkScan(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkResult, bool, error) {
-	st := new(shardScan[mapping.ForkMapping]).init(newForkEnum(f, pl, allowDP, buildMaskInfo(pl)))
+	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
+	st := new(shardScan).init(newFJEnum(joinless(f), false, pl, allowDP, buildMaskInfo(pl)))
 	st.accept, st.objective, st.lb, st.cut = accept, objective, lb, nil
 	return st.scan(ctx, incumbent.Prefix{}, nil, 0)
 }
 
 func forkJoinScan(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool,
 	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
-	st := new(shardScan[mapping.ForkJoinMapping]).init(newFJEnum(fj, pl, allowDP, buildMaskInfo(pl)))
+	st := new(shardScan).init(newFJEnum(fj, true, pl, allowDP, buildMaskInfo(pl)))
 	st.accept, st.objective, st.lb, st.cut = accept, objective, lb, nil
 	return st.scan(ctx, incumbent.Prefix{}, nil, 0)
 }
@@ -56,35 +56,24 @@ func forkJoinScan(ctx context.Context, fj workflow.ForkJoin, pl platform.Platfor
 // countedScan runs the serial scan a prepared solver runs for an
 // unbounded objective — with its anytime lower bound — with or without
 // the cut, and counts the complete mappings it costs.
-func countedScan[M any](e enumerator[M], allowDP, minimizePeriod, cut bool) (Result[M], bool, int, error) {
-	st := new(shardScan[M]).init(e)
+func countedScan(e *fjEnum, allowDP, minimizePeriod, cut bool) (ForkJoinResult, bool, int, error) {
+	st := new(shardScan).init(e)
 	st.accept, st.objective = acceptAll, latency
 	if minimizePeriod {
 		st.objective = period
 	}
-	st.lb = e.lowerBound(anytime.Spec{MinimizePeriod: minimizePeriod, AllowDP: allowDP})
+	st.lb = anytime.ForkJoinLB(e.fj, e.pl, anytime.Spec{MinimizePeriod: minimizePeriod, AllowDP: allowDP})
 	if !cut {
 		st.cut = nil
 	}
 	costed := 0
 	install := st.visit
-	st.visit = func(m M, c mapping.Cost) bool {
+	st.visit = func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
 		costed++
 		return install(m, c)
 	}
 	res, ok, err := st.scan(context.Background(), incumbent.Prefix{}, nil, 0)
 	return res, ok, costed, err
-}
-
-// scanNodes is the number of scan nodes e has visited.
-func scanNodes(e any) int {
-	switch e := e.(type) {
-	case *forkEnum:
-		return e.nodes
-	case *fjEnum:
-		return e.nodes
-	}
-	panic("unknown enumerator")
 }
 
 // checkCutSavings compares cut and uncut scans of one instance set, one
@@ -94,13 +83,13 @@ func scanNodes(e any) int {
 // may visit at most maxNodes scan nodes in all — the ceiling that pins
 // the look-ahead bound. The counts are deterministic, unlike the
 // benchmarks' timings.
-func checkCutSavings[M any](t *testing.T, kind string, enums []enumerator[M], maxNodes int) {
+func checkCutSavings(t *testing.T, kind string, enums []*fjEnum, maxNodes int) {
 	t.Helper()
 	var cutCosted, fullCosted, nodes int
 	for k, e := range enums {
-		before := scanNodes(e)
+		before := e.nodes
 		res, ok, n, err := countedScan(e, true, k%2 == 0, true)
-		nodes += scanNodes(e) - before
+		nodes += e.nodes - before
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +118,11 @@ func checkCutSavings[M any](t *testing.T, kind string, enums []enumerator[M], ma
 // Without the look-ahead bound the cut scans visit 105,424 nodes.
 func TestForkCutCostsFewerMappings(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	var enums []enumerator[mapping.ForkMapping]
+	var enums []*fjEnum
 	for i := 0; i < 8; i++ {
 		f := workflow.RandomFork(r, 5, 10)
 		pl := platform.Random(r, 4, 5)
-		enums = append(enums, newForkEnum(f, pl, true, buildMaskInfo(pl)))
+		enums = append(enums, newFJEnum(joinless(f), false, pl, true, buildMaskInfo(pl)))
 	}
 	checkCutSavings(t, "fork", enums, 26000)
 }
@@ -143,11 +132,11 @@ func TestForkCutCostsFewerMappings(t *testing.T) {
 // Without the look-ahead bound the cut scans visit 170,607 nodes.
 func TestForkJoinCutCostsFewerMappings(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	var enums []enumerator[mapping.ForkJoinMapping]
+	var enums []*fjEnum
 	for i := 0; i < 8; i++ {
 		fj := workflow.RandomForkJoin(r, 4, 10)
 		pl := platform.Random(r, 4, 5)
-		enums = append(enums, newFJEnum(fj, pl, true, buildMaskInfo(pl)))
+		enums = append(enums, newFJEnum(fj, true, pl, true, buildMaskInfo(pl)))
 	}
 	checkCutSavings(t, "fork-join", enums, 56000)
 }
@@ -196,28 +185,28 @@ func TestForkPruningIsByteIdentical(t *testing.T) {
 		for _, pl := range identityPlatforms(rng, 1+rng.Intn(3), 4) {
 
 			type scan struct {
-				pruned func() (ForkResult, bool, error)
-				plain  func() (ForkResult, bool, error)
+				pruned func() (ForkJoinResult, bool, error)
+				plain  func() (ForkJoinResult, bool, error)
 			}
 			scans := map[string]scan{
 				"period": {
-					func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Period(ctx) },
-					func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, period, 0) },
+					func() (ForkJoinResult, bool, error) { return NewForkPrepared(f, pl, dp).Period(ctx) },
+					func() (ForkJoinResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, period, 0) },
 				},
 				"latency": {
-					func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Latency(ctx) },
-					func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, latency, 0) },
+					func() (ForkJoinResult, bool, error) { return NewForkPrepared(f, pl, dp).Latency(ctx) },
+					func() (ForkJoinResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, latency, 0) },
 				},
 				"latency-under-period": {
-					func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).LatencyUnderPeriod(ctx, bound) },
-					func() (ForkResult, bool, error) {
+					func() (ForkJoinResult, bool, error) { return NewForkPrepared(f, pl, dp).LatencyUnderPeriod(ctx, bound) },
+					func() (ForkJoinResult, bool, error) {
 						return forkScan(ctx, f, pl, dp,
 							func(c mapping.Cost) bool { return numeric.LessEq(c.Period, bound) }, latency, 0)
 					},
 				},
 				"period-under-latency": {
-					func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).PeriodUnderLatency(ctx, bound) },
-					func() (ForkResult, bool, error) {
+					func() (ForkJoinResult, bool, error) { return NewForkPrepared(f, pl, dp).PeriodUnderLatency(ctx, bound) },
+					func() (ForkJoinResult, bool, error) {
 						return forkScan(ctx, f, pl, dp,
 							func(c mapping.Cost) bool { return numeric.LessEq(c.Latency, bound) }, period, 0)
 					},

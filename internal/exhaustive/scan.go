@@ -2,15 +2,16 @@ package exhaustive
 
 // Partition scans: the fork and fork-join searches enumerate set
 // partitions of the stages (restricted-growth strings) and, per
-// partition, disjoint processor subsets and modes, block by block. One
-// scan body serves both kinds and every worker count: shardScan applies
-// the incumbent rule to the completions of one restricted-growth prefix,
-// and incumbent.Run drives it — inline over the empty prefix (the whole
-// space) for one worker, or over the prefixes of
-// incumbent.PartitionShards, which tile the serial enumeration order,
-// with a shard-order fold for several.
+// partition, disjoint processor subsets and modes, block by block. A
+// fork is a fork-join without a join (Section 6.3), so one enumerator
+// (fjEnum) and one scan body serve both kinds, and every worker count:
+// shardScan applies the incumbent rule to the completions of one
+// restricted-growth prefix, and incumbent.Run drives it — inline over
+// the empty prefix (the whole space) for one worker, or over the
+// prefixes of incumbent.PartitionShards, which tile the serial
+// enumeration order, with a shard-order fold for several.
 //
-// The scan is a branch and bound: the enumerators carry the partial
+// The scan is a branch and bound: the enumerator carries the partial
 // cost of the blocks assigned so far, built with exactly the operations
 // of the complete cost (max, correctly rounded + and /, all monotone),
 // so it never exceeds the cost of a completion, bit for bit. At every
@@ -32,16 +33,16 @@ import (
 	"repliflow/internal/numeric"
 )
 
-// aheadSlack shrinks a look-ahead bound (forkPartial.ahead,
-// fjPartial.ahead) into a true lower bound. Over the blocks still to
-// place, the sum of their weights over the sum of the free speeds is at
-// most the largest block's weight over its own speed sum (a mediant),
-// and hence at most its period and its delay; but the bound sums weights
-// and speeds in another order than the complete cost divides them, and
-// the fork-join bound adds one quotient to rootDone where the complete
-// cost may add two (a leaf's delay, then the join's). Those roundings
-// differ by a few ULPs per term, and 2^-40 covers thousands of terms,
-// far beyond the exhaustive caps. A shrunk bound only cuts less.
+// aheadSlack shrinks a look-ahead bound (fjPartial.ahead) into a true
+// lower bound. Over the blocks still to place, the sum of their weights
+// over the sum of the free speeds is at most the largest block's weight
+// over its own speed sum (a mediant), and hence at most its period and
+// its delay; but the bound sums weights and speeds in another order
+// than the complete cost divides them, and it adds one quotient to
+// rootDone where the complete cost may add two (a leaf's delay, then
+// the join's). Those roundings differ by a few ULPs per term, and
+// 2^-40 covers thousands of terms, far beyond the exhaustive caps. A
+// shrunk bound only cuts less.
 const aheadSlack = 1 - 1.0/(1<<40)
 
 // weighRest fills the suffix sums of the first nblocks block weights of
@@ -63,30 +64,6 @@ type Result[M any] struct {
 	Cost    mapping.Cost
 }
 
-// enumerator is what the partition scan needs from forkEnum and fjEnum.
-type enumerator[M any] interface {
-	// runFrom visits every mapping whose partition extends the prefix,
-	// in enumeration order, until visit returns false or ctx is
-	// cancelled. The visited mapping aliases the enumerator's scratch.
-	// After each block's processors and mode are chosen, cut sees the
-	// partial cost of the blocks assigned so far — accumulated with the
-	// operations of the complete cost and, while blocks remain, raised
-	// by the look-ahead bound, so it never exceeds the cost of any
-	// completion in either field — and a true answer skips every
-	// completion. A nil cut visits every mapping.
-	runFrom(ctx context.Context, prefix []int, used int, cut func(mapping.Cost) bool, visit func(M, mapping.Cost) bool)
-	// err is the cancellation latched by the last run.
-	err() error
-	// retain deep-copies a visited mapping so it can outlive the run.
-	retain(M) M
-	// fresh returns a new enumerator over the same instance, for
-	// another worker: the scratch is single-owner, the platform table
-	// is shared read-only.
-	fresh() enumerator[M]
-	// lowerBound is the anytime lower bound of the spec's objective.
-	lowerBound(spec anytime.Spec) float64
-}
-
 // pollEvery is how many cut tests pass between polls of the shared
 // shard state: often enough that a tighter bound or a decided fold
 // lands within microseconds, rarely enough that the atomic loads vanish
@@ -98,9 +75,9 @@ const pollEvery = 64
 // built once per worker and read the state through one captured
 // pointer, so the per-node path is one indirect call that loads only
 // the fields it touches, and a solve allocates no closure.
-type shardScan[M any] struct {
-	e         enumerator[M]
-	visit     func(M, mapping.Cost) bool
+type shardScan struct {
+	e         *fjEnum
+	visit     func(mapping.ForkJoinMapping, mapping.Cost) bool
 	cut       func(mapping.Cost) bool
 	accept    func(mapping.Cost) bool
 	objective func(mapping.Cost) float64
@@ -111,7 +88,7 @@ type shardScan[M any] struct {
 
 	sh      *incumbent.Shards
 	shard   int
-	best    Result[M]
+	best    ForkJoinResult
 	bestObj float64
 	bound   float64
 	found   bool
@@ -129,14 +106,14 @@ type shardScan[M any] struct {
 // fold and is skipped. Its cut drops a partial mapping the install rule
 // already rejects, and polls the shard state: once the shard is
 // decided, it drops everything.
-func (st *shardScan[M]) init(e enumerator[M]) *shardScan[M] {
+func (st *shardScan) init(e *fjEnum) *shardScan {
 	st.e, st.seed = e, numeric.Inf
-	st.visit = func(m M, c mapping.Cost) bool {
+	st.visit = func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
 		if st.rejects(c) {
 			return true
 		}
 		obj := st.objective(c)
-		st.best = Result[M]{Mapping: st.e.retain(m), Cost: c}
+		st.best = ForkJoinResult{Mapping: m.Clone(), Cost: c}
 		st.bestObj, st.found = obj, true
 		st.bound = min(st.bound, obj)
 		st.sh.Tighten(obj)
@@ -164,7 +141,7 @@ func (st *shardScan[M]) init(e enumerator[M]) *shardScan[M] {
 // included), so a partial cost that is rejected proves every
 // completion is rejected too: the cut and the visitor share one rule
 // and cannot drift apart.
-func (st *shardScan[M]) rejects(c mapping.Cost) bool {
+func (st *shardScan) rejects(c mapping.Cost) bool {
 	if !st.accept(c) {
 		return true
 	}
@@ -175,15 +152,15 @@ func (st *shardScan[M]) rejects(c mapping.Cost) bool {
 // scan returns the best mapping of one shard, the completions of prefix.
 // The shard's bound starts at the seed or the best of any shard,
 // whichever is smaller.
-func (st *shardScan[M]) scan(ctx context.Context, prefix incumbent.Prefix, sh *incumbent.Shards, shard int) (Result[M], bool, error) {
+func (st *shardScan) scan(ctx context.Context, prefix incumbent.Prefix, sh *incumbent.Shards, shard int) (ForkJoinResult, bool, error) {
 	st.sh, st.shard = sh, shard
-	st.best, st.bestObj, st.found = Result[M]{}, 0, false
+	st.best, st.bestObj, st.found = ForkJoinResult{}, 0, false
 	st.bound, st.decided, st.poll = min(sh.Bound(), st.seed), false, pollEvery
 	st.e.runFrom(ctx, prefix.Assign, prefix.Used, st.cut, st.visit)
 	best := st.best
-	st.best = Result[M]{}
-	if err := st.e.err(); err != nil {
-		return Result[M]{}, false, err
+	st.best = ForkJoinResult{}
+	if err := st.e.step.err; err != nil {
+		return ForkJoinResult{}, false, err
 	}
 	return best, st.found, nil
 }
@@ -196,22 +173,22 @@ func latency(c mapping.Cost) float64 { return c.Latency }
 // are the restricted-growth prefixes of incumbent.PartitionShards. own is
 // worker 0's scan — the serial scan — and extra[w-1] worker w's, built on
 // first use; all are kept across solves.
-type partitionSearch[M any] struct {
+type partitionSearch struct {
 	ctx       context.Context
 	accept    func(mapping.Cost) bool
 	objective func(mapping.Cost) float64
 	lb        float64
 	seed      float64
 	prefixes  []incumbent.Prefix
-	own       shardScan[M]
-	extra     []*shardScan[M]
+	own       shardScan
+	extra     []*shardScan
 }
 
-func (ps *partitionSearch[M]) Scan(sh *incumbent.Shards, w, shard int) (Result[M], bool, error) {
+func (ps *partitionSearch) Scan(sh *incumbent.Shards, w, shard int) (ForkJoinResult, bool, error) {
 	st := &ps.own
 	if w > 0 {
 		if ps.extra[w-1] == nil {
-			ps.extra[w-1] = new(shardScan[M]).init(ps.own.e.fresh())
+			ps.extra[w-1] = new(shardScan).init(ps.own.e.fresh())
 		}
 		st = ps.extra[w-1]
 	}
@@ -219,42 +196,37 @@ func (ps *partitionSearch[M]) Scan(sh *incumbent.Shards, w, shard int) (Result[M
 	return st.scan(ps.ctx, ps.prefixes[shard], sh, shard)
 }
 
-func (ps *partitionSearch[M]) Better(a, b Result[M]) bool {
+func (ps *partitionSearch) Better(a, b ForkJoinResult) bool {
 	return numeric.Less(ps.objective(a.Cost), ps.objective(b.Cost))
 }
 
-func (ps *partitionSearch[M]) Final(r Result[M]) bool {
+func (ps *partitionSearch) Final(r ForkJoinResult) bool {
 	return ps.lb > 0 && numeric.LessEq(ps.objective(r.Cost), ps.lb)
 }
 
-// scanPrepared solves repeated objective/bound variants of one
-// (graph, platform, model) triple by partition scans: enumeration
+// ForkJoinPrepared solves repeated objective/bound variants of one
+// (fork-join, platform, model) triple by partition scans: enumeration
 // scratch is shared across solves and the anytime lower bounds are
 // computed once per objective; every solve runs its scan (repeated
 // bounds are answered by the engine's result cache). Once a front pass
 // has completed, a solve starts from the optimum the pass's list proves
 // (see Solve). Not safe for concurrent use: parallelism fans out inside
-// one solve.
-type scanPrepared[M any] struct {
-	search  partitionSearch[M]
-	items   int // partition items
-	procs   int
-	allowDP bool
-	par     int
-	lbs     [2]float64
-	hasLB   [2]bool
+// one solve. The one-shot package functions wrap a prepared solver used
+// once.
+type ForkJoinPrepared struct {
+	search partitionSearch
+	par    int
+	lbs    [2]float64
+	hasLB  [2]bool
 	// front is the Pareto list of the last front pass, nil when none has
 	// run or the last one was cut short.
 	front []incumbent.Point
 }
 
 // ForkPrepared solves repeated objective/bound variants of one
-// (fork, platform, model) triple. The one-shot package functions wrap a
-// prepared solver used once.
-type ForkPrepared = scanPrepared[mapping.ForkMapping]
-
-// ForkJoinPrepared is the fork-join analogue of ForkPrepared.
-type ForkJoinPrepared = scanPrepared[mapping.ForkJoinMapping]
+// (fork, platform, model) triple, as a fork-join without a join (see
+// NewForkPrepared).
+type ForkPrepared = ForkJoinPrepared
 
 // ForkResult is an optimal fork mapping with its exact cost.
 type ForkResult = Result[mapping.ForkMapping]
@@ -262,8 +234,8 @@ type ForkResult = Result[mapping.ForkMapping]
 // ForkJoinResult is an optimal fork-join mapping with its exact cost.
 type ForkJoinResult = Result[mapping.ForkJoinMapping]
 
-func newScanPrepared[M any](e enumerator[M], items, procs int, allowDP bool) *scanPrepared[M] {
-	sp := &scanPrepared[M]{items: items, procs: procs, allowDP: allowDP}
+func newPrepared(e *fjEnum) *ForkJoinPrepared {
+	sp := new(ForkJoinPrepared)
 	sp.search.own.init(e)
 	return sp
 }
@@ -271,20 +243,21 @@ func newScanPrepared[M any](e enumerator[M], items, procs int, allowDP bool) *sc
 // SetParallelism sets the worker count of subsequent solves: counts
 // above 1 split the partition space into shards claimed by that many
 // workers; anything else scans the whole space inline.
-func (sp *scanPrepared[M]) SetParallelism(workers int) {
+func (sp *ForkJoinPrepared) SetParallelism(workers int) {
 	sp.par = workers
 }
 
 // scan runs one bounded scan through incumbent.Run.
-func (sp *scanPrepared[M]) scan(ctx context.Context,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb, seed float64) (Result[M], bool, error) {
+func (sp *ForkJoinPrepared) scan(ctx context.Context,
+	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb, seed float64) (ForkJoinResult, bool, error) {
 	ps := &sp.search
 	ps.ctx, ps.accept, ps.objective, ps.lb, ps.seed = ctx, accept, objective, lb, seed
-	ps.prefixes = incumbent.PartitionShards(sp.items, sp.procs, sp.par)
+	e := ps.own.e
+	ps.prefixes = incumbent.PartitionShards(e.items(), e.pl.Processors(), sp.par)
 	for len(ps.extra) < sp.par-1 {
 		ps.extra = append(ps.extra, nil)
 	}
-	res, ok, err := incumbent.Run[Result[M]](sp.par, len(ps.prefixes), ps)
+	res, ok, err := incumbent.Run[ForkJoinResult](sp.par, len(ps.prefixes), ps)
 	ps.ctx, ps.accept = nil, nil
 	return res, ok, err
 }
@@ -302,7 +275,7 @@ func (sp *scanPrepared[M]) scan(ctx context.Context,
 // mapping: no later one strictly improves on the optimum, and the
 // mappings it cuts are strictly worse than the one it keeps. The result
 // is the unseeded scan's, byte for byte.
-func (sp *scanPrepared[M]) Solve(ctx context.Context, minimizePeriod bool, bound float64) (Result[M], bool, error) {
+func (sp *ForkJoinPrepared) Solve(ctx context.Context, minimizePeriod bool, bound float64) (ForkJoinResult, bool, error) {
 	i := 0
 	if minimizePeriod {
 		i = 1
@@ -321,8 +294,9 @@ func (sp *scanPrepared[M]) Solve(ctx context.Context, minimizePeriod bool, bound
 		accept = func(c mapping.Cost) bool { return numeric.LessEq(c.Period, bound) }
 	}
 	if !sp.hasLB[i] {
-		spec := anytime.Spec{MinimizePeriod: minimizePeriod, AllowDP: sp.allowDP}
-		sp.lbs[i], sp.hasLB[i] = sp.search.own.e.lowerBound(spec), true
+		e := sp.search.own.e
+		spec := anytime.Spec{MinimizePeriod: minimizePeriod, AllowDP: e.allowDP}
+		sp.lbs[i], sp.hasLB[i] = anytime.ForkJoinLB(e.fj, e.pl, spec), true
 	}
 	lb, seed := sp.lbs[i], numeric.Inf
 	if v, ok := incumbent.Optimum(sp.front, minimizePeriod, bound); ok {
@@ -342,17 +316,17 @@ func (sp *scanPrepared[M]) Solve(ctx context.Context, minimizePeriod bool, bound
 // the list unchanged. A completed pass keeps its list to seed the
 // bounded solves that follow (see Solve); a pass cut short by ctx
 // returns ctx's error and keeps nothing.
-func (sp *scanPrepared[M]) Front(ctx context.Context) ([]mapping.Cost, error) {
+func (sp *ForkJoinPrepared) Front(ctx context.Context) ([]mapping.Cost, error) {
 	var list []incumbent.Point
 	sp.front = nil
 	e := sp.search.own.e
 	e.runFrom(ctx, nil, 0,
 		func(c mapping.Cost) bool { return incumbent.Dominated(list, c.Period, c.Latency) },
-		func(_ M, c mapping.Cost) bool {
+		func(_ mapping.ForkJoinMapping, c mapping.Cost) bool {
 			list = incumbent.Insert(list, incumbent.Point{Period: c.Period, Latency: c.Latency})
 			return true
 		})
-	if err := e.err(); err != nil {
+	if err := e.step.err; err != nil {
 		return nil, err
 	}
 	sp.front = list
@@ -364,23 +338,23 @@ func (sp *scanPrepared[M]) Front(ctx context.Context) ([]mapping.Cost, error) {
 }
 
 // Period solves MinPeriod.
-func (sp *scanPrepared[M]) Period(ctx context.Context) (Result[M], bool, error) {
+func (sp *ForkJoinPrepared) Period(ctx context.Context) (ForkJoinResult, bool, error) {
 	return sp.Solve(ctx, true, math.Inf(1))
 }
 
 // Latency solves MinLatency.
-func (sp *scanPrepared[M]) Latency(ctx context.Context) (Result[M], bool, error) {
+func (sp *ForkJoinPrepared) Latency(ctx context.Context) (ForkJoinResult, bool, error) {
 	return sp.Solve(ctx, false, math.Inf(1))
 }
 
 // LatencyUnderPeriod minimizes the latency among mappings whose period
 // does not exceed maxPeriod.
-func (sp *scanPrepared[M]) LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (Result[M], bool, error) {
+func (sp *ForkJoinPrepared) LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (ForkJoinResult, bool, error) {
 	return sp.Solve(ctx, false, maxPeriod)
 }
 
 // PeriodUnderLatency minimizes the period among mappings whose latency
 // does not exceed maxLatency.
-func (sp *scanPrepared[M]) PeriodUnderLatency(ctx context.Context, maxLatency float64) (Result[M], bool, error) {
+func (sp *ForkJoinPrepared) PeriodUnderLatency(ctx context.Context, maxLatency float64) (ForkJoinResult, bool, error) {
 	return sp.Solve(ctx, true, maxLatency)
 }

@@ -121,11 +121,11 @@ func TestSymmetrySkipMatchesOracles(t *testing.T) {
 		// Forks and fork-joins: the unpruned scan runs without a cut.
 		pl = platform.RandomClasses(rng, 2+rng.Intn(3), 1+rng.Intn(3), pool)
 		f := workflow.RandomFork(rng, 1+rng.Intn(3), 9)
-		checkScanSymmetry(t, "fork", trial, ForkPareto(f, pl, dp),
+		checkScanSymmetry(t, "fork", trial, resultCosts(ForkPareto(f, pl, dp)),
 			func() *ForkPrepared { return NewForkPrepared(f, pl, dp) },
-			func(o objective) (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, o.accept, o.value, 0) })
+			func(o objective) (ForkJoinResult, bool, error) { return forkScan(ctx, f, pl, dp, o.accept, o.value, 0) })
 		fj := workflow.RandomForkJoin(rng, 1+rng.Intn(2), 9)
-		checkScanSymmetry(t, "fork-join", trial, ForkJoinPareto(fj, pl, dp),
+		checkScanSymmetry(t, "fork-join", trial, resultCosts(ForkJoinPareto(fj, pl, dp)),
 			func() *ForkJoinPrepared { return NewForkJoinPrepared(fj, pl, dp) },
 			func(o objective) (ForkJoinResult, bool, error) {
 				return forkJoinScan(ctx, fj, pl, dp, o.accept, o.value, 0)
@@ -136,12 +136,11 @@ func TestSymmetrySkipMatchesOracles(t *testing.T) {
 // checkScanSymmetry runs one fork or fork-join instance: the pruned
 // solver's four objectives at 1 and 3 workers, unseeded and seeded by a
 // front pass, against the unpruned scan (plain) and the enumeration's
-// Pareto results (pareto).
-func checkScanSymmetry[M any](t *testing.T, kind string, trial int, pareto []Result[M],
-	newSolver func() *scanPrepared[M], plain func(objective) (Result[M], bool, error)) {
+// Pareto front (oracle).
+func checkScanSymmetry(t *testing.T, kind string, trial int, oracle []mapping.Cost,
+	newSolver func() *ForkJoinPrepared, plain func(objective) (ForkJoinResult, bool, error)) {
 	t.Helper()
 	ctx := context.Background()
-	oracle := resultCosts(pareto)
 	for _, o := range objectives(rand.New(rand.NewSource(int64(trial))), oracle) {
 		want, wantOK, err := plain(o)
 		if err != nil {
@@ -201,7 +200,7 @@ func symmetryCounts(t *testing.T, pl platform.Platform) (listed, forkNodes, fjNo
 			t.Fatal(err)
 		}
 	}
-	return len(pp.s.listed), scanNodes(fp.search.own.e), scanNodes(fjp.search.own.e)
+	return len(pp.s.listed), fp.search.own.e.nodes, fjp.search.own.e.nodes
 }
 
 // TestSymmetrySkipCounters pins the work the equal-speed skip removes,

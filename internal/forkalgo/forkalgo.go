@@ -105,20 +105,13 @@ func solveFork(f workflow.Fork, pl platform.Platform, homPlatform, allowDP bool,
 	if err := check(f.Validate(), f.IsHomogeneous(), pl, homPlatform); err != nil {
 		return Result{}, false, err
 	}
-	finish := func(m mapping.ForkJoinMapping) Result {
-		fm := mapping.ForkMapping{Blocks: make([]mapping.ForkBlock, len(m.Blocks))}
-		for i, b := range m.Blocks {
-			fm.Blocks[i] = mapping.ForkBlock{Root: b.Root, Leaves: b.Leaves, Assignment: b.Assignment}
-		}
-		return finishFork(f, pl, fm)
-	}
 	in := newInstance(f.Root, 0, false, f.Weights, pl, allowDP)
-	in.cost = func(m mapping.ForkJoinMapping) mapping.Cost { return finish(m).Cost }
+	in.cost = func(m mapping.ForkJoinMapping) mapping.Cost { return finishFork(f, pl, m.Fork()).Cost }
 	m, ok := s(in, bound)
 	if !ok {
 		return Result{}, false, nil
 	}
-	return finish(m), true, nil
+	return finishFork(f, pl, m.Fork()), true, nil
 }
 
 // solveForkJoin runs a search on a fork-join. homPlatform requires equal

@@ -123,7 +123,7 @@ func solveGolden(ctx context.Context, c goldenCase, par int) (goldenCase, error)
 	case "fork":
 		fp := exhaustive.NewForkPrepared(*c.Fork, *c.Platform, c.DP)
 		fp.SetParallelism(par)
-		var res exhaustive.ForkResult
+		var res exhaustive.ForkJoinResult
 		var ok bool
 		var err error
 		switch c.Goal {
@@ -139,7 +139,8 @@ func solveGolden(ctx context.Context, c goldenCase, par int) (goldenCase, error)
 		if err != nil {
 			return c, err
 		}
-		return answer(c, ok, res.Cost.Period, res.Cost.Latency, res.Mapping)
+		// The fork scan answers as a fork-join without a join.
+		return answer(c, ok, res.Cost.Period, res.Cost.Latency, res.Mapping.Fork())
 	case "forkjoin":
 		fp := exhaustive.NewForkJoinPrepared(*c.ForkJoin, *c.Platform, c.DP)
 		fp.SetParallelism(par)
