@@ -13,7 +13,9 @@
 //     platforms without data-parallelism, by binary search over candidate
 //     values combined with the W(i,j) dynamic program over sorted processor
 //     intervals, with an extra loop over the interval in charge of S0
-//     (Lemma 4 structure).
+//     (Lemma 4 structure). The candidates come from the platform's distinct
+//     speeds; one flat W(i,j) scratch per solve serves every probe and
+//     configuration, so nothing is allocated per configuration.
 //
 // Section 6.3 extends Theorems 10, 11 and 14 to fork-join graphs by extra
 // loops over the join block's composition and placement, so a fork is a

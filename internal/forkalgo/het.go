@@ -14,81 +14,63 @@ import (
 // bounds poisons any partition using it, exactly as the paper's W(i,j)=-inf.
 const negInf = math.MinInt32
 
-// hetIntervals is the Theorem 14 W(i,j) dynamic program over one range of
-// consecutive sorted processors. capOf(i,j) gives the leaf capacity of a
-// single interval [i..j] (negInf when the interval cannot exist). The
-// program maximizes the number of leaves handled by a partition of the
-// whole range into intervals.
-type hetIntervals struct {
-	capOf func(i, j int) int
-	size  int
-	w     [][]int
-	split [][]int
+// hetScratch holds the Theorem 14 W(i,j) dynamic program of one solve:
+// flat W and split tables of stride p, one p*p region for each of the up
+// to three segments of a configuration. Every probe and configuration
+// reuses them, so a solve allocates them once; it is per-solve state.
+type hetScratch struct {
+	p        int
+	w, split []int
 }
 
-func newHetIntervals(size int, capOf func(i, j int) int) *hetIntervals {
-	h := &hetIntervals{capOf: capOf, size: size}
-	h.w = make([][]int, size)
-	h.split = make([][]int, size)
-	for i := range h.w {
-		h.w[i] = make([]int, size)
-		h.split[i] = make([]int, size)
-	}
+func newHetScratch(p int) *hetScratch {
+	return &hetScratch{p: p, w: make([]int, 3*p*p), split: make([]int, 3*p*p)}
+}
+
+// build runs the W(i,j) program over segment k of a configuration and
+// returns the maximum number of leaves a partition of the segment into
+// intervals handles, or negInf if no valid partition exists. A split of -1
+// keeps [i..j] as a single interval, whose capacity W(i,j) then is.
+func (h *hetScratch) build(k int, b *hetBounds, sg segment) int {
+	size, p := sg.to-sg.from+1, h.p
+	w, split := h.w[k*p*p:], h.split[k*p*p:]
 	for i := size - 1; i >= 0; i-- {
+		kind := normalInterval // only the segment's first interval is special
+		if i == 0 {
+			kind = sg.kind
+		}
 		for j := i; j < size; j++ {
-			best := capOf(i, j)
+			best := b.capOf(kind, sg.from+i, sg.from+j)
 			bestSplit := -1
-			for k := i; k < j; k++ {
-				l, r := h.w[i][k], h.w[k+1][j]
+			for m := i; m < j; m++ {
+				l, r := w[i*p+m], w[(m+1)*p+j]
 				if l == negInf || r == negInf {
 					continue
 				}
 				if v := l + r; v > best {
 					best = v
-					bestSplit = k
+					bestSplit = m
 				}
 			}
-			h.w[i][j] = best
-			h.split[i][j] = bestSplit
+			w[i*p+j] = best
+			split[i*p+j] = bestSplit
 		}
 	}
-	return h
+	return w[size-1]
 }
 
-// total returns the maximum number of leaves the whole range can process,
-// or negInf if no valid partition exists.
-func (h *hetIntervals) total() int {
-	if h.size == 0 {
-		return 0
+// leaves appends the leaf intervals (first, last, cap) of an optimal
+// partition of [i..j] in segment k's tables, in processor order.
+func (h *hetScratch) leaves(k, i, j int, out []procInterval) []procInterval {
+	at := k*h.p*h.p + i*h.p + j
+	if m := h.split[at]; m >= 0 {
+		return h.leaves(k, m+1, j, h.leaves(k, i, m, out))
 	}
-	return h.w[0][h.size-1]
+	return append(out, procInterval{first: i, last: j, cap: h.w[at]})
 }
 
-// leaves returns the leaf intervals (first, last, cap) of an optimal
-// partition of the whole range.
-func (h *hetIntervals) leaves() []procInterval {
-	var out []procInterval
-	var collect func(i, j int)
-	collect = func(i, j int) {
-		if k := h.split[i][j]; k >= 0 {
-			collect(i, k)
-			collect(k+1, j)
-			return
-		}
-		out = append(out, procInterval{first: i, last: j, cap: h.capOf(i, j)})
-	}
-	if h.size > 0 {
-		collect(0, h.size-1)
-	}
-	return out
-}
-
-// procInterval mirrors the pipealgo type: a consecutive range of sorted
-// processors with a leaf capacity.
-type procInterval struct {
-	first, last int
-	cap         int
-}
+// procInterval is a consecutive range of sorted processors and its leaf capacity.
+type procInterval struct{ first, last, cap int }
 
 // The kinds of the first interval of a segment of sorted processors.
 const (
@@ -97,15 +79,66 @@ const (
 	joinInterval   // in charge of S_{n+1}
 )
 
+// segment is a range [from, to] of a configuration's sorted processors
+// whose first interval is of the given kind.
+type segment struct{ from, to, kind int }
+
+// hetBounds are the bounds of one Theorem 14 configuration: the leaf
+// capacity of an interval depends on them and on nothing else.
+type hetBounds struct {
+	in                            *instance
+	s                             []float64
+	K, leafDeadline, othersBudget float64
+	q0, jq                        int
+}
+
+// leafCap converts a work budget into a leaf count, clamped to [0, n].
+func (b *hetBounds) leafCap(budget float64) int {
+	n := b.in.n
+	if n == 0 || math.IsInf(budget, 1) {
+		return n
+	}
+	return min(max(numeric.FloorDiv(budget, b.in.w), 0), n)
+}
+
+// capOf is the leaf capacity of the interval [i..j], or negInf when it
+// cannot hold its special stage within the bounds.
+func (b *hetBounds) capOf(kind, i, j int) int {
+	in, s, K := b.in, b.s, b.K
+	count := float64(j - i + 1)
+	work := K * s[i] * count // the work the interval runs per period K
+	switch kind {
+	case rootInterval:
+		base := in.root
+		if b.jq == b.q0 {
+			base += in.join
+		}
+		// Period: (w0 [+ wjoin] + m*w) / (count * s_i) <= K; the
+		// root-block leaves complete at (w0 + m*w)/s_i <= leafDeadline.
+		if numeric.Greater(base/(count*s[i]), K) || numeric.Greater(in.root/s[i], b.leafDeadline) {
+			return negInf
+		}
+		return min(b.leafCap(work-base), b.leafCap(b.leafDeadline*s[i]-in.root))
+	case joinInterval:
+		// Period: (m*w + wjoin)/(count * s_i) <= K; the join interval's
+		// own leaves complete at rootDone + m*w/s_i <= leafDeadline.
+		if numeric.Greater(in.join/(count*s[i]), K) {
+			return negInf
+		}
+		return min(b.leafCap(work-in.join), b.leafCap(b.othersBudget*s[i]))
+	}
+	return min(b.leafCap(work), b.leafCap(b.othersBudget*s[i]))
+}
+
 // hetConfig is the Theorem 14 feasibility check, with its Section 6.3
 // extension, for fixed period and latency bounds K and L. procs are the q
 // enrolled processors and s their speeds, by non-decreasing speed; q0 is
 // the first processor of the interval in charge of S0 and jq that of the
 // interval in charge of S_{n+1}. jq == q0 places S_{n+1} with S0, the case
-// the paper singles out and the only one without a join. On success it
-// returns a complete mapping.
-func hetConfig(in instance, procs []int, s []float64, q0, jq int, K, L float64) (mapping.ForkJoinMapping, bool) {
-	n, w, q := in.n, in.w, len(s)
+// the paper singles out and the only one without a join. The W(i,j)
+// tables are built in h. On success it returns a complete mapping.
+func hetConfig(in *instance, h *hetScratch, procs []int, s []float64, q0, jq int, K, L float64) (mapping.ForkJoinMapping, bool) {
+	n, q := in.n, len(s)
 	rootDone := in.root / s[q0]
 
 	// Every leaf must complete by leafDeadline = L - wjoin/sJoin so that the
@@ -127,72 +160,29 @@ func hetConfig(in instance, procs []int, s []float64, q0, jq int, K, L float64) 
 		}
 		othersBudget = 0
 	}
-
-	// leafCap converts a work budget into a leaf count, clamped to [0, n].
-	leafCap := func(budget float64) int {
-		if n == 0 {
-			return 0
-		}
-		if math.IsInf(budget, 1) {
-			return n
-		}
-		return min(max(numeric.FloorDiv(budget, w), 0), n)
-	}
-	// capOf is the leaf capacity of the interval [i..j], or negInf when it
-	// cannot hold its special stage within the bounds.
-	capOf := func(kind, i, j int) int {
-		count := float64(j - i + 1)
-		work := K * s[i] * count // the work the interval runs per period K
-		switch kind {
-		case rootInterval:
-			base := in.root
-			if jq == q0 {
-				base += in.join
-			}
-			// Period: (w0 [+ wjoin] + m*w) / (count * s_i) <= K; the
-			// root-block leaves complete at (w0 + m*w)/s_i <= leafDeadline.
-			if numeric.Greater(base/(count*s[i]), K) || numeric.Greater(in.root/s[i], leafDeadline) {
-				return negInf
-			}
-			return min(leafCap(work-base), leafCap(leafDeadline*s[i]-in.root))
-		case joinInterval:
-			// Period: (m*w + wjoin)/(count * s_i) <= K; the join interval's
-			// own leaves complete at rootDone + m*w/s_i <= leafDeadline.
-			if numeric.Greater(in.join/(count*s[i]), K) {
-				return negInf
-			}
-			return min(leafCap(work-in.join), leafCap(othersBudget*s[i]))
-		}
-		return min(leafCap(work), leafCap(othersBudget*s[i]))
-	}
+	b := hetBounds{in: in, s: s, K: K, leafDeadline: leafDeadline, othersBudget: othersBudget, q0: q0, jq: jq}
 
 	// Split the sorted processor range at the special positions: each
 	// segment [from, to] starts with an interval of its kind.
-	type segment struct{ from, to, kind int }
-	segs := []segment{{0, q0 - 1, normalInterval}, {q0, q - 1, rootInterval}}
+	// Without a separate join interval the third segment is empty.
+	segs := [3]segment{{0, q0 - 1, normalInterval}, {q0, q - 1, rootInterval}, {q, q - 1, normalInterval}}
 	if jq != q0 {
-		a, b, ka, kb := q0, jq, rootInterval, joinInterval
-		if a > b {
-			a, b, ka, kb = b, a, kb, ka
+		a, c, ka, kc := q0, jq, rootInterval, joinInterval
+		if a > c {
+			a, c, ka, kc = c, a, kc, ka
 		}
-		segs = []segment{{0, a - 1, normalInterval}, {a, b - 1, ka}, {b, q - 1, kb}}
+		segs = [3]segment{{0, a - 1, normalInterval}, {a, c - 1, ka}, {c, q - 1, kc}}
 	}
 	total := 0
-	tables := make([]*hetIntervals, len(segs))
 	for k, sg := range segs {
 		if sg.to < sg.from {
 			continue
 		}
-		tables[k] = newHetIntervals(sg.to-sg.from+1, func(i, j int) int {
-			if i == 0 {
-				return capOf(sg.kind, sg.from, sg.from+j)
-			}
-			return capOf(normalInterval, sg.from+i, sg.from+j)
-		})
-		if tables[k].total() == negInf {
+		t := h.build(k, &b, sg)
+		if t == negInf {
 			return mapping.ForkJoinMapping{}, false
 		}
-		total += tables[k].total()
+		total += t
 	}
 	if total < n {
 		return mapping.ForkJoinMapping{}, false
@@ -203,10 +193,10 @@ func hetConfig(in instance, procs []int, s []float64, q0, jq int, K, L float64) 
 	remaining := n
 	var m mapping.ForkJoinMapping
 	for k, sg := range segs {
-		if tables[k] == nil {
+		if sg.to < sg.from {
 			continue
 		}
-		for idx, iv := range tables[k].leaves() {
+		for idx, iv := range h.leaves(k, 0, sg.to-sg.from, nil) {
 			isRoot := sg.kind == rootInterval && idx == 0
 			isJoin := (sg.kind == joinInterval && idx == 0) || (isRoot && jq == q0 && in.hasJoin)
 			take := min(iv.cap, remaining)
@@ -232,7 +222,7 @@ func hetConfig(in instance, procs []int, s []float64, q0, jq int, K, L float64) 
 // interval jq only with a join, and returns any mapping meeting both
 // bounds. order lists the processors by non-decreasing speed and speeds
 // their speeds: the q fastest are their suffixes.
-func hetFeasible(in instance, order []int, speeds []float64, K, L float64) (mapping.ForkJoinMapping, bool) {
+func hetFeasible(in *instance, h *hetScratch, order []int, speeds []float64, K, L float64) (mapping.ForkJoinMapping, bool) {
 	p := len(order)
 	for q := 1; q <= p; q++ {
 		for q0 := 0; q0 < q; q0++ {
@@ -240,7 +230,7 @@ func hetFeasible(in instance, order []int, speeds []float64, K, L float64) (mapp
 				if !in.hasJoin && jq != q0 {
 					continue
 				}
-				if m, ok := hetConfig(in, order[p-q:], speeds[p-q:], q0, jq, K, L); ok {
+				if m, ok := hetConfig(in, h, order[p-q:], speeds[p-q:], q0, jq, K, L); ok {
 					return m, true
 				}
 			}
@@ -250,30 +240,31 @@ func hetFeasible(in instance, order []int, speeds []float64, K, L float64) (mapp
 }
 
 // hetSearch bisects the candidates with the Theorem 14 feasibility check,
-// bound maps a candidate to the check's (K, L) bounds.
+// bound maps a candidate to the check's (K, L) bounds. The probes share
+// one scratch, allocated here.
 func hetSearch(in instance, cands []float64, bounds func(c float64) (K, L float64)) (mapping.ForkJoinMapping, bool) {
 	order := in.pl.SortedBySpeed()
 	speeds := make([]float64, len(order))
 	for u, idx := range order {
 		speeds[u] = in.pl.Speeds[idx]
 	}
+	h := newHetScratch(len(order))
 	return bisect(cands, func(c float64) (mapping.ForkJoinMapping, bool) {
 		K, L := bounds(c)
-		return hetFeasible(in, order, speeds, K, L)
+		return hetFeasible(&in, h, order, speeds, K, L)
 	})
 }
 
-// hetLatency minimizes the latency under a period bound over the finite
-// latency candidate set: the leaf completion times (w0 + m*w)/s1 and
-// w0/s1 + m*w/s2, plus with a join a join delay wjoin/s3, over all speeds
-// s1, s2 and s3.
-func hetLatency(in instance, maxPeriod float64) (mapping.ForkJoinMapping, bool) {
+// latencyCandidates lists the finite latency candidate set: the leaf
+// completion times (w0 + m*w)/s1 and w0/s1 + m*w/s2, plus with a join a
+// join delay wjoin/s3, over all the given speeds s1, s2 and s3.
+func latencyCandidates(in instance, speeds []float64) []float64 {
 	var cands []float64
-	for _, s1 := range in.pl.Speeds {
+	for _, s1 := range speeds {
 		for m := 0; m <= in.n; m++ {
 			cands = append(cands, (in.root+float64(m)*in.w)/s1)
 			if m > 0 {
-				for _, s2 := range in.pl.Speeds {
+				for _, s2 := range speeds {
 					cands = append(cands, in.root/s1+float64(m)*in.w/s2)
 				}
 			}
@@ -283,18 +274,24 @@ func hetLatency(in instance, maxPeriod float64) (mapping.ForkJoinMapping, bool) 
 		leafDone := cands
 		cands = nil
 		for _, ld := range leafDone {
-			for _, s3 := range in.pl.Speeds {
+			for _, s3 := range speeds {
 				cands = append(cands, ld+in.join/s3)
 			}
 		}
 	}
-	return hetSearch(in, numeric.DedupSorted(cands), func(L float64) (float64, float64) { return maxPeriod, L })
+	return numeric.DedupSorted(cands)
 }
 
-// hetPeriod minimizes the period under a latency bound over the finite
-// period candidate set.
+// hetLatency minimizes the latency under a period bound over the latency
+// candidates of the platform's distinct speeds.
+func hetLatency(in instance, maxPeriod float64) (mapping.ForkJoinMapping, bool) {
+	return hetSearch(in, latencyCandidates(in, in.pl.DistinctSpeeds()), func(L float64) (float64, float64) { return maxPeriod, L })
+}
+
+// hetPeriod minimizes the period under a latency bound over the period
+// candidates of the platform's distinct speeds.
 func hetPeriod(in instance, maxLatency float64) (mapping.ForkJoinMapping, bool) {
-	cands := periodCandidates(in, in.pl.Speeds, in.pl.Processors())
+	cands := periodCandidates(in, in.pl.DistinctSpeeds(), in.pl.Processors())
 	return hetSearch(in, cands, func(K float64) (float64, float64) { return K, maxLatency })
 }
 

@@ -21,14 +21,16 @@ func HetLatencyNoDP(p workflow.Pipeline, pl platform.Platform) (Result, error) {
 }
 
 // periodCandidates returns every value m*w/(k*s) that the period of a
-// replicated interval of a homogeneous pipeline can take, sorted ascending.
-// The Theorem 7/8 binary searches run over this finite set, which makes the
-// returned optima exact (the paper instead argues a polynomial bound on the
-// number of binary-search iterations over the rationals).
-func periodCandidates(n int, w float64, pl platform.Platform) []float64 {
+// replicated interval of a homogeneous pipeline can take on k <= p
+// processors of one of the given speeds, sorted ascending. The Theorem 7/8
+// binary searches run over this finite set, built from the platform's
+// distinct speeds, which makes the returned optima exact (the paper instead
+// argues a polynomial bound on the number of binary-search iterations over
+// the rationals).
+func periodCandidates(n int, w float64, speeds []float64, p int) []float64 {
 	var cands []float64
-	for _, s := range pl.Speeds {
-		for k := 1; k <= pl.Processors(); k++ {
+	for _, s := range speeds {
+		for k := 1; k <= p; k++ {
 			for m := 1; m <= n; m++ {
 				cands = append(cands, float64(m)*w/(float64(k)*s))
 			}
@@ -149,7 +151,7 @@ func HetHomPipelinePeriodNoDP(p workflow.Pipeline, pl platform.Platform) (Result
 		return Result{}, ErrNotHomogeneousPipeline
 	}
 	n, w := p.Stages(), p.Weights[0]
-	cands := periodCandidates(n, w, pl)
+	cands := periodCandidates(n, w, pl.DistinctSpeeds(), pl.Processors())
 	order := pl.SortedBySpeed()
 	feasible := func(K float64) mapping.PipelineMapping {
 		for q := 1; q <= len(order); q++ {
@@ -311,7 +313,7 @@ func HetHomPipelinePeriodUnderLatencyNoDP(p workflow.Pipeline, pl platform.Platf
 	if !p.IsHomogeneous() {
 		return Result{}, false, ErrNotHomogeneousPipeline
 	}
-	cands := periodCandidates(p.Stages(), p.Weights[0], pl)
+	cands := periodCandidates(p.Stages(), p.Weights[0], pl.DistinctSpeeds(), pl.Processors())
 	lo, hi := 0, len(cands)-1
 	var best Result
 	found := false

@@ -1,6 +1,7 @@
 package pipealgo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -156,5 +157,26 @@ func TestTheorem7UnconstrainedEqualsTheorem8LooseBound(t *testing.T) {
 	}
 	if !numeric.Eq(t7.Cost.Period, t8.Cost.Period) {
 		t.Fatalf("Theorem 7 period %v != Theorem 8 period %v", t7.Cost.Period, t8.Cost.Period)
+	}
+}
+
+// The Theorem 7/8 candidate periods built over the distinct speeds are
+// bit-identical to those built over every processor's speed.
+func TestPeriodCandidatesOverDistinctSpeeds(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	pool := []float64{1, 2, 3, 5, 0.5, 1.5, 2.5, 0.1}
+	for trial := 0; trial < 200; trial++ {
+		pl := platform.RandomClasses(rng, 1+rng.Intn(8), 1+rng.Intn(3), pool)
+		n, w := 1+rng.Intn(8), float64(1+rng.Intn(9))/float64(1+rng.Intn(3))
+		distinct, p := pl.DistinctSpeeds(), pl.Processors()
+		got, want := periodCandidates(n, w, distinct, p), periodCandidates(n, w, pl.Speeds, p)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d candidates over %v, %d over %v", trial, len(got), distinct, len(want), pl.Speeds)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: candidate %d is %v over %v, %v over %v", trial, i, got[i], distinct, want[i], pl.Speeds)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repliflow/internal/numeric"
@@ -119,6 +120,15 @@ func (pl Platform) SortedBySpeed() []int {
 		return idx[a] < idx[b]
 	})
 	return idx
+}
+
+// DistinctSpeeds returns the platform's speeds in increasing order, each
+// exactly once. A candidate value built from a speed is the same for every
+// processor of that speed, so candidate sets are built over these.
+func (pl Platform) DistinctSpeeds() []float64 {
+	s := slices.Clone(pl.Speeds)
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // Random returns a platform of p processors with integer speeds drawn

@@ -112,3 +112,20 @@ func TestRandomBounds(t *testing.T) {
 		}
 	}
 }
+
+func TestDistinctSpeeds(t *testing.T) {
+	pl := New(3, 1, 4, 1, 5, 3, 1+1e-12)
+	got := pl.DistinctSpeeds()
+	want := []float64{1, 1 + 1e-12, 3, 4, 5}
+	if len(got) != len(want) {
+		t.Fatalf("DistinctSpeeds = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("DistinctSpeeds = %v, want %v", got, want)
+		}
+	}
+	if pl.Speeds[0] != 3 || pl.Speeds[6] != 1+1e-12 {
+		t.Fatalf("DistinctSpeeds changed the platform: %v", pl.Speeds)
+	}
+}
