@@ -115,8 +115,10 @@ func TestPortfolioNeverWorseThanSeeds(t *testing.T) {
 }
 
 // TestPortfolioExactMemberCertifies runs the portfolio with an exact
-// member on small instances: the result must be certified optimal with
-// gap 0 at exactly the exhaustive optimum.
+// member on small forks, as fork-joins without a join: the result must
+// be certified optimal with gap 0 at exactly the exhaustive optimum, and
+// joinless. The exact member hands over the joinless scan's fork-join
+// mapping as it is.
 func TestPortfolioExactMemberCertifies(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
@@ -134,12 +136,12 @@ func TestPortfolioExactMemberCertifies(t *testing.T) {
 				if err != nil {
 					return anytime.Exact{}, err
 				}
-				m := res.Mapping.Fork()
-				return anytime.Exact{Fork: &m, Cost: res.Cost, Feasible: ok}, nil
+				return anytime.Exact{ForkJoin: &res.Mapping, Cost: res.Cost, Feasible: ok}, nil
 			},
 		}
-		res, err := anytime.SolveFork(context.Background(), f, pl, spec,
-			[]mapping.ForkMapping{mapping.ReplicateAllFork(f, pl)}, cfg)
+		joinless := workflow.ForkJoin{Root: f.Root, Weights: f.Weights}
+		res, err := anytime.SolveForkJoin(context.Background(), joinless, false, pl, spec,
+			[]mapping.ForkJoinMapping{mapping.ReplicateAllFork(f, pl).ForkJoin()}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,6 +153,14 @@ func TestPortfolioExactMemberCertifies(t *testing.T) {
 		}
 		if !numeric.Eq(res.Cost.Period, want.Cost.Period) {
 			t.Errorf("trial %d: period %g, exhaustive optimum %g", trial, res.Cost.Period, want.Cost.Period)
+		}
+		for _, b := range res.ForkJoin.Blocks {
+			if b.Join {
+				t.Fatalf("trial %d: a fork's result %v places a join", trial, res.ForkJoin)
+			}
+		}
+		if got, err := mapping.EvalFork(f, pl, res.ForkJoin.Fork()); err != nil || got != res.Cost {
+			t.Errorf("trial %d: reported cost %v, the fork's %v (%v)", trial, res.Cost, got, err)
 		}
 	}
 }
@@ -169,7 +179,7 @@ func TestPortfolioHonoursBoundedSpec(t *testing.T) {
 	}
 
 	reachable := anytime.Spec{MinimizePeriod: false, PeriodBound: base.Period * 2, AllowDP: true}
-	res, err := anytime.SolveForkJoin(context.Background(), fj, pl, reachable,
+	res, err := anytime.SolveForkJoin(context.Background(), fj, true, pl, reachable,
 		[]mapping.ForkJoinMapping{all}, anytime.Config{Seed: 5, MaxIterations: 4000})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +192,7 @@ func TestPortfolioHonoursBoundedSpec(t *testing.T) {
 	}
 
 	unreachable := anytime.Spec{MinimizePeriod: false, PeriodBound: base.Period * 1e-9, AllowDP: true}
-	res, err = anytime.SolveForkJoin(context.Background(), fj, pl, unreachable,
+	res, err = anytime.SolveForkJoin(context.Background(), fj, true, pl, unreachable,
 		[]mapping.ForkJoinMapping{all}, anytime.Config{Seed: 5, MaxIterations: 2000})
 	if err != nil {
 		t.Fatal(err)

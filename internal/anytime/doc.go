@@ -13,7 +13,8 @@
 //   - seeded simulated-annealing workers mutating mappings through
 //     kind-specific neighbourhoods (interval merges/splits, leaf and
 //     processor moves, mode toggles), each with its own deterministic
-//     RNG stream;
+//     RNG stream. A fork anneals as a fork-join without a join
+//     (SolveForkJoin with join false), costed as a fork;
 //   - an optional exact member (Config.Exact, typically a closure over
 //     internal/exhaustive) whose completion certifies the optimum and
 //     stops the run early.
@@ -21,12 +22,11 @@
 // Every result carries a certified optimality statement: the cheap
 // lower bounds of this package (sum-of-work for the period,
 // critical-path for the latency — see PeriodLB/LatencyLB, PipelineLB
-// and ForkJoinLB, which bounds a fork as a fork-join without a join)
-// bound the optimum from below, so Result.Gap = objective/lower-bound
-// − 1 is a true upper bound on the distance to the optimum, and
-// Gap == 0 proves optimality. The same bound primitives drive branch
-// pruning inside internal/exhaustive; this package is the single
-// implementation.
+// and ForkJoinLB) bound the optimum from below, so Result.Gap =
+// objective/lower-bound − 1 is a true upper bound on the distance to
+// the optimum, and Gap == 0 proves optimality. The same bound
+// primitives drive branch pruning inside internal/exhaustive; this
+// package is the single implementation.
 //
 // The package sits beside internal/heuristics in the layering: it
 // depends only on the graph/platform/mapping layers, and internal/core

@@ -167,36 +167,23 @@ func annealGoldenRows() [][2]string {
 			}
 			for _, o := range annealGoldenObjectives {
 				for id := 0; id < 3; id++ {
-					var row string
-					if kind == "fork" {
-						f := workflow.Fork{Root: fj.Root, Weights: fj.Weights}
-						all := mapping.ReplicateAllFork(f, pl)
-						one := mapping.ForkMapping{Blocks: []mapping.ForkBlock{
-							mapping.NewForkBlock(true, all.Blocks[0].Leaves, mapping.Replicated, pl.Fastest()),
-						}}
-						eval := func(m mapping.ForkMapping) (mapping.Cost, bool) {
-							c, err := mapping.EvalFork(f, pl, m)
-							return c, err == nil
-						}
-						c, _ := eval(all)
-						spec := annealGoldenSpec(o, i, c, dp)
-						lb := ForkJoinLB(workflow.ForkJoin{Root: f.Root, Weights: f.Weights}, pl, spec)
-						row = annealGoldenRun(spec, lb, id, []mapping.ForkMapping{all, one}, eval,
-							forkMutator(f, pl, dp), traceFork)
-					} else {
-						all := mapping.ReplicateAllForkJoin(fj, pl)
-						one := mapping.ForkJoinMapping{Blocks: []mapping.ForkJoinBlock{
-							mapping.NewForkJoinBlock(true, true, all.Blocks[0].Leaves, mapping.Replicated, pl.Fastest()),
-						}}
-						eval := func(m mapping.ForkJoinMapping) (mapping.Cost, bool) {
-							c, err := mapping.EvalForkJoin(fj, pl, m)
-							return c, err == nil
-						}
-						c, _ := eval(all)
-						spec := annealGoldenSpec(o, i, c, dp)
-						row = annealGoldenRun(spec, ForkJoinLB(fj, pl, spec), id, []mapping.ForkJoinMapping{all, one}, eval,
-							forkJoinMutator(fj, pl, dp), traceForkJoin)
+					// A fork runs as a fork-join without a join.
+					join := kind == "fork-join"
+					g, trace := fj, traceForkJoin
+					if !join {
+						g.Join = 0
+						trace = func(h hash.Hash64, m mapping.ForkJoinMapping) { traceFork(h, m.Fork()) }
 					}
+					all := mapping.ReplicateAllForkJoin(g, pl)
+					all.Blocks[0].Join = join
+					one := mapping.ForkJoinMapping{Blocks: []mapping.ForkJoinBlock{
+						mapping.NewForkJoinBlock(true, join, all.Blocks[0].Leaves, mapping.Replicated, pl.Fastest()),
+					}}
+					eval := forkJoinEval(g, join, pl)
+					c, _ := eval(all)
+					spec := annealGoldenSpec(o, i, c, dp)
+					row := annealGoldenRun(spec, ForkJoinLB(g, pl, spec), id, []mapping.ForkJoinMapping{all, one}, eval,
+						forkJoinMutator(pl, join, dp), trace)
 					name := fmt.Sprintf("%s/%03d/%s/%s/m%d", kind, i, model, o, id)
 					rows = append(rows, [2]string{name, row})
 				}

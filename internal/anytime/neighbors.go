@@ -6,7 +6,6 @@ import (
 
 	"repliflow/internal/mapping"
 	"repliflow/internal/platform"
-	"repliflow/internal/workflow"
 )
 
 // The mutators below implement the annealing neighbourhoods: each call
@@ -70,7 +69,7 @@ func splitProcs(rng *rand.Rand, procs []int) (a, b []int) {
 // --- Pipeline ---------------------------------------------------------------
 
 // pipelineMutator returns the pipeline neighbourhood function.
-func pipelineMutator(p workflow.Pipeline, pl platform.Platform, allowDP bool) func(*rand.Rand, mapping.PipelineMapping) mapping.PipelineMapping {
+func pipelineMutator(pl platform.Platform, allowDP bool) func(*rand.Rand, mapping.PipelineMapping) mapping.PipelineMapping {
 	return func(rng *rand.Rand, m0 mapping.PipelineMapping) mapping.PipelineMapping {
 		m := m0.Clone()
 		for attempt := 0; attempt < 4; attempt++ {
@@ -190,158 +189,16 @@ func pipelineMove(rng *rand.Rand, m *mapping.PipelineMapping, pl platform.Platfo
 	return true
 }
 
-// --- Fork -------------------------------------------------------------------
+// --- Fork and fork-join ---------------------------------------------------
 
-func forkMutator(f workflow.Fork, pl platform.Platform, allowDP bool) func(*rand.Rand, mapping.ForkMapping) mapping.ForkMapping {
-	return func(rng *rand.Rand, m0 mapping.ForkMapping) mapping.ForkMapping {
-		m := m0.Clone()
-		for attempt := 0; attempt < 4; attempt++ {
-			if forkMove(rng, &m, pl, allowDP) {
-				break
-			}
-		}
-		return m
-	}
-}
-
-// forkBlockEmpty reports whether a fork block carries no stage.
-func forkBlockEmpty(b mapping.ForkBlock) bool { return !b.Root && len(b.Leaves) == 0 }
-
-func forkMove(rng *rand.Rand, m *mapping.ForkMapping, pl platform.Platform, allowDP bool) bool {
-	bs := m.Blocks
-	used := make([][]int, len(bs))
-	for i := range bs {
-		used[i] = bs[i].Procs
-	}
-	free := freeProcs(pl, used)
-	demote := func(i int) {
-		if bs[i].Root && len(bs[i].Leaves) > 0 {
-			bs[i].Mode = mapping.Replicated
-		}
-	}
-	removeIfEmpty := func(i int) {
-		if forkBlockEmpty(bs[i]) {
-			m.Blocks = append(bs[:i], bs[i+1:]...)
-		}
-	}
-	switch rng.Intn(8) {
-	case 0: // move a leaf to another (or a new) block
-		var src []int // block indices holding at least one leaf
-		for i := range bs {
-			if len(bs[i].Leaves) > 0 {
-				src = append(src, i)
-			}
-		}
-		if len(src) == 0 {
-			return false
-		}
-		i := src[rng.Intn(len(src))]
-		leaf := takeRandom(rng, &bs[i].Leaves)
-		if j := rng.Intn(len(bs) + 1); j < len(bs) && j != i {
-			bs[j].Leaves = insertSorted(bs[j].Leaves, leaf)
-			demote(j)
-		} else if len(free) > 0 {
-			m.Blocks = append(bs, mapping.NewForkBlock(false, []int{leaf}, mapping.Replicated, takeRandom(rng, &free)))
-			bs = m.Blocks
-		} else {
-			bs[i].Leaves = insertSorted(bs[i].Leaves, leaf)
-			return false
-		}
-		removeIfEmpty(i)
-	case 1: // merge two blocks
-		if len(bs) < 2 {
-			return false
-		}
-		a, b := rng.Intn(len(bs)), rng.Intn(len(bs))
-		if a == b {
-			return false
-		}
-		if a > b {
-			a, b = b, a
-		}
-		bs[a].Root = bs[a].Root || bs[b].Root
-		bs[a].Leaves = sortedUnion(bs[a].Leaves, bs[b].Leaves)
-		bs[a].Procs = sortedUnion(bs[a].Procs, bs[b].Procs)
-		bs[a].Mode = mapping.Replicated
-		m.Blocks = append(bs[:b], bs[b+1:]...)
-	case 2: // split a block's leaves off into a new block
-		i := rng.Intn(len(bs))
-		if len(bs[i].Leaves) < 2 && !(bs[i].Root && len(bs[i].Leaves) == 1) {
-			return false
-		}
-		k := 1
-		if len(bs[i].Leaves) > 1 {
-			k = 1 + rng.Intn(len(bs[i].Leaves)-1)
-		}
-		var moved []int
-		for n := 0; n < k; n++ {
-			moved = insertSorted(moved, takeRandom(rng, &bs[i].Leaves))
-		}
-		nb := mapping.ForkBlock{Leaves: moved, Assignment: mapping.Assignment{Mode: mapping.Replicated}}
-		if len(bs[i].Procs) >= 2 {
-			nb.Procs = []int{takeRandom(rng, &bs[i].Procs)}
-		} else if len(free) > 0 {
-			nb.Procs = []int{takeRandom(rng, &free)}
-		} else {
-			return false
-		}
-		m.Blocks = append(bs, nb)
-	case 3: // grow a block with a free processor
-		if len(free) == 0 {
-			return false
-		}
-		i := rng.Intn(len(bs))
-		bs[i].Procs = insertSorted(bs[i].Procs, takeRandom(rng, &free))
-	case 4: // shrink a block, freeing a processor
-		i := rng.Intn(len(bs))
-		if len(bs[i].Procs) < 2 {
-			return false
-		}
-		takeRandom(rng, &bs[i].Procs)
-	case 5: // move a processor between blocks
-		if len(bs) < 2 {
-			return false
-		}
-		a, b := rng.Intn(len(bs)), rng.Intn(len(bs))
-		if a == b || len(bs[a].Procs) < 2 {
-			return false
-		}
-		bs[b].Procs = insertSorted(bs[b].Procs, takeRandom(rng, &bs[a].Procs))
-	case 6: // swap processors between blocks
-		if len(bs) < 2 {
-			return false
-		}
-		a, b := rng.Intn(len(bs)), rng.Intn(len(bs))
-		if a == b {
-			return false
-		}
-		qa, qb := takeRandom(rng, &bs[a].Procs), takeRandom(rng, &bs[b].Procs)
-		bs[a].Procs = insertSorted(bs[a].Procs, qb)
-		bs[b].Procs = insertSorted(bs[b].Procs, qa)
-	default: // toggle a block's mode
-		if !allowDP {
-			return false
-		}
-		i := rng.Intn(len(bs))
-		if bs[i].Root && len(bs[i].Leaves) > 0 {
-			return false // S0 cannot be data-parallelized with other stages
-		}
-		if bs[i].Mode == mapping.Replicated {
-			bs[i].Mode = mapping.DataParallel
-		} else {
-			bs[i].Mode = mapping.Replicated
-		}
-	}
-	return true
-}
-
-// --- Fork-join --------------------------------------------------------------
-
-func forkJoinMutator(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) func(*rand.Rand, mapping.ForkJoinMapping) mapping.ForkJoinMapping {
+// forkJoinMutator returns the fork-join neighbourhood function. A fork
+// is a fork-join without a join (join false, Section 6.3): its mappings
+// set no Join flag and no move places one.
+func forkJoinMutator(pl platform.Platform, join, allowDP bool) func(*rand.Rand, mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 	return func(rng *rand.Rand, m0 mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 		m := m0.Clone()
 		for attempt := 0; attempt < 4; attempt++ {
-			if forkJoinMove(rng, &m, pl, allowDP) {
+			if forkJoinMove(rng, &m, pl, join, allowDP) {
 				break
 			}
 		}
@@ -365,7 +222,10 @@ func forkJoinDPLegal(b mapping.ForkJoinBlock) bool {
 	return true
 }
 
-func forkJoinMove(rng *rand.Rand, m *mapping.ForkJoinMapping, pl platform.Platform, allowDP bool) bool {
+// forkJoinMove applies one random move to m. Without a join it draws
+// among the eight other moves, in the same order, so a fork's moves and
+// RNG draws do not depend on the join's move.
+func forkJoinMove(rng *rand.Rand, m *mapping.ForkJoinMapping, pl platform.Platform, join, allowDP bool) bool {
 	bs := m.Blocks
 	used := make([][]int, len(bs))
 	for i := range bs {
@@ -382,7 +242,13 @@ func forkJoinMove(rng *rand.Rand, m *mapping.ForkJoinMapping, pl platform.Platfo
 			m.Blocks = append(bs[:i], bs[i+1:]...)
 		}
 	}
-	switch rng.Intn(9) {
+	var move int
+	if join {
+		move = rng.Intn(9)
+	} else if move = rng.Intn(8); move >= 1 {
+		move++ // skip relocating the join
+	}
+	switch move {
 	case 0: // move a leaf to another (or a new) block
 		var src []int
 		for i := range bs {

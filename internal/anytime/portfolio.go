@@ -16,11 +16,11 @@ import (
 )
 
 // Exact is the outcome of an exact portfolio member (Config.Exact):
-// either an optimal mapping of the instance's kind, or a proof that no
-// mapping satisfies the spec's bounds (Feasible == false).
+// either an optimal mapping of the instance's kind (a fork's is its
+// joinless fork-join mapping), or a proof that no mapping satisfies the
+// spec's bounds (Feasible == false).
 type Exact struct {
 	Pipeline *mapping.PipelineMapping
-	Fork     *mapping.ForkMapping
 	ForkJoin *mapping.ForkJoinMapping
 
 	Cost     mapping.Cost
@@ -63,10 +63,10 @@ func (c Config) normalized() Config {
 }
 
 // Result is the outcome of a portfolio run: the best mapping found (of
-// the instance's kind), its cost, and the certified quality statement.
+// the instance's kind; a fork's is joinless, see SolveForkJoin), its
+// cost, and the certified quality statement.
 type Result struct {
 	Pipeline *mapping.PipelineMapping
-	Fork     *mapping.ForkMapping
 	ForkJoin *mapping.ForkJoinMapping
 
 	Cost mapping.Cost
@@ -302,7 +302,7 @@ func SolvePipeline(ctx context.Context, p workflow.Pipeline, pl platform.Platfor
 		c, err := mapping.EvalPipeline(p, pl, m)
 		return c, err == nil
 	}
-	mutate := pipelineMutator(p, pl, spec.AllowDP)
+	mutate := pipelineMutator(pl, spec.AllowDP)
 	m, c, res, err := run(ctx, spec, cfg, lb, seeds, eval, mutate,
 		func(ex Exact) mapping.PipelineMapping { return *ex.Pipeline })
 	if err != nil || !res.Feasible {
@@ -312,36 +312,33 @@ func SolvePipeline(ctx context.Context, p workflow.Pipeline, pl platform.Platfor
 	return res, nil
 }
 
-// SolveFork runs the portfolio on a fork instance.
-func SolveFork(ctx context.Context, f workflow.Fork, pl platform.Platform, spec Spec, seeds []mapping.ForkMapping, cfg Config) (Result, error) {
-	lb := ForkJoinLB(workflow.ForkJoin{Root: f.Root, Weights: f.Weights}, pl, spec)
-	eval := func(m mapping.ForkMapping) (mapping.Cost, bool) {
-		c, err := mapping.EvalFork(f, pl, m)
-		return c, err == nil
-	}
-	mutate := forkMutator(f, pl, spec.AllowDP)
-	m, c, res, err := run(ctx, spec, cfg, lb, seeds, eval, mutate,
-		func(ex Exact) mapping.ForkMapping { return *ex.Fork })
-	if err != nil || !res.Feasible {
-		return res, err
-	}
-	res.Fork, res.Cost = &m, c
-	return res, nil
-}
-
-// SolveForkJoin runs the portfolio on a fork-join instance.
-func SolveForkJoin(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, spec Spec, seeds []mapping.ForkJoinMapping, cfg Config) (Result, error) {
-	lb := ForkJoinLB(fj, pl, spec)
-	eval := func(m mapping.ForkJoinMapping) (mapping.Cost, bool) {
-		c, err := mapping.EvalForkJoin(fj, pl, m)
-		return c, err == nil
-	}
-	mutate := forkJoinMutator(fj, pl, spec.AllowDP)
-	m, c, res, err := run(ctx, spec, cfg, lb, seeds, eval, mutate,
-		func(ex Exact) mapping.ForkJoinMapping { return *ex.ForkJoin })
+// SolveForkJoin runs the portfolio on a fork-join instance, or on a fork
+// as a fork-join without a join (join false, fj.Join 0): its seeds and
+// result set no Join flag.
+func SolveForkJoin(ctx context.Context, fj workflow.ForkJoin, join bool, pl platform.Platform, spec Spec, seeds []mapping.ForkJoinMapping, cfg Config) (Result, error) {
+	m, c, res, err := run(ctx, spec, cfg, ForkJoinLB(fj, pl, spec), seeds, forkJoinEval(fj, join, pl),
+		forkJoinMutator(pl, join, spec.AllowDP), func(ex Exact) mapping.ForkJoinMapping { return *ex.ForkJoin })
 	if err != nil || !res.Feasible {
 		return res, err
 	}
 	res.ForkJoin, res.Cost = &m, c
 	return res, nil
+}
+
+// forkJoinEval returns the cost of a fork-join candidate. Without a join
+// it is the fork's cost, EvalFork's on m.Fork(): EvalForkJoin sums a
+// root block's weights in another order, which may differ in the last
+// bit.
+func forkJoinEval(fj workflow.ForkJoin, join bool, pl platform.Platform) func(mapping.ForkJoinMapping) (mapping.Cost, bool) {
+	if !join {
+		f := workflow.Fork{Root: fj.Root, Weights: fj.Weights}
+		return func(m mapping.ForkJoinMapping) (mapping.Cost, bool) {
+			c, err := mapping.EvalFork(f, pl, m.Fork())
+			return c, err == nil
+		}
+	}
+	return func(m mapping.ForkJoinMapping) (mapping.Cost, bool) {
+		c, err := mapping.EvalForkJoin(fj, pl, m)
+		return c, err == nil
+	}
 }

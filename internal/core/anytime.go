@@ -53,15 +53,19 @@ func anytimeSeedBase(pr Problem) int64 {
 // solveAnytime is the Anytime capability of the kinds with a portfolio:
 // the kind's heuristic seeds and annealers race its exact solver, built
 // inside the limits, until the budget or the caller's deadline expires.
+// A fork runs as a fork-join without a join: its exact answer goes in
+// joinless and the portfolio's answer comes back as a fork mapping.
 func (k *hardKind) solveAnytime(ctx context.Context, pr Problem, opts Options) (Solution, error) {
 	cfg := anytime.Config{Seed: anytimeSeedBase(pr)}
 	if k.inLimits(pr, opts) {
 		cfg.Exact = func(ctx context.Context) (anytime.Exact, error) {
 			sol, ok, err := k.exactOnce(ctx, pr)
-			return anytime.Exact{
-				Pipeline: sol.PipelineMapping, Fork: sol.ForkMapping, ForkJoin: sol.ForkJoinMapping,
-				Cost: sol.Cost, Feasible: ok,
-			}, err
+			ex := anytime.Exact{Pipeline: sol.PipelineMapping, ForkJoin: sol.ForkJoinMapping, Cost: sol.Cost, Feasible: ok}
+			if sol.ForkMapping != nil {
+				fj := sol.ForkMapping.ForkJoin()
+				ex.ForkJoin = &fj
+			}
+			return ex, err
 		}
 	}
 	bctx, cancel := context.WithTimeout(ctx, opts.AnytimeBudget)
@@ -77,10 +81,15 @@ func (k *hardKind) solveAnytime(ctx context.Context, pr Problem, opts Options) (
 	if cerr := ctx.Err(); cerr != nil && (errors.Is(cerr, context.Canceled) || !res.Feasible && !res.Optimal) {
 		return Solution{}, cerr
 	}
-	return Solution{
-		PipelineMapping: res.Pipeline, ForkMapping: res.Fork, ForkJoinMapping: res.ForkJoin,
+	sol := Solution{
+		PipelineMapping: res.Pipeline, ForkJoinMapping: res.ForkJoin,
 		Cost: res.Cost, Method: MethodAnytime, Exact: res.Optimal, Feasible: res.Feasible,
 		Classification: classificationOf(pr), Anytime: true,
 		Gap: res.Gap, LowerBound: res.LowerBound, Iterations: res.Iterations,
-	}, nil
+	}
+	if pr.Fork != nil && res.ForkJoin != nil {
+		m := res.ForkJoin.Fork()
+		sol.ForkMapping, sol.ForkJoinMapping = &m, nil
+	}
+	return sol, nil
 }

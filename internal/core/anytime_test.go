@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repliflow/internal/mapping"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -212,5 +213,52 @@ func TestAnytimeInfeasibleBoundVerdict(t *testing.T) {
 	}
 	if !sol.Anytime {
 		t.Error("infeasible verdict not marked anytime")
+	}
+}
+
+// TestAnytimeForkAnswersAsFork: the portfolio runs a fork as a fork-join
+// without a join, but a budgeted fork solve answers with a fork mapping
+// and no fork-join one, costed bit for bit as EvalFork costs it. The
+// weights and speeds are fractional, so a cost summed in another order
+// would show. Oversized forks answer from the annealers, small ones
+// from the exact member.
+func TestAnytimeForkAnswersAsFork(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	frac := func(n int, lo, hi float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = lo + (hi-lo)*rng.Float64()
+		}
+		return v
+	}
+	objs := []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency}
+	for trial := 0; trial < 16; trial++ {
+		n, p := 1+rng.Intn(3), 2+rng.Intn(2)
+		if trial%2 == 0 {
+			n, p = 8+rng.Intn(5), 8+rng.Intn(4)
+		}
+		f := workflow.Fork{Root: 0.5 + 9*rng.Float64(), Weights: frac(n, 0.5, 9.5)}
+		pr := Problem{Fork: &f, Platform: platform.Platform{Speeds: frac(p, 0.5, 5)},
+			AllowDataParallel: trial%4 < 2, Objective: objs[trial%4]}
+		if pr.Objective.Bounded() {
+			pr.Bound = 1000
+		}
+		sol, err := Solve(pr, Options{AnytimeBudget: 20 * time.Millisecond})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !sol.Anytime || !sol.Feasible {
+			t.Fatalf("trial %d: anytime=%v feasible=%v, want a feasible anytime answer", trial, sol.Anytime, sol.Feasible)
+		}
+		if sol.ForkMapping == nil || sol.ForkJoinMapping != nil {
+			t.Fatalf("trial %d: fork mapping %v, fork-join mapping %v: want a fork mapping only", trial, sol.ForkMapping, sol.ForkJoinMapping)
+		}
+		got, err := mapping.EvalFork(f, pr.Platform, *sol.ForkMapping)
+		if err != nil {
+			t.Fatalf("trial %d: invalid fork mapping %v: %v", trial, *sol.ForkMapping, err)
+		}
+		if got != sol.Cost {
+			t.Errorf("trial %d: reported cost %v, EvalFork %v", trial, sol.Cost, got)
+		}
 	}
 }

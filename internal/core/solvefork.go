@@ -232,9 +232,15 @@ var forkKind = hardKind{
 	heuristic: perObjective(forkHeuristicCandidates, func(m *mapping.ForkMapping, c mapping.Cost) Solution {
 		return Solution{ForkMapping: m, Cost: c}
 	}),
+	// The portfolio runs a fork as a fork-join without a join.
 	portfolio: func(ctx context.Context, pr Problem, cfg anytime.Config) (anytime.Result, error) {
-		seeds, _ := forkHeuristicCandidates(pr)
-		return anytime.SolveFork(ctx, *pr.Fork, pr.Platform, anytimeSpec(pr), seeds, cfg)
+		maps, _ := forkHeuristicCandidates(pr)
+		seeds := make([]mapping.ForkJoinMapping, len(maps))
+		for i, m := range maps {
+			seeds[i] = m.ForkJoin()
+		}
+		fj := workflow.ForkJoin{Root: pr.Fork.Root, Weights: pr.Fork.Weights}
+		return anytime.SolveForkJoin(ctx, fj, false, pr.Platform, anytimeSpec(pr), seeds, cfg)
 	},
 }
 
@@ -301,7 +307,7 @@ var forkJoinKind = hardKind{
 	}),
 	portfolio: func(ctx context.Context, pr Problem, cfg anytime.Config) (anytime.Result, error) {
 		seeds, _ := forkJoinHeuristicCandidates(pr)
-		return anytime.SolveForkJoin(ctx, *pr.ForkJoin, pr.Platform, anytimeSpec(pr), seeds, cfg)
+		return anytime.SolveForkJoin(ctx, *pr.ForkJoin, true, pr.Platform, anytimeSpec(pr), seeds, cfg)
 	},
 }
 

@@ -38,6 +38,21 @@ func (m ForkMapping) Clone() ForkMapping {
 	return out
 }
 
+// ForkJoin returns m as the mapping of the fork's fork-join without a
+// join, the inverse of ForkJoinMapping.Fork: m's blocks with no Join
+// flag set. The blocks share m's leaf and processor lists, and a nil
+// block list stays nil.
+func (m ForkMapping) ForkJoin() ForkJoinMapping {
+	if m.Blocks == nil {
+		return ForkJoinMapping{}
+	}
+	out := ForkJoinMapping{Blocks: make([]ForkJoinBlock, len(m.Blocks))}
+	for i, b := range m.Blocks {
+		out.Blocks[i] = ForkJoinBlock{Root: b.Root, Leaves: b.Leaves, Assignment: b.Assignment}
+	}
+	return out
+}
+
 // NewForkBlock is a convenience constructor.
 func NewForkBlock(root bool, leaves []int, mode Mode, procs ...int) ForkBlock {
 	return ForkBlock{Root: root, Leaves: leaves, Assignment: Assignment{Procs: procs, Mode: mode}}

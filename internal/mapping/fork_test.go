@@ -211,3 +211,25 @@ func TestForkMappingString(t *testing.T) {
 		t.Errorf("UsedProcessors = %d", m.UsedProcessors())
 	}
 }
+
+// TestForkMappingForkJoinRoundTrip: a fork mapping as the mapping of its
+// fork-join without a join sets no Join flag and comes back unchanged
+// through ForkJoinMapping.Fork; a nil block list stays nil.
+func TestForkMappingForkJoinRoundTrip(t *testing.T) {
+	m := ForkMapping{Blocks: []ForkBlock{
+		NewForkBlock(true, []int{1}, Replicated, 0, 2),
+		NewForkBlock(false, []int{0, 2}, DataParallel, 1),
+	}}
+	fj := m.ForkJoin()
+	for _, b := range fj.Blocks {
+		if b.Join {
+			t.Fatalf("%v places a join", fj)
+		}
+	}
+	if back := fj.Fork(); back.String() != m.String() {
+		t.Errorf("round trip %v, want %v", back, m)
+	}
+	if (ForkMapping{}).ForkJoin().Blocks != nil {
+		t.Error("a nil block list became non-nil")
+	}
+}
