@@ -179,6 +179,38 @@ func TestParallelPipelineSweepIdentity(t *testing.T) {
 	}
 }
 
+// TestPipelinePeriodSolveSkipsSweep: a period solve takes the recursion
+// at every worker count, since its PeriodLB cut skips states the level
+// sweep would fill, so it marks exactly the states a serial solve marks;
+// a latency solve at 2 workers still sweeps, and marks more.
+func TestPipelinePeriodSolveSkipsSweep(t *testing.T) {
+	p := workflow.NewPipeline(14, 4, 2, 4, 7, 5, 3, 9)
+	pl := platform.New(50, 40, 30, 31, 20, 21, 10, 11)
+	ctx := context.Background()
+	filled := func(par int, solve func(pp *PipelinePrepared) (PipelineResult, bool, error)) int {
+		pp := NewPipelinePrepared(p, pl, true)
+		pp.SetParallelism(par)
+		if _, _, err := solve(pp); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, e := range pp.s.visited {
+			if e == pp.s.epoch {
+				n++
+			}
+		}
+		return n
+	}
+	period := func(pp *PipelinePrepared) (PipelineResult, bool, error) { return pp.Period(ctx) }
+	latency := func(pp *PipelinePrepared) (PipelineResult, bool, error) { return pp.Latency(ctx) }
+	if serial, par := filled(1, period), filled(2, period); par != serial {
+		t.Errorf("period solve at 2 workers filled %d states, the serial one %d", par, serial)
+	}
+	if serial, par := filled(1, latency), filled(2, latency); par <= serial {
+		t.Errorf("latency solve at 2 workers filled %d states, the serial one %d: want the sweep", par, serial)
+	}
+}
+
 // TestParallelScanCancellationPrompt: cancelling the context of a
 // partitioned scan must stop every shard worker promptly — the solve on
 // an instance whose full scan takes seconds returns with ctx.Err() in a

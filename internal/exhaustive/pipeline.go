@@ -59,8 +59,8 @@ type pipeSolver struct {
 	// relabels) when false (the regression tests compare pruned against
 	// unpruned searches byte for byte).
 	prune bool
-	// par is the worker count of the level sweep; <= 1 keeps the
-	// top-down recursion (see solveParallel for the contract).
+	// par is the worker count of the level sweep of latency solves; <= 1
+	// keeps the top-down recursion (see solveParallel for the contract).
 	par int
 	// masks lists the used-processor masks the level sweep fills, built
 	// on its first run (see levelMasks).
@@ -266,7 +266,8 @@ const sweepChunk = 32
 // computes every mask levelMasks lists, including states the recursion
 // never reaches; that extra work is why small instances stay serial
 // (core's auto mode applies a crossover heuristic before enabling the
-// sweep).
+// sweep), and why period solves always do: the recursion's PeriodLB cut
+// skips most of the states the sweep fills.
 func (s *pipeSolver) solveParallel() float64 {
 	ctx := s.step.ctx
 	masks := s.levelMasks()
@@ -542,7 +543,7 @@ func (s *pipeSolver) result() (PipelineResult, bool, error) {
 	switch {
 	case s.listed != nil && !s.minimizePeriod:
 		v = s.walk()
-	case s.par > 1 && s.n > 0:
+	case s.par > 1 && s.n > 0 && !s.minimizePeriod:
 		dpSolves.Add(1)
 		v = s.solveParallel()
 	default:
@@ -596,8 +597,8 @@ func NewPipelinePrepared(p workflow.Pipeline, pl platform.Platform, allowDP bool
 }
 
 // SetParallelism sets the worker count of subsequent solves: counts
-// above 1 select the level-synchronous parallel DP sweep, anything else
-// the serial recursion. Results are byte-identical either way (see
+// above 1 select the level-synchronous parallel DP sweep for the latency
+// solves, anything else the serial recursion. Results are byte-identical either way (see
 // solveParallel). The prepared solver itself remains single-owner:
 // parallelism fans out inside one solve, it does not make the solver
 // safe for concurrent use.
