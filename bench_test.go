@@ -26,6 +26,7 @@ import (
 	"testing"
 	"time"
 
+	"repliflow/internal/anytime"
 	"repliflow/internal/chains"
 	"repliflow/internal/core"
 	"repliflow/internal/engine"
@@ -674,19 +675,18 @@ func BenchmarkEngineParetoFront(b *testing.B) {
 
 // BenchmarkSolveSingleLarge measures ONE big NP-hard exhaustive solve —
 // not a batch — serial versus the intra-solve partitioned search
-// (Options.Parallelism), on a 7-leaf fork over a heterogeneous
-// 4-processor platform (the fork scan shards the exact serial workload,
-// so the speedup tracks core count; the pipeline DP's full-table sweep
-// does not). Parallel/-cpu N runs N workers sharing the atomic
-// incumbent bound; at -cpu 1 both sub-benchmarks are the serial path
-// (searchParallelism resolves -1 to one worker), so the bare-name
-// baseline stays a GOMAXPROCS=1 measurement. The mapping is asserted
-// byte-identical between the two paths — the determinism contract the
-// parallel search is built around.
+// (Options.Parallelism), on an 8-leaf fork over a heterogeneous
+// 6-processor platform under min-latency (the fork scan shards the exact
+// serial workload, so the speedup tracks core count). Parallel/-cpu N
+// runs N workers sharing the atomic incumbent bound; at -cpu 1 both
+// sub-benchmarks are the serial path (searchParallelism resolves -1 to
+// one worker), so the bare-name baseline stays a GOMAXPROCS=1
+// measurement. The mapping is asserted byte-identical between the two
+// paths — the determinism contract the parallel search is built around.
 func BenchmarkSolveSingleLarge(b *testing.B) {
-	f := workflow.NewFork(5, 7, 3, 9, 4, 6, 2, 8)
-	pl := platform.New(5, 4, 3, 2)
-	pr := core.Problem{Fork: &f, Platform: pl, AllowDataParallel: true, Objective: core.MinPeriod}
+	f := workflow.NewFork(5, 7, 3, 9, 4, 6, 2, 8, 5)
+	pl := platform.New(5, 4, 3, 2, 6, 1)
+	pr := core.Problem{Fork: &f, Platform: pl, AllowDataParallel: true, Objective: core.MinLatency}
 	opts := core.Options{MaxExhaustiveForkStages: 9, MaxExhaustiveForkProcs: pl.Processors()}
 
 	var serial, parallel core.Solution
@@ -768,7 +768,7 @@ func BenchmarkSolveSP(b *testing.B) {
 	})
 }
 
-// irreducibleSP returns the fixed 8-step layered DAG with crossing
+// irreducibleSP returns the fixed 9-step layered DAG with crossing
 // dependencies used by the SP parallelism benchmarks. The crossings (d
 // depends on both a and b, which have disjoint other successors) defeat
 // the series/parallel reduction, so core.Solve must run the monolithic
@@ -783,6 +783,7 @@ func irreducibleSP(b *testing.B) workflow.SP {
 		workflow.SPStep{Name: "f", Weight: 6, After: workflow.After("c", "d")},
 		workflow.SPStep{Name: "g", Weight: 2, After: workflow.After("d", "e")},
 		workflow.SPStep{Name: "h", Weight: 8, After: workflow.After("f", "g")},
+		workflow.SPStep{Name: "i", Weight: 5, After: workflow.After("h")},
 	)
 	if _, ok := spdecomp.Reduce(g); ok {
 		b.Fatal("benchmark fixture reduced to a legacy kind; the SP block search would be bypassed")
@@ -799,7 +800,7 @@ func irreducibleSP(b *testing.B) workflow.SP {
 // the determinism contract of the sharded scan.
 func BenchmarkSolveSPParallel(b *testing.B) {
 	g := irreducibleSP(b)
-	pl := platform.New(5, 4, 3, 2)
+	pl := platform.New(5, 4, 3, 2, 6, 1)
 	pr := core.Problem{SP: &g, Platform: pl, Objective: core.MinPeriod}
 	opts := core.Options{MaxExhaustiveForkStages: 9, MaxExhaustiveForkProcs: pl.Processors()}
 
@@ -830,6 +831,43 @@ func BenchmarkSolveSPParallel(b *testing.B) {
 		!reflect.DeepEqual(serial, parallel) {
 		b.Fatal("parallel SP solve diverges from serial solve")
 	}
+}
+
+// BenchmarkPortfolio times one anytime portfolio member, the greedy
+// hill-climber, for a fixed number of moves on a 10-processor instance
+// of each NP-hard kind under min-period with data-parallelism: with a
+// stall window longer than the run and no exact member, every op
+// evaluates the same candidates. A fork runs as a fork-join without a
+// join.
+func BenchmarkPortfolio(b *testing.B) {
+	cfg := anytime.Config{Workers: 1, Seed: 1, MaxIterations: 5000, StallIterations: 1 << 30}
+	spec := anytime.Spec{MinimizePeriod: true, AllowDP: true}
+	pl := platform.New(5, 4, 3, 2, 6, 1, 5, 3, 2, 4)
+	p := workflow.NewPipeline(14, 4, 2, 4, 7, 5, 3, 9, 6, 8, 2, 11)
+	f := workflow.NewFork(5, 7, 3, 9, 4, 6, 2, 8, 5, 3, 7)
+	joinless := workflow.ForkJoin{Root: f.Root, Weights: f.Weights}
+	fj := workflow.ForkJoin{Root: f.Root, Weights: f.Weights, Join: 4}
+	bench := func(name string, solve func(context.Context) (anytime.Result, error)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := solve(context.Background())
+				if err != nil || !res.Feasible || res.Iterations != cfg.MaxIterations {
+					b.Fatalf("bad run: %+v (err=%v)", res, err)
+				}
+			}
+		})
+	}
+	bench("Pipeline", func(ctx context.Context) (anytime.Result, error) {
+		return anytime.SolvePipeline(ctx, p, pl, spec, []mapping.PipelineMapping{mapping.ReplicateAllPipeline(p, pl)}, cfg)
+	})
+	bench("Fork", func(ctx context.Context) (anytime.Result, error) {
+		seeds := []mapping.ForkJoinMapping{mapping.ReplicateAllFork(f, pl).ForkJoin()}
+		return anytime.SolveForkJoin(ctx, joinless, false, pl, spec, seeds, cfg)
+	})
+	bench("ForkJoin", func(ctx context.Context) (anytime.Result, error) {
+		return anytime.SolveForkJoin(ctx, fj, true, pl, spec, []mapping.ForkJoinMapping{mapping.ReplicateAllForkJoin(fj, pl)}, cfg)
+	})
 }
 
 // BenchmarkCommPipelinePareto sweeps the full trade-off front of a
