@@ -109,7 +109,9 @@ func TestPreparedCommSolveAllocs(t *testing.T) {
 // kernel that allocated a per-bound result memo on every solve; the
 // oversized ceilings are the counts measured before the one-shot path
 // went through preparation, plus a small margin. want holds min-period,
-// then min-latency.
+// then min-latency. The poly rows pin the polynomial fork and fork-join
+// cells (Theorems 10, 11 and 14) at their measured counts: a fork's
+// answer is converted to a fork mapping once, and no more.
 func TestOneShotHardSolveAllocs(t *testing.T) {
 	sp := workflow.NewSP(
 		workflow.SPStep{Name: "a", Weight: 3},
@@ -121,26 +123,36 @@ func TestOneShotHardSolveAllocs(t *testing.T) {
 	pipe := workflow.NewPipeline(4, 2, 7, 3, 5)
 	fork := workflow.NewFork(2, 3, 5, 7, 4)
 	fj := workflow.NewForkJoin(2, 3, 5, 7, 4)
+	homFork := workflow.NewFork(2, 3, 3, 3, 3)
+	homFJ := workflow.NewForkJoin(2, 4, 3, 3, 3, 3)
 	cp := fullmodel.NewPipeline([]float64{3, 1, 2, 2}, []float64{1, 2, 1, 0, 1})
 	cf := fullmodel.Fork{Root: 2, In: 1, Out0: 1, Weights: []float64{4, 2, 3}, Outs: []float64{1, 0, 2}}
 	bw := &fullmodel.Bandwidth{Uniform: 2}
 	small, big := platform.New(3, 2, 2, 1), platform.New(3, 2, 2, 1, 1, 2, 3)
+	hom := platform.Homogeneous(4, 2)
 	cases := []struct {
 		name string
 		pr   Problem
 		want [2]float64
+		poly bool
 	}{
-		{"pipeline", Problem{Pipeline: &pipe, Platform: small, AllowDataParallel: true}, [2]float64{19, 16}},
-		{"fork", Problem{Fork: &fork, Platform: small}, [2]float64{39, 59}},
-		{"fork/oversized", Problem{Fork: &fork, Platform: big}, [2]float64{433, 433}},
-		{"fork-join", Problem{ForkJoin: &fj, Platform: small}, [2]float64{37, 61}},
-		{"fork-join/oversized", Problem{ForkJoin: &fj, Platform: big}, [2]float64{67, 67}},
-		{"sp", Problem{SP: &sp, Platform: small}, [2]float64{117, 110}},
-		{"sp/oversized", Problem{SP: &sp, Platform: big}, [2]float64{200, 200}},
-		{"comm-pipeline", Problem{CommPipeline: &cp, Bandwidth: bw, Platform: small}, [2]float64{23, 33}},
-		{"comm-pipeline/oversized", Problem{CommPipeline: &cp, Bandwidth: bw, Platform: big}, [2]float64{54, 54}},
-		{"comm-fork", Problem{CommFork: &cf, Bandwidth: bw, Platform: small}, [2]float64{37, 28}},
-		{"comm-fork/oversized", Problem{CommFork: &cf, Bandwidth: bw, Platform: big}, [2]float64{56, 56}},
+		{"fork/theorems-10-11", Problem{Fork: &homFork, Platform: hom}, [2]float64{6, 146}, true},
+		{"fork/theorems-10-11/dp", Problem{Fork: &homFork, Platform: hom, AllowDataParallel: true}, [2]float64{6, 112}, true},
+		{"fork/theorem-14", Problem{Fork: &homFork, Platform: small}, [2]float64{40, 47}, true},
+		{"fork-join/theorems-10-11", Problem{ForkJoin: &homFJ, Platform: hom}, [2]float64{10, 588}, true},
+		{"fork-join/theorems-10-11/dp", Problem{ForkJoin: &homFJ, Platform: hom, AllowDataParallel: true}, [2]float64{10, 586}, true},
+		{"fork-join/theorem-14", Problem{ForkJoin: &homFJ, Platform: small}, [2]float64{66, 72}, true},
+		{"pipeline", Problem{Pipeline: &pipe, Platform: small, AllowDataParallel: true}, [2]float64{19, 16}, false},
+		{"fork", Problem{Fork: &fork, Platform: small}, [2]float64{39, 59}, false},
+		{"fork/oversized", Problem{Fork: &fork, Platform: big}, [2]float64{433, 433}, false},
+		{"fork-join", Problem{ForkJoin: &fj, Platform: small}, [2]float64{37, 61}, false},
+		{"fork-join/oversized", Problem{ForkJoin: &fj, Platform: big}, [2]float64{67, 67}, false},
+		{"sp", Problem{SP: &sp, Platform: small}, [2]float64{117, 110}, false},
+		{"sp/oversized", Problem{SP: &sp, Platform: big}, [2]float64{200, 200}, false},
+		{"comm-pipeline", Problem{CommPipeline: &cp, Bandwidth: bw, Platform: small}, [2]float64{23, 33}, false},
+		{"comm-pipeline/oversized", Problem{CommPipeline: &cp, Bandwidth: bw, Platform: big}, [2]float64{54, 54}, false},
+		{"comm-fork", Problem{CommFork: &cf, Bandwidth: bw, Platform: small}, [2]float64{37, 28}, false},
+		{"comm-fork/oversized", Problem{CommFork: &cf, Bandwidth: bw, Platform: big}, [2]float64{56, 56}, false},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
@@ -151,8 +163,8 @@ func TestOneShotHardSolveAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if classificationOf(pr).Complexity.Polynomial() || sol.Exact != ExactlySolvable(pr, Options{}) {
-				t.Fatalf("%s %v: fixture not on the intended NP-hard path (%v, exact %v)", tc.name, obj, sol.Method, sol.Exact)
+			if classificationOf(pr).Complexity.Polynomial() != tc.poly || sol.Exact != ExactlySolvable(pr, Options{}) {
+				t.Fatalf("%s %v: fixture not on the intended path (%v, exact %v)", tc.name, obj, sol.Method, sol.Exact)
 			}
 			allocs := testing.AllocsPerRun(50, func() {
 				if _, err := SolveContext(ctx, pr, Options{}); err != nil {
