@@ -20,9 +20,13 @@ package repliflow_test
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,7 +180,7 @@ func BenchmarkForkJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fj := workflow.HomogeneousForkJoin(float64(1+rng.Intn(9)), float64(1+rng.Intn(9)), rng.Intn(3), float64(1+rng.Intn(9)))
 		pl := platform.Random(rng, 1+rng.Intn(3), 4)
-		res, err := forkalgo.HetHomForkJoinLatencyNoDP(fj, pl)
+		res, _, err := forkalgo.Theorem14(fj, true, pl, false, numeric.Inf)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -432,9 +436,10 @@ func BenchmarkTheorem14(b *testing.B) {
 		pl := platform.Random(rng, size.p, 9)
 		b.Run(fmt.Sprintf("n%d_p%d", size.n, size.p), func(b *testing.B) {
 			f := workflow.HomogeneousFork(5, size.n, 3)
+			joinless := workflow.ForkJoin{Root: f.Root, Weights: f.Weights}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := forkalgo.HetHomForkLatencyNoDP(f, pl); err != nil {
+				if _, _, err := forkalgo.Theorem14(joinless, false, pl, false, numeric.Inf); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -443,7 +448,7 @@ func BenchmarkTheorem14(b *testing.B) {
 			fj := workflow.HomogeneousForkJoin(5, 4, size.n, 3)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := forkalgo.HetHomForkJoinLatencyNoDP(fj, pl); err != nil {
+				if _, _, err := forkalgo.Theorem14(fj, true, pl, false, numeric.Inf); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -679,9 +684,9 @@ func BenchmarkEngineParetoFront(b *testing.B) {
 // 6-processor platform under min-latency (the fork scan shards the exact
 // serial workload, so the speedup tracks core count). Parallel/-cpu N
 // runs N workers sharing the atomic incumbent bound; at -cpu 1 both
-// sub-benchmarks are the serial path (searchParallelism resolves -1 to
-// one worker), so the bare-name baseline stays a GOMAXPROCS=1
-// measurement. The mapping is asserted byte-identical between the two
+// sub-benchmarks are the serial path (cpuLine gives every run of the
+// line one worker, its first included), so the bare-name baseline stays
+// a GOMAXPROCS=1 measurement. The mapping is asserted byte-identical between the two
 // paths — the determinism contract the parallel search is built around.
 func BenchmarkSolveSingleLarge(b *testing.B) {
 	f := workflow.NewFork(5, 7, 3, 9, 4, 6, 2, 8, 5)
@@ -700,9 +705,10 @@ func BenchmarkSolveSingleLarge(b *testing.B) {
 			serial = sol
 		}
 	})
+	lineCPUs := cpuLine()
 	b.Run("Parallel", func(b *testing.B) {
 		popts := opts
-		popts.Parallelism = -1 // all CPUs of this -cpu run
+		popts.Parallelism = lineCPUs()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sol, err := core.Solve(pr, popts)
@@ -715,6 +721,30 @@ func BenchmarkSolveSingleLarge(b *testing.B) {
 	if serial.ForkMapping != nil && parallel.ForkMapping != nil &&
 		!reflect.DeepEqual(serial, parallel) {
 		b.Fatal("parallel solve diverges from serial solve")
+	}
+}
+
+// cpuLine returns the Options.Parallelism of each run of one
+// sub-benchmark: all CPUs of the -cpu line the run measures. The testing
+// package runs a sub-benchmark once before it sets GOMAXPROCS to the first
+// -cpu value, and at -benchtime 1x that run is the first line's
+// measurement; so the first run takes the first -cpu value, and every
+// later run the GOMAXPROCS its line set.
+func cpuLine() func() int {
+	first := true
+	return func() int {
+		cpus := runtime.GOMAXPROCS(0)
+		if first {
+			first = false
+			list, _, _ := strings.Cut(flag.Lookup("test.cpu").Value.String(), ",")
+			if n, err := strconv.Atoi(strings.TrimSpace(list)); err == nil {
+				cpus = n
+			}
+		}
+		if cpus < 2 {
+			return 1
+		}
+		return -cpus
 	}
 }
 
@@ -794,9 +824,9 @@ func irreducibleSP(b *testing.B) workflow.SP {
 // BenchmarkSolveSPParallel measures ONE irreducible SP block enumeration
 // — serial versus the sharded parallel search (Options.Parallelism) —
 // mirroring BenchmarkSolveSingleLarge for the SP kind. At -cpu 1 both
-// sub-benchmarks are the serial path (searchParallelism resolves -1 to
-// one worker); at -cpu 4 the Parallel sub runs four workers sharing the
-// atomic incumbent bound. The solutions are asserted byte-identical —
+// sub-benchmarks are the serial path (cpuLine gives every run of the
+// line one worker); at -cpu 4 the Parallel sub runs four workers sharing
+// the atomic incumbent bound. The solutions are asserted byte-identical —
 // the determinism contract of the sharded scan.
 func BenchmarkSolveSPParallel(b *testing.B) {
 	g := irreducibleSP(b)
@@ -815,9 +845,10 @@ func BenchmarkSolveSPParallel(b *testing.B) {
 			serial = sol
 		}
 	})
+	lineCPUs := cpuLine()
 	b.Run("Parallel", func(b *testing.B) {
 		popts := opts
-		popts.Parallelism = -1 // all CPUs of this -cpu run
+		popts.Parallelism = lineCPUs()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sol, err := core.Solve(pr, popts)

@@ -326,19 +326,10 @@ func SolveForkJoin(ctx context.Context, fj workflow.ForkJoin, join bool, pl plat
 }
 
 // forkJoinEval returns the cost of a fork-join candidate. Without a join
-// it is the fork's cost, EvalFork's on m.Fork(): EvalForkJoin sums a
-// root block's weights in another order, which may differ in the last
-// bit.
+// it is the fork's cost, EvalFork's on m.Fork() (see EvalForkGraph).
 func forkJoinEval(fj workflow.ForkJoin, join bool, pl platform.Platform) func(mapping.ForkJoinMapping) (mapping.Cost, bool) {
-	if !join {
-		f := workflow.Fork{Root: fj.Root, Weights: fj.Weights}
-		return func(m mapping.ForkJoinMapping) (mapping.Cost, bool) {
-			c, err := mapping.EvalFork(f, pl, m.Fork())
-			return c, err == nil
-		}
-	}
 	return func(m mapping.ForkJoinMapping) (mapping.Cost, bool) {
-		c, err := mapping.EvalForkJoin(fj, pl, m)
+		c, err := mapping.EvalForkGraph(fj, join, pl, m)
 		return c, err == nil
 	}
 }

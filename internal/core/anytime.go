@@ -53,19 +53,13 @@ func anytimeSeedBase(pr Problem) int64 {
 // solveAnytime is the Anytime capability of the kinds with a portfolio:
 // the kind's heuristic seeds and annealers race its exact solver, built
 // inside the limits, until the budget or the caller's deadline expires.
-// A fork runs as a fork-join without a join: its exact answer goes in
-// joinless and the portfolio's answer comes back as a fork mapping.
+// Answers cross the portfolio in the kind's own terms (hardKind.solution).
 func (k *hardKind) solveAnytime(ctx context.Context, pr Problem, opts Options) (Solution, error) {
 	cfg := anytime.Config{Seed: anytimeSeedBase(pr)}
 	if k.inLimits(pr, opts) {
 		cfg.Exact = func(ctx context.Context) (anytime.Exact, error) {
 			sol, ok, err := k.exactOnce(ctx, pr)
-			ex := anytime.Exact{Pipeline: sol.PipelineMapping, ForkJoin: sol.ForkJoinMapping, Cost: sol.Cost, Feasible: ok}
-			if sol.ForkMapping != nil {
-				fj := sol.ForkMapping.ForkJoin()
-				ex.ForkJoin = &fj
-			}
-			return ex, err
+			return anytime.Exact{Pipeline: sol.PipelineMapping, ForkJoin: sol.ForkJoinMapping, Cost: sol.Cost, Feasible: ok}, err
 		}
 	}
 	bctx, cancel := context.WithTimeout(ctx, opts.AnytimeBudget)
@@ -81,15 +75,8 @@ func (k *hardKind) solveAnytime(ctx context.Context, pr Problem, opts Options) (
 	if cerr := ctx.Err(); cerr != nil && (errors.Is(cerr, context.Canceled) || !res.Feasible && !res.Optimal) {
 		return Solution{}, cerr
 	}
-	sol := Solution{
-		PipelineMapping: res.Pipeline, ForkJoinMapping: res.ForkJoin,
-		Cost: res.Cost, Method: MethodAnytime, Exact: res.Optimal, Feasible: res.Feasible,
-		Classification: classificationOf(pr), Anytime: true,
-		Gap: res.Gap, LowerBound: res.LowerBound, Iterations: res.Iterations,
-	}
-	if pr.Fork != nil && res.ForkJoin != nil {
-		m := res.ForkJoin.Fork()
-		sol.ForkMapping, sol.ForkJoinMapping = &m, nil
-	}
+	sol := k.answer(pr, Solution{PipelineMapping: res.Pipeline, ForkJoinMapping: res.ForkJoin, Cost: res.Cost}, res.Feasible)
+	sol.Method, sol.Exact, sol.Feasible, sol.Classification = MethodAnytime, res.Optimal, res.Feasible, classificationOf(pr)
+	sol.Anytime, sol.Gap, sol.LowerBound, sol.Iterations = true, res.Gap, res.LowerBound, res.Iterations
 	return sol, nil
 }

@@ -45,8 +45,8 @@ type Classification struct {
 	Source string
 }
 
-// Classify returns the Table 1 cell of the problem. Fork-join graphs
-// classify exactly as forks (Section 6.3).
+// Classify returns the Table 1 cell of the problem. Forks and fork-joins
+// share one column: a fork is a fork-join without a join (Section 6.3).
 func Classify(pr Problem) (Classification, error) {
 	if err := pr.Validate(); err != nil {
 		return Classification{}, err

@@ -41,6 +41,19 @@ type hardKind struct {
 	// portfolio runs the anytime portfolio on the kind's heuristic seeds
 	// under cfg. Nil when the kind has no portfolio.
 	portfolio func(ctx context.Context, pr Problem, cfg anytime.Config) (anytime.Result, error)
+	// solution turns a feasible answer of exact, heuristic or portfolio,
+	// all in the kind's own terms (the portfolio's), into pr's Solution.
+	// Nil when the two agree.
+	solution func(pr Problem, sol Solution) Solution
+}
+
+// answer is pr's Solution of an answer sol of the kind's search, and ok
+// whether it is feasible.
+func (k *hardKind) answer(pr Problem, sol Solution, ok bool) Solution {
+	if ok && k.solution != nil {
+		return k.solution(pr, sol)
+	}
+	return sol
 }
 
 // latencies is the front of an exact solver with a front pass: the
@@ -85,10 +98,10 @@ func (k *hardKind) cell(pr Problem, opts Options, shared bool) (hardCell, error)
 func (c hardCell) run(ctx context.Context, pr Problem) (Solution, error) {
 	if c.solver == nil {
 		sol, ok, err := c.heur(ctx, pr)
-		return stamp(sol, ok, err, MethodHeuristic, false, classificationOf(pr))
+		return stamp(c.kind.answer(pr, sol, ok), ok, err, MethodHeuristic, false, classificationOf(pr))
 	}
 	sol, ok, err := c.kind.exact(ctx, c.solver, pr)
-	return stamp(sol, ok, err, MethodExhaustive, true, classificationOf(pr))
+	return stamp(c.kind.answer(pr, sol, ok), ok, err, MethodExhaustive, true, classificationOf(pr))
 }
 
 // stamp completes a cell's answer with the method and exactness of the

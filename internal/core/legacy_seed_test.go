@@ -1,13 +1,15 @@
-// The seed's if-chain dispatch, preserved verbatim (modulo legacy~ renames)
-// from before the solver-registry refactor. It exists only as the reference
-// oracle for TestRegistryMatchesSeedDispatch: the registry-driven
-// Solve/SolveContext must return byte-identical mappings and costs on a
-// randomized corpus covering every Table 1 cell.
+// The seed's if-chain dispatch of pipelines, preserved verbatim (modulo
+// legacy~ renames) from before the solver-registry refactor. It exists
+// only as the reference oracle for TestRegistryMatchesSeedDispatch: the
+// registry-driven Solve/SolveContext must return byte-identical mappings
+// and costs on a randomized corpus covering every pipeline cell of
+// Table 1. The fork and fork-join cells are pinned by poly.golden
+// (Theorems 10, 11 and 14) and hard.golden (Theorems 12, 13, 15 and
+// 12/15) instead.
 package core
 
 import (
 	"repliflow/internal/exhaustive"
-	"repliflow/internal/forkalgo"
 	"repliflow/internal/heuristics"
 	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
@@ -15,28 +17,11 @@ import (
 	"repliflow/internal/workflow"
 )
 
-// pipeSolution, forkSolution and forkJoinSolution wrap a mapping into a
-// Solution.
+// pipeSolution wraps a mapping into a Solution.
 func pipeSolution(m mapping.PipelineMapping, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
 	cp := m
 	return Solution{
 		PipelineMapping: &cp, Cost: c,
-		Method: method, Exact: exact, Feasible: true, Classification: cl,
-	}
-}
-
-func forkSolution(m mapping.ForkMapping, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
-	cp := m
-	return Solution{
-		ForkMapping: &cp, Cost: c,
-		Method: method, Exact: exact, Feasible: true, Classification: cl,
-	}
-}
-
-func forkJoinSolution(m mapping.ForkJoinMapping, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
-	cp := m
-	return Solution{
-		ForkJoinMapping: &cp, Cost: c,
 		Method: method, Exact: exact, Feasible: true, Classification: cl,
 	}
 }
@@ -46,15 +31,7 @@ func legacySolve(pr Problem, opts Options) (Solution, error) {
 	if err := pr.Validate(); err != nil {
 		return Solution{}, err
 	}
-	opts = opts.Normalized()
-	switch {
-	case pr.Pipeline != nil:
-		return legacySolvePipeline(pr, opts)
-	case pr.Fork != nil:
-		return legacySolveFork(pr, opts)
-	default:
-		return legacySolveForkJoin(pr, opts)
-	}
+	return legacySolvePipeline(pr, opts.Normalized())
 }
 
 func legacySolvePipeline(pr Problem, opts Options) (Solution, error) {
@@ -227,294 +204,4 @@ func legacySolvePipelineHard(pr Problem, p workflow.Pipeline, cl Classification,
 		return infeasible(MethodHeuristic, false, cl)
 	}
 	return pipeSolution(maps[idx], costs[idx], MethodHeuristic, false, cl)
-}
-
-func legacySolveFork(pr Problem, opts Options) (Solution, error) {
-	f := *pr.Fork
-	pl := pr.Platform
-	cl, err := Classify(pr)
-	if err != nil {
-		return Solution{}, err
-	}
-
-	if pl.IsHomogeneous() {
-		if pr.Objective == MinPeriod {
-			res, err := forkalgo.HomForkPeriod(f, pl)
-			if err != nil {
-				return Solution{}, err
-			}
-			return forkSolution(res.Mapping, res.Cost, MethodClosedForm, true, cl), nil
-		}
-		if f.IsHomogeneous() {
-			return legacySolveForkTheorem11(pr, f, cl)
-		}
-		return legacySolveForkHard(pr, f, cl, opts), nil
-	}
-
-	if !pr.AllowDataParallel && f.IsHomogeneous() {
-		return legacySolveForkTheorem14(pr, f, cl)
-	}
-	return legacySolveForkHard(pr, f, cl, opts), nil
-}
-
-func legacySolveForkTheorem11(pr Problem, f workflow.Fork, cl Classification) (Solution, error) {
-	pl, dp := pr.Platform, pr.AllowDataParallel
-	switch pr.Objective {
-	case MinLatency:
-		res, err := forkalgo.HomForkLatency(f, pl, dp)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HomForkLatencyUnderPeriod(f, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	default: // PeriodUnderLatency
-		res, ok, err := forkalgo.HomForkPeriodUnderLatency(f, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	}
-}
-
-func legacySolveForkTheorem14(pr Problem, f workflow.Fork, cl Classification) (Solution, error) {
-	pl := pr.Platform
-	switch pr.Objective {
-	case MinPeriod:
-		res, err := forkalgo.HetHomForkPeriodNoDP(f, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case MinLatency:
-		res, err := forkalgo.HetHomForkLatencyNoDP(f, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HetHomForkLatencyUnderPeriodNoDP(f, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	default:
-		res, ok, err := forkalgo.HetHomForkPeriodUnderLatencyNoDP(f, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	}
-}
-
-func legacySolveForkHard(pr Problem, f workflow.Fork, cl Classification, opts Options) Solution {
-	pl, dp := pr.Platform, pr.AllowDataParallel
-	if f.Leaves()+1 <= opts.MaxExhaustiveForkStages && pl.Processors() <= opts.MaxExhaustiveForkProcs {
-		var res exhaustive.ForkResult
-		var ok bool
-		switch pr.Objective {
-		case MinPeriod:
-			res, ok = exhaustive.ForkPeriod(f, pl, dp)
-		case MinLatency:
-			res, ok = exhaustive.ForkLatency(f, pl, dp)
-		case LatencyUnderPeriod:
-			res, ok = exhaustive.ForkLatencyUnderPeriod(f, pl, dp, pr.Bound)
-		default:
-			res, ok = exhaustive.ForkPeriodUnderLatency(f, pl, dp, pr.Bound)
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl)
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl)
-	}
-	var maps []mapping.ForkMapping
-	var costs []mapping.Cost
-	add := func(m mapping.ForkMapping) {
-		if c, err := mapping.EvalFork(f, pl, m); err == nil {
-			maps = append(maps, m)
-			costs = append(costs, c)
-		}
-	}
-	add(mapping.ReplicateAllFork(f, pl))
-	add(wholeForkOnProcessor(f, pl.Fastest()))
-	if m, _, err := heuristics.HetForkPeriodGreedy(f, pl); err == nil {
-		add(m)
-	}
-	if pl.IsHomogeneous() {
-		if m, _, err := heuristics.HetForkLatencyLPT(f, pl); err == nil {
-			add(m)
-		}
-	}
-	idx, ok := pickBestIndex(costs, pr)
-	if !ok {
-		return infeasible(MethodHeuristic, false, cl)
-	}
-	best, bestCost := maps[idx], costs[idx]
-	obj := heuristics.ForkMinLatency
-	if pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency {
-		obj = heuristics.ForkMinPeriod
-	}
-	if m, c, err := heuristics.LocalSearchFork(f, pl, best, obj); err == nil {
-		ok := true
-		switch pr.Objective {
-		case LatencyUnderPeriod:
-			ok = !numeric.Greater(c.Period, pr.Bound)
-		case PeriodUnderLatency:
-			ok = !numeric.Greater(c.Latency, pr.Bound)
-		}
-		if ok && numeric.Less(objectiveValue(c, pr.Objective), objectiveValue(bestCost, pr.Objective)) {
-			best, bestCost = m, c
-		}
-	}
-	return forkSolution(best, bestCost, MethodHeuristic, false, cl)
-}
-
-func legacySolveForkJoin(pr Problem, opts Options) (Solution, error) {
-	fj := *pr.ForkJoin
-	pl := pr.Platform
-	cl, err := Classify(pr)
-	if err != nil {
-		return Solution{}, err
-	}
-
-	if pl.IsHomogeneous() {
-		if pr.Objective == MinPeriod {
-			res, err := forkalgo.HomForkJoinPeriod(fj, pl)
-			if err != nil {
-				return Solution{}, err
-			}
-			return forkJoinSolution(res.Mapping, res.Cost, MethodClosedForm, true, cl), nil
-		}
-		if fj.IsHomogeneous() {
-			return legacySolveForkJoinTheorem11(pr, fj, cl)
-		}
-		return legacySolveForkJoinHard(pr, fj, cl, opts), nil
-	}
-	if !pr.AllowDataParallel && fj.IsHomogeneous() {
-		return legacySolveForkJoinTheorem14(pr, fj, cl)
-	}
-	return legacySolveForkJoinHard(pr, fj, cl, opts), nil
-}
-
-func legacySolveForkJoinTheorem11(pr Problem, fj workflow.ForkJoin, cl Classification) (Solution, error) {
-	pl, dp := pr.Platform, pr.AllowDataParallel
-	switch pr.Objective {
-	case MinLatency:
-		res, err := forkalgo.HomForkJoinLatency(fj, pl, dp)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HomForkJoinLatencyUnderPeriod(fj, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	default:
-		res, ok, err := forkalgo.HomForkJoinPeriodUnderLatency(fj, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	}
-}
-
-func legacySolveForkJoinTheorem14(pr Problem, fj workflow.ForkJoin, cl Classification) (Solution, error) {
-	pl := pr.Platform
-	switch pr.Objective {
-	case MinPeriod:
-		res, err := forkalgo.HetHomForkJoinPeriodNoDP(fj, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case MinLatency:
-		res, err := forkalgo.HetHomForkJoinLatencyNoDP(fj, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HetHomForkJoinLatencyUnderPeriodNoDP(fj, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	default:
-		res, ok, err := forkalgo.HetHomForkJoinPeriodUnderLatencyNoDP(fj, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	}
-}
-
-func legacySolveForkJoinHard(pr Problem, fj workflow.ForkJoin, cl Classification, opts Options) Solution {
-	pl, dp := pr.Platform, pr.AllowDataParallel
-	if fj.Leaves()+2 <= opts.MaxExhaustiveForkStages && pl.Processors() <= opts.MaxExhaustiveForkProcs {
-		var res exhaustive.ForkJoinResult
-		var ok bool
-		switch pr.Objective {
-		case MinPeriod:
-			res, ok = exhaustive.ForkJoinPeriod(fj, pl, dp)
-		case MinLatency:
-			res, ok = exhaustive.ForkJoinLatency(fj, pl, dp)
-		case LatencyUnderPeriod:
-			res, ok = exhaustive.ForkJoinLatencyUnderPeriod(fj, pl, dp, pr.Bound)
-		default:
-			res, ok = exhaustive.ForkJoinPeriodUnderLatency(fj, pl, dp, pr.Bound)
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl)
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl)
-	}
-	var maps []mapping.ForkJoinMapping
-	var costs []mapping.Cost
-	add := func(m mapping.ForkJoinMapping) {
-		if c, err := mapping.EvalForkJoin(fj, pl, m); err == nil {
-			maps = append(maps, m)
-			costs = append(costs, c)
-		}
-	}
-	add(mapping.ReplicateAllForkJoin(fj, pl))
-	add(wholeForkJoinOnProcessor(fj, pl.Fastest()))
-	minPeriod := pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency
-	if m, _, err := heuristics.HetForkJoinGreedy(fj, pl, minPeriod); err == nil {
-		add(m)
-	}
-	idx, ok := pickBestIndex(costs, pr)
-	if !ok {
-		return infeasible(MethodHeuristic, false, cl)
-	}
-	return forkJoinSolution(maps[idx], costs[idx], MethodHeuristic, false, cl)
 }

@@ -36,10 +36,11 @@ func TestRegistryCompleteness(t *testing.T) {
 	}
 }
 
-// isLegacyKind reports whether the kind existed in the seed's three-value
-// enum — the scope of the legacy dispatch oracle.
+// isLegacyKind reports whether the legacy dispatch oracle covers the
+// kind: the pipeline. The seed's fork and fork-join cells are pinned by
+// poly.golden and hard.golden.
 func isLegacyKind(k workflow.Kind) bool {
-	return k == workflow.KindPipeline || k == workflow.KindFork || k == workflow.KindForkJoin
+	return k == workflow.KindPipeline
 }
 
 // randomProblemForCell builds a random instance matching the given
@@ -129,7 +130,7 @@ func heterogeneousPipeline(rng *rand.Rand, n int) workflow.Pipeline {
 }
 
 // TestRegistryMatchesSeedDispatch is the regression gate of the refactor:
-// on a randomized corpus covering every Table 1 dispatch cell (and, for
+// on a randomized corpus covering every pipeline dispatch cell (and, for
 // NP-hard cells, both the exhaustive and the oversized heuristic paths),
 // the registry-driven Solve must return byte-identical solutions —
 // mapping, cost, method, exactness, feasibility and classification — to

@@ -8,114 +8,84 @@ import (
 	"repliflow/internal/forkalgo"
 	"repliflow/internal/heuristics"
 	"repliflow/internal/mapping"
+	"repliflow/internal/numeric"
 	"repliflow/internal/workflow"
 )
 
-// wholeForkOnProcessor maps the entire fork onto the single processor q.
-func wholeForkOnProcessor(f workflow.Fork, q int) mapping.ForkMapping {
-	leaves := make([]int, f.Leaves())
-	for i := range leaves {
-		leaves[i] = i
+// forkGraph returns the graph both fork kinds are solved on: pr's
+// fork-join (join true), or its fork as a fork-join without a join.
+func forkGraph(pr Problem) (workflow.ForkJoin, bool) {
+	if pr.Fork != nil {
+		return workflow.ForkJoin{Root: pr.Fork.Root, Weights: pr.Fork.Weights}, false
 	}
-	return mapping.ForkMapping{Blocks: []mapping.ForkBlock{
-		mapping.NewForkBlock(true, leaves, mapping.Replicated, q),
-	}}
+	return *pr.ForkJoin, true
 }
 
-// wholeForkJoinOnProcessor maps the entire fork-join onto processor q.
-func wholeForkJoinOnProcessor(fj workflow.ForkJoin, q int) mapping.ForkJoinMapping {
-	leaves := make([]int, fj.Leaves())
-	for i := range leaves {
-		leaves[i] = i
+// forkItems is the stage count of pr's fork graph: the root, the leaves
+// and the join stage, if any.
+func forkItems(pr Problem) int {
+	fj, join := forkGraph(pr)
+	if join {
+		return fj.Leaves() + 2
 	}
-	return mapping.ForkJoinMapping{Blocks: []mapping.ForkJoinBlock{
-		mapping.NewForkJoinBlock(true, true, leaves, mapping.Replicated, q),
-	}}
+	return fj.Leaves() + 1
 }
 
-// The fork and fork-join columns of Table 1: fork-joins classify exactly
-// as forks (Section 6.3), each cell backed by the kind's own algorithm.
-var (
-	forkCells = newForkColumn(
-		func(pr Problem) (Solution, bool, error) {
-			return forkRun(feasible(forkalgo.HomForkPeriod(*pr.Fork, pr.Platform)))
-		},
-		func(pr Problem) (Solution, bool, error) {
-			f, pl, dp := *pr.Fork, pr.Platform, pr.AllowDataParallel
-			switch pr.Objective {
-			case MinLatency:
-				return forkRun(feasible(forkalgo.HomForkLatency(f, pl, dp)))
-			case LatencyUnderPeriod:
-				return forkRun(forkalgo.HomForkLatencyUnderPeriod(f, pl, dp, pr.Bound))
-			default:
-				return forkRun(forkalgo.HomForkPeriodUnderLatency(f, pl, dp, pr.Bound))
-			}
-		},
-		func(pr Problem) (Solution, bool, error) {
-			f, pl := *pr.Fork, pr.Platform
-			switch pr.Objective {
-			case MinPeriod:
-				return forkRun(feasible(forkalgo.HetHomForkPeriodNoDP(f, pl)))
-			case MinLatency:
-				return forkRun(feasible(forkalgo.HetHomForkLatencyNoDP(f, pl)))
-			case LatencyUnderPeriod:
-				return forkRun(forkalgo.HetHomForkLatencyUnderPeriodNoDP(f, pl, pr.Bound))
-			default:
-				return forkRun(forkalgo.HetHomForkPeriodUnderLatencyNoDP(f, pl, pr.Bound))
-			}
-		},
-		&forkKind)
-	forkJoinCells = newForkColumn(
-		func(pr Problem) (Solution, bool, error) {
-			return forkJoinRun(feasible(forkalgo.HomForkJoinPeriod(*pr.ForkJoin, pr.Platform)))
-		},
-		func(pr Problem) (Solution, bool, error) {
-			fj, pl, dp := *pr.ForkJoin, pr.Platform, pr.AllowDataParallel
-			switch pr.Objective {
-			case MinLatency:
-				return forkJoinRun(feasible(forkalgo.HomForkJoinLatency(fj, pl, dp)))
-			case LatencyUnderPeriod:
-				return forkJoinRun(forkalgo.HomForkJoinLatencyUnderPeriod(fj, pl, dp, pr.Bound))
-			default:
-				return forkJoinRun(forkalgo.HomForkJoinPeriodUnderLatency(fj, pl, dp, pr.Bound))
-			}
-		},
-		func(pr Problem) (Solution, bool, error) {
-			fj, pl := *pr.ForkJoin, pr.Platform
-			switch pr.Objective {
-			case MinPeriod:
-				return forkJoinRun(feasible(forkalgo.HetHomForkJoinPeriodNoDP(fj, pl)))
-			case MinLatency:
-				return forkJoinRun(feasible(forkalgo.HetHomForkJoinLatencyNoDP(fj, pl)))
-			case LatencyUnderPeriod:
-				return forkJoinRun(forkalgo.HetHomForkJoinLatencyUnderPeriodNoDP(fj, pl, pr.Bound))
-			default:
-				return forkJoinRun(forkalgo.HetHomForkJoinPeriodUnderLatencyNoDP(fj, pl, pr.Bound))
-			}
-		},
-		&forkJoinKind)
-)
+// forkSolution is pr's Solution of an answer m on its fork graph. A
+// fork's answer sets no Join flag; it becomes the fork's mapping here,
+// the one place a fork answer is converted.
+func forkSolution(pr Problem, m mapping.ForkJoinMapping, c mapping.Cost) Solution {
+	if pr.Fork != nil {
+		fm := m.Fork()
+		return Solution{ForkMapping: &fm, Cost: c}
+	}
+	jm := m // &m would move m to the heap on a fork's path too
+	return Solution{ForkJoinMapping: &jm, Cost: c}
+}
 
-// forkColumn is the fork column of Table 1 for one of the two fork kinds.
+// forkGoal is pr's objective as the fork algorithms take it: whether it
+// minimizes the period, and its bound on the other criterion, +Inf for
+// none.
+func forkGoal(pr Problem) (minimizePeriod bool, bound float64) {
+	if pr.Objective.Bounded() {
+		return pr.Objective == PeriodUnderLatency, pr.Bound
+	}
+	return pr.Objective == MinPeriod, numeric.Inf
+}
+
+// forkCells is the fork column of Table 1. Fork-joins classify exactly as
+// forks (Section 6.3), and every cell runs a fork as a fork-join without
+// a join: one algorithm per cell serves both kinds.
+var forkCells = forkColumn{
+	theorem10: polyCell(PolyStraightforward, "Theorem 10", func(pr Problem) (Solution, bool, error) {
+		fj, join := forkGraph(pr)
+		r, err := forkalgo.Theorem10(fj, join, pr.Platform)
+		return forkSolution(pr, r.Mapping, r.Cost), true, err
+	}),
+	theorem11: polyCell(PolyDP, "Theorem 11", func(pr Problem) (Solution, bool, error) {
+		fj, join := forkGraph(pr)
+		minimizePeriod, bound := forkGoal(pr)
+		r, ok, err := forkalgo.Theorem11(fj, join, pr.Platform, pr.AllowDataParallel, minimizePeriod, bound)
+		return forkSolution(pr, r.Mapping, r.Cost), ok, err
+	}),
+	theorem12: npHardCell("Theorem 12", &forkKind),
+	theorem13: npHardCell("Theorem 13", &forkKind),
+	theorem14: polyCell(PolyBinarySearchDP, "Theorem 14", func(pr Problem) (Solution, bool, error) {
+		fj, join := forkGraph(pr)
+		minimizePeriod, bound := forkGoal(pr)
+		r, ok, err := forkalgo.Theorem14(fj, join, pr.Platform, minimizePeriod, bound)
+		return forkSolution(pr, r.Mapping, r.Cost), ok, err
+	}),
+	theorem15:      npHardCell("Theorem 15", &forkKind),
+	theorems12or15: npHardCell("Theorems 12/15", &forkKind),
+}
+
+// forkColumn is the fork column of Table 1.
 type forkColumn struct {
 	theorem10, theorem11, theorem12, theorem13, theorem14, theorem15, theorems12or15 *tableCell
 }
 
-// newForkColumn builds a fork column on the kind's algorithms of
-// Theorems 10, 11 and 14 and its hard path.
-func newForkColumn(theorem10, theorem11, theorem14 func(Problem) (Solution, bool, error), hard *hardKind) *forkColumn {
-	return &forkColumn{
-		theorem10:      polyCell(PolyStraightforward, "Theorem 10", theorem10),
-		theorem11:      polyCell(PolyDP, "Theorem 11", theorem11),
-		theorem12:      npHardCell("Theorem 12", hard),
-		theorem13:      npHardCell("Theorem 13", hard),
-		theorem14:      polyCell(PolyBinarySearchDP, "Theorem 14", theorem14),
-		theorem15:      npHardCell("Theorem 15", hard),
-		theorems12or15: npHardCell("Theorems 12/15", hard),
-	}
-}
-
-// classify is the Classify capability of the column's kind.
+// classify is the Classify capability of both fork kinds.
 func (c *forkColumn) classify(k CellKey) *tableCell {
 	if k.PlatformHomogeneous {
 		switch {
@@ -141,32 +111,18 @@ func (c *forkColumn) classify(k CellKey) *tableCell {
 	}
 }
 
-// forkRun and forkJoinRun are pipeRun for the fork algorithms.
-func forkRun(r forkalgo.Result, ok bool, err error) (Solution, bool, error) {
-	m := r.Mapping
-	return Solution{ForkMapping: &m, Cost: r.Cost}, ok, err
-}
-
-func forkJoinRun(r forkalgo.ForkJoinResult, ok bool, err error) (Solution, bool, error) {
-	m := r.Mapping
-	return Solution{ForkJoinMapping: &m, Cost: r.Cost}, ok, err
-}
-
 func init() {
 	registerKind(KindSpec{
-		Kind:             workflow.KindFork,
-		Name:             workflow.KindFork.String(),
-		HasGraph:         func(pr Problem) bool { return pr.Fork != nil },
-		ValidateGraph:    func(pr Problem) error { return pr.Fork.Validate() },
-		GraphHomogeneous: func(pr Problem) bool { return pr.Fork.IsHomogeneous() },
-		DataParallel:     true,
-		Classify:         forkCells.classify,
-		ExactlySolvable:  forkKind.inLimits,
-		ParallelWorthwhile: func(pr Problem) bool {
-			return pr.Fork.Leaves()+1 >= parMinForkItems &&
-				pr.Platform.Processors() >= parMinForkProcs
-		},
-		Anytime: forkKind.solveAnytime,
+		Kind:               workflow.KindFork,
+		Name:               workflow.KindFork.String(),
+		HasGraph:           func(pr Problem) bool { return pr.Fork != nil },
+		ValidateGraph:      func(pr Problem) error { return pr.Fork.Validate() },
+		GraphHomogeneous:   func(pr Problem) bool { return pr.Fork.IsHomogeneous() },
+		DataParallel:       true,
+		Classify:           forkCells.classify,
+		ExactlySolvable:    forkKind.inLimits,
+		ParallelWorthwhile: forkParallelWorthwhile,
+		Anytime:            forkKind.solveAnytime,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			mix(pr.Fork.Root)
 			for _, w := range pr.Fork.Weights {
@@ -179,19 +135,16 @@ func init() {
 		},
 	})
 	registerKind(KindSpec{
-		Kind:             workflow.KindForkJoin,
-		Name:             workflow.KindForkJoin.String(),
-		HasGraph:         func(pr Problem) bool { return pr.ForkJoin != nil },
-		ValidateGraph:    func(pr Problem) error { return pr.ForkJoin.Validate() },
-		GraphHomogeneous: func(pr Problem) bool { return pr.ForkJoin.IsHomogeneous() },
-		DataParallel:     true,
-		Classify:         forkJoinCells.classify,
-		ExactlySolvable:  forkJoinKind.inLimits,
-		ParallelWorthwhile: func(pr Problem) bool {
-			return pr.ForkJoin.Leaves()+2 >= parMinForkItems &&
-				pr.Platform.Processors() >= parMinForkProcs
-		},
-		Anytime: forkJoinKind.solveAnytime,
+		Kind:               workflow.KindForkJoin,
+		Name:               workflow.KindForkJoin.String(),
+		HasGraph:           func(pr Problem) bool { return pr.ForkJoin != nil },
+		ValidateGraph:      func(pr Problem) error { return pr.ForkJoin.Validate() },
+		GraphHomogeneous:   func(pr Problem) bool { return pr.ForkJoin.IsHomogeneous() },
+		DataParallel:       true,
+		Classify:           forkCells.classify,
+		ExactlySolvable:    forkKind.inLimits,
+		ParallelWorthwhile: forkParallelWorthwhile,
+		Anytime:            forkKind.solveAnytime,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			mix(pr.ForkJoin.Root)
 			mix(pr.ForkJoin.Join)
@@ -207,91 +160,25 @@ func init() {
 	})
 }
 
-// --- Fork solvers ----------------------------------------------------------
+// forkParallelWorthwhile is the ParallelWorthwhile capability of both
+// fork kinds.
+func forkParallelWorthwhile(pr Problem) bool {
+	return forkItems(pr) >= parMinForkItems && pr.Platform.Processors() >= parMinForkProcs
+}
 
-// forkKind describes the NP-hard fork cells: the exact set-partition
-// scan within the limits, polynomial heuristics polished by hill climbing
-// beyond them.
+// forkKind describes the NP-hard cells of both fork kinds: the exact
+// set-partition scan within the limits, polynomial heuristics polished by
+// hill climbing beyond them, each run on a fork as a fork-join without a
+// join.
 var forkKind = hardKind{
 	inLimits: func(pr Problem, opts Options) bool {
-		return pr.Fork.Leaves()+1 <= opts.MaxExhaustiveForkStages &&
+		return forkItems(pr) <= opts.MaxExhaustiveForkStages &&
 			pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
 	},
 	newExact: func(pr Problem) (any, error) {
-		return exhaustive.NewForkPrepared(*pr.Fork, pr.Platform, pr.AllowDataParallel), nil
-	},
-	exact: func(ctx context.Context, fp any, pr Problem) (Solution, bool, error) {
-		return exhaustiveSolve(ctx, fp.(*exhaustive.ForkPrepared), pr, func(r exhaustive.ForkJoinResult) Solution {
-			m := r.Mapping.Fork()
-			return Solution{ForkMapping: &m, Cost: r.Cost}
-		})
-	},
-	front: func(ctx context.Context, fp any) ([]float64, error) {
-		return latencies(fp.(*exhaustive.ForkPrepared).Front(ctx))
-	},
-	heuristic: perObjective(forkHeuristicCandidates, func(m *mapping.ForkMapping, c mapping.Cost) Solution {
-		return Solution{ForkMapping: m, Cost: c}
-	}),
-	// The portfolio runs a fork as a fork-join without a join.
-	portfolio: func(ctx context.Context, pr Problem, cfg anytime.Config) (anytime.Result, error) {
-		maps, _ := forkHeuristicCandidates(pr)
-		seeds := make([]mapping.ForkJoinMapping, len(maps))
-		for i, m := range maps {
-			seeds[i] = m.ForkJoin()
+		if pr.Fork != nil {
+			return exhaustive.NewForkPrepared(*pr.Fork, pr.Platform, pr.AllowDataParallel), nil
 		}
-		fj := workflow.ForkJoin{Root: pr.Fork.Root, Weights: pr.Fork.Weights}
-		return anytime.SolveForkJoin(ctx, fj, false, pr.Platform, anytimeSpec(pr), seeds, cfg)
-	},
-}
-
-// forkHeuristicCandidates returns the polynomial heuristic mappings of
-// an NP-hard fork instance (with their costs, aligned by index): the
-// candidate pool of both the heuristic fallback path and the anytime
-// portfolio's seeds. The last candidate polishes the best one by hill
-// climbing on the optimized criterion; coming last, it is picked only if
-// it honours the bound and strictly improves.
-func forkHeuristicCandidates(pr Problem) ([]mapping.ForkMapping, []mapping.Cost) {
-	f, pl := *pr.Fork, pr.Platform
-	var maps []mapping.ForkMapping
-	var costs []mapping.Cost
-	add := func(m mapping.ForkMapping) {
-		if c, err := mapping.EvalFork(f, pl, m); err == nil {
-			maps = append(maps, m)
-			costs = append(costs, c)
-		}
-	}
-	add(mapping.ReplicateAllFork(f, pl))
-	add(wholeForkOnProcessor(f, pl.Fastest()))
-	if m, _, err := heuristics.HetForkPeriodGreedy(f, pl); err == nil {
-		add(m)
-	}
-	if pl.IsHomogeneous() {
-		if m, _, err := heuristics.HetForkLatencyLPT(f, pl); err == nil {
-			add(m)
-		}
-	}
-	if idx, ok := pickBestIndex(costs, pr); ok {
-		obj := heuristics.ForkMinLatency
-		if pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency {
-			obj = heuristics.ForkMinPeriod
-		}
-		if m, c, err := heuristics.LocalSearchFork(f, pl, maps[idx], obj); err == nil {
-			maps, costs = append(maps, m), append(costs, c)
-		}
-	}
-	return maps, costs
-}
-
-// --- Fork-join solvers -----------------------------------------------------
-
-// forkJoinKind describes the NP-hard fork-join cells: the exact scan
-// within the limits, polynomial heuristics beyond them.
-var forkJoinKind = hardKind{
-	inLimits: func(pr Problem, opts Options) bool {
-		return pr.ForkJoin.Leaves()+2 <= opts.MaxExhaustiveForkStages &&
-			pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
-	},
-	newExact: func(pr Problem) (any, error) {
 		return exhaustive.NewForkJoinPrepared(*pr.ForkJoin, pr.Platform, pr.AllowDataParallel), nil
 	},
 	exact: func(ctx context.Context, fp any, pr Problem) (Solution, bool, error) {
@@ -302,34 +189,68 @@ var forkJoinKind = hardKind{
 	front: func(ctx context.Context, fp any) ([]float64, error) {
 		return latencies(fp.(*exhaustive.ForkJoinPrepared).Front(ctx))
 	},
-	heuristic: perObjective(forkJoinHeuristicCandidates, func(m *mapping.ForkJoinMapping, c mapping.Cost) Solution {
+	heuristic: perObjective(forkHeuristicCandidates, func(m *mapping.ForkJoinMapping, c mapping.Cost) Solution {
 		return Solution{ForkJoinMapping: m, Cost: c}
 	}),
 	portfolio: func(ctx context.Context, pr Problem, cfg anytime.Config) (anytime.Result, error) {
-		seeds, _ := forkJoinHeuristicCandidates(pr)
-		return anytime.SolveForkJoin(ctx, *pr.ForkJoin, true, pr.Platform, anytimeSpec(pr), seeds, cfg)
+		seeds, _ := forkHeuristicCandidates(pr)
+		fj, join := forkGraph(pr)
+		return anytime.SolveForkJoin(ctx, fj, join, pr.Platform, anytimeSpec(pr), seeds, cfg)
+	},
+	solution: func(pr Problem, sol Solution) Solution {
+		if pr.Fork == nil {
+			return sol
+		}
+		return forkSolution(pr, *sol.ForkJoinMapping, sol.Cost)
 	},
 }
 
-// forkJoinHeuristicCandidates returns the polynomial heuristic mappings
-// of an NP-hard fork-join instance (with their costs, aligned by index):
-// the candidate pool of both the heuristic fallback path and the anytime
-// portfolio's seeds.
-func forkJoinHeuristicCandidates(pr Problem) ([]mapping.ForkJoinMapping, []mapping.Cost) {
-	fj, pl := *pr.ForkJoin, pr.Platform
+// forkHeuristicCandidates returns the polynomial heuristic mappings of an
+// NP-hard fork or fork-join instance (with their costs, aligned by
+// index): the candidate pool of both the heuristic fallback path and the
+// anytime portfolio's seeds. Both kinds try full replication, the whole
+// graph on the fastest processor and the greedy list schedule; a fork
+// asks the greedy for the period under every objective. A fork also
+// tries LPT on a homogeneous platform, and last polishes the best
+// candidate by hill climbing on the optimized criterion; coming last, the
+// polished one is picked only if it honours the bound and strictly
+// improves.
+func forkHeuristicCandidates(pr Problem) ([]mapping.ForkJoinMapping, []mapping.Cost) {
+	fj, join := forkGraph(pr)
+	pl := pr.Platform
 	var maps []mapping.ForkJoinMapping
 	var costs []mapping.Cost
-	add := func(m mapping.ForkJoinMapping) {
-		if c, err := mapping.EvalForkJoin(fj, pl, m); err == nil {
+	add := func(m mapping.ForkJoinMapping, c mapping.Cost, err error) {
+		if err == nil {
 			maps = append(maps, m)
 			costs = append(costs, c)
 		}
 	}
-	add(mapping.ReplicateAllForkJoin(fj, pl))
-	add(wholeForkJoinOnProcessor(fj, pl.Fastest()))
-	minPeriod := pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency
-	if m, _, err := heuristics.HetForkJoinGreedy(fj, pl, minPeriod); err == nil {
-		add(m)
+	all := mapping.ReplicateAllForkJoin(fj, pl)
+	all.Blocks[0].Join = join
+	whole := all.Blocks[0] // the whole graph on the fastest processor
+	whole.Procs = []int{pl.Fastest()}
+	for _, m := range []mapping.ForkJoinMapping{all, {Blocks: []mapping.ForkJoinBlock{whole}}} {
+		c, err := mapping.EvalForkGraph(fj, join, pl, m)
+		add(m, c, err)
+	}
+	minimizePeriod, _ := forkGoal(pr)
+	add(heuristics.HetForkJoinGreedy(fj, join, pl, minimizePeriod || !join))
+	if join {
+		return maps, costs
+	}
+	f := *pr.Fork
+	if pl.IsHomogeneous() {
+		m, c, err := heuristics.HetForkLatencyLPT(f, pl)
+		add(m.ForkJoin(), c, err)
+	}
+	if idx, ok := pickBestIndex(costs, pr); ok {
+		obj := heuristics.ForkMinLatency
+		if minimizePeriod {
+			obj = heuristics.ForkMinPeriod
+		}
+		m, c, err := heuristics.LocalSearchFork(f, pl, maps[idx].Fork(), obj)
+		add(m.ForkJoin(), c, err)
 	}
 	return maps, costs
 }

@@ -19,9 +19,12 @@
 //
 // Section 6.3 extends Theorems 10, 11 and 14 to fork-join graphs by extra
 // loops over the join block's composition and placement, so a fork is a
-// fork-join without a join. Theorems 11 and 14 are each one search, run on
-// a fork-join as it is and on a fork as a fork-join without a join; the
-// fork entry points drop the Join flags of the answer.
+// fork-join without a join. Each theorem has one entry, Theorem10,
+// Theorem11 and Theorem14, run on a fork-join with join set and on a fork
+// as a fork-join without a join (join false): its answer sets no Join
+// flag, and ForkJoinMapping.Fork turns it into the fork's mapping. The
+// objective goes in as minimizePeriod and a bound on the other criterion,
+// +Inf for none.
 //
 // The NP-hard instances (Theorems 12, 13, 15) have no polynomial algorithm;
 // see internal/heuristics and internal/exhaustive.
@@ -30,18 +33,13 @@ package forkalgo
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
-
-// Result is a computed fork mapping together with its exact cost.
-type Result struct {
-	Mapping mapping.ForkMapping
-	Cost    mapping.Cost
-}
 
 // ForkJoinResult is a computed fork-join mapping with its exact cost.
 type ForkJoinResult struct {
@@ -57,12 +55,17 @@ var ErrNotHomogeneousPlatform = errors.New("forkalgo: platform is not homogeneou
 // leaf weights differ (those instances are NP-hard, Theorems 12/13/15).
 var ErrNotHomogeneousFork = errors.New("forkalgo: fork leaves are not identical")
 
-// check validates the inputs of an algorithm: the graph's own validation
-// error, whether its leaves are identical, and the platform, whose speeds
-// must be equal when homPlatform is set.
-func check(graphErr error, graphHom bool, pl platform.Platform, homPlatform bool) error {
-	if graphErr != nil {
-		return graphErr
+// check validates the inputs of an algorithm: the fork graph, the
+// platform, whose speeds must be equal when homPlatform is set, and the
+// graph's leaves, which must be identical when homGraph is set.
+func check(fj workflow.ForkJoin, join bool, pl platform.Platform, homPlatform, homGraph bool) error {
+	f := workflow.Fork{Root: fj.Root, Weights: fj.Weights}
+	err := f.Validate()
+	if join {
+		err = fj.Validate()
+	}
+	if err != nil {
+		return err
 	}
 	if err := pl.Validate(); err != nil {
 		return err
@@ -70,74 +73,59 @@ func check(graphErr error, graphHom bool, pl platform.Platform, homPlatform bool
 	if homPlatform && !pl.IsHomogeneous() {
 		return ErrNotHomogeneousPlatform
 	}
-	if !graphHom {
+	if homGraph && !f.IsHomogeneous() {
 		return ErrNotHomogeneousFork
 	}
 	return nil
 }
 
-// instance is a homogeneous fork-join as the Theorem 11 and 14 searches
+// instance is a homogeneous fork graph as the Theorem 11 and 14 searches
 // see it. A fork is run as a fork-join without a join: join is 0 and
 // hasJoin false.
 type instance struct {
+	fj         workflow.ForkJoin
 	root, join float64
 	hasJoin    bool
 	n          int
 	w          float64 // the leaf weight, 0 without leaves
 	pl         platform.Platform
 	allowDP    bool
-	// cost prices a mapping by the model of the graph's own kind.
-	cost func(mapping.ForkJoinMapping) mapping.Cost
 }
 
 // search is a Theorem 11 or 14 search under one bound.
 type search func(in instance, bound float64) (mapping.ForkJoinMapping, bool)
 
-func newInstance(root, join float64, hasJoin bool, leaves []float64, pl platform.Platform, allowDP bool) instance {
-	in := instance{root: root, join: join, hasJoin: hasJoin, n: len(leaves), pl: pl, allowDP: allowDP}
+func newInstance(fj workflow.ForkJoin, join bool, pl platform.Platform, allowDP bool) instance {
+	in := instance{fj: fj, root: fj.Root, hasJoin: join, n: fj.Leaves(), pl: pl, allowDP: allowDP}
+	if join {
+		in.join = fj.Join
+	}
 	if in.n > 0 {
-		in.w = leaves[0]
+		in.w = fj.Weights[0]
 	}
 	return in
 }
 
-// solveFork runs a search on a fork, as a fork-join without a join, and
-// returns its answer as a fork mapping. homPlatform requires equal speeds.
-func solveFork(f workflow.Fork, pl platform.Platform, homPlatform, allowDP bool, s search, bound float64) (Result, bool, error) {
-	if err := check(f.Validate(), f.IsHomogeneous(), pl, homPlatform); err != nil {
-		return Result{}, false, err
-	}
-	in := newInstance(f.Root, 0, false, f.Weights, pl, allowDP)
-	in.cost = func(m mapping.ForkJoinMapping) mapping.Cost { return finishFork(f, pl, m.Fork()).Cost }
-	m, ok := s(in, bound)
-	if !ok {
-		return Result{}, false, nil
-	}
-	return finishFork(f, pl, m.Fork()), true, nil
+// cost prices a mapping by the model of the graph's own kind.
+func (in *instance) cost(m mapping.ForkJoinMapping) mapping.Cost {
+	return finish(in.fj, in.hasJoin, in.pl, m).Cost
 }
 
-// solveForkJoin runs a search on a fork-join. homPlatform requires equal
-// speeds.
-func solveForkJoin(fj workflow.ForkJoin, pl platform.Platform, homPlatform, allowDP bool, s search, bound float64) (ForkJoinResult, bool, error) {
-	if err := check(fj.Validate(), fj.IsHomogeneous(), pl, homPlatform); err != nil {
+// solve runs a search on the fork graph under bound and prices its
+// answer; ok is false when no mapping meets the bound. homPlatform
+// requires equal speeds. An unbounded search always finds a mapping.
+func solve(fj workflow.ForkJoin, join bool, pl platform.Platform, homPlatform, allowDP bool, s search, bound float64) (ForkJoinResult, bool, error) {
+	if err := check(fj, join, pl, homPlatform, true); err != nil {
 		return ForkJoinResult{}, false, err
 	}
-	in := newInstance(fj.Root, fj.Join, true, fj.Weights, pl, allowDP)
-	in.cost = func(m mapping.ForkJoinMapping) mapping.Cost { return finishForkJoin(fj, pl, m).Cost }
-	m, ok := s(in, bound)
+	m, ok := s(newInstance(fj, join, pl, allowDP), bound)
 	if !ok {
+		if math.IsInf(bound, 1) {
+			panic("forkalgo: unconstrained search found no mapping")
+		}
 		return ForkJoinResult{}, false, nil
 	}
-	return finishForkJoin(fj, pl, m), true, nil
-}
-
-// unconstrained returns the answer of a search run without a bound, which
-// always finds a mapping.
-func unconstrained[R any](res R, ok bool, err error) (R, error) {
-	if err == nil && !ok {
-		panic("forkalgo: unconstrained search found no mapping")
-	}
-	return res, err
+	return finish(fj, join, pl, m), true, nil
 }
 
 // bisect returns the answer of probe at the least candidate it accepts.
@@ -179,18 +167,12 @@ func periodCandidates(in instance, speeds []float64, p int) []float64 {
 	return numeric.DedupSorted(cands)
 }
 
-func finishFork(f workflow.Fork, pl platform.Platform, m mapping.ForkMapping) Result {
-	c, err := mapping.EvalFork(f, pl, m)
+// finish prices a constructed mapping on the fork graph: by EvalFork on
+// its fork view without a join.
+func finish(fj workflow.ForkJoin, join bool, pl platform.Platform, m mapping.ForkJoinMapping) ForkJoinResult {
+	c, err := mapping.EvalForkGraph(fj, join, pl, m)
 	if err != nil {
-		panic(fmt.Sprintf("forkalgo: constructed invalid fork mapping %v: %v", m, err))
-	}
-	return Result{Mapping: m, Cost: c}
-}
-
-func finishForkJoin(fj workflow.ForkJoin, pl platform.Platform, m mapping.ForkJoinMapping) ForkJoinResult {
-	c, err := mapping.EvalForkJoin(fj, pl, m)
-	if err != nil {
-		panic(fmt.Sprintf("forkalgo: constructed invalid fork-join mapping %v: %v", m, err))
+		panic(fmt.Sprintf("forkalgo: constructed invalid mapping %v: %v", m, err))
 	}
 	return ForkJoinResult{Mapping: m, Cost: c}
 }

@@ -295,52 +295,16 @@ func hetPeriod(in instance, maxLatency float64) (mapping.ForkJoinMapping, bool) 
 	return hetSearch(in, cands, func(K float64) (float64, float64) { return K, maxLatency })
 }
 
-// HetHomForkPeriodNoDP implements the period direction of Theorem 14: the
-// optimal period of a homogeneous fork on a Heterogeneous platform without
-// data-parallelism.
-func HetHomForkPeriodNoDP(f workflow.Fork, pl platform.Platform) (Result, error) {
-	return unconstrained(HetHomForkPeriodUnderLatencyNoDP(f, pl, numeric.Inf))
-}
-
-// HetHomForkLatencyNoDP implements the latency direction of Theorem 14.
-func HetHomForkLatencyNoDP(f workflow.Fork, pl platform.Platform) (Result, error) {
-	return unconstrained(HetHomForkLatencyUnderPeriodNoDP(f, pl, numeric.Inf))
-}
-
-// HetHomForkLatencyUnderPeriodNoDP minimizes the latency of a homogeneous
-// fork on a Heterogeneous platform without data-parallelism, subject to a
-// period bound, by binary search over the finite latency candidate set.
-func HetHomForkLatencyUnderPeriodNoDP(f workflow.Fork, pl platform.Platform, maxPeriod float64) (Result, bool, error) {
-	return solveFork(f, pl, false, false, hetLatency, maxPeriod)
-}
-
-// HetHomForkPeriodUnderLatencyNoDP minimizes the period of a homogeneous
-// fork on a Heterogeneous platform without data-parallelism, subject to a
-// latency bound, by binary search over the finite period candidate set.
-func HetHomForkPeriodUnderLatencyNoDP(f workflow.Fork, pl platform.Platform, maxLatency float64) (Result, bool, error) {
-	return solveFork(f, pl, false, false, hetPeriod, maxLatency)
-}
-
-// HetHomForkJoinPeriodNoDP extends the period direction of Theorem 14 to
-// homogeneous fork-join graphs (Section 6.3).
-func HetHomForkJoinPeriodNoDP(fj workflow.ForkJoin, pl platform.Platform) (ForkJoinResult, error) {
-	return unconstrained(HetHomForkJoinPeriodUnderLatencyNoDP(fj, pl, numeric.Inf))
-}
-
-// HetHomForkJoinLatencyNoDP extends the latency direction of Theorem 14 to
-// homogeneous fork-join graphs.
-func HetHomForkJoinLatencyNoDP(fj workflow.ForkJoin, pl platform.Platform) (ForkJoinResult, error) {
-	return unconstrained(HetHomForkJoinLatencyUnderPeriodNoDP(fj, pl, numeric.Inf))
-}
-
-// HetHomForkJoinLatencyUnderPeriodNoDP minimizes latency under a period
-// bound for a homogeneous fork-join on a Heterogeneous platform.
-func HetHomForkJoinLatencyUnderPeriodNoDP(fj workflow.ForkJoin, pl platform.Platform, maxPeriod float64) (ForkJoinResult, bool, error) {
-	return solveForkJoin(fj, pl, false, false, hetLatency, maxPeriod)
-}
-
-// HetHomForkJoinPeriodUnderLatencyNoDP minimizes the period under a latency
-// bound for a homogeneous fork-join on a Heterogeneous platform.
-func HetHomForkJoinPeriodUnderLatencyNoDP(fj workflow.ForkJoin, pl platform.Platform, maxLatency float64) (ForkJoinResult, bool, error) {
-	return solveForkJoin(fj, pl, false, false, hetPeriod, maxLatency)
+// Theorem14 implements Theorem 14 and its Section 6.3 extension for a
+// homogeneous fork graph on a Heterogeneous platform without
+// data-parallelism: the minimum latency under a period bound, or with
+// minimizePeriod the minimum period under a latency bound, each by binary
+// search over its finite candidate set. ok is false when the bound is
+// infeasible.
+func Theorem14(fj workflow.ForkJoin, join bool, pl platform.Platform, minimizePeriod bool, bound float64) (ForkJoinResult, bool, error) {
+	s := hetLatency
+	if minimizePeriod {
+		s = hetPeriod
+	}
+	return solve(fj, join, pl, false, false, s, bound)
 }

@@ -16,7 +16,7 @@ func TestTheorem14PeriodMatchesExhaustive(t *testing.T) {
 		n := rng.Intn(4)
 		f := workflow.HomogeneousFork(float64(1+rng.Intn(9)), n, float64(1+rng.Intn(9)))
 		pl := platform.Random(rng, 1+rng.Intn(4), 5)
-		res, err := HetHomForkPeriodNoDP(f, pl)
+		res, _, err := Theorem14(joinless(f), false, pl, true, numeric.Inf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestTheorem14LatencyMatchesExhaustive(t *testing.T) {
 		n := rng.Intn(4)
 		f := workflow.HomogeneousFork(float64(1+rng.Intn(9)), n, float64(1+rng.Intn(9)))
 		pl := platform.Random(rng, 1+rng.Intn(4), 5)
-		res, err := HetHomForkLatencyNoDP(f, pl)
+		res, _, err := Theorem14(joinless(f), false, pl, false, numeric.Inf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestTheorem14BiCriteriaMatchesExhaustive(t *testing.T) {
 		pl := platform.Random(rng, 1+rng.Intn(4), 5)
 		optP, _ := exhaustive.ForkPeriod(f, pl, false)
 		bound := optP.Cost.Period * (1 + rng.Float64()*2)
-		res, ok, err := HetHomForkLatencyUnderPeriodNoDP(f, pl, bound)
+		res, ok, err := Theorem14(joinless(f), false, pl, false, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestTheorem14BiCriteriaMatchesExhaustive(t *testing.T) {
 
 		optL, _ := exhaustive.ForkLatency(f, pl, false)
 		lbound := optL.Cost.Latency * (1 + rng.Float64()*2)
-		res2, ok2, err := HetHomForkPeriodUnderLatencyNoDP(f, pl, lbound)
+		res2, ok2, err := Theorem14(joinless(f), false, pl, true, lbound)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,20 +90,20 @@ func TestTheorem14BiCriteriaMatchesExhaustive(t *testing.T) {
 func TestTheorem14InfeasibleBounds(t *testing.T) {
 	f := workflow.HomogeneousFork(4, 2, 3)
 	pl := platform.New(2, 1)
-	if _, ok, err := HetHomForkLatencyUnderPeriodNoDP(f, pl, 0.1); err != nil || ok {
+	if _, ok, err := Theorem14(joinless(f), false, pl, false, 0.1); err != nil || ok {
 		t.Fatalf("tight period bound: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := HetHomForkPeriodUnderLatencyNoDP(f, pl, 0.1); err != nil || ok {
+	if _, ok, err := Theorem14(joinless(f), false, pl, true, 0.1); err != nil || ok {
 		t.Fatalf("tight latency bound: ok=%v err=%v", ok, err)
 	}
 }
 
 func TestTheorem14RejectsHetFork(t *testing.T) {
 	f := workflow.NewFork(1, 2, 3)
-	if _, err := HetHomForkPeriodNoDP(f, platform.New(1, 2)); err != ErrNotHomogeneousFork {
+	if _, _, err := Theorem14(joinless(f), false, platform.New(1, 2), true, numeric.Inf); err != ErrNotHomogeneousFork {
 		t.Errorf("err = %v, want ErrNotHomogeneousFork", err)
 	}
-	if _, err := HetHomForkLatencyNoDP(f, platform.New(1, 2)); err != ErrNotHomogeneousFork {
+	if _, _, err := Theorem14(joinless(f), false, platform.New(1, 2), false, numeric.Inf); err != ErrNotHomogeneousFork {
 		t.Errorf("err = %v, want ErrNotHomogeneousFork", err)
 	}
 }
@@ -111,14 +111,14 @@ func TestTheorem14RejectsHetFork(t *testing.T) {
 func TestTheorem14LeaflessFork(t *testing.T) {
 	f := workflow.NewFork(6)
 	pl := platform.New(1, 3)
-	res, err := HetHomForkLatencyNoDP(f, pl)
+	res, _, err := Theorem14(joinless(f), false, pl, false, numeric.Inf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !numeric.Eq(res.Cost.Latency, 2) { // 6/3 on the fast processor
 		t.Errorf("latency = %v, want 2 (mapping %v)", res.Cost.Latency, res.Mapping)
 	}
-	resP, err := HetHomForkPeriodNoDP(f, pl)
+	resP, _, err := Theorem14(joinless(f), false, pl, true, numeric.Inf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestHetForkJoinPeriodMatchesExhaustive(t *testing.T) {
 		n := rng.Intn(3)
 		fj := workflow.HomogeneousForkJoin(float64(1+rng.Intn(9)), float64(1+rng.Intn(9)), n, float64(1+rng.Intn(9)))
 		pl := platform.Random(rng, 1+rng.Intn(3), 5)
-		res, err := HetHomForkJoinPeriodNoDP(fj, pl)
+		res, _, err := Theorem14(fj, true, pl, true, numeric.Inf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestHetForkJoinLatencyMatchesExhaustive(t *testing.T) {
 		n := rng.Intn(3)
 		fj := workflow.HomogeneousForkJoin(float64(1+rng.Intn(9)), float64(1+rng.Intn(9)), n, float64(1+rng.Intn(9)))
 		pl := platform.Random(rng, 1+rng.Intn(3), 5)
-		res, err := HetHomForkJoinLatencyNoDP(fj, pl)
+		res, _, err := Theorem14(fj, true, pl, false, numeric.Inf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestHetForkJoinBiCriteriaMatchesExhaustive(t *testing.T) {
 		pl := platform.Random(rng, 1+rng.Intn(3), 5)
 		optP, _ := exhaustive.ForkJoinPeriod(fj, pl, false)
 		bound := optP.Cost.Period * (1 + rng.Float64()*2)
-		res, ok, err := HetHomForkJoinLatencyUnderPeriodNoDP(fj, pl, bound)
+		res, ok, err := Theorem14(fj, true, pl, false, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,17 +77,17 @@ func TestHetForkJoinBiCriteriaMatchesExhaustive(t *testing.T) {
 func TestHetForkJoinInfeasibleBounds(t *testing.T) {
 	fj := workflow.HomogeneousForkJoin(3, 2, 2, 4)
 	pl := platform.New(2, 1)
-	if _, ok, err := HetHomForkJoinLatencyUnderPeriodNoDP(fj, pl, 0.1); err != nil || ok {
+	if _, ok, err := Theorem14(fj, true, pl, false, 0.1); err != nil || ok {
 		t.Fatalf("tight period bound: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := HetHomForkJoinPeriodUnderLatencyNoDP(fj, pl, 0.1); err != nil || ok {
+	if _, ok, err := Theorem14(fj, true, pl, true, 0.1); err != nil || ok {
 		t.Fatalf("tight latency bound: ok=%v err=%v", ok, err)
 	}
 }
 
 func TestHetForkJoinRejectsHetLeaves(t *testing.T) {
 	fj := workflow.NewForkJoin(1, 1, 2, 3)
-	if _, err := HetHomForkJoinPeriodNoDP(fj, platform.New(1, 2)); err != ErrNotHomogeneousFork {
+	if _, _, err := Theorem14(fj, true, platform.New(1, 2), true, numeric.Inf); err != ErrNotHomogeneousFork {
 		t.Errorf("err = %v, want ErrNotHomogeneousFork", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -42,7 +43,7 @@ func TestTheorem14CandidatesOverDistinctSpeeds(t *testing.T) {
 		if hasJoin {
 			join = float64(1+rng.Intn(9)) / 2
 		}
-		in := newInstance(float64(1+rng.Intn(9))/3, join, hasJoin, leaves, pl, false)
+		in := newInstance(workflow.ForkJoin{Root: float64(1+rng.Intn(9)) / 3, Weights: leaves, Join: join}, hasJoin, pl, false)
 		distinct, p := pl.DistinctSpeeds(), pl.Processors()
 		if got, want := periodCandidates(in, distinct, p), periodCandidates(in, pl.Speeds, p); !sameBits(got, want) {
 			t.Fatalf("trial %d: period candidates over %v differ from those over %v", trial, distinct, pl.Speeds)
@@ -63,12 +64,12 @@ func TestTheorem14AllocsDoNotGrowWithConfigurations(t *testing.T) {
 	fj := workflow.HomogeneousForkJoin(4, 6, 8, 7)
 	small, large := platform.New(3, 1, 4, 2), platform.New(3, 1, 4, 2, 5, 2, 3, 1)
 	for _, obj := range []struct {
-		name  string
-		solve func(workflow.ForkJoin, platform.Platform) (ForkJoinResult, error)
-	}{{"min-period", HetHomForkJoinPeriodNoDP}, {"min-latency", HetHomForkJoinLatencyNoDP}} {
+		name           string
+		minimizePeriod bool
+	}{{"min-period", true}, {"min-latency", false}} {
 		allocs := func(pl platform.Platform) float64 {
 			return testing.AllocsPerRun(5, func() {
-				if _, err := obj.solve(fj, pl); err != nil {
+				if _, _, err := Theorem14(fj, true, pl, obj.minimizePeriod, numeric.Inf); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -89,13 +90,11 @@ func TestTheorem14ConcurrentSolvesMatchSerial(t *testing.T) {
 	pl := platform.New(3, 1, 4, 2, 5, 2, 3, 1)
 	solve := func() []any {
 		var out []any
-		for _, s := range []func() (any, error){
-			func() (any, error) { return HetHomForkPeriodNoDP(f, pl) },
-			func() (any, error) { return HetHomForkLatencyNoDP(f, pl) },
-			func() (any, error) { return HetHomForkJoinPeriodNoDP(fj, pl) },
-			func() (any, error) { return HetHomForkJoinLatencyNoDP(fj, pl) },
-		} {
-			res, err := s()
+		for _, s := range []struct {
+			g                    workflow.ForkJoin
+			join, minimizePeriod bool
+		}{{joinless(f), false, true}, {joinless(f), false, false}, {fj, true, true}, {fj, true, false}} {
+			res, _, err := Theorem14(s.g, s.join, pl, s.minimizePeriod, numeric.Inf)
 			if err != nil {
 				return []any{err}
 			}

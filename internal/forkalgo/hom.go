@@ -9,25 +9,18 @@ import (
 	"repliflow/internal/workflow"
 )
 
-// HomForkPeriod implements Theorem 10: on a Homogeneous platform the period
-// of any fork — homogeneous or not — is minimized by replicating the whole
-// graph as one block onto all processors, reaching the absolute lower bound
-// (w0 + sum wi) / (p*s). Data-parallelism cannot improve it (Lemma 1).
-func HomForkPeriod(f workflow.Fork, pl platform.Platform) (Result, error) {
-	if err := check(f.Validate(), true, pl, true); err != nil {
-		return Result{}, err
-	}
-	return finishFork(f, pl, mapping.ReplicateAllFork(f, pl)), nil
-}
-
-// HomForkJoinPeriod is the Section 6.3 extension of Theorem 10 to fork-join
-// graphs: replication of the whole graph on all processors is still
-// optimal.
-func HomForkJoinPeriod(fj workflow.ForkJoin, pl platform.Platform) (ForkJoinResult, error) {
-	if err := check(fj.Validate(), true, pl, true); err != nil {
+// Theorem10 implements Theorem 10 and its Section 6.3 extension: on a
+// Homogeneous platform the period of any fork graph — homogeneous or not
+// — is minimized by replicating the whole graph as one block onto all
+// processors, reaching the absolute lower bound (total work)/(p*s).
+// Data-parallelism cannot improve it (Lemma 1).
+func Theorem10(fj workflow.ForkJoin, join bool, pl platform.Platform) (ForkJoinResult, error) {
+	if err := check(fj, join, pl, true, false); err != nil {
 		return ForkJoinResult{}, err
 	}
-	return finishForkJoin(fj, pl, mapping.ReplicateAllForkJoin(fj, pl)), nil
+	m := mapping.ReplicateAllForkJoin(fj, pl)
+	m.Blocks[0].Join = join
+	return finish(fj, join, pl, m), nil
 }
 
 // remDP is the Theorem 11 dynamic program for the model without
@@ -285,41 +278,15 @@ func homPeriod(in instance, maxLatency float64) (mapping.ForkJoinMapping, bool) 
 	})
 }
 
-// HomForkLatency implements the latency half of Theorem 11: the minimum
-// latency of a homogeneous fork on a Homogeneous platform, with or without
-// data-parallelism.
-func HomForkLatency(f workflow.Fork, pl platform.Platform, allowDP bool) (Result, error) {
-	return unconstrained(HomForkLatencyUnderPeriod(f, pl, allowDP, numeric.Inf))
-}
-
-// HomForkLatencyUnderPeriod implements the bi-criteria direction of
-// Theorem 11 minimizing latency under a period bound. The boolean is false
+// Theorem11 implements Theorem 11 and its Section 6.3 extension for a
+// homogeneous fork graph on a Homogeneous platform, with or without
+// data-parallelism: the minimum latency under a period bound, or with
+// minimizePeriod the minimum period under a latency bound. ok is false
 // when the bound is infeasible.
-func HomForkLatencyUnderPeriod(f workflow.Fork, pl platform.Platform, allowDP bool, maxPeriod float64) (Result, bool, error) {
-	return solveFork(f, pl, true, allowDP, homLatency, maxPeriod)
-}
-
-// HomForkPeriodUnderLatency implements the converse bi-criteria direction
-// of Theorem 11: minimum period under a latency bound, by binary search
-// over the finite candidate period set.
-func HomForkPeriodUnderLatency(f workflow.Fork, pl platform.Platform, allowDP bool, maxLatency float64) (Result, bool, error) {
-	return solveFork(f, pl, true, allowDP, homPeriod, maxLatency)
-}
-
-// HomForkJoinLatency extends Theorem 11 to fork-join graphs (Section 6.3):
-// minimum latency of a homogeneous fork-join on a Homogeneous platform.
-func HomForkJoinLatency(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) (ForkJoinResult, error) {
-	return unconstrained(HomForkJoinLatencyUnderPeriod(fj, pl, allowDP, numeric.Inf))
-}
-
-// HomForkJoinLatencyUnderPeriod extends the bi-criteria direction of
-// Theorem 11 to fork-join graphs.
-func HomForkJoinLatencyUnderPeriod(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxPeriod float64) (ForkJoinResult, bool, error) {
-	return solveForkJoin(fj, pl, true, allowDP, homLatency, maxPeriod)
-}
-
-// HomForkJoinPeriodUnderLatency extends the converse bi-criteria direction
-// of Theorem 11 to fork-join graphs.
-func HomForkJoinPeriodUnderLatency(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxLatency float64) (ForkJoinResult, bool, error) {
-	return solveForkJoin(fj, pl, true, allowDP, homPeriod, maxLatency)
+func Theorem11(fj workflow.ForkJoin, join bool, pl platform.Platform, allowDP, minimizePeriod bool, bound float64) (ForkJoinResult, bool, error) {
+	s := homLatency
+	if minimizePeriod {
+		s = homPeriod
+	}
+	return solve(fj, join, pl, true, allowDP, s, bound)
 }

@@ -15,7 +15,7 @@ func TestTheorem10LowerBound(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		f := workflow.RandomFork(rng, rng.Intn(6), 9)
 		pl := platform.Homogeneous(1+rng.Intn(5), float64(1+rng.Intn(3)))
-		res, err := HomForkPeriod(f, pl)
+		res, err := Theorem10(joinless(f), false, pl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func TestTheorem10MatchesExhaustive(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		f := workflow.RandomFork(rng, 1+rng.Intn(3), 9)
 		pl := platform.Homogeneous(1+rng.Intn(3), float64(1+rng.Intn(2)))
-		res, err := HomForkPeriod(f, pl)
+		res, err := Theorem10(joinless(f), false, pl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestTheorem10ForkJoin(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		fj := workflow.RandomForkJoin(rng, 1+rng.Intn(2), 6)
 		pl := platform.Homogeneous(1+rng.Intn(3), float64(1+rng.Intn(2)))
-		res, err := HomForkJoinPeriod(fj, pl)
+		res, err := Theorem10(fj, true, pl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestTheorem11LatencyMatchesExhaustive(t *testing.T) {
 		f := workflow.HomogeneousFork(float64(1+rng.Intn(9)), n, float64(1+rng.Intn(9)))
 		pl := platform.Homogeneous(1+rng.Intn(4), float64(1+rng.Intn(2)))
 		for _, dp := range []bool{false, true} {
-			res, err := HomForkLatency(f, pl, dp)
+			res, _, err := Theorem11(joinless(f), false, pl, dp, false, numeric.Inf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestTheorem11LatencyUnderPeriodMatchesExhaustive(t *testing.T) {
 		optP, _ := exhaustive.ForkPeriod(f, pl, false)
 		bound := optP.Cost.Period * (1 + rng.Float64()*2)
 		for _, dp := range []bool{false, true} {
-			res, ok, err := HomForkLatencyUnderPeriod(f, pl, dp, bound)
+			res, ok, err := Theorem11(joinless(f), false, pl, dp, false, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestTheorem11PeriodUnderLatencyMatchesExhaustive(t *testing.T) {
 		optL, _ := exhaustive.ForkLatency(f, pl, false)
 		bound := optL.Cost.Latency * (1 + rng.Float64()*2)
 		for _, dp := range []bool{false, true} {
-			res, ok, err := HomForkPeriodUnderLatency(f, pl, dp, bound)
+			res, ok, err := Theorem11(joinless(f), false, pl, dp, true, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,13 +147,13 @@ func TestTheorem11PeriodUnderLatencyMatchesExhaustive(t *testing.T) {
 func TestTheorem11RejectsHetInputs(t *testing.T) {
 	hetFork := workflow.NewFork(1, 2, 3)
 	homFork := workflow.HomogeneousFork(1, 2, 3)
-	if _, err := HomForkLatency(hetFork, platform.Homogeneous(2, 1), false); err != ErrNotHomogeneousFork {
+	if _, _, err := Theorem11(joinless(hetFork), false, platform.Homogeneous(2, 1), false, false, numeric.Inf); err != ErrNotHomogeneousFork {
 		t.Errorf("het fork err = %v", err)
 	}
-	if _, err := HomForkLatency(homFork, platform.New(1, 2), false); err != ErrNotHomogeneousPlatform {
+	if _, _, err := Theorem11(joinless(homFork), false, platform.New(1, 2), false, false, numeric.Inf); err != ErrNotHomogeneousPlatform {
 		t.Errorf("het platform err = %v", err)
 	}
-	if _, err := HomForkPeriod(homFork, platform.New(1, 2)); err != ErrNotHomogeneousPlatform {
+	if _, err := Theorem10(joinless(homFork), false, platform.New(1, 2)); err != ErrNotHomogeneousPlatform {
 		t.Errorf("Theorem 10 het platform err = %v", err)
 	}
 }
@@ -161,7 +161,7 @@ func TestTheorem11RejectsHetInputs(t *testing.T) {
 func TestTheorem11LeaflessFork(t *testing.T) {
 	f := workflow.NewFork(6)
 	pl := platform.Homogeneous(3, 2)
-	res, err := HomForkLatency(f, pl, true)
+	res, _, err := Theorem11(joinless(f), false, pl, true, false, numeric.Inf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,16 @@ func TestTheorem11LeaflessFork(t *testing.T) {
 	if !numeric.Eq(res.Cost.Latency, 1) {
 		t.Errorf("latency = %v, want 1", res.Cost.Latency)
 	}
-	res, err = HomForkLatency(f, pl, false)
+	res, _, err = Theorem11(joinless(f), false, pl, false, false, numeric.Inf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !numeric.Eq(res.Cost.Latency, 3) { // 6/2 on one processor
 		t.Errorf("latency without DP = %v, want 3", res.Cost.Latency)
 	}
+}
+
+// joinless is the fork f as the fork-join without a join the entries take.
+func joinless(f workflow.Fork) workflow.ForkJoin {
+	return workflow.ForkJoin{Root: f.Root, Weights: f.Weights}
 }

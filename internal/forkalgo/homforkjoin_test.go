@@ -17,7 +17,7 @@ func TestForkJoinLatencyMatchesExhaustive(t *testing.T) {
 		fj := workflow.HomogeneousForkJoin(float64(1+rng.Intn(9)), float64(1+rng.Intn(9)), n, float64(1+rng.Intn(9)))
 		pl := platform.Homogeneous(1+rng.Intn(3), float64(1+rng.Intn(2)))
 		for _, dp := range []bool{false, true} {
-			res, err := HomForkJoinLatency(fj, pl, dp)
+			res, _, err := Theorem11(fj, true, pl, dp, false, numeric.Inf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +40,7 @@ func TestForkJoinLatencyUnderPeriodMatchesExhaustive(t *testing.T) {
 		optP, _ := exhaustive.ForkJoinPeriod(fj, pl, false)
 		bound := optP.Cost.Period * (1 + rng.Float64()*2)
 		for _, dp := range []bool{false, true} {
-			res, ok, err := HomForkJoinLatencyUnderPeriod(fj, pl, dp, bound)
+			res, ok, err := Theorem11(fj, true, pl, dp, false, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestForkJoinPeriodUnderLatencyMatchesExhaustive(t *testing.T) {
 		optL, _ := exhaustive.ForkJoinLatency(fj, pl, false)
 		bound := optL.Cost.Latency * (1 + rng.Float64()*2)
 		for _, dp := range []bool{false, true} {
-			res, ok, err := HomForkJoinPeriodUnderLatency(fj, pl, dp, bound)
+			res, ok, err := Theorem11(fj, true, pl, dp, true, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,10 +88,10 @@ func TestForkJoinPeriodUnderLatencyMatchesExhaustive(t *testing.T) {
 func TestForkJoinRejectsHetInputs(t *testing.T) {
 	hetFJ := workflow.NewForkJoin(1, 1, 2, 3)
 	homFJ := workflow.HomogeneousForkJoin(1, 1, 2, 3)
-	if _, err := HomForkJoinLatency(hetFJ, platform.Homogeneous(2, 1), false); err != ErrNotHomogeneousFork {
+	if _, _, err := Theorem11(hetFJ, true, platform.Homogeneous(2, 1), false, false, numeric.Inf); err != ErrNotHomogeneousFork {
 		t.Errorf("het fork-join err = %v", err)
 	}
-	if _, err := HomForkJoinLatency(homFJ, platform.New(1, 2), false); err != ErrNotHomogeneousPlatform {
+	if _, _, err := Theorem11(homFJ, true, platform.New(1, 2), false, false, numeric.Inf); err != ErrNotHomogeneousPlatform {
 		t.Errorf("het platform err = %v", err)
 	}
 }

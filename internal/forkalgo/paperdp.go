@@ -23,10 +23,10 @@ import (
 // parallel"; this transcription fixes no typos — the recurrence is used as
 // printed, with the (P,L) pair reduced to its latency component for the
 // mono-criterion check). It returns the optimal latency only; the
-// production implementation HomForkLatency (loops + remDP) additionally
+// production implementation Theorem11 (loops + remDP) additionally
 // builds mappings. Agreement between the two is checked in tests.
 func HomForkLatencyPaperRecurrence(f workflow.Fork, pl platform.Platform) (float64, error) {
-	if err := check(f.Validate(), f.IsHomogeneous(), pl, true); err != nil {
+	if err := check(workflow.ForkJoin{Root: f.Root, Weights: f.Weights}, false, pl, true, true); err != nil {
 		return 0, err
 	}
 	s := pl.Speeds[0]

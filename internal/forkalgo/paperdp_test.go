@@ -19,7 +19,7 @@ func TestPaperRecurrenceMatchesProductionTheorem11(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prod, err := HomForkLatency(f, pl, false)
+		prod, _, err := Theorem11(joinless(f), false, pl, false, false, numeric.Inf)
 		if err != nil {
 			t.Fatal(err)
 		}

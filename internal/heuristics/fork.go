@@ -2,7 +2,6 @@ package heuristics
 
 import (
 	"repliflow/internal/mapping"
-	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -55,59 +54,4 @@ func HetForkLatencyLPT(f workflow.Fork, pl platform.Platform) (mapping.ForkMappi
 	}
 	c := evalFork(f, pl, m)
 	return m, c, nil
-}
-
-// HetForkPeriodGreedy is a polynomial heuristic for the NP-hard problem of
-// Theorem 15: minimize the period of a heterogeneous fork on a
-// Heterogeneous platform without data-parallelism.
-//
-// It list-schedules the stages (root first, then leaves heaviest-first)
-// onto one block per processor, always choosing the processor whose
-// resulting load/speed ratio stays smallest, then compares the result with
-// full replication of the whole fork and returns the better mapping.
-func HetForkPeriodGreedy(f workflow.Fork, pl platform.Platform) (mapping.ForkMapping, mapping.Cost, error) {
-	if err := f.Validate(); err != nil {
-		return mapping.ForkMapping{}, mapping.Cost{}, err
-	}
-	if err := pl.Validate(); err != nil {
-		return mapping.ForkMapping{}, mapping.Cost{}, err
-	}
-	p := pl.Processors()
-	loads := make([]float64, p)
-	members := make([][]int, p)
-
-	place := func(weight float64) int {
-		best := -1
-		var bestRatio float64
-		for u := 0; u < p; u++ {
-			ratio := (loads[u] + weight) / pl.Speeds[u]
-			if best < 0 || ratio < bestRatio {
-				best, bestRatio = u, ratio
-			}
-		}
-		loads[best] += weight
-		return best
-	}
-
-	rootProc := place(f.Root)
-	for _, leaf := range sortByWeightDesc(f.Weights) {
-		u := place(f.Weights[leaf])
-		members[u] = append(members[u], leaf)
-	}
-	var greedy mapping.ForkMapping
-	for u := 0; u < p; u++ {
-		if u != rootProc && len(members[u]) == 0 {
-			continue
-		}
-		greedy.Blocks = append(greedy.Blocks,
-			mapping.NewForkBlock(u == rootProc, members[u], mapping.Replicated, u))
-	}
-	gc := evalFork(f, pl, greedy)
-
-	replAll := mapping.ReplicateAllFork(f, pl)
-	rc := evalFork(f, pl, replAll)
-	if numeric.Less(rc.Period, gc.Period) {
-		return replAll, rc, nil
-	}
-	return greedy, gc, nil
 }

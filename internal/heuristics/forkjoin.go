@@ -8,14 +8,22 @@ import (
 )
 
 // HetForkJoinGreedy is a polynomial heuristic for the NP-hard fork-join
-// cells: it list-schedules the stages onto one block per processor with
-// speed-aware load balancing — the root on the processor minimizing its
-// completion, each leaf (heaviest first) likewise, and the join stage
-// co-located with either the root's or the most-loaded block, whichever
+// cells, and with join false for the fork cells (Theorem 15), a fork
+// being a fork-join without a join. It list-schedules the stages onto one
+// block per processor with speed-aware load balancing — the root on the
+// processor minimizing its completion, each leaf (heaviest first)
+// likewise — and places the join stage with the root's block or on the
+// processor whose load with it over its speed is least, whichever
 // evaluates better. Full replication is also tried; the best mapping by
-// the selected objective is returned.
-func HetForkJoinGreedy(fj workflow.ForkJoin, pl platform.Platform, minimizePeriod bool) (mapping.ForkJoinMapping, mapping.Cost, error) {
-	if err := fj.Validate(); err != nil {
+// the selected objective is returned, ties going to the earlier
+// candidate. Without a join only the root's placement is tried, no block
+// sets the Join flag, and costs are the fork's, by EvalFork.
+func HetForkJoinGreedy(fj workflow.ForkJoin, join bool, pl platform.Platform, minimizePeriod bool) (mapping.ForkJoinMapping, mapping.Cost, error) {
+	err := workflow.Fork{Root: fj.Root, Weights: fj.Weights}.Validate()
+	if join {
+		err = fj.Validate()
+	}
+	if err != nil {
 		return mapping.ForkJoinMapping{}, mapping.Cost{}, err
 	}
 	if err := pl.Validate(); err != nil {
@@ -54,15 +62,17 @@ func HetForkJoinGreedy(fj workflow.ForkJoin, pl platform.Platform, minimizePerio
 	// slice: tie-valued candidates must be tried in a deterministic order
 	// or the returned mapping varies from run to run.
 	joinCandidates := []int{rootProc}
-	bestU, bestRatio := -1, 0.0
-	for u := 0; u < p; u++ {
-		ratio := (loads[u] + fj.Join) / pl.Speeds[u]
-		if bestU < 0 || ratio < bestRatio {
-			bestU, bestRatio = u, ratio
+	if join {
+		bestU, bestRatio := -1, 0.0
+		for u := 0; u < p; u++ {
+			ratio := (loads[u] + fj.Join) / pl.Speeds[u]
+			if bestU < 0 || ratio < bestRatio {
+				bestU, bestRatio = u, ratio
+			}
 		}
-	}
-	if bestU != rootProc {
-		joinCandidates = append(joinCandidates, bestU)
+		if bestU != rootProc {
+			joinCandidates = append(joinCandidates, bestU)
+		}
 	}
 
 	build := func(joinProc int) mapping.ForkJoinMapping {
@@ -74,30 +84,32 @@ func HetForkJoinGreedy(fj workflow.ForkJoin, pl platform.Platform, minimizePerio
 				continue
 			}
 			m.Blocks = append(m.Blocks,
-				mapping.NewForkJoinBlock(isRoot, isJoin, members[u], mapping.Replicated, u))
+				mapping.NewForkJoinBlock(isRoot, isJoin && join, members[u], mapping.Replicated, u))
 		}
 		return m
 	}
 
 	var best mapping.ForkJoinMapping
+	var bestCost mapping.Cost
 	bestVal := numeric.Inf
 	consider := func(m mapping.ForkJoinMapping) {
-		c, err := mapping.EvalForkJoin(fj, pl, m)
+		c, err := mapping.EvalForkGraph(fj, join, pl, m)
 		if err != nil {
 			return
 		}
 		if numeric.Less(obj(c), bestVal) {
-			best, bestVal = m, obj(c)
+			best, bestCost, bestVal = m, c, obj(c)
 		}
 	}
 	for _, jp := range joinCandidates {
 		consider(build(jp))
 	}
-	consider(mapping.ReplicateAllForkJoin(fj, pl))
+	all := mapping.ReplicateAllForkJoin(fj, pl)
+	all.Blocks[0].Join = join
+	consider(all)
 
-	c, err := mapping.EvalForkJoin(fj, pl, best)
-	if err != nil {
-		panic("heuristics: fork-join greedy produced invalid mapping: " + err.Error())
+	if best.Blocks == nil {
+		panic("heuristics: fork-join greedy produced no valid mapping")
 	}
-	return best, c, nil
+	return best, bestCost, nil
 }

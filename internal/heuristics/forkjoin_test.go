@@ -17,7 +17,7 @@ func TestHetForkJoinGreedyValidAndSound(t *testing.T) {
 		fj := workflow.RandomForkJoin(rng, 1+rng.Intn(3), 9)
 		pl := platform.Random(rng, 2+rng.Intn(2), 5)
 		for _, minPeriod := range []bool{true, false} {
-			m, c, err := HetForkJoinGreedy(fj, pl, minPeriod)
+			m, c, err := HetForkJoinGreedy(fj, true, pl, minPeriod)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +48,7 @@ func TestHetForkJoinGreedyBeatsSingleProcessorWhenSpread(t *testing.T) {
 	// spread them rather than serialize everything.
 	fj := workflow.NewForkJoin(1, 1, 8, 8)
 	pl := platform.Homogeneous(2, 1)
-	_, c, err := HetForkJoinGreedy(fj, pl, false)
+	_, c, err := HetForkJoinGreedy(fj, true, pl, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +59,10 @@ func TestHetForkJoinGreedyBeatsSingleProcessorWhenSpread(t *testing.T) {
 }
 
 func TestHetForkJoinGreedyRejectsInvalid(t *testing.T) {
-	if _, _, err := HetForkJoinGreedy(workflow.NewForkJoin(0, 1, 1), platform.New(1), true); err == nil {
+	if _, _, err := HetForkJoinGreedy(workflow.NewForkJoin(0, 1, 1), true, platform.New(1), true); err == nil {
 		t.Error("invalid fork-join accepted")
 	}
-	if _, _, err := HetForkJoinGreedy(workflow.NewForkJoin(1, 1, 1), platform.New(), true); err == nil {
+	if _, _, err := HetForkJoinGreedy(workflow.NewForkJoin(1, 1, 1), true, platform.New(), true); err == nil {
 		t.Error("empty platform accepted")
 	}
 }

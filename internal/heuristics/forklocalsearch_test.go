@@ -16,10 +16,11 @@ func TestLocalSearchForkNeverWorsens(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		f := workflow.RandomFork(rng, 1+rng.Intn(4), 12)
 		pl := platform.Random(rng, 2+rng.Intn(3), 6)
-		start, c0, err := HetForkPeriodGreedy(f, pl)
+		greedy, c0, err := HetForkJoinGreedy(joinless(f), false, pl, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		start := greedy.Fork()
 		for _, obj := range []ForkObjective{ForkMinPeriod, ForkMinLatency} {
 			improved, c1, err := LocalSearchFork(f, pl, start, obj)
 			if err != nil {
@@ -60,10 +61,11 @@ func TestLocalSearchForkSoundAgainstExhaustive(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		f := workflow.RandomFork(rng, 1+rng.Intn(3), 9)
 		pl := platform.Random(rng, 2+rng.Intn(2), 4)
-		start, _, err := HetForkPeriodGreedy(f, pl)
+		greedy, _, err := HetForkJoinGreedy(joinless(f), false, pl, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		start := greedy.Fork()
 		_, after, err := LocalSearchFork(f, pl, start, ForkMinPeriod)
 		if err != nil {
 			t.Fatal(err)

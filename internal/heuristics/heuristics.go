@@ -11,7 +11,9 @@
 //   - heterogeneous fork on Homogeneous platforms, latency (Theorem 12):
 //     LPT list scheduling of the leaves;
 //   - heterogeneous fork on Heterogeneous platforms, period (Theorem 15):
-//     speed-aware greedy list scheduling.
+//     speed-aware greedy list scheduling, which is the fork-join greedy of
+//     HetForkJoinGreedy run without a join, a fork being a fork-join
+//     without one (Section 6.3).
 //
 // Each heuristic returns a valid mapping; the benchmark harness measures
 // its gap against the exact exponential baselines of internal/exhaustive.

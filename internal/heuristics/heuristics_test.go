@@ -130,17 +130,26 @@ func TestHetForkLatencyLPTValidAndSound(t *testing.T) {
 	}
 }
 
-func TestHetForkPeriodGreedyValidAndSound(t *testing.T) {
+func TestHetForkJoinGreedyWithoutJoinValidAndSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 40; trial++ {
 		f := workflow.RandomFork(rng, 1+rng.Intn(4), 12)
 		pl := platform.Random(rng, 1+rng.Intn(3), 5)
-		m, c, err := HetForkPeriodGreedy(f, pl)
+		m, c, err := HetForkJoinGreedy(joinless(f), false, pl, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mapping.EvalFork(f, pl, m); err != nil {
+		for _, b := range m.Blocks {
+			if b.Join {
+				t.Fatalf("greedy fork mapping sets a Join flag: %v", m)
+			}
+		}
+		got, err := mapping.EvalFork(f, pl, m.Fork())
+		if err != nil {
 			t.Fatalf("heuristic mapping invalid: %v", err)
+		}
+		if got != c {
+			t.Fatalf("reported %v, EvalFork %v", c, got)
 		}
 		opt, ok := exhaustive.ForkPeriod(f, pl, false)
 		if !ok {
@@ -169,7 +178,7 @@ func TestHeuristicsRejectInvalidInputs(t *testing.T) {
 	if _, _, err := HetForkLatencyLPT(badFork, pl); err == nil {
 		t.Error("invalid fork accepted")
 	}
-	if _, _, err := HetForkPeriodGreedy(badFork, pl); err == nil {
+	if _, _, err := HetForkJoinGreedy(joinless(badFork), false, pl, true); err == nil {
 		t.Error("invalid fork accepted")
 	}
 }
@@ -181,7 +190,7 @@ func TestTheorem15InstanceHeuristic(t *testing.T) {
 	S := 10.0
 	f := workflow.NewFork(S, 1, 2, 3, 4, S)
 	pl := platform.New(5*S/2, S/2)
-	_, c, err := HetForkPeriodGreedy(f, pl)
+	_, c, err := HetForkJoinGreedy(joinless(f), false, pl, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,4 +201,10 @@ func TestTheorem15InstanceHeuristic(t *testing.T) {
 	if numeric.Less(c.Period, 1) {
 		t.Fatalf("heuristic beats the optimum: %v", c.Period)
 	}
+}
+
+// joinless is the fork f as the fork-join without a join HetForkJoinGreedy
+// takes.
+func joinless(f workflow.Fork) workflow.ForkJoin {
+	return workflow.ForkJoin{Root: f.Root, Weights: f.Weights}
 }

@@ -46,11 +46,30 @@ func (m ForkJoinMapping) Fork() ForkMapping {
 	if m.Blocks == nil {
 		return ForkMapping{}
 	}
-	out := ForkMapping{Blocks: make([]ForkBlock, len(m.Blocks))}
-	for i, b := range m.Blocks {
-		out.Blocks[i] = ForkBlock{Root: b.Root, Leaves: b.Leaves, Assignment: b.Assignment}
+	return m.appendFork(make([]ForkBlock, 0, len(m.Blocks)))
+}
+
+// appendFork is Fork with m's blocks appended to blocks.
+func (m ForkJoinMapping) appendFork(blocks []ForkBlock) ForkMapping {
+	for _, b := range m.Blocks {
+		blocks = append(blocks, ForkBlock{Root: b.Root, Leaves: b.Leaves, Assignment: b.Assignment})
 	}
-	return out
+	return ForkMapping{Blocks: blocks}
+}
+
+// EvalForkGraph prices m on a fork graph: EvalForkJoin's cost on the
+// fork-join fj when join is set, and otherwise EvalFork's cost of
+// m.Fork() on the fork fj is without a join, whose mappings set no Join
+// flag. EvalForkJoin cannot price the fork: it sums a root block's
+// weights in another order, which may differ in the last bit. The fork
+// view of a mapping of up to 16 blocks lives on the stack, so pricing a
+// fork allocates no more than EvalFork does.
+func EvalForkGraph(fj workflow.ForkJoin, join bool, pl platform.Platform, m ForkJoinMapping) (Cost, error) {
+	if join {
+		return EvalForkJoin(fj, pl, m)
+	}
+	var blocks [16]ForkBlock
+	return EvalFork(workflow.Fork{Root: fj.Root, Weights: fj.Weights}, pl, m.appendFork(blocks[:0]))
 }
 
 // NewForkJoinBlock is a convenience constructor.
@@ -207,18 +226,19 @@ func EvalForkJoin(fj workflow.ForkJoin, pl platform.Platform, m ForkJoinMapping)
 
 // ReplicateAllForkJoin maps the whole fork-join graph as one block
 // replicated onto every processor — optimal for the period on homogeneous
-// platforms (Theorem 10 extended in Section 6.3).
+// platforms (Theorem 10 extended in Section 6.3). The processor and leaf
+// lists are capped views of one array, so appending to either copies it.
 func ReplicateAllForkJoin(fj workflow.ForkJoin, pl platform.Platform) ForkJoinMapping {
-	procs := make([]int, pl.Processors())
-	for i := range procs {
-		procs[i] = i
+	p := pl.Processors()
+	ids := make([]int, p+fj.Leaves())
+	for i := range ids[:p] {
+		ids[i] = i
 	}
-	leaves := make([]int, fj.Leaves())
-	for i := range leaves {
-		leaves[i] = i
+	for i := range ids[p:] {
+		ids[p+i] = i
 	}
 	return ForkJoinMapping{Blocks: []ForkJoinBlock{
-		{Root: true, Join: true, Leaves: leaves, Assignment: Assignment{Procs: procs, Mode: Replicated}},
+		{Root: true, Join: true, Leaves: ids[p:], Assignment: Assignment{Procs: ids[:p:p], Mode: Replicated}},
 	}}
 }
 

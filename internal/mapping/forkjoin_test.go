@@ -202,3 +202,60 @@ func TestForkJoinMappingString(t *testing.T) {
 		t.Errorf("UsedProcessors = %d", m.UsedProcessors())
 	}
 }
+
+// EvalForkGraph prices a fork-join as EvalForkJoin does, and a fork's
+// joinless mapping as EvalFork prices its fork view: bit for bit, past
+// the 16 blocks its stack view holds too, and allocating no more than
+// EvalFork.
+func TestEvalForkGraph(t *testing.T) {
+	f := workflow.NewFork(0.3, 0.1, 0.7, 0.2)
+	joinless := workflow.ForkJoin{Root: f.Root, Weights: f.Weights}
+	pl := platform.New(1.5, 2, 3)
+	fm := ForkMapping{Blocks: []ForkBlock{
+		NewForkBlock(true, []int{2, 0}, Replicated, 0, 1),
+		NewForkBlock(false, []int{1}, Replicated, 2),
+	}}
+	m := fm.ForkJoin()
+	got, err := EvalForkGraph(joinless, false, pl, m)
+	if want := mustEvalFork(t, f, pl, fm); err != nil || got != want {
+		t.Fatalf("joinless cost %v (err %v), EvalFork %v", got, err, want)
+	}
+	graph := testing.AllocsPerRun(20, func() { _, _ = EvalForkGraph(joinless, false, pl, m) })
+	fork := testing.AllocsPerRun(20, func() { _, _ = EvalFork(f, pl, fm) })
+	if graph > fork {
+		t.Errorf("EvalForkGraph allocates %v objects, EvalFork %v", graph, fork)
+	}
+
+	fj := workflow.NewForkJoin(0.3, 0.9, 0.1, 0.7, 0.2)
+	all := ReplicateAllForkJoin(fj, pl)
+	if got, err := EvalForkGraph(fj, true, pl, all); err != nil || got != mustEvalForkJoin(t, fj, pl, all) {
+		t.Fatalf("fork-join cost %v (err %v), EvalForkJoin %v", got, err, mustEvalForkJoin(t, fj, pl, all))
+	}
+
+	wide := workflow.HomogeneousFork(1, 20, 0.1)
+	widePl := platform.Homogeneous(21, 1.5)
+	var blocks []ForkBlock
+	for i := 0; i < 20; i++ {
+		blocks = append(blocks, NewForkBlock(false, []int{i}, Replicated, i))
+	}
+	blocks = append(blocks, NewForkBlock(true, nil, Replicated, 20))
+	wideFM := ForkMapping{Blocks: blocks}
+	got, err = EvalForkGraph(workflow.ForkJoin{Root: wide.Root, Weights: wide.Weights}, false, widePl, wideFM.ForkJoin())
+	if want := mustEvalFork(t, wide, widePl, wideFM); err != nil || got != want {
+		t.Fatalf("21-block joinless cost %v (err %v), EvalFork %v", got, err, want)
+	}
+}
+
+// ReplicateAllForkJoin's processor and leaf lists share one array;
+// appending to the processors leaves the leaves alone.
+func TestReplicateAllForkJoinListsAreIndependent(t *testing.T) {
+	fj := workflow.NewForkJoin(1, 1, 2, 3)
+	b := ReplicateAllForkJoin(fj, platform.New(1, 2)).Blocks[0]
+	if len(b.Procs) != 2 || len(b.Leaves) != 2 || b.Procs[1] != 1 || b.Leaves[1] != 1 {
+		t.Fatalf("block %+v", b)
+	}
+	_ = append(b.Procs, 7)
+	if b.Leaves[0] != 0 {
+		t.Errorf("appending a processor overwrote leaf list %v", b.Leaves)
+	}
+}

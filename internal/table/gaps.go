@@ -82,7 +82,8 @@ func MeasureHeuristicGaps(seed int64, trials int) []GapReport {
 		{
 			f := workflow.RandomFork(rng, 2+rng.Intn(3), 12)
 			pl := platform.Random(rng, 2, 5)
-			if _, hc, err := heuristics.HetForkPeriodGreedy(f, pl); err == nil {
+			joinless := workflow.ForkJoin{Root: f.Root, Weights: f.Weights}
+			if _, hc, err := heuristics.HetForkJoinGreedy(joinless, false, pl, true); err == nil {
 				if opt, ok := exhaustive.ForkPeriod(f, pl, false); ok {
 					record(&reports[3], hc.Period, opt.Cost.Period)
 				}
@@ -92,7 +93,7 @@ func MeasureHeuristicGaps(seed int64, trials int) []GapReport {
 		{
 			fj := workflow.RandomForkJoin(rng, 1+rng.Intn(3), 9)
 			pl := platform.Random(rng, 2+rng.Intn(2), 5)
-			if _, hc, err := heuristics.HetForkJoinGreedy(fj, pl, false); err == nil {
+			if _, hc, err := heuristics.HetForkJoinGreedy(fj, true, pl, false); err == nil {
 				if opt, ok := exhaustive.ForkJoinLatency(fj, pl, false); ok {
 					record(&reports[4], hc.Latency, opt.Cost.Latency)
 				}

@@ -50,7 +50,8 @@ func TestSoakTheorem11LargerInstances(t *testing.T) {
 		f := workflow.HomogeneousFork(float64(1+rng.Intn(12)), n, float64(1+rng.Intn(12)))
 		pl := platform.Homogeneous(1+rng.Intn(5), float64(1+rng.Intn(3)))
 		for _, dp := range []bool{false, true} {
-			res, err := forkalgo.HomForkLatency(f, pl, dp)
+			joinless := workflow.ForkJoin{Root: f.Root, Weights: f.Weights}
+			res, _, err := forkalgo.Theorem11(joinless, false, pl, dp, false, numeric.Inf)
 			if err != nil {
 				t.Fatal(err)
 			}
