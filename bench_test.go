@@ -489,13 +489,6 @@ func BenchmarkChains(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Nicol", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := chains.Nicol(a, 8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationLocalSearch measures what hill climbing adds on top of
@@ -543,22 +536,31 @@ func BenchmarkParetoFront(b *testing.B) {
 
 // BenchmarkFullModel exercises the communication-aware general model of
 // Sections 3.2-3.3 (Equations (1) and (2)): the homogeneous DP against the
-// exact solver.
+// exact solver, each on a fresh prepared solver per op.
 func BenchmarkFullModel(b *testing.B) {
 	weights := []float64{8, 3, 5, 2, 7}
 	data := []float64{1, 4, 2, 6, 3, 1}
 	p := fullmodel.NewPipeline(weights, data)
 	pl := fullmodel.Uniform([]float64{2, 2, 2, 2}, 3)
+	goal := fullmodel.Goal{MinimizePeriod: true}
 	b.Run("HomDP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := fullmodel.HomPeriod(p, pl); err != nil {
+			pp, err := fullmodel.NewPipelinePrepared(p, pl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, ok, err := pp.SolveHom(goal); !ok || err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, ok, err := fullmodel.ExactSolve(p, pl, true, numeric.Inf); !ok || err != nil {
+			pp, err := fullmodel.NewPipelinePrepared(p, pl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, ok, err := pp.SolveExact(context.Background(), goal); !ok || err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -893,8 +895,9 @@ func BenchmarkPortfolio(b *testing.B) {
 		return anytime.SolvePipeline(ctx, p, pl, spec, []mapping.PipelineMapping{mapping.ReplicateAllPipeline(p, pl)}, cfg)
 	})
 	bench("Fork", func(ctx context.Context) (anytime.Result, error) {
-		seeds := []mapping.ForkJoinMapping{mapping.ReplicateAllFork(f, pl).ForkJoin()}
-		return anytime.SolveForkJoin(ctx, joinless, false, pl, spec, seeds, cfg)
+		seed := mapping.ReplicateAllForkJoin(joinless, pl)
+		seed.Blocks[0].Join = false
+		return anytime.SolveForkJoin(ctx, joinless, false, pl, spec, []mapping.ForkJoinMapping{seed}, cfg)
 	})
 	bench("ForkJoin", func(ctx context.Context) (anytime.Result, error) {
 		return anytime.SolveForkJoin(ctx, fj, true, pl, spec, []mapping.ForkJoinMapping{mapping.ReplicateAllForkJoin(fj, pl)}, cfg)

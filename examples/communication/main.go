@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 		data := []float64{0, d, d, d, 0} // interior boundaries carry d, I/O is free
 		p := fullmodel.NewPipeline(weights, data)
 		pl := fullmodel.Uniform(speeds, 1)
-		m, c, err := fullmodel.HomPeriod(p, pl)
+		m, c, err := minPeriod(p, pl)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,10 +50,26 @@ func main() {
 	pl := fullmodel.Uniform([]float64{1, 1}, 1)
 	pl.Band[0][1] = 8
 	pl.Band[1][0] = 0.5
-	m, c, ok, err := fullmodel.ExactSolve(p, pl, true, 1e18)
+	pp, err := fullmodel.NewPipelinePrepared(p, pl)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, c, ok, err := pp.SolveExact(context.Background(), fullmodel.Goal{MinimizePeriod: true})
 	if err != nil || !ok {
 		log.Fatal(err)
 	}
 	fmt.Printf("  optimal: bounds %v on processors %v, period %g latency %g\n",
 		m.Bounds, m.Alloc, c.Period, c.Latency)
+}
+
+// minPeriod returns the period-optimal interval mapping of p on the fully
+// homogeneous platform pl, by the homogeneous dynamic program. An
+// uncapped period goal is always feasible.
+func minPeriod(p fullmodel.Pipeline, pl fullmodel.Platform) (fullmodel.Mapping, fullmodel.Cost, error) {
+	pp, err := fullmodel.NewPipelinePrepared(p, pl)
+	if err != nil {
+		return fullmodel.Mapping{}, fullmodel.Cost{}, err
+	}
+	m, c, _, err := pp.SolveHom(fullmodel.Goal{MinimizePeriod: true})
+	return m, c, err
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	"repliflow/internal/fullmodel"
@@ -16,7 +17,7 @@ func TestCommunicationLogic(t *testing.T) {
 		data := []float64{0, d, d, d, 0}
 		p := fullmodel.NewPipeline(weights, data)
 		pl := fullmodel.Uniform(speeds, 1)
-		m, c, err := fullmodel.HomPeriod(p, pl)
+		m, c, err := minPeriod(p, pl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,11 @@ func TestCommunicationLogic(t *testing.T) {
 	pl := fullmodel.Uniform([]float64{1, 1}, 1)
 	pl.Band[0][1] = 8
 	pl.Band[1][0] = 0.5
-	m, _, ok, err := fullmodel.ExactSolve(p, pl, true, 1e18)
+	pp, err := fullmodel.NewPipelinePrepared(p, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, ok, err := pp.SolveExact(context.Background(), fullmodel.Goal{MinimizePeriod: true})
 	if err != nil || !ok {
 		t.Fatalf("exact solve failed: ok=%v err=%v", ok, err)
 	}

@@ -140,8 +140,10 @@ func TestPortfolioExactMemberCertifies(t *testing.T) {
 			},
 		}
 		joinless := workflow.ForkJoin{Root: f.Root, Weights: f.Weights}
+		seed := mapping.ReplicateAllForkJoin(joinless, pl)
+		seed.Blocks[0].Join = false
 		res, err := anytime.SolveForkJoin(context.Background(), joinless, false, pl, spec,
-			[]mapping.ForkJoinMapping{mapping.ReplicateAllFork(f, pl).ForkJoin()}, cfg)
+			[]mapping.ForkJoinMapping{seed}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,13 +4,8 @@
 // array a_1..a_n into at most p consecutive intervals minimizing the
 // largest interval sum.
 //
-// Two classic exact algorithms are provided:
-//
-//   - Bokhari-style dynamic programming (O(n²·p)), following Bokhari (1988)
-//     and Hansen & Lih (1992);
-//   - Nicol's probe method: binary search over the finite candidate set of
-//     interval sums with a greedy feasibility probe (O(n·p·log n) flavour),
-//     following Nicol (1994) and the Pinar & Aykanat (2004) survey.
+// It solves the problem exactly by Bokhari-style dynamic programming
+// (O(n²·p)), following Bokhari (1988) and Hansen & Lih (1992).
 //
 // The package doubles as a baseline in the benchmark harness: on a
 // homogeneous platform, mapping each interval to one processor without
@@ -34,23 +29,6 @@ type Partition struct {
 
 // Intervals returns the number of intervals.
 func (p Partition) Intervals() int { return len(p.Bounds) }
-
-// Bottleneck returns the largest interval sum of the partition over a.
-func (p Partition) Bottleneck(a []float64) float64 {
-	var worst float64
-	start := 0
-	for _, end := range p.Bounds {
-		var sum float64
-		for i := start; i < end; i++ {
-			sum += a[i]
-		}
-		if sum > worst {
-			worst = sum
-		}
-		start = end
-	}
-	return worst
-}
 
 // Validate checks the partition covers exactly [0, n) in order with
 // non-empty intervals.
@@ -150,96 +128,4 @@ func DP(a []float64, p int) (Partition, float64, error) {
 		panic("chains: DP produced invalid partition: " + err.Error())
 	}
 	return part, best[bestK][n], nil
-}
-
-// Probe reports whether a can be partitioned into at most p consecutive
-// intervals each of sum at most bound, and returns the greedy partition
-// when it can. This is Nicol's probe: greedily extend each interval as far
-// as the bound allows.
-func Probe(a []float64, p int, bound float64) (Partition, bool) {
-	n := len(a)
-	var bounds []int
-	i := 0
-	for k := 0; k < p && i < n; k++ {
-		var sum float64
-		j := i
-		for j < n && numeric.LessEq(sum+a[j], bound) {
-			sum += a[j]
-			j++
-		}
-		if j == i {
-			return Partition{}, false // a single element exceeds the bound
-		}
-		bounds = append(bounds, j)
-		i = j
-	}
-	if i < n {
-		return Partition{}, false
-	}
-	return Partition{Bounds: bounds}, true
-}
-
-// Bisect solves chains-to-chains approximately by real-valued bisection
-// between the trivial bounds max(a) and sum(a), in the spirit of Iqbal
-// (1991): the returned bottleneck is within eps of the optimum. It serves
-// as a baseline contrasting with the exact candidate-set search of Nicol.
-func Bisect(a []float64, p int, eps float64) (Partition, float64, error) {
-	if err := validateInput(a, p); err != nil {
-		return Partition{}, 0, err
-	}
-	if eps <= 0 {
-		return Partition{}, 0, fmt.Errorf("chains: non-positive tolerance %v", eps)
-	}
-	lo := numeric.MaxFloat(a)
-	hi := numeric.SumFloat(a)
-	best, ok := Probe(a, p, hi)
-	if !ok {
-		panic("chains: total sum must be feasible")
-	}
-	for hi-lo > eps {
-		mid := (lo + hi) / 2
-		if part, ok := Probe(a, p, mid); ok {
-			best = part
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return best, best.Bottleneck(a), nil
-}
-
-// Nicol solves chains-to-chains exactly by binary search over the candidate
-// bottleneck values (all interval sums) combined with the greedy Probe.
-func Nicol(a []float64, p int) (Partition, float64, error) {
-	if err := validateInput(a, p); err != nil {
-		return Partition{}, 0, err
-	}
-	n := len(a)
-	cands := make([]float64, 0, n*(n+1)/2)
-	for i := 0; i < n; i++ {
-		var sum float64
-		for j := i; j < n; j++ {
-			sum += a[j]
-			cands = append(cands, sum)
-		}
-	}
-	cands = numeric.DedupSorted(cands)
-	lo, hi := 0, len(cands)-1
-	var best Partition
-	bestVal := numeric.Inf
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if part, ok := Probe(a, p, cands[mid]); ok {
-			best = part
-			bestVal = cands[mid]
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-	}
-	if bestVal == numeric.Inf {
-		panic("chains: no feasible bottleneck (total sum must always be feasible)")
-	}
-	// The greedy partition may have slack; report the actual bottleneck.
-	return best, best.Bottleneck(a), nil
 }

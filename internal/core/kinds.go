@@ -104,17 +104,6 @@ func KindSpecs() []*KindSpec {
 	return append([]*KindSpec(nil), kindSpecList...)
 }
 
-// KindSpecFor returns the capability spec of a kind. Unknown kinds fail
-// with ErrKindUnsupportedKind — the structured error every dispatch site
-// returns instead of silently defaulting.
-func KindSpecFor(kind workflow.Kind) (*KindSpec, error) {
-	if s := specFor(kind); s != nil {
-		return s, nil
-	}
-	return nil, WithErrKind(ErrKindUnsupportedKind,
-		fmt.Errorf("core: unsupported workflow kind %v", kind))
-}
-
 // KindByName resolves a wire kind name to its spec. Unknown names fail
 // with ErrKindUnsupportedKind.
 func KindByName(name string) (*KindSpec, error) {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestKindRegistryNames: every registered kind resolves by its wire name
-// and round-trips through KindSpecFor.
+// and round-trips through specFor.
 func TestKindRegistryNames(t *testing.T) {
 	specs := KindSpecs()
 	if len(specs) < 6 {
@@ -24,9 +24,8 @@ func TestKindRegistryNames(t *testing.T) {
 		if err != nil || byName.Kind != spec.Kind {
 			t.Errorf("KindByName(%q) = %v, %v", spec.Name, byName, err)
 		}
-		byKind, err := KindSpecFor(spec.Kind)
-		if err != nil || byKind != byName {
-			t.Errorf("KindSpecFor(%v) = %p, %v; want %p", spec.Kind, byKind, err, byName)
+		if byKind := specFor(spec.Kind); byKind != byName {
+			t.Errorf("specFor(%v) = %p; want %p", spec.Kind, byKind, byName)
 		}
 	}
 }
@@ -39,8 +38,8 @@ func TestUnknownKindDispatchSites(t *testing.T) {
 	const bogus = workflow.Kind(97)
 
 	// Registry resolution by kind and by name.
-	if _, err := KindSpecFor(bogus); ErrKindOf(err) != ErrKindUnsupportedKind {
-		t.Errorf("KindSpecFor: err = %v (kind %v), want unsupported-kind", err, ErrKindOf(err))
+	if s := specFor(bogus); s != nil {
+		t.Errorf("specFor(%v) = %v, want nil", bogus, s)
 	}
 	if _, err := KindByName("gantt"); ErrKindOf(err) != ErrKindUnsupportedKind {
 		t.Errorf("KindByName: err = %v (kind %v), want unsupported-kind", err, ErrKindOf(err))
@@ -83,7 +82,7 @@ func TestUnknownKindDispatchSites(t *testing.T) {
 
 	// No enumerated cell carries an unregistered kind.
 	for _, k := range AllCellKeys() {
-		if _, err := KindSpecFor(k.Kind); err != nil {
+		if specFor(k.Kind) == nil {
 			t.Errorf("AllCellKeys emitted unregistered kind %v", k.Kind)
 		}
 	}

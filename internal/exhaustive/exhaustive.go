@@ -31,8 +31,8 @@
 // The pipeline DP then only reaches used-processor masks that hold the
 // highest-index processors of each speed: 144 of the 16,384 masks of 14
 // processors in 3 speeds. The enumeration oracles (enumeratePipeline,
-// EnumerateFork, EnumerateForkJoin) and the unpruned searches of the
-// tests keep every subset.
+// EnumerateFork and the tests' enumerateForkJoin) and the unpruned
+// searches of the tests keep every subset.
 //
 // All solvers are exponential in the number of processors (and, for forks,
 // in the number of stages); they are intended for the small instances used

@@ -242,26 +242,6 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, cut func(m
 	})
 }
 
-// EnumerateForkJoin invokes visit for every valid fork-join mapping. Each
-// visited mapping is an independent copy the visitor may retain.
-func EnumerateForkJoin(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, visit func(mapping.ForkJoinMapping, mapping.Cost)) {
-	newFJEnum(fj, true, pl, allowDP, buildMaskInfo(pl)).runFrom(context.Background(), nil, 0, nil, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
-		visit(m.Clone(), c)
-		return true
-	})
-}
-
-// ForkJoinPareto returns the exact Pareto front of (period, latency) over
-// all fork-join mappings, ordered by increasing period: every mapping
-// enumerated, then filtered, as ForkPareto does for forks.
-func ForkJoinPareto(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) []ForkJoinResult {
-	var all []ForkJoinResult
-	EnumerateForkJoin(fj, pl, allowDP, func(m mapping.ForkJoinMapping, c mapping.Cost) {
-		all = append(all, ForkJoinResult{Mapping: m, Cost: c})
-	})
-	return paretoFilter(all)
-}
-
 // NewForkJoinPrepared returns a prepared solver for the triple.
 func NewForkJoinPrepared(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) *ForkJoinPrepared {
 	return newPrepared(newFJEnum(fj, true, pl, allowDP, buildMaskInfo(pl)))

@@ -73,7 +73,7 @@ func TestForkJoinBoundsConsistency(t *testing.T) {
 func TestEnumerateForkJoinRespectsDataParRules(t *testing.T) {
 	fj := workflow.NewForkJoin(2, 2, 3)
 	pl := platform.Homogeneous(3, 1)
-	EnumerateForkJoin(fj, pl, true, func(m mapping.ForkJoinMapping, _ mapping.Cost) {
+	enumerateForkJoin(fj, pl, true, func(m mapping.ForkJoinMapping, _ mapping.Cost) {
 		for _, b := range m.Blocks {
 			if b.Mode != mapping.DataParallel {
 				continue

@@ -443,7 +443,7 @@ func scanFrontCase(rng *rand.Rand, trial int) (front func(context.Context) ([]ma
 		return NewForkPrepared(f, pl, dp).Front, func() []mapping.Cost { return resultCosts(ForkPareto(f, pl, dp)) }
 	}
 	fj := workflow.RandomForkJoin(rng, 1+rng.Intn(3), 9)
-	return NewForkJoinPrepared(fj, pl, dp).Front, func() []mapping.Cost { return resultCosts(ForkJoinPareto(fj, pl, dp)) }
+	return NewForkJoinPrepared(fj, pl, dp).Front, func() []mapping.Cost { return resultCosts(forkJoinPareto(fj, pl, dp)) }
 }
 
 func resultCosts[M any](rs []Result[M]) []mapping.Cost {
@@ -455,7 +455,7 @@ func resultCosts[M any](rs []Result[M]) []mapping.Cost {
 }
 
 // TestScanFrontMatchesEnumeration: the fork and fork-join passes' fronts
-// are the enumerate-then-filter fronts of ForkPareto and ForkJoinPareto,
+// are the enumerate-then-filter fronts of ForkPareto and forkJoinPareto,
 // point for point within the tolerance, on homogeneous and heterogeneous
 // platforms, with data-parallelism on and off.
 func TestScanFrontMatchesEnumeration(t *testing.T) {
@@ -597,4 +597,24 @@ func TestScanFrontSeededMatchesFresh(t *testing.T) {
 			checkSeeded(t, trial, workers, func() *ForkJoinPrepared { return NewForkJoinPrepared(fj, pl, dp) })
 		}
 	}
+}
+
+// forkJoinPareto returns the exact Pareto front of (period, latency) over
+// all fork-join mappings, ordered by increasing period: every mapping
+// enumerated, then filtered, as ForkPareto does for forks.
+func forkJoinPareto(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) []ForkJoinResult {
+	var all []ForkJoinResult
+	enumerateForkJoin(fj, pl, allowDP, func(m mapping.ForkJoinMapping, c mapping.Cost) {
+		all = append(all, ForkJoinResult{Mapping: m, Cost: c})
+	})
+	return paretoFilter(all)
+}
+
+// enumerateForkJoin invokes visit for every valid fork-join mapping. Each
+// visited mapping is an independent copy the visitor may retain.
+func enumerateForkJoin(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, visit func(mapping.ForkJoinMapping, mapping.Cost)) {
+	newFJEnum(fj, true, pl, allowDP, buildMaskInfo(pl)).runFrom(context.Background(), nil, 0, nil, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
+		visit(m.Clone(), c)
+		return true
+	})
 }

@@ -62,7 +62,7 @@ func TestForkJoinInlineCostMatchesEval(t *testing.T) {
 		}
 		pl := randFracPlatform(rng, 2+rng.Intn(2))
 		n := 0
-		EnumerateForkJoin(fj, pl, true, func(m mapping.ForkJoinMapping, c mapping.Cost) {
+		enumerateForkJoin(fj, pl, true, func(m mapping.ForkJoinMapping, c mapping.Cost) {
 			n++
 			want, err := mapping.EvalForkJoin(fj, pl, m)
 			if err != nil {

@@ -125,7 +125,7 @@ func TestSymmetrySkipMatchesOracles(t *testing.T) {
 			func() *ForkPrepared { return NewForkPrepared(f, pl, dp) },
 			func(o objective) (ForkJoinResult, bool, error) { return forkScan(ctx, f, pl, dp, o.accept, o.value, 0) })
 		fj := workflow.RandomForkJoin(rng, 1+rng.Intn(2), 9)
-		checkScanSymmetry(t, "fork-join", trial, resultCosts(ForkJoinPareto(fj, pl, dp)),
+		checkScanSymmetry(t, "fork-join", trial, resultCosts(forkJoinPareto(fj, pl, dp)),
 			func() *ForkJoinPrepared { return NewForkJoinPrepared(fj, pl, dp) },
 			func(o objective) (ForkJoinResult, bool, error) {
 				return forkJoinScan(ctx, fj, pl, dp, o.accept, o.value, 0)

@@ -1,6 +1,7 @@
 package forkalgo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestPaperRecurrenceMatchesProductionTheorem11(t *testing.T) {
 		n := rng.Intn(6)
 		f := workflow.HomogeneousFork(float64(1+rng.Intn(9)), n, float64(1+rng.Intn(9)))
 		pl := platform.Homogeneous(1+rng.Intn(5), float64(1+rng.Intn(3)))
-		paper, err := HomForkLatencyPaperRecurrence(f, pl)
+		paper, err := homForkLatencyPaperRecurrence(f, pl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,10 +32,97 @@ func TestPaperRecurrenceMatchesProductionTheorem11(t *testing.T) {
 }
 
 func TestPaperRecurrenceRejectsHetInputs(t *testing.T) {
-	if _, err := HomForkLatencyPaperRecurrence(workflow.NewFork(1, 2, 3), platform.Homogeneous(2, 1)); err != ErrNotHomogeneousFork {
+	if _, err := homForkLatencyPaperRecurrence(workflow.NewFork(1, 2, 3), platform.Homogeneous(2, 1)); err != ErrNotHomogeneousFork {
 		t.Errorf("het fork err = %v", err)
 	}
-	if _, err := HomForkLatencyPaperRecurrence(workflow.HomogeneousFork(1, 2, 3), platform.New(1, 2)); err != ErrNotHomogeneousPlatform {
+	if _, err := homForkLatencyPaperRecurrence(workflow.HomogeneousFork(1, 2, 3), platform.New(1, 2)); err != ErrNotHomogeneousPlatform {
 		t.Errorf("het platform err = %v", err)
 	}
+}
+
+// homForkLatencyPaperRecurrence computes the Theorem 11 optimum (without
+// data-parallelism) with the paper's own two-level structure, transcribed
+// literally: outer loops over n0 (leaves sharing the root's block) and q0
+// (its processor count), with P0 = (w0 + n0·w)/(q0·s) and L0 = w0/s, and
+// the inner recurrence
+//
+//	(P,L)(i,q) = min( (max(P0, i·w/(q·s)), L0 + max(n0·w/s, i·w/s)),
+//	                  min_{1<=k<i, 1<=q'<q}
+//	                    (max(P0, P(k,q'), P(i-k,q-q')),
+//	                     L0 + max(n0·w/s, L(k,q'), L(i-k,q-q'))) )
+//
+// minimizing the latency (the paper's bi-criteria table computed "in
+// parallel"; this transcription fixes no typos — the recurrence is used as
+// printed, with the (P,L) pair reduced to its latency component for the
+// mono-criterion check). It returns the optimal latency only; the
+// production implementation Theorem11 (loops + remDP) additionally
+// builds mappings. Agreement between the two is checked in tests.
+func homForkLatencyPaperRecurrence(f workflow.Fork, pl platform.Platform) (float64, error) {
+	if err := check(workflow.ForkJoin{Root: f.Root, Weights: f.Weights}, false, pl, true, true); err != nil {
+		return 0, err
+	}
+	s := pl.Speeds[0]
+	n, p := f.Leaves(), pl.Processors()
+	w := 0.0
+	if n > 0 {
+		w = f.Weights[0]
+	}
+
+	best := numeric.Inf
+	for n0 := 0; n0 <= n; n0++ {
+		for q0 := 1; q0 <= p; q0++ {
+			rem, qrem := n-n0, p-q0
+			L0 := f.Root / s
+			inBlock := L0 + float64(n0)*w/s
+			if rem == 0 {
+				if numeric.Less(inBlock, best) {
+					best = inBlock
+				}
+				continue
+			}
+			if qrem == 0 {
+				continue
+			}
+			// Inner recurrence: L(i,q) = minimal max-delay of replicated
+			// blocks for i leaves on q processors; the paper's L-component
+			// carries the L0 + max(n0·w/s, ...) wrapper which we apply at
+			// the end (it is constant over the recurrence).
+			memo := make([][]float64, rem+1)
+			for i := range memo {
+				memo[i] = make([]float64, qrem+1)
+				for q := range memo[i] {
+					memo[i][q] = -1
+				}
+			}
+			var L func(i, q int) float64
+			L = func(i, q int) float64 {
+				if i == 0 {
+					return 0
+				}
+				if q == 0 {
+					return numeric.Inf
+				}
+				if memo[i][q] >= 0 {
+					return memo[i][q]
+				}
+				// Case (1): replicate the i leaves as one block.
+				v := float64(i) * w / s
+				// Case (2): split.
+				for k := 1; k < i; k++ {
+					for q1 := 1; q1 < q; q1++ {
+						if c := math.Max(L(k, q1), L(i-k, q-q1)); c < v {
+							v = c
+						}
+					}
+				}
+				memo[i][q] = v
+				return v
+			}
+			lat := L0 + math.Max(float64(n0)*w/s, L(rem, qrem))
+			if numeric.Less(math.Max(inBlock, lat), best) {
+				best = math.Max(inBlock, lat)
+			}
+		}
+	}
+	return best, nil
 }

@@ -1,7 +1,6 @@
 package fullmodel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -140,31 +139,7 @@ func (g Goal) value(c Cost) float64 {
 	return c.Latency
 }
 
-// SolveHom optimizes a comm-aware pipeline on a fully homogeneous
-// platform for any of the four objectives, via the Subhlok-Vondran style
-// dynamic programs: the latency-under-period DP directly, and binary
-// search over the finite candidate period set for the period objectives.
-// ok is false when a cap is infeasible.
-func SolveHom(p Pipeline, pl Platform, goal Goal) (Mapping, Cost, bool, error) {
-	pp, err := NewPipelinePrepared(p, pl)
-	if err != nil {
-		return Mapping{}, Cost{}, false, err
-	}
-	return pp.SolveHom(goal)
-}
-
 func goalNeedsPeriodSearch(goal Goal) bool { return goal.MinimizePeriod }
-
-// SolveExact exhaustively optimizes the heterogeneous comm-aware pipeline
-// for any objective, with context cancellation. Exponential in p;
-// intended for small platforms (the exhaustive dispatch limits).
-func SolveExact(ctx context.Context, p Pipeline, pl Platform, goal Goal) (Mapping, Cost, bool, error) {
-	pp, err := NewPipelinePrepared(p, pl)
-	if err != nil {
-		return Mapping{}, Cost{}, false, err
-	}
-	return pp.SolveExact(ctx, goal)
-}
 
 // HeuristicCandidates returns deterministic seed mappings for oversized
 // heterogeneous comm-aware pipelines: the whole chain on the fastest
@@ -219,20 +194,6 @@ func HeuristicCandidates(p Pipeline, pl Platform) []Mapping {
 		out = append(out, Mapping{Bounds: bounds, Alloc: alloc})
 	}
 	return out
-}
-
-// SolveForkExact exhaustively optimizes the one-port fork: it enumerates
-// every partition of the leaves into blocks (block 0 is the root block
-// and may hold no leaf), every injective processor assignment, and
-// evaluates each mapping with the latency-optimal send order (the period
-// is send-order independent, so one order per assignment suffices for
-// both metrics). Runs under the flexible model of EvalFork.
-func SolveForkExact(ctx context.Context, f Fork, pl Platform, goal Goal) (ForkMapping, Cost, bool, error) {
-	fp, err := NewForkPrepared(f, pl)
-	if err != nil {
-		return ForkMapping{}, Cost{}, false, err
-	}
-	return fp.SolveExact(ctx, goal)
 }
 
 // ForkHeuristicCandidates returns deterministic seed mappings for

@@ -45,6 +45,26 @@ func randomCommPipeline(rng *rand.Rand, n int) Pipeline {
 	return NewPipeline(ws, data)
 }
 
+// prepare returns a fresh prepared solver of p on pl.
+func prepare(t testing.TB, p Pipeline, pl Platform) *PipelinePrepared {
+	t.Helper()
+	pp, err := NewPipelinePrepared(p, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pp
+}
+
+// prepareFork returns a fresh prepared solver of f on pl.
+func prepareFork(t testing.TB, f Fork, pl Platform) *ForkPrepared {
+	t.Helper()
+	fp, err := NewForkPrepared(f, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
 func allGoals(bound float64) []Goal {
 	return []Goal{
 		{MinimizePeriod: true},
@@ -62,11 +82,11 @@ func TestSolveHomMatchesExact(t *testing.T) {
 		p := randomCommPipeline(rng, 2+rng.Intn(4))
 		pl := Uniform([]float64{2, 2, 2}, float64(1+rng.Intn(3)))
 		for _, goal := range allGoals(float64(4 + rng.Intn(12))) {
-			hm, hc, hok, err := SolveHom(p, pl, goal)
+			hm, hc, hok, err := prepare(t, p, pl).SolveHom(goal)
 			if err != nil {
 				t.Fatalf("SolveHom: %v", err)
 			}
-			_, ec, eok, err := SolveExact(context.Background(), p, pl, goal)
+			_, ec, eok, err := prepare(t, p, pl).SolveExact(context.Background(), goal)
 			if err != nil {
 				t.Fatalf("SolveExact: %v", err)
 			}
@@ -132,9 +152,9 @@ func TestSolveForkExactValidAndBeatsHeuristics(t *testing.T) {
 		}
 		pl := Uniform(speeds, float64(1+rng.Intn(4)))
 		for _, goal := range []Goal{{MinimizePeriod: true}, {}} {
-			m, c, ok, err := SolveForkExact(context.Background(), f, pl, goal)
+			m, c, ok, err := prepareFork(t, f, pl).SolveExact(context.Background(), goal)
 			if err != nil || !ok {
-				t.Fatalf("SolveForkExact: %v ok=%v", err, ok)
+				t.Fatalf("fork SolveExact: %v ok=%v", err, ok)
 			}
 			if got, err := EvalFork(f, pl, m, false); err != nil || !numeric.Eq(goal.value(got), goal.value(c)) {
 				t.Fatalf("trial %d: returned mapping re-evaluates to %v (err %v), cost %v", trial, got, err, c)
@@ -158,7 +178,7 @@ func TestSolveForkExactCancellation(t *testing.T) {
 	pl := Uniform([]float64{3, 2, 1, 4, 2, 1}, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := SolveForkExact(ctx, f, pl, Goal{}); err == nil {
+	if _, _, _, err := prepareFork(t, f, pl).SolveExact(ctx, Goal{}); err == nil {
 		t.Fatal("cancelled fork solve returned nil error")
 	}
 }
@@ -228,7 +248,7 @@ func TestZeroDataForkMatchesSimplifiedEval(t *testing.T) {
 }
 
 // TestZeroDataForkSolverMatchesSimplifiedOracle is the solver-level
-// degeneration: on all-zero data sizes, SolveForkExact must return
+// degeneration: on all-zero data sizes, the exact fork solve must return
 // exactly the optimum of the simplified-model fork solver restricted to
 // the mappings the comm model can express (single-processor replicated
 // blocks — replication and data-parallelism have no comm cost model,
@@ -248,9 +268,9 @@ func TestZeroDataForkSolverMatchesSimplifiedOracle(t *testing.T) {
 		sf := workflow.NewFork(f.Root, f.Weights...)
 
 		for _, minimizePeriod := range []bool{true, false} {
-			_, commCost, ok, err := SolveForkExact(context.Background(), f, pl, Goal{MinimizePeriod: minimizePeriod})
+			_, commCost, ok, err := prepareFork(t, f, pl).SolveExact(context.Background(), Goal{MinimizePeriod: minimizePeriod})
 			if err != nil || !ok {
-				t.Fatalf("SolveForkExact: %v ok=%v", err, ok)
+				t.Fatalf("fork SolveExact: %v ok=%v", err, ok)
 			}
 			oracle := bestSimplifiedSingleProc(sf, spl, minimizePeriod)
 			got := commCost.Latency

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repliflow/internal/numeric"
 )
 
 // Fork is a fork graph in the general model of Sections 3.2-3.3: the root
@@ -241,39 +239,4 @@ func OptimalSendOrder(f Fork, pl Platform, m ForkMapping) []int {
 		order[i] = e.block
 	}
 	return order
-}
-
-// BestSendOrderLatency returns the minimum latency over all send orders by
-// exhaustive permutation — a test oracle for OptimalSendOrder, usable up
-// to ~8 non-root blocks.
-func BestSendOrderLatency(f Fork, pl Platform, m ForkMapping, strict bool) (float64, error) {
-	if err := ValidateFork(f, pl, m); err != nil {
-		return 0, err
-	}
-	var others []int
-	for i := range m.Blocks {
-		if i != m.RootBlock {
-			others = append(others, i)
-		}
-	}
-	best := numeric.Inf
-	var permute func(k int)
-	permute = func(k int) {
-		if k == len(others) {
-			mm := m
-			mm.SendOrder = append([]int(nil), others...)
-			c, err := EvalFork(f, pl, mm, strict)
-			if err == nil && c.Latency < best {
-				best = c.Latency
-			}
-			return
-		}
-		for i := k; i < len(others); i++ {
-			others[k], others[i] = others[i], others[k]
-			permute(k + 1)
-			others[k], others[i] = others[i], others[k]
-		}
-	}
-	permute(0)
-	return best, nil
 }

@@ -96,7 +96,7 @@ func TestOptimalSendOrderBeatsPermutations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			best, err := BestSendOrderLatency(f, pl, m, strict)
+			best, err := bestSendOrderLatency(f, pl, m, strict)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,4 +164,39 @@ func TestZeroCommunicationForkMatchesSimplifiedModel(t *testing.T) {
 	if !numeric.Eq(c.Latency, 8) {
 		t.Errorf("latency = %v, want 8", c.Latency)
 	}
+}
+
+// bestSendOrderLatency returns the minimum latency over all send orders by
+// exhaustive permutation — the oracle of OptimalSendOrder, usable up to ~8
+// non-root blocks.
+func bestSendOrderLatency(f Fork, pl Platform, m ForkMapping, strict bool) (float64, error) {
+	if err := ValidateFork(f, pl, m); err != nil {
+		return 0, err
+	}
+	var others []int
+	for i := range m.Blocks {
+		if i != m.RootBlock {
+			others = append(others, i)
+		}
+	}
+	best := numeric.Inf
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(others) {
+			mm := m
+			mm.SendOrder = append([]int(nil), others...)
+			c, err := EvalFork(f, pl, mm, strict)
+			if err == nil && c.Latency < best {
+				best = c.Latency
+			}
+			return
+		}
+		for i := k; i < len(others); i++ {
+			others[k], others[i] = others[i], others[k]
+			permute(k + 1)
+			others[k], others[i] = others[i], others[k]
+		}
+	}
+	permute(0)
+	return best, nil
 }

@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"repliflow/internal/numeric"
-	"repliflow/internal/workflow"
 )
 
 // Pipeline is a pipeline whose stages also carry the data sizes of
@@ -46,16 +45,6 @@ func NewPipeline(weights, data []float64) Pipeline {
 		Weights: append([]float64(nil), weights...),
 		Data:    append([]float64(nil), data...),
 	}
-}
-
-// FromSimple lifts a simplified-model pipeline into the full model with
-// uniform data size d between all stages.
-func FromSimple(p workflow.Pipeline, d float64) Pipeline {
-	data := make([]float64, p.Stages()+1)
-	for i := range data {
-		data[i] = d
-	}
-	return Pipeline{Weights: append([]float64(nil), p.Weights...), Data: data}
 }
 
 // Stages returns the number of stages.

@@ -1,6 +1,7 @@
 package fullmodel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -15,6 +16,13 @@ func uniformData(n int, d float64) []float64 {
 		data[i] = d
 	}
 	return data
+}
+
+// homSolve runs one unconstrained homogeneous DP solve on a fresh prepared
+// solver.
+func homSolve(t *testing.T, p Pipeline, pl Platform, minimizePeriod bool) (Mapping, Cost, error) {
+	m, c, _, err := prepare(t, p, pl).SolveHom(Goal{MinimizePeriod: minimizePeriod})
+	return m, c, err
 }
 
 func TestValidate(t *testing.T) {
@@ -93,7 +101,7 @@ func TestZeroCommunicationMatchesChains(t *testing.T) {
 		for u := range pl.Speeds {
 			pl.Speeds[u] = 1
 		}
-		_, c, err := HomPeriod(p, pl)
+		_, c, err := homSolve(t, p, pl, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,13 +132,13 @@ func TestHomPeriodMatchesExactSolve(t *testing.T) {
 			speeds[u] = 2
 		}
 		pl := Uniform(speeds, float64(1+rng.Intn(3)))
-		_, c, err := HomPeriod(p, pl)
+		_, c, err := homSolve(t, p, pl, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ref, ok, err := ExactSolve(p, pl, true, numeric.Inf)
-		if err != nil || !ok {
-			t.Fatalf("exact solve failed: %v", err)
+		_, ref, ok := bruteSolve(p, pl, Goal{MinimizePeriod: true})
+		if !ok {
+			t.Fatal("exact solve infeasible")
 		}
 		if !numeric.Eq(c.Period, ref.Period) {
 			t.Fatalf("trial %d: DP period %v != exact %v (w=%v data=%v q=%d)",
@@ -155,13 +163,13 @@ func TestHomLatencyMatchesExactSolve(t *testing.T) {
 			speeds[u] = 1
 		}
 		pl := Uniform(speeds, float64(1+rng.Intn(3)))
-		_, c, err := HomLatency(p, pl)
+		_, c, err := homSolve(t, p, pl, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ref, ok, err := ExactSolve(p, pl, false, numeric.Inf)
-		if err != nil || !ok {
-			t.Fatalf("exact solve failed: %v", err)
+		_, ref, ok := bruteSolve(p, pl, Goal{})
+		if !ok {
+			t.Fatal("exact solve infeasible")
 		}
 		if !numeric.Eq(c.Latency, ref.Latency) {
 			t.Fatalf("trial %d: DP latency %v != exact %v", trial, c.Latency, ref.Latency)
@@ -175,7 +183,7 @@ func TestLatencyOptimumIsSingleIntervalUnderUniformComm(t *testing.T) {
 	// interval.
 	p := NewPipeline([]float64{3, 1, 4}, uniformData(3, 2))
 	pl := Uniform([]float64{1, 1, 1}, 1)
-	m, c, err := HomLatency(p, pl)
+	m, c, err := homSolve(t, p, pl, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +202,7 @@ func TestCommunicationChangesTheOptimalSplit(t *testing.T) {
 	weights := []float64{4, 4, 4, 4}
 	cheap := NewPipeline(weights, uniformData(4, 0))
 	pl := Uniform([]float64{1, 1}, 1)
-	mCheap, cCheap, err := HomPeriod(cheap, pl)
+	mCheap, cCheap, err := homSolve(t, cheap, pl, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +210,7 @@ func TestCommunicationChangesTheOptimalSplit(t *testing.T) {
 		t.Fatalf("zero-comm optimum: %v %v", mCheap, cCheap)
 	}
 	expensive := NewPipeline(weights, []float64{0, 100, 100, 100, 0})
-	mExp, cExp, err := HomPeriod(expensive, pl)
+	mExp, cExp, err := homSolve(t, expensive, pl, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +227,7 @@ func TestHetExactUsesFastLinks(t *testing.T) {
 	pl := Uniform([]float64{1, 1}, 1)
 	pl.Band[0][1] = 8   // fast
 	pl.Band[1][0] = 0.5 // slow
-	m, c, ok, err := ExactSolve(p, pl, true, numeric.Inf)
+	m, c, ok, err := prepare(t, p, pl).SolveExact(context.Background(), Goal{MinimizePeriod: true})
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -237,10 +245,11 @@ func TestHetExactUsesFastLinks(t *testing.T) {
 func TestExactSolvePeriodCap(t *testing.T) {
 	p := NewPipeline([]float64{4, 4}, uniformData(2, 0))
 	pl := Uniform([]float64{1, 1}, 1)
-	if _, _, ok, _ := ExactSolve(p, pl, false, 1); ok {
+	pp := prepare(t, p, pl)
+	if _, _, ok, _ := pp.SolveExact(context.Background(), Goal{PeriodCap: 1}); ok {
 		t.Error("impossible period cap accepted")
 	}
-	_, c, ok, err := ExactSolve(p, pl, false, 4)
+	_, c, ok, err := pp.SolveExact(context.Background(), Goal{PeriodCap: 4})
 	if err != nil || !ok {
 		t.Fatalf("feasible cap rejected: %v", err)
 	}
@@ -249,27 +258,16 @@ func TestExactSolvePeriodCap(t *testing.T) {
 	}
 }
 
-func TestFromSimple(t *testing.T) {
-	w := workflow.NewPipeline(3, 5)
-	p := FromSimple(w, 2)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Data) != 3 || p.Data[0] != 2 {
-		t.Fatalf("FromSimple data = %v", p.Data)
-	}
-}
-
 func TestRejectsHetPlatformInHomSolvers(t *testing.T) {
 	p := NewPipeline([]float64{1}, uniformData(1, 0))
 	pl := Uniform([]float64{1, 2}, 1)
-	if _, _, err := HomPeriod(p, pl); err == nil {
-		t.Error("heterogeneous platform accepted by HomPeriod")
+	if _, _, err := homSolve(t, p, pl, true); err == nil {
+		t.Error("heterogeneous platform accepted by the homogeneous DP")
 	}
 	pl2 := Uniform([]float64{1, 1}, 1)
 	pl2.Band[0][1] = 9
-	if _, _, err := HomLatency(p, pl2); err == nil {
-		t.Error("heterogeneous bandwidth accepted by HomLatency")
+	if _, _, err := homSolve(t, p, pl2, false); err == nil {
+		t.Error("heterogeneous bandwidth accepted by the homogeneous DP")
 	}
 }
 
@@ -284,15 +282,15 @@ func TestMorePeriodBudgetNeverHurtsLatency(t *testing.T) {
 		}
 		p := NewPipeline(w.Weights, data)
 		pl := Uniform([]float64{1, 1, 1}, 2)
-		_, cTight, okTight, err := ExactSolve(p, pl, false, 0)
+		_, base, err := homSolve(t, p, pl, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, base, err2 := HomPeriod(p, pl)
-		if err2 != nil {
-			t.Fatal(err2)
+		_, cTight, okTight, err := prepare(t, p, pl).SolveExact(context.Background(), Goal{PeriodCap: base.Period})
+		if err != nil || !okTight {
+			t.Fatalf("optimal period cap infeasible: %v", err)
 		}
-		_, cLoose, okLoose, err := ExactSolve(p, pl, false, base.Period*2)
+		_, cLoose, okLoose, err := prepare(t, p, pl).SolveExact(context.Background(), Goal{PeriodCap: base.Period * 2})
 		if err != nil || !okLoose {
 			t.Fatalf("loose cap infeasible: %v", err)
 		}

@@ -11,8 +11,8 @@ import (
 // The replay harness diffs recorded costs with ==, so these tests compare
 // costs with == (not the tolerant numeric.Eq) and mappings with
 // reflect.DeepEqual: the prepared (scratch reused across goals) and
-// partitioned paths must reproduce the one-shot serial results bit for
-// bit.
+// partitioned paths must reproduce a fresh serial solver's results bit
+// for bit.
 
 // randomBandwidth returns a uniform or full-table bandwidth description
 // for p processors.
@@ -77,8 +77,8 @@ func TestCommPipelineParallelSerialIdentity(t *testing.T) {
 }
 
 // TestCommPipelinePreparedIdentity: prepared solves — including repeated
-// goals and DP-table reuse across goals — must equal fresh one-shot
-// solves.
+// goals and DP-table reuse across goals — must equal solves on a fresh
+// prepared solver.
 func TestCommPipelinePreparedIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 30; trial++ {
@@ -112,13 +112,13 @@ func TestCommPipelinePreparedIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wm, wc, wok, err = SolveHom(p, pl, goal)
+					wm, wc, wok, err = prepare(t, p, pl).SolveHom(goal)
 				} else {
 					gm, gc, gok, err = pp.SolveExact(context.Background(), goal)
 					if err != nil {
 						t.Fatal(err)
 					}
-					wm, wc, wok, err = SolveExact(context.Background(), p, pl, goal)
+					wm, wc, wok, err = prepare(t, p, pl).SolveExact(context.Background(), goal)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -133,7 +133,7 @@ func TestCommPipelinePreparedIdentity(t *testing.T) {
 }
 
 // TestCommForkPreparedIdentity: prepared one-port fork solves (scratch
-// reuse, repeated goals) must equal fresh one-shot solves.
+// reuse, repeated goals) must equal solves on a fresh prepared solver.
 func TestCommForkPreparedIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 25; trial++ {
@@ -155,7 +155,7 @@ func TestCommForkPreparedIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wm, wc, wok, err := SolveForkExact(context.Background(), f, pl, goal)
+				wm, wc, wok, err := prepareFork(t, f, pl).SolveExact(context.Background(), goal)
 				if err != nil {
 					t.Fatal(err)
 				}

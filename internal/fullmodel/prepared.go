@@ -17,9 +17,8 @@ import (
 // interval work table, the homogeneous DP tables and candidate-period
 // set, and the enumeration scratch. They keep no per-goal results: every
 // solve runs its search, and repeated goals are answered by the engine's
-// result cache. Their results are bit-identical to the one-shot entry
-// points, which are themselves thin wrappers over a prepared solver used
-// once.
+// result cache. Reuse never changes a result: a solve on a used solver
+// returns the bits a fresh one would.
 
 // lbSlack scales multiply-by-reciprocal lower bounds: w*(1/s) carries at
 // most a couple of ULPs of relative rounding error against w/s, so
@@ -125,9 +124,13 @@ func cloneMapping(m Mapping) Mapping {
 	}
 }
 
-// SolveHom is SolveHom for the prepared instance: the DP tables and the
-// candidate-period set persist across calls, and each solve builds its
-// mapping afresh (homLUPInto).
+// SolveHom optimizes the pipeline on a fully homogeneous platform for
+// any of the four objectives, via the Subhlok-Vondran style dynamic
+// programs: the latency-under-period DP directly, and binary search over
+// the finite candidate period set for the period objectives. ok is false
+// when a cap is infeasible. The DP tables and the candidate-period set
+// persist across calls, and each solve builds its mapping afresh
+// (homLUPInto).
 func (pp *PipelinePrepared) SolveHom(goal Goal) (Mapping, Cost, bool, error) {
 	if !pp.hom {
 		return Mapping{}, Cost{}, false, errPlatformNotHomogeneous
@@ -136,9 +139,8 @@ func (pp *PipelinePrepared) SolveHom(goal Goal) (Mapping, Cost, bool, error) {
 	return m, c, ok, nil
 }
 
-// lup runs the latency-under-period DP in the reused tables. It shares
-// homLUPInto and evalTrusted with the one-shot path, so reuse cannot
-// change a bit of the result.
+// lup runs the latency-under-period DP in the reused tables. homLUPInto
+// resets them first, so reuse cannot change a bit of the result.
 func (pp *PipelinePrepared) lup(maxPeriod float64) (Mapping, Cost, bool) {
 	if pp.L == nil {
 		pp.L, pp.cut = newHomDP(pp.n, pp.pl.Processors())
@@ -610,11 +612,14 @@ func cloneForkMapping(m ForkMapping) ForkMapping {
 	return out
 }
 
-// SolveExact mirrors the one-shot SolveForkExact enumeration exactly —
-// same partition order, same injective processor assignments, same
-// latency-optimal send order (a stable insertion sort reproducing
-// OptimalSendOrder's stable sort) — but reuses all scratch, so the
-// installed mapping and cost are bit-identical. The returned mapping is
+// SolveExact exhaustively optimizes the one-port fork: it enumerates
+// every partition of the leaves into blocks (block 0 is the root block
+// and may hold no leaf), every injective processor assignment, and
+// evaluates each mapping with the latency-optimal send order (the period
+// is send-order independent, so one order per assignment suffices for
+// both metrics). Runs under the flexible model of EvalFork. The send
+// order is a stable insertion sort reproducing OptimalSendOrder's stable
+// sort, and all scratch is reused across calls; the returned mapping is
 // the copy made at install.
 func (fp *ForkPrepared) SolveExact(ctx context.Context, goal Goal) (ForkMapping, Cost, bool, error) {
 	n, procs := fp.n, fp.pl.Processors()

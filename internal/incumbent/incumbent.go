@@ -93,11 +93,9 @@ type Bound struct {
 	bits atomic.Uint64
 }
 
-// NewBound returns a bound initialized to +Inf (nothing pruned).
-func NewBound() *Bound {
-	b := &Bound{}
+// reset sets the bound to +Inf (nothing pruned).
+func (b *Bound) reset() {
 	b.bits.Store(math.Float64bits(math.Inf(1)))
-	return b
 }
 
 // Load returns the current bound.

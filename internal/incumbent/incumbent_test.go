@@ -53,7 +53,8 @@ func TestBestOfferAdoptSnapshot(t *testing.T) {
 }
 
 func TestBoundTightenIsMonotoneMin(t *testing.T) {
-	b := NewBound()
+	var b Bound
+	b.reset()
 	if !math.IsInf(b.Load(), 1) {
 		t.Fatalf("fresh bound = %g, want +Inf", b.Load())
 	}
@@ -71,7 +72,8 @@ func TestBoundTightenIsMonotoneMin(t *testing.T) {
 // TestBoundConcurrentTighten: racing tighteners must end at the global
 // minimum — the CAS loop may not lose a smaller value to a larger one.
 func TestBoundConcurrentTighten(t *testing.T) {
-	b := NewBound()
+	var b Bound
+	b.reset()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

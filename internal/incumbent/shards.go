@@ -94,7 +94,7 @@ func AsWorkerPanic(r any) *WorkerPanic {
 // goroutine as a *WorkerPanic after all workers have returned.
 func Each(workers, n int, fn func(sh *Shards, worker, shard int) error) error {
 	sh := &Shards{}
-	sh.bound.bits.Store(math.Float64bits(math.Inf(1)))
+	sh.bound.reset()
 	sh.lbShard.Store(math.MaxInt64)
 	workers = max(1, min(workers, n))
 	errs := make([]error, workers)

@@ -161,23 +161,6 @@ func EvalFork(f workflow.Fork, pl platform.Platform, m ForkMapping) (Cost, error
 	return c, nil
 }
 
-// ReplicateAllFork maps the whole fork as one block replicated onto every
-// processor — the optimal period mapping on homogeneous platforms
-// (Theorem 10).
-func ReplicateAllFork(f workflow.Fork, pl platform.Platform) ForkMapping {
-	procs := make([]int, pl.Processors())
-	for i := range procs {
-		procs[i] = i
-	}
-	leaves := make([]int, f.Leaves())
-	for i := range leaves {
-		leaves[i] = i
-	}
-	return ForkMapping{Blocks: []ForkBlock{
-		{Root: true, Leaves: leaves, Assignment: Assignment{Procs: procs, Mode: Replicated}},
-	}}
-}
-
 // String renders the mapping in a compact human-readable form.
 func (m ForkMapping) String() string {
 	parts := make([]string, len(m.Blocks))

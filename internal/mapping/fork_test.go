@@ -36,7 +36,8 @@ func TestForkReplicateAll(t *testing.T) {
 	// Theorem 10's mapping: replicate everything on all processors.
 	f := workflow.NewFork(2, 3, 5, 2)
 	pl := platform.Homogeneous(3, 1)
-	c := mustEvalFork(t, f, pl, ReplicateAllFork(f, pl))
+	m := ReplicateAllForkJoin(workflow.ForkJoin{Root: f.Root, Weights: f.Weights}, pl).Fork()
+	c := mustEvalFork(t, f, pl, m)
 	if !numeric.Eq(c.Period, 4) { // 12/(3*1)
 		t.Errorf("period = %v, want 4", c.Period)
 	}

@@ -1,9 +1,6 @@
 package nph
 
 import (
-	"fmt"
-
-	"repliflow/internal/mapping"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -90,32 +87,6 @@ func Theorem9(ins N3DMInstance) (workflow.Pipeline, platform.Platform, float64, 
 		speeds = append(speeds, float64(par.D))
 	}
 	return workflow.NewPipeline(weights...), platform.New(speeds...), 1, nil
-}
-
-// Theorem9Witness builds the explicit period-1 mapping from an N3DM
-// solution (σ1, σ2), following the forward direction of the proof:
-// for each group i, processor P_{σ1(i)} takes A_i plus z_{σ2(i)} unit
-// stages, P_{m+σ2(i)} the remaining M - z_{σ2(i)} unit stages plus C, and
-// P_{2m+i} the stage of weight D.
-func Theorem9Witness(ins N3DMInstance, sigma1, sigma2 []int) (mapping.PipelineMapping, error) {
-	if err := ins.Validate(); err != nil {
-		return mapping.PipelineMapping{}, err
-	}
-	m, M := len(ins.X), ins.M
-	if len(sigma1) != m || len(sigma2) != m {
-		return mapping.PipelineMapping{}, fmt.Errorf("nph: witness permutations have wrong length")
-	}
-	var mp mapping.PipelineMapping
-	for i := 0; i < m; i++ {
-		base := i * (M + 3)
-		z := ins.Z[sigma2[i]]
-		mp.Intervals = append(mp.Intervals,
-			mapping.NewPipelineInterval(base, base+z, mapping.Replicated, sigma1[i]),
-			mapping.NewPipelineInterval(base+z+1, base+M+1, mapping.Replicated, m+sigma2[i]),
-			mapping.NewPipelineInterval(base+M+2, base+M+2, mapping.Replicated, 2*m+i),
-		)
-	}
-	return mp, nil
 }
 
 // Theorem12 builds the Theorem 12 instance from a 2-PARTITION instance a:

@@ -1,6 +1,7 @@
 package nph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestTheorem9WitnessAchievesPeriodOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		witness, err := Theorem9Witness(ins, s1, s2)
+		witness, err := theorem9Witness(ins, s1, s2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +148,11 @@ func TestTheorem9RejectsInvalidInstance(t *testing.T) {
 	if _, _, _, err := Theorem9(bad); err == nil {
 		t.Error("invalid N3DM instance accepted")
 	}
-	if _, err := Theorem9Witness(bad, []int{0}, []int{0}); err == nil {
+	if _, err := theorem9Witness(bad, []int{0}, []int{0}); err == nil {
 		t.Error("witness for invalid instance accepted")
 	}
 	good := N3DMInstance{X: []int{1}, Y: []int{1}, Z: []int{1}, M: 3}
-	if _, err := Theorem9Witness(good, []int{0, 1}, []int{0}); err == nil {
+	if _, err := theorem9Witness(good, []int{0, 1}, []int{0}); err == nil {
 		t.Error("wrong-length permutation accepted")
 	}
 }
@@ -236,4 +237,30 @@ func TestTheorem15ReductionIff(t *testing.T) {
 				trial, a, yes, opt.Cost.Period, bound, opt.Mapping)
 		}
 	}
+}
+
+// theorem9Witness builds the explicit period-1 mapping from an N3DM
+// solution (σ1, σ2), following the forward direction of the proof:
+// for each group i, processor P_{σ1(i)} takes A_i plus z_{σ2(i)} unit
+// stages, P_{m+σ2(i)} the remaining M - z_{σ2(i)} unit stages plus C, and
+// P_{2m+i} the stage of weight D.
+func theorem9Witness(ins N3DMInstance, sigma1, sigma2 []int) (mapping.PipelineMapping, error) {
+	if err := ins.Validate(); err != nil {
+		return mapping.PipelineMapping{}, err
+	}
+	m, M := len(ins.X), ins.M
+	if len(sigma1) != m || len(sigma2) != m {
+		return mapping.PipelineMapping{}, fmt.Errorf("nph: witness permutations have wrong length")
+	}
+	var mp mapping.PipelineMapping
+	for i := 0; i < m; i++ {
+		base := i * (M + 3)
+		z := ins.Z[sigma2[i]]
+		mp.Intervals = append(mp.Intervals,
+			mapping.NewPipelineInterval(base, base+z, mapping.Replicated, sigma1[i]),
+			mapping.NewPipelineInterval(base+z+1, base+M+1, mapping.Replicated, m+sigma2[i]),
+			mapping.NewPipelineInterval(base+M+2, base+M+2, mapping.Replicated, 2*m+i),
+		)
+	}
+	return mp, nil
 }

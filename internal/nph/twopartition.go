@@ -10,7 +10,6 @@ package nph
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 )
 
 // TwoPartition decides whether the positive integers a can be split into
@@ -64,46 +63,4 @@ func TwoPartition(a []int) ([]int, bool, error) {
 		subset[l], subset[r] = subset[r], subset[l]
 	}
 	return subset, true, nil
-}
-
-// SubsetSum returns the sum of a over the given indices.
-func SubsetSum(a []int, subset []int) int {
-	s := 0
-	for _, i := range subset {
-		s += a[i]
-	}
-	return s
-}
-
-// RandomYes2Partition returns an instance of m elements (m even, >= 2) that
-// is guaranteed to admit a 2-partition: elements are generated in pairs of
-// equal values, so the pairing itself is a witness.
-func RandomYes2Partition(rng *rand.Rand, m, maxV int) []int {
-	if m%2 != 0 {
-		m++
-	}
-	a := make([]int, m)
-	for i := 0; i < m; i += 2 {
-		v := 1 + rng.Intn(maxV)
-		a[i], a[i+1] = v, v
-	}
-	rng.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-	return a
-}
-
-// RandomNo2Partition returns an instance with an odd total sum, which can
-// never be 2-partitioned.
-func RandomNo2Partition(rng *rand.Rand, m, maxV int) []int {
-	a := make([]int, m)
-	for i := range a {
-		a[i] = 1 + rng.Intn(maxV)
-	}
-	total := 0
-	for _, v := range a {
-		total += v
-	}
-	if total%2 == 0 {
-		a[0]++
-	}
-	return a
 }

@@ -48,7 +48,7 @@ func TestTwoPartitionKnownCases(t *testing.T) {
 			t.Errorf("TwoPartition(%v) = %v, want %v", c.a, got, c.want)
 		}
 		if got {
-			if 2*SubsetSum(c.a, subset) != intSum(c.a) {
+			if 2*subsetSum(c.a, subset) != intSum(c.a) {
 				t.Errorf("TwoPartition(%v) subset %v does not halve the sum", c.a, subset)
 			}
 		}
@@ -76,7 +76,7 @@ func TestTwoPartitionMatchesBruteForce(t *testing.T) {
 func TestTwoPartitionSubsetIsValidWitness(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := RandomYes2Partition(rng, 2+2*rng.Intn(4), 20)
+		a := randomYes2Partition(rng, 2+2*rng.Intn(4), 20)
 		subset, ok, err := TwoPartition(a)
 		if err != nil || !ok {
 			return false
@@ -88,7 +88,7 @@ func TestTwoPartitionSubsetIsValidWitness(t *testing.T) {
 			}
 			seen[i] = true
 		}
-		return 2*SubsetSum(a, subset) == intSum(a)
+		return 2*subsetSum(a, subset) == intSum(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -98,9 +98,9 @@ func TestTwoPartitionSubsetIsValidWitness(t *testing.T) {
 func TestRandomNo2PartitionIsNo(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 100; trial++ {
-		a := RandomNo2Partition(rng, 1+rng.Intn(8), 15)
+		a := randomNo2Partition(rng, 1+rng.Intn(8), 15)
 		if _, ok, _ := TwoPartition(a); ok {
-			t.Fatalf("RandomNo2Partition produced a yes-instance: %v", a)
+			t.Fatalf("randomNo2Partition produced a yes-instance: %v", a)
 		}
 	}
 }
@@ -115,4 +115,46 @@ func TestTwoPartitionRejectsBadInput(t *testing.T) {
 	if _, _, err := TwoPartition([]int{-3}); err == nil {
 		t.Error("negative element accepted")
 	}
+}
+
+// subsetSum returns the sum of a over the given indices.
+func subsetSum(a []int, subset []int) int {
+	s := 0
+	for _, i := range subset {
+		s += a[i]
+	}
+	return s
+}
+
+// randomYes2Partition returns an instance of m elements (m even, >= 2) that
+// is guaranteed to admit a 2-partition: elements are generated in pairs of
+// equal values, so the pairing itself is a witness.
+func randomYes2Partition(rng *rand.Rand, m, maxV int) []int {
+	if m%2 != 0 {
+		m++
+	}
+	a := make([]int, m)
+	for i := 0; i < m; i += 2 {
+		v := 1 + rng.Intn(maxV)
+		a[i], a[i+1] = v, v
+	}
+	rng.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+	return a
+}
+
+// randomNo2Partition returns an instance with an odd total sum, which can
+// never be 2-partitioned.
+func randomNo2Partition(rng *rand.Rand, m, maxV int) []int {
+	a := make([]int, m)
+	for i := range a {
+		a[i] = 1 + rng.Intn(maxV)
+	}
+	total := 0
+	for _, v := range a {
+		total += v
+	}
+	if total%2 == 0 {
+		a[0]++
+	}
+	return a
 }

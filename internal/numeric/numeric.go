@@ -86,17 +86,6 @@ func DedupSorted(vals []float64) []float64 {
 	return out
 }
 
-// MinFloat returns the minimum of a non-empty slice.
-func MinFloat(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // MaxFloat returns the maximum of a non-empty slice.
 func MaxFloat(xs []float64) float64 {
 	m := xs[0]

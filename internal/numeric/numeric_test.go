@@ -137,9 +137,6 @@ func TestFloorDivExactRationals(t *testing.T) {
 
 func TestAggregates(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
-	if MinFloat(xs) != 1 {
-		t.Error("MinFloat wrong")
-	}
 	if MaxFloat(xs) != 5 {
 		t.Error("MaxFloat wrong")
 	}

@@ -65,9 +65,6 @@ func (pl Platform) Validate() error {
 	return nil
 }
 
-// MinSpeed returns the smallest processor speed.
-func (pl Platform) MinSpeed() float64 { return numeric.MinFloat(pl.Speeds) }
-
 // MaxSpeed returns the largest processor speed.
 func (pl Platform) MaxSpeed() float64 { return numeric.MaxFloat(pl.Speeds) }
 

@@ -42,7 +42,7 @@ func TestValidate(t *testing.T) {
 
 func TestMinMaxFastest(t *testing.T) {
 	pl := New(2, 5, 1, 5)
-	if pl.MinSpeed() != 1 || pl.MaxSpeed() != 5 {
+	if pl.SubsetMinSpeed([]int{0, 1, 2, 3}) != 1 || pl.MaxSpeed() != 5 {
 		t.Fatal("min/max wrong")
 	}
 	if got := pl.Fastest(); got != 1 { // first of the two fastest

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,22 +36,16 @@ type sweepRung struct {
 }
 
 // forkJoinFrontRung is a staged instance of a front path whose points
-// stream out one by one: a fork-join with the first leaves of
-// [3, 6, 6, 2, 9, 7, 8, 5] on 5 processors of speeds 1, 4, 1, 2 and 4,
-// without data-parallelism, solved exhaustively under a raised limit.
-// Each point after the pass is one bounded partition scan, which stops
-// at the first mapping reaching the optimum the pass proved; on these
-// repeated speeds that mapping comes late, so the points take about as
-// long as the pass: with 8 leaves the pass takes about a third of a
-// second and its 5 points about as long again.
-func forkJoinFrontRung(leaves int) sweepRung {
-	weights := []string{"3", "6", "6", "2", "9", "7", "8", "5"}[:leaves]
-	return sweepRung{
-		instance: `{
-	"forkjoin": {"root": 5, "join": 10, "weights": [` + strings.Join(weights, ", ") + `]},
+// stream out one by one: a fork-join with leaves [3, 6, 6, 2, 9, 7] on 5
+// processors of speeds 1, 4, 1, 2 and 4, without data-parallelism,
+// solved exhaustively under a raised limit. Each point after the pass is
+// one bounded partition scan, which stops at the first mapping reaching
+// the optimum the pass proved.
+var forkJoinFrontRung = sweepRung{
+	instance: `{
+	"forkjoin": {"root": 5, "join": 10, "weights": [3, 6, 6, 2, 9, 7]},
 	"platform": {"speeds": [1, 4, 1, 2, 4]}`,
-		opts: core.Options{MaxExhaustiveForkStages: leaves + 2},
-	}
+	opts: core.Options{MaxExhaustiveForkStages: 8},
 }
 
 // walkedSweepSteps are the steps of the walked sweep's staging DAGs. Every
@@ -85,33 +81,120 @@ func walkedSweepRung(steps int) sweepRung {
 	}
 }
 
-// stageMidSweep picks the deadline of a mid-sweep deadline test. It runs
-// the reference sweep of each rung, smallest first, and stops at the
-// first whose sweep runs on for at least 100 ms after its first point.
-// It returns that rung, its reference points and a deadline halfway
-// between its first point and its end; it fails the test when no rung
-// sweeps long enough, since a deadline could then not land mid-sweep.
-func stageMidSweep(t *testing.T, rungs ...sweepRung) (sweepRung, []timedLine, time.Duration) {
+// newFirstPointDeadlineServer serves a server with the given options on
+// request contexts whose deadline the test fires: it expires, as
+// context.DeadlineExceeded, the moment the response's first point line is
+// flushed. The deadline is staged on the run's own progress, so it lands
+// after the first point and before the next solve on any machine.
+func newFirstPointDeadlineServer(t *testing.T, opts core.Options) *httptest.Server {
 	t.Helper()
-	var gap time.Duration
-	for _, r := range rungs {
-		_, ref := newTestServer(t, Config{Options: r.opts})
-		code, lines, total := streamLines(t, ref.URL, r.instance+`, "timeoutMs": 120000}`)
-		if code != http.StatusOK {
-			t.Fatalf("reference sweep: status = %d", code)
-		}
-		sols, _ := parseStream(t, lines)
-		if len(sols) < 2 {
-			t.Fatalf("reference sweep produced %d points, need >= 2", len(sols))
-		}
-		first := sols[0].at
-		if gap = total - first; gap >= 100*time.Millisecond {
-			t.Logf("staged on a sweep of %d points: first at %v, end %v later", len(sols), first, gap)
-			return r, sols, first + gap/2
-		}
+	s := New(Config{Options: opts})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx := newFiredDeadline(r.Context())
+		s.ServeHTTP(&fireOnPointFlush{ResponseWriter: w, fire: ctx.fire}, r.WithContext(ctx))
+	}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.Close)
+	return ts
+}
+
+// firedDeadline is a request context that expires, with
+// context.DeadlineExceeded, when fire is called. It implements AfterFunc,
+// so the contexts the server derives from it expire inside fire itself.
+type firedDeadline struct {
+	context.Context
+	done chan struct{}
+
+	mu     sync.Mutex
+	afters map[int]func() // nil once fired
+	next   int
+}
+
+func newFiredDeadline(parent context.Context) *firedDeadline {
+	return &firedDeadline{Context: parent, done: make(chan struct{}), afters: map[int]func(){}}
+}
+
+func (c *firedDeadline) Done() <-chan struct{} { return c.done }
+
+func (c *firedDeadline) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
 	}
-	t.Fatalf("the largest staging instance sweeps in %v after its first point; cannot stage a mid-sweep deadline", gap)
-	return sweepRung{}, nil, 0
+}
+
+// AfterFunc arranges to call f when the context fires, as
+// context.AfterFunc does for the standard contexts.
+func (c *firedDeadline) AfterFunc(f func()) (stop func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.afters == nil {
+		go f()
+		return func() bool { return false }
+	}
+	id := c.next
+	c.next++
+	c.afters[id] = f
+	return func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, ok := c.afters[id]
+		delete(c.afters, id)
+		return ok
+	}
+}
+
+// fire expires the context and, before it returns, every context derived
+// from it.
+func (c *firedDeadline) fire() {
+	c.mu.Lock()
+	afters := c.afters
+	c.afters = nil
+	if afters != nil {
+		close(c.done)
+	}
+	c.mu.Unlock()
+	for _, f := range afters {
+		f()
+	}
+}
+
+// fireOnPointFlush calls fire after flushing a point line, a line without
+// a "status" field.
+type fireOnPointFlush struct {
+	http.ResponseWriter
+	fire func()
+	line []byte // written since the last flush
+}
+
+func (w *fireOnPointFlush) Write(b []byte) (int, error) {
+	w.line = append(w.line, b...)
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *fireOnPointFlush) Flush() {
+	w.ResponseWriter.(http.Flusher).Flush()
+	if len(w.line) > 0 && !bytes.Contains(w.line, []byte(`"status"`)) {
+		w.fire()
+	}
+	w.line = w.line[:0]
+}
+
+// referenceSweep streams the rung's whole front from a fresh server.
+func referenceSweep(t *testing.T, rung sweepRung) []timedLine {
+	t.Helper()
+	_, ref := newTestServer(t, Config{Options: rung.opts})
+	code, lines, _ := streamLines(t, ref.URL, rung.instance+`, "timeoutMs": 120000}`)
+	if code != http.StatusOK {
+		t.Fatalf("reference sweep: status = %d", code)
+	}
+	sols, _ := parseStream(t, lines)
+	if len(sols) < 2 {
+		t.Fatalf("reference sweep produced %d points, need >= 2", len(sols))
+	}
+	return sols
 }
 
 // pacedSweepInstance is a small NP-hard staging instance with the
@@ -251,28 +334,24 @@ func checkTerminalDeadline(t *testing.T, statuses []StreamStatus, points int) {
 // landing after the first point: the client gets an ordered partial
 // front whose every line parses as SolutionJSON, closed by a terminal
 // status line reporting the walk step that was cut —
-// never a bare 504 once a point is on the wire. The deadline is chosen
-// adaptively — a cold reference run measures when the first point and
-// the completion happen, and the timed run gets the midpoint — on the
-// first rung of a ladder of walked sweeps that runs long enough, so the
-// test stages "mid-sweep" on any machine speed.
+// never a bare 504 once a point is on the wire. The deadline fires when
+// the timed run flushes its first point, so the test stages "mid-sweep"
+// on any machine speed.
 func TestParetoDeadlineMidSweep(t *testing.T) {
-	rung, sols, deadline := stageMidSweep(t, walkedSweepRung(7), walkedSweepRung(8), walkedSweepRung(9))
-	first := sols[0].at
+	rung := walkedSweepRung(7)
+	sols := referenceSweep(t, rung)
 
-	// A fresh server: the reference run must not warm the timed run.
-	_, timed := newTestServer(t, Config{Options: rung.opts})
-	body := fmt.Sprintf(`%s, "timeoutMs": %d}`, rung.instance, deadline.Milliseconds())
-	code, lines, _ := streamLines(t, timed.URL, body)
+	timed := newFirstPointDeadlineServer(t, rung.opts)
+	code, lines, _ := streamLines(t, timed.URL, rung.instance+`, "timeoutMs": 120000}`)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d with a mid-sweep deadline", code)
 	}
 	partial, statuses := parseStream(t, lines)
 	if len(partial) == 0 {
-		t.Fatalf("deadline at %v (first point at %v) cut the sweep before any point", deadline, first)
+		t.Fatal("the deadline cut the sweep before any point")
 	}
 	if len(partial) >= len(sols) {
-		t.Fatalf("deadline at %v did not cut the sweep (got all %d points)", deadline, len(partial))
+		t.Fatalf("the deadline did not cut the sweep (got all %d points)", len(partial))
 	}
 	assertIncreasingPeriods(t, partial)
 	// The partial front is a prefix of the reference front.
@@ -291,18 +370,17 @@ func TestParetoDeadlineMidSweep(t *testing.T) {
 // proved the whole front before the first point went out, so nothing is
 // left unexplored, only unsent.
 func TestParetoDeadlineAfterFrontPass(t *testing.T) {
-	rung, sols, deadline := stageMidSweep(t, forkJoinFrontRung(6), forkJoinFrontRung(7), forkJoinFrontRung(8))
-	first := sols[0].at
+	rung := forkJoinFrontRung
+	sols := referenceSweep(t, rung)
 
-	_, timed := newTestServer(t, Config{Options: rung.opts})
-	body := fmt.Sprintf(`%s, "timeoutMs": %d}`, rung.instance, deadline.Milliseconds())
-	code, lines, _ := streamLines(t, timed.URL, body)
+	timed := newFirstPointDeadlineServer(t, rung.opts)
+	code, lines, _ := streamLines(t, timed.URL, rung.instance+`, "timeoutMs": 120000}`)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d with a mid-sweep deadline", code)
 	}
 	partial, statuses := parseStream(t, lines)
 	if len(partial) == 0 || len(partial) >= len(sols) {
-		t.Fatalf("deadline at %v (first point at %v) left %d of %d points", deadline, first, len(partial), len(sols))
+		t.Fatalf("the deadline left %d of %d points", len(partial), len(sols))
 	}
 	for i := range partial {
 		if partial[i].text != sols[i].text {

@@ -42,33 +42,6 @@ func (tr Trace) MaxLatency() float64 {
 	return worst
 }
 
-// MeanLatencyHalves returns the mean latency over the first and second
-// halves of the trace. A second half markedly above the first indicates an
-// unsustainable input rate (backlog growth) — the dynamic signature of
-// pacing the input below the mapping's period.
-func (tr Trace) MeanLatencyHalves() (first, second float64) {
-	n := len(tr.Completions)
-	if n == 0 {
-		return 0, 0
-	}
-	mid := n / 2
-	for i := 0; i < n; i++ {
-		l := tr.Completions[i] - tr.Arrivals[i]
-		if i < mid {
-			first += l
-		} else {
-			second += l
-		}
-	}
-	if mid > 0 {
-		first /= float64(mid)
-	}
-	if n-mid > 0 {
-		second /= float64(n - mid)
-	}
-	return first, second
-}
-
 // SteadyStatePeriod estimates the asymptotic inter-completion time from the
 // second half of the trace — the simulated counterpart of T_period.
 func (tr Trace) SteadyStatePeriod() float64 {
@@ -78,26 +51,6 @@ func (tr Trace) SteadyStatePeriod() float64 {
 	}
 	mid := n / 2
 	return (tr.Completions[n-1] - tr.Completions[mid]) / float64(n-1-mid)
-}
-
-// Utilization summarizes how busy each processor of a mapped group was
-// during a simulation window.
-type Utilization struct {
-	Processor int
-	Busy      float64 // total service time
-	Window    float64 // observation window (first arrival to last completion)
-}
-
-// Fraction returns busy time over the window, in [0, 1].
-func (u Utilization) Fraction() float64 {
-	if u.Window <= 0 {
-		return 0
-	}
-	f := u.Busy / u.Window
-	if f > 1 {
-		f = 1
-	}
-	return f
 }
 
 // station models one mapped group of stages.

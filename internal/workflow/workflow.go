@@ -217,11 +217,15 @@ func (fj ForkJoin) Fork() Fork {
 }
 
 // IsHomogeneous reports whether all independent stages share one weight.
-func (fj ForkJoin) IsHomogeneous() bool { return fj.Fork().IsHomogeneous() }
+// It reads fj's weights in place, without Fork's copy.
+func (fj ForkJoin) IsHomogeneous() bool {
+	return Fork{Root: fj.Root, Weights: fj.Weights}.IsHomogeneous()
+}
 
-// Validate checks the fork-join is well formed.
+// Validate checks the fork-join is well formed. It reads fj's weights in
+// place, without Fork's copy.
 func (fj ForkJoin) Validate() error {
-	if err := fj.Fork().Validate(); err != nil {
+	if err := (Fork{Root: fj.Root, Weights: fj.Weights}).Validate(); err != nil {
 		return err
 	}
 	if fj.Join <= 0 {

@@ -124,6 +124,26 @@ func TestForkJoinForkIsCopy(t *testing.T) {
 	}
 }
 
+// TestForkJoinChecksDoNotAllocate: Validate and IsHomogeneous run on every
+// fork-join solve and read the leaf weights in place.
+func TestForkJoinChecksDoNotAllocate(t *testing.T) {
+	fj := NewForkJoin(2, 3, 4, 4, 4, 4)
+	if n := testing.AllocsPerRun(100, func() {
+		if fj.Validate() != nil {
+			t.Fatal("valid fork-join rejected")
+		}
+	}); n != 0 {
+		t.Errorf("ForkJoin.Validate allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !fj.IsHomogeneous() {
+			t.Fatal("homogeneous fork-join reported heterogeneous")
+		}
+	}); n != 0 {
+		t.Errorf("ForkJoin.IsHomogeneous allocates %v times, want 0", n)
+	}
+}
+
 func TestRandomGeneratorsBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
